@@ -19,7 +19,6 @@ from .analysis import (
     dim_ur,
     domination_check,
     enumerate_achievable_r,
-    measure_u1,
     measure_ur,
     witness_ur,
 )
@@ -46,7 +45,7 @@ from .graphs import (
     psi_step,
     scc,
 )
-from .instance import ProblemInstance, derived_bounds, parse_instance, serialize
+from .instance import ProblemInstance, parse_instance, serialize
 from .lattice import (
     IntegerInterval,
     SmallCube,
@@ -73,7 +72,6 @@ __all__ = [
     "ProblemInstance",
     "parse_instance",
     "serialize",
-    "derived_bounds",
     "IntegerInterval",
     "WorkingInterval",
     "SmallCube",
@@ -114,7 +112,6 @@ __all__ = [
     "UrReport",
     "WitnessExpansion",
     "dim_u1",
-    "measure_u1",
     "enumerate_achievable_r",
     "dim_ur",
     "domination_check",

@@ -11,6 +11,14 @@
   beyond the countable base-n grid.  Values of r realised only on that grid
   are found separately by walking terminating expansions into the integer
   offset automaton.
+
+Every answer for one instance is read from an ``Analysis`` context.  It
+computes each derived object on first use and keeps it: the restricted
+graph (with the xi types) and its SCC decomposition, covering and
+separation, the digit matrices, the U1 report and a single subset graph,
+built in the mode ``graphs.subset_graph_mode`` chooses.  The public
+functions below are thin readers of a context; ``RSearchResult`` carries
+the context of its search, so passing ``search=`` reuses all of it.
 """
 
 from __future__ import annotations
@@ -18,14 +26,18 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, log
 
 from .counting import exact_card, expansion_value
 from .errors import HypothesisViolated, NotAchievable, TooLarge
-from .graphs import CongruentGraph, build_congruent_graph, build_xi_graph, scc
+from .graphs import (
+    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph,
+    component_matrix, scc, subset_graph_mode,
+)
 from .instance import ProblemInstance
-from .lattice import covering_condition, strong_separation, xi_types
-from .spectral import RadiusResult, radii_equal, spectral_radius, transition_matrices
+from .lattice import covering_condition, strong_separation
+from .spectral import CountMatrix, RadiusResult, radii_equal, spectral_radius, transition_matrices
 
 _VECTOR_CAP = 2**20
 
@@ -57,23 +69,6 @@ class U1Report:
     notes: tuple[str, ...]
 
 
-def _graph_has_entropy(matrix: tuple[tuple[int, ...], ...]) -> bool:
-    """Exact test for rho > 1 on a 0-1 matrix: some strongly connected
-    component carries more edges than vertices (two overlapping cycles)."""
-    adjacency = {
-        i: tuple(j for j, bit in enumerate(row) if bit)
-        for i, row in enumerate(matrix)
-    }
-    for comp in scc(adjacency).components:
-        comp_set = set(comp)
-        edges = sum(
-            1 for v in comp for w in adjacency[v] if w in comp_set
-        )
-        if edges > len(comp):
-            return True
-    return False
-
-
 def _log_over_log_n(value: float, n: int) -> float:
     if value <= 0.0:
         return -inf
@@ -98,77 +93,135 @@ def _separation_negligible(inst: ProblemInstance, ssc_flags, s: float) -> bool:
     return True
 
 
-def _u1_report(inst: ProblemInstance) -> U1Report:
-    xi = build_xi_graph(inst)
-    covering = covering_condition(inst)
-    ssc_flags = strong_separation(inst)
-    ssc = all(ssc_flags)
-    rho = spectral_radius(xi.matrix)
-    n = inst.n
-    s = _log_over_log_n(rho.estimate, n)
-    s_lower = _log_over_log_n(float(rho.lower), n)
-    s_upper = _log_over_log_n(float(rho.upper), n)
-    s_positive = _graph_has_entropy(xi.matrix)
-    notes = []
-    if not covering:
-        notes.append("covering condition fails: s is only a lower bound for the dimension")
-    dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, s)
-    if not ssc and dichotomy_ok:
-        notes.append(
-            "strong separation fails but cube faces have dimension below s; "
-            "the measure dichotomy still applies"
+@dataclass(frozen=True)
+class Analysis:
+    """The derived objects of one instance, each computed at most once."""
+
+    inst: ProblemInstance
+
+    # -- the restricted graph and the unique representations ------------------
+
+    @cached_property
+    def xi(self) -> XiGraph:
+        return build_xi_graph(self.inst)
+
+    @cached_property
+    def xi_scc(self) -> SccDecomposition:
+        return scc(self.xi)
+
+    @cached_property
+    def covering(self) -> bool:
+        return covering_condition(self.inst)
+
+    @cached_property
+    def ssc(self) -> list[bool]:
+        return strong_separation(self.inst)
+
+    @cached_property
+    def matrices(self) -> list[CountMatrix]:
+        return transition_matrices(self.inst)
+
+    @cached_property
+    def u1(self) -> U1Report:
+        inst, xi = self.inst, self.xi
+        covering = self.covering
+        ssc_flags = self.ssc
+        ssc = all(ssc_flags)
+        rho = spectral_radius(xi.matrix)
+        n = inst.n
+        s = _log_over_log_n(rho.estimate, n)
+        s_lower = _log_over_log_n(float(rho.lower), n)
+        s_upper = _log_over_log_n(float(rho.upper), n)
+        adjacency = xi.adjacency()
+        blocks = [component_matrix(adjacency, comp) for comp in self.xi_scc.components]
+        # exact test for rho > 1: some component carries more edges than
+        # vertices (two overlapping cycles)
+        s_positive = any(sum(map(sum, block)) > len(block) for block in blocks)
+        notes = []
+        if not covering:
+            notes.append("covering condition fails: s is only a lower bound for the dimension")
+        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, s)
+        if not ssc and dichotomy_ok:
+            notes.append(
+                "strong separation fails but cube faces have dimension below s; "
+                "the measure dichotomy still applies"
+            )
+        if not dichotomy_ok:
+            notes.append("strong separation fails: the measure dichotomy does not apply")
+        if covering and dichotomy_ok and s_positive:
+            measure = MEASURE_POSITIVE_FINITE
+            maximal = []
+            for idx, block in enumerate(blocks):
+                eq, verdict = radii_equal(block, xi.matrix)
+                if eq:
+                    maximal.append(idx)
+                    notes.append(f"component {idx} attains the full radius ({verdict})")
+            for i in maximal:
+                for j in maximal:
+                    if i != j and self.xi_scc.precedes(i, j):
+                        measure = MEASURE_INFINITE
+        elif s_positive:
+            measure = MEASURE_POSITIVE_ONLY
+        else:
+            measure = MEASURE_NOT_APPLICABLE
+        return U1Report(
+            rho=rho,
+            s=s,
+            s_lower=s_lower,
+            s_upper=s_upper,
+            dim_exact=covering,
+            s_positive=s_positive,
+            covering=covering,
+            ssc=ssc,
+            measure_class=measure,
+            notes=tuple(notes),
         )
-    if not dichotomy_ok:
-        notes.append("strong separation fails: the measure dichotomy does not apply")
-    if covering and dichotomy_ok and s_positive:
-        decomposition = scc(xi)
-        measure = MEASURE_POSITIVE_FINITE
-        comps = decomposition.components
-        maximal = []
-        for idx, comp in enumerate(comps):
-            pos = {u: i for i, u in enumerate(sorted(comp))}
-            sub = [[0] * len(comp) for _ in comp]
-            us = xi.us
-            index = {u: i for i, u in enumerate(us)}
-            for u in comp:
-                for v, bit in zip(us, xi.matrix[index[u]]):
-                    if bit and v in pos:
-                        sub[pos[u]][pos[v]] = 1
-            eq, verdict = radii_equal(sub, xi.matrix)
-            if eq:
-                maximal.append(idx)
-                notes.append(f"component {idx} attains the full radius ({verdict})")
-        for i in maximal:
-            for j in maximal:
-                if i != j and decomposition.precedes(i, j):
-                    measure = MEASURE_INFINITE
-    elif s_positive:
-        measure = MEASURE_POSITIVE_ONLY
-    else:
-        measure = MEASURE_NOT_APPLICABLE
-    return U1Report(
-        rho=rho,
-        s=s,
-        s_lower=s_lower,
-        s_upper=s_upper,
-        dim_exact=covering,
-        s_positive=s_positive,
-        covering=covering,
-        ssc=ssc,
-        measure_class=measure,
-        notes=tuple(notes),
-    )
+
+    def dominated(self, d: float, tolerance: float = 1e-12) -> bool:
+        """Is every working interval reachable, inside the restricted
+        interval graph, from a component whose radius exponent is at least d?"""
+        inst, xi = self.inst, self.xi
+        if not xi.vertices:
+            return False
+        decomposition = self.xi_scc
+        needed = set(range(inst.proj_min, inst.proj_max))
+        covered: set[int] = set()
+        for idx in range(len(decomposition.components)):
+            exponent = _log_over_log_n(decomposition.radii[idx].estimate, inst.n)
+            if exponent < d - tolerance:
+                continue
+            for jdx, other in enumerate(decomposition.components):
+                if decomposition.precedes(idx, jdx):
+                    covered.update(xi.types[u] for u in other)
+        return needed <= covered
+
+    # -- the subset graph and the multiplicity search --------------------------
+
+    @cached_property
+    def subset_graph(self) -> CongruentGraph:
+        return build_congruent_graph(self.inst, mode=subset_graph_mode(self.inst))
+
+    def aligned_subsets(self, support: tuple[int, ...]):
+        """(h, subset) for every residue h whose aligned subset
+        {n*p + h : p in support} is uniquely covered, ascending in h."""
+        n, types = self.inst.n, self.xi.types
+        for h in range(n):
+            members = tuple(sorted(n * p + h for p in support))
+            if all(u in types for u in members):
+                yield h, members
+
+    def cycles_reached(self, members: tuple[int, ...]) -> set[int]:
+        """The cycling subset-graph components that subset ``members`` reaches."""
+        decomposition = self.subset_graph.scc
+        i = decomposition.comp_of[members]
+        return {j for j in decomposition.cycling if decomposition.precedes(i, j)}
 
 
 def dim_u1(inst: ProblemInstance) -> U1Report:
-    """Dimension of the set of uniquely represented points: log(rho)/log(n),
-    exact under the covering condition, a lower bound otherwise."""
-    return _u1_report(inst)
-
-
-def measure_u1(inst: ProblemInstance) -> U1Report:
-    """Measure class of the unique-representation set at its dimension."""
-    return _u1_report(inst)
+    """Dimension of the set of uniquely represented points, log(rho)/log(n)
+    (exact under the covering condition, a lower bound otherwise), with the
+    measure class of the set at that dimension."""
+    return Analysis(inst).u1
 
 
 # -- multiplicity search --------------------------------------------------------
@@ -206,25 +259,20 @@ class RSearchResult:
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
-    graph: CongruentGraph
+    analysis: Analysis
 
     def achievable(self) -> list[int]:
         return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
 
 
-def _require_hypotheses(inst: ProblemInstance) -> None:
-    if not covering_condition(inst):
-        raise HypothesisViolated("covering condition fails")
-    if not all(strong_separation(inst)):
-        raise HypothesisViolated("strong separation fails for some factor")
-
-
-def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...], tuple]:
+def _reachable_vectors(
+    inst: ProblemInstance, matrices: list[CountMatrix], max_r: int
+) -> dict[tuple[int, ...], tuple]:
     """Closure of {unit vectors} under the digit matrices, pruned at norm
     max_r (norms never decrease under the covering condition, so nothing is
     lost).  Each vector keeps its canonical discovery: shortest digit word,
     ties broken by word then by starting offset."""
-    mats = [m.entries for m in transition_matrices(inst)]
+    mats = [m.entries for m in matrices]
     span = inst.span
     found: dict[tuple[int, ...], tuple] = {}
     level: dict[tuple[int, ...], tuple] = {}
@@ -279,27 +327,19 @@ def enumerate_achievable_r(
     through the integer-offset automaton.
     NotReachable: neither route produces r.
     """
-    _require_hypotheses(inst)
+    return _search(Analysis(inst), max_r, budget)
+
+
+def _search(context: Analysis, max_r: int, budget: int = 4096) -> RSearchResult:
+    inst = context.inst
+    if not context.covering:
+        raise HypothesisViolated("covering condition fails")
+    if not all(context.ssc):
+        raise HypothesisViolated("strong separation fails for some factor")
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    found = _reachable_vectors(inst, max_r)
-    types = xi_types(inst)
+    found = _reachable_vectors(inst, context.matrices, max_r)
     n = inst.n
-    graph = build_congruent_graph(inst, mode="reachable")
-    decomposition = graph.scc
-    succ = {k: tuple(t for _, t in outs) for k, outs in graph.adjacency.items()}
-    cycling = {
-        idx
-        for idx, comp in enumerate(decomposition.components)
-        if len(comp) > 1 or any(v in succ.get(v, ()) for v in comp)
-    }
-    comp_of = {
-        v: idx for idx, comp in enumerate(decomposition.components) for v in comp
-    }
-
-    def subset_passes(members: tuple[int, ...]) -> bool:
-        i = comp_of[members]
-        return any(decomposition.precedes(i, j) for j in cycling)
 
     vectors = []
     for vec, (word, i) in sorted(
@@ -361,9 +401,8 @@ def enumerate_achievable_r(
     for r in range(1, max_r + 1):
         witness = None
         for rv in by_norm.get(r, []):
-            for h in range(n):
-                members = tuple(sorted(n * p + h for p in rv.support))
-                if all(u in types for u in members) and subset_passes(members):
+            for h, members in context.aligned_subsets(rv.support):
+                if context.cycles_reached(members):
                     witness = AchievabilityWitness(
                         vector=rv.vector,
                         integer_part=rv.integer_part,
@@ -382,7 +421,7 @@ def enumerate_achievable_r(
         else:
             statuses[r] = RStatus(r, STATUS_NOT_REACHABLE, None, None)
     return RSearchResult(
-        max_r=max_r, vectors=tuple(vectors), statuses=statuses, graph=graph
+        max_r=max_r, vectors=tuple(vectors), statuses=statuses, analysis=context
     )
 
 
@@ -400,10 +439,15 @@ class UrReport:
     argmax_residue: int | None
 
 
-def _search_for(inst: ProblemInstance, r: int, search: RSearchResult | None, max_r: int | None):
+def _search_reaching(
+    inst: ProblemInstance, r: int, search: RSearchResult | None, max_r: int | None
+) -> RSearchResult:
+    """``search`` when it classifies r, else a search up to max(r, max_r)
+    that reuses the context of ``search`` when there is one."""
     if search is not None and search.max_r >= r:
         return search
-    return enumerate_achievable_r(inst, max_r if max_r and max_r >= r else r)
+    context = search.analysis if search else Analysis(inst)
+    return _search(context, max_r if max_r and max_r >= r else r)
 
 
 def dim_ur(
@@ -419,7 +463,7 @@ def dim_ur(
     components reachable from any passing aligned subset; multiplicities
     realised only on the base-n grid get dimension 0 and the countable flag.
     """
-    search = _search_for(inst, r, search, max_r)
+    search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status == STATUS_NOT_REACHABLE:
         raise NotAchievable(f"r={r} is not realised (searched up to {search.max_r})")
@@ -433,52 +477,23 @@ def dim_ur(
             argmax_support=None,
             argmax_residue=None,
         )
-    graph = search.graph
-    decomposition = graph.scc
-    succ = {k: tuple(t for _, t in outs) for k, outs in graph.adjacency.items()}
-    cycling = {
-        idx
-        for idx, comp in enumerate(decomposition.components)
-        if len(comp) > 1 or any(v in succ.get(v, ()) for v in comp)
-    }
-    comp_of = {
-        v: idx for idx, comp in enumerate(decomposition.components) for v in comp
-    }
-    types = xi_types(inst)
-    n = inst.n
-    achievable_supports = set()
-    for rv in search.vectors:
-        if rv.norm != r:
-            continue
-        for h in range(n):
-            members = tuple(sorted(n * p + h for p in rv.support))
-            if all(u in types for u in members):
-                i = comp_of[members]
-                if any(decomposition.precedes(i, j) for j in cycling):
-                    achievable_supports.add(rv.support)
+    context = search.analysis
+    radii = context.subset_graph.scc.radii
     best = -inf
     best_pair = (None, None)
     candidates = set()
-    for support in sorted(achievable_supports):
-        for h in range(n):
-            members = tuple(sorted(n * p + h for p in support))
-            if not all(u in types for u in members):
+    for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
+        for h, members in context.aligned_subsets(support):
+            reached = context.cycles_reached(members)
+            if not reached:
                 continue
-            i = comp_of[members]
-            vals = [
-                _log_over_log_n(decomposition.radii[j].estimate, n)
-                for j in range(len(decomposition.components))
-                if decomposition.precedes(i, j) and j in cycling
-            ]
-            if not vals:
-                continue
-            val = max(vals)
+            val = max(_log_over_log_n(radii[j].estimate, inst.n) for j in reached)
             candidates.add(val)
             if val > best:
                 best = val
                 best_pair = (support, h)
     assert best > -inf, "an achievable r must reach a cycling component"
-    u1 = dim_u1(inst)
+    u1 = context.u1
     assert best <= u1.s + 1e-9, "multiplicity dimension cannot exceed the unique-set dimension"
     return UrReport(
         r=r,
@@ -494,21 +509,7 @@ def dim_ur(
 def domination_check(inst: ProblemInstance, d: float, tolerance: float = 1e-12) -> bool:
     """Is every working interval reachable, inside the restricted interval
     graph, from a component whose radius exponent is at least d?"""
-    xi = build_xi_graph(inst)
-    if not xi.vertices:
-        return False
-    decomposition = scc(xi)
-    n = inst.n
-    needed = set(range(inst.proj_min, inst.proj_max))
-    covered: set[int] = set()
-    for idx, comp in enumerate(decomposition.components):
-        exponent = _log_over_log_n(decomposition.radii[idx].estimate, n)
-        if exponent < d - tolerance:
-            continue
-        for jdx, other in enumerate(decomposition.components):
-            if decomposition.precedes(idx, jdx):
-                covered.update(xi.types[u] for u in other)
-    return needed <= covered
+    return Analysis(inst).dominated(d, tolerance)
 
 
 def measure_ur(
@@ -520,14 +521,14 @@ def measure_ur(
     """Measure class of the multiplicity-r set at its dimension: infinite
     when the whole range is dominated at that exponent, otherwise positive
     with the total mass left undetermined."""
-    search = _search_for(inst, r, search, max_r)
+    search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
     report = dim_ur(inst, r, search=search)
     measure = (
         MEASURE_INFINITE
-        if domination_check(inst, report.dim)
+        if search.analysis.dominated(report.dim)
         else MEASURE_POSITIVE_UNDETERMINED
     )
     return dataclasses.replace(report, measure_class=measure)
@@ -582,41 +583,31 @@ def witness_ur(
     the base-n grid; the closed loop is then confirmed by exact counting in
     the test suite.
     """
-    search = _search_for(inst, r, search, max_r)
+    search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
     w = status.witness
-    graph = search.graph
+    context = search.analysis
     n = inst.n
+    graph = context.subset_graph
     decomposition = graph.scc
     succ = {k: tuple(t for _, t in outs) for k, outs in graph.adjacency.items()}
-    cycling = {
-        idx
-        for idx, comp in enumerate(decomposition.components)
-        if len(comp) > 1 or any(v in succ.get(v, ()) for v in comp)
-    }
-    comp_of = {
-        v: idx for idx, comp in enumerate(decomposition.components) for v in comp
-    }
+    start = w.subset
+    reachable_targets = context.cycles_reached(start)
     good = {
         idx
-        for idx in cycling
+        for idx in reachable_targets
         if any(v[0] % n != 0 for v in decomposition.components[idx])
     }
-    start = w.subset
-    start_comp = comp_of[start]
-    reachable_targets = {
-        j for j in cycling if decomposition.precedes(start_comp, j)
-    }
-    target_comps = (reachable_targets & good) or reachable_targets
+    target_comps = good or reachable_targets
     goal = {
         v for j in target_comps for v in decomposition.components[j]
     }
     path = _bfs_path(succ, start, goal)
     assert path is not None
     entry = path[-1]
-    comp = set(decomposition.components[comp_of[entry]])
+    comp = set(decomposition.components[decomposition.comp_of[entry]])
     comp_succ = {v: tuple(t for t in succ[v] if t in comp) for v in comp}
     nonzero = sorted(v for v in comp if v[0] % n != 0)
     if nonzero and entry[0] % n == 0:

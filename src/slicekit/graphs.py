@@ -28,7 +28,8 @@ from .instance import ProblemInstance
 from .lattice import IntegerInterval, make_interval, u_range, xi_types
 from .spectral import RadiusResult, spectral_radius
 
-_FULL_MODE_VERTEX_CAP = 2**20
+# Largest sum over residue classes of 2**|class| that ``full`` mode builds.
+_FULL_MODE_LIMIT = 4096
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,14 @@ class CongruentSubset:
 
 @dataclass(frozen=True)
 class SccDecomposition:
+    """``comp_of`` maps each vertex to its component's index; ``cycling``
+    holds the components with a cycle (two or more vertices, or a loop)."""
+
     components: tuple[tuple, ...]
     order: frozenset[tuple[int, int]]
     radii: tuple[RadiusResult, ...]
-
-    def component_of(self, vertex) -> int:
-        for i, comp in enumerate(self.components):
-            if vertex in comp:
-                return i
-        raise KeyError(vertex)
+    comp_of: dict
+    cycling: frozenset[int]
 
     def precedes(self, i: int, j: int) -> bool:
         return (i, j) in self.order
@@ -147,26 +147,39 @@ def subset_successor(
     return None
 
 
+def _residue_classes(types: Mapping[int, int], n: int) -> list[list[int]]:
+    classes: dict[int, list[int]] = {}
+    for u in sorted(types):
+        classes.setdefault(u % n, []).append(u)
+    return list(classes.values())
+
+
+def subset_graph_mode(inst: ProblemInstance) -> str:
+    """The mode the analysis builds its one subset graph in: ``full`` while
+    the sum of 2**|class| over the residue classes of the uniquely covered
+    intervals is at most _FULL_MODE_LIMIT, else ``reachable``.  Both modes
+    are closed under successors, so what an aligned subset reaches (its
+    components, their radii, the paths into them) is the same in either."""
+    classes = _residue_classes(xi_types(inst), inst.n)
+    return "full" if sum(2 ** len(c) for c in classes) <= _FULL_MODE_LIMIT else "reachable"
+
+
 def congruent_vertices(inst: ProblemInstance, mode: str = "full") -> list[CongruentSubset]:
     """Vertices of the subset graph.
 
-    full: every nonempty subset of every residue class (error TooLarge past
-    2**20 vertices).  reachable: all singletons plus every residue-aligned
-    subset built from a set of working intervals, closed under successors;
-    this is the part the multiplicity analysis consults.
+    full: every nonempty subset of every residue class (error TooLarge
+    where ``subset_graph_mode`` does not choose full mode).  reachable:
+    all singletons plus every residue-aligned subset built from a set of
+    working intervals, closed under successors; this is the part the
+    multiplicity analysis consults.
     """
     types = xi_types(inst)
     n = inst.n
     if mode == "full":
-        classes: dict[int, list[int]] = {}
-        for u in types:
-            classes.setdefault(u % n, []).append(u)
-        total = sum(2 ** len(c) - 1 for c in classes.values())
-        if total > _FULL_MODE_VERTEX_CAP:
-            raise TooLarge(f"{total} congruent subsets exceed cap {_FULL_MODE_VERTEX_CAP}")
+        if subset_graph_mode(inst) != "full":
+            raise TooLarge(f"residue classes have more than {_FULL_MODE_LIMIT} subsets")
         out = []
-        for cls in classes.values():
-            cls = sorted(cls)
+        for cls in _residue_classes(types, n):
             for mask in range(1, 2 ** len(cls)):
                 members = tuple(
                     cls[i] for i in range(len(cls)) if mask >> i & 1
@@ -202,7 +215,8 @@ def congruent_vertices(inst: ProblemInstance, mode: str = "full") -> list[Congru
 
 def build_congruent_graph(inst: ProblemInstance, mode: str = "full") -> CongruentGraph:
     vertices = congruent_vertices(inst, mode)
-    types = xi_types(inst)
+    xi = build_xi_graph(inst)
+    types = xi.types
     n = inst.n
     keys = {v.members for v in vertices}
     adjacency = {}
@@ -219,7 +233,7 @@ def build_congruent_graph(inst: ProblemInstance, mode: str = "full") -> Congruen
     # reproduce the restricted graph's components verbatim
     xi_components = {
         frozenset((u,) for u in comp)
-        for comp in scc(build_xi_graph(inst)).components
+        for comp in scc(xi).components
     }
     subset_components = {frozenset(comp) for comp in decomposition.components}
     assert xi_components <= subset_components
@@ -240,6 +254,17 @@ def _extract_adjacency(graph) -> dict:
     raise TypeError(f"cannot take SCCs of {type(graph).__name__}")
 
 
+def component_matrix(adjacency: Mapping, comp) -> list[list[int]]:
+    """0-1 matrix of the subgraph induced on comp, indexed in comp order."""
+    pos = {v: i for i, v in enumerate(comp)}
+    sub = [[0] * len(comp) for _ in comp]
+    for v in comp:
+        for w in adjacency[v]:
+            if w in pos:
+                sub[pos[v]][pos[w]] = 1
+    return sub
+
+
 def scc(graph) -> SccDecomposition:
     """Strongly connected components with the reachability partial order and
     a certified spectral radius per component (0-1 adjacency restricted)."""
@@ -249,19 +274,14 @@ def scc(graph) -> SccDecomposition:
         strongly_connected_components(vertices, adjacency), key=lambda v: v
     )
     order = condensation_reachability(comps, adjacency)
-    radii = []
-    for comp in comps:
-        pos = {v: i for i, v in enumerate(comp)}
-        sub = [[0] * len(comp) for _ in comp]
-        for v in comp:
-            for w in adjacency[v]:
-                if w in pos:
-                    sub[pos[v]][pos[w]] = 1
-        radii.append(spectral_radius(sub))
     return SccDecomposition(
         components=tuple(tuple(c) for c in comps),
         order=frozenset(order),
-        radii=tuple(radii),
+        radii=tuple(spectral_radius(component_matrix(adjacency, c)) for c in comps),
+        comp_of={v: idx for idx, comp in enumerate(comps) for v in comp},
+        cycling=frozenset(
+            idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in adjacency[c[0]]
+        ),
     )
 
 

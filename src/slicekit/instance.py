@@ -131,11 +131,6 @@ class ProblemInstance:
         )
 
 
-def derived_bounds(inst: ProblemInstance) -> tuple[int, int, int]:
-    """(sum of negative coefficients, sum of positive, 1-norm)."""
-    return inst.proj_min, inst.proj_max, inst.span
-
-
 def parse_instance(text: str) -> ProblemInstance:
     """Parse and validate a UTF-8 JSON instance document.
 

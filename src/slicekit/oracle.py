@@ -49,24 +49,27 @@ def brute_force_cube_count(inst: ProblemInstance, x: Fraction | int, k: int) -> 
     lo, hi = q * inst.proj_min, q * inst.proj_max
     cube_weights = [inst.weight(d) for d in inst.iter_cubes()]
     memo: dict[tuple[int, int], int] = {}
-
-    def count(r: int, remaining: int) -> int:
+    # post-order on an explicit stack: expand a key, then sum its children
+    stack: list[tuple[tuple[int, int], list | None]] = [((p, k), None)]
+    while stack:
+        key, children = stack.pop()
+        if key in memo:
+            continue
+        r, remaining = key
         if remaining == 0:
-            return 1
-        key = (r, remaining)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        total = 0
-        base = n * r
-        for w in cube_weights:
-            child = base - q * w
-            if lo <= child <= hi:
-                total += count(child, remaining - 1)
-        memo[key] = total
-        return total
-
-    return count(p, k)
+            memo[key] = 1
+        elif children is None:
+            base = n * r
+            children = [
+                (base - q * w, remaining - 1)
+                for w in cube_weights
+                if lo <= base - q * w <= hi
+            ]
+            stack.append((key, children))
+            stack.extend((c, None) for c in children if c not in memo)
+        else:
+            memo[key] = sum(memo[c] for c in children)
+    return memo[(p, k)]
 
 
 def brute_force_solutions(inst: ProblemInstance, x: Fraction | int, k: int) -> list[CubeChain]:
@@ -79,22 +82,26 @@ def brute_force_solutions(inst: ProblemInstance, x: Fraction | int, k: int) -> l
     lo, hi = q * inst.proj_min, q * inst.proj_max
     cubes = [(d, inst.weight(d)) for d in inst.iter_cubes()]
     out: list[tuple[tuple[int, ...], ...]] = []
-
-    def extend(prefix: list[tuple[int, ...]], r: int) -> None:
+    # explicit stack of (prefix length, last digits, R), in lexicographic order
+    prefix: list[tuple[int, ...]] = []
+    stack: list[tuple[int, tuple[int, ...] | None, int]] = [(0, None, p)]
+    while stack:
+        length, last, r = stack.pop()
+        del prefix[length:]
+        if last is not None:
+            prefix.append(last)
         if len(prefix) == k:
             if len(out) >= _CHAIN_CAP:
                 raise TooLarge(f"more than {_CHAIN_CAP} surviving chains")
             out.append(tuple(prefix))
-            return
+            continue
         base = n * r
-        for digits, w in cubes:
-            child = base - q * w
-            if lo <= child <= hi:
-                prefix.append(digits)
-                extend(prefix, child)
-                prefix.pop()
-
-    extend([], p)
+        children = [
+            (len(prefix), digits, base - q * w)
+            for digits, w in cubes
+            if lo <= base - q * w <= hi
+        ]
+        stack.extend(reversed(children))
     big = n**k
     chains = []
     for digits in out:

@@ -16,8 +16,8 @@ from . import __version__
 from .analysis import (
     STATUS_ACHIEVABLE,
     STATUS_COUNTABLE,
+    Analysis,
     RSearchResult,
-    dim_u1,
     dim_ur,
     enumerate_achievable_r,
     measure_ur,
@@ -25,17 +25,9 @@ from .analysis import (
 )
 from .counting import exact_card
 from .errors import HypothesisViolated, InvalidDocument
-from .graphs import build_congruent_graph, build_xi_graph, scc
 from .instance import ProblemInstance
-from .lattice import (
-    covering_condition,
-    enumerate_integer_intervals,
-    interval_type_counts,
-    strong_separation,
-)
-from .spectral import RadiusResult, irreducible, spectral_radius, transition_matrices
-
-_SUBSET_GRAPH_FULL_LIMIT = 4096
+from .lattice import enumerate_integer_intervals, interval_type_counts
+from .spectral import RadiusResult, irreducible
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -85,12 +77,14 @@ def build_report(
     inst: ProblemInstance, max_r: int = 6, budget: int = 4096
 ) -> dict:
     started = time.monotonic()
-    xi = build_xi_graph(inst)
-    covering = covering_condition(inst)
-    ssc = strong_separation(inst)
-    mats = transition_matrices(inst)
-    rho = spectral_radius(xi.matrix)
-    u1 = dim_u1(inst)
+    # the search runs first so that the whole report reads its context
+    try:
+        search = enumerate_achievable_r(inst, max_r=max_r, budget=budget)
+    except HypothesisViolated as exc:
+        search, refusal = None, str(exc)
+    context = search.analysis if search else Analysis(inst)
+    xi = context.xi
+    u1 = context.u1
     intervals = [
         {
             "u": iv.u,
@@ -110,14 +104,14 @@ def build_report(
             "proj_max": inst.proj_max,
             "norm1": inst.span,
         },
-        "covering": covering,
-        "ssc": list(ssc),
+        "covering": context.covering,
+        "ssc": list(context.ssc),
         "integer_intervals": intervals,
         "xi": list(xi.us),
         "M": {
             "index": list(xi.us),
             "rows": [list(r) for r in xi.matrix],
-            "rho": radius_json(rho),
+            "rho": radius_json(u1.rho),
             "irreducible": irreducible(xi.matrix),
         },
         "T": [
@@ -126,9 +120,9 @@ def build_report(
                 "index_min": m.index_min,
                 "rows": [list(r) for r in m.entries],
             }
-            for m in mats
+            for m in context.matrices
         ],
-        "scc_xi": _scc_json(scc(xi), key=lambda u: u),
+        "scc_xi": _scc_json(context.xi_scc, key=lambda u: u),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),
@@ -141,35 +135,21 @@ def build_report(
             "notes": list(u1.notes),
         },
     }
-    subsets = build_congruent_graph(
-        inst,
-        mode="full"
-        if sum(2 ** len(c) for c in _residue_classes(xi.us, inst.n).values())
-        <= _SUBSET_GRAPH_FULL_LIMIT
-        else "reachable",
-    )
+    subsets = context.subset_graph
     data["scc_subsets"] = dict(
         _scc_json(subsets.scc, key=_members_key), mode=subsets.mode
     )
-    try:
-        search = enumerate_achievable_r(inst, max_r=max_r, budget=budget)
+    if search is None:
+        data["r_search"] = {"status": "HypothesisViolated", "reason": refusal}
+        data["ur"] = {}
+    else:
         data["r_search"] = _search_json(inst, search)
         data["ur"] = _ur_json(inst, search)
-    except HypothesisViolated as exc:
-        data["r_search"] = {"status": "HypothesisViolated", "reason": str(exc)}
-        data["ur"] = {}
     elapsed = time.monotonic() - started
     return {
         "data": data,
         "meta": {"version": __version__, "elapsed_seconds": elapsed},
     }
-
-
-def _residue_classes(us, n):
-    classes: dict[int, list[int]] = {}
-    for u in us:
-        classes.setdefault(u % n, []).append(u)
-    return classes
 
 
 def _search_json(inst: ProblemInstance, search: RSearchResult) -> dict:

@@ -20,7 +20,6 @@ from slicekit import (
     enumerate_achievable_r,
     exact_card,
     lyapunov_estimate,
-    measure_u1,
     measure_ur,
     spectral_radius,
     strong_separation,
@@ -137,7 +136,7 @@ def test_criterion_1(cantor_diff):
     assert [list(r) for r in xg.matrix] == GOLDEN_M_CANTOR
     rr = spectral_radius(xg.matrix)
     assert rr.contains(2) and rr.width <= Fraction(1, 10**9)
-    rep = measure_u1(cantor_diff)
+    rep = dim_u1(cantor_diff)
     assert abs(rep.s - math.log(2) / math.log(3)) <= TOL
     assert rep.measure_class == "PositiveFinite"
     print("ACCEPTANCE 1: PASS - difference set: xi, M, rho=2, dim, measure")
@@ -176,7 +175,7 @@ def test_criterion_4(base6_mixed):
     assert same_up_to_relabelling(mine, GOLDEN_M_BASE6)
     rr = spectral_radius(xg.matrix)
     assert rr.contains(4) and abs(rr.estimate - 4) <= TOL
-    rep = measure_u1(base6_mixed)
+    rep = dim_u1(base6_mixed)
     assert abs(rep.s - math.log(4) / math.log(6)) <= TOL
     assert rep.measure_class == "PositiveFinite"
     assert rep.s > math.log(3) / math.log(6) + TOL

@@ -9,7 +9,6 @@ from slicekit import (
     domination_check,
     enumerate_achievable_r,
     exact_card,
-    measure_u1,
     measure_ur,
     witness_ur,
 )
@@ -33,10 +32,10 @@ def test_dim_exact_flags(cantor_diff, no_cover):
 
 
 def test_measure_classes(cantor_diff, base7_double, base6_mixed, no_cover):
-    assert measure_u1(cantor_diff).measure_class == "PositiveFinite"
-    assert measure_u1(base7_double).measure_class == "PositiveOnly"
-    assert measure_u1(base6_mixed).measure_class == "PositiveFinite"
-    assert measure_u1(no_cover).measure_class == "PositiveOnly"
+    assert dim_u1(cantor_diff).measure_class == "PositiveFinite"
+    assert dim_u1(base7_double).measure_class == "PositiveOnly"
+    assert dim_u1(base6_mixed).measure_class == "PositiveFinite"
+    assert dim_u1(no_cover).measure_class == "PositiveOnly"
 
 
 def test_enumerate_statuses(cantor_diff):
@@ -147,6 +146,14 @@ def test_dim_ur_bounded_by_dim_u1(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 8)
     for r in search.achievable():
         assert dim_ur(cantor_diff, r, search=search).dim <= u1.s + 1e-9
+
+
+def test_short_search_is_extended(cantor_diff):
+    short = enumerate_achievable_r(cantor_diff, 4)
+    assert abs(dim_ur(cantor_diff, 8, search=short).dim - LOG2_3) <= 1e-9
+    x = witness_ur(cantor_diff, 8, search=short).value(cantor_diff.n)
+    res = exact_card(cantor_diff, x)
+    assert (res.verdict, res.count) == ("Finite", 8)
 
 
 def test_witness_round_trip_double_diff(cantor_double_diff):

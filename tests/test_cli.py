@@ -87,6 +87,16 @@ def test_oracle_subcommand(capsys):
     assert len(doc["chains"]) == 3
 
 
+def test_oracle_deeper_than_the_recursion_limit(capsys):
+    # the count at depth k is 2**(k/3); the oracle once recursed per digit
+    # and died with RecursionError past depth ~1000
+    code, out, _ = run(
+        capsys, "oracle", FIXTURES / "cantor_diff.json", "--x", "1/7", "--depth", "3000"
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 2**1000
+
+
 def test_enumerate_and_dim_ur(capsys):
     code, out, _ = run(capsys, "enumerate-r", FIXTURES / "cantor_diff.json", "--max-r", "6")
     assert code == 0

@@ -12,6 +12,7 @@ from slicekit import (
     scc,
 )
 from slicekit.errors import NotInterior, NotInXi, TooLarge
+from slicekit.graphs import subset_graph_mode
 from slicekit.instance import ProblemInstance
 
 GOLDEN_M_CANTOR = (
@@ -90,14 +91,16 @@ def test_congruent_graph_sccs(cantor_diff):
     assert radii[((-3,), (-2,), (1,), (2,))] == 2.0
 
 
-def test_congruent_full_mode_cap():
+def test_congruent_full_mode_cap(cantor_diff):
     # 41 singleton factors give a uniquely covered run of 41 intervals and
-    # more than 2**20 subsets in its residue classes
+    # far more than the 4096 subsets full mode allows in its residue classes
     inst = ProblemInstance(
         n=2, digit_sets=((0,),) * 41, coefficients=(1,) * 41
     )
     with pytest.raises(TooLarge):
         congruent_vertices(inst, mode="full")
+    assert subset_graph_mode(inst) == "reachable"
+    assert subset_graph_mode(cantor_diff) == "full"
 
 
 def test_scc_examples(cantor_diff, base7_double):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit import ProblemInstance, derived_bounds, parse_instance, serialize
+from slicekit import ProblemInstance, parse_instance, serialize
 from slicekit.errors import (
     BadBase,
     DigitOutOfRange,
@@ -22,12 +22,12 @@ def test_parse_basic(cantor_diff):
     )
     inst = parse_instance(text)
     assert inst == cantor_diff
-    assert derived_bounds(inst) == (-1, 1, 2)
+    assert (inst.proj_min, inst.proj_max, inst.span) == (-1, 1, 2)
 
 
 def test_parse_degenerate_singleton():
     inst = parse_instance('{"n": 2, "digit_sets": [[0]], "coefficients": [1]}')
-    assert derived_bounds(inst) == (0, 1, 1)
+    assert (inst.proj_min, inst.proj_max, inst.span) == (0, 1, 1)
 
 
 def test_parse_digit_out_of_range():
@@ -39,9 +39,10 @@ def test_derived_bounds_examples():
     mk = lambda coeffs: ProblemInstance(
         n=3, digit_sets=tuple(((0, 2),) * len(coeffs)), coefficients=coeffs
     )
-    assert derived_bounds(mk((-2, 1))) == (-2, 1, 3)
-    assert derived_bounds(mk((1, 1))) == (0, 2, 2)
-    assert derived_bounds(mk((-1, -1))) == (-2, 0, 2)
+    bounds = lambda inst: (inst.proj_min, inst.proj_max, inst.span)
+    assert bounds(mk((-2, 1))) == (-2, 1, 3)
+    assert bounds(mk((1, 1))) == (0, 2, 2)
+    assert bounds(mk((-1, -1))) == (-2, 0, 2)
 
 
 def test_validation_errors():
@@ -112,7 +113,7 @@ instances = st.integers(2, 9).flatmap(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(instances)
 def test_bounds_invariants(inst):
-    lo, hi, span = derived_bounds(inst)
+    lo, hi, span = inst.proj_min, inst.proj_max, inst.span
     assert lo <= 0 <= hi
     assert span == sum(abs(m) for m in inst.coefficients) == hi - lo
 

@@ -89,3 +89,9 @@ def test_chain_cap(cantor_diff, monkeypatch):
     monkeypatch.setattr(oracle_mod, "_CHAIN_CAP", 4)
     with pytest.raises(TooLarge):
         brute_force_solutions(cantor_diff, Fraction(0), 4)
+
+
+def test_solutions_deeper_than_the_recursion_limit(cantor_sum):
+    chains = brute_force_solutions(cantor_sum, Fraction(1, 2), 3000)
+    assert len(chains) == brute_force_cube_count(cantor_sum, Fraction(1, 2), 3000) == 1
+    assert len(chains[0].digits) == 3000
