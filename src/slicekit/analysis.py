@@ -15,10 +15,11 @@
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, covering and
-separation, the digit matrices, the U1 report and a single subset graph,
-built in the mode ``graphs.subset_graph_mode`` chooses.  The public
-functions below are thin readers of a context; ``RSearchResult`` carries
-the context of its search, so passing ``search=`` reuses all of it.
+separation, the digit matrices, the U1 report and the subset graph, which
+holds every subset of every residue class and so every aligned subset the
+search consults.  The public functions below are thin readers of a
+context; ``RSearchResult`` carries the context of its search, so passing
+``search=`` reuses all of it.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .counting import exact_card, expansion_value
 from .errors import HypothesisViolated, NotAchievable, TooLarge
 from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph,
-    component_matrix, scc, subset_graph_mode,
+    component_matrix, scc,
 )
 from .instance import ProblemInstance
 from .lattice import covering_condition, strong_separation
@@ -199,7 +200,7 @@ class Analysis:
 
     @cached_property
     def subset_graph(self) -> CongruentGraph:
-        return build_congruent_graph(self.inst, mode=subset_graph_mode(self.inst))
+        return build_congruent_graph(self.inst)
 
     def aligned_subsets(self, support: tuple[int, ...]):
         """(h, subset) for every residue h whose aligned subset

@@ -4,12 +4,14 @@
   to each of the n intervals inside the working interval [t, t+1].
 * restricted graph: the induced subgraph on the uniquely covered intervals,
   with its 0-1 transition matrix (ascending-u indexing).
-* subset graph: vertices are congruence classes' subsets (all members share
-  u mod n); from a subset, the successor under residue h is the set of
-  images n*t(u) + h, and an edge exists exactly when that image stays inside
-  the uniquely covered collection.  This successor form is equivalent to the
-  two-sided covering rule quantified over full-graph edges, because a
-  uniquely covered interval has exactly one candidate successor per residue.
+* subset graph: vertices are every nonempty subset of every residue class
+  of the uniquely covered intervals (all members share u mod n), refused
+  with TooLarge past 2**20 subsets in all; from a subset, the successor
+  under residue h is the set of images n*t(u) + h, and an edge exists
+  exactly when that image stays inside the uniquely covered collection.
+  This successor form is equivalent to the two-sided covering rule
+  quantified over full-graph edges, because a uniquely covered interval has
+  exactly one candidate successor per residue.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from .instance import ProblemInstance
 from .lattice import IntegerInterval, make_interval, u_range, xi_types
 from .spectral import RadiusResult, spectral_radius
 
-# Largest sum over residue classes of 2**|class| that ``full`` mode builds.
-_FULL_MODE_LIMIT = 4096
+# Largest sum over residue classes of 2**|class| the subset graph enumerates.
+_SUBSET_LIMIT = 2**20
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,6 @@ class SccDecomposition:
 
 @dataclass(frozen=True)
 class CongruentGraph:
-    mode: str
     vertices: tuple[CongruentSubset, ...]
     adjacency: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
     scc: SccDecomposition
@@ -154,69 +155,37 @@ def _residue_classes(types: Mapping[int, int], n: int) -> list[list[int]]:
     return list(classes.values())
 
 
-def subset_graph_mode(inst: ProblemInstance) -> str:
-    """The mode the analysis builds its one subset graph in: ``full`` while
-    the sum of 2**|class| over the residue classes of the uniquely covered
-    intervals is at most _FULL_MODE_LIMIT, else ``reachable``.  Both modes
-    are closed under successors, so what an aligned subset reaches (its
-    components, their radii, the paths into them) is the same in either."""
-    classes = _residue_classes(xi_types(inst), inst.n)
-    return "full" if sum(2 ** len(c) for c in classes) <= _FULL_MODE_LIMIT else "reachable"
+def congruent_vertices(
+    inst: ProblemInstance, types: Mapping[int, int] | None = None
+) -> list[CongruentSubset]:
+    """Vertices of the subset graph, ascending by members: every nonempty
+    subset of every residue class of the uniquely covered intervals.
 
-
-def congruent_vertices(inst: ProblemInstance, mode: str = "full") -> list[CongruentSubset]:
-    """Vertices of the subset graph.
-
-    full: every nonempty subset of every residue class (error TooLarge
-    where ``subset_graph_mode`` does not choose full mode).  reachable:
-    all singletons plus every residue-aligned subset built from a set of
-    working intervals, closed under successors; this is the part the
-    multiplicity analysis consults.
+    This is also every subset the multiplicity search can start from: for a
+    fixed residue h, p -> n*p + h maps the working intervals one-to-one onto
+    residue class h of ``u_range``, so the uniquely covered aligned subsets
+    {n*p + h : p in P} are exactly the subsets of the classes, and
+    successors never leave them.  ``types`` is ``xi_types(inst)``, computed
+    here when not given.  Raises TooLarge, before enumerating, when the sum
+    of 2**|class| over the classes exceeds _SUBSET_LIMIT.
     """
+    if types is None:
+        types = xi_types(inst)
+    classes = _residue_classes(types, inst.n)
+    if sum(2 ** len(cls) for cls in classes) > _SUBSET_LIMIT:
+        raise TooLarge(f"residue classes have more than {_SUBSET_LIMIT} subsets")
+    out = []
+    for cls in classes:
+        for mask in range(1, 2 ** len(cls)):
+            members = tuple(cls[i] for i in range(len(cls)) if mask >> i & 1)
+            out.append(make_congruent_subset(inst, members))
+    out.sort(key=lambda s: s.members)
+    return out
+
+
+def build_congruent_graph(inst: ProblemInstance) -> CongruentGraph:
     types = xi_types(inst)
-    n = inst.n
-    if mode == "full":
-        if subset_graph_mode(inst) != "full":
-            raise TooLarge(f"residue classes have more than {_FULL_MODE_LIMIT} subsets")
-        out = []
-        for cls in _residue_classes(types, n):
-            for mask in range(1, 2 ** len(cls)):
-                members = tuple(
-                    cls[i] for i in range(len(cls)) if mask >> i & 1
-                )
-                out.append(make_congruent_subset(inst, members))
-        out.sort(key=lambda s: s.members)
-        return out
-    if mode == "reachable":
-        if inst.span > 20:
-            raise TooLarge(f"span {inst.span} too wide for seed enumeration")
-        seeds: set[tuple[int, ...]] = {(u,) for u in types}
-        positions = list(range(inst.proj_min, inst.proj_max))
-        for mask in range(1, 2 ** len(positions)):
-            chosen = [positions[i] for i in range(len(positions)) if mask >> i & 1]
-            for h in range(n):
-                members = tuple(sorted(n * p + h for p in chosen))
-                if all(u in types for u in members):
-                    seeds.add(members)
-        closed: set[tuple[int, ...]] = set()
-        frontier = sorted(seeds)
-        while frontier:
-            ms = frontier.pop()
-            if ms in closed:
-                continue
-            closed.add(ms)
-            for h in range(n):
-                img = subset_successor(types, n, ms, h)
-                if img is not None and img not in closed:
-                    frontier.append(img)
-        return [make_congruent_subset(inst, ms) for ms in sorted(closed)]
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def build_congruent_graph(inst: ProblemInstance, mode: str = "full") -> CongruentGraph:
-    vertices = congruent_vertices(inst, mode)
-    xi = build_xi_graph(inst)
-    types = xi.types
+    vertices = congruent_vertices(inst, types)
     n = inst.n
     keys = {v.members for v in vertices}
     adjacency = {}
@@ -231,15 +200,17 @@ def build_congruent_graph(inst: ProblemInstance, mode: str = "full") -> Congruen
     decomposition = scc(succ)
     # a subset never grows under successors, so singleton components must
     # reproduce the restricted graph's components verbatim
+    xi_succ = {
+        u: tuple(v for v in range(n * t, n * t + n) if v in types)
+        for u, t in types.items()
+    }
     xi_components = {
         frozenset((u,) for u in comp)
-        for comp in scc(xi).components
+        for comp in strongly_connected_components(sorted(types), xi_succ)
     }
     subset_components = {frozenset(comp) for comp in decomposition.components}
     assert xi_components <= subset_components
-    return CongruentGraph(
-        mode=mode, vertices=tuple(vertices), adjacency=adjacency, scc=decomposition
-    )
+    return CongruentGraph(vertices=tuple(vertices), adjacency=adjacency, scc=decomposition)
 
 
 def _extract_adjacency(graph) -> dict:

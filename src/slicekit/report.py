@@ -135,9 +135,8 @@ def build_report(
             "notes": list(u1.notes),
         },
     }
-    subsets = context.subset_graph
     data["scc_subsets"] = dict(
-        _scc_json(subsets.scc, key=_members_key), mode=subsets.mode
+        _scc_json(context.subset_graph.scc, key=_members_key), mode="full"
     )
     if search is None:
         data["r_search"] = {"status": "HypothesisViolated", "reason": refusal}

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from slicekit import (
     build_congruent_graph,
@@ -12,8 +13,11 @@ from slicekit import (
     scc,
 )
 from slicekit.errors import NotInterior, NotInXi, TooLarge
-from slicekit.graphs import subset_graph_mode
+from slicekit.graphs import subset_successor
 from slicekit.instance import ProblemInstance
+from slicekit.lattice import xi_types
+
+from test_properties import instances
 
 GOLDEN_M_CANTOR = (
     (1, 1, 0, 0),
@@ -50,7 +54,7 @@ def test_xi_graph_restriction(cantor_diff):
 
 
 def test_congruent_vertices_full(cantor_diff):
-    subs = congruent_vertices(cantor_diff, mode="full")
+    subs = congruent_vertices(cantor_diff)
     members = sorted(s.members for s in subs)
     assert members == [(-3,), (-2,), (-2, 1), (1,), (2,)]
     pair = next(s for s in subs if s.members == (-2, 1))
@@ -59,15 +63,49 @@ def test_congruent_vertices_full(cantor_diff):
     assert pair.size == len(pair.occupied)
 
 
-def test_congruent_vertices_reachable_subset_of_full(cantor_diff):
-    full = {s.members for s in congruent_vertices(cantor_diff, "full")}
-    reach = {s.members for s in congruent_vertices(cantor_diff, "reachable")}
-    assert reach <= full
-    assert all((u,) in reach for u in build_xi_graph(cantor_diff).us)
+def _aligned_closure(inst):
+    """The subset graph's vertices by their first definition: the aligned
+    subsets {n*p + h : p in P} of every nonempty set P of working intervals
+    that lie inside the uniquely covered collection, closed under
+    ``subset_successor``."""
+    types = xi_types(inst)
+    n = inst.n
+    positions = range(inst.proj_min, inst.proj_max)
+    frontier = []
+    for mask in range(1, 2 ** len(positions)):
+        chosen = [p for i, p in enumerate(positions) if mask >> i & 1]
+        for h in range(n):
+            members = tuple(n * p + h for p in chosen)
+            if all(u in types for u in members):
+                frontier.append(members)
+    closed = set()
+    while frontier:
+        members = frontier.pop()
+        if members in closed:
+            continue
+        closed.add(members)
+        for h in range(n):
+            image = subset_successor(types, n, members, h)
+            if image is not None:
+                frontier.append(image)
+    return closed
+
+
+def test_congruent_vertices_equal_aligned_closure(cantor_diff, base6_mixed, cantor_double_diff):
+    for inst in (cantor_diff, base6_mixed, cantor_double_diff):
+        assert {s.members for s in congruent_vertices(inst)} == _aligned_closure(inst)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances())
+def test_congruent_vertices_equal_aligned_closure_random(inst):
+    if inst.span > 10:
+        return
+    assert {s.members for s in congruent_vertices(inst)} == _aligned_closure(inst)
 
 
 def test_congruent_graph_edges(cantor_diff):
-    g = build_congruent_graph(cantor_diff, mode="full")
+    g = build_congruent_graph(cantor_diff)
     xg = build_xi_graph(cantor_diff)
     xi_adj = xg.adjacency()
     # singleton-to-singleton edges coincide with the restricted graph
@@ -79,7 +117,7 @@ def test_congruent_graph_edges(cantor_diff):
 
 
 def test_congruent_graph_sccs(cantor_diff):
-    g = build_congruent_graph(cantor_diff, mode="full")
+    g = build_congruent_graph(cantor_diff)
     comps = {frozenset(c) for c in g.scc.components}
     assert frozenset({(-3,), (-2,), (1,), (2,)}) in comps
     assert frozenset({(-2, 1)}) in comps
@@ -91,16 +129,17 @@ def test_congruent_graph_sccs(cantor_diff):
     assert radii[((-3,), (-2,), (1,), (2,))] == 2.0
 
 
-def test_congruent_full_mode_cap(cantor_diff):
-    # 41 singleton factors give a uniquely covered run of 41 intervals and
-    # far more than the 4096 subsets full mode allows in its residue classes
+def test_congruent_full_mode_cap():
+    # 41 singleton factors give a uniquely covered run of 41 intervals, in
+    # residue classes of 21 and 20 members: over 2**20 subsets in all
     inst = ProblemInstance(
         n=2, digit_sets=((0,),) * 41, coefficients=(1,) * 41
     )
     with pytest.raises(TooLarge):
-        congruent_vertices(inst, mode="full")
-    assert subset_graph_mode(inst) == "reachable"
-    assert subset_graph_mode(cantor_diff) == "full"
+        congruent_vertices(inst)
+    # span 21, three classes of 14 members each: within the cap
+    wide = ProblemInstance(n=3, digit_sets=((0, 2),) * 2, coefficients=(-10, 11))
+    assert len(congruent_vertices(wide)) == 3 * (2**14 - 1)
 
 
 def test_scc_examples(cantor_diff, base7_double):
@@ -188,7 +227,7 @@ def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     for inst in (cantor_diff, base6_mixed):
         xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst)).radii}
         sub_radii = {
-            rr.estimate for rr in build_congruent_graph(inst, "full").scc.radii
+            rr.estimate for rr in build_congruent_graph(inst).scc.radii
         }
         assert xi_radii <= sub_radii
 
@@ -199,7 +238,7 @@ def test_subset_edges_match_two_sided_rule(cantor_diff, base6_mixed, cantor_doub
     the full graph and every member of B is reached from some member of A."""
     for inst in (cantor_diff, base6_mixed, cantor_double_diff):
         full = build_full_graph(inst).adjacency
-        g = build_congruent_graph(inst, mode="full")
+        g = build_congruent_graph(inst)
         vertices = [v.members for v in g.vertices]
         edges = {
             (a, t) for a, outs in g.adjacency.items() for _, t in outs

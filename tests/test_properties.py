@@ -65,7 +65,7 @@ def test_unique_interval_neighbours_fill_working_interval(inst):
 def test_xi_sccs_survive_in_subset_graph(inst):
     if len(xi_types(inst)) > 12:
         return
-    graph = build_congruent_graph(inst, mode="full")
+    graph = build_congruent_graph(inst)
     xi_comps = {
         frozenset((u,) for u in comp)
         for comp in scc(build_xi_graph(inst)).components
