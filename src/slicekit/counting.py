@@ -6,22 +6,26 @@ Two mechanisms, deliberately kept apart:
   a non-boundary x equals the 1-norm of e_i T_{j1} ... T_{jk}, where i is the
   integer part and j1 j2 ... the base-n digits of x;
 * the slice-state automaton: the exact multiset of per-chain offsets
-  n^k * x - (weighted digit prefix), advanced one digit at a time over
-  rationals.  It also covers boundary points (x = q1/n^q2), where chains are
-  kept alive by closed-interval containment.
+  n^k * x - (weighted digit prefix), advanced one digit at a time.  For
+  x = p/q every offset lies on the lattice (1/q)Z, so the multiset is kept as
+  integer (q * offset, multiplicity) pairs: a digit costs O(support x
+  distinct cube weights) integer operations, whatever the number of chains.
+  It also covers boundary points (x = q1/n^q2), where chains are kept alive
+  by closed-interval containment.
 
-For rational x the automaton state space is finite, so recurrences are real
-cycles.  An exact recurrence of (digit phase, offset multiset) proves the
-count stays constant; a recurrence of (digit phase, offset support) with a
-strictly larger multiset proves unbounded growth, because under the covering
-condition every surviving chain keeps at least one child, so the surplus
-mass reproduces itself every cycle.
+For rational x the automaton state space is finite (at most span * q + 1
+distinct offsets), so recurrences are real cycles.  An exact recurrence of
+(digit phase, offset multiset) proves the count stays constant; a recurrence
+of (digit phase, offset support) with a strictly larger multiset proves
+unbounded growth, because under the covering condition every surviving chain
+keeps at least one child, so the surplus mass reproduces itself every cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import log
 
 import numpy as np
@@ -158,39 +162,49 @@ class SliceState:
 
     Offset of a chain = n^depth * x - (weighted digit prefix); a chain
     survives while its offset stays inside [proj_min, proj_max] (closed:
-    slices through a cube face do meet the cube)."""
+    slices through a cube face do meet the cube).  Offsets are multiples of
+    1/scale, where scale is the denominator of x, so ``pairs`` holds each
+    distinct offset as the integer scale * offset with the number of chains
+    at it, sorted by offset."""
 
-    offsets: tuple[Fraction, ...]
+    pairs: tuple[tuple[int, int], ...]
+    scale: int
     depth: int
 
-    @property
+    @cached_property
     def cardinality(self) -> int:
-        return len(self.offsets)
+        return sum(m for _, m in self.pairs)
 
-    def support(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.offsets)))
+    def support(self) -> tuple[int, ...]:
+        """The distinct scaled offsets, ascending."""
+        return tuple(a for a, _ in self.pairs)
 
 
 def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
+    x = Fraction(x)
     if not inst.proj_min <= x <= inst.proj_max:
         raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
-    return SliceState(offsets=(Fraction(x),), depth=0)
+    return SliceState(pairs=((x.numerator, 1),), scale=x.denominator, depth=0)
 
 
 def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
     """One digit of depth: each chain branches into the cubes whose closed
-    projection interval contains its offset."""
-    weights = inst.cube_weights
-    lo, hi = inst.proj_min, inst.proj_max
+    projection interval contains its offset.  Chains sharing an offset
+    branch alike, so each pair is advanced once."""
+    q = state.scale
+    lo, hi = q * inst.proj_min, q * inst.proj_max
     n = inst.n
-    children: list[Fraction] = []
-    for r in state.offsets:
-        base = n * r
-        for w, count in weights.items():
-            v = base - w
+    weights = [(q * w, count) for w, count in inst.cube_weights.items()]
+    children: dict[int, int] = {}
+    for a, m in state.pairs:
+        base = n * a
+        for qw, count in weights:
+            v = base - qw
             if lo <= v <= hi:
-                children.extend([v] * count)
-    return SliceState(offsets=tuple(sorted(children)), depth=state.depth + 1)
+                children[v] = children.get(v, 0) + m * count
+    return SliceState(
+        pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1
+    )
 
 
 @dataclass(frozen=True)
@@ -244,7 +258,7 @@ def exact_card(
     seen_support: dict[tuple, tuple[int, int]] = {}
     while True:
         phase = exp.phase(state.depth)
-        exact_key = (phase, state.offsets)
+        exact_key = (phase, state.pairs)
         if exact_key in seen_exact:
             start = seen_exact[exact_key]
             return CardResult(

@@ -1,23 +1,36 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slicekit import (
+    ProblemInstance,
     brute_force_cube_count,
+    covering_condition,
     cube_count_vector,
     exact_card,
     expansion_value,
     lyapunov_estimate,
     nadic_expansion,
 )
-from slicekit.counting import advance_state, initial_state
+from slicekit.counting import (
+    CardResult,
+    CycleCertificate,
+    SliceState,
+    advance_state,
+    initial_state,
+)
 from slicekit.errors import (
     BoundaryPoint,
     CoveringRequired,
     HypothesisViolated,
     OutOfRange,
 )
+from test_properties import instances
 
 
 def test_expansion_periodic(cantor_diff):
@@ -75,10 +88,162 @@ def test_cube_count_vector_needs_covering(no_cover):
 
 def test_state_advance_matches_manual(cantor_diff):
     state = initial_state(cantor_diff, Fraction(1, 3))
-    state = advance_state(cantor_diff, state)
-    assert state.offsets == (Fraction(-1), Fraction(1), Fraction(1))
-    state = advance_state(cantor_diff, state)
-    assert state.offsets == (Fraction(-1), Fraction(1), Fraction(1))
+    # offsets -1, 1, 1 on the lattice (1/3)Z
+    for _ in range(2):
+        state = advance_state(cantor_diff, state)
+        assert state.scale == 3
+        assert state.pairs == ((-3, 1), (3, 2))
+
+
+def reference_advance(inst, offsets):
+    """One digit on the expanded tuple of Fraction offsets, one entry per
+    chain, so a digit costs O(cardinality)."""
+    lo, hi, n = inst.proj_min, inst.proj_max, inst.n
+    children = []
+    for r in offsets:
+        base = n * r
+        for w, count in inst.cube_weights.items():
+            v = base - w
+            if lo <= v <= hi:
+                children.extend([v] * count)
+    return tuple(sorted(children))
+
+
+def reference_exact_card(inst, x, budget, max_depth=None):
+    """``exact_card`` keyed on the expanded offset tuple."""
+    exp = nadic_expansion(inst, x)
+    if max_depth is None:
+        max_depth = 64 * (len(exp.preperiod) + len(exp.period))
+    offsets, depth = (Fraction(x),), 0
+    seen_exact, seen_support = {}, {}
+    while True:
+        phase, card = exp.phase(depth), len(offsets)
+        if (phase, offsets) in seen_exact:
+            start = seen_exact[phase, offsets]
+            cert = CycleCertificate(start, depth - start, card, card)
+            return CardResult("Finite", card, depth, cert)
+        seen_exact[phase, offsets] = depth
+        support = (phase, tuple(sorted(set(offsets))))
+        if support in seen_support:
+            depth0, card0 = seen_support[support]
+            if card > card0:
+                cert = CycleCertificate(depth0, depth - depth0, card0, card)
+                return CardResult("Infinite", None, depth, cert)
+        else:
+            seen_support[support] = (depth, card)
+        if card > budget or depth >= max_depth:
+            return CardResult("ExceedsBudget", card, depth, None)
+        offsets, depth = reference_advance(inst, offsets), depth + 1
+
+
+def _points(inst, max_q):
+    """Every rational in [proj_min, proj_max] with denominator <= max_q."""
+    return sorted(
+        {
+            Fraction(p, q)
+            for q in range(1, max_q + 1)
+            for p in range(q * inst.proj_min, q * inst.proj_max + 1)
+            if gcd(p, q) == 1
+        }
+    )
+
+
+SPAN9_INSTANCES = {
+    "span9": ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-4, 5)),
+    "n5_narrow": ProblemInstance(
+        n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(-4, 5)
+    ),
+}
+
+
+# At q <= 25 the span-9 instances would cost the reference about nine times
+# as much, nearly all of it in the ~950 points that reach the budget;
+# q <= 16 keeps four of those.
+@pytest.mark.parametrize(
+    "name, max_q",
+    [
+        ("cantor_diff", 25),
+        ("cantor_sum", 25),
+        ("cantor_double_diff", 25),
+        ("span9", 16),
+        ("n5_narrow", 16),
+    ],
+)
+def test_exact_card_matches_expanded_reference(request, name, max_q):
+    """Multiplicity pairs and the expanded offset tuple give the same
+    CardResult at every point of the benchmark's count instances."""
+    inst = SPAN9_INSTANCES.get(name) or request.getfixturevalue(name)
+    for x in _points(inst, max_q):
+        expected = reference_exact_card(inst, x, budget=256)
+        assert exact_card(inst, x, budget=256) == expected, x
+
+
+@st.composite
+def points(draw, inst):
+    """A rational in [proj_min, proj_max] with denominator at most 25."""
+    q = draw(st.integers(1, 25))
+    return Fraction(draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+
+
+@st.composite
+def counting_instances(draw):
+    """Instances that meet exact_card's hypotheses, which ``instances``
+    meets in about one draw in 500: digit sets {0, 2, 4, ...} have no
+    adjacent digits, and about half the coefficient draws cover."""
+    n = draw(st.integers(3, 7))
+    l = draw(st.integers(2, 3))
+    coeffs = tuple(draw(st.integers(-4, 4).filter(bool)) for _ in range(l))
+    digits = tuple(range(0, n, 2))
+    inst = ProblemInstance(n=n, digit_sets=(digits,) * l, coefficients=coeffs)
+    assume(covering_condition(inst))
+    return inst
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_advance_state_matches_expanded_reference_random(inst, data):
+    x = data.draw(points(inst))
+    state, offsets = initial_state(inst, x), (x,)
+    for _ in range(8):
+        state, offsets = advance_state(inst, state), reference_advance(inst, offsets)
+        scaled = Counter(int(state.scale * v) for v in offsets)
+        assert state.pairs == tuple(sorted(scaled.items()))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counting_instances(), st.data())
+def test_exact_card_matches_expanded_reference_random(inst, data):
+    x = data.draw(points(inst))
+    assert exact_card(inst, x, budget=256) == reference_exact_card(
+        inst, x, budget=256
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_advance_state_scales_with_multiplicity(inst, data):
+    """Multiplying every multiplicity by m multiplies every child's by m and
+    leaves the support alone, and the support stays on the
+    span * q + 1 lattice points of [proj_min, proj_max]: the cost of a
+    digit does not depend on the number of chains."""
+    state = initial_state(inst, data.draw(points(inst)))
+    q = state.scale
+    for _ in range(8):
+        child = advance_state(inst, state)
+        for m in (2, 7, 2**64):
+            scaled = SliceState(
+                pairs=tuple((a, m * k) for a, k in state.pairs),
+                scale=state.scale,
+                depth=state.depth,
+            )
+            scaled_child = advance_state(inst, scaled)
+            assert scaled_child.support() == child.support()
+            assert scaled_child.pairs == tuple((a, m * k) for a, k in child.pairs)
+            assert scaled_child.cardinality == m * child.cardinality
+        support = child.support()
+        assert len(support) <= inst.span * q + 1
+        assert all(q * inst.proj_min <= a <= q * inst.proj_max for a in support)
+        state = child
 
 
 def test_exact_card_examples(cantor_diff):
