@@ -1,11 +1,11 @@
-"""Small directed-graph helpers: iterative Tarjan SCCs and condensation
-reachability.  Vertices are arbitrary hashables; callers supply a sort key
-when deterministic component order matters.
+"""Iterative Tarjan SCCs.  Vertices are arbitrary hashables; components
+come out in Tarjan's emission order, which callers sort when they need a
+deterministic order.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 Vertex = Hashable
 
@@ -60,40 +60,3 @@ def strongly_connected_components(
                         break
                 comps.append(comp)
     return comps
-
-
-def condensation_reachability(
-    comps: Sequence[Sequence[Vertex]], succ: Mapping[Vertex, Iterable[Vertex]]
-) -> set[tuple[int, int]]:
-    """Reflexive-transitive reachability between components, as index pairs
-    (i, j) meaning component i reaches component j."""
-    comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-    direct: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            for w in succ.get(v, ()):
-                j = comp_of[w]
-                if j != i:
-                    direct[i].add(j)
-    reach: set[tuple[int, int]] = set()
-    for i in range(len(comps)):
-        seen = {i}
-        frontier = [i]
-        while frontier:
-            a = frontier.pop()
-            for b in direct[a]:
-                if b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        reach.update((i, j) for j in seen)
-    return reach
-
-
-def sort_components(
-    comps: list[list[Vertex]], key: Callable[[Vertex], object]
-) -> list[list[Vertex]]:
-    """Deterministic order: sort members within each component, then
-    components by their smallest member key."""
-    ordered = [sorted(c, key=key) for c in comps]
-    ordered.sort(key=lambda c: key(c[0]))
-    return ordered

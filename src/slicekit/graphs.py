@@ -12,6 +12,11 @@
   This successor form is equivalent to the two-sided covering rule
   quantified over full-graph edges, because a uniquely covered interval has
   exactly one candidate successor per residue.
+
+``scc`` is the one place that decomposes a graph, given as a successor map:
+a single Tarjan pass yields the components, the set of components each one
+reaches (read off Tarjan's emission order) and a certified radius per
+component.
 """
 
 from __future__ import annotations
@@ -20,15 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from ._digraph import (
-    condensation_reachability,
-    sort_components,
-    strongly_connected_components,
-)
+from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
 from .instance import ProblemInstance
 from .lattice import IntegerInterval, make_interval, u_range, xi_types
-from .spectral import RadiusResult, spectral_radius
+from .spectral import RadiusResult, block_radius
 
 # Largest sum over residue classes of 2**|class| the subset graph enumerates.
 _SUBSET_LIMIT = 2**20
@@ -80,23 +81,29 @@ class CongruentSubset:
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """``comp_of`` maps each vertex to its component's index; ``cycling``
-    holds the components with a cycle (two or more vertices, or a loop)."""
+    """Components sorted by their smallest member, each sorted; ``reach[i]``
+    holds every component that component i reaches, i included; ``comp_of``
+    maps each vertex to its component's index; ``cycling`` holds the
+    components with a cycle (two or more vertices, or a loop)."""
 
     components: tuple[tuple, ...]
-    order: frozenset[tuple[int, int]]
+    reach: tuple[frozenset[int], ...]
     radii: tuple[RadiusResult, ...]
     comp_of: dict
     cycling: frozenset[int]
 
     def precedes(self, i: int, j: int) -> bool:
-        return (i, j) in self.order
+        return j in self.reach[i]
 
 
 @dataclass(frozen=True)
 class CongruentGraph:
+    """``adjacency`` labels each edge with its residue h; ``succ`` is the
+    same edges as a plain successor map."""
+
     vertices: tuple[CongruentSubset, ...]
     adjacency: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]
+    succ: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
     scc: SccDecomposition
 
 
@@ -210,19 +217,9 @@ def build_congruent_graph(inst: ProblemInstance) -> CongruentGraph:
     }
     subset_components = {frozenset(comp) for comp in decomposition.components}
     assert xi_components <= subset_components
-    return CongruentGraph(vertices=tuple(vertices), adjacency=adjacency, scc=decomposition)
-
-
-def _extract_adjacency(graph) -> dict:
-    if isinstance(graph, FullGraph):
-        return dict(graph.adjacency)
-    if isinstance(graph, XiGraph):
-        return graph.adjacency()
-    if isinstance(graph, CongruentGraph):
-        return {k: tuple(t for _, t in outs) for k, outs in graph.adjacency.items()}
-    if isinstance(graph, Mapping):
-        return {k: tuple(v) for k, v in graph.items()}
-    raise TypeError(f"cannot take SCCs of {type(graph).__name__}")
+    return CongruentGraph(
+        vertices=tuple(vertices), adjacency=adjacency, succ=succ, scc=decomposition
+    )
 
 
 def component_matrix(adjacency: Mapping, comp) -> list[list[int]]:
@@ -236,22 +233,30 @@ def component_matrix(adjacency: Mapping, comp) -> list[list[int]]:
     return sub
 
 
-def scc(graph) -> SccDecomposition:
-    """Strongly connected components with the reachability partial order and
+def scc(succ: Mapping) -> SccDecomposition:
+    """Strongly connected components of the graph with successor map
+    ``succ`` (every vertex a key), with the components each one reaches and
     a certified spectral radius per component (0-1 adjacency restricted)."""
-    adjacency = _extract_adjacency(graph)
-    vertices = sorted(adjacency)
-    comps = sort_components(
-        strongly_connected_components(vertices, adjacency), key=lambda v: v
-    )
-    order = condensation_reachability(comps, adjacency)
+    emitted = strongly_connected_components(sorted(succ), succ)
+    comps = sorted((tuple(sorted(c)) for c in emitted), key=lambda c: c[0])
+    comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    # Tarjan emits a component only after every component it reaches
+    reach: list[frozenset[int]] = [frozenset()] * len(comps)
+    for comp in emitted:
+        idx = comp_of[comp[0]]
+        reached = {idx}
+        for jdx in {comp_of[w] for v in comp for w in succ[v]}:
+            reached |= reach[jdx]
+        reach[idx] = frozenset(reached)
     return SccDecomposition(
-        components=tuple(tuple(c) for c in comps),
-        order=frozenset(order),
-        radii=tuple(spectral_radius(component_matrix(adjacency, c)) for c in comps),
-        comp_of={v: idx for idx, comp in enumerate(comps) for v in comp},
+        components=tuple(comps),
+        reach=tuple(reach),
+        radii=tuple(
+            block_radius(component_matrix(succ, c), range(len(c))) for c in comps
+        ),
+        comp_of=comp_of,
         cycling=frozenset(
-            idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in adjacency[c[0]]
+            idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in succ[c[0]]
         ),
     )
 

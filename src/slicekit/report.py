@@ -65,7 +65,9 @@ def _scc_json(decomposition, key) -> dict:
     return {
         "components": [[key(v) for v in comp] for comp in decomposition.components],
         "radii": [radius_json(rr) for rr in decomposition.radii],
-        "order": sorted([i, j] for i, j in decomposition.order),
+        "order": [
+            [i, j] for i, reach in enumerate(decomposition.reach) for j in sorted(reach)
+        ],
     }
 
 

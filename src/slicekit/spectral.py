@@ -2,10 +2,13 @@
 
 Radii of nonnegative integer matrices are reported as rational enclosures
 from Collatz-Wielandt ratio bounds, never as bare floats: for any positive
-vector x, min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i.  Reducible
-matrices are split into strongly connected blocks first (the radius is the
-max over blocks), and each multi-vertex block gets an identity shift so the
-iteration matrix is primitive and the bounds actually converge.
+vector x, min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i.  ``block_radius``
+certifies one strongly connected block; each multi-vertex block gets an
+identity shift so the iteration matrix is primitive and the bounds actually
+converge.  ``spectral_radius`` splits a reducible matrix into its blocks and
+folds their enclosures with ``max_radius``; ``graphs.scc`` calls the same
+certifier on the components it has already found, so a decomposed graph
+never runs Tarjan twice.
 
 Equality of two radii is decided at a tolerance, then confirmed exactly via
 integer characteristic polynomials and Sturm root counting when the matrices
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ._digraph import strongly_connected_components
 from .errors import WideEnclosure
@@ -92,12 +95,15 @@ def _adjacency(rows: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
     }
 
 
-def _block_radius(rows, verts, tolerance) -> tuple[Fraction, Fraction]:
-    """Certified radius enclosure for one strongly connected block."""
+def block_radius(
+    rows: Matrix, verts: Sequence[int], tolerance: float = DEFAULT_TOLERANCE
+) -> RadiusResult:
+    """Certified radius enclosure of the block of ``rows`` on ``verts``,
+    which must be strongly connected or a single vertex."""
     k = len(verts)
     if k == 1:
         v = Fraction(rows[verts[0]][verts[0]])
-        return v, v
+        return RadiusResult(v, v, float(v))
     # identity shift makes the block primitive; rho shifts by exactly 1
     shifted = [
         [rows[a][b] + (1 if a == b else 0) for b in verts] for a in verts
@@ -113,7 +119,8 @@ def _block_radius(rows, verts, tolerance) -> tuple[Fraction, Fraction]:
         best_lo = max(best_lo, lo)
         best_hi = hi if best_hi is None else min(best_hi, hi)
         if best_hi - best_lo <= tol:
-            return best_lo - 1, best_hi - 1
+            lo, hi = best_lo - 1, best_hi - 1
+            return RadiusResult(lo, hi, float((lo + hi) / 2))
         x = y
         top = max(x)
         if top.bit_length() > 512:
@@ -124,21 +131,22 @@ def _block_radius(rows, verts, tolerance) -> tuple[Fraction, Fraction]:
     )
 
 
+def max_radius(radii: Iterable[RadiusResult]) -> RadiusResult:
+    """The radius of a matrix from those of its blocks: the max of the lower
+    and of the upper bounds (0 for no blocks)."""
+    lo = Fraction(0)
+    hi = Fraction(0)
+    for rr in radii:
+        lo = max(lo, rr.lower)
+        hi = max(hi, rr.upper)
+    return RadiusResult(lower=lo, upper=hi, estimate=float((lo + hi) / 2))
+
+
 def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
     rows = _as_rows(matrix)
-    size = len(rows)
-    if size == 0:
-        return RadiusResult(Fraction(0), Fraction(0), 0.0)
-    comps = strongly_connected_components(list(range(size)), _adjacency(rows))
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for comp in comps:
-        blo, bhi = _block_radius(rows, sorted(comp), tolerance)
-        lo = max(lo, blo)
-        hi = max(hi, bhi)
-    estimate = float((lo + hi) / 2)
-    return RadiusResult(lower=lo, upper=hi, estimate=estimate)
+    comps = strongly_connected_components(list(range(len(rows))), _adjacency(rows))
+    return max_radius(block_radius(rows, sorted(comp), tolerance) for comp in comps)
 
 
 def irreducible(matrix: Matrix | CountMatrix) -> bool:

@@ -2,8 +2,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
-from slicekit import ProblemInstance
+from slicekit import ProblemInstance, covering_condition
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -56,3 +58,18 @@ def no_cover():
 def full_interval():
     """Base-2 with both digits: the set is all of [0,1]."""
     return load("full_interval")
+
+
+@st.composite
+def counting_instances(draw):
+    """Instances that meet exact_card's hypotheses, which
+    ``test_properties.instances`` meets in about one draw in 500: digit sets
+    {0, 2, 4, ...} have no adjacent digits, and about half the coefficient
+    draws cover."""
+    n = draw(st.integers(3, 7))
+    l = draw(st.integers(2, 3))
+    coeffs = tuple(draw(st.integers(-4, 4).filter(bool)) for _ in range(l))
+    digits = tuple(range(0, n, 2))
+    inst = ProblemInstance(n=n, digit_sets=(digits,) * l, coefficients=coeffs)
+    assume(covering_condition(inst))
+    return inst

@@ -4,13 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
     ProblemInstance,
     brute_force_cube_count,
-    covering_condition,
     cube_count_vector,
     exact_card,
     expansion_value,
@@ -30,6 +29,7 @@ from slicekit.errors import (
     HypothesisViolated,
     OutOfRange,
 )
+from conftest import counting_instances
 from test_properties import instances
 
 
@@ -183,20 +183,6 @@ def points(draw, inst):
     """A rational in [proj_min, proj_max] with denominator at most 25."""
     q = draw(st.integers(1, 25))
     return Fraction(draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
-
-
-@st.composite
-def counting_instances(draw):
-    """Instances that meet exact_card's hypotheses, which ``instances``
-    meets in about one draw in 500: digit sets {0, 2, 4, ...} have no
-    adjacent digits, and about half the coefficient draws cover."""
-    n = draw(st.integers(3, 7))
-    l = draw(st.integers(2, 3))
-    coeffs = tuple(draw(st.integers(-4, 4).filter(bool)) for _ in range(l))
-    digits = tuple(range(0, n, 2))
-    inst = ProblemInstance(n=n, digit_sets=(digits,) * l, coefficients=coeffs)
-    assume(covering_condition(inst))
-    return inst
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

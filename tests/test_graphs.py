@@ -143,9 +143,9 @@ def test_congruent_full_mode_cap():
 
 
 def test_scc_examples(cantor_diff, base7_double):
-    d1 = scc(build_xi_graph(cantor_diff))
+    d1 = scc(build_xi_graph(cantor_diff).adjacency())
     assert len(d1.components) == 1
-    d3 = scc(build_xi_graph(base7_double))
+    d3 = scc(build_xi_graph(base7_double).adjacency())
     assert len(d3.components) > 1
     sizes = sorted(len(c) for c in d3.components)
     assert sizes == [1, 1, 5]
@@ -155,7 +155,7 @@ def test_scc_edgeless():
     d = scc({0: (), 1: ()})
     assert len(d.components) == 2
     assert all(rr.estimate == 0.0 for rr in d.radii)
-    assert d.order == frozenset({(0, 0), (1, 1)})
+    assert d.reach == (frozenset({0}), frozenset({1}))
 
 
 def test_scc_order_is_partial_order():
@@ -169,13 +169,48 @@ def test_scc_order_is_partial_order():
         d = scc(adj)
         k = len(d.components)
         for i in range(k):
-            assert (i, i) in d.order
+            assert d.precedes(i, i)
             for j in range(k):
-                if i != j and (i, j) in d.order:
-                    assert (j, i) not in d.order
+                if i != j and d.precedes(i, j):
+                    assert not d.precedes(j, i)
                 for m in range(k):
-                    if (i, j) in d.order and (j, m) in d.order:
-                        assert (i, m) in d.order
+                    if d.precedes(i, j) and d.precedes(j, m):
+                        assert d.precedes(i, m)
+
+
+def _reached_from(adj, v):
+    """Every vertex a path of length 0 or more leads to from v."""
+    seen = {v}
+    stack = [v]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def test_scc_reach_matches_vertex_dfs():
+    """Components, reachability and cycling agree with a depth-first search
+    over the vertices, on random digraphs with cycles and self-loops."""
+    rng = random.Random(23)
+    for _ in range(200):
+        size = rng.randint(1, 12)
+        density = rng.choice([0.05, 0.15, 0.3, 0.6])
+        adj = {
+            v: tuple(w for w in range(size) if rng.random() < density)
+            for v in range(size)
+        }
+        d = scc(adj)
+        reached = {v: _reached_from(adj, v) for v in adj}
+        for u in adj:
+            for v in adj:
+                same = v in reached[u] and u in reached[v]
+                assert (d.comp_of[u] == d.comp_of[v]) == same
+                assert d.precedes(d.comp_of[u], d.comp_of[v]) == (v in reached[u])
+        for i, comp in enumerate(d.components):
+            on_cycle = any(comp[0] in reached[w] for w in adj[comp[0]])
+            assert (i in d.cycling) == on_cycle
 
 
 def test_psi_step_values(cantor_diff):
@@ -225,7 +260,7 @@ def test_psi_congruence_preservation(cantor_diff):
 def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     # singleton components replicate the restricted graph's radii
     for inst in (cantor_diff, base6_mixed):
-        xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst)).radii}
+        xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst).adjacency()).radii}
         sub_radii = {
             rr.estimate for rr in build_congruent_graph(inst).scc.radii
         }

@@ -21,6 +21,8 @@ from slicekit import (
 from slicekit.instance import ProblemInstance
 from slicekit.lattice import u_range, xi_types
 
+from conftest import counting_instances
+
 
 @st.composite
 def instances(draw):
@@ -66,13 +68,11 @@ def test_xi_sccs_survive_in_subset_graph(inst):
     if len(xi_types(inst)) > 12:
         return
     graph = build_congruent_graph(inst)
-    xi_comps = {
-        frozenset((u,) for u in comp)
-        for comp in scc(build_xi_graph(inst)).components
-    }
+    xi_scc = scc(build_xi_graph(inst).adjacency())
+    xi_comps = {frozenset((u,) for u in comp) for comp in xi_scc.components}
     sub_comps = {frozenset(c) for c in graph.scc.components}
     assert xi_comps <= sub_comps
-    xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst)).radii}
+    xi_radii = {rr.estimate for rr in xi_scc.radii}
     sub_radii = {rr.estimate for rr in graph.scc.radii}
     assert xi_radii <= sub_radii
 
@@ -93,8 +93,11 @@ def test_monotone_counts_iff_useful(inst, salt):
     assert all(a <= b for a, b in zip(counts, counts[1:]))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
-@given(instances(), st.integers(0, 10**6))
+# A random point of a covering instance rarely has finitely many
+# representations (most are Infinite or exceed the budget): 11 of these
+# 300 examples are Finite and reach the comparison.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(0, 10**6))
 def test_exact_card_dominates_cube_counts(inst, salt):
     """Finite representation counts bound the surviving-cube counts."""
     if not covering_condition(inst) or not all(strong_separation(inst)):
