@@ -42,7 +42,7 @@ from .lattice import covering_condition, strong_separation
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
 from .spectral import (  # noqa: F401
-    CountMatrix, RadiusResult, max_radius, radii_equal, spectral_radius,
+    CountMatrix, RadiusResult, enclosed_radii_equal, max_radius, spectral_radius,
     transition_matrices,
 )
 
@@ -158,8 +158,11 @@ class Analysis:
         if covering and dichotomy_ok and s_positive:
             measure = MEASURE_POSITIVE_FINITE
             maximal = []
+            # rho and the component radii are certified already
             for idx, block in enumerate(blocks):
-                eq, verdict = radii_equal(block, xi.matrix)
+                eq, verdict = enclosed_radii_equal(
+                    self.xi_scc.radii[idx], rho, block, xi.matrix
+                )
                 if eq:
                     maximal.append(idx)
                     notes.append(f"component {idx} attains the full radius ({verdict})")
@@ -268,15 +271,20 @@ class RSearchResult:
         return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
 
 
-def _reachable_vectors(
-    inst: ProblemInstance, matrices: list[CountMatrix], max_r: int
-) -> dict[tuple[int, ...], tuple]:
+def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...], tuple]:
     """Closure of {unit vectors} under the digit matrices, pruned at norm
     max_r (norms never decrease under the covering condition, so nothing is
     lost).  Each vector keeps its canonical discovery: shortest digit word,
-    ties broken by word then by starting offset."""
-    mats = [m.entries for m in matrices]
-    span = inst.span
+    ties broken by word then by starting offset.
+
+    A product is computed sparsely, as ``advance_state`` advances a slice
+    state: entry (u, v) of digit matrix j is the cube weight count of
+    n*u + j - v, so child[v] = sum of vec[u] * count(w) over the support u of
+    vec and the distinct cube weights w with v = n*u + j - w in range.  The
+    dense span x span product it replaces is never formed.
+    """
+    n, lo, span = inst.n, inst.proj_min, inst.span
+    weights = list(inst.cube_weights.items())
     found: dict[tuple[int, ...], tuple] = {}
     level: dict[tuple[int, ...], tuple] = {}
     for i in range(inst.proj_min, inst.proj_max):
@@ -287,12 +295,18 @@ def _reachable_vectors(
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
         for vec, (word, i) in sorted(level.items(), key=lambda kv: (kv[1][0], kv[1][1])):
-            for j, rows in enumerate(mats):
-                child = tuple(
-                    sum(vec[u] * rows[u][v] for u in range(span)) for v in range(span)
-                )
+            # index v of the child entry for digit 0 and weight 0, per support entry
+            support = [(n * (u + lo) - lo, c) for u, c in enumerate(vec) if c]
+            for j in range(n):
+                child = [0] * span
+                for base, c in support:
+                    for w, count in weights:
+                        v = base + j - w
+                        if 0 <= v < span:
+                            child[v] += c * count
                 if sum(child) > max_r:
                     continue
+                child = tuple(child)
                 cand = (word + (j,), i)
                 if child in found:
                     continue
@@ -341,7 +355,7 @@ def _search(context: Analysis, max_r: int, budget: int = 4096) -> RSearchResult:
         raise HypothesisViolated("strong separation fails for some factor")
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    found = _reachable_vectors(inst, context.matrices, max_r)
+    found = _reachable_vectors(inst, max_r)
     n = inst.n
 
     vectors = []

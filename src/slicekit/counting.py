@@ -28,8 +28,6 @@ from fractions import Fraction
 from functools import cached_property
 from math import log
 
-import numpy as np
-
 from .errors import (
     BoundaryPoint,
     CoveringRequired,
@@ -317,6 +315,9 @@ def lyapunov_estimate(
         raise CoveringRequired("the depth-1 projections must cover the full range")
     if samples <= 0 or depth <= 0:
         raise OutOfRange("samples and depth must be positive")
+    # imported here, the one place that needs it, to keep `import slicekit` light
+    import numpy as np
+
     mats = np.array(
         [[list(row) for row in m.entries] for m in transition_matrices(inst)],
         dtype=np.float64,

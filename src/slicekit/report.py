@@ -27,7 +27,7 @@ from .counting import exact_card
 from .errors import HypothesisViolated, InvalidDocument
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals, interval_type_counts
-from .spectral import RadiusResult, irreducible
+from .spectral import RadiusResult
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -62,9 +62,14 @@ def decimal(value: float) -> str:
 
 
 def _scc_json(decomposition, key) -> dict:
+    # single-vertex components share two RadiusResult objects, so each
+    # distinct object is formatted once, and its entries share one dict
+    # (ids stay valid: the decomposition holds every radius)
+    distinct = {id(rr): rr for rr in decomposition.radii}
+    formatted = {i: radius_json(rr) for i, rr in distinct.items()}
     return {
         "components": [[key(v) for v in comp] for comp in decomposition.components],
-        "radii": [radius_json(rr) for rr in decomposition.radii],
+        "radii": [formatted[id(rr)] for rr in decomposition.radii],
         "order": [
             [i, j] for i, reach in enumerate(decomposition.reach) for j in sorted(reach)
         ],
@@ -114,7 +119,10 @@ def build_report(
             "index": list(xi.us),
             "rows": [list(r) for r in xi.matrix],
             "rho": radius_json(u1.rho),
-            "irreducible": irreducible(xi.matrix),
+            # one strongly connected component, with a cycle through it
+            "irreducible": (
+                len(context.xi_scc.components) == 1 and 0 in context.xi_scc.cycling
+            ),
         },
         "T": [
             {

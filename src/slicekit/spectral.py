@@ -13,6 +13,8 @@ never runs Tarjan twice.
 Equality of two radii is decided at a tolerance, then confirmed exactly via
 integer characteristic polynomials and Sturm root counting when the matrices
 are small (the enclosures alone already refute equality when disjoint).
+``enclosed_radii_equal`` takes the two enclosures as given, so a caller that
+already holds certified radii does not certify them again.
 """
 
 from __future__ import annotations
@@ -335,13 +337,30 @@ def radii_equal(
 ) -> tuple[bool, str]:
     """Decide rho(a) == rho(b); returns (equal, "exact" | "tolerance").
 
+    Certifies both radii with ``spectral_radius``, then decides as
+    ``enclosed_radii_equal`` does.
+    """
+    return enclosed_radii_equal(
+        spectral_radius(a, tolerance), spectral_radius(b, tolerance), a, b, tolerance
+    )
+
+
+def enclosed_radii_equal(
+    ra: RadiusResult,
+    rb: RadiusResult,
+    a: Matrix | CountMatrix,
+    b: Matrix | CountMatrix,
+    tolerance: float = DEFAULT_TOLERANCE,
+) -> tuple[bool, str]:
+    """Decide rho(a) == rho(b) from certified enclosures ``ra`` and ``rb``
+    of them (as ``spectral_radius`` returns at this tolerance); returns
+    (equal, "exact" | "tolerance").
+
     Disjoint certified enclosures refute equality exactly.  Overlapping
     enclosures on small matrices are settled by locating the shared root of
     the characteristic polynomials inside the overlap window via Sturm
     counts; otherwise the midpoints are compared at the tolerance.
     """
-    ra = spectral_radius(a, tolerance)
-    rb = spectral_radius(b, tolerance)
     if ra.upper < rb.lower or rb.upper < ra.lower:
         return False, "exact"
     rows_a, rows_b = _as_rows(a), _as_rows(b)

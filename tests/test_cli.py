@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,3 +172,12 @@ def test_render_counts(cantor_diff, base6_mixed, full_interval):
 
 def test_render_deterministic(cantor_diff):
     assert render_grid(cantor_diff, depth=2) == render_grid(cantor_diff, depth=2)
+
+
+def test_import_does_not_load_numpy():
+    """numpy is imported by the one function that uses it, so a CLI process
+    that never estimates a Lyapunov exponent does not pay for it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import slicekit, sys; sys.exit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

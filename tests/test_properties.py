@@ -18,10 +18,11 @@ from slicekit import (
     transition_matrices,
     type_assignment,
 )
-from slicekit.instance import ProblemInstance
+from slicekit.instance import ProblemInstance, parse_instance
 from slicekit.lattice import u_range, xi_types
 
-from conftest import counting_instances
+from conftest import FIXTURES, counting_instances, load
+from test_golden import SCALED
 
 
 @st.composite
@@ -62,11 +63,9 @@ def test_unique_interval_neighbours_fill_working_interval(inst):
         assert g.adjacency[u] == tuple(range(inst.n * t, inst.n * t + inst.n))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(instances())
-def test_xi_sccs_survive_in_subset_graph(inst):
-    if len(xi_types(inst)) > 12:
-        return
+def _assert_xi_sccs_survive(inst):
+    """A subset never grows under successors, so the singleton components of
+    the subset graph reproduce the restricted graph's components and radii."""
     graph = build_congruent_graph(inst)
     xi_scc = scc(build_xi_graph(inst).adjacency())
     xi_comps = {frozenset((u,) for u in comp) for comp in xi_scc.components}
@@ -75,6 +74,23 @@ def test_xi_sccs_survive_in_subset_graph(inst):
     xi_radii = {rr.estimate for rr in xi_scc.radii}
     sub_radii = {rr.estimate for rr in graph.scc.radii}
     assert xi_radii <= sub_radii
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(instances())
+def test_xi_sccs_survive_in_subset_graph(inst):
+    if len(xi_types(inst)) > 12:
+        return
+    _assert_xi_sccs_survive(inst)
+
+
+def test_xi_sccs_survive_in_subset_graph_named():
+    """The same check on every bundled instance and on the benchmark's
+    scaled family (spans up to 17), the graphs ``analyze`` builds."""
+    for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
+        _assert_xi_sccs_survive(load(name))
+    for document, _ in SCALED.values():
+        _assert_xi_sccs_survive(parse_instance(document))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -8,9 +8,12 @@ from slicekit import (
     char_poly,
     irreducible,
     radii_equal,
+    scc,
     spectral_radius,
     transition_matrices,
 )
+from slicekit.graphs import component_matrix
+from slicekit.spectral import enclosed_radii_equal, max_radius
 from slicekit.lattice import type_assignment
 
 GOLDEN_T_CANTOR_DIFF = [
@@ -135,6 +138,23 @@ def test_radii_equal_exact_cases():
     assert eq and verdict == "exact"
     eq, _ = radii_equal([[1, 1], [1, 0]], [[1, 1], [1, 1]])
     assert not eq
+
+
+def test_enclosed_radii_equal_reuses_certified_radii(base7_double, base6_mixed, cantor_diff):
+    """The restricted graph's component radii and their fold are the
+    enclosures spectral_radius certifies, so deciding from them gives what
+    radii_equal gives (the U1 measure class reads them this way)."""
+    for inst in (base7_double, base6_mixed, cantor_diff):
+        xi = build_xi_graph(inst)
+        adjacency = xi.adjacency()
+        decomposition = scc(adjacency)
+        rho = max_radius(decomposition.radii)
+        assert rho == spectral_radius(xi.matrix)
+        for comp, rr in zip(decomposition.components, decomposition.radii):
+            block = component_matrix(adjacency, comp)
+            assert rr == spectral_radius(block)
+            decided = enclosed_radii_equal(rr, rho, block, xi.matrix)
+            assert decided == radii_equal(block, xi.matrix)
 
 
 def test_product_norms_nondecreasing_under_covering(cantor_diff, base7_double):
