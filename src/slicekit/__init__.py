@@ -17,7 +17,6 @@ from .analysis import (
     WitnessExpansion,
     dim_u1,
     dim_ur,
-    domination_check,
     enumerate_achievable_r,
     measure_ur,
     witness_ur,
@@ -62,8 +61,8 @@ from .spectral import (
     CountMatrix,
     RadiusResult,
     char_poly,
+    compare_radii,
     irreducible,
-    radii_equal,
     spectral_radius,
     transition_matrices,
 )
@@ -97,7 +96,7 @@ __all__ = [
     "transition_matrices",
     "spectral_radius",
     "irreducible",
-    "radii_equal",
+    "compare_radii",
     "char_poly",
     "NadicExpansion",
     "SliceState",
@@ -114,7 +113,6 @@ __all__ = [
     "dim_u1",
     "enumerate_achievable_r",
     "dim_ur",
-    "domination_check",
     "measure_ur",
     "witness_ur",
     "CubeChain",

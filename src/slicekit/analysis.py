@@ -20,6 +20,16 @@ holds every subset of every residue class and so every aligned subset the
 search consults.  The public functions below are thin readers of a
 context; ``RSearchResult`` carries the context of its search, so passing
 ``search=`` reuses all of it.
+
+Every radius verdict compares two blocks, each a certified radius with its
+matrix, with ``spectral.compare_radii``, exactly and on strongly connected
+components only (or on a 1x1 integer block; the context keeps the blocks of
+the restricted graph and builds those of the subset graph on demand):
+which components attain rho,
+whether failing separation is negligible, where the multiplicity dimension
+takes its maximum, the countable flag and domination.  Dimensions are
+reported as floats, but no decision is taken from one.  Each witness point
+is certified by ``exact_card`` before it is returned.
 """
 
 from __future__ import annotations
@@ -28,10 +38,12 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, log
+from math import inf, log, prod
 
 from .counting import exact_card, expansion_value
-from .errors import HypothesisViolated, NotAchievable, TooLarge
+from .errors import (
+    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, TooLarge,
+)
 from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph,
     component_matrix, scc,
@@ -42,8 +54,8 @@ from .lattice import covering_condition, strong_separation
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
 from .spectral import (  # noqa: F401
-    CountMatrix, RadiusResult, enclosed_radii_equal, max_radius, spectral_radius,
-    transition_matrices,
+    CountMatrix, Matrix, RadiusResult, block_radius, compare_radii, max_radius,
+    spectral_radius, transition_matrices,
 )
 
 _VECTOR_CAP = 2**20
@@ -82,20 +94,47 @@ def _log_over_log_n(value: float, n: int) -> float:
     return log(value) / log(n)
 
 
-def _separation_negligible(inst: ProblemInstance, ssc_flags, s: float) -> bool:
+# A block is a (certified radius, matrix) pair of one strongly connected
+# component, or of a 1x1 integer matrix; every radius verdict compares two.
+Block = tuple[RadiusResult, Matrix]
+
+
+def _compare(a: Block, b: Block) -> int:
+    """The sign of rho(a) - rho(b), exact."""
+    return compare_radii(a[0], b[0], a[1], b[1])
+
+
+def _integer_block(value: int) -> Block:
+    """The block [[value]], whose radius is value."""
+    matrix = ((value,),)
+    return block_radius(matrix, [0]), matrix
+
+
+def _top(block, indices) -> int | None:
+    """The first of ``indices`` whose block, ``block(i)``, has the largest
+    radius; None for no indices."""
+    best = None
+    for i in indices:
+        if best is None or _compare(block(i), block(best)) > 0:
+            best = i
+    return best
+
+
+def _separation_negligible(inst: ProblemInstance, ssc_flags, blocks) -> bool:
     """Can failing separation still be ignored for the s-measure?
 
     A factor with two digits at distance 1 lets depth-k cubes touch along
     faces where that coordinate is pinned; the touched slice values then
     fill a set of dimension at most the sum of the other factors' dimensions
-    log|A_k|/log n.  Strictly below s, those faces are s-null and the
-    measure dichotomy goes through unchanged.
+    log|A_k|/log n.  Strictly below s = log(rho)/log n, those faces are
+    s-null and the measure dichotomy goes through unchanged: the product of
+    the other factors' digit counts must be below rho, the largest radius of
+    the restricted graph's ``blocks``.
     """
-    dims = [_log_over_log_n(len(a), inst.n) for a in inst.digit_sets]
-    total = sum(dims)
-    eps = 1e-12
-    for flag, own in zip(ssc_flags, dims):
-        if not flag and total - own >= s - eps:
+    sizes = [len(a) for a in inst.digit_sets]
+    for i, flag in enumerate(ssc_flags):
+        faces = _integer_block(prod(sizes[:i] + sizes[i + 1:]))
+        if not flag and not any(_compare(block, faces) > 0 for block in blocks):
             return False
     return True
 
@@ -129,25 +168,34 @@ class Analysis:
         return transition_matrices(self.inst)
 
     @cached_property
+    def xi_blocks(self) -> list[Block]:
+        """The block of each component of the restricted graph."""
+        adjacency = self.xi.adjacency()
+        return [
+            (rr, component_matrix(adjacency, comp))
+            for rr, comp in zip(self.xi_scc.radii, self.xi_scc.components)
+        ]
+
+    @cached_property
     def u1(self) -> U1Report:
-        inst, xi = self.inst, self.xi
+        inst = self.inst
         covering = self.covering
         ssc_flags = self.ssc
         ssc = all(ssc_flags)
+        blocks = self.xi_blocks
+        # M is block-triangular, so rho is the largest block radius
         rho = max_radius(self.xi_scc.radii)
         n = inst.n
         s = _log_over_log_n(rho.estimate, n)
         s_lower = _log_over_log_n(float(rho.lower), n)
         s_upper = _log_over_log_n(float(rho.upper), n)
-        adjacency = xi.adjacency()
-        blocks = [component_matrix(adjacency, comp) for comp in self.xi_scc.components]
         # exact test for rho > 1: some component carries more edges than
         # vertices (two overlapping cycles)
-        s_positive = any(sum(map(sum, block)) > len(block) for block in blocks)
+        s_positive = any(sum(map(sum, matrix)) > len(matrix) for _, matrix in blocks)
         notes = []
         if not covering:
             notes.append("covering condition fails: s is only a lower bound for the dimension")
-        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, s)
+        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, blocks)
         if not ssc and dichotomy_ok:
             notes.append(
                 "strong separation fails but cube faces have dimension below s; "
@@ -157,15 +205,10 @@ class Analysis:
             notes.append("strong separation fails: the measure dichotomy does not apply")
         if covering and dichotomy_ok and s_positive:
             measure = MEASURE_POSITIVE_FINITE
-            maximal = []
-            # rho and the component radii are certified already
-            for idx, block in enumerate(blocks):
-                eq, verdict = enclosed_radii_equal(
-                    self.xi_scc.radii[idx], rho, block, xi.matrix
-                )
-                if eq:
-                    maximal.append(idx)
-                    notes.append(f"component {idx} attains the full radius ({verdict})")
+            top = _top(blocks.__getitem__, range(len(blocks)))
+            # a component attains rho when no other one compares greater
+            maximal = [i for i, block in enumerate(blocks) if _compare(block, blocks[top]) == 0]
+            notes.extend(f"component {i} attains the full radius (exact)" for i in maximal)
             for i in maximal:
                 for j in maximal:
                     if i != j and self.xi_scc.precedes(i, j):
@@ -187,16 +230,17 @@ class Analysis:
             notes=tuple(notes),
         )
 
-    def dominated(self, d: float, tolerance: float = 1e-12) -> bool:
+    def dominated(self, block: Block) -> bool:
         """Is every working interval reachable, inside the restricted
-        interval graph, from a component whose radius exponent is at least d?"""
+        interval graph, from a component whose radius is at least that of
+        ``block``, a (certified radius, matrix) pair?"""
         inst, xi = self.inst, self.xi
         if not xi.vertices:
             return False
         decomposition = self.xi_scc
         reached: set[int] = set()
-        for idx, rr in enumerate(decomposition.radii):
-            if _log_over_log_n(rr.estimate, inst.n) >= d - tolerance:
+        for idx, own in enumerate(self.xi_blocks):
+            if _compare(own, block) >= 0:
                 reached |= decomposition.reach[idx]
         covered = {xi.types[u] for j in reached for u in decomposition.components[j]}
         return set(range(inst.proj_min, inst.proj_max)) <= covered
@@ -206,6 +250,25 @@ class Analysis:
     @cached_property
     def subset_graph(self) -> CongruentGraph:
         return build_congruent_graph(self.inst)
+
+    @cached_property
+    def _subset_blocks(self) -> dict[int, Block]:
+        return {}
+
+    def subset_block(self, idx: int) -> Block:
+        """The block of component ``idx`` of the subset graph, built on
+        first use (nearly all components are single vertices, and few are
+        ever compared)."""
+        blocks = self._subset_blocks
+        if idx not in blocks:
+            graph = self.subset_graph
+            comp = graph.scc.components[idx]
+            if len(comp) > 1:
+                matrix = component_matrix(graph.succ, comp)
+            else:
+                matrix = ((int(idx in graph.scc.cycling),),)
+            blocks[idx] = (graph.scc.radii[idx], matrix)
+        return blocks[idx]
 
     def aligned_subsets(self, support: tuple[int, ...]):
         """(h, subset) for every residue h whose aligned subset
@@ -476,16 +539,25 @@ def dim_ur(
     """Hausdorff dimension of the set of points with exactly r
     representations, for r certified by the multiplicity search.
 
-    The value is a maximum of log(rho)/log(n) over the subset-graph
-    components reachable from any passing aligned subset; multiplicities
-    realised only on the base-n grid get dimension 0 and the countable flag.
+    The value is log(rho)/log(n) for the largest radius rho of the
+    subset-graph components reachable from any passing aligned subset;
+    multiplicities realised only on the base-n grid get dimension 0 and the
+    countable flag, and so do those whose largest reachable radius is 1.
     """
+    return _dim_ur(inst, r, search, max_r)[0]
+
+
+def _dim_ur(
+    inst: ProblemInstance, r: int, search: RSearchResult | None, max_r: int | None
+) -> tuple[UrReport, Block | None]:
+    """``dim_ur``'s report, with the block of the subset-graph component
+    where the maximum is taken (None when r occurs only on the grid)."""
     search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status == STATUS_NOT_REACHABLE:
         raise NotAchievable(f"r={r} is not realised (searched up to {search.max_r})")
     if status.status == STATUS_COUNTABLE:
-        return UrReport(
+        report = UrReport(
             r=r,
             dim=0.0,
             candidates=(),
@@ -494,39 +566,33 @@ def dim_ur(
             argmax_support=None,
             argmax_residue=None,
         )
+        return report, None
     context = search.analysis
-    radii = context.subset_graph.scc.radii
-    best = -inf
+    block = context.subset_block
+    best = None
     best_pair = (None, None)
     candidates = set()
     for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
         for h, members in context.aligned_subsets(support):
-            reached = context.cycles_reached(members)
-            if not reached:
+            top = _top(block, sorted(context.cycles_reached(members)))
+            if top is None:
                 continue
-            val = max(_log_over_log_n(radii[j].estimate, inst.n) for j in reached)
-            candidates.add(val)
-            if val > best:
-                best = val
+            candidates.add(_log_over_log_n(block(top)[0].estimate, inst.n))
+            if best is None or top != best and _compare(block(top), block(best)) > 0:
+                best = top
                 best_pair = (support, h)
-    assert best > -inf, "an achievable r must reach a cycling component"
-    u1 = context.u1
-    assert best <= u1.s + 1e-9, "multiplicity dimension cannot exceed the unique-set dimension"
-    return UrReport(
+    if best is None:
+        raise InternalError(f"achievable r={r} reaches no cycling component")
+    report = UrReport(
         r=r,
-        dim=best,
+        dim=_log_over_log_n(block(best)[0].estimate, inst.n),
         candidates=tuple(sorted(candidates)),
-        countable_flag=best == 0.0,
+        countable_flag=_compare(block(best), _integer_block(1)) == 0,
         measure_class=None,
         argmax_support=best_pair[0],
         argmax_residue=best_pair[1],
     )
-
-
-def domination_check(inst: ProblemInstance, d: float, tolerance: float = 1e-12) -> bool:
-    """Is every working interval reachable, inside the restricted interval
-    graph, from a component whose radius exponent is at least d?"""
-    return Analysis(inst).dominated(d, tolerance)
+    return report, block(best)
 
 
 def measure_ur(
@@ -536,16 +602,17 @@ def measure_ur(
     max_r: int | None = None,
 ) -> UrReport:
     """Measure class of the multiplicity-r set at its dimension: infinite
-    when the whole range is dominated at that exponent, otherwise positive
-    with the total mass left undetermined."""
+    when the whole range is dominated, that is reachable in the restricted
+    graph from components whose radius is at least the one ``dim_ur``
+    reads, otherwise positive with the total mass left undetermined."""
     search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
-    report = dim_ur(inst, r, search=search)
+    report, block = _dim_ur(inst, r, search, None)
     measure = (
         MEASURE_INFINITE
-        if search.analysis.dominated(report.dim)
+        if search.analysis.dominated(block)
         else MEASURE_POSITIVE_UNDETERMINED
     )
     return dataclasses.replace(report, measure_class=measure)
@@ -586,6 +653,54 @@ def _bfs_path(succ, start, goal_set):
     return None
 
 
+def _loops(succ, entry, n: int):
+    """Closed walks at ``entry`` inside the component whose successor map
+    is ``succ``, one through each vertex v of it: the walks through a
+    vertex of nonzero residue first, and in each group the entry first, then
+    ascending.  The walk through the entry is a shortest closed walk (the
+    first found in successor order), the walk through another v a shortest
+    walk to v followed by a shortest walk back."""
+    for via in sorted(succ, key=lambda v: (v[0] % n == 0, v != entry, v)):
+        if via != entry:
+            yield _bfs_path(succ, entry, {via}) + _bfs_path(succ, via, {entry})[1:-1]
+            continue
+        best = None
+        for first in succ[entry]:
+            leg = _bfs_path(succ, first, {entry})
+            if leg is not None and (best is None or len(leg) < len(best)):
+                best = leg
+        yield [entry] + best[:-1]
+
+
+def _witness_candidates(search: RSearchResult, r: int):
+    """Eventually periodic expansions of candidate points with exactly r
+    representations, in canonical order: the norm-r vectors in discovery
+    order, then their passing residues ascending, then the cycling
+    components the aligned subset reaches, ascending, then the loops of
+    ``_loops`` at the vertex where a shortest path from the subset enters
+    the component.  Each expansion is the vector's digit word, then the
+    residues along the path, then those along the loop."""
+    context = search.analysis
+    n = context.inst.n
+    graph = context.subset_graph
+    decomposition = graph.scc
+    vectors = [rv for rv in search.vectors if rv.norm == r]
+    # no subset of a vector before the search's witness reaches a cycle
+    first = [rv.vector for rv in vectors].index(search.statuses[r].witness.vector)
+    for rv in vectors[first:]:
+        for _, members in context.aligned_subsets(rv.support):
+            for idx in sorted(context.cycles_reached(members)):
+                comp = set(decomposition.components[idx])
+                path = _bfs_path(graph.succ, members, comp)
+                comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
+                for cycle in _loops(comp_succ, path[-1], n):
+                    yield WitnessExpansion(
+                        integer_part=rv.integer_part,
+                        preperiod=rv.word + tuple(v[0] % n for v in path[:-1]),
+                        period=tuple(v[0] % n for v in cycle),
+                    )
+
+
 def witness_ur(
     inst: ProblemInstance,
     r: int,
@@ -593,61 +708,31 @@ def witness_ur(
     max_r: int | None = None,
 ) -> WitnessExpansion:
     """An eventually periodic expansion of a point with exactly r
-    representations: the canonical digit word reaching a norm-r vector,
-    then the residues along a path into a cycle of the subset graph.
+    representations, certified by ``exact_card``: the first candidate of
+    ``_witness_candidates`` whose point it counts as Finite r.
 
-    Cycles through a nonzero residue are preferred so the witness avoids
-    the base-n grid; the closed loop is then confirmed by exact counting in
-    the test suite.
+    A loop whose digits are all 0 or all n-1 ends on the base-n grid, where
+    counts are mostly infinite, so such candidates are tried only after all
+    the others.  Raises NoCertifiedWitness, an InternalError, when no
+    candidate certifies.
     """
     search = _search_reaching(inst, r, search, max_r)
     status = search.statuses[r]
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
-    w = status.witness
-    context = search.analysis
-    n = inst.n
-    graph = context.subset_graph
-    decomposition = graph.scc
-    succ = graph.succ
-    start = w.subset
-    reachable_targets = context.cycles_reached(start)
-    good = {
-        idx
-        for idx in reachable_targets
-        if any(v[0] % n != 0 for v in decomposition.components[idx])
-    }
-    target_comps = good or reachable_targets
-    goal = {
-        v for j in target_comps for v in decomposition.components[j]
-    }
-    path = _bfs_path(succ, start, goal)
-    assert path is not None
-    entry = path[-1]
-    comp = set(decomposition.components[decomposition.comp_of[entry]])
-    comp_succ = {v: tuple(t for t in succ[v] if t in comp) for v in comp}
-    nonzero = sorted(v for v in comp if v[0] % n != 0)
-    if nonzero and entry[0] % n == 0:
-        # route the loop through a nonzero-residue vertex so the period
-        # digits are not all zero
-        via = nonzero[0]
-        leg1 = _bfs_path(comp_succ, entry, {via})
-        leg2 = _bfs_path(comp_succ, via, {entry})
-        assert leg1 is not None and leg2 is not None and len(leg2) > 1
-        cycle = leg1 + leg2[1:-1]
-    else:
-        # shortest closed loop at the entry vertex
-        best = None
-        for first in comp_succ[entry]:
-            leg = _bfs_path(comp_succ, first, {entry})
-            if leg is not None:
-                cand = [entry] + leg[:-1]
-                if best is None or len(cand) < len(best):
-                    best = cand
-        assert best is not None
-        cycle = best
-    preperiod = w.word + tuple(v[0] % n for v in path[:-1])
-    period = tuple(v[0] % n for v in cycle)
-    return WitnessExpansion(
-        integer_part=w.integer_part, preperiod=preperiod, period=period
-    )
+    grid = ({0}, {inst.n - 1})
+    on_grid = []
+
+    def certifies(expansion: WitnessExpansion) -> bool:
+        result = exact_card(inst, expansion.value(inst.n))
+        return result.verdict == "Finite" and result.count == r
+
+    for expansion in _witness_candidates(search, r):
+        if set(expansion.period) in grid:
+            on_grid.append(expansion)
+        elif certifies(expansion):
+            return expansion
+    for expansion in on_grid:
+        if certifies(expansion):
+            return expansion
+    raise NoCertifiedWitness(f"no witness candidate for r={r} certifies")

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage / malformed input, 2 precondition violation,
-3 resource cap (including counting budgets).
+3 resource cap (including counting budgets), 4 internal error (an
+``InternalError``, or any other unexpected exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from .analysis import dim_u1, enumerate_achievable_r, measure_ur, witness_ur
 from .counting import exact_card, lyapunov_estimate
-from .errors import NotPlanar, SlicekitError, TooLarge, UsageError
+from .errors import InternalError, NotPlanar, SlicekitError, TooLarge, UsageError
 from .instance import ProblemInstance, parse_instance
 from .lattice import covering_condition, strong_separation
 from .oracle import brute_force_cube_count, brute_force_solutions
@@ -119,6 +120,9 @@ def run(argv=None) -> int:
         return exc.exit_code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except Exception as exc:  # a bug: one line, not a traceback
+        print(f"slicekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return InternalError.exit_code
 
 
 main = run

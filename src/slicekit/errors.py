@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
 Every error carries the process exit code the CLI maps it to:
-1 = malformed input / usage, 2 = violated precondition, 3 = resource cap.
+1 = malformed input / usage, 2 = violated precondition, 3 = resource cap,
+4 = internal error (an invariant of the package's own computation does not
+hold; the CLI reports any other unexpected exception with the same code).
 """
 
 from __future__ import annotations
@@ -27,6 +29,17 @@ class ResourceError(SlicekitError):
     """A hard cap (state count, iteration budget) was hit."""
 
     exit_code = 3
+
+
+class InternalError(SlicekitError):
+    """An invariant of the computation failed: a bug, not bad input."""
+
+    exit_code = 4
+
+
+class NoCertifiedWitness(InternalError):
+    """An achievable multiplicity has no witness candidate that exact
+    counting certifies."""
 
 
 # -- instance validation -----------------------------------------------------

@@ -23,8 +23,7 @@ from .analysis import (
     measure_ur,
     witness_ur,
 )
-from .counting import exact_card
-from .errors import HypothesisViolated, InvalidDocument
+from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals, interval_type_counts
 from .spectral import RadiusResult
@@ -207,9 +206,6 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
                 }
             continue
         rep = measure_ur(inst, r, search=search)
-        witness = witness_ur(inst, r, search=search)
-        value = witness.value(inst.n)
-        verify = exact_card(inst, value)
         out[str(r)] = {
             "dim": {
                 "decimal": decimal(rep.dim),
@@ -217,13 +213,18 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
             },
             "countable": rep.countable_flag,
             "measure_class": rep.measure_class,
-            "witness": {
-                "integer_part": witness.integer_part,
-                "preperiod": list(witness.preperiod),
-                "period": list(witness.period),
-                "value": format_rational(value),
-                "verified": verify.verdict == "Finite" and verify.count == r,
-            },
+        }
+        try:
+            witness = witness_ur(inst, r, search=search)
+        except NoCertifiedWitness:
+            continue  # the entry carries no witness
+        out[str(r)]["witness"] = {
+            "integer_part": witness.integer_part,
+            "preperiod": list(witness.preperiod),
+            "period": list(witness.period),
+            "value": format_rational(witness.value(inst.n)),
+            # witness_ur returns only points exact_card counts as Finite r
+            "verified": True,
         }
     return out
 

@@ -10,11 +10,12 @@ folds their enclosures with ``max_radius``; ``graphs.scc`` calls the same
 certifier on the components it has already found, so a decomposed graph
 never runs Tarjan twice.
 
-Equality of two radii is decided at a tolerance, then confirmed exactly via
-integer characteristic polynomials and Sturm root counting when the matrices
-are small (the enclosures alone already refute equality when disjoint).
-``enclosed_radii_equal`` takes the two enclosures as given, so a caller that
-already holds certified radii does not certify them again.
+``compare_radii`` orders two radii exactly, from their certified
+enclosures and the two blocks: disjoint enclosures decide it at once, and
+only overlapping ones reach the algebra, where ``char_poly`` (Berkowitz,
+division-free, so any size) gives integer characteristic polynomials whose
+Sturm chains isolate each Perron root and whose gcd decides equality.  No
+radius verdict is taken from a float.
 """
 
 from __future__ import annotations
@@ -24,12 +25,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from ._digraph import strongly_connected_components
-from .errors import WideEnclosure
+from .errors import InternalError, WideEnclosure
 from .instance import ProblemInstance
 
 DEFAULT_TOLERANCE = 1e-9
 _MAX_ITERATIONS = 10**6
-_EXACT_SIZE_LIMIT = 12
 
 Matrix = Sequence[Sequence[int]]
 
@@ -164,78 +164,30 @@ def irreducible(matrix: Matrix | CountMatrix) -> bool:
     return len(comps) == 1
 
 
-# -- exact characteristic-polynomial machinery --------------------------------
-
-def _det_bareiss(mat: list[list[int]]) -> int:
-    """Fraction-free exact determinant of an integer matrix."""
-    m = [row[:] for row in mat]
-    size = len(m)
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
+# -- exact radius comparison ----------------------------------------------------
 
 def char_poly(matrix: Matrix | CountMatrix) -> list[int]:
     """Coefficients [a_0, ..., a_n] of det(xI - A), exact, leading 1.
 
-    Evaluated at n+1 integer points by Bareiss determinants, then
-    interpolated; sizes here are small so this stays cheap.
+    Berkowitz's division-free algorithm: the polynomial of each leading
+    (k+1) x (k+1) submatrix is a Toeplitz product of the previous one with
+    1, -a_kk and -R M^j C (R, C the new row and column, M the previous
+    submatrix), so only integer products and sums occur.
     """
     rows = _as_rows(matrix)
-    size = len(rows)
-    if size == 0:
-        return [1]
-    points = []
-    for x in range(size + 1):
-        shifted = [
-            [(x if i == j else 0) - rows[i][j] for j in range(size)]
-            for i in range(size)
+    poly = [1]  # high-to-low
+    for k in range(len(rows)):
+        sub = [r[:k] for r in rows[:k]]
+        row, v = rows[k][:k], [r[k] for r in rows[:k]]
+        toeplitz = [1, -rows[k][k]]
+        for _ in range(k):
+            toeplitz.append(-sum(a * b for a, b in zip(row, v)))
+            v = [sum(a * b for a, b in zip(r, v)) for r in sub]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
         ]
-        points.append((x, _det_bareiss(shifted)))
-    coeffs = _interpolate(points)
-    assert all(c.denominator == 1 for c in coeffs)
-    out = [int(c) for c in coeffs]
-    assert out[-1] == 1
-    return out
-
-
-def _interpolate(points: list[tuple[int, int]]) -> list[Fraction]:
-    """Lagrange interpolation, coefficients low-to-high."""
-    degree = len(points) - 1
-    acc = [Fraction(0)] * (degree + 1)
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [Fraction(-xj), Fraction(1)])
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(basis):
-            acc[k] += scale * c
-    return acc
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    return poly[::-1]
 
 
 def _poly_trim(p):
@@ -287,7 +239,8 @@ def _squarefree(p):
     if len(g) == 1:
         return [Fraction(c) for c in p]
     q, r = _poly_divmod(p, g)
-    assert _poly_trim(r) == [Fraction(0)]
+    if r != [Fraction(0)]:
+        raise InternalError("a polynomial is not divisible by its gcd with its derivative")
     return q
 
 
@@ -330,51 +283,61 @@ def count_real_roots(poly, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def radii_equal(
-    a: Matrix | CountMatrix,
-    b: Matrix | CountMatrix,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, str]:
-    """Decide rho(a) == rho(b); returns (equal, "exact" | "tolerance").
-
-    Certifies both radii with ``spectral_radius``, then decides as
-    ``enclosed_radii_equal`` does.
-    """
-    return enclosed_radii_equal(
-        spectral_radius(a, tolerance), spectral_radius(b, tolerance), a, b, tolerance
-    )
+def _halve(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int):
+    """The half of window (lo, hi] that keeps the largest root of the
+    squarefree polynomial whose Sturm chain is ``chain`` and which has a
+    root in the window; v_lo and v_hi are the sign variations at the ends."""
+    mid = (lo + hi) / 2
+    v_mid = _variations(chain, mid)
+    if v_mid > v_hi:  # a root in (mid, hi], so the largest one
+        return mid, hi, v_mid, v_hi
+    return lo, mid, v_lo, v_mid
 
 
-def enclosed_radii_equal(
+def _perron_window(matrix: Matrix, rr: RadiusResult):
+    """(Sturm chain, lo, hi, v_lo, v_hi): a window (lo, hi] that holds the
+    Perron root of ``matrix`` and no other root of its squarefree
+    characteristic polynomial, narrowed from the certified enclosure
+    ``rr``.  By Perron-Frobenius the radius is the largest real root."""
+    chain = _sturm_chain(_squarefree(char_poly(matrix)))
+    lo, hi = rr.lower - (rr.width or 1), rr.upper
+    window = (lo, hi, _variations(chain, lo), _variations(chain, hi))
+    while window[2] - window[3] > 1:
+        window = _halve(chain, *window)
+    return (chain, *window)
+
+
+def compare_radii(
     ra: RadiusResult,
     rb: RadiusResult,
     a: Matrix | CountMatrix,
     b: Matrix | CountMatrix,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, str]:
-    """Decide rho(a) == rho(b) from certified enclosures ``ra`` and ``rb``
-    of them (as ``spectral_radius`` returns at this tolerance); returns
-    (equal, "exact" | "tolerance").
+) -> int:
+    """The sign (-1, 0 or 1) of rho(a) - rho(b), exact, for nonnegative
+    integer matrices ``a`` and ``b`` whose radii have the certified
+    enclosures ``ra`` and ``rb`` (as ``block_radius`` returns).
 
-    Disjoint certified enclosures refute equality exactly.  Overlapping
-    enclosures on small matrices are settled by locating the shared root of
-    the characteristic polynomials inside the overlap window via Sturm
-    counts; otherwise the midpoints are compared at the tolerance.
+    Disjoint enclosures decide it, equal point enclosures and identical
+    matrices give 0.  Otherwise each radius is isolated by Sturm counts on
+    its squarefree characteristic polynomial; the radii are equal exactly
+    when the gcd of the two polynomials has a root where the two windows
+    overlap, and else the windows are halved until they are disjoint.
     """
-    if ra.upper < rb.lower or rb.upper < ra.lower:
-        return False, "exact"
+    if ra.upper < rb.lower:
+        return -1
+    if rb.upper < ra.lower:
+        return 1
+    if ra.lower == ra.upper == rb.lower == rb.upper or a is b:
+        return 0
     rows_a, rows_b = _as_rows(a), _as_rows(b)
-    if len(rows_a) <= _EXACT_SIZE_LIMIT and len(rows_b) <= _EXACT_SIZE_LIMIT:
-        pad = Fraction(1, 10**12)
-        pa = _squarefree(char_poly(rows_a))
-        pb = _squarefree(char_poly(rows_b))
-        cnt_a = count_real_roots(pa, ra.lower - pad, ra.upper)
-        cnt_b = count_real_roots(pb, rb.lower - pad, rb.upper)
-        if cnt_a == 1 and cnt_b == 1:
-            olo = max(ra.lower, rb.lower) - pad
-            ohi = min(ra.upper, rb.upper)
-            g = _poly_gcd(pa, pb)
-            if len(g) > 1 and count_real_roots(g, olo, ohi) >= 1:
-                return True, "exact"
-            return False, "exact"
-    return abs(ra.estimate - rb.estimate) <= tolerance, "tolerance"
+    if rows_a == rows_b:
+        return 0
+    chain_a, *wa = _perron_window(rows_a, ra)
+    chain_b, *wb = _perron_window(rows_b, rb)
+    lo, hi = max(wa[0], wb[0]), min(wa[1], wb[1])
+    if lo < hi and count_real_roots(_poly_gcd(chain_a[0], chain_b[0]), lo, hi):
+        return 0
+    while wb[0] < wa[1] and wa[0] < wb[1]:
+        wa = _halve(chain_a, *wa)
+        wb = _halve(chain_b, *wb)
+    return -1 if wa[1] <= wb[0] else 1

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -181,3 +182,39 @@ def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import slicekit, sys; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):
+    # n=5, {0,2,4}^2, (2, 3) calls r=2 achievable, but every candidate loop
+    # lies on the base-n grid, so no witness certifies
+    doc = tmp_path / "grid_only.json"
+    doc.write_text('{"n": 5, "digit_sets": [[0, 2, 4], [0, 2, 4]], "coefficients": [2, 3]}')
+    code, out, err = run(capsys, "witness", doc, "--r", "2")
+    assert (code, out) == (4, "")
+    assert err == "slicekit: error: no witness candidate for r=2 certifies\n"
+    # the report keeps the entry and leaves the witness out
+    code, out, _ = run(capsys, "analyze", doc, "--max-r", "2")
+    assert code == 0
+    ur = json.loads(out)["data"]["ur"]
+    assert ur["1"]["witness"]["verified"] and "witness" not in ur["2"]
+    # any other unexpected exception is one line on stderr, exit 4
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr("slicekit.cli.build_report", broken)
+    code, out, err = run(capsys, "analyze", FIXTURES / "cantor_diff.json")
+    assert (code, out) == (4, "")
+    assert err == "slicekit: internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_package_has_no_assert_statements():
+    """Invariants raise typed errors; an assert would vanish under -O."""
+    src = Path(__file__).resolve().parent.parent / "src" / "slicekit"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -41,17 +41,17 @@ def test_analyze_matches_golden(name, tmp_path):
 # orders and radii of subset graphs far larger than any bundled instance's.
 SCALED = {
     "span9": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-4, 5]}',
-              "c90b36a00538207f4218ff8ffc2a0f78d1003c0e134ccdd7cd3fb917a3342ebe"),
+              "97d7c615591c1ae40a183bbef30637cb83dad9555e0228311460630ea9851af8"),
     "span13": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-6, 7]}',
-               "a8cddf5c0e2bf8a80eb8434ecb3fbb0fcb5c8eb5b81a6f16d32fc2807899688f"),
+               "ba1b23bf8ecec826d70dc1488ef90dc88dc7766943f4f02cb340c2c5cf96b774"),
     "span15": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-7, 8]}',
-               "7a32fe874feaf222fc2bb22c6a6357967916f2929fdd3718f2813fd1ad6c3eb8"),
+               "7ea306e10005ac8feed86367f5564b4d13293c1ae9aa1262cd917dfe6065f96d"),
     "span17": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-8, 9]}',
-               "8f5f3f79b2f08e29a99331c34cc72e28b30d8bc81ee5103911f126e8ea95846f"),
+               "5e1e76cbd9b86f4e9ba0f852fc3d34804ed43d6bf75c4e73648926af32e3c2ef"),
     "n7": ('{"n": 7, "digit_sets": [[0, 3, 6], [0, 3, 6]], "coefficients": [-2, 5]}',
-           "8b030d2ef1aff19a55ef86cc1cc83b65eb00fe4f3152f9547e3af33353a82f69"),
+           "6273551c91ffcdfae4e5749a91077f6ffece6b77500dfb09c42dad3a2c42553e"),
     "n5": ('{"n": 5, "digit_sets": [[0, 2, 4], [0, 2, 4]], "coefficients": [-5, 6]}',
-           "9fe400eb82c414e67ca71801253b0201fe86902223ef41c3a8df6731a4c82825"),
+           "b1765b75fc26ee7928822b17d6625acb861c5662a1cb95be619282e82e228273"),
     "l3": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2]], "coefficients": [-4, 4, 5]}',
            "9804a667d06bc3d2415cfb700b8a7c6ecb20e2da18e0eee2e67b7214793a3d0b"),
     "l4": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2], [0, 2]], '

@@ -2,18 +2,20 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicekit import (
     build_xi_graph,
     char_poly,
+    compare_radii,
     irreducible,
-    radii_equal,
     scc,
     spectral_radius,
     transition_matrices,
 )
 from slicekit.graphs import component_matrix
-from slicekit.spectral import enclosed_radii_equal, max_radius
+from slicekit.spectral import block_radius, max_radius
 from slicekit.lattice import type_assignment
 
 GOLDEN_T_CANTOR_DIFF = [
@@ -126,35 +128,93 @@ def test_char_poly_matches_numpy():
             assert abs(got - want) < 1e-6
 
 
-def test_radii_equal_exact_cases():
-    eq, verdict = radii_equal([[1, 1], [1, 1]], [[2]])
-    assert eq and verdict == "exact"
-    eq, verdict = radii_equal([[2]], [[3]])
-    assert not eq and verdict == "exact"
+def _compare(a, b):
+    return compare_radii(spectral_radius(a), spectral_radius(b), a, b)
+
+
+def _numpy_radius(matrix):
+    return max(abs(v) for v in np.linalg.eigvals(np.array(matrix, dtype=float)))
+
+
+def test_compare_radii_exact_cases():
+    assert _compare([[1, 1], [1, 1]], [[2]]) == 0
+    assert _compare([[2]], [[3]]) == -1
     # golden-ratio block vs the full matrix containing it
     a = [[1, 1], [1, 0]]
     b = [[1, 1, 0], [1, 0, 0], [1, 1, 0]]
-    eq, verdict = radii_equal(a, b)
-    assert eq and verdict == "exact"
-    eq, _ = radii_equal([[1, 1], [1, 0]], [[1, 1], [1, 1]])
-    assert not eq
+    assert _compare(a, b) == 0
+    assert _compare(b, a) == 0
+    assert _compare([[1, 1], [1, 0]], [[1, 1], [1, 1]]) == -1
+    assert _compare([[1, 1], [1, 1]], [[1, 1], [1, 0]]) == 1
 
 
-def test_enclosed_radii_equal_reuses_certified_radii(base7_double, base6_mixed, cantor_diff):
+def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff):
     """The restricted graph's component radii and their fold are the
-    enclosures spectral_radius certifies, so deciding from them gives what
-    radii_equal gives (the U1 measure class reads them this way)."""
+    enclosures spectral_radius certifies, and a component attains the
+    largest radius, as the U1 measure class reads it, exactly when numpy
+    finds its radius equal to the whole matrix's."""
     for inst in (base7_double, base6_mixed, cantor_diff):
         xi = build_xi_graph(inst)
         adjacency = xi.adjacency()
         decomposition = scc(adjacency)
         rho = max_radius(decomposition.radii)
         assert rho == spectral_radius(xi.matrix)
-        for comp, rr in zip(decomposition.components, decomposition.radii):
-            block = component_matrix(adjacency, comp)
+        blocks = [component_matrix(adjacency, comp) for comp in decomposition.components]
+        attains = []
+        for rr, block in zip(decomposition.radii, blocks):
             assert rr == spectral_radius(block)
-            decided = enclosed_radii_equal(rr, rho, block, xi.matrix)
-            assert decided == radii_equal(block, xi.matrix)
+            attains.append(all(
+                compare_radii(rr, other_rr, block, other) >= 0
+                for other_rr, other in zip(decomposition.radii, blocks)
+            ))
+        full = _numpy_radius(xi.matrix)
+        assert attains == [abs(_numpy_radius(b) - full) < 1e-9 for b in blocks]
+        assert any(attains)
+
+
+@st.composite
+def _block(draw):
+    """A strongly connected nonnegative integer block: a cycle through all
+    vertices plus random entries."""
+    k = draw(st.integers(1, 20))
+    rows = [[draw(st.sampled_from([0, 0, 0, 1, 1, 2])) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        if k > 1:
+            rows[i][(i + 1) % k] = max(rows[i][(i + 1) % k], 1)
+    return rows
+
+
+@st.composite
+def _block_pairs(draw):
+    """(a, b): b is a permutation of a (equal radii), a with one entry
+    raised by 1 (a strictly larger radius, close to a's), an integer block
+    [[P]], or a second random block."""
+    a = draw(_block())
+    k = len(a)
+    kind = draw(st.sampled_from(["permutation", "raised", "integer", "random"]))
+    if kind == "permutation":
+        perm = draw(st.permutations(range(k)))
+        return a, [[a[i][j] for j in perm] for i in perm]
+    if kind == "raised":
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        return a, [[x + (r == i and c == j) for c, x in enumerate(row)] for r, row in enumerate(a)]
+    if kind == "integer":
+        return a, [[draw(st.integers(0, 8))]]
+    return a, draw(_block())
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_block_pairs(), st.sampled_from([1e-9, 0.5, 4.0]))
+def test_compare_radii_matches_numpy(pair, tolerance):
+    """Enclosures certified at a coarse tolerance overlap often, so the
+    Sturm/gcd path decides many of the pairs, up to 20 vertices."""
+    a, b = pair
+    ra = block_radius(a, range(len(a)), tolerance)
+    rb = block_radius(b, range(len(b)), tolerance)
+    xa, xb = _numpy_radius(a), _numpy_radius(b)
+    want = 0 if abs(xa - xb) <= 1e-9 * max(1.0, xa) else (1 if xa > xb else -1)
+    assert compare_radii(ra, rb, a, b) == want
+    assert compare_radii(rb, ra, b, a) == -want
 
 
 def test_product_norms_nondecreasing_under_covering(cantor_diff, base7_double):
