@@ -153,7 +153,7 @@ class Analysis:
 
     @cached_property
     def xi_scc(self) -> SccDecomposition:
-        return scc(self.xi.adjacency())
+        return scc(self.xi.succ)
 
     @cached_property
     def covering(self) -> bool:
@@ -170,9 +170,8 @@ class Analysis:
     @cached_property
     def xi_blocks(self) -> list[Block]:
         """The block of each component of the restricted graph."""
-        adjacency = self.xi.adjacency()
         return [
-            (rr, component_matrix(adjacency, comp))
+            (rr, component_matrix(self.xi.succ, comp))
             for rr, comp in zip(self.xi_scc.radii, self.xi_scc.components)
         ]
 
@@ -242,7 +241,9 @@ class Analysis:
         for idx, own in enumerate(self.xi_blocks):
             if _compare(own, block) >= 0:
                 reached |= decomposition.reach[idx]
-        covered = {xi.types[u] for j in reached for u in decomposition.components[j]}
+        covered = {
+            xi.types[xi.us[i]] for j in reached for i in decomposition.components[j]
+        }
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
     # -- the subset graph and the multiplicity search --------------------------
@@ -254,6 +255,11 @@ class Analysis:
     @cached_property
     def _subset_blocks(self) -> dict[int, Block]:
         return {}
+
+    @cached_property
+    def subset_number(self) -> dict[tuple[int, ...], int]:
+        """The vertex number of each subset of the subset graph."""
+        return {members: v for v, members in enumerate(self.subset_graph.vertices)}
 
     def subset_block(self, idx: int) -> Block:
         """The block of component ``idx`` of the subset graph, built on
@@ -272,17 +278,18 @@ class Analysis:
 
     def aligned_subsets(self, support: tuple[int, ...]):
         """(h, subset) for every residue h whose aligned subset
-        {n*p + h : p in support} is uniquely covered, ascending in h."""
+        {n*p + h : p in support} is uniquely covered, ascending in h; the
+        support ascends, and so do the members."""
         n, types = self.inst.n, self.xi.types
         for h in range(n):
-            members = tuple(sorted(n * p + h for p in support))
+            members = tuple([n * p + h for p in support])
             if all(u in types for u in members):
                 yield h, members
 
     def cycles_reached(self, members: tuple[int, ...]) -> frozenset[int]:
         """The cycling subset-graph components that subset ``members`` reaches."""
         decomposition = self.subset_graph.scc
-        i = decomposition.comp_of[members]
+        i = decomposition.comp_of[self.subset_number[members]]
         return decomposition.reach[i] & decomposition.cycling
 
 
@@ -340,14 +347,25 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...
     lost).  Each vector keeps its canonical discovery: shortest digit word,
     ties broken by word then by starting offset.
 
-    A product is computed sparsely, as ``advance_state`` advances a slice
-    state: entry (u, v) of digit matrix j is the cube weight count of
-    n*u + j - v, so child[v] = sum of vec[u] * count(w) over the support u of
-    vec and the distinct cube weights w with v = n*u + j - w in range.  The
-    dense span x span product it replaces is never formed.
+    A product is computed sparsely: entry (u, v) of digit matrix j is the
+    cube weight count of n*u + j - v, so row u of matrix j has one nonzero
+    entry per distinct cube weight w with v = n*u + j - w in range.  Those
+    entries and their sum are tabulated once per (j, u); a child's norm is
+    the sum of vec[u] * rowsum over the support u of vec, so a child past
+    max_r is rejected before it is formed, and child[v] sums vec[u] * entry
+    over the same support.  The dense span x span product is never formed.
     """
     n, lo, span = inst.n, inst.proj_min, inst.span
     weights = list(inst.cube_weights.items())
+    # rows[j][u]: the nonzero entries (v, count) of row u of digit matrix j
+    rows = [
+        [
+            [(v, count) for w, count in weights if 0 <= (v := n * (u + lo) - lo + j - w) < span]
+            for u in range(span)
+        ]
+        for j in range(n)
+    ]
+    sums = [[sum(count for _, count in row) for row in matrix] for matrix in rows]
     found: dict[tuple[int, ...], tuple] = {}
     level: dict[tuple[int, ...], tuple] = {}
     for i in range(inst.proj_min, inst.proj_max):
@@ -358,17 +376,16 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
         for vec, (word, i) in sorted(level.items(), key=lambda kv: (kv[1][0], kv[1][1])):
-            # index v of the child entry for digit 0 and weight 0, per support entry
-            support = [(n * (u + lo) - lo, c) for u, c in enumerate(vec) if c]
+            support = [(u, c) for u, c in enumerate(vec) if c]
             for j in range(n):
-                child = [0] * span
-                for base, c in support:
-                    for w, count in weights:
-                        v = base + j - w
-                        if 0 <= v < span:
-                            child[v] += c * count
-                if sum(child) > max_r:
+                total = sums[j]
+                if sum([c * total[u] for u, c in support]) > max_r:
                     continue
+                matrix = rows[j]
+                child = [0] * span
+                for u, c in support:
+                    for v, count in matrix[u]:
+                        child[v] += c * count
                 child = tuple(child)
                 cand = (word + (j,), i)
                 if child in found:
@@ -460,15 +477,20 @@ def _search(context: Analysis, max_r: int, budget: int = 4096) -> RSearchResult:
                 total += c * child_card
         return total
 
+    # tails[j][p]: tail_value(p, j), once per working interval p and digit j
+    tails = {
+        j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
+        for j in range(1, n)
+    }
     for rv in vectors:
         for j in range(1, n):
+            tail = tails[j]
             total = 0
             for p in rv.support:
-                tail = tail_value(p, j)
-                if tail is None:
+                if tail[p] is None:
                     total = None
                     break
-                total += rv.vector[p - inst.proj_min] * tail
+                total += rv.vector[p - inst.proj_min] * tail[p]
             if total is not None and 1 <= total <= max_r and total not in countable:
                 countable[total] = expansion_value(
                     n, rv.integer_part, rv.word + (j,), (0,)
@@ -653,14 +675,14 @@ def _bfs_path(succ, start, goal_set):
     return None
 
 
-def _loops(succ, entry, n: int):
+def _loops(succ, entry, residue):
     """Closed walks at ``entry`` inside the component whose successor map
     is ``succ``, one through each vertex v of it: the walks through a
-    vertex of nonzero residue first, and in each group the entry first, then
-    ascending.  The walk through the entry is a shortest closed walk (the
-    first found in successor order), the walk through another v a shortest
-    walk to v followed by a shortest walk back."""
-    for via in sorted(succ, key=lambda v: (v[0] % n == 0, v != entry, v)):
+    vertex of nonzero ``residue(v)`` first, and in each group the entry
+    first, then ascending.  The walk through the entry is a shortest closed
+    walk (the first found in successor order), the walk through another v a
+    shortest walk to v followed by a shortest walk back."""
+    for via in sorted(succ, key=lambda v: (residue(v) == 0, v != entry, v)):
         if via != entry:
             yield _bfs_path(succ, entry, {via}) + _bfs_path(succ, via, {entry})[1:-1]
             continue
@@ -681,8 +703,8 @@ def _witness_candidates(search: RSearchResult, r: int):
     the component.  Each expansion is the vector's digit word, then the
     residues along the path, then those along the loop."""
     context = search.analysis
-    n = context.inst.n
     graph = context.subset_graph
+    residue = graph.residue
     decomposition = graph.scc
     vectors = [rv for rv in search.vectors if rv.norm == r]
     # no subset of a vector before the search's witness reaches a cycle
@@ -691,13 +713,13 @@ def _witness_candidates(search: RSearchResult, r: int):
         for _, members in context.aligned_subsets(rv.support):
             for idx in sorted(context.cycles_reached(members)):
                 comp = set(decomposition.components[idx])
-                path = _bfs_path(graph.succ, members, comp)
+                path = _bfs_path(graph.succ, context.subset_number[members], comp)
                 comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
-                for cycle in _loops(comp_succ, path[-1], n):
+                for cycle in _loops(comp_succ, path[-1], residue):
                     yield WitnessExpansion(
                         integer_part=rv.integer_part,
-                        preperiod=rv.word + tuple(v[0] % n for v in path[:-1]),
-                        period=tuple(v[0] % n for v in cycle),
+                        preperiod=rv.word + tuple(map(residue, path[:-1])),
+                        period=tuple(map(residue, cycle)),
                     )
 
 

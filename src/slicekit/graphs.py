@@ -13,31 +13,33 @@
   quantified over full-graph edges, because a uniquely covered interval has
   exactly one candidate successor per residue.
 
-The subset graph is built on int masks: a subset is a mask over its residue
-class (bit i for the class's i-th smallest member), each member's image under
-residue h is one bit of the class of residue h or, when it leaves the
-uniquely covered intervals, a bit of that class's fail mask, and a subset's
-image is the union of its members' bits.  The graph is decomposed with its
-vertices numbered in member order; member tuples appear only in the
-returned ``CongruentGraph``, whose successor map and decomposition the
-report and the multiplicity search read.
+The subset graph is built on int masks and numbered once: a subset is a
+mask over its residue class (bit i for the class's i-th smallest member),
+each member's image under residue h is one bit of the class of residue h
+or, when it leaves the uniquely covered intervals, a bit of that class's
+fail mask, and a subset's image is the union of its members' bits.  Vertex
+v is the v-th subset in ascending member order; the returned
+``CongruentGraph`` keeps that numbering, with the member tuple and the
+comma-joined label of each number, int successor lists and the
+decomposition on numbers.
 
-``scc`` is the one place that decomposes a graph, given as a successor map:
-a single Tarjan pass yields the components, the set of components each one
-reaches (read off Tarjan's emission order) and a certified radius per
-component.  A single vertex's radius is its loop bit, 0 or 1, so only
-components of two or more vertices go through ``block_radius``; in subset
-graphs nearly all components are single vertices.
+``scc`` is the one place that decomposes a graph, given as a successor
+table over vertices 0..V-1: a single Tarjan pass yields the components,
+the set of components each one reaches (read off Tarjan's emission order)
+and a certified radius per component.  A single vertex's radius is its
+loop bit, 0 or 1, so only components of two or more vertices go through
+``block_radius``; in subset graphs nearly all components are single
+vertices.  The restricted graph is decomposed on positions in ``xi.us``,
+its matrix index.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
@@ -68,22 +70,23 @@ class FullGraph:
 
 @dataclass(frozen=True)
 class XiGraph:
-    """Induced subgraph on uniquely covered intervals plus its 0-1 matrix."""
+    """Induced subgraph on uniquely covered intervals plus its 0-1 matrix.
+    ``us`` is the matrix index, ascending; ``succ[i]`` lists the positions
+    in ``us`` that position i has an edge to."""
 
     vertices: tuple[IntegerInterval, ...]
     types: dict[int, int]
     matrix: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def us(self) -> tuple[int, ...]:
         return tuple(iv.u for iv in self.vertices)
 
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        us = self.us
-        return {
-            u: tuple(v for v, bit in zip(us, row) if bit)
-            for u, row in zip(us, self.matrix)
-        }
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(j for j, bit in enumerate(row) if bit) for row in self.matrix
+        )
 
 
 @dataclass(frozen=True)
@@ -101,15 +104,16 @@ class CongruentSubset:
 
 @dataclass(frozen=True)
 class SccDecomposition:
-    """Components sorted by their smallest member, each sorted; ``reach[i]``
-    holds every component that component i reaches, i included; ``comp_of``
-    maps each vertex to its component's index; ``cycling`` holds the
-    components with a cycle (two or more vertices, or a loop)."""
+    """Components of a graph on vertices 0..V-1, sorted by their smallest
+    vertex, each sorted; ``reach[i]`` holds every component that component
+    i reaches, i included; ``comp_of[v]`` is the index of vertex v's
+    component; ``cycling`` holds the components with a cycle (two or more
+    vertices, or a loop)."""
 
-    components: tuple[tuple, ...]
+    components: tuple[tuple[int, ...], ...]
     reach: tuple[frozenset[int], ...]
     radii: tuple[RadiusResult, ...]
-    comp_of: dict
+    comp_of: list[int]
     cycling: frozenset[int]
 
     def precedes(self, i: int, j: int) -> bool:
@@ -118,22 +122,21 @@ class SccDecomposition:
 
 @dataclass(frozen=True)
 class CongruentGraph:
-    """``succ`` maps each subset's members to its successors' members;
-    ``vertices`` and ``adjacency`` (each edge labelled with its residue h)
-    are derived from it on first use."""
+    """The subset graph on vertex numbers 0..V-1, ascending by members:
+    ``vertices[v]`` is the member tuple of vertex v and ``labels[v]`` its
+    members comma-joined, ``succ[v]`` the numbers of its successors (one
+    per residue h with an edge, ascending in h) and ``scc`` the
+    decomposition on numbers."""
 
     n: int
-    succ: dict[tuple[int, ...], tuple[tuple[int, ...], ...]]
+    vertices: tuple[tuple[int, ...], ...]
+    labels: tuple[str, ...]
+    succ: tuple[tuple[int, ...], ...]
     scc: SccDecomposition
 
-    @cached_property
-    def vertices(self) -> tuple[CongruentSubset, ...]:
-        return tuple(_congruent_subset(members, self.n) for members in self.succ)
-
-    @cached_property
-    def adjacency(self) -> dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-        n = self.n
-        return {k: tuple((t[0] % n, t) for t in targets) for k, targets in self.succ.items()}
+    def residue(self, v: int) -> int:
+        """The residue mod n shared by the members of vertex v."""
+        return self.vertices[v][0] % self.n
 
 
 def build_full_graph(inst: ProblemInstance) -> FullGraph:
@@ -183,29 +186,52 @@ def _residue_classes(types: Mapping[int, int], n: int) -> dict[int, list[int]]:
     return classes
 
 
-def _congruent_subset(members: tuple[int, ...], n: int) -> CongruentSubset:
-    # members ascend and share u mod n, so their quotients ascend strictly
-    return CongruentSubset(members, members[0] % n, tuple([u // n for u in members]))
+def _ascending_subsets(cls: list[int]) -> tuple[list, list, list]:
+    """Every nonempty subset of the ascending members ``cls``, ascending as
+    member tuples, as three parallel lists: member tuples, comma-joined
+    labels and masks (bit i for member i).
+
+    The subsets whose smallest member is cls[k] are cls[k] alone, then
+    cls[k] prepended to each subset of the members after it, so the lists
+    double from the last member back, and the 2**(m-1-k) subsets that start
+    with cls[k] sit at offset 2**m - 2**(m-k), m = len(cls).
+    """
+    members: list[tuple[int, ...]] = []
+    labels: list[str] = []
+    masks: list[int] = []
+    for k in range(len(cls) - 1, -1, -1):
+        head, text, bit = (cls[k],), str(cls[k]), 1 << k
+        members = [head] + [head + m for m in members] + members
+        labels = [text] + [f"{text},{s}" for s in labels] + labels
+        masks = [bit] + [bit | m for m in masks] + masks
+    return members, labels, masks
 
 
-def _subset_masks(
-    classes: Mapping[int, list[int]]
-) -> list[tuple[tuple[int, ...], int, int]]:
-    """(members, residue, mask) for every nonempty subset of every class,
-    ascending by members; bit i of ``mask`` stands for member i of the
-    class.  Raises TooLarge, before enumerating, when the sum of 2**|class|
-    over the classes exceeds _SUBSET_LIMIT."""
+def _numbered_subsets(classes: Mapping[int, list[int]]):
+    """(vertices, labels, number): the member tuple and label of every
+    nonempty subset of every class, ascending by members, and
+    ``number[h][mask]``, the position in that order of the subset ``mask``
+    of class h.  Subsets with different smallest members compare by that
+    member alone, so the classes' blocks merge by it with no sort.  Raises
+    TooLarge, before enumerating, when the sum of 2**|class| over the
+    classes exceeds _SUBSET_LIMIT."""
     if sum(2 ** len(cls) for cls in classes.values()) > _SUBSET_LIMIT:
         raise TooLarge(f"residue classes have more than {_SUBSET_LIMIT} subsets")
-    out = []
-    for h, cls in classes.items():
-        # members[mask | 1 << i] = members[mask] + (cls[i],) for mask < 2**i
-        members: list[tuple[int, ...]] = [()]
-        for u in cls:
-            members += [m + (u,) for m in members]
-        out.extend(zip(members[1:], repeat(h), range(1, len(members))))
-    out.sort()
-    return out
+    ascending = {h: _ascending_subsets(cls) for h, cls in classes.items()}
+    number = {h: [0] * 2 ** len(cls) for h, cls in classes.items()}
+    vertices: list[tuple[int, ...]] = []
+    labels: list[str] = []
+    starts = sorted((u, h, k) for h, cls in classes.items() for k, u in enumerate(cls))
+    for _, h, k in starts:
+        size = len(classes[h])
+        start, stop = 2**size - 2 ** (size - k), 2**size - 2 ** (size - k - 1)
+        members, texts, masks = ascending[h]
+        table = number[h]
+        for v, mask in enumerate(masks[start:stop], len(vertices)):
+            table[mask] = v
+        vertices += members[start:stop]
+        labels += texts[start:stop]
+    return vertices, labels, number
 
 
 def congruent_vertices(
@@ -218,49 +244,42 @@ def congruent_vertices(
     fixed residue h, p -> n*p + h maps the working intervals one-to-one onto
     residue class h of ``u_range``, so the uniquely covered aligned subsets
     {n*p + h : p in P} are exactly the subsets of the classes, and
-    successors never leave them.  A subset is enumerated as an int mask over
-    its class (bit i for the class's i-th smallest member), the form in
-    which ``build_congruent_graph`` computes its edges; each class's member
-    tuples are built by doubling, appending member i to every subset of the
-    members before it.  ``types`` is ``xi_types(inst)``, computed here when
-    not given.  Raises TooLarge, before enumerating, when the sum of
-    2**|class| over the classes exceeds _SUBSET_LIMIT.
+    successors never leave them.  The subsets are enumerated as
+    ``build_congruent_graph`` numbers them.  ``types`` is
+    ``xi_types(inst)``, computed here when not given.  Raises TooLarge,
+    before enumerating, when the sum of 2**|class| over the classes exceeds
+    _SUBSET_LIMIT.
     """
     if types is None:
         types = xi_types(inst)
-    subsets = _subset_masks(_residue_classes(types, inst.n))
-    return [_congruent_subset(members, inst.n) for members, _, _ in subsets]
+    n = inst.n
+    vertices, _, _ = _numbered_subsets(_residue_classes(types, n))
+    # members ascend and share u mod n, so their quotients ascend strictly
+    return [CongruentSubset(m, m[0] % n, tuple([u // n for u in m])) for m in vertices]
 
 
 def build_congruent_graph(inst: ProblemInstance) -> CongruentGraph:
     """The subset graph, built on int masks and decomposed on vertex
-    numbers; member tuples appear only in the returned graph.
+    numbers.
 
     Under residue h, member i of a class goes to the interval n*t + h, which
     is either bit ``bits[i]`` of the class of residue h or, when it is not
     uniquely covered, bit i of the fail mask.  A subset's image is the union
     of its members' bits, so image[mask | 1 << i] = image[mask] | bits[i]
     for every mask < 2**i, and the subset has an edge under h exactly when
-    it shares no bit with the fail mask.  The returned graph holds the
-    successor map and the decomposition on member tuples; its vertex records
-    and residue-labelled adjacency are built from them on first use, since
-    neither the report nor the multiplicity search reads them.
+    it shares no bit with the fail mask.  Only those subsets are visited,
+    as the submasks of the fail mask's complement; most subsets have no
+    edge at all.
     """
     types = xi_types(inst)
     n = inst.n
     classes = _residue_classes(types, n)
-    subsets = _subset_masks(classes)
-    # vertices are numbered in ascending member order, so scc's components,
-    # sorted by number, come out sorted by members
-    number = {h: [0] * 2 ** len(cls) for h, cls in classes.items()}
-    for v, (_, h, mask) in enumerate(subsets):
-        number[h][mask] = v
+    vertices, labels, number = _numbered_subsets(classes)
     position = {u: i for cls in classes.values() for i, u in enumerate(cls)}
-    # out_edges[c] = (target vertex per mask, fail mask) for each residue h,
-    # ascending, that has a class
-    out_edges: dict[int, list[tuple[list[int], int]]] = {}
+    succ: list[tuple[int, ...]] = [()] * len(vertices)
     for c, cls in classes.items():
-        out_edges[c] = []
+        # out[mask]: the successor numbers of subset mask, ascending in h
+        out: dict[int, list[int]] = {}
         for h in range(n):
             bits, fail = [], 0
             for i, u in enumerate(cls):
@@ -270,34 +289,35 @@ def build_congruent_graph(inst: ProblemInstance) -> CongruentGraph:
                 else:
                     bits.append(0)
                     fail |= 1 << i
+            # the subsets with an edge under h are the nonempty submasks of
+            # ``free``; without a class of residue h every member fails
+            free = (1 << len(cls)) - 1 & ~fail
+            if not free:
+                continue
             # image[mask | 1 << i] = image[mask] | bits[i] for mask < 2**i
             image = [0]
             for bit in bits:
                 image += [m | bit for m in image]
-            # without a class of residue h every member fails: no edges
-            if h in number:
-                out_edges[c].append(([number[h][m] for m in image], fail))
-    succ = {
-        v: tuple([target[mask] for target, fail in out_edges[c] if not mask & fail])
-        for v, (_, c, mask) in enumerate(subsets)
-    }
-    decomposition = scc(succ)
-    key = [members for members, _, _ in subsets]
+            table = number[h]
+            mask = free
+            while mask:
+                out.setdefault(mask, []).append(table[image[mask]])
+                mask = (mask - 1) & free
+        source = number[c]
+        for mask, targets in out.items():
+            succ[source[mask]] = tuple(targets)
     return CongruentGraph(
         n=n,
-        succ={key[v]: tuple([key[w] for w in targets]) for v, targets in succ.items()},
-        scc=dataclasses.replace(
-            decomposition,
-            components=tuple(
-                tuple([key[v] for v in comp]) for comp in decomposition.components
-            ),
-            comp_of={key[v]: idx for v, idx in decomposition.comp_of.items()},
-        ),
+        vertices=tuple(vertices),
+        labels=tuple(labels),
+        succ=tuple(succ),
+        scc=scc(succ),
     )
 
 
-def component_matrix(adjacency: Mapping, comp) -> list[list[int]]:
-    """0-1 matrix of the subgraph induced on comp, indexed in comp order."""
+def component_matrix(adjacency: Mapping | Sequence, comp) -> list[list[int]]:
+    """0-1 matrix of the subgraph induced on comp, indexed in comp order;
+    ``adjacency[v]`` lists the successors of v."""
     pos = {v: i for i, v in enumerate(comp)}
     sub = [[0] * len(comp) for _ in comp]
     for v in comp:
@@ -307,38 +327,46 @@ def component_matrix(adjacency: Mapping, comp) -> list[list[int]]:
     return sub
 
 
-def scc(succ: Mapping) -> SccDecomposition:
-    """Strongly connected components of the graph with successor map
-    ``succ`` (every vertex a key), with the components each one reaches and
+def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
+    """Strongly connected components of the graph on vertices 0..V-1 whose
+    successor table is ``succ``, with the components each one reaches and
     a certified spectral radius per component (0-1 adjacency restricted).
     A single vertex's radius is its loop bit, one shared ``RadiusResult``
     for 0 and one for 1; only blocks of two or more vertices are run
     through ``block_radius``."""
-    emitted = strongly_connected_components(sorted(succ), succ)
-    comps = sorted((tuple(sorted(c)) for c in emitted), key=lambda c: c[0])
-    comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
+    emitted = strongly_connected_components(succ)
+    # only components of two or more vertices need sorting
+    for comp in emitted:
+        if len(comp) > 1:
+            comp.sort()
+    ordered = sorted(emitted, key=itemgetter(0))
+    comp_of = [0] * len(succ)
+    for idx, comp in enumerate(ordered):
+        for v in comp:
+            comp_of[v] = idx
+    reach: list[frozenset[int]] = [frozenset()] * len(ordered)
+    radii = [_LOOP_RADII[0]] * len(ordered)
+    cycling = []
     # Tarjan emits a component only after every component it reaches
-    reach: list[frozenset[int]] = [frozenset()] * len(comps)
     for comp in emitted:
         idx = comp_of[comp[0]]
         reached = {idx}
-        for jdx in {comp_of[w] for v in comp for w in succ[v]}:
-            reached |= reach[jdx]
+        for v in comp:
+            for w in succ[v]:
+                reached |= reach[comp_of[w]]
         reach[idx] = frozenset(reached)
-    cycling = frozenset(
-        idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in succ[c[0]]
-    )
+        if len(comp) > 1:
+            cycling.append(idx)
+            radii[idx] = block_radius(component_matrix(succ, comp), range(len(comp)))
+        elif comp[0] in succ[comp[0]]:
+            cycling.append(idx)
+            radii[idx] = _LOOP_RADII[1]
     return SccDecomposition(
-        components=tuple(comps),
+        components=tuple(map(tuple, ordered)),
         reach=tuple(reach),
-        radii=tuple(
-            block_radius(component_matrix(succ, c), range(len(c)))
-            if len(c) > 1
-            else _LOOP_RADII[idx in cycling]
-            for idx, c in enumerate(comps)
-        ),
+        radii=tuple(radii),
         comp_of=comp_of,
-        cycling=cycling,
+        cycling=frozenset(cycling),
     )
 
 

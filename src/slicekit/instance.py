@@ -34,10 +34,10 @@ class ProblemInstance:
     """Validated, immutable problem statement.
 
     digit_sets are stored sorted; coefficients keep their input order.
-    Derived scalars: ``proj_min``/``proj_max`` are the minimum and maximum of
-    the coefficient form over the unit cube (the sums of the negative and of
-    the positive coefficients), ``span`` their difference (the 1-norm of the
-    coefficient vector).
+    Derived scalars, each computed once: ``proj_min``/``proj_max`` are the
+    minimum and maximum of the coefficient form over the unit cube (the sums
+    of the negative and of the positive coefficients), ``span`` their
+    difference (the 1-norm of the coefficient vector).
     """
 
     n: int
@@ -78,17 +78,17 @@ class ProblemInstance:
     def l(self) -> int:
         return len(self.coefficients)
 
-    @property
+    @cached_property
     def proj_min(self) -> int:
         """Sum of the negative coefficients: the minimum of the form
         over the unit cube."""
         return sum(m for m in self.coefficients if m < 0)
 
-    @property
+    @cached_property
     def proj_max(self) -> int:
         return sum(m for m in self.coefficients if m > 0)
 
-    @property
+    @cached_property
     def span(self) -> int:
         return self.proj_max - self.proj_min
 

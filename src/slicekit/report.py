@@ -60,23 +60,20 @@ def decimal(value: float) -> str:
     return repr(value)
 
 
-def _scc_json(decomposition, key) -> dict:
+def _scc_json(decomposition, names) -> dict:
+    """The decomposition with vertex v written as ``names[v]``."""
     # single-vertex components share two RadiusResult objects, so each
     # distinct object is formatted once, and its entries share one dict
     # (ids stay valid: the decomposition holds every radius)
     distinct = {id(rr): rr for rr in decomposition.radii}
     formatted = {i: radius_json(rr) for i, rr in distinct.items()}
     return {
-        "components": [[key(v) for v in comp] for comp in decomposition.components],
+        "components": [[names[v] for v in comp] for comp in decomposition.components],
         "radii": [formatted[id(rr)] for rr in decomposition.radii],
         "order": [
             [i, j] for i, reach in enumerate(decomposition.reach) for j in sorted(reach)
         ],
     }
-
-
-def _members_key(members: tuple[int, ...]) -> str:
-    return ",".join(str(u) for u in members)
 
 
 def build_report(
@@ -131,7 +128,7 @@ def build_report(
             }
             for m in context.matrices
         ],
-        "scc_xi": _scc_json(context.xi_scc, key=lambda u: u),
+        "scc_xi": _scc_json(context.xi_scc, xi.us),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),
@@ -145,7 +142,7 @@ def build_report(
         },
     }
     data["scc_subsets"] = dict(
-        _scc_json(context.subset_graph.scc, key=_members_key), mode="full"
+        _scc_json(context.subset_graph.scc, context.subset_graph.labels), mode="full"
     )
     if search is None:
         data["r_search"] = {"status": "HypothesisViolated", "reason": refusal}

@@ -14,14 +14,17 @@ never runs Tarjan twice.
 enclosures and the two blocks: disjoint enclosures decide it at once, and
 only overlapping ones reach the algebra, where ``char_poly`` (Berkowitz,
 division-free, so any size) gives integer characteristic polynomials whose
-Sturm chains isolate each Perron root and whose gcd decides equality.  No
-radius verdict is taken from a float.
+Sturm chains isolate each Perron root and whose gcd decides equality.
+Chains, gcds and squarefree parts are primitive pseudo-remainder sequences
+over the integers, and signs at a rational point are read off integers, so
+no coefficient is a ``Fraction``.  No radius verdict is taken from a float.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from ._digraph import strongly_connected_components
@@ -91,35 +94,44 @@ def _as_rows(matrix: Matrix | CountMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(x) for x in row) for row in matrix)
 
 
-def _adjacency(rows: tuple[tuple[int, ...], ...]) -> dict[int, list[int]]:
-    return {
-        i: [j for j, x in enumerate(row) if x > 0] for i, row in enumerate(rows)
-    }
+def _adjacency(rows: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    return [[j for j, x in enumerate(row) if x > 0] for row in rows]
 
 
 def block_radius(
     rows: Matrix, verts: Sequence[int], tolerance: float = DEFAULT_TOLERANCE
 ) -> RadiusResult:
     """Certified radius enclosure of the block of ``rows`` on ``verts``,
-    which must be strongly connected or a single vertex."""
+    which must be strongly connected or a single vertex.
+
+    The power iteration runs on ints: each step multiplies over the
+    block's nonzero entries only, picks the least and the largest ratio
+    y_i/x_i by cross-multiplication (every x_i is positive) and makes one
+    ``Fraction`` per bound."""
     k = len(verts)
     if k == 1:
         v = Fraction(rows[verts[0]][verts[0]])
         return RadiusResult(v, v, float(v))
     # identity shift makes the block primitive; rho shifts by exactly 1
     shifted = [
-        [rows[a][b] + (1 if a == b else 0) for b in verts] for a in verts
+        [(j, rows[a][b] + (a == b)) for j, b in enumerate(verts) if rows[a][b] or a == b]
+        for a in verts
     ]
     x = [1] * k
     tol = Fraction(tolerance)
     best_lo = Fraction(0)
     best_hi = None
     for _ in range(_MAX_ITERATIONS):
-        y = [sum(shifted[i][j] * x[j] for j in range(k)) for i in range(k)]
-        ratios = [Fraction(y[i], x[i]) for i in range(k)]
-        lo, hi = min(ratios), max(ratios)
-        best_lo = max(best_lo, lo)
-        best_hi = hi if best_hi is None else min(best_hi, hi)
+        y = [sum([e * x[j] for j, e in row]) for row in shifted]
+        lo = hi = 0
+        for i in range(1, k):
+            if y[i] * x[lo] < y[lo] * x[i]:
+                lo = i
+            elif y[i] * x[hi] > y[hi] * x[i]:
+                hi = i
+        best_lo = max(best_lo, Fraction(y[lo], x[lo]))
+        ratio = Fraction(y[hi], x[hi])
+        best_hi = ratio if best_hi is None else min(best_hi, ratio)
         if best_hi - best_lo <= tol:
             lo, hi = best_lo - 1, best_hi - 1
             return RadiusResult(lo, hi, float((lo + hi) / 2))
@@ -147,7 +159,7 @@ def max_radius(radii: Iterable[RadiusResult]) -> RadiusResult:
 def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
     rows = _as_rows(matrix)
-    comps = strongly_connected_components(list(range(len(rows))), _adjacency(rows))
+    comps = strongly_connected_components(_adjacency(rows))
     return max_radius(block_radius(rows, sorted(comp), tolerance) for comp in comps)
 
 
@@ -160,7 +172,7 @@ def irreducible(matrix: Matrix | CountMatrix) -> bool:
         return False
     if size == 1:
         return rows[0][0] > 0
-    comps = strongly_connected_components(list(range(size)), _adjacency(rows))
+    comps = strongly_connected_components(_adjacency(rows))
     return len(comps) == 1
 
 
@@ -190,92 +202,109 @@ def char_poly(matrix: Matrix | CountMatrix) -> list[int]:
     return poly[::-1]
 
 
-def _poly_trim(p):
+def _poly_trim(p: list[int]) -> list[int]:
     p = list(p)
     while len(p) > 1 and p[-1] == 0:
         p.pop()
-    if not p:
-        return [Fraction(0)]
-    return p
+    return p or [0]
 
 
-def _poly_divmod(p, q):
-    p = _poly_trim([Fraction(c) for c in p])
-    q = _poly_trim([Fraction(c) for c in q])
-    if q == [Fraction(0)]:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(1, len(p) - len(q) + 1)
-    rem = p[:]
-    while True:
-        rem = _poly_trim(rem)
-        if rem == [Fraction(0)] or len(rem) < len(q):
-            break
-        shift = len(rem) - len(q)
-        factor = rem[-1] / q[-1]
-        quot[shift] += factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()  # leading coefficient cancelled exactly
-    return _poly_trim(quot), _poly_trim(rem)
+def _primitive(p: list[int]) -> list[int]:
+    """p divided by the gcd of its coefficients: a positive multiple."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def _poly_gcd(p, q):
-    p = _poly_trim([Fraction(c) for c in p])
-    q = _poly_trim([Fraction(c) for c in q])
-    while q != [Fraction(0)]:
-        _, r = _poly_divmod(p, q)
-        p, q = q, _poly_trim(r)
-    if p[-1] != 0:
-        p = [c / p[-1] for c in p]
-    return p
+def _poly_prem(p: list[int], q: list[int]) -> list[int]:
+    """The remainder of |lc(q)|**(deg p - deg q + 1) * p divided by q: a
+    positive multiple of the remainder over the rationals, computed over
+    the integers (pseudo-division, with p itself when deg p < deg q)."""
+    rem = list(p)
+    lead, sign = abs(q[-1]), (1 if q[-1] > 0 else -1)
+    for shift in range(len(p) - len(q), -1, -1):
+        # rem <- lead * rem - sign * lc(rem) * x**shift * q cancels the top
+        top = sign * rem.pop()
+        rem = [lead * c for c in rem]
+        for i, c in enumerate(q[:-1]):
+            rem[shift + i] -= top * c
+    return _poly_trim(rem)
 
 
-def _poly_deriv(p):
-    return _poly_trim([Fraction(i) * c for i, c in enumerate(p)][1:]) or [Fraction(0)]
+def _poly_div_exact(p: list[int], q: list[int]) -> list[int]:
+    """p / q for integer polynomials where q divides p over the integers."""
+    rem = list(p)
+    quot = [0] * (len(p) - len(q) + 1)
+    for shift in range(len(p) - len(q), -1, -1):
+        top, left = divmod(rem.pop(), q[-1])
+        if left:
+            raise InternalError("a polynomial does not divide another exactly")
+        quot[shift] = top
+        for i, c in enumerate(q[:-1]):
+            rem[shift + i] -= top * c
+    if any(rem):
+        raise InternalError("a polynomial does not divide another exactly")
+    return quot
 
 
-def _squarefree(p):
+def _poly_gcd(p: list[int], q: list[int]) -> list[int]:
+    """A gcd of two integer polynomials by the primitive pseudo-remainder
+    sequence: primitive, with a positive leading coefficient."""
+    p, q = _poly_trim(p), _poly_trim(q)
+    while q != [0]:
+        p, q = q, _primitive(_poly_prem(p, q))
+    p = _primitive(p)
+    return p if p[-1] > 0 else [-c for c in p]
+
+
+def _poly_deriv(p: list[int]) -> list[int]:
+    return _poly_trim([i * c for i, c in enumerate(p)][1:])
+
+
+def _squarefree(p: list[int]) -> list[int]:
+    """p divided by its gcd with p': the same roots, each simple.  The gcd
+    is primitive, so by Gauss's lemma the quotient has integer
+    coefficients."""
+    p = _poly_trim(p)
     g = _poly_gcd(p, _poly_deriv(p))
     if len(g) == 1:
-        return [Fraction(c) for c in p]
-    q, r = _poly_divmod(p, g)
-    if r != [Fraction(0)]:
-        raise InternalError("a polynomial is not divisible by its gcd with its derivative")
-    return q
+        return p
+    return _poly_div_exact(p, g)
 
 
-def _poly_eval(p, x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """The sign of p(x), read off the integer b**deg(p) * p(a/b) for
+    x = a/b, b > 0."""
+    a, b = x.numerator, x.denominator
+    acc, power = 0, 1
     for c in reversed(p):
-        acc = acc * x + c
-    return acc
+        acc = acc * a + c * power
+        power *= b
+    return (acc > 0) - (acc < 0)
 
 
-def _sturm_chain(p):
-    chain = [_poly_trim([Fraction(c) for c in p])]
-    d = _poly_deriv(p)
-    if d != [Fraction(0)]:
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """The Sturm chain of p as a primitive pseudo-remainder sequence: each
+    member a positive multiple of the one the rational remainder sequence
+    gives, so the sign variations at every point are the same."""
+    chain = [_poly_trim(p)]
+    d = _poly_deriv(chain[0])
+    if d != [0]:
         chain.append(d)
         while True:
-            _, r = _poly_divmod(chain[-2], chain[-1])
-            r = _poly_trim(r)
-            if r == [Fraction(0)]:
+            r = _poly_prem(chain[-2], chain[-1])
+            if r == [0]:
                 break
-            chain.append([-c for c in r])
+            chain.append([-c for c in _primitive(r)])
     return chain
 
 
-def _variations(chain, x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [sign for sign in (_sign_at(p, x) for p in chain) if sign]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots of an integer/rational polynomial in (lo, hi]."""
+    """Distinct real roots of an integer polynomial in (lo, hi]."""
     sf = _squarefree(poly)
     if len(sf) == 1:
         return 0

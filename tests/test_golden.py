@@ -36,9 +36,10 @@ def test_analyze_matches_golden(name, tmp_path):
 
 # The scaled family of the benchmark (spans 9-17 of n=3 {0,2} two-factor
 # instances, n=5 and n=7, l=3 and l=4), written out here so that this test
-# does not depend on bench/.  Each hash is the sha256 of the report's
-# ``data`` section serialised as above.  They pin the scc_xi/scc_subsets
-# orders and radii of subset graphs far larger than any bundled instance's.
+# does not depend on bench/, and span 21, the largest subset graph analysed
+# in CI (49149 vertices).  Each hash is the sha256 of the report's ``data``
+# section serialised as above.  They pin the scc_xi/scc_subsets orders and
+# radii of subset graphs far larger than any bundled instance's.
 SCALED = {
     "span9": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-4, 5]}',
               "97d7c615591c1ae40a183bbef30637cb83dad9555e0228311460630ea9851af8"),
@@ -48,6 +49,8 @@ SCALED = {
                "7ea306e10005ac8feed86367f5564b4d13293c1ae9aa1262cd917dfe6065f96d"),
     "span17": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-8, 9]}',
                "5e1e76cbd9b86f4e9ba0f852fc3d34804ed43d6bf75c4e73648926af32e3c2ef"),
+    "span21": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10, 11]}',
+               "6066ac7962b103a89f40b317b5a71edfd3bafd0b72383c32c22aee7aadac77c7"),
     "n7": ('{"n": 7, "digit_sets": [[0, 3, 6], [0, 3, 6]], "coefficients": [-2, 5]}',
            "6273551c91ffcdfae4e5749a91077f6ffece6b77500dfb09c42dad3a2c42553e"),
     "n5": ('{"n": 5, "digit_sets": [[0, 2, 4], [0, 2, 4]], "coefficients": [-5, 6]}',

@@ -107,22 +107,25 @@ def test_congruent_vertices_equal_aligned_closure_random(inst):
 def test_congruent_graph_edges(cantor_diff):
     g = build_congruent_graph(cantor_diff)
     xg = build_xi_graph(cantor_diff)
-    xi_adj = xg.adjacency()
+    number = {members: v for v, members in enumerate(g.vertices)}
     # singleton-to-singleton edges coincide with the restricted graph
-    for u in xg.us:
-        targets = {t for _, t in g.adjacency[(u,)]}
-        assert targets == {(v,) for v in xi_adj[u]}
+    for i, u in enumerate(xg.us):
+        targets = {g.vertices[w] for w in g.succ[number[(u,)]]}
+        assert targets == {(xg.us[j],) for j in xg.succ[i]}
     # the two-element class maps onto itself under residue 1 only
-    assert g.adjacency[(-2, 1)] == ((1, (-2, 1)),)
+    pair = number[(-2, 1)]
+    assert g.succ[pair] == (pair,)
+    assert g.residue(pair) == 1
+    assert g.labels[pair] == "-2,1"
 
 
 def test_congruent_graph_sccs(cantor_diff):
     g = build_congruent_graph(cantor_diff)
-    comps = {frozenset(c) for c in g.scc.components}
+    comps = {frozenset(g.vertices[v] for v in c) for c in g.scc.components}
     assert frozenset({(-3,), (-2,), (1,), (2,)}) in comps
     assert frozenset({(-2, 1)}) in comps
     radii = {
-        tuple(sorted(c)): rr.estimate
+        tuple(g.vertices[v] for v in c): rr.estimate
         for c, rr in zip(g.scc.components, g.scc.radii)
     }
     assert radii[((-2, 1),)] == 1.0
@@ -143,9 +146,9 @@ def test_congruent_full_mode_cap():
 
 
 def test_scc_examples(cantor_diff, base7_double):
-    d1 = scc(build_xi_graph(cantor_diff).adjacency())
+    d1 = scc(build_xi_graph(cantor_diff).succ)
     assert len(d1.components) == 1
-    d3 = scc(build_xi_graph(base7_double).adjacency())
+    d3 = scc(build_xi_graph(base7_double).succ)
     assert len(d3.components) > 1
     sizes = sorted(len(c) for c in d3.components)
     assert sizes == [1, 1, 5]
@@ -260,7 +263,7 @@ def test_psi_congruence_preservation(cantor_diff):
 def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     # singleton components replicate the restricted graph's radii
     for inst in (cantor_diff, base6_mixed):
-        xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst).adjacency()).radii}
+        xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst).succ).radii}
         sub_radii = {
             rr.estimate for rr in build_congruent_graph(inst).scc.radii
         }
@@ -274,9 +277,9 @@ def test_subset_edges_match_two_sided_rule(cantor_diff, base6_mixed, cantor_doub
     for inst in (cantor_diff, base6_mixed, cantor_double_diff):
         full = build_full_graph(inst).adjacency
         g = build_congruent_graph(inst)
-        vertices = [v.members for v in g.vertices]
+        vertices = g.vertices
         edges = {
-            (a, t) for a, outs in g.adjacency.items() for _, t in outs
+            (vertices[a], vertices[t]) for a, outs in enumerate(g.succ) for t in outs
         }
         for a in vertices:
             for b in vertices:

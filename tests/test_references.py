@@ -1,29 +1,36 @@
-"""The sparse multiplicity search and the mask-built subset graph against
-the dense and tuple-based constructions they replaced, written out here.
+"""The sparse multiplicity search, the mask-built subset graph and the
+integer power iteration against the dense and tuple-based constructions
+they replaced, written out here.
 
 ``_dense_reachable_vectors`` forms every product e_i T_{j1} ... T_{jk} as a
 full span x span vector-matrix product.  ``_tuple_subset_graph`` enumerates
 each residue class's subsets as sorted member tuples, takes edges from
-``subset_successor`` and certifies every component, single vertices
-included, with ``block_radius``.  The new code must reproduce both exactly:
-the same vectors in the same discovery order, and the same vertices, edges,
-components, reach sets and radii.
+``subset_successor``, finds components by Kosaraju's two passes and
+certifies every component, single vertices included, with
+``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
+rows with a ``Fraction`` per ratio.  The new code must reproduce all three
+exactly: the same vectors in the same discovery order; the same vertices,
+edges, components, reach sets and radii, read through ``graph.vertices``;
+and the same ``RadiusResult``.
 """
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit import build_congruent_graph
-from slicekit._digraph import strongly_connected_components
+from slicekit import build_congruent_graph, congruent_vertices
 from slicekit.analysis import _VECTOR_CAP, _reachable_vectors
-from slicekit.errors import TooLarge
+from slicekit.errors import TooLarge, WideEnclosure
 from slicekit.graphs import (
     CongruentSubset,
     component_matrix,
     subset_successor,
 )
 from slicekit.lattice import xi_types
-from slicekit.spectral import block_radius, transition_matrices
+from slicekit.spectral import (
+    _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
+)
 
 from conftest import FIXTURES, counting_instances, load
 from test_properties import instances
@@ -82,9 +89,51 @@ def test_sparse_vectors_match_dense_random(inst, max_r):
     _assert_same_vectors(inst, max_r)
 
 
+def _kosaraju(succ):
+    """Strongly connected components of the successor map ``succ`` (every
+    vertex a key) by Kosaraju's two passes: depth-first finishing order on
+    the graph, then depth-first search of the reversed graph in reverse
+    finishing order."""
+    order, seen = [], set()
+    for root in succ:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(succ[root]))]
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(succ[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    pred = {v: [] for v in succ}
+    for v, targets in succ.items():
+        for w in targets:
+            pred[w].append(v)
+    comps, assigned = [], set()
+    for root in reversed(order):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        comp, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in pred[v]:
+                if w not in assigned:
+                    assigned.add(w)
+                    stack.append(w)
+        comps.append(comp)
+    return comps
+
+
 def _tuple_subset_graph(inst):
-    """(vertices, adjacency, succ, components, reach, radii, comp_of,
-    cycling) of the subset graph, built on sorted member tuples."""
+    """(vertices, adjacency, components, reach, radii, comp_of, cycling) of
+    the subset graph, built on sorted member tuples."""
     types = xi_types(inst)
     n = inst.n
     classes = {}
@@ -107,10 +156,7 @@ def _tuple_subset_graph(inst):
                 out.append((h, img))
         adjacency[v.members] = tuple(out)
     succ = {k: tuple(t for _, t in outs) for k, outs in adjacency.items()}
-    comps = sorted(
-        (tuple(sorted(c)) for c in strongly_connected_components(sorted(succ), succ)),
-        key=lambda c: c[0],
-    )
+    comps = sorted((tuple(sorted(c)) for c in _kosaraju(succ)), key=lambda c: c[0])
     comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
     reach = []
     for comp in comps:
@@ -127,20 +173,26 @@ def _tuple_subset_graph(inst):
         idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in succ[c[0]]
     )
     comps = tuple(comps)
-    return tuple(vertices), adjacency, succ, comps, tuple(reach), radii, comp_of, cycling
+    return tuple(vertices), adjacency, comps, tuple(reach), radii, comp_of, cycling
 
 
 def _assert_same_subset_graph(inst):
     graph = build_congruent_graph(inst)
     reference = _tuple_subset_graph(inst)
-    vertices, adjacency, succ, comps, reach, radii, comp_of, cycling = reference
-    assert graph.vertices == vertices
-    assert graph.adjacency == adjacency
-    assert graph.succ == succ
-    assert graph.scc.components == comps
+    vertices, adjacency, comps, reach, radii, comp_of, cycling = reference
+    members = graph.vertices
+    assert members == tuple(v.members for v in vertices)
+    assert congruent_vertices(inst) == list(vertices)
+    assert graph.labels == tuple(",".join(map(str, m)) for m in members)
+    # each edge labelled with the residue of its target, ascending per vertex
+    assert {
+        members[v]: tuple((graph.residue(t), members[t]) for t in targets)
+        for v, targets in enumerate(graph.succ)
+    } == adjacency
+    assert tuple(tuple(members[v] for v in c) for c in graph.scc.components) == comps
     assert graph.scc.reach == reach
     assert graph.scc.radii == radii
-    assert graph.scc.comp_of == comp_of
+    assert {members[v]: idx for v, idx in enumerate(graph.scc.comp_of)} == comp_of
     assert graph.scc.cycling == cycling
 
 
@@ -156,3 +208,55 @@ def test_mask_subset_graph_matches_tuples_random(inst):
         return
     _assert_same_subset_graph(inst)
 
+
+def _dense_block_radius(rows, verts, tolerance=DEFAULT_TOLERANCE):
+    k = len(verts)
+    if k == 1:
+        v = Fraction(rows[verts[0]][verts[0]])
+        return RadiusResult(v, v, float(v))
+    shifted = [
+        [rows[a][b] + (1 if a == b else 0) for b in verts] for a in verts
+    ]
+    x = [1] * k
+    tol = Fraction(tolerance)
+    best_lo = Fraction(0)
+    best_hi = None
+    for _ in range(_MAX_ITERATIONS):
+        y = [sum(shifted[i][j] * x[j] for j in range(k)) for i in range(k)]
+        ratios = [Fraction(y[i], x[i]) for i in range(k)]
+        lo, hi = min(ratios), max(ratios)
+        best_lo = max(best_lo, lo)
+        best_hi = hi if best_hi is None else min(best_hi, hi)
+        if best_hi - best_lo <= tol:
+            lo, hi = best_lo - 1, best_hi - 1
+            return RadiusResult(lo, hi, float((lo + hi) / 2))
+        x = y
+        top = max(x)
+        if top.bit_length() > 512:
+            shift = top.bit_length() - 256
+            x = [max(1, v >> shift) for v in x]
+    raise WideEnclosure("power iteration did not converge")
+
+
+@st.composite
+def _connected_block(draw):
+    """A strongly connected nonnegative integer block of 2-20 vertices: a
+    cycle through all vertices plus random entries, some of them large."""
+    k = draw(st.integers(2, 20))
+    entries = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, 7, 40])
+    rows = [[draw(entries) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        rows[i][(i + 1) % k] = max(rows[i][(i + 1) % k], 1)
+    return rows
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_connected_block(), st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_integer_block_radius_matches_dense(rows, tolerance):
+    """Power iteration over nonzero entries, with integer cross-multiplied
+    ratio picks, gives the same enclosure as the dense Fraction loop, also
+    on a reordered vertex list."""
+    verts = list(range(len(rows)))
+    assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
+    verts.reverse()
+    assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)

@@ -155,11 +155,10 @@ def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff)
     finds its radius equal to the whole matrix's."""
     for inst in (base7_double, base6_mixed, cantor_diff):
         xi = build_xi_graph(inst)
-        adjacency = xi.adjacency()
-        decomposition = scc(adjacency)
+        decomposition = scc(xi.succ)
         rho = max_radius(decomposition.radii)
         assert rho == spectral_radius(xi.matrix)
-        blocks = [component_matrix(adjacency, comp) for comp in decomposition.components]
+        blocks = [component_matrix(xi.succ, comp) for comp in decomposition.components]
         attains = []
         for rr, block in zip(decomposition.radii, blocks):
             assert rr == spectral_radius(block)
