@@ -17,9 +17,9 @@ computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, covering and
 separation, the digit matrices, the U1 report and the subset graph, which
 holds every subset of every residue class and so every aligned subset the
-search consults.  The public functions below are thin readers of a
-context; ``RSearchResult`` carries the context of its search, so passing
-``search=`` reuses all of it.
+search consults.  ``dim_u1`` reads a context; ``dim_ur``, ``measure_ur``
+and ``witness_ur`` read one multiplicity search, ``RSearchResult``, which
+carries the context it ran on.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
@@ -40,9 +40,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import inf, log, prod
 
-from .counting import exact_card, expansion_value
+from .counting import DEFAULT_BUDGET, exact_card, expansion_value
 from .errors import (
-    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, TooLarge,
+    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange,
+    TooLarge,
 )
 from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph,
@@ -411,7 +412,7 @@ def _integer_card_table(inst: ProblemInstance, budget: int) -> dict[int, int | N
 
 
 def enumerate_achievable_r(
-    inst: ProblemInstance, max_r: int, budget: int = 4096
+    inst: ProblemInstance, max_r: int, budget: int = DEFAULT_BUDGET
 ) -> RSearchResult:
     """Classify every multiplicity 1..max_r.
 
@@ -427,14 +428,14 @@ def enumerate_achievable_r(
     return _search(Analysis(inst), max_r, budget)
 
 
-def _search(context: Analysis, max_r: int, budget: int = 4096) -> RSearchResult:
+def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSearchResult:
     inst = context.inst
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):
         raise HypothesisViolated("strong separation fails for some factor")
     if max_r < 1:
-        raise ValueError("max_r must be >= 1")
+        raise OutOfRange(f"max_r must be >= 1, got {max_r}")
     found = _reachable_vectors(inst, max_r)
     n = inst.n
 
@@ -537,27 +538,17 @@ class UrReport:
     candidates: tuple[float, ...]
     countable_flag: bool
     measure_class: str | None
-    argmax_support: tuple[int, ...] | None
-    argmax_residue: int | None
 
 
-def _search_reaching(
-    inst: ProblemInstance, r: int, search: RSearchResult | None, max_r: int | None
-) -> RSearchResult:
-    """``search`` when it classifies r, else a search up to max(r, max_r)
-    that reuses the context of ``search`` when there is one."""
-    if search is not None and search.max_r >= r:
-        return search
-    context = search.analysis if search else Analysis(inst)
-    return _search(context, max_r if max_r and max_r >= r else r)
+def _status(search: RSearchResult, r: int) -> RStatus:
+    """The status of r in ``search``; NotAchievable when the search does
+    not classify r."""
+    if r not in search.statuses:
+        raise NotAchievable(f"r={r} is outside the searched range 1..{search.max_r}")
+    return search.statuses[r]
 
 
-def dim_ur(
-    inst: ProblemInstance,
-    r: int,
-    search: RSearchResult | None = None,
-    max_r: int | None = None,
-) -> UrReport:
+def dim_ur(search: RSearchResult, r: int) -> UrReport:
     """Hausdorff dimension of the set of points with exactly r
     representations, for r certified by the multiplicity search.
 
@@ -566,16 +557,13 @@ def dim_ur(
     multiplicities realised only on the base-n grid get dimension 0 and the
     countable flag, and so do those whose largest reachable radius is 1.
     """
-    return _dim_ur(inst, r, search, max_r)[0]
+    return _dim_ur(search, r)[0]
 
 
-def _dim_ur(
-    inst: ProblemInstance, r: int, search: RSearchResult | None, max_r: int | None
-) -> tuple[UrReport, Block | None]:
+def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
     """``dim_ur``'s report, with the block of the subset-graph component
     where the maximum is taken (None when r occurs only on the grid)."""
-    search = _search_reaching(inst, r, search, max_r)
-    status = search.statuses[r]
+    status = _status(search, r)
     if status.status == STATUS_NOT_REACHABLE:
         raise NotAchievable(f"r={r} is not realised (searched up to {search.max_r})")
     if status.status == STATUS_COUNTABLE:
@@ -585,53 +573,42 @@ def _dim_ur(
             candidates=(),
             countable_flag=True,
             measure_class=None,
-            argmax_support=None,
-            argmax_residue=None,
         )
         return report, None
     context = search.analysis
+    n = context.inst.n
     block = context.subset_block
     best = None
-    best_pair = (None, None)
     candidates = set()
     for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
-        for h, members in context.aligned_subsets(support):
+        for _, members in context.aligned_subsets(support):
             top = _top(block, sorted(context.cycles_reached(members)))
             if top is None:
                 continue
-            candidates.add(_log_over_log_n(block(top)[0].estimate, inst.n))
+            candidates.add(_log_over_log_n(block(top)[0].estimate, n))
             if best is None or top != best and _compare(block(top), block(best)) > 0:
                 best = top
-                best_pair = (support, h)
     if best is None:
         raise InternalError(f"achievable r={r} reaches no cycling component")
     report = UrReport(
         r=r,
-        dim=_log_over_log_n(block(best)[0].estimate, inst.n),
+        dim=_log_over_log_n(block(best)[0].estimate, n),
         candidates=tuple(sorted(candidates)),
         countable_flag=_compare(block(best), _integer_block(1)) == 0,
         measure_class=None,
-        argmax_support=best_pair[0],
-        argmax_residue=best_pair[1],
     )
     return report, block(best)
 
 
-def measure_ur(
-    inst: ProblemInstance,
-    r: int,
-    search: RSearchResult | None = None,
-    max_r: int | None = None,
-) -> UrReport:
+def measure_ur(search: RSearchResult, r: int) -> UrReport:
     """Measure class of the multiplicity-r set at its dimension: infinite
     when the whole range is dominated, that is reachable in the restricted
     graph from components whose radius is at least the one ``dim_ur``
     reads, otherwise positive with the total mass left undetermined."""
-    search = _search_reaching(inst, r, search, max_r)
-    status = search.statuses[r]
+    status = _status(search, r)
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
-    report, block = _dim_ur(inst, r, search, None)
+    report, block = _dim_ur(search, r)
     measure = (
         MEASURE_INFINITE
         if search.analysis.dominated(block)
@@ -723,12 +700,7 @@ def _witness_candidates(search: RSearchResult, r: int):
                     )
 
 
-def witness_ur(
-    inst: ProblemInstance,
-    r: int,
-    search: RSearchResult | None = None,
-    max_r: int | None = None,
-) -> WitnessExpansion:
+def witness_ur(search: RSearchResult, r: int) -> WitnessExpansion:
     """An eventually periodic expansion of a point with exactly r
     representations, certified by ``exact_card``: the first candidate of
     ``_witness_candidates`` whose point it counts as Finite r.
@@ -738,10 +710,10 @@ def witness_ur(
     the others.  Raises NoCertifiedWitness, an InternalError, when no
     candidate certifies.
     """
-    search = _search_reaching(inst, r, search, max_r)
-    status = search.statuses[r]
+    status = _status(search, r)
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
+    inst = search.analysis.inst
     grid = ({0}, {inst.n - 1})
     on_grid = []
 

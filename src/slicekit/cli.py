@@ -12,8 +12,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .analysis import dim_u1, enumerate_achievable_r, measure_ur, witness_ur
-from .counting import exact_card, lyapunov_estimate
+from .analysis import Analysis, dim_u1, enumerate_achievable_r, measure_ur, witness_ur
+from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
 from .errors import InternalError, NotPlanar, SlicekitError, TooLarge, UsageError
 from .instance import ProblemInstance, parse_instance
 from .lattice import covering_condition, strong_separation
@@ -26,10 +26,6 @@ from .report import (
     radius_json,
     report_json,
 )
-from .spectral import spectral_radius, transition_matrices
-from .graphs import build_xi_graph
-
-import json
 
 _RENDER_CUBE_CAP = 4096
 
@@ -69,20 +65,20 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="path to an instance JSON document")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        p.add_argument("--json", action="store_true", help="emit JSON")
         return p
 
     p = add("analyze", "full report: checks, graphs, matrices, dimensions, multiplicities")
     p.add_argument("--max-r", type=int, default=6)
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    add("check", "covering and strong-separation checks plus the basic bounds")
+    p = add("check", "covering and strong-separation checks plus the basic bounds")
+    p.add_argument("--json", action="store_true", help="emit JSON")
     add("matrices", "the 0-1 transition matrix and the digit count matrices")
     add("dim-u1", "dimension/measure report for the uniquely represented set")
 
     p = add("count", "exact number of representations of a rational point")
     p.add_argument("--x", required=True, help="rational point, e.g. 1/3")
-    p.add_argument("--budget", type=int, default=4096)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-depth", type=int, default=None)
 
     p = add("oracle", "brute-force depth-k cube count (and chains) through a point")
@@ -95,11 +91,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("dim-ur", "dimension of the multiplicity-r set")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-r", type=int, default=None)
 
     p = add("witness", "eventually periodic point with exactly r representations")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--max-r", type=int, default=None)
 
     p = add("lyapunov", "Monte-Carlo growth exponent of random digit products")
     p.add_argument("--samples", type=int, default=10000)
@@ -131,11 +125,10 @@ main = run
 def _dispatch(args) -> int:
     inst = _load(args.instance)
     cmd = args.command
+    code = 0
     if cmd == "analyze":
-        report = build_report(inst, max_r=args.max_r, budget=args.budget)
-        _emit(report_json(report), args.out)
-        return 0
-    if cmd == "check":
+        payload = build_report(inst, max_r=args.max_r, budget=args.budget)
+    elif cmd == "check":
         payload = {
             "bounds": {
                 "proj_min": inst.proj_min,
@@ -145,30 +138,27 @@ def _dispatch(args) -> int:
             "covering": covering_condition(inst),
             "ssc": strong_separation(inst),
         }
-        if args.json:
-            _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        else:
+        if not args.json:
             lines = [
                 f"bounds: [{inst.proj_min}, {inst.proj_max}], norm1={inst.span}",
                 f"covering: {payload['covering']}",
                 f"strong separation: {payload['ssc']}",
             ]
             _emit("\n".join(lines) + "\n", args.out)
-        return 0
-    if cmd == "matrices":
-        xi = build_xi_graph(inst)
+            return 0
+    elif cmd == "matrices":
+        context = Analysis(inst)
+        xi = context.xi
         payload = {
             "xi": list(xi.us),
             "M": [list(r) for r in xi.matrix],
-            "rho": radius_json(spectral_radius(xi.matrix)),
+            "rho": radius_json(context.u1.rho),
             "T": [
                 {"digit": m.digit, "rows": [list(r) for r in m.entries]}
-                for m in transition_matrices(inst)
+                for m in context.matrices
             ],
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "dim-u1":
+    elif cmd == "dim-u1":
         rep = dim_u1(inst)
         payload = {
             "dim": {"decimal": decimal(rep.s)},
@@ -177,9 +167,7 @@ def _dispatch(args) -> int:
             "rho": radius_json(rep.rho),
             "notes": list(rep.notes),
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "count":
+    elif cmd == "count":
         x = parse_rational(args.x)
         result = exact_card(inst, x, budget=args.budget, max_depth=args.max_depth)
         payload = {
@@ -188,9 +176,8 @@ def _dispatch(args) -> int:
             "count": result.count,
             "depth_reached": result.depth_reached,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 3 if result.verdict == "ExceedsBudget" else 0
-    if cmd == "oracle":
+        code = 3 if result.verdict == "ExceedsBudget" else 0
+    elif cmd == "oracle":
         x = parse_rational(args.x)
         payload = {
             "x": format_rational(x),
@@ -208,9 +195,7 @@ def _dispatch(args) -> int:
                 }
                 for chain in brute_force_solutions(inst, x, args.depth)
             ]
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "enumerate-r":
+    elif cmd == "enumerate-r":
         search = enumerate_achievable_r(inst, max_r=args.max_r)
         payload = {
             "achievable": search.achievable(),
@@ -218,10 +203,8 @@ def _dispatch(args) -> int:
                 str(r): st.status for r, st in sorted(search.statuses.items())
             },
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "dim-ur":
-        rep = measure_ur(inst, args.r, max_r=args.max_r)
+    elif cmd == "dim-ur":
+        rep = measure_ur(enumerate_achievable_r(inst, args.r), args.r)
         payload = {
             "r": args.r,
             "dim": {"decimal": decimal(rep.dim)},
@@ -229,10 +212,8 @@ def _dispatch(args) -> int:
             "countable": rep.countable_flag,
             "measure_class": rep.measure_class,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "witness":
-        w = witness_ur(inst, args.r, max_r=args.max_r)
+    elif cmd == "witness":
+        w = witness_ur(enumerate_achievable_r(inst, args.r), args.r)
         payload = {
             "r": args.r,
             "integer_part": w.integer_part,
@@ -240,9 +221,7 @@ def _dispatch(args) -> int:
             "period": list(w.period),
             "value": format_rational(w.value(inst.n)),
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "lyapunov":
+    elif cmd == "lyapunov":
         estimate, stderr = lyapunov_estimate(
             inst, samples=args.samples, depth=args.depth, seed=args.seed
         )
@@ -253,13 +232,14 @@ def _dispatch(args) -> int:
             "estimate": decimal(estimate),
             "stderr": decimal(stderr),
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
-    if cmd == "render":
+    elif cmd == "render":
         svg = render_grid(inst, depth=args.depth)
         _emit(svg, args.out)
         return 0
-    raise UsageError(f"unknown command {cmd!r}")
+    else:
+        raise UsageError(f"unknown command {cmd!r}")
+    _emit(report_json(payload), args.out)
+    return code
 
 
 # -- figure rendering ----------------------------------------------------------

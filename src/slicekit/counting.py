@@ -53,7 +53,6 @@ class NadicExpansion:
     preperiod: tuple[int, ...]
     period: tuple[int, ...]
     boundary: bool
-    prefix: tuple[int, ...]
 
     def digit(self, k: int) -> int:
         """k-th digit, 1-based."""
@@ -74,7 +73,7 @@ class NadicExpansion:
         return pre + (depth - pre) % len(self.period)
 
 
-def nadic_expansion(inst: ProblemInstance, x: Fraction | int, depth: int = 0) -> NadicExpansion:
+def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
     """Exact expansion by long division; remainders of the fractional part
     recur, which pins down the preperiod/period split."""
     x = Fraction(x)
@@ -99,22 +98,12 @@ def nadic_expansion(inst: ProblemInstance, x: Fraction | int, depth: int = 0) ->
         seen[p] = len(digits)
         d, p = divmod(n * p, q)
         digits.append(d)
-    exp = NadicExpansion(
+    return NadicExpansion(
         integer_part=i,
         preperiod=preperiod,
         period=period,
         boundary=boundary,
-        prefix=(),
     )
-    if depth:
-        exp = NadicExpansion(
-            integer_part=i,
-            preperiod=preperiod,
-            period=period,
-            boundary=boundary,
-            prefix=exp.digits(depth),
-        )
-    return exp
 
 
 def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fraction:
@@ -139,14 +128,14 @@ def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple
     number of depth-k cubes meeting the slice."""
     if not covering_condition(inst):
         raise CoveringRequired("the depth-1 projections must cover the full range")
-    exp = nadic_expansion(inst, x, depth=k)
+    exp = nadic_expansion(inst, x)
     if exp.boundary:
         raise BoundaryPoint(f"{x} is a base-{inst.n} boundary point")
     mats = transition_matrices(inst)
     span = inst.span
     vec = [0] * span
     vec[exp.integer_part - inst.proj_min] = 1
-    for j in exp.prefix:
+    for j in exp.digits(k):
         rows = mats[j].entries
         vec = [
             sum(vec[u] * rows[u][v] for u in range(span)) for v in range(span)

@@ -234,9 +234,7 @@ def _numbered_subsets(classes: Mapping[int, list[int]]):
     return vertices, labels, number
 
 
-def congruent_vertices(
-    inst: ProblemInstance, types: Mapping[int, int] | None = None
-) -> list[CongruentSubset]:
+def congruent_vertices(inst: ProblemInstance) -> list[CongruentSubset]:
     """Vertices of the subset graph, ascending by members: every nonempty
     subset of every residue class of the uniquely covered intervals.
 
@@ -245,13 +243,11 @@ def congruent_vertices(
     residue class h of ``u_range``, so the uniquely covered aligned subsets
     {n*p + h : p in P} are exactly the subsets of the classes, and
     successors never leave them.  The subsets are enumerated as
-    ``build_congruent_graph`` numbers them.  ``types`` is
-    ``xi_types(inst)``, computed here when not given.  Raises TooLarge,
-    before enumerating, when the sum of 2**|class| over the classes exceeds
+    ``build_congruent_graph`` numbers them.  Raises TooLarge, before
+    enumerating, when the sum of 2**|class| over the classes exceeds
     _SUBSET_LIMIT.
     """
-    if types is None:
-        types = xi_types(inst)
+    types = xi_types(inst)
     n = inst.n
     vertices, _, _ = _numbered_subsets(_residue_classes(types, n))
     # members ascend and share u mod n, so their quotients ascend strictly

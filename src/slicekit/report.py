@@ -23,6 +23,7 @@ from .analysis import (
     measure_ur,
     witness_ur,
 )
+from .counting import DEFAULT_BUDGET
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals, interval_type_counts
@@ -77,7 +78,7 @@ def _scc_json(decomposition, names) -> dict:
 
 
 def build_report(
-    inst: ProblemInstance, max_r: int = 6, budget: int = 4096
+    inst: ProblemInstance, max_r: int = 6, budget: int = DEFAULT_BUDGET
 ) -> dict:
     started = time.monotonic()
     # the search runs first so that the whole report reads its context
@@ -195,14 +196,14 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
     for r, st in sorted(search.statuses.items()):
         if st.status != STATUS_ACHIEVABLE:
             if st.status == STATUS_COUNTABLE:
-                rep = dim_ur(inst, r, search=search)
+                rep = dim_ur(search, r)
                 out[str(r)] = {
                     "dim": {"decimal": decimal(rep.dim)},
                     "countable": True,
                     "measure_class": None,
                 }
             continue
-        rep = measure_ur(inst, r, search=search)
+        rep = measure_ur(search, r)
         out[str(r)] = {
             "dim": {
                 "decimal": decimal(rep.dim),
@@ -212,7 +213,7 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
             "measure_class": rep.measure_class,
         }
         try:
-            witness = witness_ur(inst, r, search=search)
+            witness = witness_ur(search, r)
         except NoCertifiedWitness:
             continue  # the entry carries no witness
         out[str(r)]["witness"] = {

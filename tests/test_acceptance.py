@@ -221,11 +221,11 @@ def test_criterion_8(cantor_diff):
     assert search.statuses[3].status == "OnlyOnCountableSet"
     s = math.log(2) / math.log(3)
     for r in (2, 4):
-        rep = measure_ur(cantor_diff, r, search=search)
+        rep = measure_ur(search, r)
         assert abs(rep.dim - s) <= TOL
         if r == 2:
             assert rep.measure_class == "Infinite"
-        w = witness_ur(cantor_diff, r, search=search)
+        w = witness_ur(search, r)
         res = exact_card(cantor_diff, w.value(cantor_diff.n))
         assert (res.verdict, res.count) == ("Finite", r)
     print("ACCEPTANCE 8: PASS - multiplicity search, dims, measure, witnesses")

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slicekit import (
     dim_u1,
@@ -83,12 +84,22 @@ def _prime_factors(value):
     return out
 
 
-def test_search_closure_is_stable(cantor_diff):
-    small = enumerate_achievable_r(cantor_diff, 6)
-    large = enumerate_achievable_r(cantor_diff, 12)
-    for r in range(1, 7):
-        assert small.statuses[r].status == large.statuses[r].status
-    assert large.achievable() == [1, 2, 4, 8]
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 4), st.integers(1, 3))
+def test_search_closure_is_stable(inst, a, extra):
+    """A longer search classifies each r <= a as the shorter one does and
+    lists the same norm-<=a vectors in the same order: norms never decrease
+    and every grid tail count is at least 1, so raising max_r only adds
+    vectors and totals above a.  This is why the readers take a search and
+    no max_r of their own."""
+    if not all(strong_separation(inst)):
+        return
+    small = enumerate_achievable_r(inst, a)
+    large = enumerate_achievable_r(inst, a + extra)
+    assert [large.statuses[r] for r in range(1, a + 1)] == [
+        small.statuses[r] for r in range(1, a + 1)
+    ]
+    assert tuple(rv for rv in large.vectors if rv.norm <= a) == small.vectors
 
 
 def test_powers_of_two_achievable(cantor_diff):
@@ -101,25 +112,26 @@ def test_powers_of_two_achievable(cantor_diff):
 def test_dim_ur_values(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (2, 4):
-        rep = dim_ur(cantor_diff, r, search=search)
+        rep = dim_ur(search, r)
         assert abs(rep.dim - LOG2_3) <= 1e-9
         assert not rep.countable_flag
         assert rep.candidates and max(rep.candidates) == rep.dim
-    rep3 = dim_ur(cantor_diff, 3, search=search)
+    rep3 = dim_ur(search, 3)
     assert rep3.dim == 0.0 and rep3.countable_flag
 
 
 def test_dim_ur_not_achievable(cantor_diff):
+    search = enumerate_achievable_r(cantor_diff, 6)
     with pytest.raises(NotAchievable):
-        dim_ur(cantor_diff, 5)
+        dim_ur(search, 5)
     with pytest.raises(NotAchievable):
-        measure_ur(cantor_diff, 3)
+        measure_ur(search, 3)
 
 
 def test_measure_ur(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (2, 4):
-        rep = measure_ur(cantor_diff, r, search=search)
+        rep = measure_ur(search, r)
         assert rep.measure_class == "Infinite"
 
 
@@ -140,7 +152,7 @@ def test_domination(cantor_diff):
 def test_witness_round_trip(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 8)
     for r in (1, 2, 4, 8):
-        w = witness_ur(cantor_diff, r, search=search)
+        w = witness_ur(search, r)
         x = w.value(cantor_diff.n)
         res = exact_card(cantor_diff, x)
         assert (res.verdict, res.count) == ("Finite", r), (r, x)
@@ -148,23 +160,26 @@ def test_witness_round_trip(cantor_diff):
 
 
 def test_witness_canonical(cantor_diff):
-    w2 = witness_ur(cantor_diff, 2)
-    assert w2.value(3) == Fraction(1, 6)
-    w4 = witness_ur(cantor_diff, 4)
-    assert w4.value(3) == Fraction(1, 18)
+    search = enumerate_achievable_r(cantor_diff, 4)
+    assert witness_ur(search, 2).value(3) == Fraction(1, 6)
+    assert witness_ur(search, 4).value(3) == Fraction(1, 18)
 
 
 def test_dim_ur_bounded_by_dim_u1(cantor_diff):
     u1 = dim_u1(cantor_diff)
     search = enumerate_achievable_r(cantor_diff, 8)
     for r in search.achievable():
-        assert dim_ur(cantor_diff, r, search=search).dim <= u1.s + 1e-9
+        assert dim_ur(search, r).dim <= u1.s + 1e-9
 
 
-def test_short_search_is_extended(cantor_diff):
-    short = enumerate_achievable_r(cantor_diff, 4)
-    assert abs(dim_ur(cantor_diff, 8, search=short).dim - LOG2_3) <= 1e-9
-    x = witness_ur(cantor_diff, 8, search=short).value(cantor_diff.n)
+def test_readers_refuse_r_outside_the_search(cantor_diff):
+    search = enumerate_achievable_r(cantor_diff, 8)
+    for reader in (dim_ur, measure_ur, witness_ur):
+        for r in (0, 9):
+            with pytest.raises(NotAchievable):
+                reader(search, r)
+    assert abs(dim_ur(search, 8).dim - LOG2_3) <= 1e-9
+    x = witness_ur(search, 8).value(cantor_diff.n)
     res = exact_card(cantor_diff, x)
     assert (res.verdict, res.count) == ("Finite", 8)
 
@@ -173,7 +188,7 @@ def test_witness_round_trip_double_diff(cantor_double_diff):
     search = enumerate_achievable_r(cantor_double_diff, 6)
     assert search.achievable() == [1, 2, 3, 4, 5, 6]
     for r in search.achievable():
-        w = witness_ur(cantor_double_diff, r, search=search)
+        w = witness_ur(search, r)
         res = exact_card(cantor_double_diff, w.value(cantor_double_diff.n))
         assert (res.verdict, res.count) == ("Finite", r)
 
@@ -195,7 +210,7 @@ def test_every_achievable_r_gets_a_certified_witness(inst):
     grid = ({0}, {inst.n - 1})
     for r in search.achievable():
         try:
-            x = witness_ur(inst, r, search=search).value(inst.n)
+            x = witness_ur(search, r).value(inst.n)
         except NoCertifiedWitness:
             assert all(set(c.period) in grid for c in _witness_candidates(search, r))
             continue

@@ -146,6 +146,14 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "render", FIXTURES / "full_interval.json")
     assert code == 1 and "l=2" in err
+    # a multiplicity range below 1 is a precondition, not an internal error
+    for argv in (
+        ("analyze", FIXTURES / "cantor_diff.json", "--max-r", "0"),
+        ("enumerate-r", FIXTURES / "cantor_diff.json", "--max-r", "0"),
+        ("dim-ur", FIXTURES / "cantor_diff.json", "--r", "0"),
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "max_r must be >= 1" in err, argv
 
 
 def test_parse_rational_forms():

@@ -34,23 +34,23 @@ from test_properties import instances
 
 
 def test_expansion_periodic(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(1, 2), depth=5)
+    exp = nadic_expansion(cantor_diff, Fraction(1, 2))
     assert exp.integer_part == 0
     assert not exp.boundary
-    assert exp.prefix == (1, 1, 1, 1, 1)
+    assert exp.digits(5) == (1, 1, 1, 1, 1)
     assert exp.preperiod == () and exp.period == (1,)
 
 
 def test_expansion_boundary(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(1, 3), depth=4)
+    exp = nadic_expansion(cantor_diff, Fraction(1, 3))
     assert exp.boundary
-    assert exp.prefix == (1, 0, 0, 0)
+    assert exp.digits(4) == (1, 0, 0, 0)
 
 
 def test_expansion_negative(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(-5, 6), depth=4)
+    exp = nadic_expansion(cantor_diff, Fraction(-5, 6))
     assert exp.integer_part == -1
-    assert exp.prefix == (0, 1, 1, 1)
+    assert exp.digits(4) == (0, 1, 1, 1)
 
 
 def test_expansion_out_of_range(cantor_diff):
