@@ -34,11 +34,10 @@ is certified by ``exact_card`` before it is returned.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, log, prod
+from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET, exact_card, expansion_value
 from .errors import (
@@ -75,8 +74,7 @@ STATUS_NOT_REACHABLE = "NotReachable"
 # -- unique representations ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class U1Report:
+class U1Report(NamedTuple):
     rho: RadiusResult
     s: float
     s_lower: float
@@ -140,11 +138,13 @@ def _separation_negligible(inst: ProblemInstance, ssc_flags, blocks) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class Analysis:
     """The derived objects of one instance, each computed at most once."""
 
     inst: ProblemInstance
+
+    def __init__(self, inst: ProblemInstance) -> None:
+        self.inst = inst
 
     # -- the restricted graph and the unique representations ------------------
 
@@ -304,8 +304,7 @@ def dim_u1(inst: ProblemInstance) -> U1Report:
 # -- multiplicity search --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReachableVector:
+class ReachableVector(NamedTuple):
     vector: tuple[int, ...]
     norm: int
     integer_part: int
@@ -313,8 +312,7 @@ class ReachableVector:
     support: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AchievabilityWitness:
+class AchievabilityWitness(NamedTuple):
     vector: tuple[int, ...]
     integer_part: int
     word: tuple[int, ...]
@@ -323,16 +321,14 @@ class AchievabilityWitness:
     subset: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RStatus:
+class RStatus(NamedTuple):
     r: int
     status: str
     witness: AchievabilityWitness | None
     countable_example: Fraction | None
 
 
-@dataclass(frozen=True)
-class RSearchResult:
+class RSearchResult(NamedTuple):
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
@@ -430,12 +426,12 @@ def enumerate_achievable_r(
 
 def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSearchResult:
     inst = context.inst
+    if max_r < 1:
+        raise OutOfRange(f"max_r must be >= 1, got {max_r}")
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):
         raise HypothesisViolated("strong separation fails for some factor")
-    if max_r < 1:
-        raise OutOfRange(f"max_r must be >= 1, got {max_r}")
     found = _reachable_vectors(inst, max_r)
     n = inst.n
 
@@ -531,8 +527,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
 # -- dimension and measure of the multiplicity sets -----------------------------
 
 
-@dataclass(frozen=True)
-class UrReport:
+class UrReport(NamedTuple):
     r: int
     dim: float
     candidates: tuple[float, ...]
@@ -614,14 +609,13 @@ def measure_ur(search: RSearchResult, r: int) -> UrReport:
         if search.analysis.dominated(block)
         else MEASURE_POSITIVE_UNDETERMINED
     )
-    return dataclasses.replace(report, measure_class=measure)
+    return report._replace(measure_class=measure)
 
 
 # -- witnesses -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessExpansion:
+class WitnessExpansion(NamedTuple):
     integer_part: int
     preperiod: tuple[int, ...]
     period: tuple[int, ...]

@@ -14,7 +14,9 @@ from pathlib import Path
 
 from .analysis import Analysis, dim_u1, enumerate_achievable_r, measure_ur, witness_ur
 from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
-from .errors import InternalError, NotPlanar, SlicekitError, TooLarge, UsageError
+from .errors import (
+    InternalError, NotPlanar, OutOfRange, SlicekitError, TooLarge, UsageError,
+)
 from .instance import ProblemInstance, parse_instance
 from .lattice import covering_condition, strong_separation
 from .oracle import brute_force_cube_count, brute_force_solutions
@@ -123,6 +125,9 @@ main = run
 
 
 def _dispatch(args) -> int:
+    # dim-ur and witness: the range of --r comes before the instance's hypotheses
+    if getattr(args, "r", 1) < 1:
+        raise OutOfRange(f"--r must be >= 1, got {args.r}")
     inst = _load(args.instance)
     cmd = args.command
     code = 0

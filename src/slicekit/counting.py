@@ -25,8 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import log
+from typing import NamedTuple
 
 from .errors import (
     BoundaryPoint,
@@ -41,8 +41,7 @@ from .spectral import transition_matrices
 DEFAULT_BUDGET = 4096
 
 
-@dataclass(frozen=True)
-class NadicExpansion:
+class NadicExpansion(NamedTuple):
     """Base-n expansion x = integer_part + 0.d1 d2 d3 ...
 
     ``preperiod`` then ``period`` (repeating) describe the whole digit
@@ -143,8 +142,7 @@ def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class SliceState:
+class SliceState(NamedTuple):
     """Multiset of surviving chain offsets at one depth.
 
     Offset of a chain = n^depth * x - (weighted digit prefix); a chain
@@ -158,13 +156,13 @@ class SliceState:
     scale: int
     depth: int
 
-    @cached_property
+    @property
     def cardinality(self) -> int:
-        return sum(m for _, m in self.pairs)
+        return sum([m for _, m in self.pairs])
 
     def support(self) -> tuple[int, ...]:
         """The distinct scaled offsets, ascending."""
-        return tuple(a for a, _ in self.pairs)
+        return tuple([a for a, _ in self.pairs])
 
 
 def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
@@ -231,7 +229,12 @@ def exact_card(
     Requires the covering condition (counts are then nondecreasing in depth)
     and strong separation for every factor (depth-k cubes are then pairwise
     disjoint, so surviving-cube counts converge to the solution count).
+    ``budget`` must be at least 1 and ``max_depth`` at least 0.
     """
+    if budget < 1:
+        raise OutOfRange(f"budget must be >= 1, got {budget}")
+    if max_depth is not None and max_depth < 0:
+        raise OutOfRange(f"max_depth must be >= 0, got {max_depth}")
     x = Fraction(x)
     if not covering_condition(inst) or not all(strong_separation(inst)):
         raise HypothesisViolated(
@@ -244,26 +247,27 @@ def exact_card(
     seen_exact: dict[tuple, int] = {}
     seen_support: dict[tuple, tuple[int, int]] = {}
     while True:
+        card = state.cardinality
         phase = exp.phase(state.depth)
         exact_key = (phase, state.pairs)
         if exact_key in seen_exact:
             start = seen_exact[exact_key]
             return CardResult(
                 verdict="Finite",
-                count=state.cardinality,
+                count=card,
                 depth_reached=state.depth,
                 certificate=CycleCertificate(
                     start_depth=start,
                     period=state.depth - start,
-                    cardinality_before=state.cardinality,
-                    cardinality_after=state.cardinality,
+                    cardinality_before=card,
+                    cardinality_after=card,
                 ),
             )
         seen_exact[exact_key] = state.depth
         support_key = (phase, state.support())
         if support_key in seen_support:
             depth0, card0 = seen_support[support_key]
-            if state.cardinality > card0:
+            if card > card0:
                 return CardResult(
                     verdict="Infinite",
                     count=None,
@@ -272,15 +276,15 @@ def exact_card(
                         start_depth=depth0,
                         period=state.depth - depth0,
                         cardinality_before=card0,
-                        cardinality_after=state.cardinality,
+                        cardinality_after=card,
                     ),
                 )
         else:
-            seen_support[support_key] = (state.depth, state.cardinality)
-        if state.cardinality > budget or state.depth >= max_depth:
+            seen_support[support_key] = (state.depth, card)
+        if card > budget or state.depth >= max_depth:
             return CardResult(
                 verdict="ExceedsBudget",
-                count=state.cardinality,
+                count=card,
                 depth_reached=state.depth,
                 certificate=None,
             )

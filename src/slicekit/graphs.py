@@ -35,11 +35,10 @@ its matrix index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
@@ -57,8 +56,7 @@ _LOOP_RADII = (
 )
 
 
-@dataclass(frozen=True)
-class FullGraph:
+class FullGraph(NamedTuple):
     vertices: tuple[IntegerInterval, ...]
     adjacency: dict[int, tuple[int, ...]]
 
@@ -68,7 +66,6 @@ class FullGraph:
                 yield (u, v)
 
 
-@dataclass(frozen=True)
 class XiGraph:
     """Induced subgraph on uniquely covered intervals plus its 0-1 matrix.
     ``us`` is the matrix index, ascending; ``succ[i]`` lists the positions
@@ -77,6 +74,9 @@ class XiGraph:
     vertices: tuple[IntegerInterval, ...]
     types: dict[int, int]
     matrix: tuple[tuple[int, ...], ...]
+
+    def __init__(self, vertices, types, matrix) -> None:
+        self.vertices, self.types, self.matrix = vertices, types, matrix
 
     @cached_property
     def us(self) -> tuple[int, ...]:
@@ -89,8 +89,7 @@ class XiGraph:
         )
 
 
-@dataclass(frozen=True)
-class CongruentSubset:
+class CongruentSubset(NamedTuple):
     """Nonempty set of uniquely covered intervals, pairwise congruent mod n."""
 
     members: tuple[int, ...]
@@ -102,8 +101,7 @@ class CongruentSubset:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
+class SccDecomposition(NamedTuple):
     """Components of a graph on vertices 0..V-1, sorted by their smallest
     vertex, each sorted; ``reach[i]`` holds every component that component
     i reaches, i included; ``comp_of[v]`` is the index of vertex v's
@@ -120,8 +118,7 @@ class SccDecomposition:
         return j in self.reach[i]
 
 
-@dataclass(frozen=True)
-class CongruentGraph:
+class CongruentGraph(NamedTuple):
     """The subset graph on vertex numbers 0..V-1, ascending by members:
     ``vertices[v]`` is the member tuple of vertex v and ``labels[v]`` its
     members comma-joined, ``succ[v]`` the numbers of its successors (one

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -29,11 +28,11 @@ from .errors import (
 _DOCUMENT_KEYS = {"n", "digit_sets", "coefficients"}
 
 
-@dataclass(frozen=True)
 class ProblemInstance:
     """Validated, immutable problem statement.
 
     digit_sets are stored sorted; coefficients keep their input order.
+    Instances compare and hash by (n, digit_sets, coefficients).
     Derived scalars, each computed once: ``proj_min``/``proj_max`` are the
     minimum and maximum of the coefficient form over the unit cube (the sums
     of the negative and of the positive coefficients), ``span`` their
@@ -44,33 +43,54 @@ class ProblemInstance:
     digit_sets: tuple[tuple[int, ...], ...]
     coefficients: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 2:
-            raise BadBase(f"base must be an integer >= 2, got {self.n!r}")
-        if len(self.digit_sets) != len(self.coefficients):
+    def __init__(self, n: int, digit_sets, coefficients) -> None:
+        if not isinstance(n, int) or n < 2:
+            raise BadBase(f"base must be an integer >= 2, got {n!r}")
+        if len(digit_sets) != len(coefficients):
             raise LengthMismatch(
-                f"{len(self.digit_sets)} digit sets vs "
-                f"{len(self.coefficients)} coefficients"
+                f"{len(digit_sets)} digit sets vs {len(coefficients)} coefficients"
             )
-        if not self.digit_sets:
+        if not digit_sets:
             raise LengthMismatch("at least one digit set is required")
         norm_sets = []
-        for idx, digits in enumerate(self.digit_sets):
+        for idx, digits in enumerate(digit_sets):
             if len(digits) == 0:
                 raise EmptyDigitSet(f"digit set #{idx} is empty")
             if len(set(digits)) != len(digits):
                 raise DuplicateDigit(f"digit set #{idx} has duplicates: {digits}")
             for d in digits:
-                if not isinstance(d, int) or not 0 <= d <= self.n - 1:
+                if not isinstance(d, int) or not 0 <= d <= n - 1:
                     raise DigitOutOfRange(
-                        f"digit {d!r} in set #{idx} not in 0..{self.n - 1}"
+                        f"digit {d!r} in set #{idx} not in 0..{n - 1}"
                     )
             norm_sets.append(tuple(sorted(digits)))
-        object.__setattr__(self, "digit_sets", tuple(norm_sets))
-        object.__setattr__(self, "coefficients", tuple(self.coefficients))
-        for idx, m in enumerate(self.coefficients):
+        for idx, m in enumerate(coefficients):
             if not isinstance(m, int) or m == 0:
                 raise ZeroCoefficient(f"coefficient #{idx} is {m!r}")
+        # written to __dict__, as cached_property does: __setattr__ refuses
+        self.__dict__.update(
+            n=n, digit_sets=tuple(norm_sets), coefficients=tuple(coefficients)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.n, self.digit_sets, self.coefficients)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"ProblemInstance(n={self.n!r}, digit_sets={self.digit_sets!r}, "
+            f"coefficients={self.coefficients!r})"
+        )
 
     # -- derived scalars -------------------------------------------------
 

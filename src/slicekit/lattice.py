@@ -8,15 +8,14 @@ question is decided exactly on scaled integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import OutOfRange
 from .instance import ProblemInstance
 
 
-@dataclass(frozen=True)
-class IntegerInterval:
+class IntegerInterval(NamedTuple):
     """The interval [u, u+1]/n inside [proj_min, proj_max].
 
     ``display_label`` renumbers intervals from 0 upward (u - n*proj_min) to
@@ -36,15 +35,13 @@ class IntegerInterval:
         return Fraction(self.u + 1, self.n)
 
 
-@dataclass(frozen=True)
-class WorkingInterval:
+class WorkingInterval(NamedTuple):
     """The unit interval [t, t+1] with proj_min <= t <= proj_max - 1."""
 
     t: int
 
 
-@dataclass(frozen=True)
-class SmallCube:
+class SmallCube(NamedTuple):
     """A depth-1 digit cube: its digit tuple, form value, and the exact
     projection interval (weight + [proj_min, proj_max]) / n."""
 
@@ -53,8 +50,7 @@ class SmallCube:
     projection: tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class TypeAssignment:
+class TypeAssignment(NamedTuple):
     """All (type, cube) pairs covering one integer interval.
 
     A cube of weight w covers interval u exactly when t = u - w lies in

@@ -10,8 +10,8 @@ depth) subtrees, which leaves the enumeration semantics untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import OutOfRange, TooLarge
 from .instance import ProblemInstance
@@ -19,8 +19,7 @@ from .instance import ProblemInstance
 _CHAIN_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class CubeChain:
+class CubeChain(NamedTuple):
     """A surviving chain: digit tuples per depth plus the exact projection
     interval of the final cube."""
 

@@ -22,10 +22,9 @@ no coefficient is a ``Fraction``.  No radius verdict is taken from a float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ._digraph import strongly_connected_components
 from .errors import InternalError, WideEnclosure
@@ -37,8 +36,7 @@ _MAX_ITERATIONS = 10**6
 Matrix = Sequence[Sequence[int]]
 
 
-@dataclass(frozen=True)
-class CountMatrix:
+class CountMatrix(NamedTuple):
     """Square nonnegative integer matrix indexed by proj_min..proj_max-1.
 
     For the digit-j matrix, entry (u, v) counts the depth-1 cubes whose
@@ -57,8 +55,7 @@ class CountMatrix:
         return self.entries[u - self.index_min][v - self.index_min]
 
 
-@dataclass(frozen=True)
-class RadiusResult:
+class RadiusResult(NamedTuple):
     """Certified enclosure lower <= rho <= upper with upper-lower <= tol."""
 
     lower: Fraction

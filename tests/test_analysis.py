@@ -15,7 +15,9 @@ from slicekit import (
     witness_ur,
 )
 from slicekit.analysis import Analysis, _witness_candidates
-from slicekit.errors import HypothesisViolated, NoCertifiedWitness, NotAchievable
+from slicekit.errors import (
+    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange,
+)
 from slicekit.spectral import block_radius
 
 from conftest import counting_instances
@@ -58,6 +60,10 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
         enumerate_achievable_r(base7_double, 4)
     with pytest.raises(HypothesisViolated):
         enumerate_achievable_r(no_cover, 4)
+    # the range of max_r is checked first
+    for inst in (base7_double, no_cover):
+        with pytest.raises(OutOfRange, match="max_r must be >= 1"):
+            enumerate_achievable_r(inst, 0)
 
 
 def test_countable_examples_verify(cantor_diff):
@@ -133,6 +139,8 @@ def test_measure_ur(cantor_diff):
     for r in (2, 4):
         rep = measure_ur(search, r)
         assert rep.measure_class == "Infinite"
+        # every other field is dim_ur's
+        assert rep._replace(measure_class=None) == dim_ur(search, r)
 
 
 def _integer_block(value):

@@ -146,14 +146,31 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "render", FIXTURES / "full_interval.json")
     assert code == 1 and "l=2" in err
-    # a multiplicity range below 1 is a precondition, not an internal error
-    for argv in (
-        ("analyze", FIXTURES / "cantor_diff.json", "--max-r", "0"),
-        ("enumerate-r", FIXTURES / "cantor_diff.json", "--max-r", "0"),
-        ("dim-ur", FIXTURES / "cantor_diff.json", "--r", "0"),
+    # a multiplicity range below 1 is a precondition, not an internal
+    # error, and is checked before the instance's hypotheses
+    for argv, message in (
+        (("analyze", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
+        (("enumerate-r", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
+        (("analyze", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
+        (("enumerate-r", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
+        (("dim-ur", "cantor_diff", "--r", "0"), "--r must be >= 1"),
+        (("dim-ur", "base7_double", "--r", "0"), "--r must be >= 1"),
+        (("witness", "cantor_diff", "--r", "0"), "--r must be >= 1"),
+        (("witness", "base7_double", "--r", "0"), "--r must be >= 1"),
     ):
-        code, _, err = run(capsys, *argv)
-        assert code == 2 and "max_r must be >= 1" in err, argv
+        command, name, *flags = argv
+        code, out, err = run(capsys, command, FIXTURES / f"{name}.json", *flags)
+        assert (code, out) == (2, "") and message in err, argv
+    # so are counting limits below their range: not a resource cap (exit 3)
+    for flags, message in (
+        (("--max-depth", "-5"), "max_depth must be >= 0"),
+        (("--budget", "0"), "budget must be >= 1"),
+        (("--budget", "-1"), "budget must be >= 1"),
+    ):
+        code, out, err = run(
+            capsys, "count", FIXTURES / "cantor_diff.json", "--x", "1/3", *flags
+        )
+        assert (code, out) == (2, "") and message in err, flags
 
 
 def test_parse_rational_forms():
@@ -226,3 +243,18 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_the_card_results_are_dataclasses():
+    """Records are named tuples: each @dataclass execs its generated
+    methods at import, on every CLI start."""
+    src = Path(__file__).resolve().parent.parent / "src" / "slicekit"
+    found = sorted(
+        node.name
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for dec in node.decorator_list
+        if "dataclass" in ast.unparse(dec)
+    )
+    assert found == ["CardResult", "CycleCertificate"]

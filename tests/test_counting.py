@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -264,6 +265,25 @@ def test_exact_card_budget(cantor_diff):
     assert res.verdict in ("ExceedsBudget", "Infinite")
     res = exact_card(cantor_diff, Fraction(1, 2), max_depth=0)
     assert res.verdict == "ExceedsBudget"
+
+
+def test_exact_card_refuses_invalid_limits(cantor_diff, base7_double):
+    for kwargs in ({"max_depth": -5}, {"budget": 0}, {"budget": -1}):
+        with pytest.raises(OutOfRange):
+            exact_card(cantor_diff, Fraction(1, 3), **kwargs)
+    # the limits are checked before the hypotheses
+    with pytest.raises(OutOfRange):
+        exact_card(base7_double, Fraction(1, 3), budget=0)
+
+
+def test_card_results_are_dataclasses(cantor_diff):
+    # callers rebuild a result or its certificate with dataclasses.replace
+    res = exact_card(cantor_diff, Fraction(1, 3))
+    changed = dataclasses.replace(res, count=4)
+    assert (changed.verdict, changed.count) == ("Finite", 4)
+    cert = dataclasses.replace(res.certificate, period=res.certificate.period + 1)
+    assert cert.period == res.certificate.period + 1
+    assert dataclasses.replace(res, certificate=cert).certificate == cert
 
 
 def test_exact_card_requires_hypotheses(base7_double, no_cover):

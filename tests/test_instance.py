@@ -71,6 +71,24 @@ def test_document_errors():
         parse_instance("not json")
 
 
+def test_repr_names_the_fields():
+    # the benchmark compares repr(op.arg), which holds an instance
+    inst = parse_instance('{"n":3,"digit_sets":[[0,2],[0,2]],"coefficients":[-1,1]}')
+    assert repr(inst) == (
+        "ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-1, 1))"
+    )
+
+
+def test_equal_instances_hash_equal(cantor_diff):
+    inst = ProblemInstance(n=3, digit_sets=((2, 0), (0, 2)), coefficients=[-1, 1])
+    assert inst == cantor_diff and hash(inst) == hash(cantor_diff)
+    assert inst != ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(1, -1))
+    table = {inst: "cantor_diff"}
+    assert table[parse_instance(serialize(cantor_diff))] == "cantor_diff"
+    with pytest.raises(AttributeError):
+        inst.n = 5
+
+
 def test_digit_sets_sorted():
     inst = parse_instance('{"n": 5, "digit_sets": [[4, 0, 2]], "coefficients": [2]}')
     assert inst.digit_sets == ((0, 2, 4),)
