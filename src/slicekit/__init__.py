@@ -33,14 +33,12 @@ from .counting import (
 )
 from .graphs import (
     CongruentGraph,
-    CongruentSubset,
     FullGraph,
     SccDecomposition,
     XiGraph,
     build_congruent_graph,
     build_full_graph,
     build_xi_graph,
-    congruent_vertices,
     psi_step,
     scc,
 )
@@ -82,12 +80,10 @@ __all__ = [
     "xi_set",
     "FullGraph",
     "XiGraph",
-    "CongruentSubset",
     "CongruentGraph",
     "SccDecomposition",
     "build_full_graph",
     "build_xi_graph",
-    "congruent_vertices",
     "build_congruent_graph",
     "scc",
     "psi_step",

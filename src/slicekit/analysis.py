@@ -15,17 +15,18 @@
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, covering and
-separation, the digit matrices, the U1 report and the subset graph, which
-holds every subset of every residue class and so every aligned subset the
-search consults.  ``dim_u1`` reads a context; ``dim_ur``, ``measure_ur``
-and ``witness_ur`` read one multiplicity search, ``RSearchResult``, which
-carries the context it ran on.
+separation, the digit matrices and the U1 report.  The multiplicity search
+builds the subset graph once, only the part that the aligned subsets of
+its reachable vectors reach, since nothing reads any other subset.
+``dim_u1`` reads a context; ``dim_ur``, ``measure_ur`` and ``witness_ur``
+read one multiplicity search, ``RSearchResult``, which carries the context
+it ran on and that subset graph.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
 components only (or on a 1x1 integer block; the context keeps the blocks of
-the restricted graph and builds those of the subset graph on demand):
-which components attain rho,
+the restricted graph, and ``dim_ur`` builds those of the subset graph on
+demand): which components attain rho,
 whether failing separation is negligible, where the multiplicity dimension
 takes its maximum, the countable flag and domination.  Dimensions are
 reported as floats, but no decision is taken from one.  Each witness point
@@ -35,7 +36,7 @@ is certified by ``exact_card`` before it is returned.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import inf, log, prod
 from typing import NamedTuple
 
@@ -247,35 +248,7 @@ class Analysis:
         }
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
-    # -- the subset graph and the multiplicity search --------------------------
-
-    @cached_property
-    def subset_graph(self) -> CongruentGraph:
-        return build_congruent_graph(self.inst)
-
-    @cached_property
-    def _subset_blocks(self) -> dict[int, Block]:
-        return {}
-
-    @cached_property
-    def subset_number(self) -> dict[tuple[int, ...], int]:
-        """The vertex number of each subset of the subset graph."""
-        return {members: v for v, members in enumerate(self.subset_graph.vertices)}
-
-    def subset_block(self, idx: int) -> Block:
-        """The block of component ``idx`` of the subset graph, built on
-        first use (nearly all components are single vertices, and few are
-        ever compared)."""
-        blocks = self._subset_blocks
-        if idx not in blocks:
-            graph = self.subset_graph
-            comp = graph.scc.components[idx]
-            if len(comp) > 1:
-                matrix = component_matrix(graph.succ, comp)
-            else:
-                matrix = ((int(idx in graph.scc.cycling),),)
-            blocks[idx] = (graph.scc.radii[idx], matrix)
-        return blocks[idx]
+    # -- the multiplicity search ----------------------------------------------
 
     def aligned_subsets(self, support: tuple[int, ...]):
         """(h, subset) for every residue h whose aligned subset
@@ -286,12 +259,6 @@ class Analysis:
             members = tuple([n * p + h for p in support])
             if all(u in types for u in members):
                 yield h, members
-
-    def cycles_reached(self, members: tuple[int, ...]) -> frozenset[int]:
-        """The cycling subset-graph components that subset ``members`` reaches."""
-        decomposition = self.subset_graph.scc
-        i = decomposition.comp_of[self.subset_number[members]]
-        return decomposition.reach[i] & decomposition.cycling
 
 
 def dim_u1(inst: ProblemInstance) -> U1Report:
@@ -333,6 +300,7 @@ class RSearchResult(NamedTuple):
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
+    graph: CongruentGraph
 
     def achievable(self) -> list[int]:
         return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
@@ -428,6 +396,8 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     inst = context.inst
     if max_r < 1:
         raise OutOfRange(f"max_r must be >= 1, got {max_r}")
+    if budget < 1:
+        raise OutOfRange(f"budget must be >= 1, got {budget}")
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):
@@ -493,6 +463,15 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
                     n, rv.integer_part, rv.word + (j,), (0,)
                 )
 
+    # the subset graph: what the aligned subsets of the vectors reach
+    graph = build_congruent_graph(
+        inst,
+        {
+            members
+            for support in {rv.support for rv in vectors}
+            for _, members in context.aligned_subsets(support)
+        },
+    )
     statuses: dict[int, RStatus] = {}
     by_norm: dict[int, list[ReachableVector]] = {}
     for rv in vectors:
@@ -501,7 +480,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
         witness = None
         for rv in by_norm.get(r, []):
             for h, members in context.aligned_subsets(rv.support):
-                if context.cycles_reached(members):
+                if graph.cycles_reached(members):
                     witness = AchievabilityWitness(
                         vector=rv.vector,
                         integer_part=rv.integer_part,
@@ -520,7 +499,11 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
         else:
             statuses[r] = RStatus(r, STATUS_NOT_REACHABLE, None, None)
     return RSearchResult(
-        max_r=max_r, vectors=tuple(vectors), statuses=statuses, analysis=context
+        max_r=max_r,
+        vectors=tuple(vectors),
+        statuses=statuses,
+        analysis=context,
+        graph=graph,
     )
 
 
@@ -570,14 +553,25 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
             measure_class=None,
         )
         return report, None
-    context = search.analysis
+    context, graph = search.analysis, search.graph
     n = context.inst.n
-    block = context.subset_block
+
+    @cache
+    def block(idx: int) -> Block:
+        """The block of subset-graph component ``idx``; nearly all are
+        single vertices, and few are ever compared."""
+        comp = graph.scc.components[idx]
+        if len(comp) > 1:
+            matrix = component_matrix(graph.succ, comp)
+        else:
+            matrix = ((int(idx in graph.scc.cycling),),)
+        return graph.scc.radii[idx], matrix
+
     best = None
     candidates = set()
     for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
         for _, members in context.aligned_subsets(support):
-            top = _top(block, sorted(context.cycles_reached(members)))
+            top = _top(block, sorted(graph.cycles_reached(members)))
             if top is None:
                 continue
             candidates.add(_log_over_log_n(block(top)[0].estimate, n))
@@ -673,8 +667,7 @@ def _witness_candidates(search: RSearchResult, r: int):
     ``_loops`` at the vertex where a shortest path from the subset enters
     the component.  Each expansion is the vector's digit word, then the
     residues along the path, then those along the loop."""
-    context = search.analysis
-    graph = context.subset_graph
+    context, graph = search.analysis, search.graph
     residue = graph.residue
     decomposition = graph.scc
     vectors = [rv for rv in search.vectors if rv.norm == r]
@@ -682,9 +675,9 @@ def _witness_candidates(search: RSearchResult, r: int):
     first = [rv.vector for rv in vectors].index(search.statuses[r].witness.vector)
     for rv in vectors[first:]:
         for _, members in context.aligned_subsets(rv.support):
-            for idx in sorted(context.cycles_reached(members)):
+            for idx in sorted(graph.cycles_reached(members)):
                 comp = set(decomposition.components[idx])
-                path = _bfs_path(graph.succ, context.subset_number[members], comp)
+                path = _bfs_path(graph.succ, graph.number[members], comp)
                 comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
                 for cycle in _loops(comp_succ, path[-1], residue):
                     yield WitnessExpansion(

@@ -4,24 +4,21 @@
   to each of the n intervals inside the working interval [t, t+1].
 * restricted graph: the induced subgraph on the uniquely covered intervals,
   with its 0-1 transition matrix (ascending-u indexing).
-* subset graph: vertices are every nonempty subset of every residue class
-  of the uniquely covered intervals (all members share u mod n), refused
-  with TooLarge past 2**20 subsets in all; from a subset, the successor
-  under residue h is the set of images n*t(u) + h, and an edge exists
-  exactly when that image stays inside the uniquely covered collection.
-  This successor form is equivalent to the two-sided covering rule
-  quantified over full-graph edges, because a uniquely covered interval has
-  exactly one candidate successor per residue.
+* subset graph: vertices are nonempty sets of uniquely covered intervals
+  that share u mod n; from a subset, the successor under residue h is the
+  set of images n*t(u) + h, and an edge exists exactly when that image
+  stays inside the uniquely covered collection.  This successor form is
+  equivalent to the two-sided covering rule quantified over full-graph
+  edges, because a uniquely covered interval has exactly one candidate
+  successor per residue.
 
-The subset graph is built on int masks and numbered once: a subset is a
-mask over its residue class (bit i for the class's i-th smallest member),
-each member's image under residue h is one bit of the class of residue h
-or, when it leaves the uniquely covered intervals, a bit of that class's
-fail mask, and a subset's image is the union of its members' bits.  Vertex
-v is the v-th subset in ascending member order; the returned
-``CongruentGraph`` keeps that numbering, with the member tuple and the
-comma-joined label of each number, int successor lists and the
-decomposition on numbers.
+Only the part of the subset graph that given seed subsets reach is ever
+built: ``build_congruent_graph`` closes the seeds under
+``subset_successor``, refused with TooLarge past 2**20 vertices, numbers
+the reached subsets in ascending member order and decomposes them on
+those numbers.  A successor-closed vertex set is a union of whole strongly
+connected components, so the components, radii, reach sets and cycling
+flags it yields are those of the whole subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
@@ -46,7 +43,7 @@ from .instance import ProblemInstance
 from .lattice import IntegerInterval, make_interval, u_range, xi_types
 from .spectral import RadiusResult, block_radius
 
-# Largest sum over residue classes of 2**|class| the subset graph enumerates.
+# Most subset-graph vertices ``build_congruent_graph`` explores.
 _SUBSET_LIMIT = 2**20
 
 # The radius of a single vertex without and with a loop.
@@ -89,18 +86,6 @@ class XiGraph:
         )
 
 
-class CongruentSubset(NamedTuple):
-    """Nonempty set of uniquely covered intervals, pairwise congruent mod n."""
-
-    members: tuple[int, ...]
-    residue: int
-    occupied: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class SccDecomposition(NamedTuple):
     """Components of a graph on vertices 0..V-1, sorted by their smallest
     vertex, each sorted; ``reach[i]`` holds every component that component
@@ -119,21 +104,27 @@ class SccDecomposition(NamedTuple):
 
 
 class CongruentGraph(NamedTuple):
-    """The subset graph on vertex numbers 0..V-1, ascending by members:
-    ``vertices[v]`` is the member tuple of vertex v and ``labels[v]`` its
-    members comma-joined, ``succ[v]`` the numbers of its successors (one
-    per residue h with an edge, ascending in h) and ``scc`` the
-    decomposition on numbers."""
+    """The subsets reached from a set of seeds, on vertex numbers 0..V-1
+    ascending by members: ``vertices[v]`` is the member tuple of vertex v
+    and ``number`` maps each member tuple back to its number, ``succ[v]``
+    holds the numbers of v's successors (one per residue h with an edge,
+    ascending in h) and ``scc`` the decomposition on numbers."""
 
     n: int
     vertices: tuple[tuple[int, ...], ...]
-    labels: tuple[str, ...]
+    number: dict[tuple[int, ...], int]
     succ: tuple[tuple[int, ...], ...]
     scc: SccDecomposition
 
     def residue(self, v: int) -> int:
         """The residue mod n shared by the members of vertex v."""
         return self.vertices[v][0] % self.n
+
+    def cycles_reached(self, members: tuple[int, ...]) -> frozenset[int]:
+        """The cycling components that the vertex with ``members`` reaches."""
+        decomposition = self.scc
+        i = decomposition.comp_of[self.number[members]]
+        return decomposition.reach[i] & decomposition.cycling
 
 
 def build_full_graph(inst: ProblemInstance) -> FullGraph:
@@ -166,143 +157,48 @@ def subset_successor(
     types: Mapping[int, int], n: int, members: tuple[int, ...], h: int
 ) -> tuple[int, ...] | None:
     """Image of a subset under residue h, or None when it leaves the
-    uniquely covered collection: the edge rule for one subset, which
-    ``build_congruent_graph`` applies to whole classes at once on masks."""
+    uniquely covered collection: the subset graph's one edge rule."""
     image = sorted({n * types[u] + h for u in members})
     if all(v in types for v in image):
         return tuple(image)
     return None
 
 
-def _residue_classes(types: Mapping[int, int], n: int) -> dict[int, list[int]]:
-    """Residue h -> the uniquely covered intervals congruent to h mod n,
-    ascending; residues ascending by their smallest member."""
-    classes: dict[int, list[int]] = {}
-    for u in sorted(types):
-        classes.setdefault(u % n, []).append(u)
-    return classes
+def build_congruent_graph(
+    inst: ProblemInstance, seeds: Iterable[tuple[int, ...]]
+) -> CongruentGraph:
+    """The part of the subset graph that the subsets ``seeds`` reach,
+    decomposed on vertex numbers.
 
-
-def _ascending_subsets(cls: list[int]) -> tuple[list, list, list]:
-    """Every nonempty subset of the ascending members ``cls``, ascending as
-    member tuples, as three parallel lists: member tuples, comma-joined
-    labels and masks (bit i for member i).
-
-    The subsets whose smallest member is cls[k] are cls[k] alone, then
-    cls[k] prepended to each subset of the members after it, so the lists
-    double from the last member back, and the 2**(m-1-k) subsets that start
-    with cls[k] sit at offset 2**m - 2**(m-k), m = len(cls).
-    """
-    members: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    masks: list[int] = []
-    for k in range(len(cls) - 1, -1, -1):
-        head, text, bit = (cls[k],), str(cls[k]), 1 << k
-        members = [head] + [head + m for m in members] + members
-        labels = [text] + [f"{text},{s}" for s in labels] + labels
-        masks = [bit] + [bit | m for m in masks] + masks
-    return members, labels, masks
-
-
-def _numbered_subsets(classes: Mapping[int, list[int]]):
-    """(vertices, labels, number): the member tuple and label of every
-    nonempty subset of every class, ascending by members, and
-    ``number[h][mask]``, the position in that order of the subset ``mask``
-    of class h.  Subsets with different smallest members compare by that
-    member alone, so the classes' blocks merge by it with no sort.  Raises
-    TooLarge, before enumerating, when the sum of 2**|class| over the
-    classes exceeds _SUBSET_LIMIT."""
-    if sum(2 ** len(cls) for cls in classes.values()) > _SUBSET_LIMIT:
-        raise TooLarge(f"residue classes have more than {_SUBSET_LIMIT} subsets")
-    ascending = {h: _ascending_subsets(cls) for h, cls in classes.items()}
-    number = {h: [0] * 2 ** len(cls) for h, cls in classes.items()}
-    vertices: list[tuple[int, ...]] = []
-    labels: list[str] = []
-    starts = sorted((u, h, k) for h, cls in classes.items() for k, u in enumerate(cls))
-    for _, h, k in starts:
-        size = len(classes[h])
-        start, stop = 2**size - 2 ** (size - k), 2**size - 2 ** (size - k - 1)
-        members, texts, masks = ascending[h]
-        table = number[h]
-        for v, mask in enumerate(masks[start:stop], len(vertices)):
-            table[mask] = v
-        vertices += members[start:stop]
-        labels += texts[start:stop]
-    return vertices, labels, number
-
-
-def congruent_vertices(inst: ProblemInstance) -> list[CongruentSubset]:
-    """Vertices of the subset graph, ascending by members: every nonempty
-    subset of every residue class of the uniquely covered intervals.
-
-    This is also every subset the multiplicity search can start from: for a
-    fixed residue h, p -> n*p + h maps the working intervals one-to-one onto
-    residue class h of ``u_range``, so the uniquely covered aligned subsets
-    {n*p + h : p in P} are exactly the subsets of the classes, and
-    successors never leave them.  The subsets are enumerated as
-    ``build_congruent_graph`` numbers them.  Raises TooLarge, before
-    enumerating, when the sum of 2**|class| over the classes exceeds
-    _SUBSET_LIMIT.
+    Each seed is a nonempty ascending tuple of uniquely covered intervals
+    that share u mod n.  The vertices are the closure of the seeds under
+    ``subset_successor``, numbered in ascending member order.  Raises
+    TooLarge as soon as the closure has more than _SUBSET_LIMIT vertices.
     """
     types = xi_types(inst)
     n = inst.n
-    vertices, _, _ = _numbered_subsets(_residue_classes(types, n))
-    # members ascend and share u mod n, so their quotients ascend strictly
-    return [CongruentSubset(m, m[0] % n, tuple([u // n for u in m])) for m in vertices]
-
-
-def build_congruent_graph(inst: ProblemInstance) -> CongruentGraph:
-    """The subset graph, built on int masks and decomposed on vertex
-    numbers.
-
-    Under residue h, member i of a class goes to the interval n*t + h, which
-    is either bit ``bits[i]`` of the class of residue h or, when it is not
-    uniquely covered, bit i of the fail mask.  A subset's image is the union
-    of its members' bits, so image[mask | 1 << i] = image[mask] | bits[i]
-    for every mask < 2**i, and the subset has an edge under h exactly when
-    it shares no bit with the fail mask.  Only those subsets are visited,
-    as the submasks of the fail mask's complement; most subsets have no
-    edge at all.
-    """
-    types = xi_types(inst)
-    n = inst.n
-    classes = _residue_classes(types, n)
-    vertices, labels, number = _numbered_subsets(classes)
-    position = {u: i for cls in classes.values() for i, u in enumerate(cls)}
-    succ: list[tuple[int, ...]] = [()] * len(vertices)
-    for c, cls in classes.items():
-        # out[mask]: the successor numbers of subset mask, ascending in h
-        out: dict[int, list[int]] = {}
+    # images[members]: the successors of a reached subset, ascending in h
+    images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    frontier = list(seeds)
+    while frontier:
+        members = frontier.pop()
+        if members in images:
+            continue
+        if len(images) == _SUBSET_LIMIT:
+            raise TooLarge(f"the subset graph explores more than {_SUBSET_LIMIT} vertices")
+        out = images[members] = []
         for h in range(n):
-            bits, fail = [], 0
-            for i, u in enumerate(cls):
-                target = n * types[u] + h
-                if target in types:
-                    bits.append(1 << position[target])
-                else:
-                    bits.append(0)
-                    fail |= 1 << i
-            # the subsets with an edge under h are the nonempty submasks of
-            # ``free``; without a class of residue h every member fails
-            free = (1 << len(cls)) - 1 & ~fail
-            if not free:
-                continue
-            # image[mask | 1 << i] = image[mask] | bits[i] for mask < 2**i
-            image = [0]
-            for bit in bits:
-                image += [m | bit for m in image]
-            table = number[h]
-            mask = free
-            while mask:
-                out.setdefault(mask, []).append(table[image[mask]])
-                mask = (mask - 1) & free
-        source = number[c]
-        for mask, targets in out.items():
-            succ[source[mask]] = tuple(targets)
+            image = subset_successor(types, n, members, h)
+            if image is not None:
+                out.append(image)
+                frontier.append(image)
+    vertices = sorted(images)
+    number = {members: v for v, members in enumerate(vertices)}
+    succ = [tuple([number[image] for image in images[members]]) for members in vertices]
     return CongruentGraph(
         n=n,
         vertices=tuple(vertices),
-        labels=tuple(labels),
+        number=number,
         succ=tuple(succ),
         scc=scc(succ),
     )

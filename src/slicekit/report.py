@@ -142,13 +142,14 @@ def build_report(
             "notes": list(u1.notes),
         },
     }
-    data["scc_subsets"] = dict(
-        _scc_json(context.subset_graph.scc, context.subset_graph.labels), mode="full"
-    )
     if search is None:
+        data["scc_subsets"] = {}
         data["r_search"] = {"status": "HypothesisViolated", "reason": refusal}
         data["ur"] = {}
     else:
+        graph = search.graph
+        labels = [",".join(map(str, members)) for members in graph.vertices]
+        data["scc_subsets"] = _scc_json(graph.scc, labels)
         data["r_search"] = _search_json(inst, search)
         data["ur"] = _ur_json(inst, search)
     elapsed = time.monotonic() - started

@@ -60,10 +60,12 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
         enumerate_achievable_r(base7_double, 4)
     with pytest.raises(HypothesisViolated):
         enumerate_achievable_r(no_cover, 4)
-    # the range of max_r is checked first
+    # the ranges of max_r and budget are checked first
     for inst in (base7_double, no_cover):
         with pytest.raises(OutOfRange, match="max_r must be >= 1"):
             enumerate_achievable_r(inst, 0)
+        with pytest.raises(OutOfRange, match="budget must be >= 1"):
+            enumerate_achievable_r(inst, 6, budget=0)
 
 
 def test_countable_examples_verify(cantor_diff):

@@ -146,12 +146,13 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "render", FIXTURES / "full_interval.json")
     assert code == 1 and "l=2" in err
-    # a multiplicity range below 1 is a precondition, not an internal
-    # error, and is checked before the instance's hypotheses
+    # a multiplicity range or budget below 1 is a precondition, not an
+    # internal error, and is checked before the instance's hypotheses
     for argv, message in (
         (("analyze", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
         (("enumerate-r", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
         (("analyze", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
+        (("analyze", "base7_double", "--budget", "0"), "budget must be >= 1"),
         (("enumerate-r", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
         (("dim-ur", "cantor_diff", "--r", "0"), "--r must be >= 1"),
         (("dim-ur", "base7_double", "--r", "0"), "--r must be >= 1"),

@@ -36,30 +36,35 @@ def test_analyze_matches_golden(name, tmp_path):
 
 # The scaled family of the benchmark (spans 9-17 of n=3 {0,2} two-factor
 # instances, n=5 and n=7, l=3 and l=4), written out here so that this test
-# does not depend on bench/, and span 21, the largest subset graph analysed
-# in CI (49149 vertices).  Each hash is the sha256 of the report's ``data``
-# section serialised as above.  They pin the scc_xi/scc_subsets orders and
-# radii of subset graphs far larger than any bundled instance's.
+# does not depend on bench/, and spans 21, 25 and 29, whose residue classes
+# have 49149, 393213 and 2359293 subsets; the search explores 279, 748 and
+# 1309 of them.  Each hash is the sha256 of the report's ``data`` section
+# serialised as above.  They pin the scc_xi/scc_subsets orders and radii
+# of subset graphs far larger than any bundled instance's.
 SCALED = {
     "span9": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-4, 5]}',
-              "97d7c615591c1ae40a183bbef30637cb83dad9555e0228311460630ea9851af8"),
+              "c2d8cd7864d2cf0b0a9f0ce22e74f5bd7569cbbf79b6e70b047d164780b7c04d"),
     "span13": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-6, 7]}',
-               "ba1b23bf8ecec826d70dc1488ef90dc88dc7766943f4f02cb340c2c5cf96b774"),
+               "fa6303d70510a999edba9adb61bb5cd47d4d4f8f4931e4a606a9d2e2af92cb59"),
     "span15": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-7, 8]}',
-               "7ea306e10005ac8feed86367f5564b4d13293c1ae9aa1262cd917dfe6065f96d"),
+               "9b557fc666754332bc98ea6c54974383bc30accf4abf2d3a101ffc4a867690ae"),
     "span17": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-8, 9]}',
-               "5e1e76cbd9b86f4e9ba0f852fc3d34804ed43d6bf75c4e73648926af32e3c2ef"),
+               "918709157c7f6607b95d6fcb5667c92604f3aa03e5604483f73c4897567471b3"),
     "span21": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10, 11]}',
-               "6066ac7962b103a89f40b317b5a71edfd3bafd0b72383c32c22aee7aadac77c7"),
+               "853736a8adc5657cf2ded3b5b65f730e905982260d8b96a4502b39f0e9568814"),
+    "span25": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-12, 13]}',
+               "cabcdb6ac5a42038a9727c41b45e7fc0696ee7a553d5264bd65aa15221423fa3"),
+    "span29": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-14, 15]}',
+               "139a92be2628619f988a3944e23b51df558e7028ace5e813bf94ca9fde7cc4e7"),
     "n7": ('{"n": 7, "digit_sets": [[0, 3, 6], [0, 3, 6]], "coefficients": [-2, 5]}',
-           "6273551c91ffcdfae4e5749a91077f6ffece6b77500dfb09c42dad3a2c42553e"),
+           "3a115242e30485d0f2819e89ae38c493f70c577a048690bcc73122c7bc5f1473"),
     "n5": ('{"n": 5, "digit_sets": [[0, 2, 4], [0, 2, 4]], "coefficients": [-5, 6]}',
-           "b1765b75fc26ee7928822b17d6625acb861c5662a1cb95be619282e82e228273"),
+           "7137f33c0a208f15230947937da19ed850bd0f7d30fbbdc2e481bf02439cbf60"),
     "l3": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2]], "coefficients": [-4, 4, 5]}',
-           "9804a667d06bc3d2415cfb700b8a7c6ecb20e2da18e0eee2e67b7214793a3d0b"),
+           "adb290306c986e5d8df489c4c90b686788e604455b920d3183c9bf0d4872ac9c"),
     "l4": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2], [0, 2]], '
            '"coefficients": [-2, 3, -3, 4]}',
-           "ea49b48fd79c48d7a04b35df9f39699d7c68d9892f32d033a33d7542e0604d08"),
+           "e505783d476c34d29bb9d0aa74db7f4bce4f484976809e4ec4574bb1284ee45e"),
 }
 
 

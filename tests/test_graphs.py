@@ -8,13 +8,14 @@ from slicekit import (
     build_congruent_graph,
     build_full_graph,
     build_xi_graph,
-    congruent_vertices,
+    enumerate_achievable_r,
     psi_step,
     scc,
 )
+from slicekit import graphs
 from slicekit.errors import NotInterior, NotInXi, TooLarge
 from slicekit.graphs import subset_successor
-from slicekit.instance import ProblemInstance
+from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 
 from test_properties import instances
@@ -53,31 +54,30 @@ def test_xi_graph_restriction(cantor_diff):
         assert got == expected
 
 
-def test_congruent_vertices_full(cantor_diff):
-    subs = congruent_vertices(cantor_diff)
-    members = sorted(s.members for s in subs)
-    assert members == [(-3,), (-2,), (-2, 1), (1,), (2,)]
-    pair = next(s for s in subs if s.members == (-2, 1))
-    assert pair.residue == 1
-    assert pair.occupied == (-1, 0)
-    assert pair.size == len(pair.occupied)
+def _every_support(inst):
+    """Every nonempty set of working intervals, ascending."""
+    positions = range(inst.proj_min, inst.proj_max)
+    return [
+        tuple(p for i, p in enumerate(positions) if mask >> i & 1)
+        for mask in range(1, 2 ** len(positions))
+    ]
 
 
-def _aligned_closure(inst):
-    """The subset graph's vertices by their first definition: the aligned
-    subsets {n*p + h : p in P} of every nonempty set P of working intervals
-    that lie inside the uniquely covered collection, closed under
-    ``subset_successor``."""
+def _aligned_seeds(inst, supports):
+    """The aligned subsets {n*p + h : p in P} of every P in ``supports``
+    that lie inside the uniquely covered collection."""
     types = xi_types(inst)
     n = inst.n
-    positions = range(inst.proj_min, inst.proj_max)
-    frontier = []
-    for mask in range(1, 2 ** len(positions)):
-        chosen = [p for i, p in enumerate(positions) if mask >> i & 1]
-        for h in range(n):
-            members = tuple(n * p + h for p in chosen)
-            if all(u in types for u in members):
-                frontier.append(members)
+    aligned = (tuple(n * p + h for p in chosen) for chosen in supports for h in range(n))
+    return [members for members in aligned if all(u in types for u in members)]
+
+
+def _aligned_closure(inst, supports):
+    """The subset graph's vertices by their first definition: the aligned
+    subsets of ``supports``, closed under ``subset_successor``."""
+    types = xi_types(inst)
+    n = inst.n
+    frontier = _aligned_seeds(inst, supports)
     closed = set()
     while frontier:
         members = frontier.pop()
@@ -91,9 +91,41 @@ def _aligned_closure(inst):
     return closed
 
 
+def _whole_graph(inst):
+    """The subset graph explored from the aligned subsets of every support,
+    which are every subset of every residue class."""
+    return build_congruent_graph(inst, _aligned_seeds(inst, _every_support(inst)))
+
+
+def test_congruent_vertices_full(cantor_diff):
+    g = _whole_graph(cantor_diff)
+    assert g.vertices == ((-3,), (-2,), (-2, 1), (1,), (2,))
+    assert g.number[(-2, 1)] == 2
+    assert [g.residue(v) for v in range(5)] == [0, 1, 1, 1, 2]
+
+
+def test_search_explores_aligned_closure(cantor_diff, cantor_double_diff, cantor_sum):
+    """The search's subset graph holds exactly the closure of the aligned
+    subsets of its vectors' supports."""
+    for inst in (cantor_diff, cantor_double_diff, cantor_sum):
+        for max_r in (1, 3, 6):
+            search = enumerate_achievable_r(inst, max_r)
+            supports = {rv.support for rv in search.vectors}
+            assert set(search.graph.vertices) == _aligned_closure(inst, supports)
+
+
+def _assert_explores_aligned_closure(inst):
+    """The builder explores the aligned closure of every support, and that
+    of the single working intervals."""
+    assert set(_whole_graph(inst).vertices) == _aligned_closure(inst, _every_support(inst))
+    singles = [(p,) for p in range(inst.proj_min, inst.proj_max)]
+    explored = build_congruent_graph(inst, _aligned_seeds(inst, singles))
+    assert set(explored.vertices) == _aligned_closure(inst, singles)
+
+
 def test_congruent_vertices_equal_aligned_closure(cantor_diff, base6_mixed, cantor_double_diff):
     for inst in (cantor_diff, base6_mixed, cantor_double_diff):
-        assert {s.members for s in congruent_vertices(inst)} == _aligned_closure(inst)
+        _assert_explores_aligned_closure(inst)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -101,13 +133,13 @@ def test_congruent_vertices_equal_aligned_closure(cantor_diff, base6_mixed, cant
 def test_congruent_vertices_equal_aligned_closure_random(inst):
     if inst.span > 10:
         return
-    assert {s.members for s in congruent_vertices(inst)} == _aligned_closure(inst)
+    _assert_explores_aligned_closure(inst)
 
 
 def test_congruent_graph_edges(cantor_diff):
-    g = build_congruent_graph(cantor_diff)
+    g = _whole_graph(cantor_diff)
     xg = build_xi_graph(cantor_diff)
-    number = {members: v for v, members in enumerate(g.vertices)}
+    number = g.number
     # singleton-to-singleton edges coincide with the restricted graph
     for i, u in enumerate(xg.us):
         targets = {g.vertices[w] for w in g.succ[number[(u,)]]}
@@ -116,11 +148,11 @@ def test_congruent_graph_edges(cantor_diff):
     pair = number[(-2, 1)]
     assert g.succ[pair] == (pair,)
     assert g.residue(pair) == 1
-    assert g.labels[pair] == "-2,1"
+    assert g.cycles_reached((-2, 1)) == frozenset({g.scc.comp_of[pair]})
 
 
 def test_congruent_graph_sccs(cantor_diff):
-    g = build_congruent_graph(cantor_diff)
+    g = _whole_graph(cantor_diff)
     comps = {frozenset(g.vertices[v] for v in c) for c in g.scc.components}
     assert frozenset({(-3,), (-2,), (1,), (2,)}) in comps
     assert frozenset({(-2, 1)}) in comps
@@ -132,17 +164,20 @@ def test_congruent_graph_sccs(cantor_diff):
     assert radii[((-3,), (-2,), (1,), (2,))] == 2.0
 
 
-def test_congruent_full_mode_cap():
-    # 41 singleton factors give a uniquely covered run of 41 intervals, in
-    # residue classes of 21 and 20 members: over 2**20 subsets in all
-    inst = ProblemInstance(
-        n=2, digit_sets=((0,),) * 41, coefficients=(1,) * 41
+def test_explored_vertex_cap(monkeypatch):
+    """_SUBSET_LIMIT caps the vertices explored, not the subsets of the
+    residue classes: span 29 (classes of 20, 20 and 18 members, 2359293
+    subsets) explores 1309 and passes, and refuses below that cap."""
+    span29 = parse_instance(
+        '{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-14, 15]}'
     )
+    explored = len(enumerate_achievable_r(span29, 6).graph.vertices)
+    assert explored == 1309
+    monkeypatch.setattr(graphs, "_SUBSET_LIMIT", explored)
+    assert len(enumerate_achievable_r(span29, 6).graph.vertices) == explored
+    monkeypatch.setattr(graphs, "_SUBSET_LIMIT", explored - 1)
     with pytest.raises(TooLarge):
-        congruent_vertices(inst)
-    # span 21, three classes of 14 members each: within the cap
-    wide = ProblemInstance(n=3, digit_sets=((0, 2),) * 2, coefficients=(-10, 11))
-    assert len(congruent_vertices(wide)) == 3 * (2**14 - 1)
+        enumerate_achievable_r(span29, 6)
 
 
 def test_scc_examples(cantor_diff, base7_double):
@@ -265,7 +300,7 @@ def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     for inst in (cantor_diff, base6_mixed):
         xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst).succ).radii}
         sub_radii = {
-            rr.estimate for rr in build_congruent_graph(inst).scc.radii
+            rr.estimate for rr in _whole_graph(inst).scc.radii
         }
         assert xi_radii <= sub_radii
 
@@ -276,7 +311,7 @@ def test_subset_edges_match_two_sided_rule(cantor_diff, base6_mixed, cantor_doub
     the full graph and every member of B is reached from some member of A."""
     for inst in (cantor_diff, base6_mixed, cantor_double_diff):
         full = build_full_graph(inst).adjacency
-        g = build_congruent_graph(inst)
+        g = _whole_graph(inst)
         vertices = g.vertices
         edges = {
             (vertices[a], vertices[t]) for a, outs in enumerate(g.succ) for t in outs

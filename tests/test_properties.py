@@ -64,10 +64,11 @@ def test_unique_interval_neighbours_fill_working_interval(inst):
 
 
 def _assert_xi_sccs_survive(inst):
-    """A subset never grows under successors, so the singleton components of
-    the subset graph reproduce the restricted graph's components and radii."""
-    graph = build_congruent_graph(inst)
+    """A subset never grows under successors, so the subset graph explored
+    from every singleton reproduces the restricted graph's components and
+    radii."""
     xi = build_xi_graph(inst)
+    graph = build_congruent_graph(inst, [(u,) for u in xi.us])
     xi_scc = scc(xi.succ)
     xi_comps = {frozenset((xi.us[i],) for i in comp) for comp in xi_scc.components}
     sub_comps = {frozenset(graph.vertices[v] for v in c) for c in graph.scc.components}
@@ -80,14 +81,12 @@ def _assert_xi_sccs_survive(inst):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(instances())
 def test_xi_sccs_survive_in_subset_graph(inst):
-    if len(xi_types(inst)) > 12:
-        return
     _assert_xi_sccs_survive(inst)
 
 
 def test_xi_sccs_survive_in_subset_graph_named():
     """The same check on every bundled instance, on the benchmark's scaled
-    family (spans up to 17) and on span 21, the graphs ``analyze`` builds."""
+    family (spans up to 17) and on spans 21, 25 and 29."""
     for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
         _assert_xi_sccs_survive(load(name))
     for document, _ in SCALED.values():

@@ -1,38 +1,40 @@
-"""The sparse multiplicity search, the mask-built subset graph and the
-integer power iteration against the dense and tuple-based constructions
+"""The sparse multiplicity search, the explored subset graph and the
+integer power iteration against the dense and whole-graph constructions
 they replaced, written out here.
 
 ``_dense_reachable_vectors`` forms every product e_i T_{j1} ... T_{jk} as a
 full span x span vector-matrix product.  ``_tuple_subset_graph`` enumerates
-each residue class's subsets as sorted member tuples, takes edges from
-``subset_successor``, finds components by Kosaraju's two passes and
-certifies every component, single vertices included, with
-``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
-rows with a ``Fraction`` per ratio.  The new code must reproduce all three
-exactly: the same vectors in the same discovery order; the same vertices,
-edges, components, reach sets and radii, read through ``graph.vertices``;
+every subset of every residue class as sorted member tuples, takes edges
+from ``subset_successor`` and finds components by Kosaraju's two passes;
+``_assert_restriction`` certifies each component it compares, single
+vertices included, with ``block_radius``.  ``_dense_block_radius`` is the
+power iteration on dense rows with a ``Fraction`` per ratio.  The new code
+must reproduce all three exactly: the same vectors in the same discovery
+order; on the explored vertices, the same vertices, edges, components,
+reach sets and radii as the whole graph, read through ``graph.vertices``;
 and the same ``RadiusResult``.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit import build_congruent_graph, congruent_vertices
+from slicekit import (
+    build_congruent_graph, covering_condition, enumerate_achievable_r, parse_instance,
+    strong_separation,
+)
 from slicekit.analysis import _VECTOR_CAP, _reachable_vectors
 from slicekit.errors import TooLarge, WideEnclosure
-from slicekit.graphs import (
-    CongruentSubset,
-    component_matrix,
-    subset_successor,
-)
+from slicekit.graphs import component_matrix, subset_successor
 from slicekit.lattice import xi_types
 from slicekit.spectral import (
     _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
 )
 
 from conftest import FIXTURES, counting_instances, load
+from test_golden import SCALED
 from test_properties import instances
 
 BUNDLED = sorted(p.stem for p in FIXTURES.glob("*.json"))
@@ -132,29 +134,29 @@ def _kosaraju(succ):
 
 
 def _tuple_subset_graph(inst):
-    """(vertices, adjacency, components, reach, radii, comp_of, cycling) of
-    the subset graph, built on sorted member tuples."""
+    """(vertices, adjacency, components, reach, comp_of, cycling) of the
+    whole subset graph, every nonempty subset of every residue class, built
+    on sorted member tuples.  Radii are certified by ``_assert_restriction``
+    for the components it compares only."""
     types = xi_types(inst)
     n = inst.n
     classes = {}
     for u in sorted(types):
         classes.setdefault(u % n, []).append(u)
-    vertices = []
-    for cls in classes.values():
-        for mask in range(1, 2 ** len(cls)):
-            members = tuple(cls[i] for i in range(len(cls)) if mask >> i & 1)
-            occupied = tuple(sorted({u // n for u in members}))
-            vertices.append(CongruentSubset(members, members[0] % n, occupied))
-    vertices.sort(key=lambda s: s.members)
-    keys = {v.members for v in vertices}
+    vertices = sorted(
+        tuple(cls[i] for i in range(len(cls)) if mask >> i & 1)
+        for cls in classes.values()
+        for mask in range(1, 2 ** len(cls))
+    )
+    keys = set(vertices)
     adjacency = {}
     for v in vertices:
         out = []
         for h in range(n):
-            img = subset_successor(types, n, v.members, h)
+            img = subset_successor(types, n, v, h)
             if img is not None and img in keys:
                 out.append((h, img))
-        adjacency[v.members] = tuple(out)
+        adjacency[v] = tuple(out)
     succ = {k: tuple(t for _, t in outs) for k, outs in adjacency.items()}
     comps = sorted((tuple(sorted(c)) for c in _kosaraju(succ)), key=lambda c: c[0])
     comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
@@ -168,45 +170,77 @@ def _tuple_subset_graph(inst):
                     seen.add(w)
                     stack.append(w)
         reach.append(frozenset(comp_of[w] for w in seen))
-    radii = tuple(block_radius(component_matrix(succ, c), range(len(c))) for c in comps)
     cycling = frozenset(
         idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in succ[c[0]]
     )
-    comps = tuple(comps)
-    return tuple(vertices), adjacency, comps, tuple(reach), radii, comp_of, cycling
+    return tuple(vertices), adjacency, tuple(comps), tuple(reach), comp_of, cycling
 
 
-def _assert_same_subset_graph(inst):
-    graph = build_congruent_graph(inst)
-    reference = _tuple_subset_graph(inst)
-    vertices, adjacency, comps, reach, radii, comp_of, cycling = reference
+def _assert_restriction(graph, reference):
+    """The explored ``graph`` equals the whole subset graph ``reference``
+    restricted to the explored vertices, which are closed under successors
+    and hold whole components."""
+    vertices, adjacency, comps, reach, comp_of, cycling = reference
     members = graph.vertices
-    assert members == tuple(v.members for v in vertices)
-    assert congruent_vertices(inst) == list(vertices)
-    assert graph.labels == tuple(",".join(map(str, m)) for m in members)
+    explored = set(members)
+    assert members == tuple(v for v in vertices if v in explored)
+    assert graph.number == {m: v for v, m in enumerate(members)}
     # each edge labelled with the residue of its target, ascending per vertex
     assert {
         members[v]: tuple((graph.residue(t), members[t]) for t in targets)
         for v, targets in enumerate(graph.succ)
-    } == adjacency
-    assert tuple(tuple(members[v] for v in c) for c in graph.scc.components) == comps
-    assert graph.scc.reach == reach
-    assert graph.scc.radii == radii
-    assert {members[v]: idx for v, idx in enumerate(graph.scc.comp_of)} == comp_of
-    assert graph.scc.cycling == cycling
+    } == {m: adjacency[m] for m in members}
+    kept = [idx for idx, comp in enumerate(comps) if comp[0] in explored]
+    position = {idx: i for i, idx in enumerate(kept)}
+    assert tuple(tuple(members[v] for v in c) for c in graph.scc.components) == tuple(
+        comps[idx] for idx in kept
+    )
+    assert graph.scc.reach == tuple(
+        frozenset(position[j] for j in reach[idx]) for idx in kept
+    )
+    assert graph.scc.comp_of == [position[comp_of[m]] for m in members]
+    assert graph.scc.cycling == frozenset(position[j] for j in cycling if j in position)
+    succ = {m: tuple(t for _, t in adjacency[m]) for m in members}
+    assert graph.scc.radii == tuple(
+        block_radius(component_matrix(succ, comps[idx]), range(len(comps[idx])))
+        for idx in kept
+    )
 
 
-def test_mask_subset_graph_matches_tuples_bundled():
+def test_explored_subset_graph_matches_whole_bundled():
+    """The search's graph where the search runs, and the graph explored
+    from every subset, which is the whole graph."""
     for name in BUNDLED:
-        _assert_same_subset_graph(load(name))
+        inst = load(name)
+        reference = _tuple_subset_graph(inst)
+        _assert_restriction(build_congruent_graph(inst, reference[0]), reference)
+        if covering_condition(inst) and all(strong_separation(inst)):
+            _assert_restriction(enumerate_achievable_r(inst, 6).graph, reference)
+
+
+# Spans 25 and 29 are left out: their whole graphs have 393213 and 2359293
+# vertices.
+@pytest.mark.parametrize(
+    "label", sorted(label for label in SCALED if label not in ("span25", "span29"))
+)
+def test_explored_subset_graph_matches_whole_scaled(label):
+    """The graph ``analyze`` builds for the benchmark's scaled family and
+    span 21."""
+    inst = parse_instance(SCALED[label][0])
+    _assert_restriction(enumerate_achievable_r(inst, 6).graph, _tuple_subset_graph(inst))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(instances())
-def test_mask_subset_graph_matches_tuples_random(inst):
+@given(instances(), st.data())
+def test_explored_subset_graph_matches_whole_random(inst, data):
+    """The graph explored from random seeds, the whole graph's vertices."""
     if len(xi_types(inst)) > 12:
         return
-    _assert_same_subset_graph(inst)
+    reference = _tuple_subset_graph(inst)
+    if not reference[0]:
+        return
+    seeds = data.draw(st.lists(st.sampled_from(reference[0]), max_size=4))
+    _assert_restriction(build_congruent_graph(inst, seeds), reference)
 
 
 def _dense_block_radius(rows, verts, tolerance=DEFAULT_TOLERANCE):
