@@ -13,6 +13,13 @@ Two mechanisms, deliberately kept apart:
   It also covers boundary points (x = q1/n^q2), where chains are kept alive
   by closed-interval containment.
 
+``exact_card`` does each piece of work at the level it depends on: covering
+and strong separation once per instance (remembered in a weak-keyed table,
+so the record goes with the instance); the range check, the expansion and
+the scaled weights (q * w, count) once per query; and per digit one call of
+the step kernel on the raw pairs, with the cardinality summed once.
+``advance_state`` is the public one-step view of the same kernel.
+
 For rational x the automaton state space is finite (at most span * q + 1
 distinct offsets), so recurrences are real cycles.  An exact recurrence of
 (digit phase, offset multiset) proves the count stays constant; a recurrence
@@ -27,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from .errors import (
     BoundaryPoint,
@@ -76,12 +84,12 @@ def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
     """Exact expansion by long division; remainders of the fractional part
     recur, which pins down the preperiod/period split."""
     x = Fraction(x)
-    if not inst.proj_min <= x <= inst.proj_max:
+    p, q = x.numerator, x.denominator
+    if not q * inst.proj_min <= p <= q * inst.proj_max:
         raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
     n = inst.n
-    i = x.numerator // x.denominator
-    frac = x - i
-    p, q = frac.numerator, frac.denominator
+    # x = i + p/q with 0 <= p < q, still in lowest terms
+    i, p = divmod(p, q)
     digits: list[int] = []
     seen: dict[int, int] = {}
     preperiod: tuple[int, ...]
@@ -172,21 +180,39 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
     return SliceState(pairs=((x.numerator, 1),), scale=x.denominator, depth=0)
 
 
-def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
-    """One digit of depth: each chain branches into the cubes whose closed
-    projection interval contains its offset.  Chains sharing an offset
-    branch alike, so each pair is advanced once."""
-    q = state.scale
-    lo, hi = q * inst.proj_min, q * inst.proj_max
-    n = inst.n
-    weights = [(q * w, count) for w, count in inst.cube_weights.items()]
+def _scaled_weights(inst: ProblemInstance, q: int) -> list[tuple[int, int]]:
+    """(q * cube weight, number of cubes of that weight)."""
+    return [(q * w, count) for w, count in inst.cube_weights.items()]
+
+
+def _step(pairs, n: int, weights, lo: int, hi: int) -> dict[int, int]:
+    """One digit on (scaled offset, multiplicity) pairs: the chains at
+    offset a branch into the cubes whose closed projection interval contains
+    it, that is to n * a - q * w inside [lo, hi].  Chains sharing an offset
+    branch alike, so each pair is advanced once.  Returns the children as
+    scaled offset -> multiplicity, unordered."""
     children: dict[int, int] = {}
-    for a, m in state.pairs:
+    get = children.get
+    for a, m in pairs:
         base = n * a
         for qw, count in weights:
             v = base - qw
             if lo <= v <= hi:
-                children[v] = children.get(v, 0) + m * count
+                children[v] = get(v, 0) + m * count
+    return children
+
+
+def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
+    """One digit of depth: each chain branches into the cubes whose closed
+    projection interval contains its offset."""
+    q = state.scale
+    children = _step(
+        state.pairs,
+        inst.n,
+        _scaled_weights(inst, q),
+        q * inst.proj_min,
+        q * inst.proj_max,
+    )
     return SliceState(
         pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1
     )
@@ -218,6 +244,19 @@ class CardResult:
         return self.verdict == "Finite"
 
 
+# Whether an instance meets exact counting's hypotheses, decided on its first
+# query; an entry goes with its instance.
+_HYPOTHESES: WeakKeyDictionary[ProblemInstance, bool] = WeakKeyDictionary()
+
+
+def _meets_hypotheses(inst: ProblemInstance) -> bool:
+    ok = _HYPOTHESES.get(inst)
+    if ok is None:
+        ok = covering_condition(inst) and all(strong_separation(inst))
+        _HYPOTHESES[inst] = ok
+    return ok
+
+
 def exact_card(
     inst: ProblemInstance,
     x: Fraction | int,
@@ -236,59 +275,62 @@ def exact_card(
     if max_depth is not None and max_depth < 0:
         raise OutOfRange(f"max_depth must be >= 0, got {max_depth}")
     x = Fraction(x)
-    if not covering_condition(inst) or not all(strong_separation(inst)):
+    if not _meets_hypotheses(inst):
         raise HypothesisViolated(
             "exact counting needs the covering condition and strong separation"
         )
     exp = nadic_expansion(inst, x)
+    pre, per = len(exp.preperiod), len(exp.period)
     if max_depth is None:
-        max_depth = 64 * (len(exp.preperiod) + len(exp.period))
-    state = initial_state(inst, x)
+        max_depth = 64 * (pre + per)
+    n, q = inst.n, x.denominator
+    lo, hi = q * inst.proj_min, q * inst.proj_max
+    weights = _scaled_weights(inst, q)
+    # the state at `depth`: the pairs of initial_state advanced depth times
+    pairs: tuple[tuple[int, int], ...] = ((x.numerator, 1),)
+    card, depth = 1, 0
     seen_exact: dict[tuple, int] = {}
     seen_support: dict[tuple, tuple[int, int]] = {}
     while True:
-        card = state.cardinality
-        phase = exp.phase(state.depth)
-        exact_key = (phase, state.pairs)
-        if exact_key in seen_exact:
-            start = seen_exact[exact_key]
+        phase = depth if depth < pre else pre + (depth - pre) % per
+        start = seen_exact.setdefault((phase, pairs), depth)
+        if start != depth:
             return CardResult(
                 verdict="Finite",
                 count=card,
-                depth_reached=state.depth,
+                depth_reached=depth,
                 certificate=CycleCertificate(
                     start_depth=start,
-                    period=state.depth - start,
+                    period=depth - start,
                     cardinality_before=card,
                     cardinality_after=card,
                 ),
             )
-        seen_exact[exact_key] = state.depth
-        support_key = (phase, state.support())
-        if support_key in seen_support:
-            depth0, card0 = seen_support[support_key]
-            if card > card0:
-                return CardResult(
-                    verdict="Infinite",
-                    count=None,
-                    depth_reached=state.depth,
-                    certificate=CycleCertificate(
-                        start_depth=depth0,
-                        period=state.depth - depth0,
-                        cardinality_before=card0,
-                        cardinality_after=card,
-                    ),
-                )
-        else:
-            seen_support[support_key] = (state.depth, card)
-        if card > budget or state.depth >= max_depth:
+        support = tuple([a for a, _ in pairs])
+        depth0, card0 = seen_support.setdefault((phase, support), (depth, card))
+        if card > card0:
+            return CardResult(
+                verdict="Infinite",
+                count=None,
+                depth_reached=depth,
+                certificate=CycleCertificate(
+                    start_depth=depth0,
+                    period=depth - depth0,
+                    cardinality_before=card0,
+                    cardinality_after=card,
+                ),
+            )
+        if card > budget or depth >= max_depth:
             return CardResult(
                 verdict="ExceedsBudget",
                 count=card,
-                depth_reached=state.depth,
+                depth_reached=depth,
                 certificate=None,
             )
-        state = advance_state(inst, state)
+        children = _step(pairs, n, weights, lo, hi)
+        pairs = tuple(sorted(children.items()))
+        card = sum(children.values())
+        depth += 1
 
 
 def lyapunov_estimate(

@@ -1,15 +1,18 @@
 import dataclasses
+import gc
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
     ProblemInstance,
+    counting,
     brute_force_cube_count,
     cube_count_vector,
     exact_card,
@@ -204,6 +207,76 @@ def test_exact_card_matches_expanded_reference_random(inst, data):
     assert exact_card(inst, x, budget=256) == reference_exact_card(
         inst, x, budget=256
     )
+
+
+@st.composite
+def count_queries(draw):
+    """An instance that meets the hypotheses and a point of its range with
+    denominator at most 25; half the draws are base-n boundary points
+    k/n^j, which ``points`` seldom draws."""
+    inst = draw(counting_instances())
+    if draw(st.booleans()):
+        return inst, draw(points(inst))
+    q = inst.n ** draw(st.integers(1, 2 if inst.n <= 5 else 1))
+    return inst, Fraction(draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(count_queries(), st.integers(1, 64), st.none() | st.integers(0, 6))
+def test_exact_card_limits_match_expanded_reference_random(query, budget, max_depth):
+    """Every exit of the counting loop (Finite, Infinite, the budget cut and
+    the depth cut, at integer, boundary and periodic x) agrees with the
+    expanded reference, and a cut's count is the cardinality of the state
+    the public one-step view reaches at the same depth."""
+    inst, x = query
+    res = exact_card(inst, x, budget=budget, max_depth=max_depth)
+    assert res == reference_exact_card(inst, x, budget, max_depth)
+    exp = nadic_expansion(inst, x)
+    event(res.verdict)
+    event("integer x" if x.denominator == 1 else "boundary x" if exp.boundary else "periodic x")
+    if res.verdict == "ExceedsBudget":
+        event("budget cut" if res.count > budget else "depth cut")
+        state = initial_state(inst, x)
+        for _ in range(res.depth_reached):
+            state = advance_state(inst, state)
+        assert sum(m for _, m in state.pairs) == res.count
+
+
+def _counted(fn, calls):
+    def wrapper(inst):
+        calls[fn.__name__] += 1
+        return fn(inst)
+
+    return wrapper
+
+
+def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cover):
+    calls = Counter()
+    for name in ("covering_condition", "strong_separation"):
+        monkeypatch.setattr(counting, name, _counted(getattr(counting, name), calls))
+    # no other instance of the suite equals this one, so the record cannot
+    # hold it yet (the record keys on equality)
+    inst = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
+    assert inst not in counting._HYPOTHESES
+    for k in range(20):
+        exact_card(inst, Fraction(k, 7))
+    assert calls == {"covering_condition": 1, "strong_separation": 1}
+    # a failing instance raises on every call, and is decided at most once
+    for failing in (full_interval, no_cover):
+        with pytest.raises(HypothesisViolated):
+            exact_card(failing, Fraction(1, 2))
+        decided = dict(calls)
+        for k in range(5):
+            with pytest.raises(HypothesisViolated):
+                exact_card(failing, Fraction(k, 5))
+        assert calls == decided
+    # the record does not keep the instance alive, and forgets it with it
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+    twin = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
+    assert twin not in counting._HYPOTHESES
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
