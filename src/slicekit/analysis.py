@@ -16,27 +16,28 @@ Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, covering and
 separation, the digit matrices and the U1 report.  The multiplicity search
-builds the subset graph once, only the part that the aligned subsets of
-its reachable vectors reach, since nothing reads any other subset.
+computes the aligned subsets of each distinct support of its vectors once,
+builds the subset graph once, only the part that they reach, since nothing
+reads any other subset, and records the cycling components each reaches.
 ``dim_u1`` reads a context; ``dim_ur``, ``measure_ur`` and ``witness_ur``
 read one multiplicity search, ``RSearchResult``, which carries the context
-it ran on and that subset graph.
+it ran on, that subset graph and the aligned subsets with their cycles.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
-components only (or on a 1x1 integer block; the context keeps the blocks of
-the restricted graph, and ``dim_ur`` builds those of the subset graph on
-demand): which components attain rho,
-whether failing separation is negligible, where the multiplicity dimension
-takes its maximum, the countable flag and domination.  Dimensions are
-reported as floats, but no decision is taken from one.  Each witness point
-is certified by ``exact_card`` before it is returned.
+components only (or on a 1x1 integer block; each component's block comes
+from ``scc``, which builds it to certify the radius): which components
+attain rho, whether failing separation is negligible, where the
+multiplicity dimension takes its maximum, the countable flag and
+domination.  Dimensions are reported as floats, but no decision is taken
+from one.  Each witness point is certified by ``exact_card`` before it is
+returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from math import inf, log, prod
 from typing import NamedTuple
 
@@ -46,8 +47,7 @@ from .errors import (
     TooLarge,
 )
 from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph,
-    component_matrix, scc,
+    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
 )
 from .instance import ProblemInstance
 from .lattice import covering_condition, strong_separation
@@ -99,6 +99,11 @@ def _log_over_log_n(value: float, n: int) -> float:
 Block = tuple[RadiusResult, Matrix]
 
 
+def _block(decomposition: SccDecomposition, i: int) -> Block:
+    """The block of component i of ``decomposition``."""
+    return decomposition.radii[i], decomposition.matrices[i]
+
+
 def _compare(a: Block, b: Block) -> int:
     """The sign of rho(a) - rho(b), exact."""
     return compare_radii(a[0], b[0], a[1], b[1])
@@ -110,12 +115,12 @@ def _integer_block(value: int) -> Block:
     return block_radius(matrix, [0]), matrix
 
 
-def _top(block, indices) -> int | None:
-    """The first of ``indices`` whose block, ``block(i)``, has the largest
-    radius; None for no indices."""
+def _top(decomposition: SccDecomposition, indices) -> int | None:
+    """The first of ``indices`` whose component of ``decomposition`` has the
+    largest radius; None for no indices."""
     best = None
     for i in indices:
-        if best is None or _compare(block(i), block(best)) > 0:
+        if best is None or _compare(_block(decomposition, i), _block(decomposition, best)) > 0:
             best = i
     return best
 
@@ -172,10 +177,7 @@ class Analysis:
     @cached_property
     def xi_blocks(self) -> list[Block]:
         """The block of each component of the restricted graph."""
-        return [
-            (rr, component_matrix(self.xi.succ, comp))
-            for rr, comp in zip(self.xi_scc.radii, self.xi_scc.components)
-        ]
+        return list(zip(self.xi_scc.radii, self.xi_scc.matrices))
 
     @cached_property
     def u1(self) -> U1Report:
@@ -206,7 +208,7 @@ class Analysis:
             notes.append("strong separation fails: the measure dichotomy does not apply")
         if covering and dichotomy_ok and s_positive:
             measure = MEASURE_POSITIVE_FINITE
-            top = _top(blocks.__getitem__, range(len(blocks)))
+            top = _top(self.xi_scc, range(len(blocks)))
             # a component attains rho when no other one compares greater
             maximal = [i for i, block in enumerate(blocks) if _compare(block, blocks[top]) == 0]
             notes.extend(f"component {i} attains the full radius (exact)" for i in maximal)
@@ -248,18 +250,6 @@ class Analysis:
         }
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
-    # -- the multiplicity search ----------------------------------------------
-
-    def aligned_subsets(self, support: tuple[int, ...]):
-        """(h, subset) for every residue h whose aligned subset
-        {n*p + h : p in support} is uniquely covered, ascending in h; the
-        support ascends, and so do the members."""
-        n, types = self.inst.n, self.xi.types
-        for h in range(n):
-            members = tuple([n * p + h for p in support])
-            if all(u in types for u in members):
-                yield h, members
-
 
 def dim_u1(inst: ProblemInstance) -> U1Report:
     """Dimension of the set of uniquely represented points, log(rho)/log(n)
@@ -296,11 +286,17 @@ class RStatus(NamedTuple):
 
 
 class RSearchResult(NamedTuple):
+    """``aligned[support]`` holds, for each support of ``vectors``, one
+    (h, subset, cycles) per residue h, ascending, whose aligned subset
+    {n*p + h : p in support} is uniquely covered; ``cycles`` lists the
+    cycling components of ``graph`` that the subset reaches, ascending."""
+
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
+    aligned: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
 
     def achievable(self) -> list[int]:
         return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
@@ -463,15 +459,20 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
                     n, rv.integer_part, rv.word + (j,), (0,)
                 )
 
-    # the subset graph: what the aligned subsets of the vectors reach
-    graph = build_congruent_graph(
-        inst,
-        {
-            members
-            for support in {rv.support for rv in vectors}
-            for _, members in context.aligned_subsets(support)
-        },
-    )
+    # each support's aligned subsets, the subset graph they reach, its cycles
+    types = context.xi.types
+    subsets = {}
+    for support in {rv.support for rv in vectors}:
+        shifted = enumerate(tuple([n * p + h for p in support]) for h in range(n))
+        subsets[support] = [(h, m) for h, m in shifted if all(map(types.__contains__, m))]
+    graph = build_congruent_graph(inst, {m for pairs in subsets.values() for _, m in pairs})
+    aligned = {
+        support: tuple(
+            (h, members, tuple(sorted(graph.cycles_reached(members))))
+            for h, members in pairs
+        )
+        for support, pairs in subsets.items()
+    }
     statuses: dict[int, RStatus] = {}
     by_norm: dict[int, list[ReachableVector]] = {}
     for rv in vectors:
@@ -479,8 +480,8 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     for r in range(1, max_r + 1):
         witness = None
         for rv in by_norm.get(r, []):
-            for h, members in context.aligned_subsets(rv.support):
-                if graph.cycles_reached(members):
+            for h, members, cycles in aligned[rv.support]:
+                if cycles:
                     witness = AchievabilityWitness(
                         vector=rv.vector,
                         integer_part=rv.integer_part,
@@ -504,6 +505,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
         statuses=statuses,
         analysis=context,
         graph=graph,
+        aligned=aligned,
     )
 
 
@@ -553,40 +555,28 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
             measure_class=None,
         )
         return report, None
-    context, graph = search.analysis, search.graph
-    n = context.inst.n
-
-    @cache
-    def block(idx: int) -> Block:
-        """The block of subset-graph component ``idx``; nearly all are
-        single vertices, and few are ever compared."""
-        comp = graph.scc.components[idx]
-        if len(comp) > 1:
-            matrix = component_matrix(graph.succ, comp)
-        else:
-            matrix = ((int(idx in graph.scc.cycling),),)
-        return graph.scc.radii[idx], matrix
-
+    decomposition = search.graph.scc
+    n = search.analysis.inst.n
     best = None
     candidates = set()
     for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
-        for _, members in context.aligned_subsets(support):
-            top = _top(block, sorted(graph.cycles_reached(members)))
+        for _, _, cycles in search.aligned[support]:
+            top = _top(decomposition, cycles)
             if top is None:
                 continue
-            candidates.add(_log_over_log_n(block(top)[0].estimate, n))
-            if best is None or top != best and _compare(block(top), block(best)) > 0:
-                best = top
+            candidates.add(_log_over_log_n(decomposition.radii[top].estimate, n))
+            best = top if best is None else _top(decomposition, (best, top))
     if best is None:
         raise InternalError(f"achievable r={r} reaches no cycling component")
+    block = _block(decomposition, best)
     report = UrReport(
         r=r,
-        dim=_log_over_log_n(block(best)[0].estimate, n),
+        dim=_log_over_log_n(block[0].estimate, n),
         candidates=tuple(sorted(candidates)),
-        countable_flag=_compare(block(best), _integer_block(1)) == 0,
+        countable_flag=_compare(block, _integer_block(1)) == 0,
         measure_class=None,
     )
-    return report, block(best)
+    return report, block
 
 
 def measure_ur(search: RSearchResult, r: int) -> UrReport:
@@ -667,15 +657,15 @@ def _witness_candidates(search: RSearchResult, r: int):
     ``_loops`` at the vertex where a shortest path from the subset enters
     the component.  Each expansion is the vector's digit word, then the
     residues along the path, then those along the loop."""
-    context, graph = search.analysis, search.graph
+    graph = search.graph
     residue = graph.residue
     decomposition = graph.scc
     vectors = [rv for rv in search.vectors if rv.norm == r]
     # no subset of a vector before the search's witness reaches a cycle
     first = [rv.vector for rv in vectors].index(search.statuses[r].witness.vector)
     for rv in vectors[first:]:
-        for _, members in context.aligned_subsets(rv.support):
-            for idx in sorted(graph.cycles_reached(members)):
+        for _, members, cycles in search.aligned[rv.support]:
+            for idx in cycles:
                 comp = set(decomposition.components[idx])
                 path = _bfs_path(graph.succ, graph.number[members], comp)
                 comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}

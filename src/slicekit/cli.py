@@ -284,7 +284,7 @@ def render_grid(inst: ProblemInstance, depth: int = 1) -> str:
     if inst.l != 2:
         raise NotPlanar("render requires l=2")
     if depth < 0:
-        raise UsageError("depth must be >= 0")
+        raise OutOfRange("depth must be >= 0")
     if inst.cube_count**depth > _RENDER_CUBE_CAP:
         raise TooLarge(f"{inst.cube_count ** depth} cubes exceed render cap")
     m1, m2 = inst.coefficients

@@ -41,12 +41,16 @@ from .errors import (
     CoveringRequired,
     HypothesisViolated,
     OutOfRange,
+    TooLarge,
 )
 from .instance import ProblemInstance
 from .lattice import covering_condition, strong_separation
 from .spectral import transition_matrices
 
 DEFAULT_BUDGET = 4096
+
+# Most digits ``nadic_expansion`` writes out, preperiod and period together.
+_EXPANSION_CAP = 2**20
 
 
 class NadicExpansion(NamedTuple):
@@ -82,7 +86,8 @@ class NadicExpansion(NamedTuple):
 
 def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
     """Exact expansion by long division; remainders of the fractional part
-    recur, which pins down the preperiod/period split."""
+    recur, which pins down the preperiod/period split.  Raises TooLarge as
+    soon as the preperiod and period need more than _EXPANSION_CAP digits."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     if not q * inst.proj_min <= p <= q * inst.proj_max:
@@ -103,6 +108,8 @@ def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
             preperiod, period, boundary = tuple(digits[:cut]), tuple(digits[cut:]), False
             break
         seen[p] = len(digits)
+        if len(digits) == _EXPANSION_CAP:
+            raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
         d, p = divmod(n * p, q)
         digits.append(d)
     return NadicExpansion(

@@ -23,11 +23,11 @@ flags it yields are those of the whole subset graph restricted to it.
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
 the set of components each one reaches (read off Tarjan's emission order)
-and a certified radius per component.  A single vertex's radius is its
-loop bit, 0 or 1, so only components of two or more vertices go through
-``block_radius``; in subset graphs nearly all components are single
-vertices.  The restricted graph is decomposed on positions in ``xi.us``,
-its matrix index.
+and each component's block, its 0-1 matrix with a certified radius.  A
+single vertex's block is its loop bit, 0 or 1, so only components of two
+or more vertices build a matrix and go through ``block_radius``; in subset
+graphs nearly all components are single vertices.  The restricted graph is
+decomposed on positions in ``xi.us``, its matrix index.
 """
 
 from __future__ import annotations
@@ -41,16 +41,17 @@ from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
 from .instance import ProblemInstance
 from .lattice import IntegerInterval, make_interval, u_range, xi_types
-from .spectral import RadiusResult, block_radius
+from .spectral import Matrix, RadiusResult, block_radius
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
 _SUBSET_LIMIT = 2**20
 
-# The radius of a single vertex without and with a loop.
+# The radius and the 1x1 block of a single vertex without and with a loop.
 _LOOP_RADII = (
     RadiusResult(Fraction(0), Fraction(0), 0.0),
     RadiusResult(Fraction(1), Fraction(1), 1.0),
 )
+_LOOP_MATRICES = (((0,),), ((1,),))
 
 
 class FullGraph(NamedTuple):
@@ -89,13 +90,15 @@ class XiGraph:
 class SccDecomposition(NamedTuple):
     """Components of a graph on vertices 0..V-1, sorted by their smallest
     vertex, each sorted; ``reach[i]`` holds every component that component
-    i reaches, i included; ``comp_of[v]`` is the index of vertex v's
-    component; ``cycling`` holds the components with a cycle (two or more
-    vertices, or a loop)."""
+    i reaches, i included; ``matrices[i]`` is component i's 0-1 block (in
+    component order) and ``radii[i]`` its radius; ``comp_of[v]`` is the
+    index of vertex v's component; ``cycling`` holds the components with a
+    cycle (two or more vertices, or a loop)."""
 
     components: tuple[tuple[int, ...], ...]
     reach: tuple[frozenset[int], ...]
     radii: tuple[RadiusResult, ...]
+    matrices: tuple[Matrix, ...]
     comp_of: list[int]
     cycling: frozenset[int]
 
@@ -219,10 +222,10 @@ def component_matrix(adjacency: Mapping | Sequence, comp) -> list[list[int]]:
 def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
     """Strongly connected components of the graph on vertices 0..V-1 whose
     successor table is ``succ``, with the components each one reaches and
-    a certified spectral radius per component (0-1 adjacency restricted).
-    A single vertex's radius is its loop bit, one shared ``RadiusResult``
-    for 0 and one for 1; only blocks of two or more vertices are run
-    through ``block_radius``."""
+    the block of each component: its 0-1 adjacency matrix and certified
+    spectral radius.  A single vertex's block is its loop bit, one shared
+    matrix and ``RadiusResult`` for 0 and one for 1; only blocks of two or
+    more vertices are built and run through ``block_radius``."""
     emitted = strongly_connected_components(succ)
     # only components of two or more vertices need sorting
     for comp in emitted:
@@ -235,6 +238,7 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
             comp_of[v] = idx
     reach: list[frozenset[int]] = [frozenset()] * len(ordered)
     radii = [_LOOP_RADII[0]] * len(ordered)
+    matrices: list[Matrix] = [_LOOP_MATRICES[0]] * len(ordered)
     cycling = []
     # Tarjan emits a component only after every component it reaches
     for comp in emitted:
@@ -246,14 +250,16 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
         reach[idx] = frozenset(reached)
         if len(comp) > 1:
             cycling.append(idx)
-            radii[idx] = block_radius(component_matrix(succ, comp), range(len(comp)))
+            matrices[idx] = component_matrix(succ, comp)
+            radii[idx] = block_radius(matrices[idx], range(len(comp)))
         elif comp[0] in succ[comp[0]]:
             cycling.append(idx)
-            radii[idx] = _LOOP_RADII[1]
+            radii[idx], matrices[idx] = _LOOP_RADII[1], _LOOP_MATRICES[1]
     return SccDecomposition(
         components=tuple(map(tuple, ordered)),
         reach=tuple(reach),
         radii=tuple(radii),
+        matrices=tuple(matrices),
         comp_of=comp_of,
         cycling=frozenset(cycling),
     )

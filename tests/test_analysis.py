@@ -14,13 +14,15 @@ from slicekit import (
     strong_separation,
     witness_ur,
 )
+from slicekit import analysis, covering_condition, graphs, parse_instance, report
 from slicekit.analysis import Analysis, _witness_candidates
 from slicekit.errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange,
 )
 from slicekit.spectral import block_radius
 
-from conftest import counting_instances
+from conftest import FIXTURES, counting_instances, load
+from test_golden import SCALED
 
 LOG2_3 = math.log(2) / math.log(3)
 
@@ -226,3 +228,60 @@ def test_every_achievable_r_gets_a_certified_witness(inst):
             continue
         res = exact_card(inst, x)
         assert (res.verdict, res.count) == ("Finite", r), (r, x)
+
+
+_COVERING = sorted(p.stem for p in FIXTURES.glob("*.json") if covering_condition(load(p.stem)))
+
+
+@pytest.mark.parametrize("name", ["span17"] + _COVERING)
+def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
+    """During ``build_report``, ``scc`` builds the block of each component
+    of two or more vertices once and nothing builds one again; the search
+    computes the aligned subsets once per distinct support of its vectors
+    and asks the subset graph for each subset's cycles once; ``dim_ur``,
+    ``measure_ur`` and ``witness_ur`` do neither."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    calls = {key: [] for key in ("scc", "search", "component_matrix", "cycles_reached")}
+    reading = []
+
+    def spy(key, function):
+        def wrapper(*args, **kwargs):
+            result = function(*args, **kwargs)
+            calls[key].append((bool(reading), args, result))
+            return result
+        return wrapper
+
+    def reader(function):
+        def wrapper(*args, **kwargs):
+            reading.append(function)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                reading.pop()
+        return wrapper
+
+    scc = spy("scc", graphs.scc)
+    monkeypatch.setattr(graphs, "scc", scc)
+    monkeypatch.setattr(analysis, "scc", scc)
+    for owner, key, attr in (
+        (graphs, "component_matrix", "component_matrix"),
+        (graphs.CongruentGraph, "cycles_reached", "cycles_reached"),
+        (report, "search", "enumerate_achievable_r"),
+    ):
+        monkeypatch.setattr(owner, attr, spy(key, getattr(owner, attr)))
+    for function in ("dim_ur", "measure_ur", "witness_ur"):
+        monkeypatch.setattr(report, function, reader(getattr(report, function)))
+    report.build_report(inst)
+
+    # the restricted graph, and the subset graph when the search runs
+    decompositions = [d for _, _, d in calls["scc"]]
+    assert len(decompositions) == 1 + len(calls["search"])
+    assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(
+        comp for d in decompositions for comp in d.components if len(comp) > 1
+    )
+    assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
+    for _, _, search in calls["search"]:
+        assert set(search.aligned) == {rv.support for rv in search.vectors}
+        subsets = [members for table in search.aligned.values() for _, members, _ in table]
+        assert len(set(subsets)) == len(subsets)
+        assert sorted(args[1] for _, args, _ in calls["cycles_reached"]) == sorted(subsets)

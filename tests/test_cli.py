@@ -158,6 +158,8 @@ def test_usage_errors(capsys):
         (("dim-ur", "base7_double", "--r", "0"), "--r must be >= 1"),
         (("witness", "cantor_diff", "--r", "0"), "--r must be >= 1"),
         (("witness", "base7_double", "--r", "0"), "--r must be >= 1"),
+        (("render", "cantor_diff", "--depth", "-1"), "depth must be >= 0"),
+        (("oracle", "cantor_diff", "--x", "1/7", "--depth", "-1"), "depth must be >= 0"),
     ):
         command, name, *flags = argv
         code, out, err = run(capsys, command, FIXTURES / f"{name}.json", *flags)

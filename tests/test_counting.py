@@ -32,8 +32,9 @@ from slicekit.errors import (
     CoveringRequired,
     HypothesisViolated,
     OutOfRange,
+    TooLarge,
 )
-from conftest import counting_instances
+from conftest import FIXTURES, counting_instances
 from test_properties import instances
 
 
@@ -60,6 +61,32 @@ def test_expansion_negative(cantor_diff):
 def test_expansion_out_of_range(cantor_diff):
     with pytest.raises(OutOfRange):
         nadic_expansion(cantor_diff, Fraction(3, 2))
+
+
+def test_expansion_cap(monkeypatch, cantor_diff):
+    """_EXPANSION_CAP caps the digits nadic_expansion writes out, before
+    exact_card counts one: in base 3, 1/7 is 0.(010212), 1/6 is 0.0(1) and
+    1/9 is 0.01; each passes at a cap of its own length and is refused
+    below it, also by exact_card and by ``slicekit count``, with exit code
+    3."""
+    from slicekit.cli import main
+
+    for x, digits, verdict in (
+        (Fraction(1, 7), 6, "Infinite"),
+        (Fraction(1, 6), 2, "Finite"),
+        (Fraction(1, 9), 2, "Finite"),
+    ):
+        monkeypatch.setattr(counting, "_EXPANSION_CAP", digits)
+        exp = nadic_expansion(cantor_diff, x)
+        assert len(exp.preperiod) + (0 if exp.boundary else len(exp.period)) == digits
+        assert exact_card(cantor_diff, x).verdict == verdict
+        monkeypatch.setattr(counting, "_EXPANSION_CAP", digits - 1)
+        with pytest.raises(TooLarge):
+            nadic_expansion(cantor_diff, x)
+        with pytest.raises(TooLarge):
+            exact_card(cantor_diff, x)
+        instance = FIXTURES / "cantor_diff.json"
+        assert main(["count", str(instance), "--x", f"{x.numerator}/{x.denominator}"]) == 3
 
 
 def test_expansion_value_round_trip(cantor_diff):

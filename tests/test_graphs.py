@@ -14,9 +14,10 @@ from slicekit import (
 )
 from slicekit import graphs
 from slicekit.errors import NotInterior, NotInXi, TooLarge
-from slicekit.graphs import subset_successor
+from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
 from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
+from slicekit.spectral import block_radius
 
 from test_properties import instances
 
@@ -187,6 +188,19 @@ def test_scc_examples(cantor_diff, base7_double):
     assert len(d3.components) > 1
     sizes = sorted(len(c) for c in d3.components)
     assert sizes == [1, 1, 5]
+
+
+def test_scc_blocks_restricted_graph(cantor_diff, base7_double, base6_mixed, cantor_sum):
+    """Each component's block is its 0-1 adjacency matrix in component
+    order, [[loop bit]] for a single vertex, and its radius certifies it."""
+    for inst in (cantor_diff, base7_double, base6_mixed, cantor_sum):
+        succ = build_xi_graph(inst).succ
+        d = scc(succ)
+        blocks = [component_matrix(succ, comp) for comp in d.components]
+        assert [list(map(list, m)) for m in d.matrices] == blocks
+        for matrix, block in zip(d.matrices, blocks):
+            assert len(block) > 1 or matrix is _LOOP_MATRICES[block[0][0]]
+        assert d.radii == tuple(block_radius(block, range(len(block))) for block in blocks)
 
 
 def test_scc_edgeless():

@@ -6,13 +6,14 @@ they replaced, written out here.
 full span x span vector-matrix product.  ``_tuple_subset_graph`` enumerates
 every subset of every residue class as sorted member tuples, takes edges
 from ``subset_successor`` and finds components by Kosaraju's two passes;
-``_assert_restriction`` certifies each component it compares, single
-vertices included, with ``block_radius``.  ``_dense_block_radius`` is the
-power iteration on dense rows with a ``Fraction`` per ratio.  The new code
-must reproduce all three exactly: the same vectors in the same discovery
-order; on the explored vertices, the same vertices, edges, components,
-reach sets and radii as the whole graph, read through ``graph.vertices``;
-and the same ``RadiusResult``.
+``_assert_restriction`` builds the block of each component it compares,
+single vertices included, with ``component_matrix`` and certifies it with
+``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
+rows with a ``Fraction`` per ratio.  The new code must reproduce all three
+exactly: the same vectors in the same discovery order; on the explored
+vertices, the same vertices, edges, components, reach sets, blocks and
+radii as the whole graph, read through ``graph.vertices``; and the same
+``RadiusResult``.
 """
 
 from fractions import Fraction
@@ -27,7 +28,7 @@ from slicekit import (
 )
 from slicekit.analysis import _VECTOR_CAP, _reachable_vectors
 from slicekit.errors import TooLarge, WideEnclosure
-from slicekit.graphs import component_matrix, subset_successor
+from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
 from slicekit.lattice import xi_types
 from slicekit.spectral import (
     _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
@@ -201,10 +202,12 @@ def _assert_restriction(graph, reference):
     assert graph.scc.comp_of == [position[comp_of[m]] for m in members]
     assert graph.scc.cycling == frozenset(position[j] for j in cycling if j in position)
     succ = {m: tuple(t for _, t in adjacency[m]) for m in members}
-    assert graph.scc.radii == tuple(
-        block_radius(component_matrix(succ, comps[idx]), range(len(comps[idx])))
-        for idx in kept
-    )
+    blocks = [component_matrix(succ, comps[idx]) for idx in kept]
+    # a single vertex's block is [[loop bit]], one shared matrix per bit
+    assert [list(map(list, m)) for m in graph.scc.matrices] == blocks
+    for matrix, block in zip(graph.scc.matrices, blocks):
+        assert len(block) > 1 or matrix is _LOOP_MATRICES[block[0][0]]
+    assert graph.scc.radii == tuple(block_radius(block, range(len(block))) for block in blocks)
 
 
 def test_explored_subset_graph_matches_whole_bundled():
