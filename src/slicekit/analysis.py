@@ -18,10 +18,13 @@ graph (with the xi types) and its SCC decomposition, covering and
 separation, the digit matrices and the U1 report.  The multiplicity search
 computes the aligned subsets of each distinct support of its vectors once,
 builds the subset graph once, only the part that they reach, since nothing
-reads any other subset, and records the cycling components each reaches.
-``dim_u1`` reads a context; ``dim_ur``, ``measure_ur`` and ``witness_ur``
-read one multiplicity search, ``RSearchResult``, which carries the context
-it ran on, that subset graph and the aligned subsets with their cycles.
+reads any other subset, and asks it once for the cycling components each
+subset reaches.  It then lists the routes of each r once, in canonical
+order: a norm-r vector, then a residue whose aligned subset reaches a
+cycling component.  ``dim_u1`` reads a context; the status of r,
+``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route list of a
+multiplicity search, ``RSearchResult``, which also carries the context it
+ran on and the subset graph.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
@@ -43,8 +46,7 @@ from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET, exact_card, expansion_value
 from .errors import (
-    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange,
-    TooLarge,
+    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
@@ -285,28 +287,42 @@ class RStatus(NamedTuple):
     countable_example: Fraction | None
 
 
+class Route(NamedTuple):
+    """A norm-r vector, then a residue h whose aligned subset
+    {n*p + h : p in vector.support} is uniquely covered and reaches the
+    cycling components ``cycles`` of the search's subset graph, ascending
+    (at least one)."""
+
+    vector: ReachableVector
+    residue: int
+    subset: tuple[int, ...]
+    cycles: tuple[int, ...]
+
+
 class RSearchResult(NamedTuple):
-    """``aligned[support]`` holds, for each support of ``vectors``, one
-    (h, subset, cycles) per residue h, ascending, whose aligned subset
-    {n*p + h : p in support} is uniquely covered; ``cycles`` lists the
-    cycling components of ``graph`` that the subset reaches, ascending."""
+    """``routes[r]`` lists the routes of r in canonical order: the vectors
+    in the discovery order of ``vectors``, then their residues ascending.
+    An r in 1..max_r is achievable exactly when it has a route, and only
+    those r are keys; the status, ``dim_ur``, ``measure_ur`` and
+    ``witness_ur`` all read this one list."""
 
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
-    aligned: dict[tuple[int, ...], tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]]
+    routes: dict[int, tuple[Route, ...]]
 
     def achievable(self) -> list[int]:
         return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
 
 
-def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...], tuple]:
+def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVector, ...]:
     """Closure of {unit vectors} under the digit matrices, pruned at norm
     max_r (norms never decrease under the covering condition, so nothing is
-    lost).  Each vector keeps its canonical discovery: shortest digit word,
-    ties broken by word then by starting offset.
+    lost), in canonical order.  Each vector keeps its canonical discovery:
+    shortest digit word, ties broken by word then by starting offset; the
+    records come in that order, one breadth-first level at a time.
 
     A product is computed sparsely: entry (u, v) of digit matrix j is the
     cube weight count of n*u + j - v, so row u of matrix j has one nonzero
@@ -327,17 +343,26 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...
         for j in range(n)
     ]
     sums = [[sum(count for _, count in row) for row in matrix] for matrix in rows]
-    found: dict[tuple[int, ...], tuple] = {}
+    found: set[tuple[int, ...]] = set()
+    vectors: list[ReachableVector] = []
     level: dict[tuple[int, ...], tuple] = {}
     for i in range(inst.proj_min, inst.proj_max):
         vec = tuple(1 if p == i else 0 for p in range(inst.proj_min, inst.proj_max))
         level[vec] = ((), i)
-    for vec, disc in level.items():
-        found[vec] = disc
+    found.update(level)
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
         for vec, (word, i) in sorted(level.items(), key=lambda kv: (kv[1][0], kv[1][1])):
             support = [(u, c) for u, c in enumerate(vec) if c]
+            vectors.append(
+                ReachableVector(
+                    vector=vec,
+                    norm=sum(vec),
+                    integer_part=i,
+                    word=word,
+                    support=tuple(u + lo for u, _ in support),
+                )
+            )
             for j in range(n):
                 total = sums[j]
                 if sum([c * total[u] for u, c in support]) > max_r:
@@ -353,12 +378,11 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> dict[tuple[int, ...
                     continue
                 if child not in nxt or cand < nxt[child]:
                     nxt[child] = cand
-        for vec, disc in nxt.items():
-            found[vec] = disc
+        found.update(nxt)
         if len(found) > _VECTOR_CAP:
             raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
         level = nxt
-    return found
+    return tuple(vectors)
 
 
 def _integer_card_table(inst: ProblemInstance, budget: int) -> dict[int, int | None]:
@@ -392,33 +416,16 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     inst = context.inst
     if max_r < 1:
         raise OutOfRange(f"max_r must be >= 1, got {max_r}")
+    if max_r > _VECTOR_CAP:
+        raise TooLarge(f"max_r must be <= {_VECTOR_CAP}, got {max_r}")
     if budget < 1:
         raise OutOfRange(f"budget must be >= 1, got {budget}")
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):
         raise HypothesisViolated("strong separation fails for some factor")
-    found = _reachable_vectors(inst, max_r)
+    vectors = _reachable_vectors(inst, max_r)
     n = inst.n
-
-    vectors = []
-    for vec, (word, i) in sorted(
-        found.items(), key=lambda kv: (len(kv[1][0]), kv[1][0], kv[1][1])
-    ):
-        support = tuple(
-            p
-            for p, c in zip(range(inst.proj_min, inst.proj_max), vec)
-            if c
-        )
-        vectors.append(
-            ReachableVector(
-                vector=vec,
-                norm=sum(vec),
-                integer_part=i,
-                word=word,
-                support=support,
-            )
-        )
 
     # countable-grid realisations: terminating expansions = reachable vector,
     # then one nonzero digit, then the integer-offset automaton
@@ -466,46 +473,34 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
         shifted = enumerate(tuple([n * p + h for p in support]) for h in range(n))
         subsets[support] = [(h, m) for h, m in shifted if all(map(types.__contains__, m))]
     graph = build_congruent_graph(inst, {m for pairs in subsets.values() for _, m in pairs})
-    aligned = {
-        support: tuple(
-            (h, members, tuple(sorted(graph.cycles_reached(members))))
-            for h, members in pairs
-        )
-        for support, pairs in subsets.items()
+    cycles = {
+        m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
     }
-    statuses: dict[int, RStatus] = {}
-    by_norm: dict[int, list[ReachableVector]] = {}
+    routes: dict[int, list[Route]] = {}
     for rv in vectors:
-        by_norm.setdefault(rv.norm, []).append(rv)
+        passing = [Route(rv, h, m, cycles[m]) for h, m in subsets[rv.support] if cycles[m]]
+        if passing:
+            routes.setdefault(rv.norm, []).extend(passing)
+    norms = {rv.norm for rv in vectors}
+    statuses: dict[int, RStatus] = {}
     for r in range(1, max_r + 1):
-        witness = None
-        for rv in by_norm.get(r, []):
-            for h, members, cycles in aligned[rv.support]:
-                if cycles:
-                    witness = AchievabilityWitness(
-                        vector=rv.vector,
-                        integer_part=rv.integer_part,
-                        word=rv.word,
-                        support=rv.support,
-                        residue=h,
-                        subset=members,
-                    )
-                    break
-            if witness:
-                break
-        if witness is not None:
+        if r in routes:
+            rv, h, members, _ = routes[r][0]
+            witness = AchievabilityWitness(
+                rv.vector, rv.integer_part, rv.word, rv.support, h, members
+            )
             statuses[r] = RStatus(r, STATUS_ACHIEVABLE, witness, None)
-        elif r in by_norm or r in countable:
+        elif r in norms or r in countable:
             statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
         else:
             statuses[r] = RStatus(r, STATUS_NOT_REACHABLE, None, None)
     return RSearchResult(
         max_r=max_r,
-        vectors=tuple(vectors),
+        vectors=vectors,
         statuses=statuses,
         analysis=context,
         graph=graph,
-        aligned=aligned,
+        routes={r: tuple(routes[r]) for r in sorted(routes)},
     )
 
 
@@ -557,17 +552,11 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
         return report, None
     decomposition = search.graph.scc
     n = search.analysis.inst.n
-    best = None
-    candidates = set()
-    for support in sorted({rv.support for rv in search.vectors if rv.norm == r}):
-        for _, _, cycles in search.aligned[support]:
-            top = _top(decomposition, cycles)
-            if top is None:
-                continue
-            candidates.add(_log_over_log_n(decomposition.radii[top].estimate, n))
-            best = top if best is None else _top(decomposition, (best, top))
-    if best is None:
-        raise InternalError(f"achievable r={r} reaches no cycling component")
+    # each distinct subset's first maximal component, in route order
+    reached = {route.subset: route.cycles for route in search.routes[r]}
+    tops = [_top(decomposition, cycles) for cycles in reached.values()]
+    candidates = {_log_over_log_n(decomposition.radii[top].estimate, n) for top in tops}
+    best = _top(decomposition, tops)
     block = _block(decomposition, best)
     report = UrReport(
         r=r,
@@ -651,30 +640,26 @@ def _loops(succ, entry, residue):
 
 def _witness_candidates(search: RSearchResult, r: int):
     """Eventually periodic expansions of candidate points with exactly r
-    representations, in canonical order: the norm-r vectors in discovery
-    order, then their passing residues ascending, then the cycling
-    components the aligned subset reaches, ascending, then the loops of
+    representations, in canonical order: the routes of r, then the cycling
+    components the route's subset reaches, ascending, then the loops of
     ``_loops`` at the vertex where a shortest path from the subset enters
     the component.  Each expansion is the vector's digit word, then the
     residues along the path, then those along the loop."""
     graph = search.graph
     residue = graph.residue
     decomposition = graph.scc
-    vectors = [rv for rv in search.vectors if rv.norm == r]
-    # no subset of a vector before the search's witness reaches a cycle
-    first = [rv.vector for rv in vectors].index(search.statuses[r].witness.vector)
-    for rv in vectors[first:]:
-        for _, members, cycles in search.aligned[rv.support]:
-            for idx in cycles:
-                comp = set(decomposition.components[idx])
-                path = _bfs_path(graph.succ, graph.number[members], comp)
-                comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
-                for cycle in _loops(comp_succ, path[-1], residue):
-                    yield WitnessExpansion(
-                        integer_part=rv.integer_part,
-                        preperiod=rv.word + tuple(map(residue, path[:-1])),
-                        period=tuple(map(residue, cycle)),
-                    )
+    for route in search.routes[r]:
+        rv = route.vector
+        for idx in route.cycles:
+            comp = set(decomposition.components[idx])
+            path = _bfs_path(graph.succ, graph.number[route.subset], comp)
+            comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
+            for cycle in _loops(comp_succ, path[-1], residue):
+                yield WitnessExpansion(
+                    integer_part=rv.integer_part,
+                    preperiod=rv.word + tuple(map(residue, path[:-1])),
+                    period=tuple(map(residue, cycle)),
+                )
 
 
 def witness_ur(search: RSearchResult, r: int) -> WitnessExpansion:

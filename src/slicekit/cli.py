@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv=None) -> int:
+def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _dispatch(args)
@@ -119,9 +119,6 @@ def run(argv=None) -> int:
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"slicekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return InternalError.exit_code
-
-
-main = run
 
 
 def _dispatch(args) -> int:

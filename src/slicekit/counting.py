@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import log
+from math import gcd, log
 from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
@@ -85,9 +85,12 @@ class NadicExpansion(NamedTuple):
 
 
 def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
-    """Exact expansion by long division; remainders of the fractional part
-    recur, which pins down the preperiod/period split.  Raises TooLarge as
-    soon as the preperiod and period need more than _EXPANSION_CAP digits."""
+    """Exact expansion by long division of only the digits it needs.  For
+    x = i + p/q in lowest terms, the preperiod has one digit per step
+    q //= gcd(q, n) until the gcd is 1, and the period is the multiplicative
+    order of n modulo what is left (none when that is 1).  Raises TooLarge
+    as soon as the preperiod and period need more than _EXPANSION_CAP
+    digits."""
     x = Fraction(x)
     p, q = x.numerator, x.denominator
     if not q * inst.proj_min <= p <= q * inst.proj_max:
@@ -95,29 +98,26 @@ def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
     n = inst.n
     # x = i + p/q with 0 <= p < q, still in lowest terms
     i, p = divmod(p, q)
-    digits: list[int] = []
-    seen: dict[int, int] = {}
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    while True:
-        if p == 0:
-            preperiod, period, boundary = tuple(digits), (0,), True
-            break
-        if p in seen:
-            cut = seen[p]
-            preperiod, period, boundary = tuple(digits[:cut]), tuple(digits[cut:]), False
-            break
-        seen[p] = len(digits)
-        if len(digits) == _EXPANSION_CAP:
-            raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
+    pre, rest = 0, q
+    while (g := gcd(rest, n)) > 1:
+        rest //= g
+        pre += 1
+    length = pre
+    if rest > 1:
+        power = n % rest
+        length += 1
+        while power != 1 and length <= _EXPANSION_CAP:
+            power = power * n % rest
+            length += 1
+    if length > _EXPANSION_CAP:
+        raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
+    digits = []
+    for _ in range(length):
         d, p = divmod(n * p, q)
         digits.append(d)
-    return NadicExpansion(
-        integer_part=i,
-        preperiod=preperiod,
-        period=period,
-        boundary=boundary,
-    )
+    if length == pre:
+        return NadicExpansion(i, tuple(digits), (0,), True)
+    return NadicExpansion(i, tuple(digits[:pre]), tuple(digits[pre:]), False)
 
 
 def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fraction:

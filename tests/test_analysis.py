@@ -15,10 +15,11 @@ from slicekit import (
     witness_ur,
 )
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
-from slicekit.analysis import Analysis, _witness_candidates
+from slicekit.analysis import _VECTOR_CAP, Analysis, _witness_candidates
 from slicekit.errors import (
-    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange,
+    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
+from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
 
 from conftest import FIXTURES, counting_instances, load
@@ -62,10 +63,13 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
         enumerate_achievable_r(base7_double, 4)
     with pytest.raises(HypothesisViolated):
         enumerate_achievable_r(no_cover, 4)
-    # the ranges of max_r and budget are checked first
+    # the ranges of max_r and budget are checked first; a max_r past the
+    # vector cap is a resource cap, refused before anything is built
     for inst in (base7_double, no_cover):
         with pytest.raises(OutOfRange, match="max_r must be >= 1"):
             enumerate_achievable_r(inst, 0)
+        with pytest.raises(TooLarge, match=f"max_r must be <= {_VECTOR_CAP}"):
+            enumerate_achievable_r(inst, _VECTOR_CAP + 1)
         with pytest.raises(OutOfRange, match="budget must be >= 1"):
             enumerate_achievable_r(inst, 6, budget=0)
 
@@ -231,15 +235,65 @@ def test_every_achievable_r_gets_a_certified_witness(inst):
 
 
 _COVERING = sorted(p.stem for p in FIXTURES.glob("*.json") if covering_condition(load(p.stem)))
+_SEARCHABLE = [name for name in _COVERING if all(strong_separation(load(name)))]
+
+
+def _aligned(search):
+    """(vector, residue, subset) for each vector of ``search`` in order and
+    each residue h, ascending, whose aligned subset {n*p + h : p in support}
+    is uniquely covered."""
+    inst = search.analysis.inst
+    types = xi_types(inst)
+    for rv in search.vectors:
+        for h in range(inst.n):
+            subset = tuple(inst.n * p + h for p in rv.support)
+            if all(u in types for u in subset):
+                yield rv, h, subset
+
+
+def _assert_routes(search):
+    """``routes[r]`` is every (vector, residue, subset, cycles) of a norm-r
+    vector whose aligned subset reaches a cycling component, in the order
+    of ``_aligned``, for each r that has one; r is achievable exactly then,
+    and its witness carries the fields of the first."""
+    expected = {r: [] for r in range(1, search.max_r + 1)}
+    for rv, h, subset in _aligned(search):
+        cycles = tuple(sorted(search.graph.cycles_reached(subset)))
+        if cycles:
+            expected[rv.norm].append((rv, h, subset, cycles))
+    assert search.routes == {r: tuple(routes) for r, routes in expected.items() if routes}
+    for r, routes in expected.items():
+        status = search.statuses[r]
+        assert (status.status == "Achievable") == bool(routes)
+        if routes:
+            rv, h, subset, _ = routes[0]
+            fields = (rv.vector, rv.integer_part, rv.word, rv.support, h, subset)
+            assert status.witness == fields
+        else:
+            assert status.witness is None
+
+
+@pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)
+def test_routes_match_aligned_subsets(name):
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    _assert_routes(enumerate_achievable_r(inst, 8))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 6))
+def test_routes_match_aligned_subsets_random(inst, max_r):
+    if all(strong_separation(inst)):
+        _assert_routes(enumerate_achievable_r(inst, max_r))
 
 
 @pytest.mark.parametrize("name", ["span17"] + _COVERING)
 def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     """During ``build_report``, ``scc`` builds the block of each component
     of two or more vertices once and nothing builds one again; the search
-    computes the aligned subsets once per distinct support of its vectors
-    and asks the subset graph for each subset's cycles once; ``dim_ur``,
-    ``measure_ur`` and ``witness_ur`` do neither."""
+    asks the subset graph for the cycles of each distinct aligned subset of
+    its vectors once, and its routes take their subsets and cycles from
+    those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
+    neither."""
     inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
     calls = {key: [] for key in ("scc", "search", "component_matrix", "cycles_reached")}
     reading = []
@@ -281,7 +335,9 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     )
     assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
     for _, _, search in calls["search"]:
-        assert set(search.aligned) == {rv.support for rv in search.vectors}
-        subsets = [members for table in search.aligned.values() for _, members, _ in table]
-        assert len(set(subsets)) == len(subsets)
+        subsets = {subset for _, _, subset in _aligned(search)}
+        asked = {args[1]: reached for _, args, reached in calls["cycles_reached"]}
         assert sorted(args[1] for _, args, _ in calls["cycles_reached"]) == sorted(subsets)
+        for routes in search.routes.values():
+            for route in routes:
+                assert route.cycles == tuple(sorted(asked[route.subset]))

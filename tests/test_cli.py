@@ -164,6 +164,12 @@ def test_usage_errors(capsys):
         command, name, *flags = argv
         code, out, err = run(capsys, command, FIXTURES / f"{name}.json", *flags)
         assert (code, out) == (2, "") and message in err, argv
+    # a multiplicity range past the vector cap is a resource cap (exit 3),
+    # also checked before the instance's hypotheses
+    for name in ("cantor_diff", "base7_double"):
+        instance = FIXTURES / f"{name}.json"
+        code, out, err = run(capsys, "enumerate-r", instance, "--max-r", "10000000")
+        assert (code, out) == (3, "") and "max_r must be <= 1048576" in err, name
     # so are counting limits below their range: not a resource cap (exit 3)
     for flags, message in (
         (("--max-depth", "-5"), "max_depth must be >= 0"),

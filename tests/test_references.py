@@ -9,11 +9,13 @@ from ``subset_successor`` and finds components by Kosaraju's two passes;
 ``_assert_restriction`` builds the block of each component it compares,
 single vertices included, with ``component_matrix`` and certifies it with
 ``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
-rows with a ``Fraction`` per ratio.  The new code must reproduce all three
-exactly: the same vectors in the same discovery order; on the explored
-vertices, the same vertices, edges, components, reach sets, blocks and
-radii as the whole graph, read through ``graph.vertices``; and the same
-``RadiusResult``.
+rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
+base-n digits until a remainder recurs, keeping every remainder it has
+seen.  The new code must reproduce all four exactly: the same vectors in
+the same canonical order; on the explored vertices, the same vertices,
+edges, components, reach sets, blocks and radii as the whole graph, read
+through ``graph.vertices``; the same ``RadiusResult``; and the same
+``NadicExpansion``.
 """
 
 from fractions import Fraction
@@ -23,10 +25,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    build_congruent_graph, covering_condition, enumerate_achievable_r, parse_instance,
-    strong_separation,
+    ProblemInstance, build_congruent_graph, covering_condition, enumerate_achievable_r,
+    nadic_expansion, parse_instance, strong_separation,
 )
-from slicekit.analysis import _VECTOR_CAP, _reachable_vectors
+from slicekit.analysis import _VECTOR_CAP, ReachableVector, _reachable_vectors
+from slicekit.counting import NadicExpansion
 from slicekit.errors import TooLarge, WideEnclosure
 from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
 from slicekit.lattice import xi_types
@@ -74,9 +77,16 @@ def _dense_reachable_vectors(inst, max_r):
 
 
 def _assert_same_vectors(inst, max_r):
-    # as ordered item lists: discovery order is part of the contract
-    assert list(_reachable_vectors(inst, max_r).items()) == list(
-        _dense_reachable_vectors(inst, max_r).items()
+    # as ordered records: the canonical order (len(word), word, i) is part of
+    # the contract
+    dense = sorted(
+        _dense_reachable_vectors(inst, max_r).items(),
+        key=lambda kv: (len(kv[1][0]), kv[1][0], kv[1][1]),
+    )
+    offsets = range(inst.proj_min, inst.proj_max)
+    assert _reachable_vectors(inst, max_r) == tuple(
+        ReachableVector(vec, sum(vec), i, word, tuple(p for p, c in zip(offsets, vec) if c))
+        for vec, (word, i) in dense
     )
 
 
@@ -297,3 +307,44 @@ def test_integer_block_radius_matches_dense(rows, tolerance):
     assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
     verts.reverse()
     assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
+
+
+def _long_division_expansion(inst, x):
+    """Base-n long division of x until a remainder of the fractional part
+    recurs, which pins down the preperiod/period split."""
+    x = Fraction(x)
+    n = inst.n
+    i, p = divmod(x.numerator, x.denominator)
+    q = x.denominator
+    digits = []
+    seen = {}
+    while True:
+        if p == 0:
+            return NadicExpansion(i, tuple(digits), (0,), True)
+        if p in seen:
+            cut = seen[p]
+            return NadicExpansion(i, tuple(digits[:cut]), tuple(digits[cut:]), False)
+        seen[p] = len(digits)
+        d, p = divmod(n * p, q)
+        digits.append(d)
+
+
+@st.composite
+def _expansion_points(draw):
+    """A base n of 2-12 and a point of [-1, 1] whose denominator is
+    n^a * g^b * m for a divisor g > 1 of n, so that it often shares
+    factors with n."""
+    n = draw(st.integers(2, 12))
+    g = draw(st.sampled_from([d for d in range(2, n + 1) if n % d == 0]))
+    q = n ** draw(st.integers(0, 3)) * g ** draw(st.integers(0, 4)) * draw(st.integers(1, 600))
+    inst = ProblemInstance(n=n, digit_sets=((0, n - 1), (0, n - 1)), coefficients=(-1, 1))
+    return inst, Fraction(draw(st.integers(-q, q)), q)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_expansion_points())
+def test_expansion_matches_long_division(point):
+    """The preperiod and period lengths, found from gcd steps and the
+    multiplicative order of n, give the expansion long division gives."""
+    inst, x = point
+    assert nadic_expansion(inst, x) == _long_division_expansion(inst, x)
