@@ -42,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import inf, log, prod
+from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import DEFAULT_BUDGET, exact_card, expansion_value
@@ -49,7 +50,7 @@ from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
+    CongruentGraph, SccDecomposition, XiGraph, _closure, build_xi_graph, scc,
 )
 from .instance import ProblemInstance
 from .lattice import covering_condition, strong_separation
@@ -327,10 +328,14 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     A product is computed sparsely: entry (u, v) of digit matrix j is the
     cube weight count of n*u + j - v, so row u of matrix j has one nonzero
     entry per distinct cube weight w with v = n*u + j - w in range.  Those
-    entries and their sum are tabulated once per (j, u); a child's norm is
-    the sum of vec[u] * rowsum over the support u of vec, so a child past
+    entries are tabulated once per (j, u), and the n row sums of row u are
+    packed into one int, ``packed[u]``, a field of ``width`` bits per digit.
+    The n child norms of vec, each the sum of vec[u] * rowsum over the
+    support u of vec, are then the fields of one int sum; a child past
     max_r is rejected before it is formed, and child[v] sums vec[u] * entry
-    over the same support.  The dense span x span product is never formed.
+    over the same support.  No field overflows: vec has norm at most max_r
+    and a row sum is at most the number of cubes.  The dense span x span
+    product is never formed.
     """
     n, lo, span = inst.n, inst.proj_min, inst.span
     weights = list(inst.cube_weights.items())
@@ -342,7 +347,13 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
         ]
         for j in range(n)
     ]
-    sums = [[sum(count for _, count in row) for row in matrix] for matrix in rows]
+    width = (max_r * sum(inst.cube_weights.values())).bit_length()
+    mask = (1 << width) - 1
+    packed = [
+        sum(sum(count for _, count in rows[j][u]) << (width * j) for j in range(n))
+        for u in range(span)
+    ]
+    shifts = [(j, width * j) for j in range(n)]
     found: set[tuple[int, ...]] = set()
     vectors: list[ReachableVector] = []
     level: dict[tuple[int, ...], tuple] = {}
@@ -352,20 +363,14 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     found.update(level)
     while level:
         nxt: dict[tuple[int, ...], tuple] = {}
-        for vec, (word, i) in sorted(level.items(), key=lambda kv: (kv[1][0], kv[1][1])):
+        for vec, (word, i) in sorted(level.items(), key=itemgetter(1)):
             support = [(u, c) for u, c in enumerate(vec) if c]
             vectors.append(
-                ReachableVector(
-                    vector=vec,
-                    norm=sum(vec),
-                    integer_part=i,
-                    word=word,
-                    support=tuple(u + lo for u, _ in support),
-                )
+                ReachableVector(vec, sum(vec), i, word, tuple([u + lo for u, _ in support]))
             )
-            for j in range(n):
-                total = sums[j]
-                if sum([c * total[u] for u, c in support]) > max_r:
+            norms = sum([c * packed[u] for u, c in support])
+            for j, shift in shifts:
+                if (norms >> shift) & mask > max_r:
                     continue
                 matrix = rows[j]
                 child = [0] * span
@@ -472,7 +477,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     for support in {rv.support for rv in vectors}:
         shifted = enumerate(tuple([n * p + h for p in support]) for h in range(n))
         subsets[support] = [(h, m) for h, m in shifted if all(map(types.__contains__, m))]
-    graph = build_congruent_graph(inst, {m for pairs in subsets.values() for _, m in pairs})
+    graph = _closure(types, n, {m for pairs in subsets.values() for _, m in pairs})
     cycles = {
         m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
     }

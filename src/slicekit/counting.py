@@ -15,9 +15,11 @@ Two mechanisms, deliberately kept apart:
 
 ``exact_card`` does each piece of work at the level it depends on: covering
 and strong separation once per instance (remembered in a weak-keyed table,
-so the record goes with the instance); the range check, the expansion and
-the scaled weights (q * w, count) once per query; and per digit one call of
-the step kernel on the raw pairs, with the cardinality summed once.
+so the record goes with the instance); the range check, the expansion's
+preperiod and period lengths (no digit is written out, since the automaton
+reads x itself) and the scaled weights (q * w, count) once per query; and
+per digit one call of the step kernel on the raw pairs, with the
+cardinality summed once.
 ``advance_state`` is the public one-step view of the same kernel.
 
 For rational x the automaton state space is finite (at most span * q + 1
@@ -49,7 +51,9 @@ from .spectral import transition_matrices
 
 DEFAULT_BUDGET = 4096
 
-# Most digits ``nadic_expansion`` writes out, preperiod and period together.
+# Most digits an expansion may take, preperiod and repeating period together:
+# ``nadic_expansion`` writes out no more, and ``exact_card`` counts no point
+# whose expansion is longer.
 _EXPANSION_CAP = 2**20
 
 
@@ -84,40 +88,47 @@ class NadicExpansion(NamedTuple):
         return pre + (depth - pre) % len(self.period)
 
 
-def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
-    """Exact expansion by long division of only the digits it needs.  For
-    x = i + p/q in lowest terms, the preperiod has one digit per step
+def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
+    """The preperiod and period lengths of the base-n expansion of x, with
+    no digit written out; a terminating x has the period (0,), of length 1.
+    For x = i + p/q in lowest terms, the preperiod has one digit per step
     q //= gcd(q, n) until the gcd is 1, and the period is the multiplicative
-    order of n modulo what is left (none when that is 1).  Raises TooLarge
-    as soon as the preperiod and period need more than _EXPANSION_CAP
-    digits."""
-    x = Fraction(x)
+    order of n modulo what is left.  Raises OutOfRange outside the range,
+    and TooLarge as soon as the preperiod and a repeating period need more
+    than _EXPANSION_CAP digits."""
     p, q = x.numerator, x.denominator
     if not q * inst.proj_min <= p <= q * inst.proj_max:
         raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
     n = inst.n
-    # x = i + p/q with 0 <= p < q, still in lowest terms
-    i, p = divmod(p, q)
     pre, rest = 0, q
     while (g := gcd(rest, n)) > 1:
         rest //= g
         pre += 1
-    length = pre
+    period = 0
     if rest > 1:
-        power = n % rest
-        length += 1
-        while power != 1 and length <= _EXPANSION_CAP:
+        power, period = n % rest, 1
+        while power != 1 and pre + period <= _EXPANSION_CAP:
             power = power * n % rest
-            length += 1
-    if length > _EXPANSION_CAP:
+            period += 1
+    if pre + period > _EXPANSION_CAP:
         raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
+    return pre, period or 1
+
+
+def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
+    """Exact expansion by long division of only the digits it needs, as
+    many as ``_expansion_lengths`` counts.  The remainder after them is 0
+    exactly when x terminates, and the period is then (0,)."""
+    x = Fraction(x)
+    pre, period = _expansion_lengths(inst, x)
+    n, q = inst.n, x.denominator
+    # x = i + p/q with 0 <= p < q, still in lowest terms
+    i, p = divmod(x.numerator, q)
     digits = []
-    for _ in range(length):
+    for _ in range(pre + period):
         d, p = divmod(n * p, q)
         digits.append(d)
-    if length == pre:
-        return NadicExpansion(i, tuple(digits), (0,), True)
-    return NadicExpansion(i, tuple(digits[:pre]), tuple(digits[pre:]), False)
+    return NadicExpansion(i, tuple(digits[:pre]), tuple(digits[pre:]), p == 0)
 
 
 def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fraction:
@@ -286,8 +297,7 @@ def exact_card(
         raise HypothesisViolated(
             "exact counting needs the covering condition and strong separation"
         )
-    exp = nadic_expansion(inst, x)
-    pre, per = len(exp.preperiod), len(exp.period)
+    pre, per = _expansion_lengths(inst, x)
     if max_depth is None:
         max_depth = 64 * (pre + per)
     n, q = inst.n, x.denominator

@@ -16,9 +16,14 @@ Only the part of the subset graph that given seed subsets reach is ever
 built: ``build_congruent_graph`` closes the seeds under
 ``subset_successor``, refused with TooLarge past 2**20 vertices, numbers
 the reached subsets in ascending member order and decomposes them on
-those numbers.  A successor-closed vertex set is a union of whole strongly
-connected components, so the components, radii, reach sets and cycling
-flags it yields are those of the whole subset graph restricted to it.
+those numbers.  The closure forms each reached subset's base image, the
+ascending distinct n*t(u), once; its image under residue h is the base
+shifted by h, kept when every member is uniquely covered.  The
+multiplicity search runs the same closure on the xi types its ``Analysis``
+context already holds.  A successor-closed vertex set is a union of whole
+strongly connected components, so the components, radii, reach sets and
+cycling flags it yields are those of the whole subset graph restricted to
+it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
@@ -178,8 +183,19 @@ def build_congruent_graph(
     ``subset_successor``, numbered in ascending member order.  Raises
     TooLarge as soon as the closure has more than _SUBSET_LIMIT vertices.
     """
-    types = xi_types(inst)
-    n = inst.n
+    return _closure(xi_types(inst), inst.n, seeds)
+
+
+def _closure(
+    types: Mapping[int, int], n: int, seeds: Iterable[tuple[int, ...]]
+) -> CongruentGraph:
+    """``build_congruent_graph`` on the xi types ``types`` of the instance.
+
+    Each reached subset's base image, the ascending distinct n*t(u) over its
+    members u, is formed once; its image under residue h is the base shifted
+    by h, which is ``subset_successor``'s image, kept when every member is
+    uniquely covered."""
+    contains = types.__contains__
     # images[members]: the successors of a reached subset, ascending in h
     images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     frontier = list(seeds)
@@ -190,9 +206,10 @@ def build_congruent_graph(
         if len(images) == _SUBSET_LIMIT:
             raise TooLarge(f"the subset graph explores more than {_SUBSET_LIMIT} vertices")
         out = images[members] = []
+        base = sorted({n * types[u] for u in members})
         for h in range(n):
-            image = subset_successor(types, n, members, h)
-            if image is not None:
+            image = tuple([b + h for b in base])
+            if all(map(contains, image)):
                 out.append(image)
                 frontier.append(image)
     vertices = sorted(images)

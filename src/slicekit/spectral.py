@@ -5,7 +5,10 @@ from Collatz-Wielandt ratio bounds, never as bare floats: for any positive
 vector x, min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i.  ``block_radius``
 certifies one strongly connected block; each multi-vertex block gets an
 identity shift so the iteration matrix is primitive and the bounds actually
-converge.  ``spectral_radius`` splits a reducible matrix into its blocks and
+converge.  Its power iteration is on ints throughout: the best bounds are
+int (numerator, denominator) pairs compared by cross-multiplication, and
+each becomes one ``Fraction`` only when the iteration stops.
+``spectral_radius`` splits a reducible matrix into its blocks and
 folds their enclosures with ``max_radius``; ``graphs.scc`` calls the same
 certifier on the components it has already found, so a decomposed graph
 never runs Tarjan twice.
@@ -103,8 +106,10 @@ def block_radius(
 
     The power iteration runs on ints: each step multiplies over the
     block's nonzero entries only, picks the least and the largest ratio
-    y_i/x_i by cross-multiplication (every x_i is positive) and makes one
-    ``Fraction`` per bound."""
+    y_i/x_i by cross-multiplication (every x_i is positive), keeps the best
+    lower and upper bound so far as int (numerator, denominator) pairs,
+    updated and tested against the tolerance by cross-multiplication too,
+    and makes one ``Fraction`` per bound, at the end."""
     k = len(verts)
     if k == 1:
         v = Fraction(rows[verts[0]][verts[0]])
@@ -115,9 +120,9 @@ def block_radius(
         for a in verts
     ]
     x = [1] * k
-    tol = Fraction(tolerance)
-    best_lo = Fraction(0)
-    best_hi = None
+    tn, td = Fraction(tolerance).as_integer_ratio()
+    # the best bounds as ratios ln/ld and hn/hd; hn/hd starts at infinity
+    ln, ld, hn, hd = 0, 1, 1, 0
     for _ in range(_MAX_ITERATIONS):
         y = [sum([e * x[j] for j, e in row]) for row in shifted]
         lo = hi = 0
@@ -126,12 +131,13 @@ def block_radius(
                 lo = i
             elif y[i] * x[hi] > y[hi] * x[i]:
                 hi = i
-        best_lo = max(best_lo, Fraction(y[lo], x[lo]))
-        ratio = Fraction(y[hi], x[hi])
-        best_hi = ratio if best_hi is None else min(best_hi, ratio)
-        if best_hi - best_lo <= tol:
-            lo, hi = best_lo - 1, best_hi - 1
-            return RadiusResult(lo, hi, float((lo + hi) / 2))
+        if y[lo] * ld > ln * x[lo]:
+            ln, ld = y[lo], x[lo]
+        if y[hi] * hd < hn * x[hi]:
+            hn, hd = y[hi], x[hi]
+        if (hn * ld - ln * hd) * td <= tn * hd * ld:
+            lower, upper = Fraction(ln - ld, ld), Fraction(hn - hd, hd)
+            return RadiusResult(lower, upper, float((lower + upper) / 2))
         x = y
         top = max(x)
         if top.bit_length() > 512:
@@ -343,17 +349,21 @@ def compare_radii(
     integer matrices ``a`` and ``b`` whose radii have the certified
     enclosures ``ra`` and ``rb`` (as ``block_radius`` returns).
 
-    Disjoint enclosures decide it, equal point enclosures and identical
-    matrices give 0.  Otherwise each radius is isolated by Sturm counts on
+    One matrix object gives 0 before any enclosure is read; disjoint
+    enclosures decide it, equal point enclosures and identical matrices
+    give 0.  Otherwise each radius is isolated by Sturm counts on
     its squarefree characteristic polynomial; the radii are equal exactly
     when the gcd of the two polynomials has a root where the two windows
     overlap, and else the windows are halved until they are disjoint.
     """
+    # one matrix object: every single-vertex loop block of a graph shares one
+    if a is b:
+        return 0
     if ra.upper < rb.lower:
         return -1
     if rb.upper < ra.lower:
         return 1
-    if ra.lower == ra.upper == rb.lower == rb.upper or a is b:
+    if ra.lower == ra.upper == rb.lower == rb.upper:
         return 0
     rows_a, rows_b = _as_rows(a), _as_rows(b)
     if rows_a == rows_b:

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -341,3 +342,23 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         for routes in search.routes.values():
             for route in routes:
                 assert route.cycles == tuple(sorted(asked[route.subset]))
+
+
+@pytest.mark.parametrize("name", ["span17"] + sorted(p.stem for p in FIXTURES.glob("*.json")))
+def test_report_computes_xi_types_once(name, monkeypatch):
+    """``build_report`` finds the xi types once, for the restricted graph
+    of its ``Analysis`` context; the search builds its subset graph on the
+    context's types instead of finding them again.  The spy replaces
+    ``xi_types`` at every module of the package that binds it."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return xi_types(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "slicekit" and getattr(module, "xi_types", None) is xi_types:
+            monkeypatch.setattr(module, "xi_types", spy)
+    report.build_report(inst)
+    assert calls == [(inst,)]

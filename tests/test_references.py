@@ -102,6 +102,20 @@ def test_sparse_vectors_match_dense_random(inst, max_r):
     _assert_same_vectors(inst, max_r)
 
 
+@pytest.mark.parametrize("name", ["base7_double", "l3", "l4"])
+def test_packed_norms_match_dense_at_field_width_edges(name):
+    """The n child norms share one int, a field of
+    (max_r * cubes).bit_length() bits per digit.  On instances with many
+    cubes (16, 8 and 16), at each max_r where max_r * cubes reaches a power
+    of two and at the one after it, the widest field must not spill into
+    the next digit's: the vectors are those of the dense products."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    assert sum(inst.cube_weights.values()) in (8, 16)
+    # max_r * cubes is a power of two at 1, 2, 4 and 8, just past one at 3, 5, 9
+    for max_r in (1, 2, 3, 4, 5, 8, 9):
+        _assert_same_vectors(inst, max_r)
+
+
 def _kosaraju(succ):
     """Strongly connected components of the successor map ``succ`` (every
     vertex a key) by Kosaraju's two passes: depth-first finishing order on
