@@ -24,7 +24,8 @@ order: a norm-r vector, then a residue whose aligned subset reaches a
 cycling component.  ``dim_u1`` reads a context; the status of r,
 ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route list of a
 multiplicity search, ``RSearchResult``, which also carries the context it
-ran on and the subset graph.
+ran on and the subset graph.  The search stores a status only for an r it
+reaches; ``RSearchResult.status`` reads any other r of 1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
@@ -305,7 +306,8 @@ class RSearchResult(NamedTuple):
     in the discovery order of ``vectors``, then their residues ascending.
     An r in 1..max_r is achievable exactly when it has a route, and only
     those r are keys; the status, ``dim_ur``, ``measure_ur`` and
-    ``witness_ur`` all read this one list."""
+    ``witness_ur`` all read this one list.  ``statuses`` holds only the r
+    that are not NotReachable, ascending; ``status(r)`` reads any r."""
 
     max_r: int
     vectors: tuple[ReachableVector, ...]
@@ -315,7 +317,13 @@ class RSearchResult(NamedTuple):
     routes: dict[int, tuple[Route, ...]]
 
     def achievable(self) -> list[int]:
-        return [r for r, st in sorted(self.statuses.items()) if st.status == STATUS_ACHIEVABLE]
+        return list(self.routes)
+
+    def status(self, r: int) -> RStatus:
+        """The status of r; NotAchievable when r is outside 1..max_r."""
+        if not 1 <= r <= self.max_r:
+            raise NotAchievable(f"r={r} is outside the searched range 1..{self.max_r}")
+        return self.statuses.get(r) or RStatus(r, STATUS_NOT_REACHABLE, None, None)
 
 
 def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVector, ...]:
@@ -412,7 +420,7 @@ def enumerate_achievable_r(
     OnlyOnCountableSet: not achievable, but either a norm-r vector is
     reachable (no residue passes) or some terminating expansion realises r
     through the integer-offset automaton.
-    NotReachable: neither route produces r.
+    NotReachable: neither route produces r (not stored; ``status`` reads it).
     """
     return _search(Analysis(inst), max_r, budget)
 
@@ -486,19 +494,16 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
         passing = [Route(rv, h, m, cycles[m]) for h, m in subsets[rv.support] if cycles[m]]
         if passing:
             routes.setdefault(rv.norm, []).extend(passing)
-    norms = {rv.norm for rv in vectors}
     statuses: dict[int, RStatus] = {}
-    for r in range(1, max_r + 1):
+    for r in sorted({rv.norm for rv in vectors} | countable.keys()):
         if r in routes:
             rv, h, members, _ = routes[r][0]
             witness = AchievabilityWitness(
                 rv.vector, rv.integer_part, rv.word, rv.support, h, members
             )
             statuses[r] = RStatus(r, STATUS_ACHIEVABLE, witness, None)
-        elif r in norms or r in countable:
-            statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
         else:
-            statuses[r] = RStatus(r, STATUS_NOT_REACHABLE, None, None)
+            statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
     return RSearchResult(
         max_r=max_r,
         vectors=vectors,
@@ -520,14 +525,6 @@ class UrReport(NamedTuple):
     measure_class: str | None
 
 
-def _status(search: RSearchResult, r: int) -> RStatus:
-    """The status of r in ``search``; NotAchievable when the search does
-    not classify r."""
-    if r not in search.statuses:
-        raise NotAchievable(f"r={r} is outside the searched range 1..{search.max_r}")
-    return search.statuses[r]
-
-
 def dim_ur(search: RSearchResult, r: int) -> UrReport:
     """Hausdorff dimension of the set of points with exactly r
     representations, for r certified by the multiplicity search.
@@ -543,7 +540,7 @@ def dim_ur(search: RSearchResult, r: int) -> UrReport:
 def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
     """``dim_ur``'s report, with the block of the subset-graph component
     where the maximum is taken (None when r occurs only on the grid)."""
-    status = _status(search, r)
+    status = search.status(r)
     if status.status == STATUS_NOT_REACHABLE:
         raise NotAchievable(f"r={r} is not realised (searched up to {search.max_r})")
     if status.status == STATUS_COUNTABLE:
@@ -578,7 +575,7 @@ def measure_ur(search: RSearchResult, r: int) -> UrReport:
     when the whole range is dominated, that is reachable in the restricted
     graph from components whose radius is at least the one ``dim_ur``
     reads, otherwise positive with the total mass left undetermined."""
-    status = _status(search, r)
+    status = search.status(r)
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
     report, block = _dim_ur(search, r)
@@ -677,7 +674,7 @@ def witness_ur(search: RSearchResult, r: int) -> WitnessExpansion:
     the others.  Raises NoCertifiedWitness, an InternalError, when no
     candidate certifies.
     """
-    status = _status(search, r)
+    status = search.status(r)
     if status.status != STATUS_ACHIEVABLE:
         raise NotAchievable(f"r={r} has status {status.status}")
     inst = search.analysis.inst

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import (
-    STATUS_ACHIEVABLE,
     STATUS_COUNTABLE,
     Analysis,
     RSearchResult,
@@ -150,7 +149,7 @@ def build_report(
         graph = search.graph
         labels = [",".join(map(str, members)) for members in graph.vertices]
         data["scc_subsets"] = _scc_json(graph.scc, labels)
-        data["r_search"] = _search_json(inst, search)
+        data["r_search"] = _search_json(search)
         data["ur"] = _ur_json(inst, search)
     elapsed = time.monotonic() - started
     return {
@@ -159,9 +158,11 @@ def build_report(
     }
 
 
-def _search_json(inst: ProblemInstance, search: RSearchResult) -> dict:
+def _search_json(search: RSearchResult) -> dict:
+    # every r in 1..max_r, with no vector: the witnesses carry their own
     statuses = {}
-    for r, st in sorted(search.statuses.items()):
+    for r in range(1, search.max_r + 1):
+        st = search.status(r)
         entry: dict = {"status": st.status}
         if st.witness is not None:
             w = st.witness
@@ -179,30 +180,21 @@ def _search_json(inst: ProblemInstance, search: RSearchResult) -> dict:
     return {
         "max_r": search.max_r,
         "achievable": search.achievable(),
-        "vectors": [
-            {
-                "vector": list(rv.vector),
-                "norm": rv.norm,
-                "integer_part": rv.integer_part,
-                "word": list(rv.word),
-            }
-            for rv in search.vectors
-        ],
         "statuses": statuses,
     }
 
 
 def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
+    """One entry per stored status, Achievable or OnlyOnCountableSet."""
     out = {}
-    for r, st in sorted(search.statuses.items()):
-        if st.status != STATUS_ACHIEVABLE:
-            if st.status == STATUS_COUNTABLE:
-                rep = dim_ur(search, r)
-                out[str(r)] = {
-                    "dim": {"decimal": decimal(rep.dim)},
-                    "countable": True,
-                    "measure_class": None,
-                }
+    for r, st in search.statuses.items():
+        if st.status == STATUS_COUNTABLE:
+            rep = dim_ur(search, r)
+            out[str(r)] = {
+                "dim": {"decimal": decimal(rep.dim)},
+                "countable": True,
+                "measure_class": None,
+            }
             continue
         rep = measure_ur(search, r)
         out[str(r)] = {

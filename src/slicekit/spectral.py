@@ -350,8 +350,8 @@ def compare_radii(
     enclosures ``ra`` and ``rb`` (as ``block_radius`` returns).
 
     One matrix object gives 0 before any enclosure is read; disjoint
-    enclosures decide it, equal point enclosures and identical matrices
-    give 0.  Otherwise each radius is isolated by Sturm counts on
+    enclosures decide it, equal point enclosures and matrices that compare
+    equal give 0.  Otherwise each radius is isolated by Sturm counts on
     its squarefree characteristic polynomial; the radii are equal exactly
     when the gcd of the two polynomials has a root where the two windows
     overlap, and else the windows are halved until they are disjoint.
@@ -365,11 +365,10 @@ def compare_radii(
         return 1
     if ra.lower == ra.upper == rb.lower == rb.upper:
         return 0
-    rows_a, rows_b = _as_rows(a), _as_rows(b)
-    if rows_a == rows_b:
+    if a == b:
         return 0
-    chain_a, *wa = _perron_window(rows_a, ra)
-    chain_b, *wb = _perron_window(rows_b, rb)
+    chain_a, *wa = _perron_window(a, ra)
+    chain_b, *wb = _perron_window(b, rb)
     lo, hi = max(wa[0], wb[0]), min(wa[1], wb[1])
     if lo < hi and count_real_roots(_poly_gcd(chain_a[0], chain_b[0]), lo, hi):
         return 0

@@ -218,7 +218,7 @@ def test_criterion_7(cantor_diff, cantor_sum, base7_double, base6_mixed):
 def test_criterion_8(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     assert search.achievable() == [1, 2, 4]
-    assert search.statuses[3].status == "OnlyOnCountableSet"
+    assert search.status(3).status == "OnlyOnCountableSet"
     s = math.log(2) / math.log(3)
     for r in (2, 4):
         rep = measure_ur(search, r)

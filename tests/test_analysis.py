@@ -53,10 +53,25 @@ def test_measure_classes(cantor_diff, base7_double, base6_mixed, no_cover):
 def test_enumerate_statuses(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     assert search.achievable() == [1, 2, 4]
-    statuses = {r: st.status for r, st in search.statuses.items()}
+    statuses = {r: search.status(r).status for r in range(1, 7)}
     assert statuses[3] == "OnlyOnCountableSet"
     assert statuses[5] == "NotReachable"
     assert statuses[6] == "OnlyOnCountableSet"
+
+
+def test_statuses_store_only_reached_r(cantor_diff):
+    """The search stores a status only for an r that is not NotReachable;
+    ``status`` reads any r of 1..max_r and refuses every other r."""
+    search = enumerate_achievable_r(cantor_diff, 6)
+    assert list(search.statuses) == [1, 2, 3, 4, 6]
+    assert search.status(5) == (5, "NotReachable", None, None)
+    for r in (0, 7):
+        with pytest.raises(NotAchievable, match="outside the searched range 1..6"):
+            search.status(r)
+    # 39 of 10^6 are stored, ascending, though a set of them iterates out of order
+    large = enumerate_achievable_r(cantor_diff, 10**6)
+    assert len(large.statuses) == 39
+    assert list(large.statuses) == sorted(large.statuses)
 
 
 def test_enumerate_requires_hypotheses(base7_double, no_cover):
@@ -78,7 +93,7 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
 def test_countable_examples_verify(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (3, 6):
-        x = search.statuses[r].countable_example
+        x = search.status(r).countable_example
         assert x is not None
         res = exact_card(cantor_diff, x)
         assert (res.verdict, res.count) == ("Finite", r)
@@ -111,8 +126,8 @@ def test_search_closure_is_stable(inst, a, extra):
         return
     small = enumerate_achievable_r(inst, a)
     large = enumerate_achievable_r(inst, a + extra)
-    assert [large.statuses[r] for r in range(1, a + 1)] == [
-        small.statuses[r] for r in range(1, a + 1)
+    assert [large.status(r) for r in range(1, a + 1)] == [
+        small.status(r) for r in range(1, a + 1)
     ]
     assert tuple(rv for rv in large.vectors if rv.norm <= a) == small.vectors
 
@@ -256,15 +271,22 @@ def _assert_routes(search):
     """``routes[r]`` is every (vector, residue, subset, cycles) of a norm-r
     vector whose aligned subset reaches a cycling component, in the order
     of ``_aligned``, for each r that has one; r is achievable exactly then,
-    and its witness carries the fields of the first."""
+    and its witness carries the fields of the first.  An r of 1..max_r is
+    stored in ``statuses`` exactly when its status is not the default."""
     expected = {r: [] for r in range(1, search.max_r + 1)}
     for rv, h, subset in _aligned(search):
         cycles = tuple(sorted(search.graph.cycles_reached(subset)))
         if cycles:
             expected[rv.norm].append((rv, h, subset, cycles))
     assert search.routes == {r: tuple(routes) for r, routes in expected.items() if routes}
+    # stored keys lie in 1..max_r, ascending
+    assert list(search.statuses) == [r for r in expected if r in search.statuses]
     for r, routes in expected.items():
-        status = search.statuses[r]
+        status = search.status(r)
+        stored = status != (r, "NotReachable", None, None)
+        assert (r in search.statuses) == stored
+        if stored:
+            assert search.statuses[r] is status
         assert (status.status == "Achievable") == bool(routes)
         if routes:
             rv, h, subset, _ = routes[0]
@@ -285,6 +307,24 @@ def test_routes_match_aligned_subsets(name):
 def test_routes_match_aligned_subsets_random(inst, max_r):
     if all(strong_separation(inst)):
         _assert_routes(enumerate_achievable_r(inst, max_r))
+
+
+@pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)
+def test_report_lists_every_status_and_no_vectors(name):
+    """``r_search`` lists the status of every r in 1..max_r, read through
+    ``search.status``, and not the vectors the search found them with; ``ur``
+    has an entry for each stored status only."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    search = enumerate_achievable_r(inst, 8)
+    data = report.build_report(inst, max_r=8)["data"]
+    r_search = data["r_search"]
+    assert sorted(r_search) == ["achievable", "max_r", "statuses"]
+    assert r_search["achievable"] == search.achievable()
+    assert list(r_search["statuses"]) == [str(r) for r in range(1, 9)]
+    assert [entry["status"] for entry in r_search["statuses"].values()] == [
+        search.status(r).status for r in range(1, 9)
+    ]
+    assert list(data["ur"]) == [str(r) for r in search.statuses]
 
 
 @pytest.mark.parametrize("name", ["span17"] + _COVERING)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from slicekit.analysis import enumerate_achievable_r
 from slicekit.cli import main, render_grid
 from slicekit.report import data_section, parse_rational
 from slicekit.errors import InvalidDocument, NotPlanar
+
+from conftest import load
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -117,6 +120,26 @@ def test_enumerate_and_dim_ur(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["cantor_diff", "cantor_double_diff", "cantor_sum"])
+@pytest.mark.parametrize("max_r", [6, 30])
+def test_enumerate_lists_only_stored_statuses(capsys, name, max_r):
+    """``enumerate-r`` lists exactly the r whose status is not
+    NotReachable, and ``achievable`` lists every achievable r."""
+    code, out, _ = run(capsys, "enumerate-r", FIXTURES / f"{name}.json", "--max-r", max_r)
+    assert code == 0
+    doc = json.loads(out)
+    search = enumerate_achievable_r(load(name), max_r)
+    statuses = [search.status(r).status for r in range(1, max_r + 1)]
+    assert doc["statuses"] == {
+        str(r): status for r, status in enumerate(statuses, 1) if status != "NotReachable"
+    }
+    assert doc["achievable"] == [r for r, s in enumerate(statuses, 1) if s == "Achievable"]
+    powers = [r for r in (1, 2, 4, 8, 16) if r <= max_r]
+    assert doc["achievable"] == (
+        list(range(1, max_r + 1)) if name == "cantor_double_diff" else powers
+    )
+
+
 def test_witness_subcommand(capsys):
     code, out, _ = run(capsys, "witness", FIXTURES / "cantor_diff.json", "--r", "2")
     assert code == 0
@@ -137,6 +160,19 @@ def test_lyapunov_subcommand(capsys):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert json.loads(out)["estimate"] == "0.0"
+
+
+def test_lyapunov_refuses_oversized_runs(capsys):
+    """A depth past 2**16 or more than 2**24 samples is a resource cap,
+    exit 3, refused before numpy allocates the digits or the per-sample
+    array; the largest depth still runs."""
+    instance = FIXTURES / "cantor_diff.json"
+    for samples, depth in ((10, 10**10), (10, 2**16 + 1), (2**24 + 1, 1)):
+        code, out, err = run(capsys, "lyapunov", instance, "--samples", samples, "--depth", depth)
+        assert (code, out) == (3, ""), (samples, depth)
+        assert f"need depth <= 2**16, samples <= 2**24; got {depth}, {samples}" in err
+    code, out, _ = run(capsys, "lyapunov", instance, "--samples", 1, "--depth", 2**16)
+    assert code == 0 and json.loads(out)["depth"] == 2**16
 
 
 def test_usage_errors(capsys):

@@ -36,35 +36,38 @@ def test_analyze_matches_golden(name, tmp_path):
 
 # The scaled family of the benchmark (spans 9-17 of n=3 {0,2} two-factor
 # instances, n=5 and n=7, l=3 and l=4), written out here so that this test
-# does not depend on bench/, and spans 21, 25 and 29, whose residue classes
-# have 49149, 393213 and 2359293 subsets; the search explores 279, 748 and
-# 1309 of them.  Each hash is the sha256 of the report's ``data`` section
-# serialised as above.  They pin the scc_xi/scc_subsets orders and radii
-# of subset graphs far larger than any bundled instance's.
+# does not depend on bench/, and spans 21, 25, 29 and 41, whose residue
+# classes have 49149, 393213, 2359293 and 603979773 subsets; the search
+# explores 279, 748, 1309 and 3920 of them.  Each hash is the sha256 of the
+# report's ``data`` section serialised as above.  They pin the
+# scc_xi/scc_subsets orders and radii of subset graphs far larger than any
+# bundled instance's.
 SCALED = {
     "span9": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-4, 5]}',
-              "c2d8cd7864d2cf0b0a9f0ce22e74f5bd7569cbbf79b6e70b047d164780b7c04d"),
+              "7ba63ee7d3f224416636e3dcae485ce9729ae731917f75e14748354827dfc9dd"),
     "span13": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-6, 7]}',
-               "fa6303d70510a999edba9adb61bb5cd47d4d4f8f4931e4a606a9d2e2af92cb59"),
+               "5dc6ed1adda6ffd4b0f48654ca371005a143b87ab70a47fbbbaacbe98b3afccf"),
     "span15": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-7, 8]}',
-               "9b557fc666754332bc98ea6c54974383bc30accf4abf2d3a101ffc4a867690ae"),
+               "9ae3e0533fa87403f89d7a8c68f28c4b193dece5546d9408a1d5f87edabd6e8c"),
     "span17": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-8, 9]}',
-               "918709157c7f6607b95d6fcb5667c92604f3aa03e5604483f73c4897567471b3"),
+               "ab3b7d90a1db4c1a68dae0022e7b0443cfc524de8386c678ec90bdfaa2696d04"),
     "span21": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10, 11]}',
-               "853736a8adc5657cf2ded3b5b65f730e905982260d8b96a4502b39f0e9568814"),
+               "078f2b938815c36653244917f3de2d3f6ffabbbbfde1aaed7a753cbad2370a17"),
     "span25": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-12, 13]}',
-               "cabcdb6ac5a42038a9727c41b45e7fc0696ee7a553d5264bd65aa15221423fa3"),
+               "b305db122c46c0f9dd1b2939d544add68e03298f7ef97c806466ae93fe2038f6"),
     "span29": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-14, 15]}',
-               "139a92be2628619f988a3944e23b51df558e7028ace5e813bf94ca9fde7cc4e7"),
+               "48e1e2d60aac8b9356bddf0e06db2bed676114cad46906a2711c43ceaf7f485f"),
+    "span41": ('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-20, 21]}',
+               "ad1766e8f5069f731f08699f7045e122501d3be23f6e59b5805e9228282fc54a"),
     "n7": ('{"n": 7, "digit_sets": [[0, 3, 6], [0, 3, 6]], "coefficients": [-2, 5]}',
-           "3a115242e30485d0f2819e89ae38c493f70c577a048690bcc73122c7bc5f1473"),
+           "d73f946be7c38d533a8c1e8881531332ecfee7e5a8cb7040204023691f0f5e09"),
     "n5": ('{"n": 5, "digit_sets": [[0, 2, 4], [0, 2, 4]], "coefficients": [-5, 6]}',
-           "7137f33c0a208f15230947937da19ed850bd0f7d30fbbdc2e481bf02439cbf60"),
+           "e4bddbd77c1e49997f0dcb9114962249571229533b3e51afc585fdfdc597180e"),
     "l3": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2]], "coefficients": [-4, 4, 5]}',
-           "adb290306c986e5d8df489c4c90b686788e604455b920d3183c9bf0d4872ac9c"),
+           "4414dd7eb5afbfbcf40b361ffc2e58cd0510139326b362fc2b043e1f6817a2a9"),
     "l4": ('{"n": 3, "digit_sets": [[0, 2], [0, 2], [0, 2], [0, 2]], '
            '"coefficients": [-2, 3, -3, 4]}',
-           "e505783d476c34d29bb9d0aa74db7f4bce4f484976809e4ec4574bb1284ee45e"),
+           "cefe8d54e20e486cfd36c07b34eab4c0f501da14e4905a4f39a68ed2e26ab17e"),
 }
 
 

@@ -86,7 +86,7 @@ def test_xi_sccs_survive_in_subset_graph(inst):
 
 def test_xi_sccs_survive_in_subset_graph_named():
     """The same check on every bundled instance, on the benchmark's scaled
-    family (spans up to 17) and on spans 21, 25 and 29."""
+    family (spans up to 17) and on spans 21, 25, 29 and 41."""
     for name in sorted(p.stem for p in FIXTURES.glob("*.json")):
         _assert_xi_sccs_survive(load(name))
     for document, _ in SCALED.values():

@@ -245,10 +245,10 @@ def test_explored_subset_graph_matches_whole_bundled():
             _assert_restriction(enumerate_achievable_r(inst, 6).graph, reference)
 
 
-# Spans 25 and 29 are left out: their whole graphs have 393213 and 2359293
-# vertices.
+# Spans 25, 29 and 41 are left out: their whole graphs have 393213, 2359293
+# and 603979773 vertices.
 @pytest.mark.parametrize(
-    "label", sorted(label for label in SCALED if label not in ("span25", "span29"))
+    "label", sorted(label for label in SCALED if label not in ("span25", "span29", "span41"))
 )
 def test_explored_subset_graph_matches_whole_scaled(label):
     """The graph ``analyze`` builds for the benchmark's scaled family and
