@@ -14,18 +14,21 @@
 
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
-graph (with the xi types) and its SCC decomposition, covering and
-separation, the digit matrices and the U1 report.  The multiplicity search
-computes the aligned subsets of each distinct support of its vectors once,
-builds the subset graph once, only the part that they reach, since nothing
-reads any other subset, and asks it once for the cycling components each
-subset reaches.  It then lists the routes of each r once, in canonical
-order: a norm-r vector, then a residue whose aligned subset reaches a
-cycling component.  ``dim_u1`` reads a context; the status of r,
-``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route list of a
-multiplicity search, ``RSearchResult``, which also carries the context it
-ran on and the subset graph.  The search stores a status only for an r it
-reaches; ``RSearchResult.status`` reads any other r of 1..max_r as NotReachable.
+graph (with the xi types) and its SCC decomposition, whose blocks every
+restricted-graph verdict reads, covering and separation, the digit
+matrices and the U1 report.  The multiplicity search computes the aligned
+subsets of each distinct support of its vectors once, builds the subset
+graph once with ``graphs.build_congruent_graph`` on the context's xi
+types, only the part that they reach, since nothing reads any other
+subset, and asks it once for the cycling components each subset reaches.
+It then lists the routes of each r once, in canonical order: a norm-r
+vector, then a residue whose aligned subset reaches a cycling component.
+``dim_u1`` reads a context; the status of r, whose witness is its first
+route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
+list of a multiplicity search, ``RSearchResult``, which also carries the
+context it ran on and the subset graph.  The search stores a status only
+for an r it reaches; ``RSearchResult.status`` reads any other r of
+1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
@@ -51,7 +54,7 @@ from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, _closure, build_xi_graph, scc,
+    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
 )
 from .instance import ProblemInstance
 from .lattice import covering_condition, strong_separation
@@ -86,8 +89,6 @@ class U1Report(NamedTuple):
     s_upper: float
     dim_exact: bool
     s_positive: bool
-    covering: bool
-    ssc: bool
     measure_class: str
     notes: tuple[str, ...]
 
@@ -129,7 +130,9 @@ def _top(decomposition: SccDecomposition, indices) -> int | None:
     return best
 
 
-def _separation_negligible(inst: ProblemInstance, ssc_flags, blocks) -> bool:
+def _separation_negligible(
+    inst: ProblemInstance, ssc_flags, decomposition: SccDecomposition
+) -> bool:
     """Can failing separation still be ignored for the s-measure?
 
     A factor with two digits at distance 1 lets depth-k cubes touch along
@@ -138,12 +141,15 @@ def _separation_negligible(inst: ProblemInstance, ssc_flags, blocks) -> bool:
     log|A_k|/log n.  Strictly below s = log(rho)/log n, those faces are
     s-null and the measure dichotomy goes through unchanged: the product of
     the other factors' digit counts must be below rho, the largest radius of
-    the restricted graph's ``blocks``.
+    the restricted graph's components, whose ``decomposition`` is given.
     """
     sizes = [len(a) for a in inst.digit_sets]
+    components = range(len(decomposition.components))
     for i, flag in enumerate(ssc_flags):
         faces = _integer_block(prod(sizes[:i] + sizes[i + 1:]))
-        if not flag and not any(_compare(block, faces) > 0 for block in blocks):
+        if not flag and not any(
+            _compare(_block(decomposition, j), faces) > 0 for j in components
+        ):
             return False
     return True
 
@@ -179,30 +185,28 @@ class Analysis:
         return transition_matrices(self.inst)
 
     @cached_property
-    def xi_blocks(self) -> list[Block]:
-        """The block of each component of the restricted graph."""
-        return list(zip(self.xi_scc.radii, self.xi_scc.matrices))
-
-    @cached_property
     def u1(self) -> U1Report:
         inst = self.inst
         covering = self.covering
         ssc_flags = self.ssc
         ssc = all(ssc_flags)
-        blocks = self.xi_blocks
+        decomposition = self.xi_scc
+        components = range(len(decomposition.components))
         # M is block-triangular, so rho is the largest block radius
-        rho = max_radius(self.xi_scc.radii)
+        rho = max_radius(decomposition.radii)
         n = inst.n
         s = _log_over_log_n(rho.estimate, n)
         s_lower = _log_over_log_n(float(rho.lower), n)
         s_upper = _log_over_log_n(float(rho.upper), n)
         # exact test for rho > 1: some component carries more edges than
         # vertices (two overlapping cycles)
-        s_positive = any(sum(map(sum, matrix)) > len(matrix) for _, matrix in blocks)
+        s_positive = any(
+            sum(map(sum, matrix)) > len(matrix) for matrix in decomposition.matrices
+        )
         notes = []
         if not covering:
             notes.append("covering condition fails: s is only a lower bound for the dimension")
-        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, blocks)
+        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, decomposition)
         if not ssc and dichotomy_ok:
             notes.append(
                 "strong separation fails but cube faces have dimension below s; "
@@ -212,13 +216,13 @@ class Analysis:
             notes.append("strong separation fails: the measure dichotomy does not apply")
         if covering and dichotomy_ok and s_positive:
             measure = MEASURE_POSITIVE_FINITE
-            top = _top(self.xi_scc, range(len(blocks)))
+            top = _block(decomposition, _top(decomposition, components))
             # a component attains rho when no other one compares greater
-            maximal = [i for i, block in enumerate(blocks) if _compare(block, blocks[top]) == 0]
+            maximal = [i for i in components if _compare(_block(decomposition, i), top) == 0]
             notes.extend(f"component {i} attains the full radius (exact)" for i in maximal)
             for i in maximal:
                 for j in maximal:
-                    if i != j and self.xi_scc.precedes(i, j):
+                    if i != j and decomposition.precedes(i, j):
                         measure = MEASURE_INFINITE
         elif s_positive:
             measure = MEASURE_POSITIVE_ONLY
@@ -231,8 +235,6 @@ class Analysis:
             s_upper=s_upper,
             dim_exact=covering,
             s_positive=s_positive,
-            covering=covering,
-            ssc=ssc,
             measure_class=measure,
             notes=tuple(notes),
         )
@@ -246,8 +248,8 @@ class Analysis:
             return False
         decomposition = self.xi_scc
         reached: set[int] = set()
-        for idx, own in enumerate(self.xi_blocks):
-            if _compare(own, block) >= 0:
+        for idx in range(len(decomposition.components)):
+            if _compare(_block(decomposition, idx), block) >= 0:
                 reached |= decomposition.reach[idx]
         covered = {
             xi.types[xi.us[i]] for j in reached for i in decomposition.components[j]
@@ -273,22 +275,6 @@ class ReachableVector(NamedTuple):
     support: tuple[int, ...]
 
 
-class AchievabilityWitness(NamedTuple):
-    vector: tuple[int, ...]
-    integer_part: int
-    word: tuple[int, ...]
-    support: tuple[int, ...]
-    residue: int
-    subset: tuple[int, ...]
-
-
-class RStatus(NamedTuple):
-    r: int
-    status: str
-    witness: AchievabilityWitness | None
-    countable_example: Fraction | None
-
-
 class Route(NamedTuple):
     """A norm-r vector, then a residue h whose aligned subset
     {n*p + h : p in vector.support} is uniquely covered and reaches the
@@ -299,6 +285,15 @@ class Route(NamedTuple):
     residue: int
     subset: tuple[int, ...]
     cycles: tuple[int, ...]
+
+
+class RStatus(NamedTuple):
+    """``witness`` is the first route of an Achievable r, else None."""
+
+    r: int
+    status: str
+    witness: Route | None
+    countable_example: Fraction | None
 
 
 class RSearchResult(NamedTuple):
@@ -485,7 +480,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     for support in {rv.support for rv in vectors}:
         shifted = enumerate(tuple([n * p + h for p in support]) for h in range(n))
         subsets[support] = [(h, m) for h, m in shifted if all(map(types.__contains__, m))]
-    graph = _closure(types, n, {m for pairs in subsets.values() for _, m in pairs})
+    graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
     cycles = {
         m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
     }
@@ -497,11 +492,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
     statuses: dict[int, RStatus] = {}
     for r in sorted({rv.norm for rv in vectors} | countable.keys()):
         if r in routes:
-            rv, h, members, _ = routes[r][0]
-            witness = AchievabilityWitness(
-                rv.vector, rv.integer_part, rv.word, rv.support, h, members
-            )
-            statuses[r] = RStatus(r, STATUS_ACHIEVABLE, witness, None)
+            statuses[r] = RStatus(r, STATUS_ACHIEVABLE, routes[r][0], None)
         else:
             statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
     return RSearchResult(

@@ -30,6 +30,9 @@ from .report import (
 )
 
 _RENDER_CUBE_CAP = 4096
+# Deepest render, log2 of the cube cap: past it two or more cubes exceed the
+# cap, and the one-cube case needs no deeper figure.
+_RENDER_DEPTH_CAP = _RENDER_CUBE_CAP.bit_length() - 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -282,8 +285,11 @@ def render_grid(inst: ProblemInstance, depth: int = 1) -> str:
         raise NotPlanar("render requires l=2")
     if depth < 0:
         raise OutOfRange("depth must be >= 0")
+    # the depth cap comes first, so the cube count is never a huge power
+    if depth > _RENDER_DEPTH_CAP:
+        raise TooLarge(f"render depth must be <= {_RENDER_DEPTH_CAP}, got {depth}")
     if inst.cube_count**depth > _RENDER_CUBE_CAP:
-        raise TooLarge(f"{inst.cube_count ** depth} cubes exceed render cap")
+        raise TooLarge(f"depth {depth} renders more than {_RENDER_CUBE_CAP} cubes")
     m1, m2 = inst.coefficients
     n = inst.n
     parts = [

@@ -13,17 +13,15 @@
   successor per residue.
 
 Only the part of the subset graph that given seed subsets reach is ever
-built: ``build_congruent_graph`` closes the seeds under
-``subset_successor``, refused with TooLarge past 2**20 vertices, numbers
+built: ``build_congruent_graph(types, n, seeds)``, the one builder, takes
+the xi types and the base, as ``subset_successor`` does, closes the seeds
+under that edge rule, refused with TooLarge past 2**20 vertices, numbers
 the reached subsets in ascending member order and decomposes them on
-those numbers.  The closure forms each reached subset's base image, the
-ascending distinct n*t(u), once; its image under residue h is the base
-shifted by h, kept when every member is uniquely covered.  The
-multiplicity search runs the same closure on the xi types its ``Analysis``
-context already holds.  A successor-closed vertex set is a union of whole
-strongly connected components, so the components, radii, reach sets and
-cycling flags it yields are those of the whole subset graph restricted to
-it.
+those numbers.  The multiplicity search passes the xi types its
+``Analysis`` context already holds.  A successor-closed vertex set is a
+union of whole strongly connected components, so the components, radii,
+reach sets and cycling flags it yields are those of the whole subset
+graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
@@ -173,28 +171,19 @@ def subset_successor(
 
 
 def build_congruent_graph(
-    inst: ProblemInstance, seeds: Iterable[tuple[int, ...]]
+    types: Mapping[int, int], n: int, seeds: Iterable[tuple[int, ...]]
 ) -> CongruentGraph:
-    """The part of the subset graph that the subsets ``seeds`` reach,
-    decomposed on vertex numbers.
+    """The part of the base-n subset graph on the xi types ``types`` that
+    the subsets ``seeds`` reach, decomposed on vertex numbers.
 
     Each seed is a nonempty ascending tuple of uniquely covered intervals
     that share u mod n.  The vertices are the closure of the seeds under
-    ``subset_successor``, numbered in ascending member order.  Raises
-    TooLarge as soon as the closure has more than _SUBSET_LIMIT vertices.
+    ``subset_successor``, numbered in ascending member order.  Each reached
+    subset's base image, the ascending distinct n*t(u) over its members u,
+    is formed once; its image under residue h is the base shifted by h,
+    kept when every member is uniquely covered.  Raises TooLarge as soon as
+    the closure has more than _SUBSET_LIMIT vertices.
     """
-    return _closure(xi_types(inst), inst.n, seeds)
-
-
-def _closure(
-    types: Mapping[int, int], n: int, seeds: Iterable[tuple[int, ...]]
-) -> CongruentGraph:
-    """``build_congruent_graph`` on the xi types ``types`` of the instance.
-
-    Each reached subset's base image, the ascending distinct n*t(u) over its
-    members u, is formed once; its image under residue h is the base shifted
-    by h, which is ``subset_successor``'s image, kept when every member is
-    uniquely covered."""
     contains = types.__contains__
     # images[members]: the successors of a reached subset, ascending in h
     images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

@@ -165,12 +165,12 @@ def _search_json(search: RSearchResult) -> dict:
         st = search.status(r)
         entry: dict = {"status": st.status}
         if st.witness is not None:
-            w = st.witness
+            w, rv = st.witness, st.witness.vector
             entry["witness"] = {
-                "vector": list(w.vector),
-                "integer_part": w.integer_part,
-                "word": list(w.word),
-                "support": list(w.support),
+                "vector": list(rv.vector),
+                "integer_part": rv.integer_part,
+                "word": list(rv.word),
+                "support": list(rv.support),
                 "residue": w.residue,
                 "subset": list(w.subset),
             }

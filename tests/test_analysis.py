@@ -114,6 +114,20 @@ def _prime_factors(value):
     return out
 
 
+def _named_status(search, r):
+    """``search.status(r)`` with its witness route's cycles written as the
+    member tuples of their components: component numbers belong to one
+    search's subset graph, the members to the whole graph."""
+    status = search.status(r)
+    if status.witness is None:
+        return status
+    graph = search.graph
+    cycles = tuple(
+        tuple(graph.vertices[v] for v in graph.scc.components[i]) for i in status.witness.cycles
+    )
+    return status._replace(witness=status.witness._replace(cycles=cycles))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(counting_instances(), st.integers(1, 4), st.integers(1, 3))
 def test_search_closure_is_stable(inst, a, extra):
@@ -126,8 +140,8 @@ def test_search_closure_is_stable(inst, a, extra):
         return
     small = enumerate_achievable_r(inst, a)
     large = enumerate_achievable_r(inst, a + extra)
-    assert [large.status(r) for r in range(1, a + 1)] == [
-        small.status(r) for r in range(1, a + 1)
+    assert [_named_status(large, r) for r in range(1, a + 1)] == [
+        _named_status(small, r) for r in range(1, a + 1)
     ]
     assert tuple(rv for rv in large.vectors if rv.norm <= a) == small.vectors
 
@@ -271,7 +285,7 @@ def _assert_routes(search):
     """``routes[r]`` is every (vector, residue, subset, cycles) of a norm-r
     vector whose aligned subset reaches a cycling component, in the order
     of ``_aligned``, for each r that has one; r is achievable exactly then,
-    and its witness carries the fields of the first.  An r of 1..max_r is
+    and its witness is the first.  An r of 1..max_r is
     stored in ``statuses`` exactly when its status is not the default."""
     expected = {r: [] for r in range(1, search.max_r + 1)}
     for rv, h, subset in _aligned(search):
@@ -289,9 +303,7 @@ def _assert_routes(search):
             assert search.statuses[r] is status
         assert (status.status == "Achievable") == bool(routes)
         if routes:
-            rv, h, subset, _ = routes[0]
-            fields = (rv.vector, rv.integer_part, rv.word, rv.support, h, subset)
-            assert status.witness == fields
+            assert status.witness == search.routes[r][0] == routes[0]
         else:
             assert status.witness is None
 
@@ -382,6 +394,29 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         for routes in search.routes.values():
             for route in routes:
                 assert route.cycles == tuple(sorted(asked[route.subset]))
+
+
+@pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)
+def test_report_builds_the_subset_graph_once(name, monkeypatch):
+    """``build_report`` builds its subset graph once, through the public
+    ``build_congruent_graph`` on the xi types and the base, and reports that
+    graph."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    calls = []
+
+    def spy(*args):
+        graph = graphs.build_congruent_graph(*args)
+        calls.append((args, graph))
+        return graph
+
+    monkeypatch.setattr(analysis, "build_congruent_graph", spy)
+    data = report.build_report(inst)["data"]
+    assert len(calls) == 1
+    (types, n, _), graph = calls[0]
+    assert (types, n) == (xi_types(inst), inst.n)
+    assert data["scc_subsets"]["components"] == [
+        [",".join(map(str, graph.vertices[v])) for v in comp] for comp in graph.scc.components
+    ]
 
 
 @pytest.mark.parametrize("name", ["span17"] + sorted(p.stem for p in FIXTURES.glob("*.json")))

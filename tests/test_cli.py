@@ -241,6 +241,28 @@ def test_render_counts(cantor_diff, base6_mixed, full_interval):
         render_grid(full_interval, depth=1)
 
 
+def test_render_refuses_oversized_depths(capsys, tmp_path):
+    """A depth past the render caps is TooLarge, exit 3, and the message
+    names the cap: no huge cube count is formed or printed, and a one-cube
+    instance does not recurse once per level."""
+    one_cube = tmp_path / "one_cube.json"
+    one_cube.write_text('{"n": 3, "digit_sets": [[1], [1]], "coefficients": [1, -1]}')
+    cantor_diff = FIXTURES / "cantor_diff.json"
+    for instance, depth, message in (
+        (cantor_diff, 7, "more than 4096 cubes"),
+        (cantor_diff, 30000000, "depth must be <= 12"),
+        (cantor_diff, 10000000000, "depth must be <= 12"),
+        (one_cube, 13, "depth must be <= 12"),
+        (one_cube, 5000, "depth must be <= 12"),
+    ):
+        code, out, err = run(capsys, "render", instance, "--depth", depth)
+        assert (code, out) == (3, "") and message in err, (instance.name, depth)
+    # the deepest allowed renders still draw their cubes
+    for instance, depth, cubes in ((cantor_diff, 6, 4**6), (one_cube, 12, 1)):
+        code, out, _ = run(capsys, "render", instance, "--depth", depth)
+        assert code == 0 and out.count('class="cube"') == cubes
+
+
 def test_render_deterministic(cantor_diff):
     assert render_grid(cantor_diff, depth=2) == render_grid(cantor_diff, depth=2)
 

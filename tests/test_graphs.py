@@ -95,7 +95,9 @@ def _aligned_closure(inst, supports):
 def _whole_graph(inst):
     """The subset graph explored from the aligned subsets of every support,
     which are every subset of every residue class."""
-    return build_congruent_graph(inst, _aligned_seeds(inst, _every_support(inst)))
+    return build_congruent_graph(
+        xi_types(inst), inst.n, _aligned_seeds(inst, _every_support(inst))
+    )
 
 
 def test_congruent_vertices_full(cantor_diff):
@@ -120,7 +122,7 @@ def _assert_explores_aligned_closure(inst):
     of the single working intervals."""
     assert set(_whole_graph(inst).vertices) == _aligned_closure(inst, _every_support(inst))
     singles = [(p,) for p in range(inst.proj_min, inst.proj_max)]
-    explored = build_congruent_graph(inst, _aligned_seeds(inst, singles))
+    explored = build_congruent_graph(xi_types(inst), inst.n, _aligned_seeds(inst, singles))
     assert set(explored.vertices) == _aligned_closure(inst, singles)
 
 

@@ -68,7 +68,7 @@ def _assert_xi_sccs_survive(inst):
     from every singleton reproduces the restricted graph's components and
     radii."""
     xi = build_xi_graph(inst)
-    graph = build_congruent_graph(inst, [(u,) for u in xi.us])
+    graph = build_congruent_graph(xi_types(inst), inst.n, [(u,) for u in xi.us])
     xi_scc = scc(xi.succ)
     xi_comps = {frozenset((xi.us[i],) for i in comp) for comp in xi_scc.components}
     sub_comps = {frozenset(graph.vertices[v] for v in c) for c in graph.scc.components}
