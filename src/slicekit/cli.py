@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -85,6 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", required=True, help="rational point, e.g. 1/3")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--max-depth", type=int, default=None)
+    p.add_argument(
+        "--explain",
+        action="store_true",
+        help="also write the cycle certificate that proves the verdict",
+    )
 
     p = add("oracle", "brute-force depth-k cube count (and chains) through a point")
     p.add_argument("--x", required=True)
@@ -181,6 +187,9 @@ def _dispatch(args) -> int:
             "count": result.count,
             "depth_reached": result.depth_reached,
         }
+        if args.explain:
+            cert = result.certificate
+            payload["certificate"] = None if cert is None else asdict(cert)
         code = 3 if result.verdict == "ExceedsBudget" else 0
     elif cmd == "oracle":
         x = parse_rational(args.x)

@@ -7,27 +7,36 @@ Two mechanisms, deliberately kept apart:
   integer part and j1 j2 ... the base-n digits of x;
 * the slice-state automaton: the exact multiset of per-chain offsets
   n^k * x - (weighted digit prefix), advanced one digit at a time.  For
-  x = p/q every offset lies on the lattice (1/q)Z, so the multiset is kept as
-  integer (q * offset, multiplicity) pairs: a digit costs O(support x
-  distinct cube weights) integer operations, whatever the number of chains.
-  It also covers boundary points (x = q1/n^q2), where chains are kept alive
-  by closed-interval containment.
+  x = p/q every depth-k offset is (r + q * t) / q, where the remainder
+  r = n^k * p mod q is shared by all chains and t is an integer of
+  [proj_min, proj_max].  One digit sends r to n * r mod q, reading the
+  digit d = n * r // q, and t to d + n * t - w for each cube weight w; so
+  the transitions depend only on the instance, on d, on whether the new
+  remainder is 0 and on t.  The multiset is kept as one int packing the
+  number of chains at each t into a fixed-width field, with a bitmask of
+  the t that hold chains: a digit costs one int multiply-add, one mask OR
+  and one row-sum product per live t (at most span + 1), whatever the
+  number of chains.  It also covers boundary points (x = q1/n^q2), where
+  chains are kept alive by closed-interval containment.
 
 ``exact_card`` does each piece of work at the level it depends on: covering
-and strong separation once per instance (remembered in a weak-keyed table,
-so the record goes with the instance); the range check, the expansion's
-preperiod and period lengths (no digit is written out, since the automaton
-reads x itself) and the scaled weights (q * w, count) once per query; and
-per digit one call of the step kernel on the raw pairs, with the
-cardinality summed once.
-``advance_state`` is the public one-step view of the same kernel.
+and strong separation, and the digit tables (per digit, boundary flag and
+t: the packed children of one chain, their support mask and their number)
+for each field width, once per instance, in a weak-keyed record that goes
+with the instance; the range check and the expansion's preperiod and
+period lengths once per query (no digit is written out, since the
+automaton reads x itself); and per digit one call of the ``_advance``
+kernel.  ``advance_state`` is the public one-step view of the same tables
+and kernel, on ``SliceState`` records.
 
-For rational x the automaton state space is finite (at most span * q + 1
-distinct offsets), so recurrences are real cycles.  An exact recurrence of
-(digit phase, offset multiset) proves the count stays constant; a recurrence
-of (digit phase, offset support) with a strictly larger multiset proves
-unbounded growth, because under the covering condition every surviving chain
-keeps at least one child, so the surplus mass reproduces itself every cycle.
+For rational x the automaton state space is finite (one remainder of q and
+at most span + 1 distinct offsets per state), so recurrences are real
+cycles.  An exact recurrence of (digit phase, offset multiset) proves the
+count stays constant; a recurrence of (digit phase, offset support) with a
+strictly larger multiset proves unbounded growth, because under the
+covering condition every surviving chain keeps at least one child, so the
+surplus mass reproduces itself every cycle.  A phase fixes the remainder,
+so the packed int and the mask key these recurrences one-to-one.
 """
 
 from __future__ import annotations
@@ -176,7 +185,9 @@ class SliceState(NamedTuple):
     slices through a cube face do meet the cube).  Offsets are multiples of
     1/scale, where scale is the denominator of x, so ``pairs`` holds each
     distinct offset as the integer scale * offset with the number of chains
-    at it, sorted by offset."""
+    at it, sorted by offset.  This is the readable form of the packed state
+    ``exact_card`` steps; the states of one x share their residue mod
+    scale, but ``advance_state`` also steps pairs of several residues."""
 
     pairs: tuple[tuple[int, int], ...]
     scale: int
@@ -198,39 +209,124 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
     return SliceState(pairs=((x.numerator, 1),), scale=x.denominator, depth=0)
 
 
-def _scaled_weights(inst: ProblemInstance, q: int) -> list[tuple[int, int]]:
-    """(q * cube weight, number of cubes of that weight)."""
-    return [(q * w, count) for w, count in inst.cube_weights.items()]
+class _Record:
+    """What exact counting derives from one instance, each piece on first
+    use: whether it meets the hypotheses, and its digit tables by field
+    width.  Nothing in it refers to the instance."""
+
+    __slots__ = ("hypotheses", "tables")
+
+    def __init__(self) -> None:
+        self.hypotheses: bool | None = None
+        self.tables: dict[int, tuple] = {}
+
+    def meets_hypotheses(self, inst: ProblemInstance) -> bool:
+        if self.hypotheses is None:
+            self.hypotheses = covering_condition(inst) and all(strong_separation(inst))
+        return self.hypotheses
+
+    def table(self, inst: ProblemInstance, bits: int) -> tuple:
+        table = self.tables.get(bits)
+        if table is None:
+            table = self.tables[bits] = _build_table(inst, bits)
+        return table
 
 
-def _step(pairs, n: int, weights, lo: int, hi: int) -> dict[int, int]:
-    """One digit on (scaled offset, multiplicity) pairs: the chains at
-    offset a branch into the cubes whose closed projection interval contains
-    it, that is to n * a - q * w inside [lo, hi].  Chains sharing an offset
-    branch alike, so each pair is advanced once.  Returns the children as
-    scaled offset -> multiplicity, unordered."""
-    children: dict[int, int] = {}
-    get = children.get
-    for a, m in pairs:
-        base = n * a
-        for qw, count in weights:
-            v = base - qw
-            if lo <= v <= hi:
-                children[v] = get(v, 0) + m * count
-    return children
+# One record per instance; an entry goes with its instance.
+_RECORDS: WeakKeyDictionary[ProblemInstance, _Record] = WeakKeyDictionary()
+
+
+def _record(inst: ProblemInstance) -> _Record:
+    rec = _RECORDS.get(inst)
+    if rec is None:
+        rec = _RECORDS[inst] = _Record()
+    return rec
+
+
+def _build_table(inst: ProblemInstance, bits: int) -> tuple:
+    """The digit table at field width ``bits``: ``table[d][closed]`` holds,
+    for each t in [proj_min, proj_max], the packed children of one chain at
+    t (one ``bits``-bit field per t' - proj_min), their support mask and
+    their number, where reading digit d sends t to t' = d + n * t - w for
+    each cube weight w and keeps t' in [proj_min, proj_max - 1], or in
+    [proj_min, proj_max] when the new remainder is 0 (``closed``)."""
+    n, lo, hi = inst.n, inst.proj_min, inst.proj_max
+    weights = list(inst.cube_weights.items())
+    table = []
+    for d in range(n):
+        entries = []
+        for top in (hi - 1 - lo, hi - lo):
+            rows, masks, sums = [], [], []
+            for t in range(lo, hi + 1):
+                row = mask = total = 0
+                for w, count in weights:
+                    j = d + n * t - w - lo
+                    if 0 <= j <= top:
+                        row += count << bits * j
+                        mask |= 1 << j
+                        total += count
+                rows.append(row)
+                masks.append(mask)
+                sums.append(total)
+            entries.append((tuple(rows), tuple(masks), tuple(sums)))
+        table.append(tuple(entries))
+    return tuple(table)
+
+
+def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, int]:
+    """One digit on a packed vector: the chains at each t of ``mask`` take
+    the table row of t, times their number.  Returns the children's packed
+    vector, support mask and cardinality; every child field must fit in
+    ``bits`` bits."""
+    rows, masks, sums = entry
+    field = (1 << bits) - 1
+    out = out_mask = card = 0
+    while mask:
+        low = mask & -mask
+        i = low.bit_length() - 1
+        mask ^= low
+        m = vec >> bits * i & field
+        out += m * rows[i]
+        out_mask |= masks[i]
+        card += m * sums[i]
+    return out, out_mask, card
 
 
 def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
     """One digit of depth: each chain branches into the cubes whose closed
-    projection interval contains its offset."""
-    q = state.scale
-    children = _step(
-        state.pairs,
-        inst.n,
-        _scaled_weights(inst, q),
-        q * inst.proj_min,
-        q * inst.proj_max,
-    )
+    projection interval contains its offset.
+
+    The pairs are grouped by their scaled offset's residue mod ``scale``,
+    and each class is packed and stepped by ``_advance`` on the instance's
+    digit table at the field width of the state's cardinality.  Offsets
+    outside the range have no children (a cube weight w lies in
+    [(n - 1) * proj_min, (n - 1) * proj_max], so n * a - w is outside
+    whenever a is), and multiplicities must be at least 0.
+    """
+    q, lo, hi = state.scale, inst.proj_min, inst.proj_max
+    bits = (max(state.cardinality, 1) * inst.cube_count).bit_length()
+    table = _record(inst).table(inst, bits)
+    # residue r -> [packed vector, support mask] of the offsets r + q * t
+    classes: dict[int, list[int]] = {}
+    for a, m in state.pairs:
+        if m < 0:
+            raise OutOfRange(f"multiplicities must be >= 0, got {m}")
+        t, r = divmod(a, q)
+        if lo <= t and (t < hi or t == hi and r == 0):
+            packed = classes.setdefault(r, [0, 0])
+            packed[0] += m << bits * (t - lo)
+            packed[1] |= 1 << (t - lo)
+    field = (1 << bits) - 1
+    children: dict[int, int] = {}
+    for r, (vec, mask) in classes.items():
+        d, r = divmod(inst.n * r, q)
+        vec, mask, _ = _advance(table[d][not r], bits, vec, mask)
+        while mask:
+            low = mask & -mask
+            j = low.bit_length() - 1
+            mask ^= low
+            a = r + q * (lo + j)
+            children[a] = children.get(a, 0) + (vec >> bits * j & field)
     return SliceState(
         pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1
     )
@@ -262,19 +358,6 @@ class CardResult:
         return self.verdict == "Finite"
 
 
-# Whether an instance meets exact counting's hypotheses, decided on its first
-# query; an entry goes with its instance.
-_HYPOTHESES: WeakKeyDictionary[ProblemInstance, bool] = WeakKeyDictionary()
-
-
-def _meets_hypotheses(inst: ProblemInstance) -> bool:
-    ok = _HYPOTHESES.get(inst)
-    if ok is None:
-        ok = covering_condition(inst) and all(strong_separation(inst))
-        _HYPOTHESES[inst] = ok
-    return ok
-
-
 def exact_card(
     inst: ProblemInstance,
     x: Fraction | int,
@@ -293,24 +376,31 @@ def exact_card(
     if max_depth is not None and max_depth < 0:
         raise OutOfRange(f"max_depth must be >= 0, got {max_depth}")
     x = Fraction(x)
-    if not _meets_hypotheses(inst):
+    rec = _record(inst)
+    if not rec.meets_hypotheses(inst):
         raise HypothesisViolated(
             "exact counting needs the covering condition and strong separation"
         )
     pre, per = _expansion_lengths(inst, x)
     if max_depth is None:
         max_depth = 64 * (pre + per)
-    n, q = inst.n, x.denominator
-    lo, hi = q * inst.proj_min, q * inst.proj_max
-    weights = _scaled_weights(inst, q)
-    # the state at `depth`: the pairs of initial_state advanced depth times
-    pairs: tuple[tuple[int, int], ...] = ((x.numerator, 1),)
+    n, q, lo = inst.n, x.denominator, inst.proj_min
+    # the loop steps only while card <= budget, so no child field passes
+    # budget * cube_count
+    bits = (budget * inst.cube_count).bit_length()
+    table = rec.table(inst, bits)
+    # the state at `depth`: every chain offset is (r + q * t) / q, with the
+    # remainder r = n^depth * p mod q shared by all chains; vec packs the
+    # number of chains at each t into the field at t - proj_min, and mask
+    # marks the t that hold chains
+    t, r = divmod(x.numerator, q)
+    vec, mask = 1 << bits * (t - lo), 1 << (t - lo)
     card, depth = 1, 0
-    seen_exact: dict[tuple, int] = {}
-    seen_support: dict[tuple, tuple[int, int]] = {}
+    seen_exact: dict[tuple[int, int], int] = {}
+    seen_support: dict[tuple[int, int], tuple[int, int]] = {}
     while True:
         phase = depth if depth < pre else pre + (depth - pre) % per
-        start = seen_exact.setdefault((phase, pairs), depth)
+        start = seen_exact.setdefault((phase, vec), depth)
         if start != depth:
             return CardResult(
                 verdict="Finite",
@@ -323,8 +413,7 @@ def exact_card(
                     cardinality_after=card,
                 ),
             )
-        support = tuple([a for a, _ in pairs])
-        depth0, card0 = seen_support.setdefault((phase, support), (depth, card))
+        depth0, card0 = seen_support.setdefault((phase, mask), (depth, card))
         if card > card0:
             return CardResult(
                 verdict="Infinite",
@@ -344,9 +433,8 @@ def exact_card(
                 depth_reached=depth,
                 certificate=None,
             )
-        children = _step(pairs, n, weights, lo, hi)
-        pairs = tuple(sorted(children.items()))
-        card = sum(children.values())
+        d, r = divmod(n * r, q)
+        vec, mask, card = _advance(table[d][not r], bits, vec, mask)
         depth += 1
 
 

@@ -77,6 +77,46 @@ def test_count_exit_codes(capsys):
     assert code == 2 and "error" in err
 
 
+def test_count_explain(capsys):
+    """--explain adds the cycle certificate, null on a budget cut, and
+    leaves the output without it as it was."""
+    path = FIXTURES / "cantor_diff.json"
+    code, plain, _ = run(capsys, "count", path, "--x", "1/3")
+    assert code == 0
+    assert plain == (
+        '{\n  "count": 3,\n  "depth_reached": 2,\n  "verdict": "Finite",\n  "x": "1/3"\n}\n'
+    )
+    code, out, _ = run(capsys, "count", path, "--x", "1/3", "--explain")
+    assert code == 0
+    assert json.loads(out) == {
+        **json.loads(plain),
+        "certificate": {
+            "start_depth": 1,
+            "period": 1,
+            "cardinality_before": 3,
+            "cardinality_after": 3,
+        },
+    }
+    code, out, _ = run(capsys, "count", path, "--x", "1/4", "--explain")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "Infinite"
+    assert json.loads(out)["certificate"] == {
+        "start_depth": 0,
+        "period": 2,
+        "cardinality_before": 1,
+        "cardinality_after": 2,
+    }
+    code, out, _ = run(capsys, "count", path, "--x", "1/3", "--max-depth", "0", "--explain")
+    assert code == 3
+    assert json.loads(out) == {
+        "certificate": None,
+        "count": 1,
+        "depth_reached": 0,
+        "verdict": "ExceedsBudget",
+        "x": "1/3",
+    }
+
+
 def test_oracle_subcommand(capsys):
     code, out, _ = run(
         capsys,

@@ -270,24 +270,29 @@ def test_exact_card_limits_match_expanded_reference_random(query, budget, max_de
 
 
 def _counted(fn, calls):
-    def wrapper(inst):
+    def wrapper(*args):
         calls[fn.__name__] += 1
-        return fn(inst)
+        return fn(*args)
 
     return wrapper
 
 
 def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cover):
+    """The hypotheses and the digit table for the default budget's field
+    width are built once for 20 queries, in a record that goes with the
+    instance."""
     calls = Counter()
-    for name in ("covering_condition", "strong_separation"):
+    for name in ("covering_condition", "strong_separation", "_build_table"):
         monkeypatch.setattr(counting, name, _counted(getattr(counting, name), calls))
     # no other instance of the suite equals this one, so the record cannot
     # hold it yet (the record keys on equality)
     inst = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
-    assert inst not in counting._HYPOTHESES
+    assert inst not in counting._RECORDS
     for k in range(20):
         exact_card(inst, Fraction(k, 7))
-    assert calls == {"covering_condition": 1, "strong_separation": 1}
+    assert calls == {"covering_condition": 1, "strong_separation": 1, "_build_table": 1}
+    width = (counting.DEFAULT_BUDGET * inst.cube_count).bit_length()
+    assert list(counting._RECORDS[inst].tables) == [width]
     # a failing instance raises on every call, and is decided at most once
     for failing in (full_interval, no_cover):
         with pytest.raises(HypothesisViolated):
@@ -303,7 +308,7 @@ def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cov
     gc.collect()
     assert ref() is None
     twin = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
-    assert twin not in counting._HYPOTHESES
+    assert twin not in counting._RECORDS
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -331,6 +336,14 @@ def test_advance_state_scales_with_multiplicity(inst, data):
         assert len(support) <= inst.span * q + 1
         assert all(q * inst.proj_min <= a <= q * inst.proj_max for a in support)
         state = child
+
+
+def test_advance_state_refuses_negative_multiplicities(cantor_diff):
+    """A packed field holds a count, so a negative multiplicity is refused,
+    not summed into its neighbours."""
+    state = SliceState(pairs=((0, 2), (3, -1)), scale=3, depth=0)
+    with pytest.raises(OutOfRange):
+        advance_state(cantor_diff, state)
 
 
 def test_exact_card_examples(cantor_diff):

@@ -1,6 +1,6 @@
-"""The sparse multiplicity search, the explored subset graph and the
-integer power iteration against the dense and whole-graph constructions
-they replaced, written out here.
+"""The sparse multiplicity search, the explored subset graph, the integer
+power iteration, the expansion lengths and the packed counting kernel
+against the constructions they replaced, written out here.
 
 ``_dense_reachable_vectors`` forms every product e_i T_{j1} ... T_{jk} as a
 full span x span vector-matrix product.  ``_tuple_subset_graph`` enumerates
@@ -11,13 +11,16 @@ single vertices included, with ``component_matrix`` and certifies it with
 ``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
 rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
 base-n digits until a remainder recurs, keeping every remainder it has
-seen.  The new code must reproduce all four exactly: the same vectors in
-the same canonical order; on the explored vertices, the same vertices,
-edges, components, reach sets, blocks and radii as the whole graph, read
-through ``graph.vertices``; the same ``RadiusResult``; and the same
-``NadicExpansion``.
+seen.  ``_pairs_exact_card`` and ``_pairs_advance`` step raw
+(scaled offset, multiplicity) pairs, one Python iteration per offset and
+cube weight.  The new code must reproduce all five exactly: the same
+vectors in the same canonical order; on the explored vertices, the same
+vertices, edges, components, reach sets, blocks and radii as the whole
+graph, read through ``graph.vertices``; the same ``RadiusResult``; the
+same ``NadicExpansion``; and the same ``CardResult`` and ``SliceState``.
 """
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -29,7 +32,11 @@ from slicekit import (
     nadic_expansion, parse_instance, strong_separation,
 )
 from slicekit.analysis import _VECTOR_CAP, ReachableVector, _reachable_vectors
-from slicekit.counting import NadicExpansion
+from slicekit import counting
+from slicekit.counting import (
+    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, SliceState, advance_state,
+    exact_card, initial_state,
+)
 from slicekit.errors import TooLarge, WideEnclosure
 from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
 from slicekit.lattice import xi_types
@@ -376,3 +383,199 @@ def test_expansion_matches_long_division(point):
     multiplicative order of n, give the expansion long division gives."""
     inst, x = point
     assert nadic_expansion(inst, x) == _long_division_expansion(inst, x)
+
+
+def _scaled_weights(inst, q):
+    """(q * cube weight, number of cubes of that weight)."""
+    return [(q * w, count) for w, count in inst.cube_weights.items()]
+
+
+def _step(pairs, n, weights, lo, hi):
+    """One digit on (scaled offset, multiplicity) pairs: the chains at
+    offset a branch into the cubes whose closed projection interval contains
+    it, that is to n * a - q * w inside [lo, hi].  Chains sharing an offset
+    branch alike, so each pair is advanced once.  Returns the children as
+    scaled offset -> multiplicity, unordered."""
+    children = {}
+    get = children.get
+    for a, m in pairs:
+        base = n * a
+        for qw, count in weights:
+            v = base - qw
+            if lo <= v <= hi:
+                children[v] = get(v, 0) + m * count
+    return children
+
+
+def _pairs_advance(inst, state):
+    """``advance_state`` on the raw pairs."""
+    q = state.scale
+    children = _step(
+        state.pairs, inst.n, _scaled_weights(inst, q), q * inst.proj_min, q * inst.proj_max
+    )
+    return SliceState(pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1)
+
+
+def _pairs_exact_card(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
+    """``exact_card`` stepping the raw pairs, one Python iteration per
+    offset and cube weight, and keyed on (phase, pairs) and (phase,
+    support)."""
+    x = Fraction(x)
+    exp = nadic_expansion(inst, x)
+    pre = len(exp.preperiod)
+    per = len(exp.period)
+    if max_depth is None:
+        max_depth = 64 * (pre + per)
+    n, q = inst.n, x.denominator
+    lo, hi = q * inst.proj_min, q * inst.proj_max
+    weights = _scaled_weights(inst, q)
+    pairs = ((x.numerator, 1),)
+    card, depth = 1, 0
+    seen_exact, seen_support = {}, {}
+    while True:
+        phase = depth if depth < pre else pre + (depth - pre) % per
+        start = seen_exact.setdefault((phase, pairs), depth)
+        if start != depth:
+            return CardResult("Finite", card, depth, CycleCertificate(start, depth - start, card, card))
+        support = tuple([a for a, _ in pairs])
+        depth0, card0 = seen_support.setdefault((phase, support), (depth, card))
+        if card > card0:
+            cert = CycleCertificate(depth0, depth - depth0, card0, card)
+            return CardResult("Infinite", None, depth, cert)
+        if card > budget or depth >= max_depth:
+            return CardResult("ExceedsBudget", card, depth, None)
+        children = _step(pairs, n, weights, lo, hi)
+        pairs = tuple(sorted(children.items()))
+        card = sum(children.values())
+        depth += 1
+
+
+def _count_instance(label):
+    return parse_instance(SCALED[label][0]) if label in SCALED else load(label)
+
+
+def _grid(inst, max_q, max_k):
+    """Every p/q of the range with q <= max_q, and every p/n^k with
+    k <= max_k."""
+    denominators = [*range(1, max_q + 1), *(inst.n**k for k in range(1, max_k + 1))]
+    return sorted(
+        {
+            Fraction(p, q)
+            for q in denominators
+            for p in range(q * inst.proj_min, q * inst.proj_max + 1)
+        }
+    )
+
+
+# The bundled instances that meet the hypotheses, and two scaled ones.
+@pytest.mark.parametrize(
+    "label", ["cantor_diff", "cantor_double_diff", "cantor_sum", "span9", "n5"]
+)
+def test_exact_card_matches_pairs_reference_grid(label):
+    """The packed digit tables give the raw pairs loop's CardResult, all
+    four fields, at every p/q with q <= 40 and every p/n^k with k <= 5,
+    under every budget and depth cut."""
+    inst = _count_instance(label)
+    for x in _grid(inst, 40, 5):
+        for budget in (1, 2, 7, 4096):
+            for max_depth in (0, 1, 3, None):
+                expected = _pairs_exact_card(inst, x, budget, max_depth)
+                assert exact_card(inst, x, budget, max_depth) == expected, (x, budget, max_depth)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    counting_instances(),
+    st.data(),
+    st.sampled_from([1, 2, 3, 7, 64, 4096]),
+    st.none() | st.integers(0, 8),
+)
+def test_exact_card_matches_pairs_reference_random(inst, data, budget, max_depth):
+    """Random instances, points (half of them base-n boundary points),
+    budgets and depth cuts."""
+    q = data.draw(st.integers(1, 60) | st.sampled_from([inst.n, inst.n**2, inst.n**3]))
+    x = Fraction(data.draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+    assert exact_card(inst, x, budget, max_depth) == _pairs_exact_card(inst, x, budget, max_depth)
+
+
+@st.composite
+def _slice_states(draw):
+    """Any instance and a hand-built state: offsets of any residue mod the
+    scale, some outside the range, repeated, or with multiplicity 0 or past
+    2^64."""
+    inst = draw(instances())
+    q = draw(st.integers(1, 12))
+    lo, hi = q * inst.proj_min, q * inst.proj_max
+    pairs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(lo - 2 * q, hi + 2 * q),
+                st.integers(0, 9) | st.integers(0, 2**70),
+            ),
+            max_size=8,
+        )
+    )
+    depth = draw(st.integers(0, 5))
+    return inst, SliceState(pairs=tuple(sorted(pairs)), scale=q, depth=depth)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_slice_states())
+def test_advance_state_matches_pairs_reference_random(case):
+    """From the same state, the packed step gives the raw pairs step's child,
+    and so on for three more digits."""
+    inst, state = case
+    for _ in range(4):
+        child = advance_state(inst, state)
+        assert child == _pairs_advance(inst, state)
+        state = child
+
+
+def test_advance_state_edge_states_match_pairs_reference(cantor_diff, no_cover):
+    """A state emptied on the way stays empty; a state whose offsets lie in
+    two residue classes mod the scale steps as its classes do one by one,
+    here with children of both classes on both child offsets (3 r mod 6 is
+    3 for r = 1 and r = 3)."""
+    state = initial_state(no_cover, Fraction(1, 7))
+    for _ in range(2):
+        state = advance_state(no_cover, state)
+    assert state == SliceState(pairs=(), scale=7, depth=2)
+    assert advance_state(no_cover, state) == SliceState(pairs=(), scale=7, depth=3)
+    assert _pairs_advance(no_cover, state) == SliceState(pairs=(), scale=7, depth=3)
+
+    ones = ((-5, 1), (1, 3))
+    threes = ((-3, 2), (3, 1))
+    mixed = SliceState(pairs=tuple(sorted(ones + threes)), scale=6, depth=2)
+    child = advance_state(cantor_diff, mixed)
+    assert child == _pairs_advance(cantor_diff, mixed)
+    assert child == SliceState(pairs=((-3, 2), (3, 8)), scale=6, depth=3)
+    merged = Counter()
+    for part in (ones, threes):
+        merged.update(dict(advance_state(cantor_diff, mixed._replace(pairs=part)).pairs))
+    assert child.pairs == tuple(sorted(merged.items()))
+
+
+# Cube counts 4, 8, 9 and 16: budget * cubes is a power of two on the three
+# even counts, and one less than a power of two on n5's 9 cubes (budgets 7
+# and 455).
+@pytest.mark.parametrize("label", ["cantor_diff", "l3", "n5", "l4"])
+def test_packed_fields_match_pairs_at_field_width_edges(label):
+    """A packed field is (budget * cubes).bit_length() bits wide.  At the
+    budgets where budget * cubes is a power of two, or one less, and at the
+    budget after each, the fields must not spill into each other: every
+    CardResult is the raw pairs loop's, and the one table built for the
+    budget has that width."""
+    inst = _count_instance(label)
+    cubes = inst.cube_count
+    edges = {
+        budget
+        for k in range(1, 17)
+        for total in (2**k - 1, 2**k)
+        if total % cubes == 0
+        for budget in (total // cubes, total // cubes + 1)
+    }
+    assert edges
+    for budget in sorted(edges):
+        for x in _grid(inst, 12 if inst.span < 10 else 6, 3):
+            assert exact_card(inst, x, budget) == _pairs_exact_card(inst, x, budget), (x, budget)
+        assert (budget * cubes).bit_length() in counting._RECORDS[inst].tables
