@@ -5,12 +5,14 @@
   follows from how many maximal-radius components the graph has.
 * higher multiplicities r: a breadth-first closure over the count-matrix
   products e_i T_{j1} ... T_{jk} finds every realisable chain-count vector
-  with 1-norm <= max_r; a vector of norm r together with a residue h whose
-  aligned interval subset sits inside the uniquely covered collection and
-  reaches a cycling component of the subset graph certifies that r occurs
-  beyond the countable base-n grid.  Values of r realised only on that grid
-  are found separately by walking terminating expansions into the integer
-  offset automaton.
+  with 1-norm <= max_r, each product one step of the counting kernel on
+  the instance's digit table, the one ``exact_card`` reads, and each vector
+  kept sparse, as its counts on its support; a vector of norm r together
+  with a residue h whose aligned interval subset sits inside the uniquely
+  covered collection and reaches a cycling component of the subset graph
+  certifies that r occurs beyond the countable base-n grid.  Values of r
+  realised only on that grid are found separately by walking terminating
+  expansions into the integer offset automaton.
 
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
@@ -49,7 +51,7 @@ from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, exact_card, expansion_value
+from .counting import DEFAULT_BUDGET, _advance, digit_table, exact_card, expansion_value
 from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -268,7 +270,11 @@ def dim_u1(inst: ProblemInstance) -> U1Report:
 
 
 class ReachableVector(NamedTuple):
-    vector: tuple[int, ...]
+    """A reachable chain-count vector e_i T_{j1} ... T_{jk}, i the
+    ``integer_part`` and j1 ... jk the ``word``, held sparsely: ``counts``
+    are its nonzero entries, at the offsets ``support``, ascending."""
+
+    counts: tuple[int, ...]
     norm: int
     integer_part: int
     word: tuple[int, ...]
@@ -326,69 +332,57 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     max_r (norms never decrease under the covering condition, so nothing is
     lost), in canonical order.  Each vector keeps its canonical discovery:
     shortest digit word, ties broken by word then by starting offset; the
-    records come in that order, one breadth-first level at a time.
+    records come in that order, one breadth-first level at a time.  Raises
+    TooLarge as the (_VECTOR_CAP + 1)-th distinct vector is found.
 
-    A product is computed sparsely: entry (u, v) of digit matrix j is the
-    cube weight count of n*u + j - v, so row u of matrix j has one nonzero
-    entry per distinct cube weight w with v = n*u + j - w in range.  Those
-    entries are tabulated once per (j, u), and the n row sums of row u are
-    packed into one int, ``packed[u]``, a field of ``width`` bits per digit.
-    The n child norms of vec, each the sum of vec[u] * rowsum over the
-    support u of vec, are then the fields of one int sum; a child past
-    max_r is rejected before it is formed, and child[v] sums vec[u] * entry
-    over the same support.  No field overflows: vec has norm at most max_r
-    and a row sum is at most the number of cubes.  The dense span x span
-    product is never formed.
+    Row u of digit matrix j is the children of one chain at offset
+    proj_min + u under digit j, kept below proj_max, so a product is one
+    step of the counting kernel on the instance's digit table
+    (``counting.digit_table``, open rows): a vector is a packed int, a field
+    of (max_r * cubes).bit_length() bits per offset, with its support mask.
+    The n row totals of offset u are packed into one int, ``packed[u]``, a
+    field of the same width per digit, so the n child norms of a vector are
+    the fields of one int sum over its support, and a child past max_r is
+    rejected before it is formed.  No field overflows: a vector has norm at
+    most max_r and a row total is at most the number of cubes.
     """
-    n, lo, span = inst.n, inst.proj_min, inst.span
-    weights = list(inst.cube_weights.items())
-    # rows[j][u]: the nonzero entries (v, count) of row u of digit matrix j
-    rows = [
-        [
-            [(v, count) for w, count in weights if 0 <= (v := n * (u + lo) - lo + j - w) < span]
-            for u in range(span)
-        ]
-        for j in range(n)
-    ]
-    width = (max_r * sum(inst.cube_weights.values())).bit_length()
-    mask = (1 << width) - 1
-    packed = [
-        sum(sum(count for _, count in rows[j][u]) << (width * j) for j in range(n))
-        for u in range(span)
-    ]
-    shifts = [(j, width * j) for j in range(n)]
-    found: set[tuple[int, ...]] = set()
+    lo = inst.proj_min
+    bits = (max_r * inst.cube_count).bit_length()
+    field = (1 << bits) - 1
+    shifts = [(rows, bits * j) for j, (rows, _) in enumerate(digit_table(inst, bits))]
+    packed = [sum(rows[u][4] << shift for rows, shift in shifts) for u in range(inst.span)]
+    # packed counts -> (word, integer part, support mask) of its discovery
+    level = {1 << bits * u: ((), u + lo, 1 << u) for u in range(inst.span)}
+    if len(level) > _VECTOR_CAP:
+        raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
+    found = set(level)
     vectors: list[ReachableVector] = []
-    level: dict[tuple[int, ...], tuple] = {}
-    for i in range(inst.proj_min, inst.proj_max):
-        vec = tuple(1 if p == i else 0 for p in range(inst.proj_min, inst.proj_max))
-        level[vec] = ((), i)
-    found.update(level)
     while level:
-        nxt: dict[tuple[int, ...], tuple] = {}
-        for vec, (word, i) in sorted(level.items(), key=itemgetter(1)):
-            support = [(u, c) for u, c in enumerate(vec) if c]
-            vectors.append(
-                ReachableVector(vec, sum(vec), i, word, tuple([u + lo for u, _ in support]))
-            )
-            norms = sum([c * packed[u] for u, c in support])
-            for j, shift in shifts:
-                if (norms >> shift) & mask > max_r:
+        nxt: dict[int, tuple] = {}
+        for vec, (word, i, mask) in sorted(level.items(), key=itemgetter(1)):
+            counts, support, norms = [], [], 0
+            rest = mask
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                rest ^= low
+                c = vec >> bits * u & field
+                counts.append(c)
+                support.append(u + lo)
+                norms += c * packed[u]
+            vectors.append(ReachableVector(tuple(counts), sum(counts), i, word, tuple(support)))
+            for j, (rows, shift) in enumerate(shifts):
+                if norms >> shift & field > max_r:
                     continue
-                matrix = rows[j]
-                child = [0] * span
-                for u, c in support:
-                    for v, count in matrix[u]:
-                        child[v] += c * count
-                child = tuple(child)
-                cand = (word + (j,), i)
-                if child in found:
+                child, child_mask, _ = _advance(rows, bits, vec, mask)
+                cand = (word + (j,), i, child_mask)
+                if child not in found:
+                    if len(found) == _VECTOR_CAP:
+                        raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
+                    found.add(child)
+                elif cand >= nxt.get(child, cand):
                     continue
-                if child not in nxt or cand < nxt[child]:
-                    nxt[child] = cand
-        found.update(nxt)
-        if len(found) > _VECTOR_CAP:
-            raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
+                nxt[child] = cand
         level = nxt
     return tuple(vectors)
 
@@ -455,21 +449,20 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
                 total += c * child_card
         return total
 
-    # tails[j][p]: tail_value(p, j), once per working interval p and digit j
+    # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
+    # blocked[j]: the p where it is None
     tails = {
         j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
         for j in range(1, n)
     }
+    blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
     for rv in vectors:
         for j in range(1, n):
+            if not blocked[j].isdisjoint(rv.support):
+                continue
             tail = tails[j]
-            total = 0
-            for p in rv.support:
-                if tail[p] is None:
-                    total = None
-                    break
-                total += rv.vector[p - inst.proj_min] * tail[p]
-            if total is not None and 1 <= total <= max_r and total not in countable:
+            total = sum([c * tail[p] for p, c in zip(rv.support, rv.counts)])
+            if 1 <= total <= max_r and total not in countable:
                 countable[total] = expansion_value(
                     n, rv.integer_part, rv.word + (j,), (0,)
                 )

@@ -21,13 +21,18 @@ Two mechanisms, deliberately kept apart:
 
 ``exact_card`` does each piece of work at the level it depends on: covering
 and strong separation, and the digit tables (per digit, boundary flag and
-t: the packed children of one chain, their support mask and their number)
-for each field width, once per instance, in a weak-keyed record that goes
-with the instance; the range check and the expansion's preperiod and
-period lengths once per query (no digit is written out, since the
-automaton reads x itself); and per digit one call of the ``_advance``
-kernel.  ``advance_state`` is the public one-step view of the same tables
-and kernel, on ``SliceState`` records.
+t: the packed children of one chain from its lowest child on, where they
+start, their support mask and their number, so that a table grows with
+the span) for each field width, once per instance, in a weak-keyed record
+that goes with the instance; the range check and the expansion's
+preperiod and period lengths once per query (no digit is written out,
+since the automaton reads x itself); and per digit one call of the
+``_advance`` kernel.  ``advance_state`` is the public one-step view of the
+same tables and kernel, on ``SliceState`` records.  ``digit_table`` hands
+the tables out: the multiplicity search steps its chain-count vectors
+e_i T_{j1} ... T_{jk} on the open rows (a row of digit matrix T_j is the
+children of one chain under digit j), with the same kernel, so the
+instance has one table per field width whichever of the two reads it.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
@@ -212,7 +217,7 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
 class _Record:
     """What exact counting derives from one instance, each piece on first
     use: whether it meets the hypotheses, and its digit tables by field
-    width.  Nothing in it refers to the instance."""
+    width (``digit_table``).  Nothing in it refers to the instance."""
 
     __slots__ = ("hypotheses", "tables")
 
@@ -243,42 +248,59 @@ def _record(inst: ProblemInstance) -> _Record:
     return rec
 
 
+def digit_table(inst: ProblemInstance, bits: int) -> tuple:
+    """The instance's digit table at field width ``bits`` (see
+    ``_build_table``), built on first use and kept in the instance's
+    record: ``exact_card``, ``advance_state`` and the multiplicity search
+    all step this one table."""
+    return _record(inst).table(inst, bits)
+
+
+def _row(kids: list[tuple[int, int]], bits: int) -> tuple[int, int, int, int, int]:
+    """The table entry of one chain whose children are ``kids``, (j, count)
+    pairs ascending in j: the counts packed from the lowest child j0 on,
+    the shift ``bits * j0``, the support mask from j0 on, j0 and the number
+    of children."""
+    if not kids:
+        return 0, 0, 0, 0, 0
+    j0 = kids[0][0]
+    row = mask = total = 0
+    for j, count in kids:
+        row |= count << bits * (j - j0)
+        mask |= 1 << j - j0
+        total += count
+    return row, bits * j0, mask, j0, total
+
+
 def _build_table(inst: ProblemInstance, bits: int) -> tuple:
-    """The digit table at field width ``bits``: ``table[d][closed]`` holds,
-    for each t in [proj_min, proj_max], the packed children of one chain at
-    t (one ``bits``-bit field per t' - proj_min), their support mask and
-    their number, where reading digit d sends t to t' = d + n * t - w for
-    each cube weight w and keeps t' in [proj_min, proj_max - 1], or in
-    [proj_min, proj_max] when the new remainder is 0 (``closed``)."""
-    n, lo, hi = inst.n, inst.proj_min, inst.proj_max
-    weights = list(inst.cube_weights.items())
+    """The digit table at field width ``bits``: ``table[d][closed][t -
+    proj_min]``, for each t in [proj_min, proj_max], is the ``_row`` entry
+    of one chain at t, whose children are the t' = d + n * t - w, one per
+    cube weight w, kept in [proj_min, proj_max - 1], or in [proj_min,
+    proj_max] when the new remainder is 0 (``closed``); child t' is at
+    j = t' - proj_min.  A row starts at its lowest child, so the table
+    grows with the span, not with its square, and the two flags share each
+    entry with no child at proj_max."""
+    n, lo, top = inst.n, inst.proj_min, inst.span
+    # weights descending, so that each chain's children come ascending
+    weights = sorted(inst.cube_weights.items(), reverse=True)
     table = []
     for d in range(n):
-        entries = []
-        for top in (hi - 1 - lo, hi - lo):
-            rows, masks, sums = [], [], []
-            for t in range(lo, hi + 1):
-                row = mask = total = 0
-                for w, count in weights:
-                    j = d + n * t - w - lo
-                    if 0 <= j <= top:
-                        row += count << bits * j
-                        mask |= 1 << j
-                        total += count
-                rows.append(row)
-                masks.append(mask)
-                sums.append(total)
-            entries.append((tuple(rows), tuple(masks), tuple(sums)))
-        table.append(tuple(entries))
+        opened, closed = [], []
+        for t in range(lo, inst.proj_max + 1):
+            kids = [(j, count) for w, count in weights if 0 <= (j := d + n * t - w - lo) <= top]
+            entry = _row(kids, bits)
+            closed.append(entry)
+            opened.append(_row(kids[:-1], bits) if kids and kids[-1][0] == top else entry)
+        table.append((tuple(opened), tuple(closed)))
     return tuple(table)
 
 
 def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, int]:
     """One digit on a packed vector: the chains at each t of ``mask`` take
-    the table row of t, times their number.  Returns the children's packed
-    vector, support mask and cardinality; every child field must fit in
-    ``bits`` bits."""
-    rows, masks, sums = entry
+    the table row of t, times their number, shifted to its lowest child.
+    Returns the children's packed vector, support mask and cardinality;
+    every child field must fit in ``bits`` bits."""
     field = (1 << bits) - 1
     out = out_mask = card = 0
     while mask:
@@ -286,9 +308,10 @@ def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, in
         i = low.bit_length() - 1
         mask ^= low
         m = vec >> bits * i & field
-        out += m * rows[i]
-        out_mask |= masks[i]
-        card += m * sums[i]
+        row, shift, kids, base, total = entry[i]
+        out += m * row << shift
+        out_mask |= kids << base
+        card += m * total
     return out, out_mask, card
 
 
@@ -305,7 +328,7 @@ def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
     """
     q, lo, hi = state.scale, inst.proj_min, inst.proj_max
     bits = (max(state.cardinality, 1) * inst.cube_count).bit_length()
-    table = _record(inst).table(inst, bits)
+    table = digit_table(inst, bits)
     # residue r -> [packed vector, support mask] of the offsets r + q * t
     classes: dict[int, list[int]] = {}
     for a, m in state.pairs:

@@ -32,7 +32,8 @@ class ProblemInstance:
     """Validated, immutable problem statement.
 
     digit_sets are stored sorted; coefficients keep their input order.
-    Instances compare and hash by (n, digit_sets, coefficients).
+    Instances compare and hash by (n, digit_sets, coefficients); the hash
+    is computed once, since per-instance records look instances up by it.
     Derived scalars, each computed once: ``proj_min``/``proj_max`` are the
     minimum and maximum of the coefficient form over the unit cube (the sums
     of the negative and of the positive coefficients), ``span`` their
@@ -71,6 +72,7 @@ class ProblemInstance:
         self.__dict__.update(
             n=n, digit_sets=tuple(norm_sets), coefficients=tuple(coefficients)
         )
+        self.__dict__["_hash"] = hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
@@ -81,10 +83,10 @@ class ProblemInstance:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        return other is self or self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return self._hash
 
     def __repr__(self) -> str:
         return (

@@ -160,14 +160,16 @@ def build_report(
 
 def _search_json(search: RSearchResult) -> dict:
     # every r in 1..max_r, with no vector: the witnesses carry their own
+    inst = search.analysis.inst
     statuses = {}
     for r in range(1, search.max_r + 1):
         st = search.status(r)
         entry: dict = {"status": st.status}
         if st.witness is not None:
             w, rv = st.witness, st.witness.vector
+            counts = dict(zip(rv.support, rv.counts))
             entry["witness"] = {
-                "vector": list(rv.vector),
+                "vector": [counts.get(p, 0) for p in range(inst.proj_min, inst.proj_max)],
                 "integer_part": rv.integer_part,
                 "word": list(rv.word),
                 "support": list(rv.support),

@@ -90,6 +90,50 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
             enumerate_achievable_r(inst, 6, budget=0)
 
 
+def test_vector_cap_refuses_at_the_first_vector_past_it(monkeypatch, cantor_double_diff):
+    """The search raises TooLarge as the (cap + 1)-th distinct vector is
+    found: it passes at cap = count and is refused at count - 1.  With the
+    cap at the 13 vectors of words up to length 3, the refusal comes at
+    the first vector of length 4, found while the parents of length 3 are
+    stepped, and before the rest of their children are formed: the kernel
+    calls so far are a prefix of the uncapped run's, and that run makes
+    its next call on a parent of length 3 too."""
+    inst, max_r = cantor_double_diff, 6
+    full = analysis._reachable_vectors(inst, max_r)
+    # each kernel call, by the word length of the parent it steps
+    bits = (max_r * inst.cube_count).bit_length()
+    length = {
+        sum(c << bits * (p - inst.proj_min) for p, c in zip(rv.support, rv.counts)): len(rv.word)
+        for rv in full
+    }
+    step = analysis._advance
+
+    def search(cap):
+        calls = []
+
+        def counted(entry, bits, vec, mask):
+            calls.append(length[vec])
+            return step(entry, bits, vec, mask)
+
+        monkeypatch.setattr(analysis, "_advance", counted)
+        monkeypatch.setattr(analysis, "_VECTOR_CAP", cap)
+        try:
+            return analysis._reachable_vectors(inst, max_r), calls
+        except TooLarge as exc:
+            assert str(exc) == f"more than {cap} reachable vectors"
+            return None, calls
+
+    assert len(full) == 23
+    vectors, uncapped = search(len(full))
+    assert vectors == full
+    assert search(len(full) - 1)[0] is None
+    assert sum(len(rv.word) <= 3 for rv in full) == 13
+    vectors, calls = search(13)
+    assert vectors is None
+    assert calls == uncapped[: len(calls)]
+    assert calls[-1] == 3 and uncapped[len(calls)] == 3
+
+
 def test_countable_examples_verify(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (3, 6):

@@ -1,18 +1,22 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from slicekit import parse_instance
 from slicekit.analysis import enumerate_achievable_r
 from slicekit.cli import main, render_grid
 from slicekit.report import data_section, parse_rational
 from slicekit.errors import InvalidDocument, NotPlanar
 
 from conftest import load
+from test_references import _pairs_exact_card
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -314,6 +318,40 @@ def test_import_does_not_load_numpy():
     env = dict(os.environ, PYTHONPATH=src)
     code = "import slicekit, sys; sys.exit('numpy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_count_at_a_large_span_within_512_mib(tmp_path):
+    """A digit table row holds one chain's children from the lowest on, so
+    the table grows with the span, not with its square.  At span 20001,
+    `count` answers x = 1/7 in a child process under 512 MiB of address
+    space and 60 s: ExceedsBudget, exit code 3, the raw pairs loop's
+    result.  Rows packed at their children's absolute fields end in a
+    MemoryError (exit 4) there."""
+    doc = tmp_path / "span20001.json"
+    doc.write_text('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10000, 10001]}')
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicekit", "count", str(doc), "--x", "1/7"],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    expected = _pairs_exact_card(parse_instance(doc.read_text()), Fraction(1, 7))
+    assert expected.verdict == "ExceedsBudget"
+    assert json.loads(proc.stdout) == {
+        "count": expected.count,
+        "depth_reached": expected.depth_reached,
+        "verdict": expected.verdict,
+        "x": "1/7",
+    }
 
 
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):

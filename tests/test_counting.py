@@ -15,6 +15,7 @@ from slicekit import (
     counting,
     brute_force_cube_count,
     cube_count_vector,
+    enumerate_achievable_r,
     exact_card,
     expansion_value,
     lyapunov_estimate,
@@ -309,6 +310,22 @@ def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cov
     assert ref() is None
     twin = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
     assert twin not in counting._RECORDS
+
+
+def test_search_steps_the_counting_tables(monkeypatch):
+    """The multiplicity search builds no digit table of its own: it reads
+    the instance's record at its width, (max_r * cubes).bit_length(), next
+    to the one its integer counts read at the default budget's width; a
+    second search builds none."""
+    calls = Counter()
+    monkeypatch.setattr(counting, "_build_table", _counted(counting._build_table, calls))
+    inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-3, 5))
+    assert inst not in counting._RECORDS
+    for _ in range(2):
+        enumerate_achievable_r(inst, 6)
+    assert calls == {"_build_table": 2}
+    widths = [(6 * 4).bit_length(), (counting.DEFAULT_BUDGET * 4).bit_length()]
+    assert sorted(counting._RECORDS[inst].tables) == widths
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -51,6 +51,10 @@ from test_properties import instances
 BUNDLED = sorted(p.stem for p in FIXTURES.glob("*.json"))
 
 
+def _count_instance(label):
+    return parse_instance(SCALED[label][0]) if label in SCALED else load(label)
+
+
 def _dense_reachable_vectors(inst, max_r):
     mats = [m.entries for m in transition_matrices(inst)]
     span = inst.span
@@ -92,7 +96,13 @@ def _assert_same_vectors(inst, max_r):
     )
     offsets = range(inst.proj_min, inst.proj_max)
     assert _reachable_vectors(inst, max_r) == tuple(
-        ReachableVector(vec, sum(vec), i, word, tuple(p for p, c in zip(offsets, vec) if c))
+        ReachableVector(
+            tuple(c for c in vec if c),
+            sum(vec),
+            i,
+            word,
+            tuple(p for p, c in zip(offsets, vec) if c),
+        )
         for vec, (word, i) in dense
     )
 
@@ -109,18 +119,22 @@ def test_sparse_vectors_match_dense_random(inst, max_r):
     _assert_same_vectors(inst, max_r)
 
 
-@pytest.mark.parametrize("name", ["base7_double", "l3", "l4"])
+@pytest.mark.parametrize("name", ["base7_double", "l3", "l4", "n5"])
 def test_packed_norms_match_dense_at_field_width_edges(name):
-    """The n child norms share one int, a field of
-    (max_r * cubes).bit_length() bits per digit.  On instances with many
-    cubes (16, 8 and 16), at each max_r where max_r * cubes reaches a power
-    of two and at the one after it, the widest field must not spill into
-    the next digit's: the vectors are those of the dense products."""
-    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
-    assert sum(inst.cube_weights.values()) in (8, 16)
+    """The n child norms share one int, and a vector's counts another, a
+    field of (max_r * cubes).bit_length() bits per digit or offset.  On
+    instances with many cubes (16, 8 and 16), at each max_r where
+    max_r * cubes reaches a power of two and at the one after it, and on
+    n5's 9 cubes at max_r 7, where it is 2^6 - 1, and 8, the widest field
+    must not spill into the next one: the vectors are those of the dense
+    products, and the search stepped the digit table of that width."""
+    inst = _count_instance(name)
+    cubes = inst.cube_count
+    assert cubes in (8, 9, 16)
     # max_r * cubes is a power of two at 1, 2, 4 and 8, just past one at 3, 5, 9
-    for max_r in (1, 2, 3, 4, 5, 8, 9):
+    for max_r in (7, 8) if cubes == 9 else (1, 2, 3, 4, 5, 8, 9):
         _assert_same_vectors(inst, max_r)
+        assert (max_r * cubes).bit_length() in counting._RECORDS[inst].tables
 
 
 def _kosaraju(succ):
@@ -416,10 +430,14 @@ def _pairs_advance(inst, state):
     return SliceState(pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1)
 
 
-def _pairs_exact_card(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
-    """``exact_card`` stepping the raw pairs, one Python iteration per
-    offset and cube weight, and keyed on (phase, pairs) and (phase,
-    support)."""
+def _pairs_steps(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
+    """The raw pairs loop of ``exact_card``, one Python iteration per
+    offset and cube weight, keyed on (phase, pairs) and (phase, support).
+    Returns, for each depth up to the one where it stops within ``budget``
+    and ``max_depth``, the cardinality, the first depth of the same (phase,
+    pairs) and the first (depth, cardinality) of the same (phase, support);
+    and the depth cap, ``max_depth`` or its default.  The steps do not
+    depend on the limits: lower ones only stop them sooner."""
     x = Fraction(x)
     exp = nadic_expansion(inst, x)
     pre = len(exp.preperiod)
@@ -431,27 +449,40 @@ def _pairs_exact_card(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
     weights = _scaled_weights(inst, q)
     pairs = ((x.numerator, 1),)
     card, depth = 1, 0
-    seen_exact, seen_support = {}, {}
+    seen_exact, seen_support, steps = {}, {}, []
     while True:
         phase = depth if depth < pre else pre + (depth - pre) % per
         start = seen_exact.setdefault((phase, pairs), depth)
-        if start != depth:
-            return CardResult("Finite", card, depth, CycleCertificate(start, depth - start, card, card))
         support = tuple([a for a, _ in pairs])
         depth0, card0 = seen_support.setdefault((phase, support), (depth, card))
-        if card > card0:
-            cert = CycleCertificate(depth0, depth - depth0, card0, card)
-            return CardResult("Infinite", None, depth, cert)
-        if card > budget or depth >= max_depth:
-            return CardResult("ExceedsBudget", card, depth, None)
+        steps.append((card, start, depth0, card0))
+        if start != depth or card > card0 or card > budget or depth >= max_depth:
+            return steps, max_depth
         children = _step(pairs, n, weights, lo, hi)
         pairs = tuple(sorted(children.items()))
         card = sum(children.values())
         depth += 1
 
 
-def _count_instance(label):
-    return parse_instance(SCALED[label][0]) if label in SCALED else load(label)
+def _pairs_verdict(steps, budget, max_depth):
+    """The CardResult of the first of ``steps`` where the loop stops within
+    ``budget`` and ``max_depth``: an exact recurrence, then a support
+    recurrence with a larger cardinality, then the limits."""
+    for depth, (card, start, depth0, card0) in enumerate(steps):
+        if start != depth:
+            return CardResult("Finite", card, depth, CycleCertificate(start, depth - start, card, card))
+        if card > card0:
+            cert = CycleCertificate(depth0, depth - depth0, card0, card)
+            return CardResult("Infinite", None, depth, cert)
+        if card > budget or depth >= max_depth:
+            return CardResult("ExceedsBudget", card, depth, None)
+    raise AssertionError("the steps end before the loop stops at these limits")
+
+
+def _pairs_exact_card(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
+    """``exact_card`` stepping the raw pairs."""
+    steps, max_depth = _pairs_steps(inst, x, budget, max_depth)
+    return _pairs_verdict(steps, budget, max_depth)
 
 
 def _grid(inst, max_q, max_k):
@@ -474,12 +505,15 @@ def _grid(inst, max_q, max_k):
 def test_exact_card_matches_pairs_reference_grid(label):
     """The packed digit tables give the raw pairs loop's CardResult, all
     four fields, at every p/q with q <= 40 and every p/n^k with k <= 5,
-    under every budget and depth cut."""
+    under every budget and depth cut.  The raw pairs are stepped once per
+    point, at the widest limits, and every cut is read from those steps."""
     inst = _count_instance(label)
     for x in _grid(inst, 40, 5):
+        steps, default_depth = _pairs_steps(inst, x, 4096, None)
         for budget in (1, 2, 7, 4096):
             for max_depth in (0, 1, 3, None):
-                expected = _pairs_exact_card(inst, x, budget, max_depth)
+                cap = default_depth if max_depth is None else max_depth
+                expected = _pairs_verdict(steps, budget, cap)
                 assert exact_card(inst, x, budget, max_depth) == expected, (x, budget, max_depth)
 
 
