@@ -17,8 +17,9 @@
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, whose blocks every
-restricted-graph verdict reads, covering and separation, the digit
-matrices and the U1 report.  The multiplicity search computes the aligned
+restricted-graph verdict reads, the digit matrices and the U1 report;
+covering and separation it reads from the instance's counting record,
+which decides them once.  The multiplicity search computes the aligned
 subsets of each distinct support of its vectors once, builds the subset
 graph once with ``graphs.build_congruent_graph`` on the context's xi
 types, only the part that they reach, since nothing reads any other
@@ -40,7 +41,8 @@ attain rho, whether failing separation is negligible, where the
 multiplicity dimension takes its maximum, the countable flag and
 domination.  Dimensions are reported as floats, but no decision is taken
 from one.  Each witness point is certified by ``exact_card`` before it is
-returned.
+returned, at budget max_r like the search's integer counts: no count
+falls with depth, so none past max_r can change an answer.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import DEFAULT_BUDGET, _advance, digit_table, exact_card, expansion_value
+from .counting import _advance, _record, digit_table, exact_card, expansion_value
 from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -59,7 +61,6 @@ from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
 )
 from .instance import ProblemInstance
-from .lattice import covering_condition, strong_separation
 # spectral_radius is not called here any more; it stays importable from this
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
@@ -174,13 +175,13 @@ class Analysis:
     def xi_scc(self) -> SccDecomposition:
         return scc(self.xi.succ)
 
-    @cached_property
+    @property
     def covering(self) -> bool:
-        return covering_condition(self.inst)
+        return _record(self.inst).covering
 
-    @cached_property
-    def ssc(self) -> list[bool]:
-        return strong_separation(self.inst)
+    @property
+    def ssc(self) -> tuple[bool, ...]:
+        return _record(self.inst).ssc
 
     @cached_property
     def matrices(self) -> list[CountMatrix]:
@@ -387,19 +388,18 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     return tuple(vectors)
 
 
-def _integer_card_table(inst: ProblemInstance, budget: int) -> dict[int, int | None]:
-    """Exact representation count for every integer point of the range;
-    None marks infinite (or undecided within budget)."""
+def _integer_card_table(inst: ProblemInstance, max_r: int) -> dict[int, int | None]:
+    """Exact representation count for every integer point of the range,
+    at budget max_r; None marks a point that is infinite or counts more
+    than max_r, and so feeds only tail totals past max_r."""
     table: dict[int, int | None] = {}
     for p in range(inst.proj_min, inst.proj_max + 1):
-        res = exact_card(inst, Fraction(p), budget=budget)
+        res = exact_card(inst, Fraction(p), budget=max_r)
         table[p] = res.count if res.verdict == "Finite" else None
     return table
 
 
-def enumerate_achievable_r(
-    inst: ProblemInstance, max_r: int, budget: int = DEFAULT_BUDGET
-) -> RSearchResult:
+def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
     """Classify every multiplicity 1..max_r.
 
     Achievable: some product vector of norm r admits a residue h whose
@@ -411,17 +411,15 @@ def enumerate_achievable_r(
     through the integer-offset automaton.
     NotReachable: neither route produces r (not stored; ``status`` reads it).
     """
-    return _search(Analysis(inst), max_r, budget)
+    return _search(Analysis(inst), max_r)
 
 
-def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSearchResult:
+def _search(context: Analysis, max_r: int) -> RSearchResult:
     inst = context.inst
     if max_r < 1:
         raise OutOfRange(f"max_r must be >= 1, got {max_r}")
     if max_r > _VECTOR_CAP:
         raise TooLarge(f"max_r must be <= {_VECTOR_CAP}, got {max_r}")
-    if budget < 1:
-        raise OutOfRange(f"budget must be >= 1, got {budget}")
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):
@@ -431,7 +429,7 @@ def _search(context: Analysis, max_r: int, budget: int = DEFAULT_BUDGET) -> RSea
 
     # countable-grid realisations: terminating expansions = reachable vector,
     # then one nonzero digit, then the integer-offset automaton
-    gamma = _integer_card_table(inst, budget)
+    gamma = _integer_card_table(inst, max_r)
     weights = inst.cube_weights
     countable: dict[int, Fraction] = {}
     for p, g in sorted(gamma.items()):
@@ -650,7 +648,8 @@ def _witness_candidates(search: RSearchResult, r: int):
 
 def witness_ur(search: RSearchResult, r: int) -> WitnessExpansion:
     """An eventually periodic expansion of a point with exactly r
-    representations, certified by ``exact_card``: the first candidate of
+    representations, certified by ``exact_card`` at budget ``search.max_r``
+    (at least r), on the search's digit table: the first candidate of
     ``_witness_candidates`` whose point it counts as Finite r.
 
     A loop whose digits are all 0 or all n-1 ends on the base-n grid, where
@@ -666,7 +665,7 @@ def witness_ur(search: RSearchResult, r: int) -> WitnessExpansion:
     on_grid = []
 
     def certifies(expansion: WitnessExpansion) -> bool:
-        result = exact_card(inst, expansion.value(inst.n))
+        result = exact_card(inst, expansion.value(inst.n), budget=search.max_r)
         return result.verdict == "Finite" and result.count == r
 
     for expansion in _witness_candidates(search, r):

@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("analyze", "full report: checks, graphs, matrices, dimensions, multiplicities")
     p.add_argument("--max-r", type=int, default=6)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p = add("check", "covering and strong-separation checks plus the basic bounds")
     p.add_argument("--json", action="store_true", help="emit JSON")
@@ -138,7 +137,7 @@ def _dispatch(args) -> int:
     cmd = args.command
     code = 0
     if cmd == "analyze":
-        payload = build_report(inst, max_r=args.max_r, budget=args.budget)
+        payload = build_report(inst, max_r=args.max_r)
     elif cmd == "check":
         payload = {
             "bounds": {

@@ -20,19 +20,21 @@ Two mechanisms, deliberately kept apart:
   chains are kept alive by closed-interval containment.
 
 ``exact_card`` does each piece of work at the level it depends on: covering
-and strong separation, and the digit tables (per digit, boundary flag and
-t: the packed children of one chain from its lowest child on, where they
-start, their support mask and their number, so that a table grows with
-the span) for each field width, once per instance, in a weak-keyed record
+and strong separation once per instance, and the digit tables (per digit,
+boundary flag and t: the packed children of one chain from its lowest
+child on, where they start, their support mask and their number, so that
+a table grows with the span) once per field width, in a weak-keyed record
 that goes with the instance; the range check and the expansion's
 preperiod and period lengths once per query (no digit is written out,
 since the automaton reads x itself); and per digit one call of the
-``_advance`` kernel.  ``advance_state`` is the public one-step view of the
-same tables and kernel, on ``SliceState`` records.  ``digit_table`` hands
-the tables out: the multiplicity search steps its chain-count vectors
-e_i T_{j1} ... T_{jk} on the open rows (a row of digit matrix T_j is the
-children of one chain under digit j), with the same kernel, so the
-instance has one table per field width whichever of the two reads it.
+``_advance`` kernel.  ``cube_count_vector``, ``lyapunov_estimate`` and
+``analysis.Analysis`` read the hypotheses from the same record.
+``advance_state`` is the public one-step view of the same tables and
+kernel, on ``SliceState`` records.  ``digit_table`` hands the tables out:
+the multiplicity search steps its chain-count vectors e_i T_{j1} ... T_{jk}
+on the open rows (a row of digit matrix T_j is the children of one chain
+under digit j), with the same kernel, and counts with ``exact_card`` at
+budget max_r, so one search reads one table, at max_r's field width.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
@@ -165,7 +167,7 @@ def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple
     """e_i T_{j1} ... T_{jk} for the expansion of a non-boundary x; the
     entries are the depth-k chain counts per unit offset, their sum the
     number of depth-k cubes meeting the slice."""
-    if not covering_condition(inst):
+    if not _record(inst).covering:
         raise CoveringRequired("the depth-1 projections must cover the full range")
     exp = nadic_expansion(inst, x)
     if exp.boundary:
@@ -215,20 +217,17 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
 
 
 class _Record:
-    """What exact counting derives from one instance, each piece on first
-    use: whether it meets the hypotheses, and its digit tables by field
-    width (``digit_table``).  Nothing in it refers to the instance."""
+    """What counting and analysis derive from one instance: the covering
+    condition and the per-factor strong-separation flags, decided once when
+    the record is made, and the digit tables by field width, each built on
+    first use (``digit_table``).  Nothing in it refers to the instance."""
 
-    __slots__ = ("hypotheses", "tables")
+    __slots__ = ("covering", "ssc", "tables")
 
-    def __init__(self) -> None:
-        self.hypotheses: bool | None = None
+    def __init__(self, inst: ProblemInstance) -> None:
+        self.covering = covering_condition(inst)
+        self.ssc = tuple(strong_separation(inst))
         self.tables: dict[int, tuple] = {}
-
-    def meets_hypotheses(self, inst: ProblemInstance) -> bool:
-        if self.hypotheses is None:
-            self.hypotheses = covering_condition(inst) and all(strong_separation(inst))
-        return self.hypotheses
 
     def table(self, inst: ProblemInstance, bits: int) -> tuple:
         table = self.tables.get(bits)
@@ -244,7 +243,7 @@ _RECORDS: WeakKeyDictionary[ProblemInstance, _Record] = WeakKeyDictionary()
 def _record(inst: ProblemInstance) -> _Record:
     rec = _RECORDS.get(inst)
     if rec is None:
-        rec = _RECORDS[inst] = _Record()
+        rec = _RECORDS[inst] = _Record(inst)
     return rec
 
 
@@ -400,7 +399,7 @@ def exact_card(
         raise OutOfRange(f"max_depth must be >= 0, got {max_depth}")
     x = Fraction(x)
     rec = _record(inst)
-    if not rec.meets_hypotheses(inst):
+    if not (rec.covering and all(rec.ssc)):
         raise HypothesisViolated(
             "exact counting needs the covering condition and strong separation"
         )
@@ -474,7 +473,7 @@ def lyapunov_estimate(
     (seed, block index), so the result depends only on (seed, samples,
     depth), regardless of how the work would be partitioned.
     """
-    if not covering_condition(inst):
+    if not _record(inst).covering:
         raise CoveringRequired("the depth-1 projections must cover the full range")
     if samples <= 0 or depth <= 0:
         raise OutOfRange("samples and depth must be positive")

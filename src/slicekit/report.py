@@ -22,7 +22,6 @@ from .analysis import (
     measure_ur,
     witness_ur,
 )
-from .counting import DEFAULT_BUDGET
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals, interval_type_counts
@@ -76,13 +75,11 @@ def _scc_json(decomposition, names) -> dict:
     }
 
 
-def build_report(
-    inst: ProblemInstance, max_r: int = 6, budget: int = DEFAULT_BUDGET
-) -> dict:
+def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
     started = time.monotonic()
     # the search runs first so that the whole report reads its context
     try:
-        search = enumerate_achievable_r(inst, max_r=max_r, budget=budget)
+        search = enumerate_achievable_r(inst, max_r=max_r)
     except HypothesisViolated as exc:
         search, refusal = None, str(exc)
     context = search.analysis if search else Analysis(inst)

@@ -79,15 +79,13 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
         enumerate_achievable_r(base7_double, 4)
     with pytest.raises(HypothesisViolated):
         enumerate_achievable_r(no_cover, 4)
-    # the ranges of max_r and budget are checked first; a max_r past the
-    # vector cap is a resource cap, refused before anything is built
+    # the range of max_r is checked first; a max_r past the vector cap is
+    # a resource cap, refused before anything is built
     for inst in (base7_double, no_cover):
         with pytest.raises(OutOfRange, match="max_r must be >= 1"):
             enumerate_achievable_r(inst, 0)
         with pytest.raises(TooLarge, match=f"max_r must be <= {_VECTOR_CAP}"):
             enumerate_achievable_r(inst, _VECTOR_CAP + 1)
-        with pytest.raises(OutOfRange, match="budget must be >= 1"):
-            enumerate_achievable_r(inst, 6, budget=0)
 
 
 def test_vector_cap_refuses_at_the_first_vector_past_it(monkeypatch, cantor_double_diff):
@@ -247,6 +245,19 @@ def test_witness_round_trip(cantor_diff):
         res = exact_card(cantor_diff, x)
         assert (res.verdict, res.count) == ("Finite", r), (r, x)
         assert any(d != 0 for d in w.period)  # off the base-n grid
+
+
+def test_witness_past_the_default_budget(cantor_diff):
+    """The search counts at its own max_r, not at exact_card's default
+    budget of 4096: r = 2^13 is achievable on cantor_diff, and its witness
+    certifies, in witness_ur and in the report."""
+    r = 2**13
+    w = witness_ur(enumerate_achievable_r(cantor_diff, r), r)
+    res = exact_card(cantor_diff, w.value(cantor_diff.n), budget=r)
+    assert (res.verdict, res.count) == ("Finite", r)
+    entry = report.build_report(cantor_diff, max_r=r)["data"]["ur"][str(r)]
+    assert entry["witness"]["value"] == "1/3188646"
+    assert w.value(cantor_diff.n) == Fraction(1, 3188646)
 
 
 def test_witness_canonical(cantor_diff):

@@ -226,13 +226,15 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "render", FIXTURES / "full_interval.json")
     assert code == 1 and "l=2" in err
-    # a multiplicity range or budget below 1 is a precondition, not an
-    # internal error, and is checked before the instance's hypotheses
+    # analyze counts at its --max-r and takes no budget
+    code, out, err = run(capsys, "analyze", FIXTURES / "cantor_diff.json", "--budget", "1")
+    assert (code, out) == (1, "") and "--budget" in err
+    # a multiplicity range below 1 is a precondition, not an internal
+    # error, and is checked before the instance's hypotheses
     for argv, message in (
         (("analyze", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
         (("enumerate-r", "cantor_diff", "--max-r", "0"), "max_r must be >= 1"),
         (("analyze", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
-        (("analyze", "base7_double", "--budget", "0"), "budget must be >= 1"),
         (("enumerate-r", "base7_double", "--max-r", "0"), "max_r must be >= 1"),
         (("dim-ur", "cantor_diff", "--r", "0"), "--r must be >= 1"),
         (("dim-ur", "base7_double", "--r", "0"), "--r must be >= 1"),

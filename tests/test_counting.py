@@ -20,6 +20,8 @@ from slicekit import (
     expansion_value,
     lyapunov_estimate,
     nadic_expansion,
+    parse_instance,
+    witness_ur,
 )
 from slicekit.counting import (
     CardResult,
@@ -35,7 +37,9 @@ from slicekit.errors import (
     OutOfRange,
     TooLarge,
 )
+from slicekit.report import build_report
 from conftest import FIXTURES, counting_instances
+from test_golden import SCALED
 from test_properties import instances
 
 
@@ -313,19 +317,60 @@ def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cov
 
 
 def test_search_steps_the_counting_tables(monkeypatch):
-    """The multiplicity search builds no digit table of its own: it reads
-    the instance's record at its width, (max_r * cubes).bit_length(), next
-    to the one its integer counts read at the default budget's width; a
-    second search builds none."""
+    """The multiplicity search builds no digit table of its own: its
+    vectors, its integer counts and its witness checks all read the
+    instance's record at one width, (max_r * cubes).bit_length(); a second
+    search builds none."""
     calls = Counter()
     monkeypatch.setattr(counting, "_build_table", _counted(counting._build_table, calls))
     inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-3, 5))
     assert inst not in counting._RECORDS
     for _ in range(2):
-        enumerate_achievable_r(inst, 6)
-    assert calls == {"_build_table": 2}
-    widths = [(6 * 4).bit_length(), (counting.DEFAULT_BUDGET * 4).bit_length()]
-    assert sorted(counting._RECORDS[inst].tables) == widths
+        search = enumerate_achievable_r(inst, 6)
+        for r in search.achievable():
+            witness_ur(search, r)
+    assert calls == {"_build_table": 1}
+    assert list(counting._RECORDS[inst].tables) == [(6 * 4).bit_length()]
+
+
+# The scaled instances of the benchmark's analyze-scaled workload.
+_BENCH_SCALED = ["span9", "span13", "span15", "span17", "n5", "n7", "l3", "l4"]
+
+
+@pytest.mark.parametrize("name", _BENCH_SCALED)
+def test_report_decides_hypotheses_and_builds_one_table(name, monkeypatch):
+    """One ``build_report`` builds one digit table, at the width of its
+    max_r, and decides covering and strong separation once each, in the
+    instance's counting record; ``exact_card`` and ``cube_count_vector`` on
+    the same instance afterwards read them from there."""
+    calls = Counter()
+    for attr in ("covering_condition", "strong_separation", "_build_table"):
+        monkeypatch.setattr(counting, attr, _counted(getattr(counting, attr), calls))
+    inst = parse_instance(SCALED[name][0])
+    # the record keys on equality, and another test may hold an equal instance
+    monkeypatch.delitem(counting._RECORDS, inst, raising=False)
+    data = build_report(inst)["data"]
+    assert calls == {"covering_condition": 1, "strong_separation": 1, "_build_table": 1}
+    assert list(counting._RECORDS[inst].tables) == [(6 * inst.cube_count).bit_length()]
+    assert (data["covering"], data["ssc"]) == (True, [True] * inst.l)
+    exact_card(inst, Fraction(1, 11))
+    cube_count_vector(inst, Fraction(1, 11), 3)
+    assert (calls["covering_condition"], calls["strong_separation"]) == (1, 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(count_queries(), st.sampled_from([1, 2, 3, 6, 30]))
+def test_budget_max_r_keeps_every_count_up_to_max_r(query, max_r):
+    """What the multiplicity search relies on to count at budget max_r: a
+    point is Finite at that budget exactly when its unbudgeted count is
+    Finite and at most max_r, with the same result, certificate included."""
+    inst, x = query
+    capped = exact_card(inst, x, budget=max_r)
+    full = exact_card(inst, x)
+    event(capped.verdict)
+    assert capped.is_finite == (full.is_finite and full.count <= max_r)
+    if capped.is_finite:
+        assert capped == full
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
