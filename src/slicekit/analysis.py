@@ -58,9 +58,10 @@ from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, build_congruent_graph, build_xi_graph, scc,
+    CongruentGraph, SccDecomposition, XiGraph, aligned, build_congruent_graph, build_xi_graph, scc,
 )
 from .instance import ProblemInstance
+from .lattice import children
 # spectral_radius is not called here any more; it stays importable from this
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
@@ -430,7 +431,6 @@ def _search(context: Analysis, max_r: int) -> RSearchResult:
     # countable-grid realisations: terminating expansions = reachable vector,
     # then one nonzero digit, then the integer-offset automaton
     gamma = _integer_card_table(inst, max_r)
-    weights = inst.cube_weights
     countable: dict[int, Fraction] = {}
     for p, g in sorted(gamma.items()):
         if g is not None and 1 <= g <= max_r and g not in countable:
@@ -438,13 +438,11 @@ def _search(context: Analysis, max_r: int) -> RSearchResult:
 
     def tail_value(p: int, j: int) -> int | None:
         total = 0
-        for w, c in weights.items():
-            child = n * p + j - w
-            if inst.proj_min <= child <= inst.proj_max:
-                child_card = gamma[child]
-                if child_card is None:
-                    return None
-                total += c * child_card
+        for child, c in children(inst, j, p):
+            child_card = gamma[child]
+            if child_card is None:
+                return None
+            total += c * child_card
         return total
 
     # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
@@ -467,10 +465,7 @@ def _search(context: Analysis, max_r: int) -> RSearchResult:
 
     # each support's aligned subsets, the subset graph they reach, its cycles
     types = context.xi.types
-    subsets = {}
-    for support in {rv.support for rv in vectors}:
-        shifted = enumerate(tuple([n * p + h for p in support]) for h in range(n))
-        subsets[support] = [(h, m) for h, m in shifted if all(map(types.__contains__, m))]
+    subsets = {s: aligned(types, n, [n * p for p in s]) for s in {rv.support for rv in vectors}}
     graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
     cycles = {
         m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs

@@ -19,7 +19,7 @@ from .errors import (
     InternalError, NotPlanar, OutOfRange, SlicekitError, TooLarge, UsageError,
 )
 from .instance import ProblemInstance, parse_instance
-from .lattice import covering_condition, strong_separation
+from .lattice import covering_condition, strong_separation, xi_types
 from .oracle import brute_force_cube_count, brute_force_solutions
 from .report import (
     build_report,
@@ -30,6 +30,10 @@ from .report import (
     report_json,
 )
 
+# Most entries of the digit matrices T and the restricted graph's matrix M
+# together that `analyze` and `matrices` print: n=3 at span 601 prints about
+# 2.5 million, and at span 2001 T alone has 12 million.
+_MATRIX_CAP = 2**22
 _RENDER_CUBE_CAP = 4096
 # Deepest render, log2 of the cube cap: past it two or more cubes exceed the
 # cap, and the one-cube case needs no deeper figure.
@@ -46,14 +50,18 @@ def _load(path: str) -> ProblemInstance:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
-    inst = parse_instance(text)
-    if inst.cube_count > 10**6:
-        print(
-            f"warning: {inst.cube_count} digit cubes per level; "
-            "brute-force operations may be slow",
-            file=sys.stderr,
-        )
-    return inst
+    return parse_instance(text)
+
+
+def _check_printable(inst: ProblemInstance) -> None:
+    """Refuse with TooLarge an instance whose T (n * span**2 entries) and
+    M (|xi|**2 entries) hold more than _MATRIX_CAP entries together; |xi|
+    is read from the xi types, and only once T fits."""
+    entries = inst.n * inst.span**2
+    if entries <= _MATRIX_CAP:
+        entries += len(xi_types(inst)) ** 2
+    if entries > _MATRIX_CAP:
+        raise TooLarge(f"the matrices T and M hold more than {_MATRIX_CAP} entries")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -136,6 +144,8 @@ def _dispatch(args) -> int:
     inst = _load(args.instance)
     cmd = args.command
     code = 0
+    if cmd in ("analyze", "matrices"):
+        _check_printable(inst)
     if cmd == "analyze":
         payload = build_report(inst, max_r=args.max_r)
     elif cmd == "check":

@@ -62,7 +62,7 @@ from .errors import (
     TooLarge,
 )
 from .instance import ProblemInstance
-from .lattice import covering_condition, strong_separation
+from .lattice import children, covering_condition, strong_separation
 from .spectral import transition_matrices
 
 DEFAULT_BUDGET = 4096
@@ -255,42 +255,40 @@ def digit_table(inst: ProblemInstance, bits: int) -> tuple:
     return _record(inst).table(inst, bits)
 
 
-def _row(kids: list[tuple[int, int]], bits: int) -> tuple[int, int, int, int, int]:
-    """The table entry of one chain whose children are ``kids``, (j, count)
-    pairs ascending in j: the counts packed from the lowest child j0 on,
-    the shift ``bits * j0``, the support mask from j0 on, j0 and the number
-    of children."""
+def _row(kids: list[tuple[int, int]], bits: int, lo: int) -> tuple[int, int, int, int, int]:
+    """The table entry of one chain whose children are ``kids``, (t',
+    count) pairs ascending in t', at fields j = t' - ``lo``: the counts
+    packed from the lowest child j0 on, the shift ``bits * j0``, the
+    support mask from j0 on, j0 and the number of children."""
     if not kids:
         return 0, 0, 0, 0, 0
-    j0 = kids[0][0]
+    c0 = kids[0][0]
     row = mask = total = 0
-    for j, count in kids:
-        row |= count << bits * (j - j0)
-        mask |= 1 << j - j0
+    for c, count in kids:
+        row |= count << bits * (c - c0)
+        mask |= 1 << c - c0
         total += count
-    return row, bits * j0, mask, j0, total
+    return row, bits * (c0 - lo), mask, c0 - lo, total
 
 
 def _build_table(inst: ProblemInstance, bits: int) -> tuple:
     """The digit table at field width ``bits``: ``table[d][closed][t -
     proj_min]``, for each t in [proj_min, proj_max], is the ``_row`` entry
-    of one chain at t, whose children are the t' = d + n * t - w, one per
-    cube weight w, kept in [proj_min, proj_max - 1], or in [proj_min,
-    proj_max] when the new remainder is 0 (``closed``); child t' is at
-    j = t' - proj_min.  A row starts at its lowest child, so the table
-    grows with the span, not with its square, and the two flags share each
-    entry with no child at proj_max."""
-    n, lo, top = inst.n, inst.proj_min, inst.span
-    # weights descending, so that each chain's children come ascending
-    weights = sorted(inst.cube_weights.items(), reverse=True)
+    of one chain at t, whose children are ``lattice.children(inst, d, t)``
+    (row t of T_d), kept below proj_max, or up to proj_max when the new
+    remainder is 0 (``closed``); child t' is at j = t' - proj_min.  A row
+    starts at its lowest child, so the table grows with the span, not with
+    its square, and the two flags share each entry with no child at
+    proj_max."""
+    lo, hi = inst.proj_min, inst.proj_max
     table = []
-    for d in range(n):
+    for d in range(inst.n):
         opened, closed = [], []
-        for t in range(lo, inst.proj_max + 1):
-            kids = [(j, count) for w, count in weights if 0 <= (j := d + n * t - w - lo) <= top]
-            entry = _row(kids, bits)
+        for t in range(lo, hi + 1):
+            kids = children(inst, d, t)
+            entry = _row(kids, bits, lo)
             closed.append(entry)
-            opened.append(_row(kids[:-1], bits) if kids and kids[-1][0] == top else entry)
+            opened.append(_row(kids[:-1], bits, lo) if kids and kids[-1][0] == hi else entry)
         table.append((tuple(opened), tuple(closed)))
     return tuple(table)
 

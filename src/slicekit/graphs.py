@@ -3,7 +3,7 @@
 * full graph: every integer interval; an edge goes from an interval of type t
   to each of the n intervals inside the working interval [t, t+1].
 * restricted graph: the induced subgraph on the uniquely covered intervals,
-  with its 0-1 transition matrix (ascending-u indexing).
+  as successor lists (ascending-u indexing); its 0-1 matrix is formed on read.
 * subset graph: vertices are nonempty sets of uniquely covered intervals
   that share u mod n; from a subset, the successor under residue h is the
   set of images n*t(u) + h, and an edge exists exactly when that image
@@ -12,16 +12,19 @@
   edges, because a uniquely covered interval has exactly one candidate
   successor per residue.
 
+``aligned(types, n, base)``, the one place that shifts intervals by a
+residue, keeps the images base + h that stay uniquely covered: the edges
+of both graphs and the multiplicity search's aligned subsets.
+
 Only the part of the subset graph that given seed subsets reach is ever
 built: ``build_congruent_graph(types, n, seeds)``, the one builder, takes
-the xi types and the base, as ``subset_successor`` does, closes the seeds
-under that edge rule, refused with TooLarge past 2**20 vertices, numbers
-the reached subsets in ascending member order and decomposes them on
-those numbers.  The multiplicity search passes the xi types its
-``Analysis`` context already holds.  A successor-closed vertex set is a
-union of whole strongly connected components, so the components, radii,
-reach sets and cycling flags it yields are those of the whole subset
-graph restricted to it.
+the xi types and the base, closes the seeds under ``aligned``, refused
+with TooLarge past 2**20 vertices, numbers the reached subsets in
+ascending member order and decomposes them on those numbers.  The
+multiplicity search passes the xi types its ``Analysis`` context already
+holds.  A successor-closed vertex set is a union of whole strongly
+connected components, so the components, radii, reach sets and cycling
+flags it yields are those of the whole subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
@@ -43,7 +46,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
 from .instance import ProblemInstance
-from .lattice import IntegerInterval, make_interval, u_range, xi_types
+from .lattice import IntegerInterval, interval_type_counts, make_interval, u_range, xi_types
 from .spectral import Matrix, RadiusResult, block_radius
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
@@ -68,26 +71,26 @@ class FullGraph(NamedTuple):
 
 
 class XiGraph:
-    """Induced subgraph on uniquely covered intervals plus its 0-1 matrix.
-    ``us`` is the matrix index, ascending; ``succ[i]`` lists the positions
-    in ``us`` that position i has an edge to."""
+    """Induced subgraph on uniquely covered intervals.  ``us`` is the
+    index, ascending; ``succ[i]`` lists the positions in ``us`` that
+    position i has an edge to, ascending; ``matrix``, the 0-1 matrix on
+    that index, is formed on first read."""
 
     vertices: tuple[IntegerInterval, ...]
     types: dict[int, int]
-    matrix: tuple[tuple[int, ...], ...]
+    succ: tuple[tuple[int, ...], ...]
 
-    def __init__(self, vertices, types, matrix) -> None:
-        self.vertices, self.types, self.matrix = vertices, types, matrix
+    def __init__(self, vertices, types, succ) -> None:
+        self.vertices, self.types, self.succ = vertices, types, succ
 
     @cached_property
     def us(self) -> tuple[int, ...]:
         return tuple(iv.u for iv in self.vertices)
 
     @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(j for j, bit in enumerate(row) if bit) for row in self.matrix
-        )
+    def matrix(self) -> tuple[tuple[int, ...], ...]:
+        size = range(len(self.succ))
+        return tuple(tuple(int(j in targets) for j in size) for targets in self.succ)
 
 
 class SccDecomposition(NamedTuple):
@@ -134,36 +137,38 @@ class CongruentGraph(NamedTuple):
 
 
 def build_full_graph(inst: ProblemInstance) -> FullGraph:
-    weights = inst.cube_weights
     n = inst.n
-    adjacency = {}
-    for u in u_range(inst):
-        targets: set[int] = set()
-        for t in range(inst.proj_min, inst.proj_max):
-            if weights.get(u - t, 0):
-                targets.update(range(n * t, n * t + n))
-        adjacency[u] = tuple(sorted(targets))
+    # the types come ascending, so their working intervals do too
+    adjacency = {
+        u: tuple(v for t, _ in interval_type_counts(inst, u) for v in range(n * t, n * t + n))
+        for u in u_range(inst)
+    }
     vertices = tuple(make_interval(inst, u) for u in u_range(inst))
     return FullGraph(vertices=vertices, adjacency=adjacency)
+
+
+def aligned(types: Mapping[int, int], n: int, base: Sequence[int]) -> list[tuple]:
+    """(h, base + h), h ascending, for each residue h whose image, every
+    member of ``base`` plus h, is uniquely covered (a key of ``types``)."""
+    images = [(h, tuple([b + h for b in base])) for h in range(n)]
+    return [(h, image) for h, image in images if all(map(types.__contains__, image))]
 
 
 def build_xi_graph(inst: ProblemInstance) -> XiGraph:
     types = xi_types(inst)
     us = sorted(types)
     n = inst.n
-    matrix = tuple(
-        tuple(1 if n * types[u] <= v <= n * types[u] + n - 1 else 0 for v in us)
-        for u in us
-    )
+    position = {u: i for i, u in enumerate(us)}
+    succ = tuple(tuple([position[v] for _, (v,) in aligned(types, n, (n * types[u],))]) for u in us)
     vertices = tuple(make_interval(inst, u) for u in us)
-    return XiGraph(vertices=vertices, types=types, matrix=matrix)
+    return XiGraph(vertices=vertices, types=types, succ=succ)
 
 
 def subset_successor(
     types: Mapping[int, int], n: int, members: tuple[int, ...], h: int
 ) -> tuple[int, ...] | None:
     """Image of a subset under residue h, or None when it leaves the
-    uniquely covered collection: the subset graph's one edge rule."""
+    uniquely covered collection: the reference form of ``aligned``."""
     image = sorted({n * types[u] + h for u in members})
     if all(v in types for v in image):
         return tuple(image)
@@ -178,15 +183,13 @@ def build_congruent_graph(
 
     Each seed is a nonempty ascending tuple of uniquely covered intervals
     that share u mod n.  The vertices are the closure of the seeds under
-    ``subset_successor``, numbered in ascending member order.  Each reached
-    subset's base image, the ascending distinct n*t(u) over its members u,
-    is formed once; its image under residue h is the base shifted by h,
-    kept when every member is uniquely covered.  Raises TooLarge as soon as
-    the closure has more than _SUBSET_LIMIT vertices.
+    the edge rule, numbered in ascending member order.  Each reached
+    subset's successors are ``aligned`` on its base, the ascending distinct
+    n*t(u) over its members u.  Raises TooLarge as soon as the closure has
+    more than _SUBSET_LIMIT vertices.
     """
-    contains = types.__contains__
-    # images[members]: the successors of a reached subset, ascending in h
-    images: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    # images[members]: the (h, successor) pairs of a reached subset
+    images: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
     frontier = list(seeds)
     while frontier:
         members = frontier.pop()
@@ -194,16 +197,11 @@ def build_congruent_graph(
             continue
         if len(images) == _SUBSET_LIMIT:
             raise TooLarge(f"the subset graph explores more than {_SUBSET_LIMIT} vertices")
-        out = images[members] = []
-        base = sorted({n * types[u] for u in members})
-        for h in range(n):
-            image = tuple([b + h for b in base])
-            if all(map(contains, image)):
-                out.append(image)
-                frontier.append(image)
+        out = images[members] = aligned(types, n, sorted({n * types[u] for u in members}))
+        frontier.extend([image for _, image in out])
     vertices = sorted(images)
     number = {members: v for v, members in enumerate(vertices)}
-    succ = [tuple([number[image] for image in images[members]]) for members in vertices]
+    succ = [tuple([number[image] for _, image in images[members]]) for members in vertices]
     return CongruentGraph(
         n=n,
         vertices=tuple(vertices),

@@ -116,7 +116,9 @@ class ProblemInstance:
 
     @cached_property
     def cube_weights(self) -> Counter[int]:
-        """Multiset of the form values over all depth-1 digit cubes.
+        """Multiset of the form values over all depth-1 digit cubes, in
+        descending weight order, so that the children d + n*t - w of a
+        chain (``lattice.children``) come ascending.
 
         Computed by convolving the per-factor multisets, so it stays cheap
         even when the plain product of the digit sets is huge.
@@ -129,7 +131,7 @@ class ProblemInstance:
                 for b, cb in step.items():
                     nxt[a + b] += ca * cb
             acc = nxt
-        return acc
+        return Counter(dict(sorted(acc.items(), reverse=True)))
 
     @property
     def cube_count(self) -> int:

@@ -4,6 +4,10 @@ and the covering / strong-separation checks.
 
 All endpoints here are rationals with denominator n, so every containment
 question is decided exactly on scaled integers.
+
+``children`` is the one place that applies the children rule: row t of
+digit matrix T_d, read by the counting tables and the grid tails, and the
+types of interval u, the children of (u mod n, u div n) below proj_max.
 """
 
 from __future__ import annotations
@@ -81,15 +85,24 @@ def working_intervals(inst: ProblemInstance) -> list[WorkingInterval]:
     return [WorkingInterval(t) for t in range(inst.proj_min, inst.proj_max)]
 
 
-def interval_type_counts(inst: ProblemInstance, u: int) -> list[tuple[int, int]]:
-    """(type, number of cubes realising it) for interval u, ascending type."""
-    weights = inst.cube_weights
+def children(inst: ProblemInstance, d: int, t: int) -> list[tuple[int, int]]:
+    """The children of a chain at t under digit d: (d + n*t - w, cubes of
+    weight w) in [proj_min, proj_max], ascending, as weights descend."""
+    lo, hi, base = inst.proj_min, inst.proj_max, d + inst.n * t
     out = []
-    for t in range(inst.proj_min, inst.proj_max):
-        c = weights.get(u - t, 0)
-        if c:
-            out.append((t, c))
+    for w, count in inst.cube_weights.items():
+        if lo <= base - w <= hi:
+            out.append((base - w, count))
     return out
+
+
+def interval_type_counts(inst: ProblemInstance, u: int) -> list[tuple[int, int]]:
+    """(type, number of cubes realising it) for interval u, ascending type;
+    empty outside the range."""
+    kids = children(inst, u % inst.n, u // inst.n)
+    if kids and kids[-1][0] == inst.proj_max:
+        kids.pop()
+    return kids
 
 
 def cover_multiplicity(inst: ProblemInstance, u: int) -> int:
@@ -100,12 +113,12 @@ def cover_multiplicity(inst: ProblemInstance, u: int) -> int:
 def type_assignment(inst: ProblemInstance, interval: IntegerInterval | int) -> TypeAssignment:
     """Enumerate the cubes covering one integer interval, with their types."""
     iv = interval if isinstance(interval, IntegerInterval) else make_interval(inst, interval)
+    type_of = {iv.u - t: t for t, _ in interval_type_counts(inst, iv.u)}
     entries = []
     for digits in inst.iter_cubes():
         w = inst.weight(digits)
-        t = iv.u - w
-        if inst.proj_min <= t <= inst.proj_max - 1:
-            entries.append((t, SmallCube(digits, w, inst.projection_interval(w))))
+        if w in type_of:
+            entries.append((type_of[w], SmallCube(digits, w, inst.projection_interval(w))))
     return TypeAssignment(interval=iv, entries=tuple(entries))
 
 
@@ -143,18 +156,10 @@ def strong_separation(inst: ProblemInstance) -> list[bool]:
 
 def xi_set(inst: ProblemInstance) -> list[IntegerInterval]:
     """Integer intervals covered by exactly one cube projection, ascending."""
-    return [
-        make_interval(inst, u)
-        for u in u_range(inst)
-        if cover_multiplicity(inst, u) == 1
-    ]
+    return [make_interval(inst, u) for u in xi_types(inst)]
 
 
 def xi_types(inst: ProblemInstance) -> dict[int, int]:
     """u -> its unique type, for every uniquely covered interval."""
-    out = {}
-    for u in u_range(inst):
-        tc = interval_type_counts(inst, u)
-        if len(tc) == 1 and tc[0][1] == 1:
-            out[u] = tc[0][0]
-    return out
+    typed = ((u, interval_type_counts(inst, u)) for u in u_range(inst))
+    return {u: tc[0][0] for u, tc in typed if len(tc) == 1 and tc[0][1] == 1}

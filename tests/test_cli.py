@@ -11,7 +11,7 @@ import pytest
 
 from slicekit import parse_instance
 from slicekit.analysis import enumerate_achievable_r
-from slicekit.cli import main, render_grid
+from slicekit.cli import _check_printable, main, render_grid
 from slicekit.report import data_section, parse_rational
 from slicekit.errors import InvalidDocument, NotPlanar
 
@@ -354,6 +354,70 @@ def test_count_at_a_large_span_within_512_mib(tmp_path):
         "verdict": expected.verdict,
         "x": "1/7",
     }
+
+
+def test_dim_u1_at_a_large_span_within_512_mib(tmp_path):
+    """The restricted graph is built from its successor lists, one
+    ``aligned`` call per uniquely covered interval, and its 0-1 matrix is
+    formed only where it is printed.  At span 20001, `dim-u1` answers in a
+    child process under 512 MiB of address space and 60 s, exit code 0;
+    a graph built cell by cell on the |xi| x |xi| matrix ends in a
+    MemoryError (exit 4) or the timeout there."""
+    doc = tmp_path / "span20001.json"
+    doc.write_text('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10000, 10001]}')
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicekit", "dim-u1", str(doc)],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["dim_exact"] is True and report["measure_class"] == "PositiveFinite"
+
+
+def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
+    """T has n * span**2 entries and M |xi|**2; `matrices` and `analyze`
+    refuse more than 2^22 of them together before they form either matrix
+    or search: span 2001 on T alone, span 1001 once |xi| is read, while
+    span 601 fits.  The oracle refuses a memo, a chain list or a cube list
+    it cannot hold before it allocates.  Each refusal is TooLarge, exit 3,
+    with nothing on stdout."""
+
+    def document(name, digit_sets, coefficients):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(
+            {"n": 3, "digit_sets": digit_sets, "coefficients": coefficients}
+        ))
+        return path
+
+    def spanning(c):
+        return document(f"span{2 * c + 1}", [[0, 2], [0, 2]], [-c, c + 1])
+
+    assert _check_printable(parse_instance(spanning(300).read_text())) is None
+    many = document("factors24", [[0, 2]] * 24, [1, -1] * 12)
+    for argv, message in (
+        (("matrices", spanning(1000)), "T and M hold more than 4194304 entries"),
+        (("analyze", spanning(1000)), "T and M hold more than 4194304 entries"),
+        (("matrices", spanning(500)), "T and M hold more than 4194304 entries"),
+        (("analyze", spanning(500)), "T and M hold more than 4194304 entries"),
+        (("oracle", spanning(1), "--x", "1/7", "--depth", "100000000"),
+         "may memoise more than 262144 states"),
+        (("oracle", spanning(1), "--x", "1/7", "--depth", "40", "--solutions"),
+         "the surviving chains hold more than 1000000 digits"),
+        (("oracle", many, "--x", "0", "--depth", "3"),
+         "16777216 digit cubes per level, more than 262144"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and message in err, argv
 
 
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,14 @@ every subset of every residue class as sorted member tuples, takes edges
 from ``subset_successor`` and finds components by Kosaraju's two passes;
 ``_assert_restriction`` builds the block of each component it compares,
 single vertices included, with ``component_matrix`` and certifies it with
-``block_radius``.  ``_dense_block_radius`` is the power iteration on dense
+``block_radius``.  The two lattice rules are checked against the forms
+they replaced: ``lattice.children`` against a cube-by-cube enumeration
+(``iter_cubes``/``weight``), ``interval_type_counts`` and
+``build_full_graph`` against ``_scan_type_counts`` and
+``_scan_full_graph``, which try every working interval t for a cube of
+weight u - t, the restricted graph's matrix against ``_dense_xi_matrix``,
+which tests each cell for n*t(u) <= v <= n*t(u) + n - 1, and ``aligned``
+against ``subset_successor``.  ``_dense_block_radius`` is the power iteration on dense
 rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
 base-n digits until a remainder recurs, keeping every remainder it has
 seen.  ``_pairs_exact_card`` and ``_pairs_advance`` step raw
@@ -38,8 +45,11 @@ from slicekit.counting import (
     exact_card, initial_state,
 )
 from slicekit.errors import TooLarge, WideEnclosure
-from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
-from slicekit.lattice import xi_types
+from slicekit.graphs import (
+    _LOOP_MATRICES, aligned, build_full_graph, build_xi_graph, component_matrix,
+    subset_successor,
+)
+from slicekit.lattice import children, interval_type_counts, u_range, xi_types
 from slicekit.spectral import (
     _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
 )
@@ -303,6 +313,88 @@ def test_explored_subset_graph_matches_whole_random(inst, data):
         return
     seeds = data.draw(st.lists(st.sampled_from(reference[0]), max_size=4))
     _assert_restriction(build_congruent_graph(xi_types(inst), inst.n, seeds), reference)
+
+
+def _scan_type_counts(inst, u):
+    """Interval u's (type, cube count) pairs, ascending: every working
+    interval t, with the cubes of weight u - t."""
+    weights = inst.cube_weights
+    return [
+        (t, weights[u - t]) for t in range(inst.proj_min, inst.proj_max) if weights.get(u - t, 0)
+    ]
+
+
+def _scan_full_graph(inst):
+    """The full graph's adjacency: interval u goes to the n intervals of
+    each of its types."""
+    n = inst.n
+    adjacency = {}
+    for u in u_range(inst):
+        targets = set()
+        for t, _ in _scan_type_counts(inst, u):
+            targets.update(range(n * t, n * t + n))
+        adjacency[u] = tuple(sorted(targets))
+    return adjacency
+
+
+def _dense_xi_matrix(inst):
+    """M cell by cell: u -> v exactly when n*t(u) <= v <= n*t(u) + n - 1."""
+    types = xi_types(inst)
+    us = sorted(types)
+    n = inst.n
+    return tuple(
+        tuple(1 if n * types[u] <= v <= n * types[u] + n - 1 else 0 for v in us) for u in us
+    )
+
+
+def _assert_lattice_rules(inst):
+    n, lo, hi = inst.n, inst.proj_min, inst.proj_max
+    for d in range(n):
+        for t in range(lo, hi + 1):
+            kids = Counter(d + n * t - inst.weight(digits) for digits in inst.iter_cubes())
+            assert children(inst, d, t) == sorted(
+                (c, count) for c, count in kids.items() if lo <= c <= hi
+            ), (d, t)
+    for u in range(n * lo - 2 * n, n * hi + 2 * n):
+        assert interval_type_counts(inst, u) == _scan_type_counts(inst, u), u
+        if u not in u_range(inst):
+            assert interval_type_counts(inst, u) == [], u
+    assert build_full_graph(inst).adjacency == _scan_full_graph(inst)
+    xi = build_xi_graph(inst)
+    assert xi.matrix == _dense_xi_matrix(inst)
+    assert xi.succ == tuple(tuple(j for j, bit in enumerate(row) if bit) for row in xi.matrix)
+
+
+@pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))
+def test_lattice_rules_match_references_pinned(label):
+    _assert_lattice_rules(_count_instance(label))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances())
+def test_lattice_rules_match_references_random(inst):
+    """``children`` at every digit and every t of [proj_min, proj_max], the
+    interval types in and around the range, the full graph and M."""
+    _assert_lattice_rules(inst)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_aligned_matches_subset_successor(inst, data):
+    """``aligned`` on a subset's base keeps the images that
+    ``subset_successor`` keeps, for subsets of every residue class."""
+    types = xi_types(inst)
+    n = inst.n
+    classes = {}
+    for u in types:
+        classes.setdefault(u % n, []).append(u)
+    for cls in classes.values():
+        members = tuple(sorted(data.draw(st.sets(st.sampled_from(cls), min_size=1))))
+        expected = [
+            (h, image) for h in range(n)
+            if (image := subset_successor(types, n, members, h)) is not None
+        ]
+        assert aligned(types, n, sorted({n * types[u] for u in members})) == expected
 
 
 def _dense_block_radius(rows, verts, tolerance=DEFAULT_TOLERANCE):
