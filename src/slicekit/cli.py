@@ -64,6 +64,19 @@ def _check_printable(inst: ProblemInstance) -> None:
         raise TooLarge(f"the matrices T and M hold more than {_MATRIX_CAP} entries")
 
 
+def _check_printable_count(count: int) -> int:
+    """Refuse with TooLarge a count of more decimal digits than Python will
+    write out as text (``sys.get_int_max_str_digits()``, 4300 by default;
+    0, or a release older than the limit, means none).  The limit stays as
+    it is, since it also guards the parsing of instance files."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and count >= 10**limit:
+        raise TooLarge(
+            f"the count has more than {limit} decimal digits, Python's limit for printing an int"
+        )
+    return count
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -205,7 +218,7 @@ def _dispatch(args) -> int:
         payload = {
             "x": format_rational(x),
             "depth": args.depth,
-            "count": brute_force_cube_count(inst, x, args.depth),
+            "count": _check_printable_count(brute_force_cube_count(inst, x, args.depth)),
         }
         if args.solutions:
             payload["chains"] = [

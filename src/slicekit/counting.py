@@ -19,31 +19,39 @@ Two mechanisms, deliberately kept apart:
   number of chains.  It also covers boundary points (x = q1/n^q2), where
   chains are kept alive by closed-interval containment.
 
-``exact_card`` does each piece of work at the level it depends on: covering
-and strong separation once per instance, and the digit tables (per digit,
-boundary flag and t: the packed children of one chain from its lowest
-child on, where they start, their support mask and their number, so that
-a table grows with the span) once per field width, in a weak-keyed record
-that goes with the instance; the range check and the expansion's
-preperiod and period lengths once per query (no digit is written out,
-since the automaton reads x itself); and per digit one call of the
-``_advance`` kernel.  ``cube_count_vector``, ``lyapunov_estimate`` and
+``exact_card`` does each piece of work at the level it depends on:
+per instance, covering and strong separation, decided once in a weak-keyed
+record that goes with the instance; per field width, in the same record,
+the digit tables (per digit, boundary flag and t: the packed children of
+one chain from its lowest child on, where they start, their support mask
+and their number, so that a table grows with the span) and the transition
+cache, which keeps each step ``_advance`` took (a table entry and a packed
+vector give the next vector, its mask and its cardinality) and is emptied
+when it would hold more than ``_STEP_CACHE_BITS`` bits; per (n, q), the
+expansion's preperiod and period lengths (no digit is written out, since
+the automaton reads x itself); and per query, the range and length-cap
+checks and one cache lookup per digit, with one ``_advance`` call on a
+miss.  ``cube_count_vector``, ``lyapunov_estimate`` and
 ``analysis.Analysis`` read the hypotheses from the same record.
 ``advance_state`` is the public one-step view of the same tables and
 kernel, on ``SliceState`` records.  ``digit_table`` hands the tables out:
 the multiplicity search steps its chain-count vectors e_i T_{j1} ... T_{jk}
 on the open rows (a row of digit matrix T_j is the children of one chain
-under digit j), with the same kernel, and counts with ``exact_card`` at
-budget max_r, so one search reads one table, at max_r's field width.
+under digit j), with the same kernel and no cache, since its vectors are
+distinct, and counts with ``exact_card`` at budget max_r, so one search
+reads one table, at max_r's field width.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
-cycles.  An exact recurrence of (digit phase, offset multiset) proves the
-count stays constant; a recurrence of (digit phase, offset support) with a
+cycles.  An exact recurrence of (remainder, offset multiset) proves the
+count stays constant; a recurrence of (remainder, offset support) with a
 strictly larger multiset proves unbounded growth, because under the
 covering condition every surviving chain keeps at least one child, so the
-surplus mass reproduces itself every cycle.  A phase fixes the remainder,
-so the packed int and the mask key these recurrences one-to-one.
+surplus mass reproduces itself every cycle.  Two depths share a remainder
+exactly when they share a digit phase (both in the period, a multiple of
+its length apart), so the remainder keys these recurrences as the phase
+would, with no phase worked out, and the packed int and the mask key the
+multiset and the support one-to-one.
 """
 
 from __future__ import annotations
@@ -104,18 +112,19 @@ class NadicExpansion(NamedTuple):
         return pre + (depth - pre) % len(self.period)
 
 
-def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
-    """The preperiod and period lengths of the base-n expansion of x, with
-    no digit written out; a terminating x has the period (0,), of length 1.
-    For x = i + p/q in lowest terms, the preperiod has one digit per step
-    q //= gcd(q, n) until the gcd is 1, and the period is the multiplicative
-    order of n modulo what is left.  Raises OutOfRange outside the range,
-    and TooLarge as soon as the preperiod and a repeating period need more
-    than _EXPANSION_CAP digits."""
-    p, q = x.numerator, x.denominator
-    if not q * inst.proj_min <= p <= q * inst.proj_max:
-        raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
-    n = inst.n
+# Preperiod and period lengths by (n, q), each counted once: at most this
+# many are kept, and a full cache is emptied.
+_LENGTHS_CACHE = 4096
+_LENGTHS: dict[tuple[int, int], tuple[int, int]] = {}
+
+
+def _count_lengths(n: int, q: int) -> tuple[int, int]:
+    """The preperiod and period lengths of p/q in base n, for any p prime to
+    q; the period of a terminating p/q is 0 here.  The preperiod has one
+    digit per step q //= gcd(q, n) until the gcd is 1, and the period is
+    the multiplicative order of n modulo what is left.  Counting stops once
+    the two pass _EXPANSION_CAP; only lengths counted to the end are kept
+    in _LENGTHS, so what it holds does not depend on the cap."""
     pre, rest = 0, q
     while (g := gcd(rest, n)) > 1:
         rest //= g
@@ -126,6 +135,26 @@ def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
         while power != 1 and pre + period <= _EXPANSION_CAP:
             power = power * n % rest
             period += 1
+    if pre + period <= _EXPANSION_CAP:
+        if len(_LENGTHS) >= _LENGTHS_CACHE:
+            _LENGTHS.clear()
+        _LENGTHS[n, q] = pre, period
+    return pre, period
+
+
+def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
+    """The preperiod and period lengths of the base-n expansion of x, with
+    no digit written out; a terminating x has the period (0,), of length 1.
+    The lengths depend on n and the denominator of x only, and are counted
+    once per (n, q) (``_count_lengths``).  Raises OutOfRange outside the
+    range, and TooLarge, on every call, when the preperiod and a repeating
+    period need more than _EXPANSION_CAP digits."""
+    p, q = x.numerator, x.denominator
+    if not q * inst.proj_min <= p <= q * inst.proj_max:
+        raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
+    n = inst.n
+    lengths = _LENGTHS.get((n, q))
+    pre, period = _count_lengths(n, q) if lengths is None else lengths
     if pre + period > _EXPANSION_CAP:
         raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
     return pre, period or 1
@@ -148,19 +177,21 @@ def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
 
 
 def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fraction:
-    """Rational value of an eventually periodic expansion."""
+    """Rational value of an eventually periodic expansion, formed as one
+    Fraction: with the preperiod's L digits appended to the integer part as
+    the integer head, and the period's P digits read as the integer num,
+    the value is head / n^L + num / (n^L * (n^P - 1))."""
     n = inst_n
-    value = Fraction(integer_part)
-    scale = Fraction(1)
+    head = integer_part
     for d in preperiod:
-        scale /= n
-        value += d * scale
-    if period and any(period):
-        num = 0
-        for d in period:
-            num = num * n + d
-        value += scale * Fraction(num, n ** len(period) - 1)
-    return value
+        head = head * n + d
+    num = 0
+    for d in period:
+        num = num * n + d
+    if not num:
+        return Fraction(head, n ** len(preperiod))
+    den = n ** len(period) - 1
+    return Fraction(head * den + num, n ** len(preperiod) * den)
 
 
 def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple[int, ...]:
@@ -216,24 +247,63 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
     return SliceState(pairs=((x.numerator, 1),), scale=x.denominator, depth=0)
 
 
+# Most bits one instance's transition cache holds, over all its field
+# widths.  An entry counts the bits of its two packed vectors and
+# _ENTRY_BITS for the Python objects that hold them; a cache that would
+# pass the bound is emptied first.  At span 200001 and the default budget
+# one packed vector holds about 3 million bits.
+_STEP_CACHE_BITS = 2**26
+_ENTRY_BITS = 2048
+
+
 class _Record:
     """What counting and analysis derive from one instance: the covering
     condition and the per-factor strong-separation flags, decided once when
-    the record is made, and the digit tables by field width, each built on
-    first use (``digit_table``).  Nothing in it refers to the instance."""
+    the record is made; the digit tables by field width, each built on
+    first use (``digit_table``); and the transition caches by field width
+    (``transitions``), with the bits they hold, ``step_bits``.  Nothing in
+    it refers to the instance."""
 
-    __slots__ = ("covering", "ssc", "tables")
+    __slots__ = ("covering", "ssc", "tables", "steps", "step_bits")
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.covering = covering_condition(inst)
         self.ssc = tuple(strong_separation(inst))
         self.tables: dict[int, tuple] = {}
+        self.steps: dict[int, tuple] = {}
+        self.step_bits = 0
 
     def table(self, inst: ProblemInstance, bits: int) -> tuple:
         table = self.tables.get(bits)
         if table is None:
             table = self.tables[bits] = _build_table(inst, bits)
         return table
+
+    def transitions(self, inst: ProblemInstance, bits: int) -> tuple:
+        """The transition cache at field width ``bits``, laid out as the
+        table: ``steps[d][closed]`` maps a packed vector to what
+        ``_advance`` makes of it on ``table[d][closed]``, since the mask and
+        the cardinality are functions of the vector."""
+        steps = self.steps.get(bits)
+        if steps is None:
+            steps = self.steps[bits] = tuple(({}, {}) for _ in range(inst.n))
+        return steps
+
+    def keep(self, known: dict, vec: int, step: tuple[int, int, int]) -> None:
+        """Store ``step`` as ``known[vec]``, first emptying every transition
+        cache of the record, in place, if it would pass _STEP_CACHE_BITS; a
+        step that alone passes it is not stored."""
+        size = vec.bit_length() + step[0].bit_length() + _ENTRY_BITS
+        if self.step_bits + size > _STEP_CACHE_BITS:
+            for steps in self.steps.values():
+                for by_flag in steps:
+                    for cache in by_flag:
+                        cache.clear()
+            self.step_bits = 0
+            if size > _STEP_CACHE_BITS:
+                return
+        known[vec] = step
+        self.step_bits += size
 
 
 # One record per instance; an entry goes with its instance.
@@ -395,7 +465,8 @@ def exact_card(
         raise OutOfRange(f"budget must be >= 1, got {budget}")
     if max_depth is not None and max_depth < 0:
         raise OutOfRange(f"max_depth must be >= 0, got {max_depth}")
-    x = Fraction(x)
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
     rec = _record(inst)
     if not (rec.covering and all(rec.ssc)):
         raise HypothesisViolated(
@@ -409,6 +480,7 @@ def exact_card(
     # budget * cube_count
     bits = (budget * inst.cube_count).bit_length()
     table = rec.table(inst, bits)
+    steps = rec.transitions(inst, bits)
     # the state at `depth`: every chain offset is (r + q * t) / q, with the
     # remainder r = n^depth * p mod q shared by all chains; vec packs the
     # number of chains at each t into the field at t - proj_min, and mask
@@ -419,8 +491,7 @@ def exact_card(
     seen_exact: dict[tuple[int, int], int] = {}
     seen_support: dict[tuple[int, int], tuple[int, int]] = {}
     while True:
-        phase = depth if depth < pre else pre + (depth - pre) % per
-        start = seen_exact.setdefault((phase, vec), depth)
+        start = seen_exact.setdefault((r, vec), depth)
         if start != depth:
             return CardResult(
                 verdict="Finite",
@@ -433,7 +504,7 @@ def exact_card(
                     cardinality_after=card,
                 ),
             )
-        depth0, card0 = seen_support.setdefault((phase, mask), (depth, card))
+        depth0, card0 = seen_support.setdefault((r, mask), (depth, card))
         if card > card0:
             return CardResult(
                 verdict="Infinite",
@@ -454,7 +525,12 @@ def exact_card(
                 certificate=None,
             )
         d, r = divmod(n * r, q)
-        vec, mask, card = _advance(table[d][not r], bits, vec, mask)
+        known = steps[d][not r]
+        step = known.get(vec)
+        if step is None:
+            step = _advance(table[d][not r], bits, vec, mask)
+            rec.keep(known, vec, step)
+        vec, mask, card = step
         depth += 1
 
 

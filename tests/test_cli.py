@@ -148,6 +148,25 @@ def test_oracle_deeper_than_the_recursion_limit(capsys):
     assert json.loads(out)["count"] == 2**1000
 
 
+def test_oracle_count_past_the_int_printing_limit(capsys):
+    """A count of more decimal digits than Python writes out as text, 4300
+    by default, is refused with TooLarge, exit 3, where printing it raised
+    ValueError, exit 4; a count just below the limit prints.  On
+    cantor_diff the count of 1/7 at depth 3k is 2**k, of 4215 digits at
+    k = 14000 and 4516 at k = 15000."""
+    assert sys.get_int_max_str_digits() == 4300
+    code, out, _ = run(
+        capsys, "oracle", FIXTURES / "cantor_diff.json", "--x", "1/7", "--depth", "42000"
+    )
+    assert code == 0
+    assert json.loads(out)["count"] == 2**14000
+    code, out, err = run(
+        capsys, "oracle", FIXTURES / "cantor_diff.json", "--x", "1/7", "--depth", "45000"
+    )
+    assert (code, out) == (3, "")
+    assert "more than 4300 decimal digits" in err
+
+
 def test_enumerate_and_dim_ur(capsys):
     code, out, _ = run(capsys, "enumerate-r", FIXTURES / "cantor_diff.json", "--max-r", "6")
     assert code == 0

@@ -38,7 +38,7 @@ from slicekit.errors import (
     TooLarge,
 )
 from slicekit.report import build_report
-from conftest import FIXTURES, counting_instances
+from conftest import FIXTURES, counting_instances, load
 from test_golden import SCALED
 from test_properties import instances
 
@@ -92,6 +92,34 @@ def test_expansion_cap(monkeypatch, cantor_diff):
             exact_card(cantor_diff, x)
         instance = FIXTURES / "cantor_diff.json"
         assert main(["count", str(instance), "--x", f"{x.numerator}/{x.denominator}"]) == 3
+
+
+def test_expansion_cap_holds_on_cached_lengths(monkeypatch, cantor_diff):
+    """The preperiod and period lengths are counted once per (n, q), and
+    checked against _EXPANSION_CAP on every call: lengths counted under the
+    real cap are refused once the cap is lowered, by exact_card, by
+    nadic_expansion and for every numerator.  Lengths whose counting the
+    cap cut short are not kept."""
+    cap = counting._EXPANSION_CAP
+    monkeypatch.setattr(counting, "_LENGTHS", {})
+    assert exact_card(cantor_diff, Fraction(1, 7)).verdict == "Infinite"
+    assert nadic_expansion(cantor_diff, Fraction(1, 9)).preperiod == (0, 1)
+    assert counting._LENGTHS == {(3, 7): (0, 6), (3, 9): (2, 0)}
+    monkeypatch.setattr(counting, "_EXPANSION_CAP", 5)
+    for x in (Fraction(1, 7), Fraction(-3, 7)):
+        with pytest.raises(TooLarge):
+            exact_card(cantor_diff, x)
+        with pytest.raises(TooLarge):
+            nadic_expansion(cantor_diff, x)
+    monkeypatch.setattr(counting, "_EXPANSION_CAP", 1)
+    with pytest.raises(TooLarge):
+        exact_card(cantor_diff, Fraction(1, 9))
+    with pytest.raises(TooLarge):
+        exact_card(cantor_diff, Fraction(1, 13))
+    assert (3, 13) not in counting._LENGTHS
+    monkeypatch.setattr(counting, "_EXPANSION_CAP", cap)
+    assert exact_card(cantor_diff, Fraction(1, 13)).verdict == "Infinite"
+    assert counting._LENGTHS[3, 13] == (0, 3)
 
 
 def test_expansion_value_round_trip(cantor_diff):
@@ -242,15 +270,21 @@ def test_exact_card_matches_expanded_reference_random(inst, data):
 
 
 @st.composite
+def boundary_points(draw, inst):
+    """A base-n boundary point k/n^j of [proj_min, proj_max], which
+    ``points`` seldom draws."""
+    q = inst.n ** draw(st.integers(1, 2 if inst.n <= 5 else 1))
+    return Fraction(draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+
+
+@st.composite
 def count_queries(draw):
     """An instance that meets the hypotheses and a point of its range with
-    denominator at most 25; half the draws are base-n boundary points
-    k/n^j, which ``points`` seldom draws."""
+    denominator at most 25; half the draws are base-n boundary points."""
     inst = draw(counting_instances())
     if draw(st.booleans()):
         return inst, draw(points(inst))
-    q = inst.n ** draw(st.integers(1, 2 if inst.n <= 5 else 1))
-    return inst, Fraction(draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+    return inst, draw(boundary_points(inst))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -371,6 +405,121 @@ def test_budget_max_r_keeps_every_count_up_to_max_r(query, max_r):
     assert capped.is_finite == (full.is_finite and full.count <= max_r)
     if capped.is_finite:
         assert capped == full
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(count_queries(), st.sampled_from([1, 7, 4096]))
+def test_recurrences_span_whole_periods(query, budget):
+    """The cycle checks key on the remainder, which recurs exactly when the
+    digit phase does: every certificate starts inside the period of the
+    expansion and spans a whole number of periods."""
+    inst, x = query
+    cert = exact_card(inst, x, budget).certificate
+    if cert is not None:
+        exp = nadic_expansion(inst, x)
+        assert cert.start_depth >= len(exp.preperiod)
+        assert cert.period % len(exp.period) == 0
+
+
+def _cold_card(inst, x, *limits):
+    """exact_card on a fresh record: the instance's record, with its tables
+    and transition caches, is dropped before and after the call."""
+    counting._RECORDS.pop(inst, None)
+    try:
+        return exact_card(inst, x, *limits)
+    finally:
+        counting._RECORDS.pop(inst, None)
+
+
+def _cached_bits(rec):
+    """The bits the record's transition caches hold, counted entry by
+    entry as ``_Record.keep`` counts them."""
+    return sum(
+        vec.bit_length() + step[0].bit_length() + counting._ENTRY_BITS
+        for steps in rec.steps.values()
+        for by_flag in steps
+        for cache in by_flag
+        for vec, step in cache.items()
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(count_queries(), st.data(), st.sampled_from([1, 3, 64, 4096]))
+def test_warm_record_matches_cold_random(query, data, budget):
+    """A sweep that shares one record gives every point the CardResult of
+    a fresh record per point, on the first pass, while its transition cache
+    fills, and on a second pass, which reads the steps of every point from
+    the cache; the points mix boundary points, whose steps take the closed
+    rows, with others."""
+    inst, x = query
+    sweep = [x, *data.draw(st.lists(points(inst) | boundary_points(inst), min_size=1, max_size=12))]
+    cold = [_cold_card(inst, p, budget) for p in sweep]
+    for _ in range(2):
+        assert [exact_card(inst, p, budget) for p in sweep] == cold
+    rec = counting._RECORDS[inst]
+    assert 0 < rec.step_bits == _cached_bits(rec) <= counting._STEP_CACHE_BITS
+
+
+# The five instances of the benchmark's count-sweep workload.
+_SWEEP_INSTANCES = {
+    "cantor_diff": load("cantor_diff"),
+    "cantor_sum": load("cantor_sum"),
+    "cantor_double_diff": load("cantor_double_diff"),
+    "span9": parse_instance(SCALED["span9"][0]),
+    "n5_narrow": ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(-4, 5)),
+}
+
+
+def _sweep_grid(inst):
+    """Every p/q of the range with q <= 12, and every p/n^2, ascending."""
+    return sorted(
+        {
+            Fraction(p, q)
+            for q in (*range(1, 13), inst.n**2)
+            for p in range(q * inst.proj_min, q * inst.proj_max + 1)
+        }
+    )
+
+
+@pytest.mark.parametrize("label", sorted(_SWEEP_INSTANCES))
+def test_warm_record_matches_cold_sweep(label, monkeypatch):
+    """On the count-sweep instances, a sweep that shares one record gives
+    every point the CardResult of a fresh record per point; swept again, it
+    takes every step from the transition cache and calls ``_advance`` no
+    more."""
+    inst = _SWEEP_INSTANCES[label]
+    grid = _sweep_grid(inst)
+    cold = [_cold_card(inst, x) for x in grid]
+    assert [exact_card(inst, x) for x in grid] == cold
+    calls = Counter()
+    monkeypatch.setattr(counting, "_advance", _counted(counting._advance, calls))
+    assert [exact_card(inst, x) for x in grid] == cold
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("label", ["cantor_diff", "n5_narrow", "span9"])
+def test_transition_cache_stays_within_its_bound(label, monkeypatch):
+    """With the bound lowered to a few entries, the cache is emptied again
+    and again during a sweep, never holds more bits than the bound, and
+    every point still gets the CardResult of a fresh record; a bound below
+    one entry keeps nothing."""
+    inst = _SWEEP_INSTANCES[label]
+    grid = _sweep_grid(inst)
+    cold = [_cold_card(inst, x) for x in grid]
+    bound = 8 * counting._ENTRY_BITS
+    monkeypatch.setattr(counting, "_STEP_CACHE_BITS", bound)
+    emptied, held = 0, 0
+    for x, expected in zip(grid, cold):
+        assert exact_card(inst, x) == expected
+        rec = counting._RECORDS[inst]
+        assert rec.step_bits == _cached_bits(rec) <= bound
+        emptied += rec.step_bits < held
+        held = rec.step_bits
+    assert emptied >= 10
+    monkeypatch.setattr(counting, "_STEP_CACHE_BITS", counting._ENTRY_BITS - 1)
+    counting._RECORDS.pop(inst)
+    assert [exact_card(inst, x) for x in grid] == cold
+    assert counting._RECORDS[inst].step_bits == _cached_bits(counting._RECORDS[inst]) == 0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

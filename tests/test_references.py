@@ -18,13 +18,15 @@ which tests each cell for n*t(u) <= v <= n*t(u) + n - 1, and ``aligned``
 against ``subset_successor``.  ``_dense_block_radius`` is the power iteration on dense
 rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
 base-n digits until a remainder recurs, keeping every remainder it has
-seen.  ``_pairs_exact_card`` and ``_pairs_advance`` step raw
-(scaled offset, multiplicity) pairs, one Python iteration per offset and
-cube weight.  The new code must reproduce all five exactly: the same
-vectors in the same canonical order; on the explored vertices, the same
-vertices, edges, components, reach sets, blocks and radii as the whole
-graph, read through ``graph.vertices``; the same ``RadiusResult``; the
-same ``NadicExpansion``; and the same ``CardResult`` and ``SliceState``.
+seen, and ``_summed_expansion_value`` adds one ``Fraction`` per digit.
+``_pairs_exact_card`` and ``_pairs_advance`` step raw (scaled offset,
+multiplicity) pairs, one Python iteration per offset and cube weight, and
+key their cycle checks on the digit phase.  The new code must reproduce
+all of them exactly: the same vectors in the same canonical order; on the
+explored vertices, the same vertices, edges, components, reach sets,
+blocks and radii as the whole graph, read through ``graph.vertices``; the
+same ``RadiusResult``; the same ``NadicExpansion`` and value; and the
+same ``CardResult`` and ``SliceState``.
 """
 
 from collections import Counter
@@ -489,6 +491,45 @@ def test_expansion_matches_long_division(point):
     multiplicative order of n, give the expansion long division gives."""
     inst, x = point
     assert nadic_expansion(inst, x) == _long_division_expansion(inst, x)
+
+
+def _summed_expansion_value(n, integer_part, preperiod, period):
+    """The value of an eventually periodic expansion, one Fraction added
+    per preperiod digit and one for the period."""
+    value = Fraction(integer_part)
+    scale = Fraction(1)
+    for d in preperiod:
+        scale /= n
+        value += d * scale
+    if period and any(period):
+        num = 0
+        for d in period:
+            num = num * n + d
+        value += scale * Fraction(num, n ** len(period) - 1)
+    return value
+
+
+@st.composite
+def _digit_strings(draw):
+    """A base n of 2-12, an integer part, a preperiod and a period; the
+    period is often empty, all zeros or all n - 1."""
+    n = draw(st.integers(2, 12))
+    digits = st.lists(st.integers(0, n - 1), max_size=10)
+    uniform = st.builds(
+        lambda d, k: (d,) * k, st.sampled_from([0, n - 1]), st.integers(1, 6)
+    )
+    period = draw(digits | uniform | st.just(()))
+    return n, draw(st.integers(-4, 4)), tuple(draw(digits)), tuple(period)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_digit_strings())
+def test_expansion_value_matches_summed_fractions(case):
+    """``expansion_value`` forms one Fraction from integer Horner steps, and
+    gives the value the per-digit sum gives."""
+    value = counting.expansion_value(*case)
+    assert type(value) is Fraction
+    assert value == _summed_expansion_value(*case)
 
 
 def _scaled_weights(inst, q):
