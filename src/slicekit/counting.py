@@ -19,27 +19,26 @@ Two mechanisms, deliberately kept apart:
   number of chains.  It also covers boundary points (x = q1/n^q2), where
   chains are kept alive by closed-interval containment.
 
-``exact_card`` does each piece of work at the level it depends on:
-per instance, covering and strong separation, decided once in a weak-keyed
+``exact_card`` does each piece of work at the level it depends on: per
+instance, covering and strong separation, decided once in a weak-keyed
 record that goes with the instance; per field width, in the same record,
 the digit tables (per digit, boundary flag and t: the packed children of
 one chain from its lowest child on, where they start, their support mask
 and their number, so that a table grows with the span) and the transition
 cache, which keeps each step ``_advance`` took (a table entry and a packed
 vector give the next vector, its mask and its cardinality) and is emptied
-when it would hold more than ``_STEP_CACHE_BITS`` bits; per (n, q), the
-expansion's preperiod and period lengths (no digit is written out, since
-the automaton reads x itself); and per query, the range and length-cap
-checks and one cache lookup per digit, with one ``_advance`` call on a
-miss.  ``cube_count_vector``, ``lyapunov_estimate`` and
-``analysis.Analysis`` read the hypotheses from the same record.
-``advance_state`` is the public one-step view of the same tables and
-kernel, on ``SliceState`` records.  ``digit_table`` hands the tables out:
-the multiplicity search steps its chain-count vectors e_i T_{j1} ... T_{jk}
-on the open rows (a row of digit matrix T_j is the children of one chain
-under digit j), with the same kernel and no cache, since its vectors are
-distinct, and counts with ``exact_card`` at budget max_r, so one search
-reads one table, at max_r's field width.
+when it would hold more than ``_STEP_CACHE_BITS`` bits; and per query, the
+range check, the expansion's preperiod and period lengths (no digit is
+written out, since the automaton reads x itself) and one cache lookup per
+digit, with one ``_advance`` call on a miss.  ``cube_count_vector``,
+``lyapunov_estimate`` and ``analysis.Analysis`` read the hypotheses from
+the same record.  ``advance_state`` is the public one-step view of the same
+tables and kernel, on ``SliceState`` records.  ``digit_table`` hands the
+tables out: the multiplicity search steps its chain-count vectors e_i
+T_{j1} ... T_{jk} on the open rows (a row of digit matrix T_j is the
+children of one chain under digit j), with the same kernel and no cache,
+since its vectors are distinct, and counts with ``exact_card`` at budget
+max_r, so one search reads one table, at max_r's field width.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
@@ -112,19 +111,18 @@ class NadicExpansion(NamedTuple):
         return pre + (depth - pre) % len(self.period)
 
 
-# Preperiod and period lengths by (n, q), each counted once: at most this
-# many are kept, and a full cache is emptied.
-_LENGTHS_CACHE = 4096
-_LENGTHS: dict[tuple[int, int], tuple[int, int]] = {}
-
-
-def _count_lengths(n: int, q: int) -> tuple[int, int]:
-    """The preperiod and period lengths of p/q in base n, for any p prime to
-    q; the period of a terminating p/q is 0 here.  The preperiod has one
-    digit per step q //= gcd(q, n) until the gcd is 1, and the period is
-    the multiplicative order of n modulo what is left.  Counting stops once
-    the two pass _EXPANSION_CAP; only lengths counted to the end are kept
-    in _LENGTHS, so what it holds does not depend on the cap."""
+def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
+    """The preperiod and period lengths of the base-n expansion of x, with
+    no digit written out; a terminating x has the period (0,), of length 1.
+    For x = i + p/q in lowest terms, the preperiod has one digit per step
+    q //= gcd(q, n) until the gcd is 1, and the period is the multiplicative
+    order of n modulo what is left.  Raises OutOfRange outside the range,
+    and TooLarge as soon as the preperiod and a repeating period need more
+    than _EXPANSION_CAP digits."""
+    p, q = x.numerator, x.denominator
+    if not q * inst.proj_min <= p <= q * inst.proj_max:
+        raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
+    n = inst.n
     pre, rest = 0, q
     while (g := gcd(rest, n)) > 1:
         rest //= g
@@ -135,26 +133,6 @@ def _count_lengths(n: int, q: int) -> tuple[int, int]:
         while power != 1 and pre + period <= _EXPANSION_CAP:
             power = power * n % rest
             period += 1
-    if pre + period <= _EXPANSION_CAP:
-        if len(_LENGTHS) >= _LENGTHS_CACHE:
-            _LENGTHS.clear()
-        _LENGTHS[n, q] = pre, period
-    return pre, period
-
-
-def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
-    """The preperiod and period lengths of the base-n expansion of x, with
-    no digit written out; a terminating x has the period (0,), of length 1.
-    The lengths depend on n and the denominator of x only, and are counted
-    once per (n, q) (``_count_lengths``).  Raises OutOfRange outside the
-    range, and TooLarge, on every call, when the preperiod and a repeating
-    period need more than _EXPANSION_CAP digits."""
-    p, q = x.numerator, x.denominator
-    if not q * inst.proj_min <= p <= q * inst.proj_max:
-        raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
-    n = inst.n
-    lengths = _LENGTHS.get((n, q))
-    pre, period = _count_lengths(n, q) if lengths is None else lengths
     if pre + period > _EXPANSION_CAP:
         raise TooLarge(f"the base-{n} expansion of {x} needs over {_EXPANSION_CAP} digits")
     return pre, period or 1
@@ -248,10 +226,10 @@ def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
 
 
 # Most bits one instance's transition cache holds, over all its field
-# widths.  An entry counts the bits of its two packed vectors and
-# _ENTRY_BITS for the Python objects that hold them; a cache that would
-# pass the bound is emptied first.  At span 200001 and the default budget
-# one packed vector holds about 3 million bits.
+# widths.  An entry counts the bits of its two packed vectors and of the
+# support mask it stores, and _ENTRY_BITS for the Python objects that hold
+# them; a cache that would pass the bound is emptied first.  At span 200001
+# and the default budget one packed vector holds about 3 million bits.
 _STEP_CACHE_BITS = 2**26
 _ENTRY_BITS = 2048
 
@@ -293,7 +271,7 @@ class _Record:
         """Store ``step`` as ``known[vec]``, first emptying every transition
         cache of the record, in place, if it would pass _STEP_CACHE_BITS; a
         step that alone passes it is not stored."""
-        size = vec.bit_length() + step[0].bit_length() + _ENTRY_BITS
+        size = vec.bit_length() + step[0].bit_length() + step[1].bit_length() + _ENTRY_BITS
         if self.step_bits + size > _STEP_CACHE_BITS:
             for steps in self.steps.values():
                 for by_flag in steps:

@@ -94,34 +94,6 @@ def test_expansion_cap(monkeypatch, cantor_diff):
         assert main(["count", str(instance), "--x", f"{x.numerator}/{x.denominator}"]) == 3
 
 
-def test_expansion_cap_holds_on_cached_lengths(monkeypatch, cantor_diff):
-    """The preperiod and period lengths are counted once per (n, q), and
-    checked against _EXPANSION_CAP on every call: lengths counted under the
-    real cap are refused once the cap is lowered, by exact_card, by
-    nadic_expansion and for every numerator.  Lengths whose counting the
-    cap cut short are not kept."""
-    cap = counting._EXPANSION_CAP
-    monkeypatch.setattr(counting, "_LENGTHS", {})
-    assert exact_card(cantor_diff, Fraction(1, 7)).verdict == "Infinite"
-    assert nadic_expansion(cantor_diff, Fraction(1, 9)).preperiod == (0, 1)
-    assert counting._LENGTHS == {(3, 7): (0, 6), (3, 9): (2, 0)}
-    monkeypatch.setattr(counting, "_EXPANSION_CAP", 5)
-    for x in (Fraction(1, 7), Fraction(-3, 7)):
-        with pytest.raises(TooLarge):
-            exact_card(cantor_diff, x)
-        with pytest.raises(TooLarge):
-            nadic_expansion(cantor_diff, x)
-    monkeypatch.setattr(counting, "_EXPANSION_CAP", 1)
-    with pytest.raises(TooLarge):
-        exact_card(cantor_diff, Fraction(1, 9))
-    with pytest.raises(TooLarge):
-        exact_card(cantor_diff, Fraction(1, 13))
-    assert (3, 13) not in counting._LENGTHS
-    monkeypatch.setattr(counting, "_EXPANSION_CAP", cap)
-    assert exact_card(cantor_diff, Fraction(1, 13)).verdict == "Infinite"
-    assert counting._LENGTHS[3, 13] == (0, 3)
-
-
 def test_expansion_value_round_trip(cantor_diff):
     rng = random.Random(2)
     for _ in range(40):
@@ -435,7 +407,7 @@ def _cached_bits(rec):
     """The bits the record's transition caches hold, counted entry by
     entry as ``_Record.keep`` counts them."""
     return sum(
-        vec.bit_length() + step[0].bit_length() + counting._ENTRY_BITS
+        vec.bit_length() + step[0].bit_length() + step[1].bit_length() + counting._ENTRY_BITS
         for steps in rec.steps.values()
         for by_flag in steps
         for cache in by_flag
