@@ -6,6 +6,11 @@ sum_i m_i y_i with each y_i in the self-similar set built from A_i, and the
 Hausdorff dimension / measure of the sets of x with a prescribed number of
 representations.  All geometry is exact rational arithmetic; spectral radii
 and dimension values are certified enclosures.
+
+``import slicekit`` loads the layers that compute the answers.  The
+brute-force oracle, the test suite's independent cross-check, loads on
+first use: ``slicekit.oracle`` is imported the first time one of its names
+is read from the package.
 """
 
 __version__ = "0.1.0"
@@ -54,7 +59,6 @@ from .lattice import (
     type_assignment,
     xi_set,
 )
-from .oracle import CubeChain, brute_force_cube_count, brute_force_solutions
 from .spectral import (
     CountMatrix,
     RadiusResult,
@@ -115,3 +119,16 @@ __all__ = [
     "brute_force_cube_count",
     "brute_force_solutions",
 ]
+
+_ORACLE_NAMES = frozenset(("CubeChain", "brute_force_cube_count", "brute_force_solutions"))
+
+
+def __getattr__(name):
+    # Read from the oracle module on every access and never bound here, so
+    # a wrapper installed on slicekit.oracle's attribute is what a caller
+    # gets, and putting the original back there leaves no copy behind.
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -71,6 +71,16 @@ from .spectral import (  # noqa: F401
 )
 
 _VECTOR_CAP = 2**20
+# Most bits the multiplicity search's vector records may hold together.  A
+# record counts the bits of its packed vector and of its support mask, 64
+# bits a slot for its word and for its counts and support tuples, and
+# _RECORD_BITS for the Python objects that hold them.  Words grow with
+# max_r: on n=3, {0,2}^2, (-1, 2) the vectors of norm up to 1000 have words
+# of up to 999 digits, so a count of vectors alone does not bound memory.
+# A search refused at the bound peaks near 300 MiB; the span-101 report
+# (n=3, {0,2}^2, (-50, 51)) holds 2.3 * 10^9 bits and still answers.
+_VECTOR_BITS = 3 * 2**30
+_RECORD_BITS = 4096
 
 MEASURE_POSITIVE_FINITE = "PositiveFinite"
 MEASURE_INFINITE = "Infinite"
@@ -335,7 +345,9 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     lost), in canonical order.  Each vector keeps its canonical discovery:
     shortest digit word, ties broken by word then by starting offset; the
     records come in that order, one breadth-first level at a time.  Raises
-    TooLarge as the (_VECTOR_CAP + 1)-th distinct vector is found.
+    TooLarge as the (_VECTOR_CAP + 1)-th distinct vector is found, or the
+    first whose record takes the records past _VECTOR_BITS; the unit
+    vectors' records are counted before any is formed.
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
@@ -350,6 +362,10 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     """
     lo = inst.proj_min
     bits = (max_r * inst.cube_count).bit_length()
+    # the unit vector at u has bits * u + 1 bits and its mask u + 1
+    held = (bits + 1) * inst.span * (inst.span - 1) // 2 + inst.span * (130 + _RECORD_BITS)
+    if held > _VECTOR_BITS:
+        raise TooLarge(f"the reachable vectors' records pass {_VECTOR_BITS} bits")
     field = (1 << bits) - 1
     shifts = [(rows, bits * j) for j, (rows, _) in enumerate(digit_table(inst, bits))]
     packed = [sum(rows[u][4] << shift for rows, shift in shifts) for u in range(inst.span)]
@@ -381,6 +397,12 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
                 if child not in found:
                     if len(found) == _VECTOR_CAP:
                         raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
+                    held += (
+                        child.bit_length() + child_mask.bit_length() + _RECORD_BITS
+                        + 64 * (len(cand[0]) + 2 * child_mask.bit_count())
+                    )
+                    if held > _VECTOR_BITS:
+                        raise TooLarge(f"the reachable vectors' records pass {_VECTOR_BITS} bits")
                     found.add(child)
                 elif cand >= nxt.get(child, cand):
                     continue

@@ -46,7 +46,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from ._digraph import strongly_connected_components
 from .errors import NotInterior, NotInXi, TooLarge
 from .instance import ProblemInstance
-from .lattice import IntegerInterval, interval_type_counts, make_interval, u_range, xi_types
+from .lattice import (
+    IntegerInterval, interval_type_counts, make_interval, u_range, unique_type, xi_types,
+)
 from .spectral import Matrix, RadiusResult, block_radius
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
@@ -273,12 +275,12 @@ def psi_step(inst: ProblemInstance, x: Fraction, interval: IntegerInterval | int
     """One step of the expanding interval map: x in the open interval
     [u, u+1]/n goes to n*x - u + t, landing inside (t, t+1)."""
     u = interval.u if isinstance(interval, IntegerInterval) else int(interval)
-    types = xi_types(inst)
-    if u not in types:
+    t = unique_type(inst, u)
+    if t is None:
         raise NotInXi(f"interval u={u} is not uniquely covered")
     x = Fraction(x)
     left = Fraction(u, inst.n)
     right = Fraction(u + 1, inst.n)
     if not left < x < right:
         raise NotInterior(f"{x} is not interior to [{left}, {right}]")
-    return inst.n * x - u + types[u]
+    return inst.n * x - u + t

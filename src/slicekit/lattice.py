@@ -8,6 +8,9 @@ question is decided exactly on scaled integers.
 ``children`` is the one place that applies the children rule: row t of
 digit matrix T_d, read by the counting tables and the grid tails, and the
 types of interval u, the children of (u mod n, u div n) below proj_max.
+``unique_type`` is the one place that decides whether interval u is
+uniquely covered, and by which type: ``xi_types`` reads it for every u,
+``graphs.psi_step`` for one.
 """
 
 from __future__ import annotations
@@ -159,7 +162,14 @@ def xi_set(inst: ProblemInstance) -> list[IntegerInterval]:
     return [make_interval(inst, u) for u in xi_types(inst)]
 
 
+def unique_type(inst: ProblemInstance, u: int) -> int | None:
+    """The type of interval u when exactly one cube covers it, else None
+    (also outside the range, where no cube covers u)."""
+    tc = interval_type_counts(inst, u)
+    return tc[0][0] if len(tc) == 1 and tc[0][1] == 1 else None
+
+
 def xi_types(inst: ProblemInstance) -> dict[int, int]:
     """u -> its unique type, for every uniquely covered interval."""
-    typed = ((u, interval_type_counts(inst, u)) for u in u_range(inst))
-    return {u: tc[0][0] for u, tc in typed if len(tc) == 1 and tc[0][1] == 1}
+    typed = ((u, unique_type(inst, u)) for u in u_range(inst))
+    return {u: t for u, t in typed if t is not None}

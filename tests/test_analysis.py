@@ -132,6 +132,38 @@ def test_vector_cap_refuses_at_the_first_vector_past_it(monkeypatch, cantor_doub
     assert calls[-1] == 3 and uncapped[len(calls)] == 3
 
 
+def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, cantor_diff):
+    """The search counts each record's bits as its vector is found: its
+    packed vector and support mask, 64 bits per word digit and per support
+    entry twice, and _RECORD_BITS.  It passes at a bound equal to that
+    recount over every record and is refused one bit below; a bound below
+    the unit vectors' records refuses before any vector is stepped."""
+    for inst, max_r in ((cantor_double_diff, 6), (cantor_diff, 40)):
+        full = analysis._reachable_vectors(inst, max_r)
+        bits = (max_r * inst.cube_count).bit_length()
+        lo = inst.proj_min
+        total = 0
+        for rv in full:
+            vec = sum(c << bits * (p - lo) for p, c in zip(rv.support, rv.counts))
+            mask = sum(1 << p - lo for p in rv.support)
+            total += (
+                vec.bit_length() + mask.bit_length() + analysis._RECORD_BITS
+                + 64 * (len(rv.word) + 2 * len(rv.support))
+            )
+        monkeypatch.setattr(analysis, "_VECTOR_BITS", total)
+        assert analysis._reachable_vectors(inst, max_r) == full
+        monkeypatch.setattr(analysis, "_VECTOR_BITS", total - 1)
+        with pytest.raises(TooLarge, match=f"records pass {total - 1} bits"):
+            analysis._reachable_vectors(inst, max_r)
+        units = [rv for rv in full if not rv.word]
+        assert len(units) == inst.span
+        monkeypatch.setattr(analysis, "_VECTOR_BITS", inst.span * analysis._RECORD_BITS)
+        monkeypatch.setattr(analysis, "_advance", None)  # never called
+        with pytest.raises(TooLarge, match="records pass"):
+            analysis._reachable_vectors(inst, max_r)
+        monkeypatch.undo()
+
+
 def test_countable_examples_verify(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (3, 6):

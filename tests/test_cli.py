@@ -11,7 +11,8 @@ import pytest
 
 from slicekit import parse_instance
 from slicekit.analysis import enumerate_achievable_r
-from slicekit.cli import _check_printable, main, render_grid
+from slicekit.cli import _check_printable, main
+from slicekit.render import render_grid
 from slicekit.report import data_section, parse_rational
 from slicekit.errors import InvalidDocument, NotPlanar
 
@@ -332,13 +333,63 @@ def test_render_deterministic(cantor_diff):
     assert render_grid(cantor_diff, depth=2) == render_grid(cantor_diff, depth=2)
 
 
-def test_import_does_not_load_numpy():
-    """numpy is imported by the one function that uses it, so a CLI process
-    that never estimates a Lyapunov exponent does not pay for it."""
+# Loaded on first use only: numpy by lyapunov_estimate, the oracle by the
+# `oracle` command and the package's oracle names, the figure code by
+# `render`, the Sturm-chain helpers where two radius enclosures overlap.
+_LAZY_MODULES = ("numpy", "slicekit.oracle", "slicekit.render", "slicekit._sturm")
+
+
+def _lazy_modules_loaded(code: str) -> list[str]:
+    """Which of _LAZY_MODULES a fresh interpreter holds after ``code``."""
+    probe = f"import sys\n{code}\nprint(*[m for m in {_LAZY_MODULES!r} if m in sys.modules])"
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    code = "import slicekit, sys; sys.exit('numpy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=FIXTURES.parent,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
+
+
+def test_import_does_not_load_numpy():
+    """numpy, the oracle, the figure code and the Sturm-chain helpers are
+    imported where they are first used, so neither ``import slicekit`` nor
+    ``python -m slicekit check|count|analyze`` compiles them."""
+    assert _lazy_modules_loaded("import slicekit") == []
+    for argv in (
+        ["check", "instances/cantor_diff.json"],
+        ["count", "instances/cantor_diff.json", "--x", "1/3"],
+        ["analyze", "instances/cantor_diff.json"],
+    ):
+        code = (
+            f"import runpy\nsys.argv = ['slicekit', *{argv!r}]\n"
+            "try:\n    runpy.run_module('slicekit', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+        )
+        assert _lazy_modules_loaded(code) == [], argv
+
+
+def test_lazy_names_still_resolve():
+    """The oracle's names load it on first access, and ``render`` and
+    ``oracle`` load what they run and nothing else."""
+    code = (
+        "import slicekit\n"
+        "assert slicekit.brute_force_cube_count.__module__ == 'slicekit.oracle'\n"
+        "assert 'brute_force_cube_count' not in vars(slicekit)\n"
+        "namespace = {}\n"
+        "exec('from slicekit import *', namespace)\n"
+        "assert all(name in namespace for name in slicekit.__all__)"
+    )
+    assert _lazy_modules_loaded(code) == ["slicekit.oracle"]
+    for command, loaded in (("render", "slicekit.render"), ("oracle", "slicekit.oracle")):
+        argv = [command, "instances/cantor_diff.json", "--out", os.devnull]
+        if command == "oracle":
+            argv += ["--x", "1/3"]
+        code = f"from slicekit.cli import main\nassert main({argv!r}) == 0"
+        assert _lazy_modules_loaded(code) == [loaded]
 
 
 def test_count_at_a_large_span_within_512_mib(tmp_path):
@@ -437,6 +488,41 @@ def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "") and message in err, argv
+
+
+def test_search_records_refused_within_512_mib(tmp_path):
+    """The multiplicity search counts what its vector records hold, not
+    only how many there are: words grow with max_r, and these calls ran
+    out of memory (exit 4) under 512 MiB of address space before 2^20
+    vectors were found.  Each child now stops at the bound of 3 * 2^30
+    bits, TooLarge, exit 3, within that limit and 60 s."""
+    docs = {}
+    for c in (1, 30):
+        docs[c] = tmp_path / f"span{2 * c + 1}.json"
+        docs[c].write_text(json.dumps(
+            {"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-c, c + 1]}
+        ))
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in (
+        ("dim-ur", docs[1], "--r", "1000000"),
+        ("witness", docs[1], "--r", "1048576"),
+        ("enumerate-r", docs[30], "--max-r", "1000"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicekit", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
+        assert "records pass 3221225472 bits" in proc.stderr, argv
 
 
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):

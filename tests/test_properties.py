@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +14,13 @@ from slicekit import (
     covering_condition,
     exact_card,
     brute_force_cube_count,
+    psi_step,
     scc,
     strong_separation,
     transition_matrices,
     type_assignment,
 )
+from slicekit.errors import NotInXi
 from slicekit.instance import ProblemInstance, parse_instance
 from slicekit.lattice import u_range, xi_types
 
@@ -143,3 +146,20 @@ def test_every_interval_covered_iff_covering(inst):
         for u in u_range(inst)
     )
     assert covered == covering_condition(inst)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances())
+def test_psi_step_agrees_with_xi_types(inst):
+    """psi_step decides "uniquely covered, and of which type" for one
+    interval by the same rule xi_types applies to all of them, from 2n
+    below the range to 2n above it."""
+    n = inst.n
+    types = xi_types(inst)
+    for u in range(n * inst.proj_min - 2 * n, n * inst.proj_max + 2 * n):
+        x = Fraction(2 * u + 1, 2 * n)
+        if u in types:
+            assert psi_step(inst, x, u) == n * x - u + types[u]
+        else:
+            with pytest.raises(NotInXi):
+                psi_step(inst, x, u)

@@ -234,3 +234,31 @@ def test_product_norms_nondecreasing_under_covering(cantor_diff, base7_double):
                 ]
                 assert sum(vec) >= prev
                 prev = sum(vec)
+
+
+def test_overlapping_enclosures_reach_the_sturm_helpers(monkeypatch):
+    """compare_radii imports its polynomial helpers when it first needs
+    them, so coarse enclosures that overlap are decided there: equal radii
+    by the gcd of the two polynomials, distinct ones by halving windows."""
+    from slicekit import _sturm
+
+    calls = {"_sturm_chain": 0, "_halve": 0}
+    for name in calls:
+        original = getattr(_sturm, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(_sturm, name, counted)
+    golden = [[0, 1], [1, 1]]  # rho = (1 + sqrt 5) / 2
+    swapped = [[1, 1], [1, 0]]  # the same block, vertices swapped
+    silver = [[0, 1], [1, 2]]  # rho = 1 + sqrt 2
+    ra, rb, rc = (block_radius(m, range(2), 4.0) for m in (golden, swapped, silver))
+    assert ra.upper >= rb.lower and rb.upper >= ra.lower
+    assert rc.upper >= ra.lower and ra.upper >= rc.lower
+    assert compare_radii(ra, rb, golden, swapped) == 0
+    chains = calls["_sturm_chain"]
+    assert chains >= 2
+    assert compare_radii(rc, ra, silver, golden) == 1
+    assert calls["_sturm_chain"] >= chains + 2 and calls["_halve"] > 0
