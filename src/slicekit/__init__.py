@@ -29,7 +29,6 @@ from .analysis import (
 from .counting import (
     CardResult,
     NadicExpansion,
-    SliceState,
     cube_count_vector,
     exact_card,
     expansion_value,
@@ -52,7 +51,6 @@ from .lattice import (
     IntegerInterval,
     SmallCube,
     TypeAssignment,
-    WorkingInterval,
     covering_condition,
     enumerate_integer_intervals,
     strong_separation,
@@ -74,7 +72,6 @@ __all__ = [
     "parse_instance",
     "serialize",
     "IntegerInterval",
-    "WorkingInterval",
     "SmallCube",
     "TypeAssignment",
     "enumerate_integer_intervals",
@@ -99,7 +96,6 @@ __all__ = [
     "compare_radii",
     "char_poly",
     "NadicExpansion",
-    "SliceState",
     "CardResult",
     "nadic_expansion",
     "cube_count_vector",

@@ -70,7 +70,9 @@ from .spectral import (  # noqa: F401
     spectral_radius, transition_matrices,
 )
 
-_VECTOR_CAP = 2**20
+# Largest max_r a search takes; it bounds the report's r_search, which lists
+# a status for every r of 1..max_r.
+_MAX_R = 2**20
 # Most bits the multiplicity search's vector records may hold together.  A
 # record counts the bits of its packed vector and of its support mask, 64
 # bits a slot for its word and for its counts and support tuples, and
@@ -345,9 +347,8 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     lost), in canonical order.  Each vector keeps its canonical discovery:
     shortest digit word, ties broken by word then by starting offset; the
     records come in that order, one breadth-first level at a time.  Raises
-    TooLarge as the (_VECTOR_CAP + 1)-th distinct vector is found, or the
-    first whose record takes the records past _VECTOR_BITS; the unit
-    vectors' records are counted before any is formed.
+    TooLarge as the first record that takes the records past _VECTOR_BITS
+    is found; the unit vectors' records are counted before any is formed.
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
@@ -371,8 +372,6 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     packed = [sum(rows[u][4] << shift for rows, shift in shifts) for u in range(inst.span)]
     # packed counts -> (word, integer part, support mask) of its discovery
     level = {1 << bits * u: ((), u + lo, 1 << u) for u in range(inst.span)}
-    if len(level) > _VECTOR_CAP:
-        raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
     found = set(level)
     vectors: list[ReachableVector] = []
     while level:
@@ -395,8 +394,6 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
                 child, child_mask, _ = _advance(rows, bits, vec, mask)
                 cand = (word + (j,), i, child_mask)
                 if child not in found:
-                    if len(found) == _VECTOR_CAP:
-                        raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
                     held += (
                         child.bit_length() + child_mask.bit_length() + _RECORD_BITS
                         + 64 * (len(cand[0]) + 2 * child_mask.bit_count())
@@ -434,15 +431,11 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
     through the integer-offset automaton.
     NotReachable: neither route produces r (not stored; ``status`` reads it).
     """
-    return _search(Analysis(inst), max_r)
-
-
-def _search(context: Analysis, max_r: int) -> RSearchResult:
-    inst = context.inst
+    context = Analysis(inst)
     if max_r < 1:
         raise OutOfRange(f"max_r must be >= 1, got {max_r}")
-    if max_r > _VECTOR_CAP:
-        raise TooLarge(f"max_r must be <= {_VECTOR_CAP}, got {max_r}")
+    if max_r > _MAX_R:
+        raise TooLarge(f"max_r must be <= {_MAX_R}, got {max_r}")
     if not context.covering:
         raise HypothesisViolated("covering condition fails")
     if not all(context.ssc):

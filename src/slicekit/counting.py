@@ -32,13 +32,13 @@ range check, the expansion's preperiod and period lengths (no digit is
 written out, since the automaton reads x itself) and one cache lookup per
 digit, with one ``_advance`` call on a miss.  ``cube_count_vector``,
 ``lyapunov_estimate`` and ``analysis.Analysis`` read the hypotheses from
-the same record.  ``advance_state`` is the public one-step view of the same
-tables and kernel, on ``SliceState`` records.  ``digit_table`` hands the
-tables out: the multiplicity search steps its chain-count vectors e_i
-T_{j1} ... T_{jk} on the open rows (a row of digit matrix T_j is the
-children of one chain under digit j), with the same kernel and no cache,
-since its vectors are distinct, and counts with ``exact_card`` at budget
-max_r, so one search reads one table, at max_r's field width.
+the same record.  ``exact_card`` is the automaton's one public entry point;
+``digit_table`` hands its tables out: the multiplicity search steps its
+chain-count vectors e_i T_{j1} ... T_{jk} on the open rows (a row of digit
+matrix T_j is the children of one chain under digit j), with the same
+kernel and no cache, since its vectors are distinct, and counts with
+``exact_card`` at budget max_r, so one search reads one table, at max_r's
+field width.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
@@ -101,14 +101,6 @@ class NadicExpansion(NamedTuple):
 
     def digits(self, count: int) -> tuple[int, ...]:
         return tuple(self.digit(k) for k in range(1, count + 1))
-
-    def phase(self, depth: int) -> int:
-        """Position in the digit stream after ``depth`` digits were consumed;
-        equal phases mean identical remaining digit streams."""
-        pre = len(self.preperiod)
-        if depth < pre:
-            return depth
-        return pre + (depth - pre) % len(self.period)
 
 
 def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
@@ -193,38 +185,6 @@ def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple
     return tuple(vec)
 
 
-class SliceState(NamedTuple):
-    """Multiset of surviving chain offsets at one depth.
-
-    Offset of a chain = n^depth * x - (weighted digit prefix); a chain
-    survives while its offset stays inside [proj_min, proj_max] (closed:
-    slices through a cube face do meet the cube).  Offsets are multiples of
-    1/scale, where scale is the denominator of x, so ``pairs`` holds each
-    distinct offset as the integer scale * offset with the number of chains
-    at it, sorted by offset.  This is the readable form of the packed state
-    ``exact_card`` steps; the states of one x share their residue mod
-    scale, but ``advance_state`` also steps pairs of several residues."""
-
-    pairs: tuple[tuple[int, int], ...]
-    scale: int
-    depth: int
-
-    @property
-    def cardinality(self) -> int:
-        return sum([m for _, m in self.pairs])
-
-    def support(self) -> tuple[int, ...]:
-        """The distinct scaled offsets, ascending."""
-        return tuple([a for a, _ in self.pairs])
-
-
-def initial_state(inst: ProblemInstance, x: Fraction) -> SliceState:
-    x = Fraction(x)
-    if not inst.proj_min <= x <= inst.proj_max:
-        raise OutOfRange(f"{x} outside [{inst.proj_min}, {inst.proj_max}]")
-    return SliceState(pairs=((x.numerator, 1),), scale=x.denominator, depth=0)
-
-
 # Most bits one instance's transition cache holds, over all its field
 # widths.  An entry counts the bits of its two packed vectors and of the
 # support mask it stores, and _ENTRY_BITS for the Python objects that hold
@@ -298,8 +258,7 @@ def _record(inst: ProblemInstance) -> _Record:
 def digit_table(inst: ProblemInstance, bits: int) -> tuple:
     """The instance's digit table at field width ``bits`` (see
     ``_build_table``), built on first use and kept in the instance's
-    record: ``exact_card``, ``advance_state`` and the multiplicity search
-    all step this one table."""
+    record."""
     return _record(inst).table(inst, bits)
 
 
@@ -358,46 +317,6 @@ def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, in
         out_mask |= kids << base
         card += m * total
     return out, out_mask, card
-
-
-def advance_state(inst: ProblemInstance, state: SliceState) -> SliceState:
-    """One digit of depth: each chain branches into the cubes whose closed
-    projection interval contains its offset.
-
-    The pairs are grouped by their scaled offset's residue mod ``scale``,
-    and each class is packed and stepped by ``_advance`` on the instance's
-    digit table at the field width of the state's cardinality.  Offsets
-    outside the range have no children (a cube weight w lies in
-    [(n - 1) * proj_min, (n - 1) * proj_max], so n * a - w is outside
-    whenever a is), and multiplicities must be at least 0.
-    """
-    q, lo, hi = state.scale, inst.proj_min, inst.proj_max
-    bits = (max(state.cardinality, 1) * inst.cube_count).bit_length()
-    table = digit_table(inst, bits)
-    # residue r -> [packed vector, support mask] of the offsets r + q * t
-    classes: dict[int, list[int]] = {}
-    for a, m in state.pairs:
-        if m < 0:
-            raise OutOfRange(f"multiplicities must be >= 0, got {m}")
-        t, r = divmod(a, q)
-        if lo <= t and (t < hi or t == hi and r == 0):
-            packed = classes.setdefault(r, [0, 0])
-            packed[0] += m << bits * (t - lo)
-            packed[1] |= 1 << (t - lo)
-    field = (1 << bits) - 1
-    children: dict[int, int] = {}
-    for r, (vec, mask) in classes.items():
-        d, r = divmod(inst.n * r, q)
-        vec, mask, _ = _advance(table[d][not r], bits, vec, mask)
-        while mask:
-            low = mask & -mask
-            j = low.bit_length() - 1
-            mask ^= low
-            a = r + q * (lo + j)
-            children[a] = children.get(a, 0) + (vec >> bits * j & field)
-    return SliceState(
-        pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1
-    )
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
-"""Lattice geometry of an instance: the length-1/n integer intervals, the
-unit working intervals, projection intervals of digit cubes, interval types,
-and the covering / strong-separation checks.
+"""Lattice geometry of an instance: the length-1/n integer intervals,
+projection intervals of digit cubes, interval types, and the covering /
+strong-separation checks.
 
 All endpoints here are rationals with denominator n, so every containment
 question is decided exactly on scaled integers.
 
 ``children`` is the one place that applies the children rule: row t of
-digit matrix T_d, read by the counting tables and the grid tails, and the
-types of interval u, the children of (u mod n, u div n) below proj_max.
+digit matrix T_d, read by the counting tables, the digit matrices and the
+grid tails, and the types of interval u, the children of (u mod n, u div n)
+below proj_max.
 ``unique_type`` is the one place that decides whether interval u is
 uniquely covered, and by which type: ``xi_types`` reads it for every u,
 ``graphs.psi_step`` for one.
@@ -40,12 +41,6 @@ class IntegerInterval(NamedTuple):
     @property
     def right(self) -> Fraction:
         return Fraction(self.u + 1, self.n)
-
-
-class WorkingInterval(NamedTuple):
-    """The unit interval [t, t+1] with proj_min <= t <= proj_max - 1."""
-
-    t: int
 
 
 class SmallCube(NamedTuple):
@@ -84,10 +79,6 @@ def enumerate_integer_intervals(inst: ProblemInstance) -> list[IntegerInterval]:
     return [make_interval(inst, u) for u in u_range(inst)]
 
 
-def working_intervals(inst: ProblemInstance) -> list[WorkingInterval]:
-    return [WorkingInterval(t) for t in range(inst.proj_min, inst.proj_max)]
-
-
 def children(inst: ProblemInstance, d: int, t: int) -> list[tuple[int, int]]:
     """The children of a chain at t under digit d: (d + n*t - w, cubes of
     weight w) in [proj_min, proj_max], ascending, as weights descend."""
@@ -106,11 +97,6 @@ def interval_type_counts(inst: ProblemInstance, u: int) -> list[tuple[int, int]]
     if kids and kids[-1][0] == inst.proj_max:
         kids.pop()
     return kids
-
-
-def cover_multiplicity(inst: ProblemInstance, u: int) -> int:
-    """Number of depth-1 cubes whose projection interval contains interval u."""
-    return sum(c for _, c in interval_type_counts(inst, u))
 
 
 def type_assignment(inst: ProblemInstance, interval: IntegerInterval | int) -> TypeAssignment:

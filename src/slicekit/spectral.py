@@ -34,6 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 from ._digraph import strongly_connected_components
 from .errors import WideEnclosure
 from .instance import ProblemInstance
+from .lattice import children
 
 DEFAULT_TOLERANCE = 1e-9
 _MAX_ITERATIONS = 10**6
@@ -76,17 +77,20 @@ class RadiusResult(NamedTuple):
 
 
 def transition_matrices(inst: ProblemInstance) -> list[CountMatrix]:
-    """The n digit matrices; entry (u, v) of matrix j counts cubes of weight
-    n*u + j - v."""
-    weights = inst.cube_weights
+    """The n digit matrices; row u of matrix j counts the children of a
+    chain at u under digit j (``lattice.children``), those below proj_max,
+    so entry (u, v) counts cubes of weight n*u + j - v."""
     lo, hi = inst.proj_min, inst.proj_max
     out = []
     for j in range(inst.n):
-        rows = tuple(
-            tuple(weights.get(inst.n * u + j - v, 0) for v in range(lo, hi))
-            for u in range(lo, hi)
-        )
-        out.append(CountMatrix(digit=j, index_min=lo, entries=rows))
+        rows = []
+        for u in range(lo, hi):
+            row = [0] * inst.span
+            for v, count in children(inst, j, u):
+                if v < hi:
+                    row[v - lo] = count
+            rows.append(tuple(row))
+        out.append(CountMatrix(digit=j, index_min=lo, entries=tuple(rows)))
     return out
 
 

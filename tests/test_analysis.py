@@ -16,7 +16,7 @@ from slicekit import (
     witness_ur,
 )
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
-from slicekit.analysis import _VECTOR_CAP, Analysis, _witness_candidates
+from slicekit.analysis import _MAX_R, Analysis, _witness_candidates
 from slicekit.errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -79,57 +79,13 @@ def test_enumerate_requires_hypotheses(base7_double, no_cover):
         enumerate_achievable_r(base7_double, 4)
     with pytest.raises(HypothesisViolated):
         enumerate_achievable_r(no_cover, 4)
-    # the range of max_r is checked first; a max_r past the vector cap is
-    # a resource cap, refused before anything is built
+    # the range of max_r is checked first; a max_r past _MAX_R is a
+    # resource cap, refused before anything is built
     for inst in (base7_double, no_cover):
         with pytest.raises(OutOfRange, match="max_r must be >= 1"):
             enumerate_achievable_r(inst, 0)
-        with pytest.raises(TooLarge, match=f"max_r must be <= {_VECTOR_CAP}"):
-            enumerate_achievable_r(inst, _VECTOR_CAP + 1)
-
-
-def test_vector_cap_refuses_at_the_first_vector_past_it(monkeypatch, cantor_double_diff):
-    """The search raises TooLarge as the (cap + 1)-th distinct vector is
-    found: it passes at cap = count and is refused at count - 1.  With the
-    cap at the 13 vectors of words up to length 3, the refusal comes at
-    the first vector of length 4, found while the parents of length 3 are
-    stepped, and before the rest of their children are formed: the kernel
-    calls so far are a prefix of the uncapped run's, and that run makes
-    its next call on a parent of length 3 too."""
-    inst, max_r = cantor_double_diff, 6
-    full = analysis._reachable_vectors(inst, max_r)
-    # each kernel call, by the word length of the parent it steps
-    bits = (max_r * inst.cube_count).bit_length()
-    length = {
-        sum(c << bits * (p - inst.proj_min) for p, c in zip(rv.support, rv.counts)): len(rv.word)
-        for rv in full
-    }
-    step = analysis._advance
-
-    def search(cap):
-        calls = []
-
-        def counted(entry, bits, vec, mask):
-            calls.append(length[vec])
-            return step(entry, bits, vec, mask)
-
-        monkeypatch.setattr(analysis, "_advance", counted)
-        monkeypatch.setattr(analysis, "_VECTOR_CAP", cap)
-        try:
-            return analysis._reachable_vectors(inst, max_r), calls
-        except TooLarge as exc:
-            assert str(exc) == f"more than {cap} reachable vectors"
-            return None, calls
-
-    assert len(full) == 23
-    vectors, uncapped = search(len(full))
-    assert vectors == full
-    assert search(len(full) - 1)[0] is None
-    assert sum(len(rv.word) <= 3 for rv in full) == 13
-    vectors, calls = search(13)
-    assert vectors is None
-    assert calls == uncapped[: len(calls)]
-    assert calls[-1] == 3 and uncapped[len(calls)] == 3
+        with pytest.raises(TooLarge, match=f"max_r must be <= {_MAX_R}"):
+            enumerate_achievable_r(inst, _MAX_R + 1)
 
 
 def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, cantor_diff):

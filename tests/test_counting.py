@@ -23,13 +23,7 @@ from slicekit import (
     parse_instance,
     witness_ur,
 )
-from slicekit.counting import (
-    CardResult,
-    CycleCertificate,
-    SliceState,
-    advance_state,
-    initial_state,
-)
+from slicekit.counting import CardResult, CycleCertificate
 from slicekit.errors import (
     BoundaryPoint,
     CoveringRequired,
@@ -41,6 +35,7 @@ from slicekit.report import build_report
 from conftest import FIXTURES, counting_instances, load
 from test_golden import SCALED
 from test_properties import instances
+from test_references import _pairs_steps, kernel_states
 
 
 def test_expansion_periodic(cantor_diff):
@@ -123,12 +118,9 @@ def test_cube_count_vector_needs_covering(no_cover):
 
 
 def test_state_advance_matches_manual(cantor_diff):
-    state = initial_state(cantor_diff, Fraction(1, 3))
-    # offsets -1, 1, 1 on the lattice (1/3)Z
-    for _ in range(2):
-        state = advance_state(cantor_diff, state)
-        assert state.scale == 3
-        assert state.pairs == ((-3, 1), (3, 2))
+    # offsets -1, 1, 1 on the lattice (1/3)Z, as scaled offsets
+    states = kernel_states(cantor_diff, Fraction(1, 3), 2)
+    assert states[1] == states[2] == ((-3, 1), (3, 2))
 
 
 def reference_advance(inst, offsets):
@@ -148,12 +140,14 @@ def reference_advance(inst, offsets):
 def reference_exact_card(inst, x, budget, max_depth=None):
     """``exact_card`` keyed on the expanded offset tuple."""
     exp = nadic_expansion(inst, x)
+    pre, per = len(exp.preperiod), len(exp.period)
     if max_depth is None:
-        max_depth = 64 * (len(exp.preperiod) + len(exp.period))
+        max_depth = 64 * (pre + per)
     offsets, depth = (Fraction(x),), 0
     seen_exact, seen_support = {}, {}
     while True:
-        phase, card = exp.phase(depth), len(offsets)
+        phase = depth if depth < pre else pre + (depth - pre) % per
+        card = len(offsets)
         if (phase, offsets) in seen_exact:
             start = seen_exact[phase, offsets]
             cert = CycleCertificate(start, depth - start, card, card)
@@ -224,12 +218,14 @@ def points(draw, inst):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(instances(), st.data())
 def test_advance_state_matches_expanded_reference_random(inst, data):
+    """Eight digits of the packed kernel give the expanded offset tuple's
+    multisets."""
     x = data.draw(points(inst))
-    state, offsets = initial_state(inst, x), (x,)
-    for _ in range(8):
-        state, offsets = advance_state(inst, state), reference_advance(inst, offsets)
-        scaled = Counter(int(state.scale * v) for v in offsets)
-        assert state.pairs == tuple(sorted(scaled.items()))
+    offsets = (x,)
+    for state in kernel_states(inst, x, 8)[1:]:
+        offsets = reference_advance(inst, offsets)
+        scaled = Counter(int(x.denominator * v) for v in offsets)
+        assert state == tuple(sorted(scaled.items()))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -264,8 +260,8 @@ def count_queries(draw):
 def test_exact_card_limits_match_expanded_reference_random(query, budget, max_depth):
     """Every exit of the counting loop (Finite, Infinite, the budget cut and
     the depth cut, at integer, boundary and periodic x) agrees with the
-    expanded reference, and a cut's count is the cardinality of the state
-    the public one-step view reaches at the same depth."""
+    expanded reference, and a cut's count is the cardinality the raw pairs
+    loop reaches at the same depth."""
     inst, x = query
     res = exact_card(inst, x, budget=budget, max_depth=max_depth)
     assert res == reference_exact_card(inst, x, budget, max_depth)
@@ -274,10 +270,8 @@ def test_exact_card_limits_match_expanded_reference_random(query, budget, max_de
     event("integer x" if x.denominator == 1 else "boundary x" if exp.boundary else "periodic x")
     if res.verdict == "ExceedsBudget":
         event("budget cut" if res.count > budget else "depth cut")
-        state = initial_state(inst, x)
-        for _ in range(res.depth_reached):
-            state = advance_state(inst, state)
-        assert sum(m for _, m in state.pairs) == res.count
+        steps, _ = _pairs_steps(inst, x, budget, max_depth)
+        assert steps[res.depth_reached][0] == res.count
 
 
 def _counted(fn, calls):
@@ -494,41 +488,6 @@ def test_transition_cache_stays_within_its_bound(label, monkeypatch):
     assert counting._RECORDS[inst].step_bits == _cached_bits(counting._RECORDS[inst]) == 0
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(instances(), st.data())
-def test_advance_state_scales_with_multiplicity(inst, data):
-    """Multiplying every multiplicity by m multiplies every child's by m and
-    leaves the support alone, and the support stays on the
-    span * q + 1 lattice points of [proj_min, proj_max]: the cost of a
-    digit does not depend on the number of chains."""
-    state = initial_state(inst, data.draw(points(inst)))
-    q = state.scale
-    for _ in range(8):
-        child = advance_state(inst, state)
-        for m in (2, 7, 2**64):
-            scaled = SliceState(
-                pairs=tuple((a, m * k) for a, k in state.pairs),
-                scale=state.scale,
-                depth=state.depth,
-            )
-            scaled_child = advance_state(inst, scaled)
-            assert scaled_child.support() == child.support()
-            assert scaled_child.pairs == tuple((a, m * k) for a, k in child.pairs)
-            assert scaled_child.cardinality == m * child.cardinality
-        support = child.support()
-        assert len(support) <= inst.span * q + 1
-        assert all(q * inst.proj_min <= a <= q * inst.proj_max for a in support)
-        state = child
-
-
-def test_advance_state_refuses_negative_multiplicities(cantor_diff):
-    """A packed field holds a count, so a negative multiplicity is refused,
-    not summed into its neighbours."""
-    state = SliceState(pairs=((0, 2), (3, -1)), scale=3, depth=0)
-    with pytest.raises(OutOfRange):
-        advance_state(cantor_diff, state)
-
-
 def test_exact_card_examples(cantor_diff):
     assert exact_card(cantor_diff, Fraction(1, 3)) == exact_card(
         cantor_diff, Fraction(1, 3)
@@ -606,12 +565,11 @@ def test_state_cardinality_three_way(cantor_diff, cantor_sum):
             )
             if x.denominator == 1 or x <= inst.proj_min or x >= inst.proj_max:
                 continue
-            state = initial_state(inst, x)
+            states = kernel_states(inst, x, 6)
             for depth in range(1, 7):
-                state = advance_state(inst, state)
                 vec = cube_count_vector(inst, x, depth)
                 count = brute_force_cube_count(inst, x, depth)
-                assert state.cardinality == sum(vec) == count
+                assert sum(m for _, m in states[depth]) == sum(vec) == count
 
 
 def test_finite_card_is_eventual_cube_count(cantor_diff):

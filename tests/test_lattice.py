@@ -12,12 +12,7 @@ from slicekit import (
 )
 from slicekit.errors import OutOfRange
 from slicekit.instance import ProblemInstance
-from slicekit.lattice import (
-    cover_multiplicity,
-    interval_type_counts,
-    make_interval,
-    working_intervals,
-)
+from slicekit.lattice import interval_type_counts, make_interval
 
 
 def test_interval_counts(cantor_diff, cantor_double_diff):
@@ -76,7 +71,6 @@ def test_type_assignment_unique(cantor_diff):
 def test_type_assignment_double_cover(cantor_diff):
     ta = type_assignment(cantor_diff, -1)
     assert [(t, c.digits) for t, c in ta.entries] == [(-1, (0, 0)), (-1, (2, 2))]
-    assert cover_multiplicity(cantor_diff, -1) == 2
 
 
 def test_type_assignment_empty(no_cover):
@@ -90,10 +84,6 @@ def test_xi_sets(cantor_diff, cantor_sum, base7_double, base6_mixed):
     assert [iv.display_label for iv in xi_set(cantor_sum)] == [0, 1, 4, 5]
     assert len(xi_set(base7_double)) == 7
     assert len(xi_set(base6_mixed)) == 8
-
-
-def test_working_intervals(cantor_diff):
-    assert [w.t for w in working_intervals(cantor_diff)] == [-1, 0]
 
 
 def test_containment_type_equivalence(cantor_diff, base7_double, no_cover):

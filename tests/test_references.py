@@ -19,14 +19,17 @@ against ``subset_successor``.  ``_dense_block_radius`` is the power iteration on
 rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
 base-n digits until a remainder recurs, keeping every remainder it has
 seen, and ``_summed_expansion_value`` adds one ``Fraction`` per digit.
-``_pairs_exact_card`` and ``_pairs_advance`` step raw (scaled offset,
-multiplicity) pairs, one Python iteration per offset and cube weight, and
-key their cycle checks on the digit phase.  The new code must reproduce
-all of them exactly: the same vectors in the same canonical order; on the
-explored vertices, the same vertices, edges, components, reach sets,
-blocks and radii as the whole graph, read through ``graph.vertices``; the
-same ``RadiusResult``; the same ``NadicExpansion`` and value; and the
-same ``CardResult`` and ``SliceState``.
+``_pairs_exact_card`` steps raw (scaled offset, multiplicity) pairs with
+``_step``, one Python iteration per offset and cube weight, and keys its
+cycle checks on the digit phase.  The new code must reproduce all of them
+exactly: the same vectors in the same canonical order; on the explored
+vertices, the same vertices, edges, components, reach sets, blocks and
+radii as the whole graph, read through ``graph.vertices``; the same
+``RadiusResult``; the same ``NadicExpansion`` and value; the same
+``CardResult``; and, one digit at a time, the packed kernel
+``counting._advance`` the same children as ``_step``.  ``kernel_states``
+steps one point's chains with that kernel, as ``exact_card`` does, and
+reads each depth's multiset back as pairs.
 """
 
 from collections import Counter
@@ -40,13 +43,12 @@ from slicekit import (
     ProblemInstance, build_congruent_graph, covering_condition, enumerate_achievable_r,
     nadic_expansion, parse_instance, strong_separation,
 )
-from slicekit.analysis import _VECTOR_CAP, ReachableVector, _reachable_vectors
+from slicekit.analysis import ReachableVector, _reachable_vectors
 from slicekit import counting
 from slicekit.counting import (
-    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, SliceState, advance_state,
-    exact_card, initial_state,
+    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, exact_card,
 )
-from slicekit.errors import TooLarge, WideEnclosure
+from slicekit.errors import WideEnclosure
 from slicekit.graphs import (
     _LOOP_MATRICES, aligned, build_full_graph, build_xi_graph, component_matrix,
     subset_successor,
@@ -93,8 +95,6 @@ def _dense_reachable_vectors(inst, max_r):
                     nxt[child] = cand
         for vec, disc in nxt.items():
             found[vec] = disc
-        if len(found) > _VECTOR_CAP:
-            raise TooLarge(f"more than {_VECTOR_CAP} reachable vectors")
         level = nxt
     return found
 
@@ -554,15 +554,6 @@ def _step(pairs, n, weights, lo, hi):
     return children
 
 
-def _pairs_advance(inst, state):
-    """``advance_state`` on the raw pairs."""
-    q = state.scale
-    children = _step(
-        state.pairs, inst.n, _scaled_weights(inst, q), q * inst.proj_min, q * inst.proj_max
-    )
-    return SliceState(pairs=tuple(sorted(children.items())), scale=q, depth=state.depth + 1)
-
-
 def _pairs_steps(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
     """The raw pairs loop of ``exact_card``, one Python iteration per
     offset and cube weight, keyed on (phase, pairs) and (phase, support).
@@ -665,61 +656,99 @@ def test_exact_card_matches_pairs_reference_random(inst, data, budget, max_depth
     assert exact_card(inst, x, budget, max_depth) == _pairs_exact_card(inst, x, budget, max_depth)
 
 
+def _unpack(vec, mask, r, q, lo, bits):
+    """The (scaled offset, count) pairs of a packed vector whose chains sit
+    at r + q * t, the count at t in the field at t - ``lo``, ascending."""
+    field = (1 << bits) - 1
+    return tuple(
+        (r + q * (lo + j), vec >> bits * j & field)
+        for j in range(mask.bit_length())
+        if mask >> j & 1
+    )
+
+
+def kernel_states(inst, x, depth):
+    """The chain multisets of x at depths 0..``depth``, as (scaled offset,
+    count) pairs: ``counting._advance`` on the instance's digit table, as
+    ``exact_card`` steps it, with no cycle check and no cache, at a field
+    width that holds every count."""
+    x = Fraction(x)
+    n, q, lo = inst.n, x.denominator, inst.proj_min
+    bits = (inst.cube_count**depth).bit_length()
+    table = counting.digit_table(inst, bits)
+    t, r = divmod(x.numerator, q)
+    vec, mask = 1 << bits * (t - lo), 1 << (t - lo)
+    states = [_unpack(vec, mask, r, q, lo, bits)]
+    for _ in range(depth):
+        d, r = divmod(n * r, q)
+        vec, mask, _ = counting._advance(table[d][not r], bits, vec, mask)
+        states.append(_unpack(vec, mask, r, q, lo, bits))
+    return states
+
+
 @st.composite
-def _slice_states(draw):
-    """Any instance and a hand-built state: offsets of any residue mod the
-    scale, some outside the range, repeated, or with multiplicity 0 or past
-    2^64."""
+def _packed_vectors(draw):
+    """Any instance, a scale q of 1-12, a residue r mod q and the counts,
+    0-9 or up to 2^70, of chains at r + q * t for t of the range (t =
+    proj_max only when r = 0)."""
     inst = draw(instances())
     q = draw(st.integers(1, 12))
-    lo, hi = q * inst.proj_min, q * inst.proj_max
-    pairs = draw(
-        st.lists(
-            st.tuples(
-                st.integers(lo - 2 * q, hi + 2 * q),
-                st.integers(0, 9) | st.integers(0, 2**70),
-            ),
+    r = draw(st.integers(0, q - 1))
+    top = inst.proj_max - (r != 0)
+    counts = draw(
+        st.dictionaries(
+            st.integers(inst.proj_min, top),
+            st.integers(0, 9) | st.integers(0, 2**70),
             max_size=8,
         )
     )
-    depth = draw(st.integers(0, 5))
-    return inst, SliceState(pairs=tuple(sorted(pairs)), scale=q, depth=depth)
+    return inst, q, r, counts
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_slice_states())
-def test_advance_state_matches_pairs_reference_random(case):
-    """From the same state, the packed step gives the raw pairs step's child,
-    and so on for three more digits."""
-    inst, state = case
+@given(_packed_vectors())
+def test_advance_matches_pairs_step_random(case):
+    """From the same chains, one residue packed at a field width that holds
+    every count, ``counting._advance`` gives the raw pairs step's children,
+    and so on for three more digits; the children stay on the span + 1
+    fields of [proj_min, proj_max].  Multiplying every count by m
+    multiplies every child's, and the cardinality, by m and keeps the
+    support mask: the cost of a digit does not depend on the number of
+    chains."""
+    inst, q, r, counts = case
+    n, lo, hi = inst.n, inst.proj_min, inst.proj_max
+    weights = _scaled_weights(inst, q)
+    largest = 2**64 * max(sum(counts.values()), 1) * inst.cube_count**4
+    bits = largest.bit_length()
+    table = counting.digit_table(inst, bits)
+    vec = sum(m << bits * (t - lo) for t, m in counts.items())
+    mask = sum(1 << (t - lo) for t in counts)
+    pairs = _unpack(vec, mask, r, q, lo, bits)
     for _ in range(4):
-        child = advance_state(inst, state)
-        assert child == _pairs_advance(inst, state)
-        state = child
+        d, r = divmod(n * r, q)
+        entry = table[d][not r]
+        child, child_mask, card = counting._advance(entry, bits, vec, mask)
+        expected = tuple(sorted(_step(pairs, n, weights, q * lo, q * hi).items()))
+        assert _unpack(child, child_mask, r, q, lo, bits) == expected
+        assert card == sum(m for _, m in expected)
+        assert child_mask >> inst.span + 1 == 0
+        for m in (2, 7, 2**64):
+            assert counting._advance(entry, bits, m * vec, mask) == (m * child, child_mask, m * card)
+        vec, mask, pairs = child, child_mask, expected
 
 
-def test_advance_state_edge_states_match_pairs_reference(cantor_diff, no_cover):
-    """A state emptied on the way stays empty; a state whose offsets lie in
-    two residue classes mod the scale steps as its classes do one by one,
-    here with children of both classes on both child offsets (3 r mod 6 is
-    3 for r = 1 and r = 3)."""
-    state = initial_state(no_cover, Fraction(1, 7))
-    for _ in range(2):
-        state = advance_state(no_cover, state)
-    assert state == SliceState(pairs=(), scale=7, depth=2)
-    assert advance_state(no_cover, state) == SliceState(pairs=(), scale=7, depth=3)
-    assert _pairs_advance(no_cover, state) == SliceState(pairs=(), scale=7, depth=3)
-
-    ones = ((-5, 1), (1, 3))
-    threes = ((-3, 2), (3, 1))
-    mixed = SliceState(pairs=tuple(sorted(ones + threes)), scale=6, depth=2)
-    child = advance_state(cantor_diff, mixed)
-    assert child == _pairs_advance(cantor_diff, mixed)
-    assert child == SliceState(pairs=((-3, 2), (3, 8)), scale=6, depth=3)
-    merged = Counter()
-    for part in (ones, threes):
-        merged.update(dict(advance_state(cantor_diff, mixed._replace(pairs=part)).pairs))
-    assert child.pairs == tuple(sorted(merged.items()))
+def test_advance_keeps_an_emptied_vector_empty(no_cover):
+    """On no_cover every chain of 1/7 has left the range after two digits,
+    and the empty vector steps to the empty vector, as the raw pairs do."""
+    inst, q = no_cover, 7
+    states = kernel_states(inst, Fraction(1, q), 3)
+    assert states[2] == states[3] == ()
+    weights = _scaled_weights(inst, q)
+    pairs = states[0]
+    for state in states[1:]:
+        children = _step(pairs, inst.n, weights, q * inst.proj_min, q * inst.proj_max)
+        pairs = tuple(sorted(children.items()))
+        assert pairs == state
 
 
 # Cube counts 4, 8, 9 and 16: budget * cubes is a power of two on the three
