@@ -228,6 +228,30 @@ def test_advance_state_matches_expanded_reference_random(inst, data):
         assert state == tuple(sorted(scaled.items()))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(instances(), st.data())
+def test_advance_state_scales_with_multiplicity(inst, data):
+    """Multiplying every count of a packed vector by m multiplies every
+    child's count, and the cardinality, by m and keeps the support mask,
+    and the support stays on the span + 1 fields of [proj_min, proj_max]:
+    the cost of a digit does not depend on the number of chains."""
+    x = data.draw(points(inst))
+    n, q, lo = inst.n, x.denominator, inst.proj_min
+    depth = 8
+    bits = (2**64 * inst.cube_count**depth).bit_length()
+    table = counting.digit_table(inst, bits)
+    t, r = divmod(x.numerator, q)
+    vec, mask = 1 << bits * (t - lo), 1 << (t - lo)
+    for _ in range(depth):
+        d, r = divmod(n * r, q)
+        entry = table[d][not r]
+        child, child_mask, card = counting._advance(entry, bits, vec, mask)
+        for m in (2, 7, 2**64):
+            assert counting._advance(entry, bits, m * vec, mask) == (m * child, child_mask, m * card)
+        assert child_mask >> inst.span + 1 == 0
+        vec, mask = child, child_mask
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(counting_instances(), st.data())
 def test_exact_card_matches_expanded_reference_random(inst, data):
