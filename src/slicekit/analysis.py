@@ -19,13 +19,23 @@ computes each derived object on first use and keeps it: the restricted
 graph (with the xi types) and its SCC decomposition, whose blocks every
 restricted-graph verdict reads, the digit matrices and the U1 report;
 covering and separation it reads from the instance's counting record,
-which decides them once.  The multiplicity search computes the aligned
-subsets of each distinct support of its vectors once, builds the subset
-graph once with ``graphs.build_congruent_graph`` on the context's xi
-types, only the part that they reach, since nothing reads any other
-subset, and asks it once for the cycling components each subset reaches.
-It then lists the routes of each r once, in canonical order: a norm-r
-vector, then a residue whose aligned subset reaches a cycling component.
+which decides them once; domination it decides once per distinct block.
+The multiplicity search does its bookkeeping per distinct support of its
+vectors, not per vector: it computes each support's aligned subsets once,
+builds the subset graph once with ``graphs.build_congruent_graph`` on the
+context's xi types, only the part that they reach, since nothing reads
+any other subset, and asks it once for the cycling components each
+subset reaches.  The two graphs share their blocks: the subset graph's
+components of singletons are restricted-graph components, and the search
+lends their certified blocks to the context, whose restricted-graph
+decomposition takes them instead of certifying them again (the other
+way round, every search would decompose the restricted graph, which
+``enumerate-r`` and ``witness`` never read).  Each support's passing
+(residue, subset, cycles) triples and the grid digits whose tails are
+known on it are kept, and every vector reads them; the grid scan stops
+once every r of 1..max_r has its first countable example.  It then lists
+the routes of each r once, in canonical order: a norm-r vector, then a
+residue whose aligned subset reaches a cycling component.
 ``dim_u1`` reads a context; the status of r, whose witness is its first
 route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
 list of a multiplicity search, ``RSearchResult``, which also carries the
@@ -53,7 +63,7 @@ from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import _advance, _record, digit_table, exact_card, expansion_value
+from .counting import _record, digit_table, exact_card, expansion_value
 from .errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -177,6 +187,12 @@ class Analysis:
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.inst = inst
+        # the blocks of restricted-graph components certified before the
+        # decomposition is made, keyed on their smallest position in xi.us
+        self._lent: dict[int, Block] = {}
+        # id of a block's matrix -> (the block, its domination verdict); the
+        # entry holds the block, so no other object takes over its id
+        self._dominated: dict[int, tuple[Block, bool]] = {}
 
     # -- the restricted graph and the unique representations ------------------
 
@@ -186,7 +202,22 @@ class Analysis:
 
     @cached_property
     def xi_scc(self) -> SccDecomposition:
-        return scc(self.xi.succ)
+        return scc(self.xi.succ, self._lent)
+
+    def _lend_blocks(self, graph: CongruentGraph) -> None:
+        """Keep the blocks of the subset graph's components of singletons,
+        each a whole restricted-graph component with the same matrix in the
+        same order, for ``xi_scc`` to take instead of certifying them."""
+        decomposition = graph.scc
+        lent = {}
+        for idx, comp in enumerate(decomposition.components):
+            members = graph.vertices[comp[0]]
+            if len(comp) > 1 and len(members) == 1:
+                lent[members[0]] = _block(decomposition, idx)
+        if lent:
+            for i, u in enumerate(self.xi.us):
+                if u in lent:
+                    self._lent[i] = lent[u]
 
     @property
     def covering(self) -> bool:
@@ -258,7 +289,14 @@ class Analysis:
     def dominated(self, block: Block) -> bool:
         """Is every working interval reachable, inside the restricted
         interval graph, from a component whose radius is at least that of
-        ``block``, a (certified radius, matrix) pair?"""
+        ``block``, a (certified radius, matrix) pair?  Decided once per
+        distinct matrix object."""
+        known = self._dominated.get(id(block[1]))
+        if known is None:
+            known = self._dominated[id(block[1])] = block, self._decide_dominated(block)
+        return known[1]
+
+    def _decide_dominated(self, block: Block) -> bool:
         inst, xi = self.inst, self.xi
         if not xi.vertices:
             return False
@@ -352,14 +390,16 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
-    step of the counting kernel on the instance's digit table
-    (``counting.digit_table``, open rows): a vector is a packed int, a field
-    of (max_r * cubes).bit_length() bits per offset, with its support mask.
-    The n row totals of offset u are packed into one int, ``packed[u]``, a
-    field of the same width per digit, so the n child norms of a vector are
-    the fields of one int sum over its support, and a child past max_r is
-    rejected before it is formed.  No field overflows: a vector has norm at
-    most max_r and a row total is at most the number of cubes.
+    step of the counting kernel (``counting._advance``) on the instance's
+    digit table (``counting.digit_table``, open rows): a vector is a packed
+    int, a field of (max_r * cubes).bit_length() bits per offset, with its
+    support mask.  Each vector's (offset, count) pairs are read off once,
+    and every digit steps from them.  The n row totals of offset u are
+    packed into one int, ``packed[u]``, a field of the same width per digit,
+    so the n child norms of a vector are the fields of one int sum over its
+    support, and a child past max_r is rejected before it is formed.  No
+    field overflows: a vector has norm at most max_r and a row total is at
+    most the number of cubes.
     """
     lo = inst.proj_min
     bits = (max_r * inst.cube_count).bit_length()
@@ -377,7 +417,7 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     while level:
         nxt: dict[int, tuple] = {}
         for vec, (word, i, mask) in sorted(level.items(), key=itemgetter(1)):
-            counts, support, norms = [], [], 0
+            counts, support, pairs, norms = [], [], [], 0
             rest = mask
             while rest:
                 low = rest & -rest
@@ -386,12 +426,18 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
                 c = vec >> bits * u & field
                 counts.append(c)
                 support.append(u + lo)
+                pairs.append((u, c))
                 norms += c * packed[u]
             vectors.append(ReachableVector(tuple(counts), sum(counts), i, word, tuple(support)))
             for j, (rows, shift) in enumerate(shifts):
                 if norms >> shift & field > max_r:
                     continue
-                child, child_mask, _ = _advance(rows, bits, vec, mask)
+                # ``_advance``'s step, on the pairs read off once
+                child = child_mask = 0
+                for u, c in pairs:
+                    row, at, kids, base, _ = rows[u]
+                    child += c * row << at
+                    child_mask |= kids << base
                 cand = (word + (j,), i, child_mask)
                 if child not in found:
                     held += (
@@ -461,16 +507,24 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
         return total
 
     # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
-    # blocked[j]: the p where it is None
+    # blocked[j]: the p where it is None; open_digits[support]: the digits j
+    # whose tails are known on the whole support, once per support
     tails = {
         j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
         for j in range(1, n)
     }
     blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
+    open_digits: dict[tuple[int, ...], list[int]] = {}
     for rv in vectors:
-        for j in range(1, n):
-            if not blocked[j].isdisjoint(rv.support):
-                continue
+        # every later vector could only repeat an r that has its example
+        if len(countable) == max_r:
+            break
+        digits = open_digits.get(rv.support)
+        if digits is None:
+            digits = open_digits[rv.support] = [
+                j for j in tails if blocked[j].isdisjoint(rv.support)
+            ]
+        for j in digits:
             tail = tails[j]
             total = sum([c * tail[p] for p, c in zip(rv.support, rv.counts)])
             if 1 <= total <= max_r and total not in countable:
@@ -478,18 +532,23 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
                     n, rv.integer_part, rv.word + (j,), (0,)
                 )
 
-    # each support's aligned subsets, the subset graph they reach, its cycles
+    # each support's aligned subsets, the subset graph they reach, its cycles,
+    # and each support's passing (residue, subset, cycles) triples
     types = context.xi.types
     subsets = {s: aligned(types, n, [n * p for p in s]) for s in {rv.support for rv in vectors}}
     graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
+    context._lend_blocks(graph)
     cycles = {
         m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
     }
+    passing = {
+        s: [(h, m, cycles[m]) for h, m in pairs if cycles[m]] for s, pairs in subsets.items()
+    }
     routes: dict[int, list[Route]] = {}
     for rv in vectors:
-        passing = [Route(rv, h, m, cycles[m]) for h, m in subsets[rv.support] if cycles[m]]
-        if passing:
-            routes.setdefault(rv.norm, []).extend(passing)
+        triples = passing[rv.support]
+        if triples:
+            routes.setdefault(rv.norm, []).extend([Route(rv, *triple) for triple in triples])
     statuses: dict[int, RStatus] = {}
     for r in sorted({rv.norm for rv in vectors} | countable.keys()):
         if r in routes:
@@ -546,9 +605,10 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
         return report, None
     decomposition = search.graph.scc
     n = search.analysis.inst.n
-    # each distinct subset's first maximal component, in route order
-    reached = {route.subset: route.cycles for route in search.routes[r]}
-    tops = [_top(decomposition, cycles) for cycles in reached.values()]
+    # the first maximal component of each distinct set of cycles reached,
+    # in route order; routes with one subset reach one set
+    reached = dict.fromkeys(route.cycles for route in search.routes[r])
+    tops = [_top(decomposition, cycles) for cycles in reached]
     candidates = {_log_over_log_n(decomposition.radii[top].estimate, n) for top in tops}
     best = _top(decomposition, tops)
     block = _block(decomposition, best)

@@ -167,21 +167,26 @@ def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fracti
 def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple[int, ...]:
     """e_i T_{j1} ... T_{jk} for the expansion of a non-boundary x; the
     entries are the depth-k chain counts per unit offset, their sum the
-    number of depth-k cubes meeting the slice."""
+    number of depth-k cubes meeting the slice.  Each digit steps the live
+    offsets only, along their rows of T_j (``lattice.children``, kept below
+    proj_max), so no matrix is formed."""
     if not _record(inst).covering:
         raise CoveringRequired("the depth-1 projections must cover the full range")
     exp = nadic_expansion(inst, x)
     if exp.boundary:
         raise BoundaryPoint(f"{x} is a base-{inst.n} boundary point")
-    mats = transition_matrices(inst)
-    span = inst.span
-    vec = [0] * span
-    vec[exp.integer_part - inst.proj_min] = 1
+    lo, hi = inst.proj_min, inst.proj_max
+    live = {exp.integer_part: 1}
     for j in exp.digits(k):
-        rows = mats[j].entries
-        vec = [
-            sum(vec[u] * rows[u][v] for u in range(span)) for v in range(span)
-        ]
+        step: dict[int, int] = {}
+        for u, m in live.items():
+            for v, count in children(inst, j, u):
+                if v < hi:
+                    step[v] = step.get(v, 0) + m * count
+        live = step
+    vec = [0] * inst.span
+    for v, m in live.items():
+        vec[v - lo] = m
     return tuple(vec)
 
 
@@ -431,6 +436,13 @@ def exact_card(
         depth += 1
 
 
+# Most float64 entries ``lyapunov_estimate`` may hold in dense arrays: the n
+# span x span digit matrices and, per digit step, one span x span matrix per
+# sample of a block.  2**24 floats are 128 MiB; n=3 with blocks of 256
+# samples fits up to span 254, and span 601 would ask for 705 MiB per step.
+_LYAPUNOV_FLOATS = 2**24
+
+
 def lyapunov_estimate(
     inst: ProblemInstance, samples: int, depth: int, seed: int
 ) -> tuple[float, float]:
@@ -451,6 +463,15 @@ def lyapunov_estimate(
     # past either cap, one block's int64 digits or the per-sample array pass 128 MiB
     if depth > 2**16 or samples > 2**24:
         raise TooLarge(f"need depth <= 2**16, samples <= 2**24; got {depth}, {samples}")
+    span = inst.span
+    block_size = 256
+    # the n dense digit matrices and one block's matrices per step, as floats
+    floats = (inst.n + min(samples, block_size)) * span**2
+    if floats > _LYAPUNOV_FLOATS:
+        raise TooLarge(
+            f"the dense digit matrices and one block's products need {floats} floats, "
+            f"more than {_LYAPUNOV_FLOATS}"
+        )
     # imported here, the one place that needs it, to keep `import slicekit` light
     import numpy as np
 
@@ -458,8 +479,6 @@ def lyapunov_estimate(
         [[list(row) for row in m.entries] for m in transition_matrices(inst)],
         dtype=np.float64,
     )
-    span = inst.span
-    block_size = 256
     per_sample = np.empty(samples, dtype=np.float64)
     for block_start in range(0, samples, block_size):
         block = min(block_size, samples - block_start)

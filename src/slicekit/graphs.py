@@ -26,13 +26,21 @@ holds.  A successor-closed vertex set is a union of whole strongly
 connected components, so the components, radii, reach sets and cycling
 flags it yields are those of the whole subset graph restricted to it.
 
+The two graphs share their blocks: a singleton subset's successors are
+the singletons of its restricted-graph edges, and a singleton never
+reaches a larger subset, so each component of singletons is a whole
+restricted-graph component, with the same matrix in the same order.
+``scc`` takes the blocks its caller already holds, keyed on a component's
+smallest vertex, instead of certifying them again.
+
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
 the set of components each one reaches (read off Tarjan's emission order)
 and each component's block, its 0-1 matrix with a certified radius.  A
 single vertex's block is its loop bit, 0 or 1, so only components of two
-or more vertices build a matrix and go through ``block_radius``; in subset
-graphs nearly all components are single vertices.  The restricted graph is
+or more vertices build a matrix and go through ``block_radius``, unless the
+caller hands their block in; in subset graphs nearly all components are
+single vertices.  The restricted graph is
 decomposed on positions in ``xi.us``, its matrix index.
 """
 
@@ -91,8 +99,13 @@ class XiGraph:
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        size = range(len(self.succ))
-        return tuple(tuple(int(j in targets) for j in size) for targets in self.succ)
+        rows = []
+        for targets in self.succ:
+            row = [0] * len(self.succ)
+            for j in targets:
+                row[j] = 1
+            rows.append(tuple(row))
+        return tuple(rows)
 
 
 class SccDecomposition(NamedTuple):
@@ -152,8 +165,13 @@ def build_full_graph(inst: ProblemInstance) -> FullGraph:
 def aligned(types: Mapping[int, int], n: int, base: Sequence[int]) -> list[tuple]:
     """(h, base + h), h ascending, for each residue h whose image, every
     member of ``base`` plus h, is uniquely covered (a key of ``types``)."""
-    images = [(h, tuple([b + h for b in base])) for h in range(n)]
-    return [(h, image) for h, image in images if all(map(types.__contains__, image))]
+    # the residues still passing, narrowed one member at a time
+    passing = range(n)
+    for b in base:
+        passing = [h for h in passing if b + h in types]
+        if not passing:
+            return []
+    return [(h, tuple([b + h for b in base])) for h in passing]
 
 
 def build_xi_graph(inst: ProblemInstance) -> XiGraph:
@@ -225,13 +243,17 @@ def component_matrix(adjacency: Mapping | Sequence, comp) -> list[list[int]]:
     return sub
 
 
-def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
+def scc(
+    succ: Sequence[Sequence[int]], known: Mapping[int, tuple[RadiusResult, Matrix]] | None = None
+) -> SccDecomposition:
     """Strongly connected components of the graph on vertices 0..V-1 whose
     successor table is ``succ``, with the components each one reaches and
     the block of each component: its 0-1 adjacency matrix and certified
     spectral radius.  A single vertex's block is its loop bit, one shared
     matrix and ``RadiusResult`` for 0 and one for 1; only blocks of two or
-    more vertices are built and run through ``block_radius``."""
+    more vertices are built and run through ``block_radius``, unless
+    ``known`` already holds the (radius, matrix) block of the component,
+    keyed on its smallest vertex."""
     emitted = strongly_connected_components(succ)
     # only components of two or more vertices need sorting
     for comp in emitted:
@@ -256,8 +278,11 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
         reach[idx] = frozenset(reached)
         if len(comp) > 1:
             cycling.append(idx)
-            matrices[idx] = component_matrix(succ, comp)
-            radii[idx] = block_radius(matrices[idx], range(len(comp)))
+            block = known.get(comp[0]) if known else None
+            if block is None:
+                matrix = component_matrix(succ, comp)
+                block = block_radius(matrix, range(len(comp))), matrix
+            radii[idx], matrices[idx] = block
         elif comp[0] in succ[comp[0]]:
             cycling.append(idx)
             radii[idx], matrices[idx] = _LOOP_RADII[1], _LOOP_MATRICES[1]

@@ -19,8 +19,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import OutOfRange
+from .errors import OutOfRange, TooLarge
 from .instance import ProblemInstance
+
+
+# Most integer intervals, n * span, whose types ``xi_types`` finds.  The
+# restricted graph of n=3 at span 20001 (60003 intervals) peaks near 280 MiB.
+_INTERVAL_CAP = 2**16
 
 
 class IntegerInterval(NamedTuple):
@@ -156,6 +161,12 @@ def unique_type(inst: ProblemInstance, u: int) -> int | None:
 
 
 def xi_types(inst: ProblemInstance) -> dict[int, int]:
-    """u -> its unique type, for every uniquely covered interval."""
+    """u -> its unique type, for every uniquely covered interval.  Raises
+    TooLarge, before any interval is typed, when the range has more than
+    _INTERVAL_CAP integer intervals."""
+    if inst.n * inst.span > _INTERVAL_CAP:
+        raise TooLarge(
+            f"the range has {inst.n * inst.span} integer intervals, more than {_INTERVAL_CAP}"
+        )
     typed = ((u, unique_type(inst, u)) for u in u_range(inst))
     return {u: t for u, t in typed if t is not None}

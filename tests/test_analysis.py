@@ -16,7 +16,7 @@ from slicekit import (
     witness_ur,
 )
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
-from slicekit.analysis import _MAX_R, Analysis, _witness_candidates
+from slicekit.analysis import _MAX_R, Analysis, _block, _witness_candidates
 from slicekit.errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -93,7 +93,8 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
     packed vector and support mask, 64 bits per word digit and per support
     entry twice, and _RECORD_BITS.  It passes at a bound equal to that
     recount over every record and is refused one bit below; a bound below
-    the unit vectors' records refuses before any vector is stepped."""
+    the unit vectors' records refuses before the digit table is read, so
+    before any vector is stepped."""
     for inst, max_r in ((cantor_double_diff, 6), (cantor_diff, 40)):
         full = analysis._reachable_vectors(inst, max_r)
         bits = (max_r * inst.cube_count).bit_length()
@@ -114,7 +115,7 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
         units = [rv for rv in full if not rv.word]
         assert len(units) == inst.span
         monkeypatch.setattr(analysis, "_VECTOR_BITS", inst.span * analysis._RECORD_BITS)
-        monkeypatch.setattr(analysis, "_advance", None)  # never called
+        monkeypatch.setattr(analysis, "digit_table", None)  # never read
         with pytest.raises(TooLarge, match="records pass"):
             analysis._reachable_vectors(inst, max_r)
         monkeypatch.undo()
@@ -385,7 +386,10 @@ def test_report_lists_every_status_and_no_vectors(name):
 @pytest.mark.parametrize("name", ["span17"] + _COVERING)
 def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     """During ``build_report``, ``scc`` builds the block of each component
-    of two or more vertices once and nothing builds one again; the search
+    of two or more vertices once and nothing builds one again: the subset
+    graph builds all of its own, and the restricted graph takes each block
+    of a component that the subset graph holds as a component of
+    singletons, the same radius and matrix objects; the search
     asks the subset graph for the cycles of each distinct aligned subset of
     its vectors once, and its routes take their subsets and cycles from
     those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
@@ -426,9 +430,21 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     # the restricted graph, and the subset graph when the search runs
     decompositions = [d for _, _, d in calls["scc"]]
     assert len(decompositions) == 1 + len(calls["search"])
-    assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(
-        comp for d in decompositions for comp in d.components if len(comp) > 1
-    )
+    built = [comp for d in decompositions for comp in d.components if len(comp) > 1]
+    for _, _, search in calls["search"]:
+        xi, restricted, graph = search.analysis.xi, search.analysis.xi_scc, search.graph
+        singletons = {
+            tuple(xi.us.index(graph.vertices[v][0]) for v in comp): i
+            for i, comp in enumerate(graph.scc.components)
+            if len(comp) > 1 and len(graph.vertices[comp[0]]) == 1
+        }
+        for i, comp in enumerate(restricted.components):
+            if comp in singletons:
+                built.remove(comp)
+                lent = _block(graph.scc, singletons[comp])
+                assert _block(restricted, i)[0] is lent[0]
+                assert _block(restricted, i)[1] is lent[1]
+    assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(built)
     assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
     for _, _, search in calls["search"]:
         subsets = {subset for _, _, subset in _aligned(search)}
@@ -437,6 +453,27 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         for routes in search.routes.values():
             for route in routes:
                 assert route.cycles == tuple(sorted(asked[route.subset]))
+
+
+def test_report_certifies_each_restricted_block_once(monkeypatch):
+    """On the scaled n7 instance the restricted graph has one component of
+    two or more vertices, 23 of them, and the search's subset graph reaches
+    it as a component of singletons: one ``build_report`` runs
+    ``block_radius`` on its matrix once, not once per graph."""
+    inst = parse_instance(SCALED["n7"][0])
+    restricted = Analysis(inst).xi_scc
+    blocks = [[list(row) for row in matrix] for matrix in restricted.matrices]
+    blocks = [matrix for matrix in blocks if len(matrix) > 1]
+    assert [len(matrix) for matrix in blocks] == [23]
+    certified = []
+
+    def spy(rows, verts, *args):
+        certified.append([[rows[a][b] for b in verts] for a in verts])
+        return block_radius(rows, verts, *args)
+
+    monkeypatch.setattr(graphs, "block_radius", spy)
+    report.build_report(inst)
+    assert [certified.count(matrix) for matrix in blocks] == [1]
 
 
 @pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)

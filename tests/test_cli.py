@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from slicekit import parse_instance
+from slicekit import counting, parse_instance
 from slicekit.analysis import enumerate_achievable_r
 from slicekit.cli import _check_printable, main
 from slicekit.render import render_grid
@@ -523,6 +523,64 @@ def test_search_records_refused_within_512_mib(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
         assert "records pass 3221225472 bits" in proc.stderr, argv
+
+
+def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
+    """`lyapunov` forms dense float digit matrices, n * span**2 entries,
+    and one block's matrices per step, block * span**2; `dim-u1` types
+    every one of the range's n * span integer intervals.  On n=3, {0,2}^2,
+    coefficients (-c, c + 1), these calls ended in a MemoryError (exit 4)
+    under 512 MiB of address space: `lyapunov` at spans 601, 2001 and
+    2 * 10^12 + 1, `dim-u1` at the last.  Each child now stops at its cap,
+    TooLarge, exit 3, with nothing on stdout, within that limit and 60 s."""
+    docs = {}
+    for c in (300, 1000, 10**12):
+        docs[c] = tmp_path / f"span{2 * c + 1}.json"
+        docs[c].write_text(json.dumps(
+            {"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-c, c + 1]}
+        ))
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv, message in (
+        (("lyapunov", docs[300], "--samples", "1000", "--depth", "100"),
+         "need 93551059 floats, more than 16777216"),
+        (("lyapunov", docs[1000], "--samples", "1000000", "--depth", "1000"),
+         "need 1037036259 floats, more than 16777216"),
+        (("lyapunov", docs[10**12], "--samples", "10", "--depth", "10"),
+         "floats, more than 16777216"),
+        (("dim-u1", docs[10**12]), "6000000000003 integer intervals, more than 65536"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicekit", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
+        assert message in proc.stderr, argv
+
+
+def test_dense_cap_counts_one_block(capsys, tmp_path, monkeypatch):
+    """The float cap counts the n digit matrices and a block of
+    min(samples, 256) samples, span**2 floats each: a run needing exactly
+    the cap goes ahead, one float more is refused before numpy allocates,
+    and fewer samples than a block need less."""
+    path = tmp_path / "span9.json"
+    path.write_text('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-4, 5]}')
+    monkeypatch.setattr(counting, "_LYAPUNOV_FLOATS", (3 + 256) * 9**2)
+    for samples, code in ((300, 0), (256, 0), (10, 0)):
+        argv = ("lyapunov", path, "--samples", samples, "--depth", 2)
+        assert run(capsys, *argv)[0] == code, samples
+    monkeypatch.setattr(counting, "_LYAPUNOV_FLOATS", (3 + 256) * 9**2 - 1)
+    code, out, err = run(capsys, "lyapunov", path, "--samples", 256, "--depth", 2)
+    assert (code, out) == (3, "") and "need 20979 floats, more than 20978" in err
+    assert run(capsys, "lyapunov", path, "--samples", 255, "--depth", 2)[0] == 0
 
 
 def test_internal_errors_exit_4(tmp_path, capsys, monkeypatch):

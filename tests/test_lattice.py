@@ -10,9 +10,10 @@ from slicekit import (
     type_assignment,
     xi_set,
 )
-from slicekit.errors import OutOfRange
+from slicekit import lattice
+from slicekit.errors import OutOfRange, TooLarge
 from slicekit.instance import ProblemInstance
-from slicekit.lattice import interval_type_counts, make_interval
+from slicekit.lattice import interval_type_counts, make_interval, xi_types
 
 
 def test_interval_counts(cantor_diff, cantor_double_diff):
@@ -84,6 +85,18 @@ def test_xi_sets(cantor_diff, cantor_sum, base7_double, base6_mixed):
     assert [iv.display_label for iv in xi_set(cantor_sum)] == [0, 1, 4, 5]
     assert len(xi_set(base7_double)) == 7
     assert len(xi_set(base6_mixed)) == 8
+
+
+def test_xi_types_refuses_past_the_interval_cap(cantor_diff, monkeypatch):
+    """``xi_types`` refuses a range of more than _INTERVAL_CAP integer
+    intervals, n * span, with TooLarge before it types any; cantor_diff
+    has 6, and unique_type is never asked past the cap."""
+    monkeypatch.setattr(lattice, "_INTERVAL_CAP", 6)
+    assert xi_types(cantor_diff) == {-3: -1, -2: 0, 1: -1, 2: 0}
+    monkeypatch.setattr(lattice, "_INTERVAL_CAP", 5)
+    monkeypatch.setattr(lattice, "unique_type", None)  # never called
+    with pytest.raises(TooLarge, match="the range has 6 integer intervals, more than 5"):
+        xi_types(cantor_diff)
 
 
 def test_containment_type_equivalence(cantor_diff, base7_double, no_cover):

@@ -3,7 +3,12 @@ power iteration, the expansion lengths and the packed counting kernel
 against the constructions they replaced, written out here.
 
 ``_dense_reachable_vectors`` forms every product e_i T_{j1} ... T_{jk} as a
-full span x span vector-matrix product.  ``_tuple_subset_graph`` enumerates
+full span x span vector-matrix product, and ``_dense_cube_count_vector``
+one point's product the same way.  ``_per_vector_search`` classifies the
+multiplicities with loops that visit every vector: each vector's grid
+digits and aligned subsets are worked out for it alone, the grid scan runs
+to the last vector, and the subset graph certifies all of its own blocks.
+``_tuple_subset_graph`` enumerates
 every subset of every residue class as sorted member tuples, takes edges
 from ``subset_successor`` and finds components by Kosaraju's two passes;
 ``_assert_restriction`` builds the block of each component it compares,
@@ -22,7 +27,8 @@ seen, and ``_summed_expansion_value`` adds one ``Fraction`` per digit.
 ``_pairs_exact_card`` steps raw (scaled offset, multiplicity) pairs with
 ``_step``, one Python iteration per offset and cube weight, and keys its
 cycle checks on the digit phase.  The new code must reproduce all of them
-exactly: the same vectors in the same canonical order; on the explored
+exactly: the same vectors in the same canonical order; the same routes,
+statuses and subset graph from the search; on the explored
 vertices, the same vertices, edges, components, reach sets, blocks and
 radii as the whole graph, read through ``graph.vertices``; the same
 ``RadiusResult``; the same ``NadicExpansion`` and value; the same
@@ -40,15 +46,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    ProblemInstance, build_congruent_graph, covering_condition, enumerate_achievable_r,
-    nadic_expansion, parse_instance, strong_separation,
+    ProblemInstance, build_congruent_graph, covering_condition, cube_count_vector,
+    enumerate_achievable_r, nadic_expansion, parse_instance, strong_separation,
 )
-from slicekit.analysis import ReachableVector, _reachable_vectors
+from slicekit.analysis import ReachableVector, Route, RStatus, _reachable_vectors
 from slicekit import counting
 from slicekit.counting import (
-    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, exact_card,
+    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, exact_card, expansion_value,
 )
-from slicekit.errors import WideEnclosure
+from slicekit.errors import BoundaryPoint, WideEnclosure
 from slicekit.graphs import (
     _LOOP_MATRICES, aligned, build_full_graph, build_xi_graph, component_matrix,
     subset_successor,
@@ -99,15 +105,15 @@ def _dense_reachable_vectors(inst, max_r):
     return found
 
 
-def _assert_same_vectors(inst, max_r):
-    # as ordered records: the canonical order (len(word), word, i) is part of
-    # the contract
+def _dense_records(inst, max_r):
+    """The dense products as ordered records: the canonical order
+    (len(word), word, i) is part of the contract."""
     dense = sorted(
         _dense_reachable_vectors(inst, max_r).items(),
         key=lambda kv: (len(kv[1][0]), kv[1][0], kv[1][1]),
     )
     offsets = range(inst.proj_min, inst.proj_max)
-    assert _reachable_vectors(inst, max_r) == tuple(
+    return tuple(
         ReachableVector(
             tuple(c for c in vec if c),
             sum(vec),
@@ -117,6 +123,10 @@ def _assert_same_vectors(inst, max_r):
         )
         for vec, (word, i) in dense
     )
+
+
+def _assert_same_vectors(inst, max_r):
+    assert _reachable_vectors(inst, max_r) == _dense_records(inst, max_r)
 
 
 def test_sparse_vectors_match_dense_bundled():
@@ -129,6 +139,85 @@ def test_sparse_vectors_match_dense_bundled():
 @given(counting_instances(), st.integers(1, 8))
 def test_sparse_vectors_match_dense_random(inst, max_r):
     _assert_same_vectors(inst, max_r)
+
+
+def _per_vector_search(inst, max_r, vectors):
+    """The routes and statuses of the multiplicity search on ``vectors``,
+    by loops that visit every vector: each vector's open grid digits and
+    aligned subsets are worked out for that vector alone, the grid scan
+    runs to the last vector, and the subset graph is built with no blocks
+    lent from the restricted graph."""
+    n, lo, hi = inst.n, inst.proj_min, inst.proj_max
+    gamma = {}
+    for p in range(lo, hi + 1):
+        res = exact_card(inst, Fraction(p), budget=max_r)
+        gamma[p] = res.count if res.verdict == "Finite" else None
+    countable = {}
+    for p, g in sorted(gamma.items()):
+        if g is not None and 1 <= g <= max_r and g not in countable:
+            countable[g] = Fraction(p)
+    for rv in vectors:
+        for j in range(1, n):
+            kids = [children(inst, j, p) for p in rv.support]
+            if any(gamma[child] is None for pairs in kids for child, _ in pairs):
+                continue
+            total = sum(
+                c * sum(k * gamma[child] for child, k in pairs)
+                for c, pairs in zip(rv.counts, kids)
+            )
+            if 1 <= total <= max_r and total not in countable:
+                countable[total] = expansion_value(n, rv.integer_part, rv.word + (j,), (0,))
+    types = xi_types(inst)
+    per_vector = [(rv, aligned(types, n, [n * p for p in rv.support])) for rv in vectors]
+    graph = build_congruent_graph(types, n, {m for _, pairs in per_vector for _, m in pairs})
+    routes = {}
+    for rv, pairs in per_vector:
+        for h, m in pairs:
+            cycles = tuple(sorted(graph.cycles_reached(m)))
+            if cycles:
+                routes.setdefault(rv.norm, []).append(Route(rv, h, m, cycles))
+    statuses = {}
+    for r in sorted({rv.norm for rv in vectors} | countable.keys()):
+        if r in routes:
+            statuses[r] = RStatus(r, "Achievable", routes[r][0], None)
+        else:
+            statuses[r] = RStatus(r, "OnlyOnCountableSet", None, countable.get(r))
+    return graph, {r: tuple(routes[r]) for r in sorted(routes)}, statuses
+
+
+def _assert_per_support_search(inst, max_r):
+    """The search does its bookkeeping once per support and lends the
+    restricted graph's blocks to its subset graph; it must give the dense
+    products' vectors, and the routes, statuses and subset graph of the
+    per-vector loops."""
+    search = enumerate_achievable_r(inst, max_r)
+    assert search.vectors == _dense_records(inst, max_r)
+    graph, routes, statuses = _per_vector_search(inst, max_r, search.vectors)
+    assert search.routes == routes
+    assert search.statuses == statuses
+    assert search.graph == graph
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 8))
+def test_per_support_search_matches_per_vector_loops_random(inst, max_r):
+    if all(strong_separation(inst)):
+        _assert_per_support_search(inst, max_r)
+
+
+@pytest.mark.parametrize("label", ["cantor_diff", "span13", "n5", "n7", "l3"])
+def test_per_support_search_matches_per_vector_loops(label):
+    _assert_per_support_search(_count_instance(label), 6)
+
+
+def test_grid_scan_stops_only_when_every_r_has_an_example():
+    """On n=3, {0,2}^2, coefficients (3, 1), at max_r 3, r = 3 occurs only
+    on the grid, and the scan finds it after the examples of r = 1 and 2:
+    a scan that stopped one example short would call it NotReachable."""
+    inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(3, 1))
+    _assert_per_support_search(inst, 3)
+    status = enumerate_achievable_r(inst, 3).status(3)
+    assert (status.status, status.countable_example) == ("OnlyOnCountableSet", Fraction(2, 3))
 
 
 @pytest.mark.parametrize("name", ["base7_double", "l3", "l4", "n5"])
@@ -470,6 +559,36 @@ def _long_division_expansion(inst, x):
         seen[p] = len(digits)
         d, p = divmod(n * p, q)
         digits.append(d)
+
+
+def _dense_cube_count_vector(inst, x, k):
+    """e_i T_{j1} ... T_{jk} as k dense vector-matrix products on the n
+    digit matrices."""
+    exp = nadic_expansion(inst, x)
+    mats = transition_matrices(inst)
+    span = inst.span
+    vec = [0] * span
+    vec[exp.integer_part - inst.proj_min] = 1
+    for j in exp.digits(k):
+        rows = mats[j].entries
+        vec = [sum(vec[u] * rows[u][v] for u in range(span)) for v in range(span)]
+    return tuple(vec)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(counting_instances(), st.data())
+def test_cube_count_vector_matches_dense_products(inst, data):
+    """``cube_count_vector`` steps only the live offsets along their rows;
+    it must give the dense product e_i T_{j1} ... T_{jk} at every depth,
+    and refuse a boundary point."""
+    q = data.draw(st.integers(2, 60))
+    x = Fraction(data.draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+    k = data.draw(st.integers(0, 8))
+    if nadic_expansion(inst, x).boundary:
+        with pytest.raises(BoundaryPoint):
+            cube_count_vector(inst, x, k)
+        return
+    assert cube_count_vector(inst, x, k) == _dense_cube_count_vector(inst, x, k)
 
 
 @st.composite
