@@ -63,9 +63,9 @@ from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import _record, digit_table, exact_card, expansion_value
+from .counting import _advance, _record, digit_table, exact_card, expansion_value
 from .errors import (
-    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
+    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from .graphs import (
     CongruentGraph, SccDecomposition, XiGraph, aligned, build_congruent_graph, build_xi_graph, scc,
@@ -208,6 +208,9 @@ class Analysis:
         """Keep the blocks of the subset graph's components of singletons,
         each a whole restricted-graph component with the same matrix in the
         same order, for ``xi_scc`` to take instead of certifying them."""
+        # xi_scc takes the blocks only if it is read after this
+        if "xi_scc" in self.__dict__:
+            raise InternalError("blocks lent after the restricted graph was decomposed")
         decomposition = graph.scc
         lent = {}
         for idx, comp in enumerate(decomposition.components):
@@ -390,16 +393,14 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
-    step of the counting kernel (``counting._advance``) on the instance's
-    digit table (``counting.digit_table``, open rows): a vector is a packed
-    int, a field of (max_r * cubes).bit_length() bits per offset, with its
-    support mask.  Each vector's (offset, count) pairs are read off once,
-    and every digit steps from them.  The n row totals of offset u are
-    packed into one int, ``packed[u]``, a field of the same width per digit,
-    so the n child norms of a vector are the fields of one int sum over its
-    support, and a child past max_r is rejected before it is formed.  No
-    field overflows: a vector has norm at most max_r and a row total is at
-    most the number of cubes.
+    step of the counting kernel on the instance's digit table
+    (``counting.digit_table``, open rows): a vector is a packed int, a field
+    of (max_r * cubes).bit_length() bits per offset, with its support mask.
+    The n row totals of offset u are packed into one int, ``packed[u]``, a
+    field of the same width per digit, so the n child norms of a vector are
+    the fields of one int sum over its support, and a child past max_r is
+    rejected before it is formed.  No field overflows: a vector has norm at
+    most max_r and a row total is at most the number of cubes.
     """
     lo = inst.proj_min
     bits = (max_r * inst.cube_count).bit_length()
@@ -417,7 +418,7 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     while level:
         nxt: dict[int, tuple] = {}
         for vec, (word, i, mask) in sorted(level.items(), key=itemgetter(1)):
-            counts, support, pairs, norms = [], [], [], 0
+            counts, support, norms = [], [], 0
             rest = mask
             while rest:
                 low = rest & -rest
@@ -426,18 +427,12 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
                 c = vec >> bits * u & field
                 counts.append(c)
                 support.append(u + lo)
-                pairs.append((u, c))
                 norms += c * packed[u]
             vectors.append(ReachableVector(tuple(counts), sum(counts), i, word, tuple(support)))
             for j, (rows, shift) in enumerate(shifts):
                 if norms >> shift & field > max_r:
                     continue
-                # ``_advance``'s step, on the pairs read off once
-                child = child_mask = 0
-                for u, c in pairs:
-                    row, at, kids, base, _ = rows[u]
-                    child += c * row << at
-                    child_mask |= kids << base
+                child, child_mask, _ = _advance(rows, bits, vec, mask)
                 cand = (word + (j,), i, child_mask)
                 if child not in found:
                     held += (

@@ -70,7 +70,6 @@ from .errors import (
 )
 from .instance import ProblemInstance
 from .lattice import children, covering_condition, strong_separation
-from .spectral import transition_matrices
 
 DEFAULT_BUDGET = 4096
 
@@ -437,9 +436,10 @@ def exact_card(
 
 
 # Most float64 entries ``lyapunov_estimate`` may hold in dense arrays: the n
-# span x span digit matrices and, per digit step, one span x span matrix per
-# sample of a block.  2**24 floats are 128 MiB; n=3 with blocks of 256
-# samples fits up to span 254, and span 601 would ask for 705 MiB per step.
+# span x span digit matrices, filled in place from ``lattice.children``, and,
+# per digit step, one span x span matrix per sample of a block.  These arrays
+# are its peak; 2**24 floats are 128 MiB.  n=3 with blocks of 256 samples
+# fits up to span 254, and span 601 would ask for 705 MiB per step.
 _LYAPUNOV_FLOATS = 2**24
 
 
@@ -475,10 +475,14 @@ def lyapunov_estimate(
     # imported here, the one place that needs it, to keep `import slicekit` light
     import numpy as np
 
-    mats = np.array(
-        [[list(row) for row in m.entries] for m in transition_matrices(inst)],
-        dtype=np.float64,
-    )
+    # the digit matrices (``spectral.transition_matrices``), with no int copy
+    lo, hi = inst.proj_min, inst.proj_max
+    mats = np.zeros((inst.n, span, span), dtype=np.float64)
+    for j in range(inst.n):
+        for u in range(lo, hi):
+            for v, count in children(inst, j, u):
+                if v < hi:
+                    mats[j, u - lo, v - lo] = count
     per_sample = np.empty(samples, dtype=np.float64)
     for block_start in range(0, samples, block_size):
         block = min(block_size, samples - block_start)
@@ -490,8 +494,11 @@ def lyapunov_estimate(
         vecs = np.zeros((block, span), dtype=np.float64)
         vecs[np.arange(block), starts] = 1.0
         acc = np.zeros(block, dtype=np.float64)
+        # each step's matrices, written in place so one block's set is live
+        step = np.empty((block, span, span), dtype=np.float64)
         for k in range(depth):
-            step = mats[digits[:, k]]
+            # "clip" leaves ``out`` unbuffered; every digit is below n
+            np.take(mats, digits[:, k], axis=0, out=step, mode="clip")
             vecs = np.einsum("bu,buv->bv", vecs, step)
             norms = vecs.sum(axis=1)
             acc += np.log(norms)

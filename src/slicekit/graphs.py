@@ -99,13 +99,8 @@ class XiGraph:
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        for targets in self.succ:
-            row = [0] * len(self.succ)
-            for j in targets:
-                row[j] = 1
-            rows.append(tuple(row))
-        return tuple(rows)
+        size = range(len(self.succ))
+        return tuple(tuple(int(j in targets) for j in size) for targets in self.succ)
 
 
 class SccDecomposition(NamedTuple):

@@ -23,8 +23,12 @@ from .errors import OutOfRange, TooLarge
 from .instance import ProblemInstance
 
 
-# Most integer intervals, n * span, whose types ``xi_types`` finds.  The
-# restricted graph of n=3 at span 20001 (60003 intervals) peaks near 280 MiB.
+# Most integer intervals, n * span, whose types ``xi_types`` finds.  What
+# follows grows faster than the interval count: on n=3, {0,2}^2, `dim-u1`
+# peaks at 119 MiB for 30003 intervals, 279 MiB for 60003 and 498 MiB for
+# 84003, and `witness --r 1` at 150, 336 and 454 MiB for 30003, 60003 and
+# 72003, running out of 512 MiB at 84003.  At the cap the two peak at 331
+# and 392 MiB, inside 512 MiB with room for instances that cost more.
 _INTERVAL_CAP = 2**16
 
 

@@ -18,7 +18,8 @@ from slicekit import (
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
 from slicekit.analysis import _MAX_R, Analysis, _block, _witness_candidates
 from slicekit.errors import (
-    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
+    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange,
+    TooLarge,
 )
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
@@ -93,8 +94,7 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
     packed vector and support mask, 64 bits per word digit and per support
     entry twice, and _RECORD_BITS.  It passes at a bound equal to that
     recount over every record and is refused one bit below; a bound below
-    the unit vectors' records refuses before the digit table is read, so
-    before any vector is stepped."""
+    the unit vectors' records refuses before any vector is stepped."""
     for inst, max_r in ((cantor_double_diff, 6), (cantor_diff, 40)):
         full = analysis._reachable_vectors(inst, max_r)
         bits = (max_r * inst.cube_count).bit_length()
@@ -115,7 +115,7 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
         units = [rv for rv in full if not rv.word]
         assert len(units) == inst.span
         monkeypatch.setattr(analysis, "_VECTOR_BITS", inst.span * analysis._RECORD_BITS)
-        monkeypatch.setattr(analysis, "digit_table", None)  # never read
+        monkeypatch.setattr(analysis, "_advance", None)  # never called
         with pytest.raises(TooLarge, match="records pass"):
             analysis._reachable_vectors(inst, max_r)
         monkeypatch.undo()
@@ -474,6 +474,19 @@ def test_report_certifies_each_restricted_block_once(monkeypatch):
     monkeypatch.setattr(graphs, "block_radius", spy)
     report.build_report(inst)
     assert [certified.count(matrix) for matrix in blocks] == [1]
+
+
+def test_blocks_lent_after_the_decomposition_are_refused():
+    """The restricted graph's decomposition takes lent blocks only when it
+    is made after the search lends them; lending to a context that has
+    made it already raises InternalError instead of leaving the blocks to
+    be certified twice."""
+    inst = parse_instance(SCALED["n7"][0])
+    graph = enumerate_achievable_r(inst, 2).graph
+    context = Analysis(inst)
+    context.xi_scc
+    with pytest.raises(InternalError, match="lent after"):
+        context._lend_blocks(graph)
 
 
 @pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)

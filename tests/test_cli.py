@@ -532,9 +532,13 @@ def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
     coefficients (-c, c + 1), these calls ended in a MemoryError (exit 4)
     under 512 MiB of address space: `lyapunov` at spans 601, 2001 and
     2 * 10^12 + 1, `dim-u1` at the last.  Each child now stops at its cap,
-    TooLarge, exit 3, with nothing on stdout, within that limit and 60 s."""
+    TooLarge, exit 3, with nothing on stdout, within that limit and 60 s.
+    The counted floats are `lyapunov`'s peak, with no int copy of the
+    matrices: runs just under the cap of 16777216 floats answer within the
+    same limit, at span 253 with a full block (16578331 floats) and at span
+    2047 with one sample (16760836)."""
     docs = {}
-    for c in (300, 1000, 10**12):
+    for c in (126, 300, 1000, 1023, 10**12):
         docs[c] = tmp_path / f"span{2 * c + 1}.json"
         docs[c].write_text(json.dumps(
             {"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-c, c + 1]}
@@ -564,6 +568,19 @@ def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
         assert message in proc.stderr, argv
+    for c, samples in ((126, 256), (1023, 1)):
+        assert (3 + samples) * (2 * c + 1) ** 2 <= counting._LYAPUNOV_FLOATS
+        argv = ("lyapunov", docs[c], "--samples", samples, "--depth", 2)
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicekit", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        assert json.loads(proc.stdout)["samples"] == samples
 
 
 def test_dense_cap_counts_one_block(capsys, tmp_path, monkeypatch):
