@@ -534,9 +534,12 @@ def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
     2 * 10^12 + 1, `dim-u1` at the last.  Each child now stops at its cap,
     TooLarge, exit 3, with nothing on stdout, within that limit and 60 s.
     The counted floats are `lyapunov`'s peak, with no int copy of the
-    matrices: runs just under the cap of 16777216 floats answer within the
-    same limit, at span 253 with a full block (16578331 floats) and at span
-    2047 with one sample (16760836)."""
+    matrices and one block's step matrices live: runs just under the cap of
+    16777216 floats (128 MiB) answer within 320 MiB, with one BLAS thread
+    so that numpy's own address space does not grow with the core count,
+    at span 253 with a full block (16578331 floats) and at span 2047 with
+    one sample (16760836).  With two step arrays live, or the matrices
+    copied as Python ints first, both ran out of that limit."""
     docs = {}
     for c in (126, 300, 1000, 1023, 10**12):
         docs[c] = tmp_path / f"span{2 * c + 1}.json"
@@ -568,12 +571,13 @@ def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
         )
         assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
         assert message in proc.stderr, argv
+    limit = 320 * 2**20
     for c, samples in ((126, 256), (1023, 1)):
         assert (3 + samples) * (2 * c + 1) ** 2 <= counting._LYAPUNOV_FLOATS
         argv = ("lyapunov", docs[c], "--samples", samples, "--depth", 2)
         proc = subprocess.run(
             [sys.executable, "-m", "slicekit", *map(str, argv)],
-            env=dict(os.environ, PYTHONPATH=src),
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1"),
             preexec_fn=cap_address_space,
             capture_output=True,
             text=True,
