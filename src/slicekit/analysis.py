@@ -16,21 +16,22 @@
 
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
-graph (with the xi types) and its SCC decomposition, whose blocks every
-restricted-graph verdict reads, the digit matrices and the U1 report;
-covering and separation it reads from the instance's counting record,
-which decides them once; domination it decides once per distinct block.
+graph (with the xi types), its SCC decomposition and its blocks, which
+every restricted-graph verdict reads, the digit matrices and the U1
+report; covering and separation it reads from the instance's counting
+record, which decides them once; domination it decides once per distinct
+block.  The context forms the blocks of both graphs: a block is a
+component's 0-1 matrix with its certified radius, built and certified
+once per distinct in-component adjacency, whichever graph reaches it
+first.  The subset graph's components of singletons are restricted-graph
+components with the same matrices, so a report certifies each of them
+once, whether the search or the restricted graph asks first.
 The multiplicity search does its bookkeeping per distinct support of its
 vectors, not per vector: it computes each support's aligned subsets once,
 builds the subset graph once with ``graphs.build_congruent_graph`` on the
 context's xi types, only the part that they reach, since nothing reads
 any other subset, and asks it once for the cycling components each
-subset reaches.  The two graphs share their blocks: the subset graph's
-components of singletons are restricted-graph components, and the search
-lends their certified blocks to the context, whose restricted-graph
-decomposition takes them instead of certifying them again (the other
-way round, every search would decompose the restricted graph, which
-``enumerate-r`` and ``witness`` never read).  Each support's passing
+subset reaches.  Each support's passing
 (residue, subset, cycles) triples and the grid digits whose tails are
 known on it are kept, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example.  It then lists
@@ -39,15 +40,15 @@ residue whose aligned subset reaches a cycling component.
 ``dim_u1`` reads a context; the status of r, whose witness is its first
 route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
 list of a multiplicity search, ``RSearchResult``, which also carries the
-context it ran on and the subset graph.  The search stores a status only
-for an r it reaches; ``RSearchResult.status`` reads any other r of
-1..max_r as NotReachable.
+context it ran on, the subset graph and its blocks.  The search stores a
+status only for an r it reaches; ``RSearchResult.status`` reads any
+other r of 1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
 matrix, with ``spectral.compare_radii``, exactly and on strongly connected
 components only (or on a 1x1 integer block; each component's block comes
-from ``scc``, which builds it to certify the radius): which components
-attain rho, whether failing separation is negligible, where the
+from ``Analysis.blocks``, which builds it to certify the radius): which
+components attain rho, whether failing separation is negligible, where the
 multiplicity dimension takes its maximum, the countable flag and
 domination.  Dimensions are reported as floats, but no decision is taken
 from one.  Each witness point is certified by ``exact_card`` before it is
@@ -64,11 +65,10 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import _advance, _record, digit_table, exact_card, expansion_value
-from .errors import (
-    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
-)
+from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
 from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, aligned, build_congruent_graph, build_xi_graph, scc,
+    CongruentGraph, SccDecomposition, XiGraph, aligned, build_congruent_graph, build_xi_graph,
+    component_matrix, scc,
 )
 from .instance import ProblemInstance
 from .lattice import children
@@ -129,10 +129,12 @@ def _log_over_log_n(value: float, n: int) -> float:
 # component, or of a 1x1 integer matrix; every radius verdict compares two.
 Block = tuple[RadiusResult, Matrix]
 
-
-def _block(decomposition: SccDecomposition, i: int) -> Block:
-    """The block of component i of ``decomposition``."""
-    return decomposition.radii[i], decomposition.matrices[i]
+# The blocks of a single vertex without and with a loop, shared by every
+# single-vertex component of every graph.
+_LOOP_BLOCKS: tuple[Block, Block] = (
+    (RadiusResult(Fraction(0), Fraction(0), 0.0), ((0,),)),
+    (RadiusResult(Fraction(1), Fraction(1), 1.0), ((1,),)),
+)
 
 
 def _compare(a: Block, b: Block) -> int:
@@ -146,19 +148,17 @@ def _integer_block(value: int) -> Block:
     return block_radius(matrix, [0]), matrix
 
 
-def _top(decomposition: SccDecomposition, indices) -> int | None:
-    """The first of ``indices`` whose component of ``decomposition`` has the
-    largest radius; None for no indices."""
+def _top(blocks: tuple[Block, ...], indices) -> int | None:
+    """The first of ``indices`` whose block has the largest radius; None
+    for no indices."""
     best = None
     for i in indices:
-        if best is None or _compare(_block(decomposition, i), _block(decomposition, best)) > 0:
+        if best is None or _compare(blocks[i], blocks[best]) > 0:
             best = i
     return best
 
 
-def _separation_negligible(
-    inst: ProblemInstance, ssc_flags, decomposition: SccDecomposition
-) -> bool:
+def _separation_negligible(inst: ProblemInstance, ssc_flags, blocks: tuple[Block, ...]) -> bool:
     """Can failing separation still be ignored for the s-measure?
 
     A factor with two digits at distance 1 lets depth-k cubes touch along
@@ -167,15 +167,12 @@ def _separation_negligible(
     log|A_k|/log n.  Strictly below s = log(rho)/log n, those faces are
     s-null and the measure dichotomy goes through unchanged: the product of
     the other factors' digit counts must be below rho, the largest radius of
-    the restricted graph's components, whose ``decomposition`` is given.
+    the restricted graph's components, whose ``blocks`` are given.
     """
     sizes = [len(a) for a in inst.digit_sets]
-    components = range(len(decomposition.components))
     for i, flag in enumerate(ssc_flags):
         faces = _integer_block(prod(sizes[:i] + sizes[i + 1:]))
-        if not flag and not any(
-            _compare(_block(decomposition, j), faces) > 0 for j in components
-        ):
+        if not flag and not any(_compare(block, faces) > 0 for block in blocks):
             return False
     return True
 
@@ -187,12 +184,10 @@ class Analysis:
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.inst = inst
-        # the blocks of restricted-graph components certified before the
-        # decomposition is made, keyed on their smallest position in xi.us
-        self._lent: dict[int, Block] = {}
-        # id of a block's matrix -> (the block, its domination verdict); the
-        # entry holds the block, so no other object takes over its id
-        self._dominated: dict[int, tuple[Block, bool]] = {}
+        # each member's successor positions inside a component -> its block
+        self._certified: dict[tuple[tuple[int, ...], ...], Block] = {}
+        # a block's matrix -> its domination verdict
+        self._dominated: dict[Matrix, bool] = {}
 
     # -- the restricted graph and the unique representations ------------------
 
@@ -202,25 +197,35 @@ class Analysis:
 
     @cached_property
     def xi_scc(self) -> SccDecomposition:
-        return scc(self.xi.succ, self._lent)
+        return scc(self.xi.succ)
 
-    def _lend_blocks(self, graph: CongruentGraph) -> None:
-        """Keep the blocks of the subset graph's components of singletons,
-        each a whole restricted-graph component with the same matrix in the
-        same order, for ``xi_scc`` to take instead of certifying them."""
-        # xi_scc takes the blocks only if it is read after this
-        if "xi_scc" in self.__dict__:
-            raise InternalError("blocks lent after the restricted graph was decomposed")
-        decomposition = graph.scc
-        lent = {}
-        for idx, comp in enumerate(decomposition.components):
-            members = graph.vertices[comp[0]]
-            if len(comp) > 1 and len(members) == 1:
-                lent[members[0]] = _block(decomposition, idx)
-        if lent:
-            for i, u in enumerate(self.xi.us):
-                if u in lent:
-                    self._lent[i] = lent[u]
+    @cached_property
+    def xi_blocks(self) -> tuple[Block, ...]:
+        """The block of each component of ``xi_scc``."""
+        return self.blocks(self.xi.succ, self.xi_scc.components)
+
+    def blocks(self, succ, components) -> tuple[Block, ...]:
+        """The block of each of ``components``, strongly connected
+        components of the graph whose successor table is ``succ``.  A single
+        vertex gets one of the two ``_LOOP_BLOCKS``; a larger component's
+        0-1 matrix is built, in component order, and certified once per
+        distinct in-component adjacency in this context, so a component
+        that the restricted graph and the subset graph share is certified
+        once, whichever asks first."""
+        certified = self._certified
+        out = []
+        for comp in components:
+            if len(comp) == 1:
+                out.append(_LOOP_BLOCKS[comp[0] in succ[comp[0]]])
+                continue
+            position = {v: i for i, v in enumerate(comp)}
+            key = tuple(tuple([position[w] for w in succ[v] if w in position]) for v in comp)
+            block = certified.get(key)
+            if block is None:
+                matrix = component_matrix(succ, comp)
+                block = certified[key] = block_radius(matrix, range(len(comp))), matrix
+            out.append(block)
+        return tuple(out)
 
     @property
     def covering(self) -> bool:
@@ -240,23 +245,20 @@ class Analysis:
         covering = self.covering
         ssc_flags = self.ssc
         ssc = all(ssc_flags)
-        decomposition = self.xi_scc
-        components = range(len(decomposition.components))
+        decomposition, blocks = self.xi_scc, self.xi_blocks
         # M is block-triangular, so rho is the largest block radius
-        rho = max_radius(decomposition.radii)
+        rho = max_radius(rr for rr, _ in blocks)
         n = inst.n
         s = _log_over_log_n(rho.estimate, n)
         s_lower = _log_over_log_n(float(rho.lower), n)
         s_upper = _log_over_log_n(float(rho.upper), n)
         # exact test for rho > 1: some component carries more edges than
         # vertices (two overlapping cycles)
-        s_positive = any(
-            sum(map(sum, matrix)) > len(matrix) for matrix in decomposition.matrices
-        )
+        s_positive = any(sum(map(sum, matrix)) > len(matrix) for _, matrix in blocks)
         notes = []
         if not covering:
             notes.append("covering condition fails: s is only a lower bound for the dimension")
-        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, decomposition)
+        dichotomy_ok = ssc or _separation_negligible(inst, ssc_flags, blocks)
         if not ssc and dichotomy_ok:
             notes.append(
                 "strong separation fails but cube faces have dimension below s; "
@@ -266,9 +268,9 @@ class Analysis:
             notes.append("strong separation fails: the measure dichotomy does not apply")
         if covering and dichotomy_ok and s_positive:
             measure = MEASURE_POSITIVE_FINITE
-            top = _block(decomposition, _top(decomposition, components))
+            top = blocks[_top(blocks, range(len(blocks)))]
             # a component attains rho when no other one compares greater
-            maximal = [i for i in components if _compare(_block(decomposition, i), top) == 0]
+            maximal = [i for i, block in enumerate(blocks) if _compare(block, top) == 0]
             notes.extend(f"component {i} attains the full radius (exact)" for i in maximal)
             for i in maximal:
                 for j in maximal:
@@ -292,21 +294,21 @@ class Analysis:
     def dominated(self, block: Block) -> bool:
         """Is every working interval reachable, inside the restricted
         interval graph, from a component whose radius is at least that of
-        ``block``, a (certified radius, matrix) pair?  Decided once per
-        distinct matrix object."""
-        known = self._dominated.get(id(block[1]))
+        ``block``, a (certified radius, matrix) pair whose matrix is a
+        tuple of rows?  Decided once per distinct matrix."""
+        known = self._dominated.get(block[1])
         if known is None:
-            known = self._dominated[id(block[1])] = block, self._decide_dominated(block)
-        return known[1]
+            known = self._dominated[block[1]] = self._decide_dominated(block)
+        return known
 
     def _decide_dominated(self, block: Block) -> bool:
         inst, xi = self.inst, self.xi
-        if not xi.vertices:
+        if not xi.us:
             return False
         decomposition = self.xi_scc
         reached: set[int] = set()
-        for idx in range(len(decomposition.components)):
-            if _compare(_block(decomposition, idx), block) >= 0:
+        for idx, other in enumerate(self.xi_blocks):
+            if _compare(other, block) >= 0:
                 reached |= decomposition.reach[idx]
         covered = {
             xi.types[xi.us[i]] for j in reached for i in decomposition.components[j]
@@ -363,13 +365,15 @@ class RSearchResult(NamedTuple):
     An r in 1..max_r is achievable exactly when it has a route, and only
     those r are keys; the status, ``dim_ur``, ``measure_ur`` and
     ``witness_ur`` all read this one list.  ``statuses`` holds only the r
-    that are not NotReachable, ascending; ``status(r)`` reads any r."""
+    that are not NotReachable, ascending; ``status(r)`` reads any r.
+    ``blocks[i]`` is the block of component i of ``graph.scc``."""
 
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
+    blocks: tuple[Block, ...]
     routes: dict[int, tuple[Route, ...]]
 
     def achievable(self) -> list[int]:
@@ -532,7 +536,6 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
     types = context.xi.types
     subsets = {s: aligned(types, n, [n * p for p in s]) for s in {rv.support for rv in vectors}}
     graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
-    context._lend_blocks(graph)
     cycles = {
         m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
     }
@@ -556,6 +559,7 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
         statuses=statuses,
         analysis=context,
         graph=graph,
+        blocks=context.blocks(graph.succ, graph.scc.components),
         routes={r: tuple(routes[r]) for r in sorted(routes)},
     )
 
@@ -598,15 +602,14 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
             measure_class=None,
         )
         return report, None
-    decomposition = search.graph.scc
+    blocks = search.blocks
     n = search.analysis.inst.n
     # the first maximal component of each distinct set of cycles reached,
     # in route order; routes with one subset reach one set
     reached = dict.fromkeys(route.cycles for route in search.routes[r])
-    tops = [_top(decomposition, cycles) for cycles in reached]
-    candidates = {_log_over_log_n(decomposition.radii[top].estimate, n) for top in tops}
-    best = _top(decomposition, tops)
-    block = _block(decomposition, best)
+    tops = [_top(blocks, cycles) for cycles in reached]
+    candidates = {_log_over_log_n(blocks[top][0].estimate, n) for top in tops}
+    block = blocks[_top(blocks, tops)]
     report = UrReport(
         r=r,
         dim=_log_over_log_n(block[0].estimate, n),

@@ -24,11 +24,13 @@ from .instance import ProblemInstance, parse_instance
 from .lattice import covering_condition, strong_separation, xi_types
 from .report import (
     build_report,
+    checks_json,
     decimal,
     format_rational,
     parse_rational,
     radius_json,
     report_json,
+    witness_json,
 )
 
 # Most entries of the digit matrices T and the restricted graph's matrix M
@@ -159,15 +161,7 @@ def _dispatch(args) -> int:
     if cmd == "analyze":
         payload = build_report(inst, max_r=args.max_r)
     elif cmd == "check":
-        payload = {
-            "bounds": {
-                "proj_min": inst.proj_min,
-                "proj_max": inst.proj_max,
-                "norm1": inst.span,
-            },
-            "covering": covering_condition(inst),
-            "ssc": strong_separation(inst),
-        }
+        payload = checks_json(inst, covering_condition(inst), strong_separation(inst))
         if not args.json:
             lines = [
                 f"bounds: [{inst.proj_min}, {inst.proj_max}], norm1={inst.span}",
@@ -249,13 +243,7 @@ def _dispatch(args) -> int:
         }
     elif cmd == "witness":
         w = witness_ur(enumerate_achievable_r(inst, args.r), args.r)
-        payload = {
-            "r": args.r,
-            "integer_part": w.integer_part,
-            "preperiod": list(w.preperiod),
-            "period": list(w.period),
-            "value": format_rational(w.value(inst.n)),
-        }
+        payload = {"r": args.r, **witness_json(w, inst.n)}
     elif cmd == "lyapunov":
         estimate, stderr = lyapunov_estimate(
             inst, samples=args.samples, depth=args.depth, seed=args.seed

@@ -23,24 +23,15 @@ with TooLarge past 2**20 vertices, numbers the reached subsets in
 ascending member order and decomposes them on those numbers.  The
 multiplicity search passes the xi types its ``Analysis`` context already
 holds.  A successor-closed vertex set is a union of whole strongly
-connected components, so the components, radii, reach sets and cycling
-flags it yields are those of the whole subset graph restricted to it.
-
-The two graphs share their blocks: a singleton subset's successors are
-the singletons of its restricted-graph edges, and a singleton never
-reaches a larger subset, so each component of singletons is a whole
-restricted-graph component, with the same matrix in the same order.
-``scc`` takes the blocks its caller already holds, keyed on a component's
-smallest vertex, instead of certifying them again.
+connected components, so the components, reach sets and cycling flags
+it yields are those of the whole subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
 the set of components each one reaches (read off Tarjan's emission order)
-and each component's block, its 0-1 matrix with a certified radius.  A
-single vertex's block is its loop bit, 0 or 1, so only components of two
-or more vertices build a matrix and go through ``block_radius``, unless the
-caller hands their block in; in subset graphs nearly all components are
-single vertices.  The restricted graph is
+and the cycling components.  It describes structure only; the blocks,
+each component's 0-1 matrix with a certified radius, are formed by the
+``analysis`` context that reads them.  The restricted graph is
 decomposed on positions in ``xi.us``, its matrix index.
 """
 
@@ -57,17 +48,9 @@ from .instance import ProblemInstance
 from .lattice import (
     IntegerInterval, interval_type_counts, make_interval, u_range, unique_type, xi_types,
 )
-from .spectral import Matrix, RadiusResult, block_radius
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
 _SUBSET_LIMIT = 2**20
-
-# The radius and the 1x1 block of a single vertex without and with a loop.
-_LOOP_RADII = (
-    RadiusResult(Fraction(0), Fraction(0), 0.0),
-    RadiusResult(Fraction(1), Fraction(1), 1.0),
-)
-_LOOP_MATRICES = (((0,),), ((1,),))
 
 
 class FullGraph(NamedTuple):
@@ -82,20 +65,16 @@ class FullGraph(NamedTuple):
 
 class XiGraph:
     """Induced subgraph on uniquely covered intervals.  ``us`` is the
-    index, ascending; ``succ[i]`` lists the positions in ``us`` that
-    position i has an edge to, ascending; ``matrix``, the 0-1 matrix on
-    that index, is formed on first read."""
+    index, the uniquely covered u ascending; ``succ[i]`` lists the
+    positions in ``us`` that position i has an edge to, ascending;
+    ``matrix``, the 0-1 matrix on that index, is formed on first read."""
 
-    vertices: tuple[IntegerInterval, ...]
+    us: tuple[int, ...]
     types: dict[int, int]
     succ: tuple[tuple[int, ...], ...]
 
-    def __init__(self, vertices, types, succ) -> None:
-        self.vertices, self.types, self.succ = vertices, types, succ
-
-    @cached_property
-    def us(self) -> tuple[int, ...]:
-        return tuple(iv.u for iv in self.vertices)
+    def __init__(self, us, types, succ) -> None:
+        self.us, self.types, self.succ = us, types, succ
 
     @cached_property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
@@ -106,15 +85,12 @@ class XiGraph:
 class SccDecomposition(NamedTuple):
     """Components of a graph on vertices 0..V-1, sorted by their smallest
     vertex, each sorted; ``reach[i]`` holds every component that component
-    i reaches, i included; ``matrices[i]`` is component i's 0-1 block (in
-    component order) and ``radii[i]`` its radius; ``comp_of[v]`` is the
-    index of vertex v's component; ``cycling`` holds the components with a
-    cycle (two or more vertices, or a loop)."""
+    i reaches, i included; ``comp_of[v]`` is the index of vertex v's
+    component; ``cycling`` holds the components with a cycle (two or more
+    vertices, or a loop)."""
 
     components: tuple[tuple[int, ...], ...]
     reach: tuple[frozenset[int], ...]
-    radii: tuple[RadiusResult, ...]
-    matrices: tuple[Matrix, ...]
     comp_of: list[int]
     cycling: frozenset[int]
 
@@ -175,8 +151,7 @@ def build_xi_graph(inst: ProblemInstance) -> XiGraph:
     n = inst.n
     position = {u: i for i, u in enumerate(us)}
     succ = tuple(tuple([position[v] for _, (v,) in aligned(types, n, (n * types[u],))]) for u in us)
-    vertices = tuple(make_interval(inst, u) for u in us)
-    return XiGraph(vertices=vertices, types=types, succ=succ)
+    return XiGraph(us=tuple(us), types=types, succ=succ)
 
 
 def subset_successor(
@@ -226,29 +201,26 @@ def build_congruent_graph(
     )
 
 
-def component_matrix(adjacency: Mapping | Sequence, comp) -> list[list[int]]:
-    """0-1 matrix of the subgraph induced on comp, indexed in comp order;
-    ``adjacency[v]`` lists the successors of v."""
+def component_matrix(adjacency: Mapping | Sequence, comp) -> tuple[tuple[int, ...], ...]:
+    """0-1 matrix of the subgraph induced on comp, indexed in comp order,
+    as a tuple of rows; ``adjacency[v]`` lists the successors of v.  Each
+    row becomes a tuple as soon as it is filled, so a large component's
+    matrix is never held twice."""
     pos = {v: i for i, v in enumerate(comp)}
-    sub = [[0] * len(comp) for _ in comp]
+    rows = []
     for v in comp:
+        row = [0] * len(comp)
         for w in adjacency[v]:
             if w in pos:
-                sub[pos[v]][pos[w]] = 1
-    return sub
+                row[pos[w]] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
-def scc(
-    succ: Sequence[Sequence[int]], known: Mapping[int, tuple[RadiusResult, Matrix]] | None = None
-) -> SccDecomposition:
+def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
     """Strongly connected components of the graph on vertices 0..V-1 whose
     successor table is ``succ``, with the components each one reaches and
-    the block of each component: its 0-1 adjacency matrix and certified
-    spectral radius.  A single vertex's block is its loop bit, one shared
-    matrix and ``RadiusResult`` for 0 and one for 1; only blocks of two or
-    more vertices are built and run through ``block_radius``, unless
-    ``known`` already holds the (radius, matrix) block of the component,
-    keyed on its smallest vertex."""
+    the components that hold a cycle."""
     emitted = strongly_connected_components(succ)
     # only components of two or more vertices need sorting
     for comp in emitted:
@@ -260,8 +232,6 @@ def scc(
         for v in comp:
             comp_of[v] = idx
     reach: list[frozenset[int]] = [frozenset()] * len(ordered)
-    radii = [_LOOP_RADII[0]] * len(ordered)
-    matrices: list[Matrix] = [_LOOP_MATRICES[0]] * len(ordered)
     cycling = []
     # Tarjan emits a component only after every component it reaches
     for comp in emitted:
@@ -271,21 +241,11 @@ def scc(
             for w in succ[v]:
                 reached |= reach[comp_of[w]]
         reach[idx] = frozenset(reached)
-        if len(comp) > 1:
+        if len(comp) > 1 or comp[0] in succ[comp[0]]:
             cycling.append(idx)
-            block = known.get(comp[0]) if known else None
-            if block is None:
-                matrix = component_matrix(succ, comp)
-                block = block_radius(matrix, range(len(comp))), matrix
-            radii[idx], matrices[idx] = block
-        elif comp[0] in succ[comp[0]]:
-            cycling.append(idx)
-            radii[idx], matrices[idx] = _LOOP_RADII[1], _LOOP_MATRICES[1]
     return SccDecomposition(
         components=tuple(map(tuple, ordered)),
         reach=tuple(reach),
-        radii=tuple(radii),
-        matrices=tuple(matrices),
         comp_of=comp_of,
         cycling=frozenset(cycling),
     )

@@ -17,6 +17,7 @@ from .analysis import (
     STATUS_COUNTABLE,
     Analysis,
     RSearchResult,
+    WitnessExpansion,
     dim_ur,
     enumerate_achievable_r,
     measure_ur,
@@ -59,19 +60,44 @@ def decimal(value: float) -> str:
     return repr(value)
 
 
-def _scc_json(decomposition, names) -> dict:
-    """The decomposition with vertex v written as ``names[v]``."""
+def _scc_json(decomposition, blocks, names) -> dict:
+    """The decomposition, with its ``blocks``' radii, and vertex v written
+    as ``names[v]``."""
     # single-vertex components share two RadiusResult objects, so each
     # distinct object is formatted once, and its entries share one dict
-    # (ids stay valid: the decomposition holds every radius)
-    distinct = {id(rr): rr for rr in decomposition.radii}
+    # (ids stay valid: ``blocks`` holds every radius)
+    distinct = {id(rr): rr for rr, _ in blocks}
     formatted = {i: radius_json(rr) for i, rr in distinct.items()}
     return {
         "components": [[names[v] for v in comp] for comp in decomposition.components],
-        "radii": [formatted[id(rr)] for rr in decomposition.radii],
+        "radii": [formatted[id(rr)] for rr, _ in blocks],
         "order": [
             [i, j] for i, reach in enumerate(decomposition.reach) for j in sorted(reach)
         ],
+    }
+
+
+def checks_json(inst: ProblemInstance, covering: bool, ssc) -> dict:
+    """The bounds of the instance and its covering and per-factor
+    separation flags."""
+    return {
+        "bounds": {
+            "proj_min": inst.proj_min,
+            "proj_max": inst.proj_max,
+            "norm1": inst.span,
+        },
+        "covering": covering,
+        "ssc": list(ssc),
+    }
+
+
+def witness_json(witness: WitnessExpansion, n: int) -> dict:
+    """An eventually periodic expansion and the base-n point it writes."""
+    return {
+        "integer_part": witness.integer_part,
+        "preperiod": list(witness.preperiod),
+        "period": list(witness.period),
+        "value": format_rational(witness.value(n)),
     }
 
 
@@ -99,13 +125,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
             "digit_sets": [list(s) for s in inst.digit_sets],
             "coefficients": list(inst.coefficients),
         },
-        "bounds": {
-            "proj_min": inst.proj_min,
-            "proj_max": inst.proj_max,
-            "norm1": inst.span,
-        },
-        "covering": context.covering,
-        "ssc": list(context.ssc),
+        **checks_json(inst, context.covering, context.ssc),
         "integer_intervals": intervals,
         "xi": list(xi.us),
         "M": {
@@ -125,7 +145,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
             }
             for m in context.matrices
         ],
-        "scc_xi": _scc_json(context.xi_scc, xi.us),
+        "scc_xi": _scc_json(context.xi_scc, context.xi_blocks, xi.us),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),
@@ -145,7 +165,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
     else:
         graph = search.graph
         labels = [",".join(map(str, members)) for members in graph.vertices]
-        data["scc_subsets"] = _scc_json(graph.scc, labels)
+        data["scc_subsets"] = _scc_json(graph.scc, search.blocks, labels)
         data["r_search"] = _search_json(search)
         data["ur"] = _ur_json(inst, search)
     elapsed = time.monotonic() - started
@@ -208,14 +228,8 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
             witness = witness_ur(search, r)
         except NoCertifiedWitness:
             continue  # the entry carries no witness
-        out[str(r)]["witness"] = {
-            "integer_part": witness.integer_part,
-            "preperiod": list(witness.preperiod),
-            "period": list(witness.period),
-            "value": format_rational(witness.value(inst.n)),
-            # witness_ur returns only points exact_card counts as Finite r
-            "verified": True,
-        }
+        # witness_ur returns only points exact_card counts as Finite r
+        out[str(r)]["witness"] = {**witness_json(witness, inst.n), "verified": True}
     return out
 
 

@@ -9,9 +9,9 @@ converge.  Its power iteration is on ints throughout: the best bounds are
 int (numerator, denominator) pairs compared by cross-multiplication, and
 each becomes one ``Fraction`` only when the iteration stops.
 ``spectral_radius`` splits a reducible matrix into its blocks and
-folds their enclosures with ``max_radius``; ``graphs.scc`` calls the same
-certifier on the components it has already found, so a decomposed graph
-never runs Tarjan twice.
+folds their enclosures with ``max_radius``; the ``analysis`` context calls
+the same certifier on the components ``graphs.scc`` has already found, so
+a decomposed graph never runs Tarjan twice.
 
 ``compare_radii`` orders two radii exactly, from their certified
 enclosures and the two blocks: disjoint enclosures decide it at once, and

@@ -16,10 +16,9 @@ from slicekit import (
     witness_ur,
 )
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
-from slicekit.analysis import _MAX_R, Analysis, _block, _witness_candidates
+from slicekit.analysis import _LOOP_BLOCKS, _MAX_R, Analysis, _witness_candidates
 from slicekit.errors import (
-    HypothesisViolated, InternalError, NoCertifiedWitness, NotAchievable, OutOfRange,
-    TooLarge,
+    HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
@@ -385,11 +384,11 @@ def test_report_lists_every_status_and_no_vectors(name):
 
 @pytest.mark.parametrize("name", ["span17"] + _COVERING)
 def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
-    """During ``build_report``, ``scc`` builds the block of each component
-    of two or more vertices once and nothing builds one again: the subset
-    graph builds all of its own, and the restricted graph takes each block
-    of a component that the subset graph holds as a component of
-    singletons, the same radius and matrix objects; the search
+    """During ``build_report``, the context builds the matrix of each
+    component of two or more vertices once and nothing builds one again:
+    the subset graph's blocks are all built, and the restricted graph takes
+    the block of each component that the subset graph holds as a component
+    of singletons, the same block object; the search
     asks the subset graph for the cycles of each distinct aligned subset of
     its vectors once, and its routes take their subsets and cycles from
     those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
@@ -418,7 +417,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     monkeypatch.setattr(graphs, "scc", scc)
     monkeypatch.setattr(analysis, "scc", scc)
     for owner, key, attr in (
-        (graphs, "component_matrix", "component_matrix"),
+        (analysis, "component_matrix", "component_matrix"),
         (graphs.CongruentGraph, "cycles_reached", "cycles_reached"),
         (report, "search", "enumerate_achievable_r"),
     ):
@@ -432,18 +431,17 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     assert len(decompositions) == 1 + len(calls["search"])
     built = [comp for d in decompositions for comp in d.components if len(comp) > 1]
     for _, _, search in calls["search"]:
-        xi, restricted, graph = search.analysis.xi, search.analysis.xi_scc, search.graph
+        context, graph = search.analysis, search.graph
+        xi = context.xi
         singletons = {
             tuple(xi.us.index(graph.vertices[v][0]) for v in comp): i
             for i, comp in enumerate(graph.scc.components)
             if len(comp) > 1 and len(graph.vertices[comp[0]]) == 1
         }
-        for i, comp in enumerate(restricted.components):
+        for i, comp in enumerate(context.xi_scc.components):
             if comp in singletons:
                 built.remove(comp)
-                lent = _block(graph.scc, singletons[comp])
-                assert _block(restricted, i)[0] is lent[0]
-                assert _block(restricted, i)[1] is lent[1]
+                assert context.xi_blocks[i] is search.blocks[singletons[comp]]
     assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(built)
     assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
     for _, _, search in calls["search"]:
@@ -461,8 +459,7 @@ def test_report_certifies_each_restricted_block_once(monkeypatch):
     it as a component of singletons: one ``build_report`` runs
     ``block_radius`` on its matrix once, not once per graph."""
     inst = parse_instance(SCALED["n7"][0])
-    restricted = Analysis(inst).xi_scc
-    blocks = [[list(row) for row in matrix] for matrix in restricted.matrices]
+    blocks = [[list(row) for row in matrix] for _, matrix in Analysis(inst).xi_blocks]
     blocks = [matrix for matrix in blocks if len(matrix) > 1]
     assert [len(matrix) for matrix in blocks] == [23]
     certified = []
@@ -471,22 +468,70 @@ def test_report_certifies_each_restricted_block_once(monkeypatch):
         certified.append([[rows[a][b] for b in verts] for a in verts])
         return block_radius(rows, verts, *args)
 
-    monkeypatch.setattr(graphs, "block_radius", spy)
+    monkeypatch.setattr(analysis, "block_radius", spy)
     report.build_report(inst)
     assert [certified.count(matrix) for matrix in blocks] == [1]
 
 
-def test_blocks_lent_after_the_decomposition_are_refused():
-    """The restricted graph's decomposition takes lent blocks only when it
-    is made after the search lends them; lending to a context that has
-    made it already raises InternalError instead of leaving the blocks to
-    be certified twice."""
+def test_blocks_certified_once_in_either_order(monkeypatch):
+    """A context certifies n7's 23-vertex restricted-graph block once,
+    and the restricted graph and the search's subset graph hold the same
+    block object, whether the restricted graph's blocks are read before
+    the subset graph's or after, as a report reads them."""
     inst = parse_instance(SCALED["n7"][0])
-    graph = enumerate_achievable_r(inst, 2).graph
+    certified = []
+
+    def spy(rows, verts, *args):
+        certified.append(len(verts))
+        return block_radius(rows, verts, *args)
+
+    monkeypatch.setattr(analysis, "block_radius", spy)
+    search = enumerate_achievable_r(inst, 6)
+    graph = search.graph
     context = Analysis(inst)
-    context.xi_scc
-    with pytest.raises(InternalError, match="lent after"):
-        context._lend_blocks(graph)
+    restricted_first = context.xi_blocks
+    searched = context.blocks(graph.succ, graph.scc.components)
+    for restricted, subset in (
+        (restricted_first, searched),
+        (search.analysis.xi_blocks, search.blocks),
+    ):
+        [block] = [block for block in restricted if len(block[1]) > 1]
+        assert len(block[1]) == 23
+        assert [b for b in subset if b is block] == [block]
+    assert certified.count(23) == 2
+
+
+def test_blocks_keyed_on_in_component_adjacency(cantor_diff):
+    """A context gives components with the same in-component adjacency one
+    block object, and a component of the same size with other edges a
+    block of its own, each its component's matrix with a certified
+    radius."""
+    # {0, 1} and {2, 3} are 2-cycles, {4, 5} a 2-cycle with a loop at 4, and
+    # 6 a single vertex with a loop; the edge 5 -> 0 leaves its component
+    succ = [(1,), (0,), (3,), (2,), (4, 5), (0, 4), (6,)]
+    comps = graphs.scc(succ).components
+    blocks = Analysis(cantor_diff).blocks(succ, comps)
+    matrices = [graphs.component_matrix(succ, comp) for comp in comps]
+    assert [m for _, m in blocks] == matrices
+    assert [rr for rr, _ in blocks] == [block_radius(m, range(len(m))) for m in matrices]
+    assert blocks[0] is blocks[1]
+    assert blocks[2] is not blocks[0]
+    assert blocks[3] is _LOOP_BLOCKS[1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 6))
+def test_singleton_components_share_restricted_blocks(inst, max_r):
+    """Each component of singletons of the search's subset graph holds the
+    block object of the restricted-graph component with the same members."""
+    search = enumerate_achievable_r(inst, max_r)
+    context, graph = search.analysis, search.graph
+    position = {u: i for i, u in enumerate(context.xi.us)}
+    restricted = dict(zip(context.xi_scc.components, context.xi_blocks))
+    for comp, block in zip(graph.scc.components, search.blocks):
+        members = [graph.vertices[v] for v in comp]
+        if len(members[0]) == 1:
+            assert block is restricted[tuple(position[u] for (u,) in members)]
 
 
 @pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)

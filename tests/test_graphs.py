@@ -13,8 +13,9 @@ from slicekit import (
     scc,
 )
 from slicekit import graphs
+from slicekit.analysis import _LOOP_BLOCKS, Analysis
 from slicekit.errors import NotInterior, NotInXi, TooLarge
-from slicekit.graphs import _LOOP_MATRICES, component_matrix, subset_successor
+from slicekit.graphs import component_matrix, subset_successor
 from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
@@ -159,9 +160,9 @@ def test_congruent_graph_sccs(cantor_diff):
     comps = {frozenset(g.vertices[v] for v in c) for c in g.scc.components}
     assert frozenset({(-3,), (-2,), (1,), (2,)}) in comps
     assert frozenset({(-2, 1)}) in comps
+    blocks = Analysis(cantor_diff).blocks(g.succ, g.scc.components)
     radii = {
-        tuple(g.vertices[v] for v in c): rr.estimate
-        for c, rr in zip(g.scc.components, g.scc.radii)
+        tuple(g.vertices[v] for v in c): rr.estimate for c, (rr, _) in zip(g.scc.components, blocks)
     }
     assert radii[((-2, 1),)] == 1.0
     assert radii[((-3,), (-2,), (1,), (2,))] == 2.0
@@ -193,22 +194,25 @@ def test_scc_examples(cantor_diff, base7_double):
 
 
 def test_scc_blocks_restricted_graph(cantor_diff, base7_double, base6_mixed, cantor_sum):
-    """Each component's block is its 0-1 adjacency matrix in component
-    order, [[loop bit]] for a single vertex, and its radius certifies it."""
+    """The block the context forms for each component of the restricted
+    graph is its 0-1 adjacency matrix in component order, the shared
+    [[loop bit]] block for a single vertex, and its radius certifies it."""
     for inst in (cantor_diff, base7_double, base6_mixed, cantor_sum):
-        succ = build_xi_graph(inst).succ
-        d = scc(succ)
-        blocks = [component_matrix(succ, comp) for comp in d.components]
-        assert [list(map(list, m)) for m in d.matrices] == blocks
-        for matrix, block in zip(d.matrices, blocks):
-            assert len(block) > 1 or matrix is _LOOP_MATRICES[block[0][0]]
-        assert d.radii == tuple(block_radius(block, range(len(block))) for block in blocks)
+        context = Analysis(inst)
+        succ = context.xi.succ
+        matrices = [component_matrix(succ, comp) for comp in scc(succ).components]
+        assert [m for _, m in context.xi_blocks] == matrices
+        for block, matrix in zip(context.xi_blocks, matrices):
+            assert len(matrix) > 1 or block is _LOOP_BLOCKS[matrix[0][0]]
+        assert [rr for rr, _ in context.xi_blocks] == [
+            block_radius(m, range(len(m))) for m in matrices
+        ]
 
 
 def test_scc_edgeless():
     d = scc({0: (), 1: ()})
     assert len(d.components) == 2
-    assert all(rr.estimate == 0.0 for rr in d.radii)
+    assert d.cycling == frozenset()
     assert d.reach == (frozenset({0}), frozenset({1}))
 
 
@@ -314,10 +318,9 @@ def test_psi_congruence_preservation(cantor_diff):
 def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     # singleton components replicate the restricted graph's radii
     for inst in (cantor_diff, base6_mixed):
-        xi_radii = {rr.estimate for rr in scc(build_xi_graph(inst).succ).radii}
-        sub_radii = {
-            rr.estimate for rr in _whole_graph(inst).scc.radii
-        }
+        xi_radii = {rr.estimate for rr, _ in Analysis(inst).xi_blocks}
+        g = _whole_graph(inst)
+        sub_radii = {rr.estimate for rr, _ in Analysis(inst).blocks(g.succ, g.scc.components)}
         assert xi_radii <= sub_radii
 
 

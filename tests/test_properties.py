@@ -20,6 +20,7 @@ from slicekit import (
     transition_matrices,
     type_assignment,
 )
+from slicekit.analysis import Analysis
 from slicekit.errors import NotInXi
 from slicekit.instance import ProblemInstance, parse_instance
 from slicekit.lattice import u_range, xi_types
@@ -69,15 +70,17 @@ def test_unique_interval_neighbours_fill_working_interval(inst):
 def _assert_xi_sccs_survive(inst):
     """A subset never grows under successors, so the subset graph explored
     from every singleton reproduces the restricted graph's components and
-    radii."""
+    radii, each graph's blocks formed by a context of its own."""
     xi = build_xi_graph(inst)
     graph = build_congruent_graph(xi_types(inst), inst.n, [(u,) for u in xi.us])
     xi_scc = scc(xi.succ)
     xi_comps = {frozenset((xi.us[i],) for i in comp) for comp in xi_scc.components}
     sub_comps = {frozenset(graph.vertices[v] for v in c) for c in graph.scc.components}
     assert xi_comps <= sub_comps
-    xi_radii = {rr.estimate for rr in xi_scc.radii}
-    sub_radii = {rr.estimate for rr in graph.scc.radii}
+    xi_radii = {rr.estimate for rr, _ in Analysis(inst).blocks(xi.succ, xi_scc.components)}
+    sub_radii = {
+        rr.estimate for rr, _ in Analysis(inst).blocks(graph.succ, graph.scc.components)
+    }
     assert xi_radii <= sub_radii
 
 

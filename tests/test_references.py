@@ -7,13 +7,14 @@ full span x span vector-matrix product, and ``_dense_cube_count_vector``
 one point's product the same way.  ``_per_vector_search`` classifies the
 multiplicities with loops that visit every vector: each vector's grid
 digits and aligned subsets are worked out for it alone, the grid scan runs
-to the last vector, and the subset graph certifies all of its own blocks.
+to the last vector, and a context of its own certifies the subset
+graph's blocks.
 ``_tuple_subset_graph`` enumerates
 every subset of every residue class as sorted member tuples, takes edges
 from ``subset_successor`` and finds components by Kosaraju's two passes;
 ``_assert_restriction`` builds the block of each component it compares,
-single vertices included, with ``component_matrix`` and certifies it with
-``block_radius``.  The two lattice rules are checked against the forms
+single vertices included, with ``component_matrix``, certifies it with
+``block_radius`` and checks it against the block its context formed.  The two lattice rules are checked against the forms
 they replaced: ``lattice.children`` against a cube-by-cube enumeration
 (``iter_cubes``/``weight``), ``interval_type_counts`` and
 ``build_full_graph`` against ``_scan_type_counts`` and
@@ -49,15 +50,16 @@ from slicekit import (
     ProblemInstance, build_congruent_graph, covering_condition, cube_count_vector,
     enumerate_achievable_r, nadic_expansion, parse_instance, strong_separation,
 )
-from slicekit.analysis import ReachableVector, Route, RStatus, _reachable_vectors
+from slicekit.analysis import (
+    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _reachable_vectors,
+)
 from slicekit import counting
 from slicekit.counting import (
     DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, exact_card, expansion_value,
 )
 from slicekit.errors import BoundaryPoint, WideEnclosure
 from slicekit.graphs import (
-    _LOOP_MATRICES, aligned, build_full_graph, build_xi_graph, component_matrix,
-    subset_successor,
+    aligned, build_full_graph, build_xi_graph, component_matrix, subset_successor,
 )
 from slicekit.lattice import children, interval_type_counts, u_range, xi_types
 from slicekit.spectral import (
@@ -145,8 +147,7 @@ def _per_vector_search(inst, max_r, vectors):
     """The routes and statuses of the multiplicity search on ``vectors``,
     by loops that visit every vector: each vector's open grid digits and
     aligned subsets are worked out for that vector alone, the grid scan
-    runs to the last vector, and the subset graph is built with no blocks
-    lent from the restricted graph."""
+    runs to the last vector, and the subset graph is built on its own."""
     n, lo, hi = inst.n, inst.proj_min, inst.proj_max
     gamma = {}
     for p in range(lo, hi + 1):
@@ -186,16 +187,17 @@ def _per_vector_search(inst, max_r, vectors):
 
 
 def _assert_per_support_search(inst, max_r):
-    """The search does its bookkeeping once per support and lends the
-    restricted graph's blocks to its subset graph; it must give the dense
-    products' vectors, and the routes, statuses and subset graph of the
-    per-vector loops."""
+    """The search does its bookkeeping once per support and its context
+    forms the subset graph's blocks; it must give the dense products'
+    vectors, and the routes, statuses, subset graph and blocks of the
+    per-vector loops, whose blocks a fresh context forms."""
     search = enumerate_achievable_r(inst, max_r)
     assert search.vectors == _dense_records(inst, max_r)
     graph, routes, statuses = _per_vector_search(inst, max_r, search.vectors)
     assert search.routes == routes
     assert search.statuses == statuses
     assert search.graph == graph
+    assert search.blocks == Analysis(inst).blocks(graph.succ, graph.scc.components)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -323,10 +325,11 @@ def _tuple_subset_graph(inst):
     return tuple(vertices), adjacency, tuple(comps), tuple(reach), comp_of, cycling
 
 
-def _assert_restriction(graph, reference):
-    """The explored ``graph`` equals the whole subset graph ``reference``
-    restricted to the explored vertices, which are closed under successors
-    and hold whole components."""
+def _assert_restriction(graph, blocks, reference):
+    """The explored ``graph``, whose components have the ``blocks`` a
+    context formed, equals the whole subset graph ``reference`` restricted
+    to the explored vertices, which are closed under successors and hold
+    whole components."""
     vertices, adjacency, comps, reach, comp_of, cycling = reference
     members = graph.vertices
     explored = set(members)
@@ -348,12 +351,17 @@ def _assert_restriction(graph, reference):
     assert graph.scc.comp_of == [position[comp_of[m]] for m in members]
     assert graph.scc.cycling == frozenset(position[j] for j in cycling if j in position)
     succ = {m: tuple(t for _, t in adjacency[m]) for m in members}
-    blocks = [component_matrix(succ, comps[idx]) for idx in kept]
-    # a single vertex's block is [[loop bit]], one shared matrix per bit
-    assert [list(map(list, m)) for m in graph.scc.matrices] == blocks
-    for matrix, block in zip(graph.scc.matrices, blocks):
-        assert len(block) > 1 or matrix is _LOOP_MATRICES[block[0][0]]
-    assert graph.scc.radii == tuple(block_radius(block, range(len(block))) for block in blocks)
+    matrices = [component_matrix(succ, comps[idx]) for idx in kept]
+    # a single vertex's block is [[loop bit]], one shared block per bit
+    assert [m for _, m in blocks] == matrices
+    for block, matrix in zip(blocks, matrices):
+        assert len(matrix) > 1 or block is _LOOP_BLOCKS[matrix[0][0]]
+    assert [rr for rr, _ in blocks] == [block_radius(m, range(len(m))) for m in matrices]
+
+
+def _blocks(inst, graph):
+    """The blocks of ``graph``'s components, formed by a fresh context."""
+    return Analysis(inst).blocks(graph.succ, graph.scc.components)
 
 
 def test_explored_subset_graph_matches_whole_bundled():
@@ -363,9 +371,10 @@ def test_explored_subset_graph_matches_whole_bundled():
         inst = load(name)
         reference = _tuple_subset_graph(inst)
         graph = build_congruent_graph(xi_types(inst), inst.n, reference[0])
-        _assert_restriction(graph, reference)
+        _assert_restriction(graph, _blocks(inst, graph), reference)
         if covering_condition(inst) and all(strong_separation(inst)):
-            _assert_restriction(enumerate_achievable_r(inst, 6).graph, reference)
+            search = enumerate_achievable_r(inst, 6)
+            _assert_restriction(search.graph, search.blocks, reference)
 
 
 def _whole_subset_count(inst):
@@ -390,7 +399,8 @@ def test_explored_subset_graph_matches_whole_scaled(label):
     """The graph ``analyze`` builds for the benchmark's scaled family and
     span 21."""
     inst = parse_instance(SCALED[label][0])
-    _assert_restriction(enumerate_achievable_r(inst, 6).graph, _tuple_subset_graph(inst))
+    search = enumerate_achievable_r(inst, 6)
+    _assert_restriction(search.graph, search.blocks, _tuple_subset_graph(inst))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -403,7 +413,8 @@ def test_explored_subset_graph_matches_whole_random(inst, data):
     if not reference[0]:
         return
     seeds = data.draw(st.lists(st.sampled_from(reference[0]), max_size=4))
-    _assert_restriction(build_congruent_graph(xi_types(inst), inst.n, seeds), reference)
+    graph = build_congruent_graph(xi_types(inst), inst.n, seeds)
+    _assert_restriction(graph, _blocks(inst, graph), reference)
 
 
 def _scan_type_counts(inst, u):

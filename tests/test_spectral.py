@@ -14,6 +14,7 @@ from slicekit import (
     spectral_radius,
     transition_matrices,
 )
+from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
 from slicekit.spectral import block_radius, max_radius
 from slicekit.lattice import type_assignment
@@ -154,17 +155,18 @@ def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff)
     largest radius, as the U1 measure class reads it, exactly when numpy
     finds its radius equal to the whole matrix's."""
     for inst in (base7_double, base6_mixed, cantor_diff):
-        xi = build_xi_graph(inst)
-        decomposition = scc(xi.succ)
-        rho = max_radius(decomposition.radii)
+        context = Analysis(inst)
+        xi = context.xi
+        radii = [rr for rr, _ in context.xi_blocks]
+        rho = max_radius(radii)
         assert rho == spectral_radius(xi.matrix)
-        blocks = [component_matrix(xi.succ, comp) for comp in decomposition.components]
+        blocks = [component_matrix(xi.succ, comp) for comp in scc(xi.succ).components]
         attains = []
-        for rr, block in zip(decomposition.radii, blocks):
+        for rr, block in zip(radii, blocks):
             assert rr == spectral_radius(block)
             attains.append(all(
                 compare_radii(rr, other_rr, block, other) >= 0
-                for other_rr, other in zip(decomposition.radii, blocks)
+                for other_rr, other in zip(radii, blocks)
             ))
         full = _numpy_radius(xi.matrix)
         assert attains == [abs(_numpy_radius(b) - full) < 1e-9 for b in blocks]
