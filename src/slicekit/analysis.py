@@ -17,15 +17,17 @@
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the restricted
 graph (with the xi types), its SCC decomposition and its blocks, which
-every restricted-graph verdict reads, the digit matrices and the U1
-report; covering and separation it reads from the instance's counting
-record, which decides them once; domination it decides once per distinct
-block.  The context forms the blocks of both graphs: a block is a
-component's 0-1 matrix with its certified radius, built and certified
-once per distinct in-component adjacency, whichever graph reaches it
-first.  The subset graph's components of singletons are restricted-graph
+every restricted-graph verdict reads, and the U1 report; covering and
+separation it reads from the instance's counting record, which decides
+them once; domination it decides once per distinct block.  The context
+forms the blocks of both graphs: a block is a component's 0-1 matrix with
+its certified radius, built and certified once per distinct in-component
+adjacency, whichever graph reaches it first.  A subset-graph block is
+formed where it is read: ``dim_ur`` forms those of the cycling components
+that r's routes reach, and the report those it prints; the search forms
+none.  The subset graph's components of singletons are restricted-graph
 components with the same matrices, so a report certifies each of them
-once, whether the search or the restricted graph asks first.
+once, whichever graph asks first.
 The multiplicity search does its bookkeeping per distinct support of its
 vectors, not per vector: it computes each support's aligned subsets once,
 builds the subset graph once with ``graphs.build_congruent_graph`` on the
@@ -40,7 +42,7 @@ residue whose aligned subset reaches a cycling component.
 ``dim_u1`` reads a context; the status of r, whose witness is its first
 route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
 list of a multiplicity search, ``RSearchResult``, which also carries the
-context it ran on, the subset graph and its blocks.  The search stores a
+context it ran on and the subset graph.  The search stores a
 status only for an r it reaches; ``RSearchResult.status`` reads any
 other r of 1..max_r as NotReachable.
 
@@ -76,8 +78,7 @@ from .lattice import children
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
 from .spectral import (  # noqa: F401
-    CountMatrix, Matrix, RadiusResult, block_radius, compare_radii, max_radius,
-    spectral_radius, transition_matrices,
+    Matrix, RadiusResult, block_radius, compare_radii, max_radius, spectral_radius,
 )
 
 # Largest max_r a search takes; it bounds the report's r_search, which lists
@@ -148,9 +149,9 @@ def _integer_block(value: int) -> Block:
     return block_radius(matrix, [0]), matrix
 
 
-def _top(blocks: tuple[Block, ...], indices) -> int | None:
-    """The first of ``indices`` whose block has the largest radius; None
-    for no indices."""
+def _top(blocks: tuple[Block, ...] | dict[int, Block], indices) -> int | None:
+    """The first of ``indices`` whose block, ``blocks[i]``, has the largest
+    radius; None for no indices."""
     best = None
     for i in indices:
         if best is None or _compare(blocks[i], blocks[best]) > 0:
@@ -234,10 +235,6 @@ class Analysis:
     @property
     def ssc(self) -> tuple[bool, ...]:
         return _record(self.inst).ssc
-
-    @cached_property
-    def matrices(self) -> list[CountMatrix]:
-        return transition_matrices(self.inst)
 
     @cached_property
     def u1(self) -> U1Report:
@@ -365,15 +362,13 @@ class RSearchResult(NamedTuple):
     An r in 1..max_r is achievable exactly when it has a route, and only
     those r are keys; the status, ``dim_ur``, ``measure_ur`` and
     ``witness_ur`` all read this one list.  ``statuses`` holds only the r
-    that are not NotReachable, ascending; ``status(r)`` reads any r.
-    ``blocks[i]`` is the block of component i of ``graph.scc``."""
+    that are not NotReachable, ascending; ``status(r)`` reads any r."""
 
     max_r: int
     vectors: tuple[ReachableVector, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
-    blocks: tuple[Block, ...]
     routes: dict[int, tuple[Route, ...]]
 
     def achievable(self) -> list[int]:
@@ -559,7 +554,6 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
         statuses=statuses,
         analysis=context,
         graph=graph,
-        blocks=context.blocks(graph.succ, graph.scc.components),
         routes={r: tuple(routes[r]) for r in sorted(routes)},
     )
 
@@ -602,11 +596,15 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
             measure_class=None,
         )
         return report, None
-    blocks = search.blocks
+    graph = search.graph
     n = search.analysis.inst.n
     # the first maximal component of each distinct set of cycles reached,
     # in route order; routes with one subset reach one set
     reached = dict.fromkeys(route.cycles for route in search.routes[r])
+    # the blocks of those cycling components only, by component index
+    ids = sorted({i for cycles in reached for i in cycles})
+    components = graph.scc.components
+    blocks = dict(zip(ids, search.analysis.blocks(graph.succ, [components[i] for i in ids])))
     tops = [_top(blocks, cycles) for cycles in reached]
     candidates = {_log_over_log_n(blocks[top][0].estimate, n) for top in tops}
     block = blocks[_top(blocks, tops)]

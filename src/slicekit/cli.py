@@ -32,6 +32,7 @@ from .report import (
     report_json,
     witness_json,
 )
+from .spectral import transition_matrices
 
 # Most entries of the digit matrices T and the restricted graph's matrix M
 # together that `analyze` and `matrices` print: n=3 at span 601 prints about
@@ -179,7 +180,7 @@ def _dispatch(args) -> int:
             "rho": radius_json(context.u1.rho),
             "T": [
                 {"digit": m.digit, "rows": [list(r) for r in m.entries]}
-                for m in context.matrices
+                for m in transition_matrices(inst)
             ],
         }
     elif cmd == "dim-u1":

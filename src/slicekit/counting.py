@@ -20,11 +20,13 @@ Two mechanisms, deliberately kept apart:
   chains are kept alive by closed-interval containment.
 
 ``exact_card`` does each piece of work at the level it depends on: per
-instance, covering and strong separation, decided once in a weak-keyed
-record that goes with the instance; per field width, in the same record,
+instance, covering and strong separation, decided once in a record kept
+for that instance object alone, which goes when it does (an equal instance
+has its own); per field width, in the same record,
 the digit tables (per digit, boundary flag and t: the packed children of
 one chain from its lowest child on, where they start, their support mask
-and their number, so that a table grows with the span) and the transition
+and their number, so that a table grows with the span, refused past
+``_TABLE_ROWS`` rows before any row is built) and the transition
 cache, which keeps each step ``_advance`` took (a table entry and a packed
 vector give the next vector, its mask and its cardinality) and is emptied
 when it would hold more than ``_STEP_CACHE_BITS`` bits; and per query, the
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
 from typing import NamedTuple
-from weakref import WeakKeyDictionary
+from weakref import finalize
 
 from .errors import (
     BoundaryPoint,
@@ -69,7 +71,7 @@ from .errors import (
     TooLarge,
 )
 from .instance import ProblemInstance
-from .lattice import children, covering_condition, strong_separation
+from .lattice import children, covering_condition, open_children, strong_separation
 
 DEFAULT_BUDGET = 4096
 
@@ -167,25 +169,23 @@ def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple
     """e_i T_{j1} ... T_{jk} for the expansion of a non-boundary x; the
     entries are the depth-k chain counts per unit offset, their sum the
     number of depth-k cubes meeting the slice.  Each digit steps the live
-    offsets only, along their rows of T_j (``lattice.children``, kept below
-    proj_max), so no matrix is formed."""
+    offsets only, along their rows of T_j (``lattice.open_children``), so no
+    matrix is formed."""
     if not _record(inst).covering:
         raise CoveringRequired("the depth-1 projections must cover the full range")
     exp = nadic_expansion(inst, x)
     if exp.boundary:
         raise BoundaryPoint(f"{x} is a base-{inst.n} boundary point")
-    lo, hi = inst.proj_min, inst.proj_max
     live = {exp.integer_part: 1}
     for j in exp.digits(k):
         step: dict[int, int] = {}
         for u, m in live.items():
-            for v, count in children(inst, j, u):
-                if v < hi:
-                    step[v] = step.get(v, 0) + m * count
+            for v, count in open_children(inst, children(inst, j, u)):
+                step[v] = step.get(v, 0) + m * count
         live = step
     vec = [0] * inst.span
     for v, m in live.items():
-        vec[v - lo] = m
+        vec[v - inst.proj_min] = m
     return tuple(vec)
 
 
@@ -248,14 +248,16 @@ class _Record:
         self.step_bits += size
 
 
-# One record per instance; an entry goes with its instance.
-_RECORDS: WeakKeyDictionary[ProblemInstance, _Record] = WeakKeyDictionary()
+# One record per instance object, keyed on its id: an entry goes when its
+# instance does, and an equal instance has its own.
+_RECORDS: dict[int, _Record] = {}
 
 
 def _record(inst: ProblemInstance) -> _Record:
-    rec = _RECORDS.get(inst)
+    rec = _RECORDS.get(id(inst))
     if rec is None:
-        rec = _RECORDS[inst] = _Record(inst)
+        rec = _RECORDS[id(inst)] = _Record(inst)
+        finalize(inst, _RECORDS.pop, id(inst), None)
     return rec
 
 
@@ -282,15 +284,28 @@ def _row(kids: list[tuple[int, int]], bits: int, lo: int) -> tuple[int, int, int
     return row, bits * (c0 - lo), mask, c0 - lo, total
 
 
+# Most rows a digit table may hold, n * (span + 1), each an entry of both
+# flags.  A row costs about 190 bytes: on n=3, {0,2}^2, `count --x 1/7`
+# peaks at 123 MiB for 600006 rows (span 200001) and 201 MiB for 1048572,
+# just under the cap, inside 512 MiB with room for instances that cost
+# more; with no cap it peaked at 385 MiB for 2097156 rows.
+_TABLE_ROWS = 2**20
+
+
 def _build_table(inst: ProblemInstance, bits: int) -> tuple:
     """The digit table at field width ``bits``: ``table[d][closed][t -
     proj_min]``, for each t in [proj_min, proj_max], is the ``_row`` entry
     of one chain at t, whose children are ``lattice.children(inst, d, t)``
-    (row t of T_d), kept below proj_max, or up to proj_max when the new
-    remainder is 0 (``closed``); child t' is at j = t' - proj_min.  A row
-    starts at its lowest child, so the table grows with the span, not with
-    its square, and the two flags share each entry with no child at
-    proj_max."""
+    when the new remainder is 0 (``closed``), else their open part, row t
+    of T_d (``lattice.open_children``); child t' is at j = t' - proj_min.
+    A row starts at its lowest child, so the table grows with the span, not
+    with its square, and the two flags share each entry with no child at
+    proj_max.  Raises TooLarge, before any row is built, past _TABLE_ROWS
+    rows."""
+    if inst.n * (inst.span + 1) > _TABLE_ROWS:
+        raise TooLarge(
+            f"the digit table has {inst.n * (inst.span + 1)} rows, more than {_TABLE_ROWS}"
+        )
     lo, hi = inst.proj_min, inst.proj_max
     table = []
     for d in range(inst.n):
@@ -299,7 +314,8 @@ def _build_table(inst: ProblemInstance, bits: int) -> tuple:
             kids = children(inst, d, t)
             entry = _row(kids, bits, lo)
             closed.append(entry)
-            opened.append(_row(kids[:-1], bits, lo) if kids and kids[-1][0] == hi else entry)
+            cut = open_children(inst, kids)
+            opened.append(entry if cut is kids else _row(cut, bits, lo))
         table.append((tuple(opened), tuple(closed)))
     return tuple(table)
 
@@ -480,9 +496,8 @@ def lyapunov_estimate(
     mats = np.zeros((inst.n, span, span), dtype=np.float64)
     for j in range(inst.n):
         for u in range(lo, hi):
-            for v, count in children(inst, j, u):
-                if v < hi:
-                    mats[j, u - lo, v - lo] = count
+            for v, count in open_children(inst, children(inst, j, u)):
+                mats[j, u - lo, v - lo] = count
     per_sample = np.empty(samples, dtype=np.float64)
     for block_start in range(0, samples, block_size):
         block = min(block_size, samples - block_start)

@@ -3,7 +3,8 @@
 * full graph: every integer interval; an edge goes from an interval of type t
   to each of the n intervals inside the working interval [t, t+1].
 * restricted graph: the induced subgraph on the uniquely covered intervals,
-  as successor lists (ascending-u indexing); its 0-1 matrix is formed on read.
+  a record of successor lists (ascending-u indexing); its 0-1 matrix is
+  formed on each read by ``component_matrix``, the one 0-1 matrix builder.
 * subset graph: vertices are nonempty sets of uniquely covered intervals
   that share u mod n; from a subset, the successor under residue h is the
   set of images n*t(u) + h, and an edge exists exactly when that image
@@ -38,7 +39,6 @@ decomposed on positions in ``xi.us``, its matrix index.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -63,23 +63,20 @@ class FullGraph(NamedTuple):
                 yield (u, v)
 
 
-class XiGraph:
+class XiGraph(NamedTuple):
     """Induced subgraph on uniquely covered intervals.  ``us`` is the
-    index, the uniquely covered u ascending; ``succ[i]`` lists the
-    positions in ``us`` that position i has an edge to, ascending;
-    ``matrix``, the 0-1 matrix on that index, is formed on first read."""
+    index, the uniquely covered u ascending; ``types`` maps each of them to
+    its type; ``succ[i]`` lists the positions in ``us`` that position i has
+    an edge to, ascending."""
 
     us: tuple[int, ...]
     types: dict[int, int]
     succ: tuple[tuple[int, ...], ...]
 
-    def __init__(self, us, types, succ) -> None:
-        self.us, self.types, self.succ = us, types, succ
-
-    @cached_property
+    @property
     def matrix(self) -> tuple[tuple[int, ...], ...]:
-        size = range(len(self.succ))
-        return tuple(tuple(int(j in targets) for j in size) for targets in self.succ)
+        """The 0-1 matrix on ``us``, formed on each read."""
+        return component_matrix(self.succ, range(len(self.succ)))
 
 
 class SccDecomposition(NamedTuple):

@@ -5,10 +5,14 @@ strong-separation checks.
 All endpoints here are rationals with denominator n, so every containment
 question is decided exactly on scaled integers.
 
-``children`` is the one place that applies the children rule: row t of
-digit matrix T_d, read by the counting tables, the digit matrices and the
-grid tails, and the types of interval u, the children of (u mod n, u div n)
-below proj_max.
+``children`` is the one place that applies the children rule, and
+``open_children`` the one place that cuts a chain's children at proj_max:
+row t of digit matrix T_d is the open children of (d, t), read by the
+counting tables, the digit matrices, ``cube_count_vector`` and
+``lyapunov_estimate``, and the types of interval u
+(``interval_type_counts``) are the open children of (u mod n, u div n).
+The grid tails and the counting tables' closed rows read ``children``
+uncut.
 ``unique_type`` is the one place that decides whether interval u is
 uniquely covered, and by which type: ``xi_types`` reads it for every u,
 ``graphs.psi_step`` for one.
@@ -26,9 +30,10 @@ from .instance import ProblemInstance
 # Most integer intervals, n * span, whose types ``xi_types`` finds.  What
 # follows grows faster than the interval count: on n=3, {0,2}^2, `dim-u1`
 # peaks at 119 MiB for 30003 intervals, 279 MiB for 60003 and 498 MiB for
-# 84003, and `witness --r 1` at 150, 336 and 454 MiB for 30003, 60003 and
-# 72003, running out of 512 MiB at 84003.  At the cap the two peak at 331
-# and 392 MiB, inside 512 MiB with room for instances that cost more.
+# 84003, and `witness --r 1` at 299 MiB for 60003; a search that also
+# formed its subset graph's blocks ran out of 512 MiB at 84003.  At the cap
+# the two peak at 331 and 352 MiB, inside 512 MiB with room for instances
+# that cost more.
 _INTERVAL_CAP = 2**16
 
 
@@ -99,13 +104,17 @@ def children(inst: ProblemInstance, d: int, t: int) -> list[tuple[int, int]]:
     return out
 
 
+def open_children(inst: ProblemInstance, kids: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """``kids``, one chain's ``children``, without a child at proj_max: for
+    the children of (d, t), row t of digit matrix T_d.  ``kids`` itself
+    when no child sits at proj_max, else a new list."""
+    return kids[:-1] if kids and kids[-1][0] == inst.proj_max else kids
+
+
 def interval_type_counts(inst: ProblemInstance, u: int) -> list[tuple[int, int]]:
-    """(type, number of cubes realising it) for interval u, ascending type;
-    empty outside the range."""
-    kids = children(inst, u % inst.n, u // inst.n)
-    if kids and kids[-1][0] == inst.proj_max:
-        kids.pop()
-    return kids
+    """(type, number of cubes realising it) for interval u, ascending type:
+    the open children of (u mod n, u div n); empty outside the range."""
+    return open_children(inst, children(inst, u % inst.n, u // inst.n))
 
 
 def type_assignment(inst: ProblemInstance, interval: IntegerInterval | int) -> TypeAssignment:

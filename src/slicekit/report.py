@@ -26,7 +26,7 @@ from .analysis import (
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals, interval_type_counts
-from .spectral import RadiusResult
+from .spectral import RadiusResult, transition_matrices
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -143,7 +143,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
                 "index_min": m.index_min,
                 "rows": [list(r) for r in m.entries],
             }
-            for m in context.matrices
+            for m in transition_matrices(inst)
         ],
         "scc_xi": _scc_json(context.xi_scc, context.xi_blocks, xi.us),
         "u1": {
@@ -165,7 +165,8 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
     else:
         graph = search.graph
         labels = [",".join(map(str, members)) for members in graph.vertices]
-        data["scc_subsets"] = _scc_json(graph.scc, search.blocks, labels)
+        blocks = context.blocks(graph.succ, graph.scc.components)
+        data["scc_subsets"] = _scc_json(graph.scc, blocks, labels)
         data["r_search"] = _search_json(search)
         data["ur"] = _ur_json(inst, search)
     elapsed = time.monotonic() - started

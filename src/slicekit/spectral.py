@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Sequence
 from ._digraph import strongly_connected_components
 from .errors import WideEnclosure
 from .instance import ProblemInstance
-from .lattice import children
+from .lattice import children, open_children
 
 DEFAULT_TOLERANCE = 1e-9
 _MAX_ITERATIONS = 10**6
@@ -77,18 +77,17 @@ class RadiusResult(NamedTuple):
 
 
 def transition_matrices(inst: ProblemInstance) -> list[CountMatrix]:
-    """The n digit matrices; row u of matrix j counts the children of a
-    chain at u under digit j (``lattice.children``), those below proj_max,
-    so entry (u, v) counts cubes of weight n*u + j - v."""
+    """The n digit matrices; row u of matrix j counts the open children of
+    a chain at u under digit j (``lattice.open_children``), so entry (u, v)
+    counts cubes of weight n*u + j - v."""
     lo, hi = inst.proj_min, inst.proj_max
     out = []
     for j in range(inst.n):
         rows = []
         for u in range(lo, hi):
             row = [0] * inst.span
-            for v, count in children(inst, j, u):
-                if v < hi:
-                    row[v - lo] = count
+            for v, count in open_children(inst, children(inst, j, u)):
+                row[v - lo] = count
             rows.append(tuple(row))
         out.append(CountMatrix(digit=j, index_min=lo, entries=tuple(rows)))
     return out

@@ -386,9 +386,9 @@ def test_report_lists_every_status_and_no_vectors(name):
 def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     """During ``build_report``, the context builds the matrix of each
     component of two or more vertices once and nothing builds one again:
-    the subset graph's blocks are all built, and the restricted graph takes
-    the block of each component that the subset graph holds as a component
-    of singletons, the same block object; the search
+    the restricted graph's blocks are all built, and the subset graph takes
+    the block of each component that it holds as a component of singletons,
+    the same block object; the search
     asks the subset graph for the cycles of each distinct aligned subset of
     its vectors once, and its routes take their subsets and cycles from
     those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
@@ -433,6 +433,8 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     for _, _, search in calls["search"]:
         context, graph = search.analysis, search.graph
         xi = context.xi
+        # read back from the context's memo: no matrix is built again
+        searched = context.blocks(graph.succ, graph.scc.components)
         singletons = {
             tuple(xi.us.index(graph.vertices[v][0]) for v in comp): i
             for i, comp in enumerate(graph.scc.components)
@@ -440,8 +442,8 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         }
         for i, comp in enumerate(context.xi_scc.components):
             if comp in singletons:
-                built.remove(comp)
-                assert context.xi_blocks[i] is search.blocks[singletons[comp]]
+                built.remove(graph.scc.components[singletons[comp]])
+                assert context.xi_blocks[i] is searched[singletons[comp]]
     assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(built)
     assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
     for _, _, search in calls["search"]:
@@ -491,14 +493,43 @@ def test_blocks_certified_once_in_either_order(monkeypatch):
     context = Analysis(inst)
     restricted_first = context.xi_blocks
     searched = context.blocks(graph.succ, graph.scc.components)
+    subset_first = search.analysis.blocks(graph.succ, graph.scc.components)
     for restricted, subset in (
         (restricted_first, searched),
-        (search.analysis.xi_blocks, search.blocks),
+        (search.analysis.xi_blocks, subset_first),
     ):
         [block] = [block for block in restricted if len(block[1]) > 1]
         assert len(block[1]) == 23
         assert [b for b in subset if b is block] == [block]
     assert certified.count(23) == 2
+
+
+def test_search_and_witness_form_no_block(monkeypatch):
+    """The multiplicity search and the witness walk read no block: on n7,
+    whose search reaches the restricted graph's 23-vertex component,
+    ``enumerate_achievable_r`` followed by ``witness_ur`` for every
+    achievable r builds no component matrix and certifies no radius."""
+    inst = parse_instance(SCALED["n7"][0])
+    calls = []
+
+    def spy(function):
+        def wrapper(*args, **kwargs):
+            calls.append(function.__name__)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for owner, attr in (
+        (analysis, "component_matrix"),
+        (graphs, "component_matrix"),
+        (analysis, "block_radius"),
+    ):
+        monkeypatch.setattr(owner, attr, spy(getattr(owner, attr)))
+    search = enumerate_achievable_r(inst, 6)
+    assert any(len(comp) == 23 for comp in search.graph.scc.components)
+    assert search.achievable()
+    for r in search.achievable():
+        witness_ur(search, r)
+    assert calls == []
 
 
 def test_blocks_keyed_on_in_component_adjacency(cantor_diff):
@@ -526,9 +557,11 @@ def test_singleton_components_share_restricted_blocks(inst, max_r):
     block object of the restricted-graph component with the same members."""
     search = enumerate_achievable_r(inst, max_r)
     context, graph = search.analysis, search.graph
+    # the subset graph's blocks first: the restricted graph then reads the shared ones
+    searched = context.blocks(graph.succ, graph.scc.components)
     position = {u: i for i, u in enumerate(context.xi.us)}
     restricted = dict(zip(context.xi_scc.components, context.xi_blocks))
-    for comp, block in zip(graph.scc.components, search.blocks):
+    for comp, block in zip(graph.scc.components, searched):
         members = [graph.vertices[v] for v in comp]
         if len(members[0]) == 1:
             assert block is restricted[tuple(position[u] for (u,) in members)]

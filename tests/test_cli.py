@@ -528,10 +528,11 @@ def test_search_records_refused_within_512_mib(tmp_path):
 def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
     """`lyapunov` forms dense float digit matrices, n * span**2 entries,
     and one block's matrices per step, block * span**2; `dim-u1` types
-    every one of the range's n * span integer intervals.  On n=3, {0,2}^2,
-    coefficients (-c, c + 1), these calls ended in a MemoryError (exit 4)
-    under 512 MiB of address space: `lyapunov` at spans 601, 2001 and
-    2 * 10^12 + 1, `dim-u1` at the last.  Each child now stops at its cap,
+    every one of the range's n * span integer intervals; `count` builds a
+    digit table of n * (span + 1) rows.  On n=3, {0,2}^2, coefficients
+    (-c, c + 1), these calls ended in a MemoryError (exit 4) under 512 MiB
+    of address space: `lyapunov` at spans 601, 2001 and 2 * 10^12 + 1,
+    `dim-u1` and `count` at the last.  Each child now stops at its cap,
     TooLarge, exit 3, with nothing on stdout, within that limit and 60 s.
     The counted floats are `lyapunov`'s peak, with no int copy of the
     matrices and one block's step matrices live: runs just under the cap of
@@ -560,6 +561,7 @@ def test_dense_and_interval_caps_refused_within_512_mib(tmp_path):
         (("lyapunov", docs[10**12], "--samples", "10", "--depth", "10"),
          "floats, more than 16777216"),
         (("dim-u1", docs[10**12]), "6000000000003 integer intervals, more than 65536"),
+        (("count", docs[10**12], "--x", "1/7"), "6000000000006 rows, more than 1048576"),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "slicekit", *map(str, argv)],

@@ -31,7 +31,9 @@ from slicekit.errors import (
     OutOfRange,
     TooLarge,
 )
+from slicekit.lattice import children, interval_type_counts, open_children
 from slicekit.report import build_report
+from slicekit.spectral import transition_matrices
 from conftest import FIXTURES, counting_instances, load
 from test_golden import SCALED
 from test_properties import instances
@@ -110,6 +112,55 @@ def test_cube_count_vectors(cantor_diff):
 def test_cube_count_vector_boundary(cantor_diff):
     with pytest.raises(BoundaryPoint):
         cube_count_vector(cantor_diff, Fraction(1, 3), 2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(counting_instances(), st.sampled_from([1, 6, counting.DEFAULT_BUDGET]))
+def test_open_children_are_every_row_of_the_digit_matrices(inst, budget):
+    """For every digit d and offset t below proj_max, the open children of
+    (d, t) are the nonzero entries of row t of T_d, the digit table's open
+    entry at t decoded, and the types of interval n*t + d; the closed entry
+    decodes to the children uncut."""
+    bits = (budget * inst.cube_count).bit_length()
+    table = counting.digit_table(inst, bits)
+    lo = inst.proj_min
+
+    def decoded(entry):
+        packed, shift, mask, j0, total = entry
+        kids = [
+            (lo + j0 + i, packed >> bits * i & (1 << bits) - 1)
+            for i in range(mask.bit_length())
+            if mask >> i & 1
+        ]
+        assert (shift, total) == (bits * j0, sum(c for _, c in kids))
+        return kids
+
+    for matrix in transition_matrices(inst):
+        d = matrix.digit
+        for t in range(lo, inst.proj_max):
+            kids = children(inst, d, t)
+            cut = open_children(inst, kids)
+            row = matrix.entries[t - lo]
+            assert cut == [(lo + v, count) for v, count in enumerate(row) if count]
+            assert cut == decoded(table[d][0][t - lo])
+            assert cut == interval_type_counts(inst, inst.n * t + d)
+            assert kids == decoded(table[d][1][t - lo])
+
+
+def test_digit_table_rows_capped_before_any_is_built(monkeypatch):
+    """A digit table of more than _TABLE_ROWS rows, n * (span + 1), is
+    refused with TooLarge before any row's children are listed; one of
+    exactly _TABLE_ROWS rows is built and counts."""
+    inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-1, 1))
+    rows = inst.n * (inst.span + 1)
+    listed = []
+    monkeypatch.setattr(counting, "children", lambda *args: listed.append(args) or children(*args))
+    monkeypatch.setattr(counting, "_TABLE_ROWS", rows - 1)
+    with pytest.raises(TooLarge, match=f"the digit table has {rows} rows, more than {rows - 1}"):
+        exact_card(inst, Fraction(1, 3))
+    assert listed == []
+    monkeypatch.setattr(counting, "_TABLE_ROWS", rows)
+    assert (exact_card(inst, Fraction(1, 3)).verdict, len(listed)) == ("Finite", rows)
 
 
 def test_cube_count_vector_needs_covering(no_cover):
@@ -313,15 +364,13 @@ def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cov
     calls = Counter()
     for name in ("covering_condition", "strong_separation", "_build_table"):
         monkeypatch.setattr(counting, name, _counted(getattr(counting, name), calls))
-    # no other instance of the suite equals this one, so the record cannot
-    # hold it yet (the record keys on equality)
     inst = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
-    assert inst not in counting._RECORDS
+    assert id(inst) not in counting._RECORDS
     for k in range(20):
         exact_card(inst, Fraction(k, 7))
     assert calls == {"covering_condition": 1, "strong_separation": 1, "_build_table": 1}
     width = (counting.DEFAULT_BUDGET * inst.cube_count).bit_length()
-    assert list(counting._RECORDS[inst].tables) == [width]
+    assert list(counting._RECORDS[id(inst)].tables) == [width]
     # a failing instance raises on every call, and is decided at most once
     for failing in (full_interval, no_cover):
         with pytest.raises(HypothesisViolated):
@@ -332,12 +381,27 @@ def test_hypotheses_decided_once_per_instance(monkeypatch, full_interval, no_cov
                 exact_card(failing, Fraction(k, 5))
         assert calls == decided
     # the record does not keep the instance alive, and forgets it with it
-    ref = weakref.ref(inst)
+    ref, key = weakref.ref(inst), id(inst)
     del inst
     gc.collect()
     assert ref() is None
-    twin = ProblemInstance(n=5, digit_sets=((0, 2, 4), (0, 2, 4)), coefficients=(5, -4))
-    assert twin not in counting._RECORDS
+    assert key not in counting._RECORDS
+
+
+def test_record_lives_as_long_as_its_instance():
+    """Two equal instances each get a record of their own, and one's
+    record stays, tables and all, when the other goes."""
+    a = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-2, 3))
+    b = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-2, 3))
+    assert a == b and a is not b
+    exact_card(a, Fraction(1, 7))
+    exact_card(b, Fraction(1, 7))
+    rec = counting._record(b)
+    assert rec is not counting._record(a)
+    del a
+    gc.collect()
+    assert counting._record(b) is rec
+    assert list(rec.tables) == [(counting.DEFAULT_BUDGET * b.cube_count).bit_length()]
 
 
 def test_search_steps_the_counting_tables(monkeypatch):
@@ -348,13 +412,13 @@ def test_search_steps_the_counting_tables(monkeypatch):
     calls = Counter()
     monkeypatch.setattr(counting, "_build_table", _counted(counting._build_table, calls))
     inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-3, 5))
-    assert inst not in counting._RECORDS
+    assert id(inst) not in counting._RECORDS
     for _ in range(2):
         search = enumerate_achievable_r(inst, 6)
         for r in search.achievable():
             witness_ur(search, r)
     assert calls == {"_build_table": 1}
-    assert list(counting._RECORDS[inst].tables) == [(6 * 4).bit_length()]
+    assert list(counting._RECORDS[id(inst)].tables) == [(6 * 4).bit_length()]
 
 
 # The scaled instances of the benchmark's analyze-scaled workload.
@@ -371,11 +435,9 @@ def test_report_decides_hypotheses_and_builds_one_table(name, monkeypatch):
     for attr in ("covering_condition", "strong_separation", "_build_table"):
         monkeypatch.setattr(counting, attr, _counted(getattr(counting, attr), calls))
     inst = parse_instance(SCALED[name][0])
-    # the record keys on equality, and another test may hold an equal instance
-    monkeypatch.delitem(counting._RECORDS, inst, raising=False)
     data = build_report(inst)["data"]
     assert calls == {"covering_condition": 1, "strong_separation": 1, "_build_table": 1}
-    assert list(counting._RECORDS[inst].tables) == [(6 * inst.cube_count).bit_length()]
+    assert list(counting._RECORDS[id(inst)].tables) == [(6 * inst.cube_count).bit_length()]
     assert (data["covering"], data["ssc"]) == (True, [True] * inst.l)
     exact_card(inst, Fraction(1, 11))
     cube_count_vector(inst, Fraction(1, 11), 3)
@@ -414,11 +476,11 @@ def test_recurrences_span_whole_periods(query, budget):
 def _cold_card(inst, x, *limits):
     """exact_card on a fresh record: the instance's record, with its tables
     and transition caches, is dropped before and after the call."""
-    counting._RECORDS.pop(inst, None)
+    counting._RECORDS.pop(id(inst), None)
     try:
         return exact_card(inst, x, *limits)
     finally:
-        counting._RECORDS.pop(inst, None)
+        counting._RECORDS.pop(id(inst), None)
 
 
 def _cached_bits(rec):
@@ -446,7 +508,7 @@ def test_warm_record_matches_cold_random(query, data, budget):
     cold = [_cold_card(inst, p, budget) for p in sweep]
     for _ in range(2):
         assert [exact_card(inst, p, budget) for p in sweep] == cold
-    rec = counting._RECORDS[inst]
+    rec = counting._RECORDS[id(inst)]
     assert 0 < rec.step_bits == _cached_bits(rec) <= counting._STEP_CACHE_BITS
 
 
@@ -501,15 +563,16 @@ def test_transition_cache_stays_within_its_bound(label, monkeypatch):
     emptied, held = 0, 0
     for x, expected in zip(grid, cold):
         assert exact_card(inst, x) == expected
-        rec = counting._RECORDS[inst]
+        rec = counting._RECORDS[id(inst)]
         assert rec.step_bits == _cached_bits(rec) <= bound
         emptied += rec.step_bits < held
         held = rec.step_bits
     assert emptied >= 10
     monkeypatch.setattr(counting, "_STEP_CACHE_BITS", counting._ENTRY_BITS - 1)
-    counting._RECORDS.pop(inst)
+    counting._RECORDS.pop(id(inst))
     assert [exact_card(inst, x) for x in grid] == cold
-    assert counting._RECORDS[inst].step_bits == _cached_bits(counting._RECORDS[inst]) == 0
+    rec = counting._RECORDS[id(inst)]
+    assert rec.step_bits == _cached_bits(rec) == 0
 
 
 def test_exact_card_examples(cantor_diff):
