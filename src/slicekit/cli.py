@@ -1,8 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage / malformed input, 2 precondition violation,
-3 resource cap (including counting budgets), 4 internal error (an
-``InternalError``, or any other unexpected exception, reported on one line).
+Exit codes: 0 success, 1 usage / malformed input (including an ``--out``
+path that cannot be written, and a stdout whose reader has gone),
+2 precondition violation, 3 resource cap (including counting budgets),
+4 internal error (an ``InternalError``, or any other unexpected exception,
+reported on one line).
+
+``run`` is the program entry (``python -m slicekit`` and the ``slicekit``
+script); ``main(argv)`` is the same command for in-process callers.
 
 Each process compiles only the layers its command runs: the brute-force
 oracle is imported by the ``oracle`` command and the SVG figure code
@@ -13,6 +18,8 @@ other command starts without them.
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -79,7 +86,10 @@ def _check_printable_count(count: int) -> int:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -139,7 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _dispatch(args)
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: the "Note on SIGPIPE" recipe of the
+        # signal docs, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SlicekitError as exc:
         print(f"slicekit: error: {exc}", file=sys.stderr)
         return exc.exit_code
@@ -148,6 +165,19 @@ def main(argv=None) -> int:
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"slicekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return InternalError.exit_code
+
+
+def run() -> None:
+    """Run the command of ``sys.argv`` and exit with its code.
+
+    The collector is frozen first: at exit the interpreter collects every
+    tracked object and frees the import graph's cycles, and frozen objects
+    sit in the permanent generation, which those collections skip.  atexit
+    handlers and the final flush of stdout and stderr still run.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 def _dispatch(args) -> int:
@@ -269,4 +299,4 @@ def _dispatch(args) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -476,6 +476,8 @@ def lyapunov_estimate(
         raise CoveringRequired("the depth-1 projections must cover the full range")
     if samples <= 0 or depth <= 0:
         raise OutOfRange("samples and depth must be positive")
+    if seed < 0:  # numpy's SeedSequence takes non-negative entropy only
+        raise OutOfRange(f"seed must be >= 0, got {seed}")
     # past either cap, one block's int64 digits or the per-sample array pass 128 MiB
     if depth > 2**16 or samples > 2**24:
         raise TooLarge(f"need depth <= 2**16, samples <= 2**24; got {depth}, {samples}")

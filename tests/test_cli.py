@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import os
 import resource
@@ -262,6 +263,8 @@ def test_usage_errors(capsys):
         (("witness", "base7_double", "--r", "0"), "--r must be >= 1"),
         (("render", "cantor_diff", "--depth", "-1"), "depth must be >= 0"),
         (("oracle", "cantor_diff", "--x", "1/7", "--depth", "-1"), "depth must be >= 0"),
+        # numpy's SeedSequence would raise ValueError, an internal error
+        (("lyapunov", "cantor_diff", "--seed", "-1"), "seed must be >= 0, got -1"),
     ):
         command, name, *flags = argv
         code, out, err = run(capsys, command, FIXTURES / f"{name}.json", *flags)
@@ -357,17 +360,19 @@ def _lazy_modules_loaded(code: str) -> list[str]:
 def test_import_does_not_load_numpy():
     """numpy, the oracle, the figure code and the Sturm-chain helpers are
     imported where they are first used, so neither ``import slicekit`` nor
-    ``python -m slicekit check|count|analyze`` compiles them."""
+    ``python -m slicekit check|count|analyze`` compiles them, and a
+    ``lyapunov`` seed out of range is refused before numpy loads."""
     assert _lazy_modules_loaded("import slicekit") == []
-    for argv in (
-        ["check", "instances/cantor_diff.json"],
-        ["count", "instances/cantor_diff.json", "--x", "1/3"],
-        ["analyze", "instances/cantor_diff.json"],
+    for argv, want in (
+        (["check", "instances/cantor_diff.json"], 0),
+        (["count", "instances/cantor_diff.json", "--x", "1/3"], 0),
+        (["analyze", "instances/cantor_diff.json"], 0),
+        (["lyapunov", "instances/cantor_diff.json", "--seed", "-1"], 2),
     ):
         code = (
             f"import runpy\nsys.argv = ['slicekit', *{argv!r}]\n"
             "try:\n    runpy.run_module('slicekit', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as exc:\n    assert exc.code == 0, exc.code"
+            f"except SystemExit as exc:\n    assert exc.code == {want}, exc.code"
         )
         assert _lazy_modules_loaded(code) == [], argv
 
@@ -655,3 +660,118 @@ def test_only_the_card_results_are_dataclasses():
         if "dataclass" in ast.unparse(dec)
     )
     assert found == ["CardResult", "CycleCertificate"]
+
+
+def _process(*argv, code=None, env=None, stdout=subprocess.PIPE):
+    """One child interpreter run from the repository root, ``python -m
+    slicekit ARGV`` or ``python -c CODE ARGV``; stderr is captured."""
+    head = ["-m", "slicekit"] if code is None else ["-c", code]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, *head, *map(str, argv)],
+        cwd=FIXTURES.parent,
+        env=dict(env or os.environ, PYTHONPATH=src),
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+
+
+def test_exit_codes_through_processes(tmp_path):
+    """Each documented outcome through a real ``python -m slicekit``
+    process, and an ``--out`` file that holds the whole document."""
+    for argv, want in (
+        (("check", "instances/cantor_diff.json"), 0),
+        (("check", "instances/missing.json"), 1),
+        (("dim-ur", "instances/no_cover.json", "--r", "1"), 2),
+        (("count", "instances/cantor_diff.json", "--x", "1/7", "--budget", "1"), 3),
+    ):
+        proc = _process(*argv)
+        assert proc.returncode == want, (argv, proc.stderr)
+        assert "internal error" not in proc.stderr, argv
+    printed = _process("matrices", "instances/base7_double.json")
+    out = tmp_path / "matrices.json"
+    written = _process("matrices", "instances/base7_double.json", "--out", out)
+    assert (written.returncode, written.stdout, written.stderr) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == printed.stdout
+    assert json.loads(printed.stdout)["rho"]
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path):
+    """An ``--out`` path that cannot be written is a usage error, exit 1,
+    as an instance path that cannot be read is."""
+    out = tmp_path / "missing" / "out.json"
+    proc = _process("check", "instances/cantor_diff.json", "--json", "--out", out)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith(f"slicekit: error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
+def test_closed_stdout_exits_1_quietly():
+    """A reader that closed stdout before the command wrote is exit 1 with
+    nothing on stderr, whether the write itself fails (unbuffered) or the
+    flush of its buffer does."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    for unbuffered in (False, True):
+        for argv in (
+            ("check", "instances/cantor_diff.json"),
+            ("matrices", "instances/base7_double.json"),
+        ):
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = _process(
+                    *argv,
+                    env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env,
+                    stdout=write,
+                )
+            finally:
+                os.close(write)
+            assert (proc.returncode, proc.stderr) == (1, ""), (unbuffered, argv)
+
+
+def test_program_entry_freezes_the_collector():
+    """``python -m slicekit`` exits through ``cli.run``: the command's exit
+    code, with the collector frozen so the interpreter's exit-time
+    collections skip the import graph."""
+    probe = (
+        "import gc, runpy, sys\n"
+        "try:\n    runpy.run_module('slicekit', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code, gc.get_freeze_count() > 0, file=sys.stderr)\n"
+    )
+    for argv, want in (
+        (("check", "instances/cantor_diff.json"), 0),
+        (("count", "instances/cantor_diff.json", "--x", "1/7", "--budget", "1"), 3),
+    ):
+        proc = _process(*argv, code=probe)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"exit {want} True\n", argv
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    """In-process callers (tests, the benchmark) keep their collector."""
+    before = gc.get_freeze_count()
+    assert run(capsys, "check", FIXTURES / "cantor_diff.json")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_the_program_entry():
+    """The ``slicekit`` script calls ``cli.run``, and run the way an
+    installed console-script wrapper runs it, gives what ``python -m
+    slicekit`` gives.  pyproject.toml is read as text: Python 3.10 has no
+    tomllib."""
+    text = (FIXTURES.parent / "pyproject.toml").read_text(encoding="utf-8")
+    section = text.split("[project.scripts]\n", 1)[1].split("\n\n", 1)[0]
+    scripts = dict(line.replace(" ", "").split("=", 1) for line in section.splitlines())
+    assert scripts == {"slicekit": '"slicekit.cli:run"'}
+    module, name = scripts["slicekit"].strip('"').split(":")
+    wrapper = f"import sys\nfrom {module} import {name}\nsys.exit({name}())"
+    for argv in (
+        ("check", "instances/cantor_diff.json"),
+        ("count", "instances/cantor_diff.json", "--x", "1/7", "--budget", "1"),
+    ):
+        script, program = _process(*argv, code=wrapper), _process(*argv)
+        assert (script.returncode, script.stdout) == (program.returncode, program.stdout)
+        assert script.stderr == program.stderr
+    assert program.returncode == 3

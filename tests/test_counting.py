@@ -686,3 +686,13 @@ def test_lyapunov_deterministic(cantor_diff):
 def test_lyapunov_needs_covering(no_cover):
     with pytest.raises(CoveringRequired):
         lyapunov_estimate(no_cover, samples=10, depth=10, seed=1)
+
+
+def test_lyapunov_refuses_a_negative_seed(cantor_diff):
+    """numpy's SeedSequence takes non-negative entropy only, so a negative
+    seed is refused with the range checks, before numpy is imported; the
+    smallest seed still runs."""
+    with pytest.raises(OutOfRange, match="seed must be >= 0, got -1"):
+        lyapunov_estimate(cantor_diff, samples=10, depth=10, seed=-1)
+    est, _ = lyapunov_estimate(cantor_diff, samples=10, depth=10, seed=0)
+    assert 0.0 < est < 1.0
