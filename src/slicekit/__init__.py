@@ -26,43 +26,27 @@ from .analysis import (
     measure_ur,
     witness_ur,
 )
-from .counting import (
-    CardResult,
-    NadicExpansion,
-    cube_count_vector,
-    exact_card,
-    expansion_value,
-    lyapunov_estimate,
-    nadic_expansion,
-)
+from .counting import CardResult, exact_card, expansion_value, lyapunov_estimate
 from .graphs import (
     CongruentGraph,
-    FullGraph,
     SccDecomposition,
     XiGraph,
     build_congruent_graph,
-    build_full_graph,
     build_xi_graph,
-    psi_step,
     scc,
 )
-from .instance import ProblemInstance, parse_instance, serialize
+from .instance import ProblemInstance, parse_instance
 from .lattice import (
     IntegerInterval,
-    SmallCube,
-    TypeAssignment,
     covering_condition,
     enumerate_integer_intervals,
     strong_separation,
-    type_assignment,
-    xi_set,
 )
 from .spectral import (
     CountMatrix,
     RadiusResult,
     char_poly,
     compare_radii,
-    irreducible,
     spectral_radius,
     transition_matrices,
 )
@@ -70,35 +54,23 @@ from .spectral import (
 __all__ = [
     "ProblemInstance",
     "parse_instance",
-    "serialize",
     "IntegerInterval",
-    "SmallCube",
-    "TypeAssignment",
     "enumerate_integer_intervals",
     "covering_condition",
     "strong_separation",
-    "type_assignment",
-    "xi_set",
-    "FullGraph",
     "XiGraph",
     "CongruentGraph",
     "SccDecomposition",
-    "build_full_graph",
     "build_xi_graph",
     "build_congruent_graph",
     "scc",
-    "psi_step",
     "CountMatrix",
     "RadiusResult",
     "transition_matrices",
     "spectral_radius",
-    "irreducible",
     "compare_radii",
     "char_poly",
-    "NadicExpansion",
     "CardResult",
-    "nadic_expansion",
-    "cube_count_vector",
     "exact_card",
     "expansion_value",
     "lyapunov_estimate",

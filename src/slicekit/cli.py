@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import gc
 import os
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -48,6 +49,12 @@ _MATRIX_CAP = 2**22
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option
+        # unless it looks like a negative number; a negative p/q is one too
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):  # argparse default exits with code 2
         raise UsageError(message)
 
@@ -148,8 +155,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = _dispatch(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse --help, written to stdout
+            code = int(exc.code or 0)
+        else:
+            code = _dispatch(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -160,8 +171,6 @@ def main(argv=None) -> int:
     except SlicekitError as exc:
         print(f"slicekit: error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except SystemExit as exc:  # argparse --help
-        return int(exc.code or 0)
     except Exception as exc:  # a bug: one line, not a traceback
         print(f"slicekit: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return InternalError.exit_code

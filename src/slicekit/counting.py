@@ -1,23 +1,24 @@
 """Exact representation counting for rational points.
 
-Two mechanisms, deliberately kept apart:
+Counts come from the slice-state automaton: the exact multiset of
+per-chain offsets n^k * x - (weighted digit prefix), advanced one digit at
+a time.  For x = p/q every depth-k offset is (r + q * t) / q, where the
+remainder r = n^k * p mod q is shared by all chains and t is an integer of
+[proj_min, proj_max].  One digit sends r to n * r mod q, reading the digit
+d = n * r // q, and t to d + n * t - w for each cube weight w; so the
+transitions depend only on the instance, on d, on whether the new
+remainder is 0 and on t.  The multiset is kept as one int packing the
+number of chains at each t into a fixed-width field, with a bitmask of the
+t that hold chains: a digit costs one int multiply-add, one mask OR and
+one row-sum product per live t (at most span + 1), whatever the number of
+chains.  It also covers boundary points (x = q1/n^q2), where chains are
+kept alive by closed-interval containment.
 
-* the matrix route: the number of depth-k product cubes meeting the slice at
-  a non-boundary x equals the 1-norm of e_i T_{j1} ... T_{jk}, where i is the
-  integer part and j1 j2 ... the base-n digits of x;
-* the slice-state automaton: the exact multiset of per-chain offsets
-  n^k * x - (weighted digit prefix), advanced one digit at a time.  For
-  x = p/q every depth-k offset is (r + q * t) / q, where the remainder
-  r = n^k * p mod q is shared by all chains and t is an integer of
-  [proj_min, proj_max].  One digit sends r to n * r mod q, reading the
-  digit d = n * r // q, and t to d + n * t - w for each cube weight w; so
-  the transitions depend only on the instance, on d, on whether the new
-  remainder is 0 and on t.  The multiset is kept as one int packing the
-  number of chains at each t into a fixed-width field, with a bitmask of
-  the t that hold chains: a digit costs one int multiply-add, one mask OR
-  and one row-sum product per live t (at most span + 1), whatever the
-  number of chains.  It also covers boundary points (x = q1/n^q2), where
-  chains are kept alive by closed-interval containment.
+The paper's matrix route, where the number of depth-k product cubes
+meeting the slice at a non-boundary x is the 1-norm of
+e_i T_{j1} ... T_{jk} (i the integer part and j1 j2 ... the base-n digits
+of x), lives in the tests as the automaton's cross-check, with the digits
+written out by long division.
 
 ``exact_card`` does each piece of work at the level it depends on: per
 instance, covering and strong separation, decided once in a record kept
@@ -32,10 +33,10 @@ vector give the next vector, its mask and its cardinality) and is emptied
 when it would hold more than ``_STEP_CACHE_BITS`` bits; and per query, the
 range check, the expansion's preperiod and period lengths (no digit is
 written out, since the automaton reads x itself) and one cache lookup per
-digit, with one ``_advance`` call on a miss.  ``cube_count_vector``,
-``lyapunov_estimate`` and ``analysis.Analysis`` read the hypotheses from
-the same record.  ``exact_card`` is the automaton's one public entry point;
-``digit_table`` hands its tables out: the multiplicity search steps its
+digit, with one ``_advance`` call on a miss.  ``lyapunov_estimate`` and
+``analysis.Analysis`` read the hypotheses from the same record.
+``exact_card`` is the automaton's one public entry point; ``digit_table``
+hands its tables out: the multiplicity search steps its
 chain-count vectors e_i T_{j1} ... T_{jk} on the open rows (a row of digit
 matrix T_j is the children of one chain under digit j), with the same
 kernel and no cache, since its vectors are distinct, and counts with
@@ -60,48 +61,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, log
-from typing import NamedTuple
 from weakref import finalize
 
-from .errors import (
-    BoundaryPoint,
-    CoveringRequired,
-    HypothesisViolated,
-    OutOfRange,
-    TooLarge,
-)
+from .errors import CoveringRequired, HypothesisViolated, OutOfRange, TooLarge
 from .instance import ProblemInstance
 from .lattice import children, covering_condition, open_children, strong_separation
 
 DEFAULT_BUDGET = 4096
 
 # Most digits an expansion may take, preperiod and repeating period together:
-# ``nadic_expansion`` writes out no more, and ``exact_card`` counts no point
-# whose expansion is longer.
+# ``exact_card`` counts no point whose expansion is longer.
 _EXPANSION_CAP = 2**20
-
-
-class NadicExpansion(NamedTuple):
-    """Base-n expansion x = integer_part + 0.d1 d2 d3 ...
-
-    ``preperiod`` then ``period`` (repeating) describe the whole digit
-    stream; terminating expansions carry period (0,) and the boundary flag.
-    """
-
-    integer_part: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-    boundary: bool
-
-    def digit(self, k: int) -> int:
-        """k-th digit, 1-based."""
-        idx = k - 1
-        if idx < len(self.preperiod):
-            return self.preperiod[idx]
-        return self.period[(idx - len(self.preperiod)) % len(self.period)]
-
-    def digits(self, count: int) -> tuple[int, ...]:
-        return tuple(self.digit(k) for k in range(1, count + 1))
 
 
 def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
@@ -131,22 +101,6 @@ def _expansion_lengths(inst: ProblemInstance, x: Fraction) -> tuple[int, int]:
     return pre, period or 1
 
 
-def nadic_expansion(inst: ProblemInstance, x: Fraction | int) -> NadicExpansion:
-    """Exact expansion by long division of only the digits it needs, as
-    many as ``_expansion_lengths`` counts.  The remainder after them is 0
-    exactly when x terminates, and the period is then (0,)."""
-    x = Fraction(x)
-    pre, period = _expansion_lengths(inst, x)
-    n, q = inst.n, x.denominator
-    # x = i + p/q with 0 <= p < q, still in lowest terms
-    i, p = divmod(x.numerator, q)
-    digits = []
-    for _ in range(pre + period):
-        d, p = divmod(n * p, q)
-        digits.append(d)
-    return NadicExpansion(i, tuple(digits[:pre]), tuple(digits[pre:]), p == 0)
-
-
 def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fraction:
     """Rational value of an eventually periodic expansion, formed as one
     Fraction: with the preperiod's L digits appended to the integer part as
@@ -163,30 +117,6 @@ def expansion_value(inst_n: int, integer_part: int, preperiod, period) -> Fracti
         return Fraction(head, n ** len(preperiod))
     den = n ** len(period) - 1
     return Fraction(head * den + num, n ** len(preperiod) * den)
-
-
-def cube_count_vector(inst: ProblemInstance, x: Fraction | int, k: int) -> tuple[int, ...]:
-    """e_i T_{j1} ... T_{jk} for the expansion of a non-boundary x; the
-    entries are the depth-k chain counts per unit offset, their sum the
-    number of depth-k cubes meeting the slice.  Each digit steps the live
-    offsets only, along their rows of T_j (``lattice.open_children``), so no
-    matrix is formed."""
-    if not _record(inst).covering:
-        raise CoveringRequired("the depth-1 projections must cover the full range")
-    exp = nadic_expansion(inst, x)
-    if exp.boundary:
-        raise BoundaryPoint(f"{x} is a base-{inst.n} boundary point")
-    live = {exp.integer_part: 1}
-    for j in exp.digits(k):
-        step: dict[int, int] = {}
-        for u, m in live.items():
-            for v, count in open_children(inst, children(inst, j, u)):
-                step[v] = step.get(v, 0) + m * count
-        live = step
-    vec = [0] * inst.span
-    for v, m in live.items():
-        vec[v - inst.proj_min] = m
-    return tuple(vec)
 
 
 # Most bits one instance's transition cache holds, over all its field

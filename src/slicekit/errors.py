@@ -82,10 +82,6 @@ class OutOfRange(PreconditionError):
     pass
 
 
-class BoundaryPoint(PreconditionError):
-    pass
-
-
 class CoveringRequired(PreconditionError):
     pass
 
@@ -95,14 +91,6 @@ class HypothesisViolated(PreconditionError):
 
 
 class NotAchievable(PreconditionError):
-    pass
-
-
-class NotInterior(PreconditionError):
-    pass
-
-
-class NotInXi(PreconditionError):
     pass
 
 

@@ -1,10 +1,14 @@
-"""The three directed graphs over integer intervals.
+"""The two directed graphs the answers read, over integer intervals.
 
-* full graph: every integer interval; an edge goes from an interval of type t
-  to each of the n intervals inside the working interval [t, t+1].
-* restricted graph: the induced subgraph on the uniquely covered intervals,
-  a record of successor lists (ascending-u indexing); its 0-1 matrix is
-  formed on each read by ``component_matrix``, the one 0-1 matrix builder.
+The paper's full graph, on every integer interval with an edge from an
+interval of type t to each of the n intervals inside the working interval
+[t, t+1], is not built: the two graphs below take their edges from the xi
+types, and the tests build the full graph as the reference for them.
+
+* restricted graph: the induced subgraph of the full graph on the uniquely
+  covered intervals, a record of successor lists (ascending-u indexing);
+  its 0-1 matrix is formed on each read by ``component_matrix``, the one
+  0-1 matrix builder.
 * subset graph: vertices are nonempty sets of uniquely covered intervals
   that share u mod n; from a subset, the successor under residue h is the
   set of images n*t(u) + h, and an edge exists exactly when that image
@@ -38,29 +42,16 @@ decomposed on positions in ``xi.us``, its matrix index.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import strongly_connected_components
-from .errors import NotInterior, NotInXi, TooLarge
+from .errors import TooLarge
 from .instance import ProblemInstance
-from .lattice import (
-    IntegerInterval, interval_type_counts, make_interval, u_range, unique_type, xi_types,
-)
+from .lattice import xi_types
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
 _SUBSET_LIMIT = 2**20
-
-
-class FullGraph(NamedTuple):
-    vertices: tuple[IntegerInterval, ...]
-    adjacency: dict[int, tuple[int, ...]]
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        for u, targets in self.adjacency.items():
-            for v in targets:
-                yield (u, v)
 
 
 class XiGraph(NamedTuple):
@@ -119,17 +110,6 @@ class CongruentGraph(NamedTuple):
         return decomposition.reach[i] & decomposition.cycling
 
 
-def build_full_graph(inst: ProblemInstance) -> FullGraph:
-    n = inst.n
-    # the types come ascending, so their working intervals do too
-    adjacency = {
-        u: tuple(v for t, _ in interval_type_counts(inst, u) for v in range(n * t, n * t + n))
-        for u in u_range(inst)
-    }
-    vertices = tuple(make_interval(inst, u) for u in u_range(inst))
-    return FullGraph(vertices=vertices, adjacency=adjacency)
-
-
 def aligned(types: Mapping[int, int], n: int, base: Sequence[int]) -> list[tuple]:
     """(h, base + h), h ascending, for each residue h whose image, every
     member of ``base`` plus h, is uniquely covered (a key of ``types``)."""
@@ -149,17 +129,6 @@ def build_xi_graph(inst: ProblemInstance) -> XiGraph:
     position = {u: i for i, u in enumerate(us)}
     succ = tuple(tuple([position[v] for _, (v,) in aligned(types, n, (n * types[u],))]) for u in us)
     return XiGraph(us=tuple(us), types=types, succ=succ)
-
-
-def subset_successor(
-    types: Mapping[int, int], n: int, members: tuple[int, ...], h: int
-) -> tuple[int, ...] | None:
-    """Image of a subset under residue h, or None when it leaves the
-    uniquely covered collection: the reference form of ``aligned``."""
-    image = sorted({n * types[u] + h for u in members})
-    if all(v in types for v in image):
-        return tuple(image)
-    return None
 
 
 def build_congruent_graph(
@@ -247,17 +216,3 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
         cycling=frozenset(cycling),
     )
 
-
-def psi_step(inst: ProblemInstance, x: Fraction, interval: IntegerInterval | int) -> Fraction:
-    """One step of the expanding interval map: x in the open interval
-    [u, u+1]/n goes to n*x - u + t, landing inside (t, t+1)."""
-    u = interval.u if isinstance(interval, IntegerInterval) else int(interval)
-    t = unique_type(inst, u)
-    if t is None:
-        raise NotInXi(f"interval u={u} is not uniquely covered")
-    x = Fraction(x)
-    left = Fraction(u, inst.n)
-    right = Fraction(u + 1, inst.n)
-    if not left < x < right:
-        raise NotInterior(f"{x} is not interior to [{left}, {right}]")
-    return inst.n * x - u + t

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from typing import Iterator
@@ -147,13 +146,6 @@ class ProblemInstance:
     def weight(self, digits: tuple[int, ...]) -> int:
         return sum(m * d for m, d in zip(self.coefficients, digits))
 
-    def projection_interval(self, weight: int) -> tuple[Fraction, Fraction]:
-        """Image of a weight-``weight`` depth-1 cube under the form, over n."""
-        return (
-            Fraction(weight + self.proj_min, self.n),
-            Fraction(weight + self.proj_max, self.n),
-        )
-
 
 def parse_instance(text: str) -> ProblemInstance:
     """Parse and validate a UTF-8 JSON instance document.
@@ -194,13 +186,3 @@ def parse_instance(text: str) -> ProblemInstance:
         digit_sets=tuple(tuple(s) for s in sets),
         coefficients=tuple(coeffs),
     )
-
-
-def serialize(inst: ProblemInstance) -> str:
-    """Canonical JSON form; ``parse_instance`` round-trips it."""
-    doc = {
-        "n": inst.n,
-        "digit_sets": [list(s) for s in inst.digit_sets],
-        "coefficients": list(inst.coefficients),
-    }
-    return json.dumps(doc, sort_keys=True)

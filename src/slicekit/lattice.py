@@ -1,6 +1,5 @@
 """Lattice geometry of an instance: the length-1/n integer intervals,
-projection intervals of digit cubes, interval types, and the covering /
-strong-separation checks.
+interval types, and the covering / strong-separation checks.
 
 All endpoints here are rationals with denominator n, so every containment
 question is decided exactly on scaled integers.
@@ -8,14 +7,13 @@ question is decided exactly on scaled integers.
 ``children`` is the one place that applies the children rule, and
 ``open_children`` the one place that cuts a chain's children at proj_max:
 row t of digit matrix T_d is the open children of (d, t), read by the
-counting tables, the digit matrices, ``cube_count_vector`` and
-``lyapunov_estimate``, and the types of interval u
-(``interval_type_counts``) are the open children of (u mod n, u div n).
-The grid tails and the counting tables' closed rows read ``children``
-uncut.
-``unique_type`` is the one place that decides whether interval u is
-uniquely covered, and by which type: ``xi_types`` reads it for every u,
-``graphs.psi_step`` for one.
+counting tables, the digit matrices and ``lyapunov_estimate``, and the
+types of interval u (``interval_type_counts``) are the open children of
+(u mod n, u div n).  The grid tails and the counting tables' closed rows
+read ``children`` uncut.
+``unique_type`` decides whether interval u is uniquely covered, and by
+which type, for ``xi_types``.  The cube-by-cube type assignment of the
+paper is the tests' reference for these rules.
 """
 
 from __future__ import annotations
@@ -57,27 +55,6 @@ class IntegerInterval(NamedTuple):
         return Fraction(self.u + 1, self.n)
 
 
-class SmallCube(NamedTuple):
-    """A depth-1 digit cube: its digit tuple, form value, and the exact
-    projection interval (weight + [proj_min, proj_max]) / n."""
-
-    digits: tuple[int, ...]
-    weight: int
-    projection: tuple[Fraction, Fraction]
-
-
-class TypeAssignment(NamedTuple):
-    """All (type, cube) pairs covering one integer interval.
-
-    A cube of weight w covers interval u exactly when t = u - w lies in
-    [proj_min, proj_max - 1]; t is the position of the interval inside the
-    cube's projection interval.
-    """
-
-    interval: IntegerInterval
-    entries: tuple[tuple[int, SmallCube], ...]
-
-
 def u_range(inst: ProblemInstance) -> range:
     return range(inst.n * inst.proj_min, inst.n * inst.proj_max)
 
@@ -117,18 +94,6 @@ def interval_type_counts(inst: ProblemInstance, u: int) -> list[tuple[int, int]]
     return open_children(inst, children(inst, u % inst.n, u // inst.n))
 
 
-def type_assignment(inst: ProblemInstance, interval: IntegerInterval | int) -> TypeAssignment:
-    """Enumerate the cubes covering one integer interval, with their types."""
-    iv = interval if isinstance(interval, IntegerInterval) else make_interval(inst, interval)
-    type_of = {iv.u - t: t for t, _ in interval_type_counts(inst, iv.u)}
-    entries = []
-    for digits in inst.iter_cubes():
-        w = inst.weight(digits)
-        if w in type_of:
-            entries.append((type_of[w], SmallCube(digits, w, inst.projection_interval(w))))
-    return TypeAssignment(interval=iv, entries=tuple(entries))
-
-
 def covering_condition(inst: ProblemInstance) -> bool:
     """Do the depth-1 projection intervals cover [proj_min, proj_max]?
 
@@ -159,11 +124,6 @@ def strong_separation(inst: ProblemInstance) -> list[bool]:
         s = set(digits)
         out.append(not any(d + 1 in s for d in s))
     return out
-
-
-def xi_set(inst: ProblemInstance) -> list[IntegerInterval]:
-    """Integer intervals covered by exactly one cube projection, ascending."""
-    return [make_interval(inst, u) for u in xi_types(inst)]
 
 
 def unique_type(inst: ProblemInstance, u: int) -> int | None:

@@ -236,10 +236,3 @@ def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
 
 def report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def data_section(report_text: str) -> dict:
-    """Parse a serialized report and drop the meta key (golden comparisons)."""
-    doc = json.loads(report_text)
-    doc.pop("meta", None)
-    return doc

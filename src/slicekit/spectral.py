@@ -53,10 +53,6 @@ class CountMatrix(NamedTuple):
     index_min: int
     entries: tuple[tuple[int, ...], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.entries)
-
     def entry(self, u: int, v: int) -> int:
         return self.entries[u - self.index_min][v - self.index_min]
 
@@ -169,19 +165,6 @@ def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOL
     rows = _as_rows(matrix)
     comps = strongly_connected_components(_adjacency(rows))
     return max_radius(block_radius(rows, sorted(comp), tolerance) for comp in comps)
-
-
-def irreducible(matrix: Matrix | CountMatrix) -> bool:
-    """True when the positive-entry digraph is strongly connected; a 1x1
-    matrix counts only if its single entry is positive."""
-    rows = _as_rows(matrix)
-    size = len(rows)
-    if size == 0:
-        return False
-    if size == 1:
-        return rows[0][0] > 0
-    comps = strongly_connected_components(_adjacency(rows))
-    return len(comps) == 1
 
 
 # -- exact radius comparison ----------------------------------------------------

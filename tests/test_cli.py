@@ -14,10 +14,11 @@ from slicekit import counting, parse_instance
 from slicekit.analysis import enumerate_achievable_r
 from slicekit.cli import _check_printable, main
 from slicekit.render import render_grid
-from slicekit.report import data_section, parse_rational
+from slicekit.report import parse_rational
 from slicekit.errors import InvalidDocument, NotPlanar
 
 from conftest import load
+from helpers import data_section
 from test_references import _pairs_exact_card
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
@@ -138,6 +139,19 @@ def test_oracle_subcommand(capsys):
     doc = json.loads(out)
     assert doc["count"] == 3
     assert len(doc["chains"]) == 3
+
+
+def test_negative_point_in_either_spelling(capsys):
+    """``--x -1/3`` is the point -1/3, as ``--x=-1/3`` is: argparse reads
+    an argument that starts with "-" as an option unless it looks like a
+    negative number, and a negative p/q does."""
+    path = FIXTURES / "cantor_diff.json"
+    for argv in (("count", path), ("oracle", path, "--depth", "2")):
+        spaced = run(capsys, *argv, "--x", "-1/3")
+        assert spaced == run(capsys, *argv, "--x=-1/3")
+        code, out, err = spaced
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["x"], json.loads(out)["count"]) == ("-1/3", 3)
 
 
 def test_oracle_deeper_than_the_recursion_limit(capsys):
@@ -710,12 +724,14 @@ def test_unwritable_out_is_a_usage_error(tmp_path):
 def test_closed_stdout_exits_1_quietly():
     """A reader that closed stdout before the command wrote is exit 1 with
     nothing on stderr, whether the write itself fails (unbuffered) or the
-    flush of its buffer does."""
+    flush of its buffer does.  ``--help`` is written by argparse, which
+    drops a write that fails: unbuffered, it exits 0, still quietly."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     for unbuffered in (False, True):
-        for argv in (
-            ("check", "instances/cantor_diff.json"),
-            ("matrices", "instances/base7_double.json"),
+        for argv, want in (
+            (("check", "instances/cantor_diff.json"), 1),
+            (("matrices", "instances/base7_double.json"), 1),
+            (("--help",), 0 if unbuffered else 1),
         ):
             read, write = os.pipe()
             os.close(read)
@@ -727,7 +743,7 @@ def test_closed_stdout_exits_1_quietly():
                 )
             finally:
                 os.close(write)
-            assert (proc.returncode, proc.stderr) == (1, ""), (unbuffered, argv)
+            assert (proc.returncode, proc.stderr) == (want, ""), (unbuffered, argv)
 
 
 def test_program_entry_freezes_the_collector():

@@ -14,34 +14,36 @@ from slicekit import (
     ProblemInstance,
     counting,
     brute_force_cube_count,
-    cube_count_vector,
     enumerate_achievable_r,
     exact_card,
     expansion_value,
     lyapunov_estimate,
-    nadic_expansion,
     parse_instance,
     witness_ur,
 )
 from slicekit.counting import CardResult, CycleCertificate
-from slicekit.errors import (
-    BoundaryPoint,
-    CoveringRequired,
-    HypothesisViolated,
-    OutOfRange,
-    TooLarge,
-)
+from slicekit.errors import CoveringRequired, HypothesisViolated, OutOfRange, TooLarge
 from slicekit.lattice import children, interval_type_counts, open_children
 from slicekit.report import build_report
 from slicekit.spectral import transition_matrices
 from conftest import FIXTURES, counting_instances, load
+from helpers import dense_cube_count_vector, long_division_expansion
 from test_golden import SCALED
 from test_properties import instances
 from test_references import _pairs_steps, kernel_states
 
 
+def _expansion(inst, x):
+    """The long-division expansion of x, whose preperiod and period
+    lengths ``counting._expansion_lengths`` must find without writing a
+    digit."""
+    exp = long_division_expansion(inst, x)
+    assert counting._expansion_lengths(inst, x) == (len(exp.preperiod), len(exp.period))
+    return exp
+
+
 def test_expansion_periodic(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(1, 2))
+    exp = _expansion(cantor_diff, Fraction(1, 2))
     assert exp.integer_part == 0
     assert not exp.boundary
     assert exp.digits(5) == (1, 1, 1, 1, 1)
@@ -49,28 +51,28 @@ def test_expansion_periodic(cantor_diff):
 
 
 def test_expansion_boundary(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(1, 3))
+    exp = _expansion(cantor_diff, Fraction(1, 3))
     assert exp.boundary
     assert exp.digits(4) == (1, 0, 0, 0)
 
 
 def test_expansion_negative(cantor_diff):
-    exp = nadic_expansion(cantor_diff, Fraction(-5, 6))
+    exp = _expansion(cantor_diff, Fraction(-5, 6))
     assert exp.integer_part == -1
     assert exp.digits(4) == (0, 1, 1, 1)
 
 
 def test_expansion_out_of_range(cantor_diff):
     with pytest.raises(OutOfRange):
-        nadic_expansion(cantor_diff, Fraction(3, 2))
+        counting._expansion_lengths(cantor_diff, Fraction(3, 2))
 
 
 def test_expansion_cap(monkeypatch, cantor_diff):
-    """_EXPANSION_CAP caps the digits nadic_expansion writes out, before
-    exact_card counts one: in base 3, 1/7 is 0.(010212), 1/6 is 0.0(1) and
-    1/9 is 0.01; each passes at a cap of its own length and is refused
-    below it, also by exact_card and by ``slicekit count``, with exit code
-    3."""
+    """_EXPANSION_CAP caps the digits of an expansion, preperiod and
+    repeating period together, before exact_card counts one: in base 3,
+    1/7 is 0.(010212), 1/6 is 0.0(1) and 1/9 is 0.01; each passes at a cap
+    of its own length and is refused below it, also by exact_card and by
+    ``slicekit count``, with exit code 3."""
     from slicekit.cli import main
 
     for x, digits, verdict in (
@@ -79,12 +81,12 @@ def test_expansion_cap(monkeypatch, cantor_diff):
         (Fraction(1, 9), 2, "Finite"),
     ):
         monkeypatch.setattr(counting, "_EXPANSION_CAP", digits)
-        exp = nadic_expansion(cantor_diff, x)
+        exp = _expansion(cantor_diff, x)
         assert len(exp.preperiod) + (0 if exp.boundary else len(exp.period)) == digits
         assert exact_card(cantor_diff, x).verdict == verdict
         monkeypatch.setattr(counting, "_EXPANSION_CAP", digits - 1)
         with pytest.raises(TooLarge):
-            nadic_expansion(cantor_diff, x)
+            counting._expansion_lengths(cantor_diff, x)
         with pytest.raises(TooLarge):
             exact_card(cantor_diff, x)
         instance = FIXTURES / "cantor_diff.json"
@@ -97,21 +99,16 @@ def test_expansion_value_round_trip(cantor_diff):
         q = rng.choice([5, 7, 11, 13])
         p = rng.randrange(-q, q)
         x = Fraction(p, q)
-        exp = nadic_expansion(cantor_diff, x)
+        exp = long_division_expansion(cantor_diff, x)
         assert (
             expansion_value(3, exp.integer_part, exp.preperiod, exp.period) == x
         )
 
 
 def test_cube_count_vectors(cantor_diff):
-    assert cube_count_vector(cantor_diff, Fraction(1, 2), 2) == (0, 1)
-    assert cube_count_vector(cantor_diff, Fraction(1, 6), 3) == (0, 2)
-    assert cube_count_vector(cantor_diff, Fraction(1, 4), 4) == (0, 4)
-
-
-def test_cube_count_vector_boundary(cantor_diff):
-    with pytest.raises(BoundaryPoint):
-        cube_count_vector(cantor_diff, Fraction(1, 3), 2)
+    assert dense_cube_count_vector(cantor_diff, Fraction(1, 2), 2) == (0, 1)
+    assert dense_cube_count_vector(cantor_diff, Fraction(1, 6), 3) == (0, 2)
+    assert dense_cube_count_vector(cantor_diff, Fraction(1, 4), 4) == (0, 4)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -163,11 +160,6 @@ def test_digit_table_rows_capped_before_any_is_built(monkeypatch):
     assert (exact_card(inst, Fraction(1, 3)).verdict, len(listed)) == ("Finite", rows)
 
 
-def test_cube_count_vector_needs_covering(no_cover):
-    with pytest.raises(CoveringRequired):
-        cube_count_vector(no_cover, Fraction(3, 5), 2)
-
-
 def test_state_advance_matches_manual(cantor_diff):
     # offsets -1, 1, 1 on the lattice (1/3)Z, as scaled offsets
     states = kernel_states(cantor_diff, Fraction(1, 3), 2)
@@ -190,7 +182,7 @@ def reference_advance(inst, offsets):
 
 def reference_exact_card(inst, x, budget, max_depth=None):
     """``exact_card`` keyed on the expanded offset tuple."""
-    exp = nadic_expansion(inst, x)
+    exp = long_division_expansion(inst, x)
     pre, per = len(exp.preperiod), len(exp.period)
     if max_depth is None:
         max_depth = 64 * (pre + per)
@@ -340,7 +332,7 @@ def test_exact_card_limits_match_expanded_reference_random(query, budget, max_de
     inst, x = query
     res = exact_card(inst, x, budget=budget, max_depth=max_depth)
     assert res == reference_exact_card(inst, x, budget, max_depth)
-    exp = nadic_expansion(inst, x)
+    exp = long_division_expansion(inst, x)
     event(res.verdict)
     event("integer x" if x.denominator == 1 else "boundary x" if exp.boundary else "periodic x")
     if res.verdict == "ExceedsBudget":
@@ -429,7 +421,7 @@ _BENCH_SCALED = ["span9", "span13", "span15", "span17", "n5", "n7", "l3", "l4"]
 def test_report_decides_hypotheses_and_builds_one_table(name, monkeypatch):
     """One ``build_report`` builds one digit table, at the width of its
     max_r, and decides covering and strong separation once each, in the
-    instance's counting record; ``exact_card`` and ``cube_count_vector`` on
+    instance's counting record; ``exact_card`` and ``lyapunov_estimate`` on
     the same instance afterwards read them from there."""
     calls = Counter()
     for attr in ("covering_condition", "strong_separation", "_build_table"):
@@ -440,7 +432,7 @@ def test_report_decides_hypotheses_and_builds_one_table(name, monkeypatch):
     assert list(counting._RECORDS[id(inst)].tables) == [(6 * inst.cube_count).bit_length()]
     assert (data["covering"], data["ssc"]) == (True, [True] * inst.l)
     exact_card(inst, Fraction(1, 11))
-    cube_count_vector(inst, Fraction(1, 11), 3)
+    lyapunov_estimate(inst, samples=1, depth=1, seed=0)
     assert (calls["covering_condition"], calls["strong_separation"]) == (1, 1)
 
 
@@ -468,7 +460,7 @@ def test_recurrences_span_whole_periods(query, budget):
     inst, x = query
     cert = exact_card(inst, x, budget).certificate
     if cert is not None:
-        exp = nadic_expansion(inst, x)
+        exp = long_division_expansion(inst, x)
         assert cert.start_depth >= len(exp.preperiod)
         assert cert.period % len(exp.period) == 0
 
@@ -654,7 +646,7 @@ def test_state_cardinality_three_way(cantor_diff, cantor_sum):
                 continue
             states = kernel_states(inst, x, 6)
             for depth in range(1, 7):
-                vec = cube_count_vector(inst, x, depth)
+                vec = dense_cube_count_vector(inst, x, depth)
                 count = brute_force_cube_count(inst, x, depth)
                 assert sum(m for _, m in states[depth]) == sum(vec) == count
 

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from slicekit.cli import main
-from slicekit.report import data_section
+
+from helpers import data_section
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"

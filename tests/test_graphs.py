@@ -1,25 +1,23 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from slicekit import (
     build_congruent_graph,
-    build_full_graph,
     build_xi_graph,
     enumerate_achievable_r,
-    psi_step,
     scc,
 )
 from slicekit import graphs
 from slicekit.analysis import _LOOP_BLOCKS, Analysis
-from slicekit.errors import NotInterior, NotInXi, TooLarge
-from slicekit.graphs import component_matrix, subset_successor
+from slicekit.errors import TooLarge
+from slicekit.graphs import component_matrix
 from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
 
+from helpers import scan_full_graph, subset_successor
 from test_properties import instances
 
 GOLDEN_M_CANTOR = (
@@ -31,15 +29,14 @@ GOLDEN_M_CANTOR = (
 
 
 def test_full_graph_edges(cantor_diff):
-    g = build_full_graph(cantor_diff)
-    assert g.adjacency[-3] == (-3, -2, -1)
-    assert g.adjacency[-1] == (-3, -2, -1)  # both covering cubes give type -1
-    assert g.adjacency[-2] == (0, 1, 2)
+    adjacency = scan_full_graph(cantor_diff)
+    assert adjacency[-3] == (-3, -2, -1)
+    assert adjacency[-1] == (-3, -2, -1)  # both covering cubes give type -1
+    assert adjacency[-2] == (0, 1, 2)
 
 
 def test_full_graph_no_type_no_edges(no_cover):
-    g = build_full_graph(no_cover)
-    assert g.adjacency[2] == ()
+    assert scan_full_graph(no_cover)[2] == ()
 
 
 def test_xi_graph_matrix(cantor_diff, cantor_sum):
@@ -48,10 +45,10 @@ def test_xi_graph_matrix(cantor_diff, cantor_sum):
 
 
 def test_xi_graph_restriction(cantor_diff):
-    g = build_full_graph(cantor_diff)
+    adjacency = scan_full_graph(cantor_diff)
     xg = build_xi_graph(cantor_diff)
     for u, row in zip(xg.us, xg.matrix):
-        expected = tuple(v for v in g.adjacency[u] if v in xg.us)
+        expected = tuple(v for v in adjacency[u] if v in xg.us)
         got = tuple(v for v, bit in zip(xg.us, row) if bit)
         assert got == expected
 
@@ -271,50 +268,6 @@ def test_scc_reach_matches_vertex_dfs():
             assert (i in d.cycling) == on_cycle
 
 
-def test_psi_step_values(cantor_diff):
-    assert psi_step(cantor_diff, Fraction(-5, 6), -3) == Fraction(-1, 2)
-    with pytest.raises(NotInterior):
-        psi_step(cantor_diff, Fraction(-1), -3)
-    with pytest.raises(NotInXi):
-        psi_step(cantor_diff, Fraction(-1, 4), -1)
-
-
-def test_psi_step_affine_identity(cantor_diff):
-    # psi(x) = n*x - u + t exactly
-    from slicekit.lattice import xi_types
-
-    types = xi_types(cantor_diff)
-    for u, t in types.items():
-        x = Fraction(u, 3) + Fraction(1, 7)
-        assert psi_step(cantor_diff, x, u) == 3 * x - u + t
-
-
-def test_psi_congruence_preservation(cantor_diff):
-    """Integer-translated points in congruent intervals map into congruent
-    intervals again."""
-    from slicekit.lattice import xi_types
-
-    types = xi_types(cantor_diff)
-    n = cantor_diff.n
-    rng = random.Random(4)
-    classes = {}
-    for u in types:
-        classes.setdefault(u % n, []).append(u)
-    for _ in range(60):
-        cls = rng.choice([c for c in classes.values() if len(c) >= 2])
-        u1, u2 = rng.sample(cls, 2)
-        offset = rng.randrange(1, 6)
-        frac = Fraction(offset, 7 * n)
-        x1 = Fraction(u1, n) + frac
-        x2 = Fraction(u2, n) + frac
-        assert (x1 - x2).denominator == 1
-        y1 = psi_step(cantor_diff, x1, u1)
-        y2 = psi_step(cantor_diff, x2, u2)
-        v1 = (y1 * n).numerator // (y1 * n).denominator
-        v2 = (y2 * n).numerator // (y2 * n).denominator
-        assert (v1 - v2) % n == 0
-
-
 def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):
     # singleton components replicate the restricted graph's radii
     for inst in (cantor_diff, base6_mixed):
@@ -329,7 +282,7 @@ def test_subset_edges_match_two_sided_rule(cantor_diff, base6_mixed, cantor_doub
     edge goes from A to B iff every member of A reaches some member of B in
     the full graph and every member of B is reached from some member of A."""
     for inst in (cantor_diff, base6_mixed, cantor_double_diff):
-        full = build_full_graph(inst).adjacency
+        full = scan_full_graph(inst)
         g = _whole_graph(inst)
         vertices = g.vertices
         edges = {

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slicekit import ProblemInstance, parse_instance, serialize
+from slicekit import ProblemInstance, parse_instance
 from slicekit.errors import (
     BadBase,
     DigitOutOfRange,
@@ -84,7 +84,8 @@ def test_equal_instances_hash_equal(cantor_diff):
     assert inst == cantor_diff and hash(inst) == hash(cantor_diff)
     assert inst != ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(1, -1))
     table = {inst: "cantor_diff"}
-    assert table[parse_instance(serialize(cantor_diff))] == "cantor_diff"
+    document = '{"n": 3, "digit_sets": [[0, 2], [2, 0]], "coefficients": [-1, 1]}'
+    assert table[parse_instance(document)] == "cantor_diff"
     with pytest.raises(AttributeError):
         inst.n = 5
 
@@ -134,9 +135,3 @@ def test_bounds_invariants(inst):
     lo, hi, span = inst.proj_min, inst.proj_max, inst.span
     assert lo <= 0 <= hi
     assert span == sum(abs(m) for m in inst.coefficients) == hi - lo
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(instances)
-def test_serialize_round_trip(inst):
-    assert parse_instance(serialize(inst)) == inst

@@ -7,13 +7,13 @@ from slicekit import (
     covering_condition,
     enumerate_integer_intervals,
     strong_separation,
-    type_assignment,
-    xi_set,
 )
 from slicekit import lattice
 from slicekit.errors import OutOfRange, TooLarge
 from slicekit.instance import ProblemInstance
 from slicekit.lattice import interval_type_counts, make_interval, xi_types
+
+from helpers import projection_interval, type_assignment
 
 
 def test_interval_counts(cantor_diff, cantor_double_diff):
@@ -44,7 +44,7 @@ def test_covering(cantor_diff, base7_double, no_cover):
 def test_covering_matches_sampling(cantor_diff, base7_double, no_cover, cantor_sum):
     # dense rational sampling agrees with the exact sweep
     for inst in (cantor_diff, base7_double, no_cover, cantor_sum):
-        spans = [inst.projection_interval(w) for w in inst.cube_weights]
+        spans = [projection_interval(inst, w) for w in inst.cube_weights]
         lo, hi = Fraction(inst.proj_min), Fraction(inst.proj_max)
         step = Fraction(1, 7 * inst.n)
         x = lo
@@ -80,11 +80,14 @@ def test_type_assignment_empty(no_cover):
 
 
 def test_xi_sets(cantor_diff, cantor_sum, base7_double, base6_mixed):
-    assert [iv.u for iv in xi_set(cantor_diff)] == [-3, -2, 1, 2]
-    assert [iv.display_label for iv in xi_set(cantor_diff)] == [0, 1, 4, 5]
-    assert [iv.display_label for iv in xi_set(cantor_sum)] == [0, 1, 4, 5]
-    assert len(xi_set(base7_double)) == 7
-    assert len(xi_set(base6_mixed)) == 8
+    def xi_labels(inst):
+        return [make_interval(inst, u).display_label for u in xi_types(inst)]
+
+    assert list(xi_types(cantor_diff)) == [-3, -2, 1, 2]
+    assert xi_labels(cantor_diff) == [0, 1, 4, 5]
+    assert xi_labels(cantor_sum) == [0, 1, 4, 5]
+    assert len(xi_types(base7_double)) == 7
+    assert len(xi_types(base6_mixed)) == 8
 
 
 def test_xi_types_refuses_past_the_interval_cap(cantor_diff, monkeypatch):
@@ -108,7 +111,7 @@ def test_containment_type_equivalence(cantor_diff, base7_double, no_cover):
             u = rng.choice(us)
             digits = tuple(rng.choice(s) for s in inst.digit_sets)
             w = inst.weight(digits)
-            lo, hi = inst.projection_interval(w)
+            lo, hi = projection_interval(inst, w)
             contained = lo <= Fraction(u, inst.n) and Fraction(u + 1, inst.n) <= hi
             assert contained == (inst.proj_min <= u - w <= inst.proj_max - 1)
 

@@ -3,29 +3,25 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
     build_congruent_graph,
-    build_full_graph,
     build_xi_graph,
     covering_condition,
     exact_card,
     brute_force_cube_count,
-    psi_step,
     scc,
     strong_separation,
     transition_matrices,
-    type_assignment,
 )
 from slicekit.analysis import Analysis
-from slicekit.errors import NotInXi
 from slicekit.instance import ProblemInstance, parse_instance
 from slicekit.lattice import u_range, xi_types
 
 from conftest import FIXTURES, counting_instances, load
+from helpers import scan_full_graph, type_assignment
 from test_golden import SCALED
 
 
@@ -62,9 +58,9 @@ def test_matrix_entries_match_type_assignments(inst):
 def test_unique_interval_neighbours_fill_working_interval(inst):
     # a uniquely covered interval points at exactly the n intervals of its
     # working interval
-    g = build_full_graph(inst)
+    adjacency = scan_full_graph(inst)
     for u, t in xi_types(inst).items():
-        assert g.adjacency[u] == tuple(range(inst.n * t, inst.n * t + inst.n))
+        assert adjacency[u] == tuple(range(inst.n * t, inst.n * t + inst.n))
 
 
 def _assert_xi_sccs_survive(inst):
@@ -149,20 +145,3 @@ def test_every_interval_covered_iff_covering(inst):
         for u in u_range(inst)
     )
     assert covered == covering_condition(inst)
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(instances())
-def test_psi_step_agrees_with_xi_types(inst):
-    """psi_step decides "uniquely covered, and of which type" for one
-    interval by the same rule xi_types applies to all of them, from 2n
-    below the range to 2n above it."""
-    n = inst.n
-    types = xi_types(inst)
-    for u in range(n * inst.proj_min - 2 * n, n * inst.proj_max + 2 * n):
-        x = Fraction(2 * u + 1, 2 * n)
-        if u in types:
-            assert psi_step(inst, x, u) == n * x - u + types[u]
-        else:
-            with pytest.raises(NotInXi):
-                psi_step(inst, x, u)

@@ -3,7 +3,7 @@ power iteration, the expansion lengths and the packed counting kernel
 against the constructions they replaced, written out here.
 
 ``_dense_reachable_vectors`` forms every product e_i T_{j1} ... T_{jk} as a
-full span x span vector-matrix product, and ``_dense_cube_count_vector``
+full span x span vector-matrix product, and ``dense_cube_count_vector``
 one point's product the same way.  ``_per_vector_search`` classifies the
 multiplicities with loops that visit every vector: each vector's grid
 digits and aligned subsets are worked out for it alone, the grid scan runs
@@ -16,15 +16,16 @@ from ``subset_successor`` and finds components by Kosaraju's two passes;
 single vertices included, with ``component_matrix``, certifies it with
 ``block_radius`` and checks it against the block its context formed.  The two lattice rules are checked against the forms
 they replaced: ``lattice.children`` against a cube-by-cube enumeration
-(``iter_cubes``/``weight``), ``interval_type_counts`` and
-``build_full_graph`` against ``_scan_type_counts`` and
-``_scan_full_graph``, which try every working interval t for a cube of
+(``iter_cubes``/``weight``), ``interval_type_counts`` against
+``scan_type_counts``, which tries every working interval t for a cube of
 weight u - t, the restricted graph's matrix against ``_dense_xi_matrix``,
 which tests each cell for n*t(u) <= v <= n*t(u) + n - 1, and ``aligned``
-against ``subset_successor``.  ``_dense_block_radius`` is the power iteration on dense
-rows with a ``Fraction`` per ratio.  ``_long_division_expansion`` writes out
-base-n digits until a remainder recurs, keeping every remainder it has
-seen, and ``_summed_expansion_value`` adds one ``Fraction`` per digit.
+against ``subset_successor``.  ``_dense_block_radius`` is the power
+iteration on dense rows with a ``Fraction`` per ratio.
+``long_division_expansion`` writes out base-n digits until a remainder
+recurs, keeping every remainder it has seen, and
+``_summed_expansion_value`` adds one ``Fraction`` per digit.  The
+references that other test modules read too live in ``helpers``.
 ``_pairs_exact_card`` steps raw (scaled offset, multiplicity) pairs with
 ``_step``, one Python iteration per offset and cube weight, and keys its
 cycle checks on the digit phase.  The new code must reproduce all of them
@@ -32,41 +33,43 @@ exactly: the same vectors in the same canonical order; the same routes,
 statuses and subset graph from the search; on the explored
 vertices, the same vertices, edges, components, reach sets, blocks and
 radii as the whole graph, read through ``graph.vertices``; the same
-``RadiusResult``; the same ``NadicExpansion`` and value; the same
+``RadiusResult``; the same expansion lengths and value; the same
 ``CardResult``; and, one digit at a time, the packed kernel
 ``counting._advance`` the same children as ``_step``.  ``kernel_states``
 steps one point's chains with that kernel, as ``exact_card`` does, and
-reads each depth's multiset back as pairs.
+reads each depth's multiset back as pairs, which off the base-n grid are
+the entries of the dense products.
 """
 
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    ProblemInstance, build_congruent_graph, covering_condition, cube_count_vector,
-    enumerate_achievable_r, nadic_expansion, parse_instance, strong_separation,
+    ProblemInstance, build_congruent_graph, covering_condition, enumerate_achievable_r,
+    parse_instance, strong_separation,
 )
 from slicekit.analysis import (
     _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _reachable_vectors,
 )
 from slicekit import counting
 from slicekit.counting import (
-    DEFAULT_BUDGET, CardResult, CycleCertificate, NadicExpansion, exact_card, expansion_value,
+    DEFAULT_BUDGET, CardResult, CycleCertificate, exact_card, expansion_value,
 )
-from slicekit.errors import BoundaryPoint, WideEnclosure
-from slicekit.graphs import (
-    aligned, build_full_graph, build_xi_graph, component_matrix, subset_successor,
-)
+from slicekit.errors import WideEnclosure
+from slicekit.graphs import aligned, build_xi_graph, component_matrix
 from slicekit.lattice import children, interval_type_counts, u_range, xi_types
 from slicekit.spectral import (
     _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
 )
 
 from conftest import FIXTURES, counting_instances, load
+from helpers import (
+    dense_cube_count_vector, long_division_expansion, scan_type_counts, subset_successor,
+)
 from test_golden import SCALED
 from test_properties import instances
 
@@ -423,28 +426,6 @@ def test_explored_subset_graph_matches_whole_random(inst, data):
     _assert_restriction(graph, _blocks(inst, graph), reference)
 
 
-def _scan_type_counts(inst, u):
-    """Interval u's (type, cube count) pairs, ascending: every working
-    interval t, with the cubes of weight u - t."""
-    weights = inst.cube_weights
-    return [
-        (t, weights[u - t]) for t in range(inst.proj_min, inst.proj_max) if weights.get(u - t, 0)
-    ]
-
-
-def _scan_full_graph(inst):
-    """The full graph's adjacency: interval u goes to the n intervals of
-    each of its types."""
-    n = inst.n
-    adjacency = {}
-    for u in u_range(inst):
-        targets = set()
-        for t, _ in _scan_type_counts(inst, u):
-            targets.update(range(n * t, n * t + n))
-        adjacency[u] = tuple(sorted(targets))
-    return adjacency
-
-
 def _dense_xi_matrix(inst):
     """M cell by cell: u -> v exactly when n*t(u) <= v <= n*t(u) + n - 1."""
     types = xi_types(inst)
@@ -464,10 +445,9 @@ def _assert_lattice_rules(inst):
                 (c, count) for c, count in kids.items() if lo <= c <= hi
             ), (d, t)
     for u in range(n * lo - 2 * n, n * hi + 2 * n):
-        assert interval_type_counts(inst, u) == _scan_type_counts(inst, u), u
+        assert interval_type_counts(inst, u) == scan_type_counts(inst, u), u
         if u not in u_range(inst):
             assert interval_type_counts(inst, u) == [], u
-    assert build_full_graph(inst).adjacency == _scan_full_graph(inst)
     xi = build_xi_graph(inst)
     assert xi.matrix == _dense_xi_matrix(inst)
     assert xi.succ == tuple(tuple(j for j, bit in enumerate(row) if bit) for row in xi.matrix)
@@ -482,7 +462,7 @@ def test_lattice_rules_match_references_pinned(label):
 @given(instances())
 def test_lattice_rules_match_references_random(inst):
     """``children`` at every digit and every t of [proj_min, proj_max], the
-    interval types in and around the range, the full graph and M."""
+    interval types in and around the range, and M."""
     _assert_lattice_rules(inst)
 
 
@@ -558,54 +538,22 @@ def test_integer_block_radius_matches_dense(rows, tolerance):
     assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
 
 
-def _long_division_expansion(inst, x):
-    """Base-n long division of x until a remainder of the fractional part
-    recurs, which pins down the preperiod/period split."""
-    x = Fraction(x)
-    n = inst.n
-    i, p = divmod(x.numerator, x.denominator)
-    q = x.denominator
-    digits = []
-    seen = {}
-    while True:
-        if p == 0:
-            return NadicExpansion(i, tuple(digits), (0,), True)
-        if p in seen:
-            cut = seen[p]
-            return NadicExpansion(i, tuple(digits[:cut]), tuple(digits[cut:]), False)
-        seen[p] = len(digits)
-        d, p = divmod(n * p, q)
-        digits.append(d)
-
-
-def _dense_cube_count_vector(inst, x, k):
-    """e_i T_{j1} ... T_{jk} as k dense vector-matrix products on the n
-    digit matrices."""
-    exp = nadic_expansion(inst, x)
-    mats = transition_matrices(inst)
-    span = inst.span
-    vec = [0] * span
-    vec[exp.integer_part - inst.proj_min] = 1
-    for j in exp.digits(k):
-        rows = mats[j].entries
-        vec = [sum(vec[u] * rows[u][v] for u in range(span)) for v in range(span)]
-    return tuple(vec)
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(counting_instances(), st.data())
-def test_cube_count_vector_matches_dense_products(inst, data):
-    """``cube_count_vector`` steps only the live offsets along their rows;
-    it must give the dense product e_i T_{j1} ... T_{jk} at every depth,
-    and refuse a boundary point."""
+def test_kernel_states_match_dense_products(inst, data):
+    """At a point off the base-n grid, x = p/q, the chains the automaton
+    keeps at depth k, for every k up to 8, are the matrix route's counts:
+    the chains at scaled offset r + q * t number the entry at t of the
+    dense product e_i T_{j1} ... T_{jk}."""
     q = data.draw(st.integers(2, 60))
     x = Fraction(data.draw(st.integers(q * inst.proj_min, q * inst.proj_max)), q)
+    assume(not long_division_expansion(inst, x).boundary)
     k = data.draw(st.integers(0, 8))
-    if nadic_expansion(inst, x).boundary:
-        with pytest.raises(BoundaryPoint):
-            cube_count_vector(inst, x, k)
-        return
-    assert cube_count_vector(inst, x, k) == _dense_cube_count_vector(inst, x, k)
+    for depth, state in enumerate(kernel_states(inst, x, k)):
+        vec = [0] * inst.span
+        for a, m in state:
+            vec[a // x.denominator - inst.proj_min] = m
+        assert tuple(vec) == dense_cube_count_vector(inst, x, depth), depth
 
 
 @st.composite
@@ -624,9 +572,11 @@ def _expansion_points(draw):
 @given(_expansion_points())
 def test_expansion_matches_long_division(point):
     """The preperiod and period lengths, found from gcd steps and the
-    multiplicative order of n, give the expansion long division gives."""
+    multiplicative order of n, are those of the expansion long division
+    writes out."""
     inst, x = point
-    assert nadic_expansion(inst, x) == _long_division_expansion(inst, x)
+    exp = long_division_expansion(inst, x)
+    assert counting._expansion_lengths(inst, x) == (len(exp.preperiod), len(exp.period))
 
 
 def _summed_expansion_value(n, integer_part, preperiod, period):
@@ -699,7 +649,7 @@ def _pairs_steps(inst, x, budget=DEFAULT_BUDGET, max_depth=None):
     and the depth cap, ``max_depth`` or its default.  The steps do not
     depend on the limits: lower ones only stop them sooner."""
     x = Fraction(x)
-    exp = nadic_expansion(inst, x)
+    exp = long_division_expansion(inst, x)
     pre = len(exp.preperiod)
     per = len(exp.period)
     if max_depth is None:

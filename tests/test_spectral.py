@@ -9,7 +9,6 @@ from slicekit import (
     build_xi_graph,
     char_poly,
     compare_radii,
-    irreducible,
     scc,
     spectral_radius,
     transition_matrices,
@@ -17,7 +16,8 @@ from slicekit import (
 from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
 from slicekit.spectral import block_radius, max_radius
-from slicekit.lattice import type_assignment
+
+from helpers import type_assignment
 
 GOLDEN_T_CANTOR_DIFF = [
     ((1, 0), (0, 2)),
@@ -107,14 +107,6 @@ def test_radius_permutation_invariant():
         a = spectral_radius(mat)
         b = spectral_radius(permuted)
         assert abs(a.estimate - b.estimate) <= 2e-9
-
-
-def test_irreducible(cantor_diff, base7_double):
-    assert irreducible(build_xi_graph(cantor_diff).matrix)
-    assert not irreducible(build_xi_graph(base7_double).matrix)
-    assert not irreducible([[1, 0], [0, 1]])
-    assert not irreducible([[0]])
-    assert irreducible([[1]])
 
 
 def test_char_poly_matches_numpy():
