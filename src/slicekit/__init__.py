@@ -30,9 +30,7 @@ from .counting import CardResult, exact_card, expansion_value, lyapunov_estimate
 from .graphs import (
     CongruentGraph,
     SccDecomposition,
-    XiGraph,
     build_congruent_graph,
-    build_xi_graph,
     scc,
 )
 from .instance import ProblemInstance, parse_instance
@@ -58,10 +56,8 @@ __all__ = [
     "enumerate_integer_intervals",
     "covering_condition",
     "strong_separation",
-    "XiGraph",
     "CongruentGraph",
     "SccDecomposition",
-    "build_xi_graph",
     "build_congruent_graph",
     "scc",
     "CountMatrix",

@@ -15,25 +15,26 @@
   expansions into the integer offset automaton.
 
 Every answer for one instance is read from an ``Analysis`` context.  It
-computes each derived object on first use and keeps it: the restricted
-graph (with the xi types), its SCC decomposition and its blocks, which
-every restricted-graph verdict reads, and the U1 report; covering and
-separation it reads from the instance's counting record, which decides
-them once; domination it decides once per distinct block.  The context
-forms the blocks of both graphs: a block is a component's 0-1 matrix with
-its certified radius, built and certified once per distinct in-component
-adjacency, whichever graph reaches it first.  A subset-graph block is
-formed where it is read: ``dim_ur`` forms those of the cycling components
-that r's routes reach, and the report those it prints; the search forms
-none.  The subset graph's components of singletons are restricted-graph
-components with the same matrices, so a report certifies each of them
-once, whichever graph asks first.
+computes each derived object on first use and keeps it: the interval
+census and the xi types read from it, the restricted graph, built by
+``graphs.build_congruent_graph`` as the subset graph on the singletons and
+decomposed with it, the blocks that every restricted-graph verdict reads,
+and the U1 report; covering and separation it reads from the instance's
+counting record, which decides them once; domination it decides once per
+distinct block.  The context forms the blocks of both graphs: a block is a
+component's 0-1 matrix with its certified radius, built and certified once
+per distinct in-component adjacency, whichever graph reaches it first.  A
+subset-graph block is formed where it is read: ``dim_ur`` forms those of
+the cycling components that r's routes reach, and the report those it
+prints; the search forms none.  The subset graph's components of
+singletons are restricted-graph components with the same matrices, so a
+report certifies each of them once, whichever graph asks first.
 The multiplicity search does its bookkeeping per distinct support of its
 vectors, not per vector: it computes each support's aligned subsets once,
 builds the subset graph once with ``graphs.build_congruent_graph`` on the
 context's xi types, only the part that they reach, since nothing reads
 any other subset, and asks it once for the cycling components each
-subset reaches.  Each support's passing
+subset reaches; it builds no restricted graph.  Each support's passing
 (residue, subset, cycles) triples and the grid digits whose tails are
 known on it are kept, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example.  It then lists
@@ -68,12 +69,9 @@ from typing import NamedTuple
 
 from .counting import _advance, _record, digit_table, exact_card, expansion_value
 from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
-from .graphs import (
-    CongruentGraph, SccDecomposition, XiGraph, aligned, build_congruent_graph, build_xi_graph,
-    component_matrix, scc,
-)
+from .graphs import CongruentGraph, aligned, build_congruent_graph, component_matrix
 from .instance import ProblemInstance
-from .lattice import children
+from .lattice import children, interval_census, xi_types
 # spectral_radius is not called here any more; it stays importable from this
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
@@ -193,17 +191,26 @@ class Analysis:
     # -- the restricted graph and the unique representations ------------------
 
     @cached_property
-    def xi(self) -> XiGraph:
-        return build_xi_graph(self.inst)
+    def census(self) -> list[list[tuple[int, int]]]:
+        """The types of every integer interval, ascending u."""
+        return interval_census(self.inst)
 
     @cached_property
-    def xi_scc(self) -> SccDecomposition:
-        return scc(self.xi.succ)
+    def types(self) -> dict[int, int]:
+        """The xi types: u -> its unique type, for every uniquely covered u."""
+        return xi_types(self.inst, self.census)
+
+    @cached_property
+    def xi(self) -> CongruentGraph:
+        """The restricted graph: the subset graph on the singletons, vertex
+        v the v-th uniquely covered u ascending."""
+        types = self.types
+        return build_congruent_graph(types, self.inst.n, [(u,) for u in types])
 
     @cached_property
     def xi_blocks(self) -> tuple[Block, ...]:
-        """The block of each component of ``xi_scc``."""
-        return self.blocks(self.xi.succ, self.xi_scc.components)
+        """The block of each component of the restricted graph."""
+        return self.blocks(self.xi.succ, self.xi.scc.components)
 
     def blocks(self, succ, components) -> tuple[Block, ...]:
         """The block of each of ``components``, strongly connected
@@ -242,7 +249,7 @@ class Analysis:
         covering = self.covering
         ssc_flags = self.ssc
         ssc = all(ssc_flags)
-        decomposition, blocks = self.xi_scc, self.xi_blocks
+        decomposition, blocks = self.xi.scc, self.xi_blocks
         # M is block-triangular, so rho is the largest block radius
         rho = max_radius(rr for rr, _ in blocks)
         n = inst.n
@@ -299,16 +306,16 @@ class Analysis:
         return known
 
     def _decide_dominated(self, block: Block) -> bool:
-        inst, xi = self.inst, self.xi
-        if not xi.us:
+        inst, types, xi = self.inst, self.types, self.xi
+        if not types:
             return False
-        decomposition = self.xi_scc
+        decomposition = xi.scc
         reached: set[int] = set()
         for idx, other in enumerate(self.xi_blocks):
             if _compare(other, block) >= 0:
                 reached |= decomposition.reach[idx]
         covered = {
-            xi.types[xi.us[i]] for j in reached for i in decomposition.components[j]
+            types[u] for j in reached for v in decomposition.components[j] for u in xi.vertices[v]
         }
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
@@ -528,7 +535,7 @@ def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
 
     # each support's aligned subsets, the subset graph they reach, its cycles,
     # and each support's passing (residue, subset, cycles) triples
-    types = context.xi.types
+    types = context.types
     subsets = {s: aligned(types, n, [n * p for p in s]) for s in {rv.support for rv in vectors}}
     graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
     cycles = {

@@ -28,6 +28,7 @@ from pathlib import Path
 from .analysis import Analysis, dim_u1, enumerate_achievable_r, measure_ur, witness_ur
 from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
 from .errors import InternalError, OutOfRange, SlicekitError, TooLarge, UsageError
+from .graphs import component_matrix
 from .instance import ProblemInstance, parse_instance
 from .lattice import covering_condition, strong_separation, xi_types
 from .report import (
@@ -214,8 +215,8 @@ def _dispatch(args) -> int:
         context = Analysis(inst)
         xi = context.xi
         payload = {
-            "xi": list(xi.us),
-            "M": [list(r) for r in xi.matrix],
+            "xi": [u for (u,) in xi.vertices],
+            "M": [list(r) for r in component_matrix(xi.succ, range(len(xi.succ)))],
             "rho": radius_json(context.u1.rho),
             "T": [
                 {"digit": m.digit, "rows": [list(r) for r in m.entries]}

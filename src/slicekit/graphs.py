@@ -5,10 +5,6 @@ interval of type t to each of the n intervals inside the working interval
 [t, t+1], is not built: the two graphs below take their edges from the xi
 types, and the tests build the full graph as the reference for them.
 
-* restricted graph: the induced subgraph of the full graph on the uniquely
-  covered intervals, a record of successor lists (ascending-u indexing);
-  its 0-1 matrix is formed on each read by ``component_matrix``, the one
-  0-1 matrix builder.
 * subset graph: vertices are nonempty sets of uniquely covered intervals
   that share u mod n; from a subset, the successor under residue h is the
   set of images n*t(u) + h, and an edge exists exactly when that image
@@ -16,28 +12,34 @@ types, and the tests build the full graph as the reference for them.
   equivalent to the two-sided covering rule quantified over full-graph
   edges, because a uniquely covered interval has exactly one candidate
   successor per residue.
+* restricted graph: the induced subgraph of the full graph on the uniquely
+  covered intervals.  A singleton {u} steps only to singletons
+  {n*t(u) + h}, so this is the subset graph on the singletons, built from
+  every singleton as a seed; its vertex numbers are the uniquely covered u
+  ascending, the index of its 0-1 matrix M, which ``component_matrix``,
+  the one 0-1 matrix builder, forms where it is printed.
 
 ``aligned(types, n, base)``, the one place that shifts intervals by a
 residue, keeps the images base + h that stay uniquely covered: the edges
 of both graphs and the multiplicity search's aligned subsets.
 
-Only the part of the subset graph that given seed subsets reach is ever
-built: ``build_congruent_graph(types, n, seeds)``, the one builder, takes
-the xi types and the base, closes the seeds under ``aligned``, refused
-with TooLarge past 2**20 vertices, numbers the reached subsets in
-ascending member order and decomposes them on those numbers.  The
-multiplicity search passes the xi types its ``Analysis`` context already
-holds.  A successor-closed vertex set is a union of whole strongly
-connected components, so the components, reach sets and cycling flags
-it yields are those of the whole subset graph restricted to it.
+``build_congruent_graph(types, n, seeds)``, the one builder of both
+graphs, takes the xi types and the base and builds only the part of the
+subset graph that the seed subsets reach: it closes the seeds under
+``aligned``, refused with TooLarge past 2**20 vertices, numbers the reached
+subsets in ascending member order and decomposes them on those numbers.
+The ``analysis`` context passes the xi types it holds, for the restricted
+graph and for the multiplicity search's subset graph.  A successor-closed
+vertex set is a union of whole strongly connected components, so the
+components, reach sets and cycling flags it yields are those of the whole
+subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
 table over vertices 0..V-1: a single Tarjan pass yields the components,
 the set of components each one reaches (read off Tarjan's emission order)
 and the cycling components.  It describes structure only; the blocks,
 each component's 0-1 matrix with a certified radius, are formed by the
-``analysis`` context that reads them.  The restricted graph is
-decomposed on positions in ``xi.us``, its matrix index.
+``analysis`` context that reads them.
 """
 
 from __future__ import annotations
@@ -47,27 +49,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from ._digraph import strongly_connected_components
 from .errors import TooLarge
-from .instance import ProblemInstance
-from .lattice import xi_types
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
 _SUBSET_LIMIT = 2**20
-
-
-class XiGraph(NamedTuple):
-    """Induced subgraph on uniquely covered intervals.  ``us`` is the
-    index, the uniquely covered u ascending; ``types`` maps each of them to
-    its type; ``succ[i]`` lists the positions in ``us`` that position i has
-    an edge to, ascending."""
-
-    us: tuple[int, ...]
-    types: dict[int, int]
-    succ: tuple[tuple[int, ...], ...]
-
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        """The 0-1 matrix on ``us``, formed on each read."""
-        return component_matrix(self.succ, range(len(self.succ)))
 
 
 class SccDecomposition(NamedTuple):
@@ -122,15 +106,6 @@ def aligned(types: Mapping[int, int], n: int, base: Sequence[int]) -> list[tuple
     return [(h, tuple([b + h for b in base])) for h in passing]
 
 
-def build_xi_graph(inst: ProblemInstance) -> XiGraph:
-    types = xi_types(inst)
-    us = sorted(types)
-    n = inst.n
-    position = {u: i for i, u in enumerate(us)}
-    succ = tuple(tuple([position[v] for _, (v,) in aligned(types, n, (n * types[u],))]) for u in us)
-    return XiGraph(us=tuple(us), types=types, succ=succ)
-
-
 def build_congruent_graph(
     types: Mapping[int, int], n: int, seeds: Iterable[tuple[int, ...]]
 ) -> CongruentGraph:
@@ -155,16 +130,12 @@ def build_congruent_graph(
             raise TooLarge(f"the subset graph explores more than {_SUBSET_LIMIT} vertices")
         out = images[members] = aligned(types, n, sorted({n * types[u] for u in members}))
         frontier.extend([image for _, image in out])
-    vertices = sorted(images)
+    vertices = tuple(sorted(images))
     number = {members: v for v, members in enumerate(vertices)}
-    succ = [tuple([number[image] for _, image in images[members]]) for members in vertices]
-    return CongruentGraph(
-        n=n,
-        vertices=tuple(vertices),
-        number=number,
-        succ=tuple(succ),
-        scc=scc(succ),
-    )
+    succ = tuple([tuple([number[image] for _, image in images[members]]) for members in vertices])
+    # freed before the decomposition, the builder's peak in memory
+    del images
+    return CongruentGraph(n=n, vertices=vertices, number=number, succ=succ, scc=scc(succ))
 
 
 def component_matrix(adjacency: Mapping | Sequence, comp) -> tuple[tuple[int, ...], ...]:

@@ -11,9 +11,10 @@ counting tables, the digit matrices and ``lyapunov_estimate``, and the
 types of interval u (``interval_type_counts``) are the open children of
 (u mod n, u div n).  The grid tails and the counting tables' closed rows
 read ``children`` uncut.
-``unique_type`` decides whether interval u is uniquely covered, and by
-which type, for ``xi_types``.  The cube-by-cube type assignment of the
-paper is the tests' reference for these rules.
+``interval_census`` lists the types of every interval of the range, and
+``xi_types`` reads from it which intervals are uniquely covered, and by
+which type.  The cube-by-cube type assignment of the paper is the tests'
+reference for these rules.
 """
 
 from __future__ import annotations
@@ -25,12 +26,12 @@ from .errors import OutOfRange, TooLarge
 from .instance import ProblemInstance
 
 
-# Most integer intervals, n * span, whose types ``xi_types`` finds.  What
-# follows grows faster than the interval count: on n=3, {0,2}^2, `dim-u1`
+# Most integer intervals, n * span, whose types ``interval_census`` finds.
+# What follows grows faster than the interval count: on n=3, {0,2}^2, `dim-u1`
 # peaks at 119 MiB for 30003 intervals, 279 MiB for 60003 and 498 MiB for
 # 84003, and `witness --r 1` at 299 MiB for 60003; a search that also
 # formed its subset graph's blocks ran out of 512 MiB at 84003.  At the cap
-# the two peak at 331 and 352 MiB, inside 512 MiB with room for instances
+# the two peak at 340 and 347 MiB, inside 512 MiB with room for instances
 # that cost more.
 _INTERVAL_CAP = 2**16
 
@@ -126,20 +127,25 @@ def strong_separation(inst: ProblemInstance) -> list[bool]:
     return out
 
 
-def unique_type(inst: ProblemInstance, u: int) -> int | None:
-    """The type of interval u when exactly one cube covers it, else None
-    (also outside the range, where no cube covers u)."""
-    tc = interval_type_counts(inst, u)
-    return tc[0][0] if len(tc) == 1 and tc[0][1] == 1 else None
-
-
-def xi_types(inst: ProblemInstance) -> dict[int, int]:
-    """u -> its unique type, for every uniquely covered interval.  Raises
-    TooLarge, before any interval is typed, when the range has more than
-    _INTERVAL_CAP integer intervals."""
+def interval_census(inst: ProblemInstance) -> list[list[tuple[int, int]]]:
+    """``interval_type_counts`` of every integer interval, ascending u.
+    Raises TooLarge, before any interval is typed, when the range has more
+    than _INTERVAL_CAP integer intervals."""
     if inst.n * inst.span > _INTERVAL_CAP:
         raise TooLarge(
             f"the range has {inst.n * inst.span} integer intervals, more than {_INTERVAL_CAP}"
         )
-    typed = ((u, unique_type(inst, u)) for u in u_range(inst))
-    return {u: t for u, t in typed if t is not None}
+    return [interval_type_counts(inst, u) for u in u_range(inst)]
+
+
+def xi_types(inst: ProblemInstance, census: list | None = None) -> dict[int, int]:
+    """u -> its unique type, for every uniquely covered interval (one cube
+    covers it), read from ``census``, the ``interval_census`` of inst,
+    which is found here when none is given."""
+    if census is None:
+        census = interval_census(inst)
+    return {
+        u: tc[0][0]
+        for u, tc in zip(u_range(inst), census)
+        if len(tc) == 1 and tc[0][1] == 1
+    }

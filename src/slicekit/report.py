@@ -24,8 +24,9 @@ from .analysis import (
     witness_ur,
 )
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
+from .graphs import component_matrix
 from .instance import ProblemInstance
-from .lattice import enumerate_integer_intervals, interval_type_counts
+from .lattice import enumerate_integer_intervals
 from .spectral import RadiusResult, transition_matrices
 
 
@@ -110,14 +111,11 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
         search, refusal = None, str(exc)
     context = search.analysis if search else Analysis(inst)
     xi = context.xi
+    us = [u for (u,) in xi.vertices]
     u1 = context.u1
     intervals = [
-        {
-            "u": iv.u,
-            "label": iv.display_label,
-            "types": [[t, c] for t, c in interval_type_counts(inst, iv.u)],
-        }
-        for iv in enumerate_integer_intervals(inst)
+        {"u": iv.u, "label": iv.display_label, "types": [[t, c] for t, c in types]}
+        for iv, types in zip(enumerate_integer_intervals(inst), context.census)
     ]
     data: dict = {
         "instance": {
@@ -127,15 +125,13 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
         },
         **checks_json(inst, context.covering, context.ssc),
         "integer_intervals": intervals,
-        "xi": list(xi.us),
+        "xi": us,
         "M": {
-            "index": list(xi.us),
-            "rows": [list(r) for r in xi.matrix],
+            "index": us,
+            "rows": [list(r) for r in component_matrix(xi.succ, range(len(us)))],
             "rho": radius_json(u1.rho),
             # one strongly connected component, with a cycle through it
-            "irreducible": (
-                len(context.xi_scc.components) == 1 and 0 in context.xi_scc.cycling
-            ),
+            "irreducible": len(xi.scc.components) == 1 and 0 in xi.scc.cycling,
         },
         "T": [
             {
@@ -145,7 +141,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
             }
             for m in transition_matrices(inst)
         ],
-        "scc_xi": _scc_json(context.xi_scc, context.xi_blocks, xi.us),
+        "scc_xi": _scc_json(xi.scc, context.xi_blocks, us),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),

@@ -16,12 +16,16 @@ helper the golden comparisons share.
   dense vector-matrix products on the digit matrices, whose 1-norm counts
   the depth-k cubes meeting the slice at a non-boundary x.
 * ``data_section``: a serialised report without its ``meta`` key.
+* ``restricted``: a context's restricted graph with its index and its
+  0-1 matrix M, as the report prints them.
 """
 
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
+from slicekit.analysis import Analysis
+from slicekit.graphs import component_matrix
 from slicekit.lattice import IntegerInterval, make_interval, u_range
 from slicekit.spectral import transition_matrices
 
@@ -150,3 +154,10 @@ def data_section(report_text):
     doc = json.loads(report_text)
     doc.pop("meta", None)
     return doc
+
+
+def restricted(inst):
+    """The restricted graph of a fresh ``Analysis`` context, its index (the
+    uniquely covered u, ascending) and its 0-1 matrix M on that index."""
+    xi = Analysis(inst).xi
+    return xi, [u for (u,) in xi.vertices], component_matrix(xi.succ, range(len(xi.succ)))

@@ -13,14 +13,12 @@ from pathlib import Path
 from slicekit import (
     brute_force_cube_count,
     brute_force_solutions,
-    build_xi_graph,
     covering_condition,
     dim_u1,
     enumerate_achievable_r,
     exact_card,
     lyapunov_estimate,
     measure_ur,
-    scc,
     spectral_radius,
     strong_separation,
     transition_matrices,
@@ -28,7 +26,7 @@ from slicekit import (
 )
 from slicekit.cli import main
 
-from helpers import data_section, dense_cube_count_vector
+from helpers import data_section, dense_cube_count_vector, restricted
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
 TOL = 1e-9
@@ -131,10 +129,10 @@ def _random_rationals(inst, count, seed):
 
 
 def test_criterion_1(cantor_diff):
-    xg = build_xi_graph(cantor_diff)
-    assert list(xg.us) == [-3, -2, 1, 2]
-    assert [list(r) for r in xg.matrix] == GOLDEN_M_CANTOR
-    rr = spectral_radius(xg.matrix)
+    _, us, matrix = restricted(cantor_diff)
+    assert us == [-3, -2, 1, 2]
+    assert [list(r) for r in matrix] == GOLDEN_M_CANTOR
+    rr = spectral_radius(matrix)
     assert rr.contains(2) and rr.width <= Fraction(1, 10**9)
     rep = dim_u1(cantor_diff)
     assert abs(rep.s - math.log(2) / math.log(3)) <= TOL
@@ -143,9 +141,9 @@ def test_criterion_1(cantor_diff):
 
 
 def test_criterion_2(cantor_sum):
-    xg = build_xi_graph(cantor_sum)
-    assert [list(r) for r in xg.matrix] == GOLDEN_M_CANTOR
-    rr = spectral_radius(xg.matrix)
+    _, _, matrix = restricted(cantor_sum)
+    assert [list(r) for r in matrix] == GOLDEN_M_CANTOR
+    rr = spectral_radius(matrix)
     assert rr.contains(2) and abs(rr.estimate - 2) <= TOL
     print("ACCEPTANCE 2: PASS - sum form reuses the same transition matrix")
 
@@ -153,25 +151,25 @@ def test_criterion_2(cantor_sum):
 def test_criterion_3(base7_double):
     assert covering_condition(base7_double)
     assert strong_separation(base7_double) == [False, False]
-    xg = build_xi_graph(base7_double)
-    assert len(xg.us) == 7
-    mine = [list(r) for r in xg.matrix]
+    xg, us, matrix = restricted(base7_double)
+    assert len(us) == 7
+    mine = [list(r) for r in matrix]
     assert same_up_to_relabelling(mine, GOLDEN_M_BASE7)
-    rr = spectral_radius(xg.matrix)
+    rr = spectral_radius(matrix)
     golden = (3 + math.sqrt(5)) / 2
     assert abs(rr.estimate - golden) <= TOL
     rep = dim_u1(base7_double)
     assert abs(rep.s - math.log(golden) / math.log(7)) <= TOL
-    assert len(scc(xg.succ).components) > 1  # M is reducible
+    assert len(xg.scc.components) > 1  # M is reducible
     print("ACCEPTANCE 3: PASS - base-7 doubled set: matrix, golden-ratio radius, dim")
 
 
 def test_criterion_4(base6_mixed):
-    xg = build_xi_graph(base6_mixed)
-    assert len(xg.us) == 8
-    mine = [list(r) for r in xg.matrix]
+    _, us, matrix = restricted(base6_mixed)
+    assert len(us) == 8
+    mine = [list(r) for r in matrix]
     assert same_up_to_relabelling(mine, GOLDEN_M_BASE6)
-    rr = spectral_radius(xg.matrix)
+    rr = spectral_radius(matrix)
     assert rr.contains(4) and abs(rr.estimate - 4) <= TOL
     rep = dim_u1(base6_mixed)
     assert abs(rep.s - math.log(4) / math.log(6)) <= TOL

@@ -20,7 +20,7 @@ from slicekit.analysis import _LOOP_BLOCKS, _MAX_R, Analysis, _witness_candidate
 from slicekit.errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
-from slicekit.lattice import xi_types
+from slicekit.lattice import interval_census, interval_type_counts, u_range, xi_types
 from slicekit.spectral import block_radius
 
 from conftest import FIXTURES, counting_instances, load
@@ -413,9 +413,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
                 reading.pop()
         return wrapper
 
-    scc = spy("scc", graphs.scc)
-    monkeypatch.setattr(graphs, "scc", scc)
-    monkeypatch.setattr(analysis, "scc", scc)
+    monkeypatch.setattr(graphs, "scc", spy("scc", graphs.scc))
     for owner, key, attr in (
         (analysis, "component_matrix", "component_matrix"),
         (graphs.CongruentGraph, "cycles_reached", "cycles_reached"),
@@ -433,14 +431,15 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     for _, _, search in calls["search"]:
         context, graph = search.analysis, search.graph
         xi = context.xi
+        assert [d is xi.scc or d is graph.scc for d in decompositions] == [True, True]
         # read back from the context's memo: no matrix is built again
         searched = context.blocks(graph.succ, graph.scc.components)
         singletons = {
-            tuple(xi.us.index(graph.vertices[v][0]) for v in comp): i
+            tuple(xi.number[graph.vertices[v]] for v in comp): i
             for i, comp in enumerate(graph.scc.components)
             if len(comp) > 1 and len(graph.vertices[comp[0]]) == 1
         }
-        for i, comp in enumerate(context.xi_scc.components):
+        for i, comp in enumerate(xi.scc.components):
             if comp in singletons:
                 built.remove(graph.scc.components[singletons[comp]])
                 assert context.xi_blocks[i] is searched[singletons[comp]]
@@ -559,19 +558,20 @@ def test_singleton_components_share_restricted_blocks(inst, max_r):
     context, graph = search.analysis, search.graph
     # the subset graph's blocks first: the restricted graph then reads the shared ones
     searched = context.blocks(graph.succ, graph.scc.components)
-    position = {u: i for i, u in enumerate(context.xi.us)}
-    restricted = dict(zip(context.xi_scc.components, context.xi_blocks))
+    xi = context.xi
+    restricted = dict(zip(xi.scc.components, context.xi_blocks))
     for comp, block in zip(graph.scc.components, searched):
         members = [graph.vertices[v] for v in comp]
         if len(members[0]) == 1:
-            assert block is restricted[tuple(position[u] for (u,) in members)]
+            assert block is restricted[tuple(xi.number[m] for m in members)]
 
 
 @pytest.mark.parametrize("name", ["span17"] + _SEARCHABLE)
 def test_report_builds_the_subset_graph_once(name, monkeypatch):
-    """``build_report`` builds its subset graph once, through the public
-    ``build_congruent_graph`` on the xi types and the base, and reports that
-    graph."""
+    """``build_report`` builds two graphs, each once, through the public
+    ``build_congruent_graph`` on one xi types object and the base: its
+    subset graph, which it reports, and the restricted graph, seeded with
+    every singleton, which it reads for M."""
     inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
     calls = []
 
@@ -582,29 +582,62 @@ def test_report_builds_the_subset_graph_once(name, monkeypatch):
 
     monkeypatch.setattr(analysis, "build_congruent_graph", spy)
     data = report.build_report(inst)["data"]
-    assert len(calls) == 1
-    (types, n, _), graph = calls[0]
-    assert (types, n) == (xi_types(inst), inst.n)
+    types = calls[0][0][0]
+    assert types == xi_types(inst)
+    assert [(args[0] is types, args[1]) for args, _ in calls] == [(True, inst.n)] * 2
+    # the search builds its subset graph first; the report then reads M
+    (_, subset_graph), ((_, _, seeds), restricted) = calls
+    assert list(seeds) == [(u,) for u in types]
+    assert [u for (u,) in restricted.vertices] == data["xi"]
     assert data["scc_subsets"]["components"] == [
-        [",".join(map(str, graph.vertices[v])) for v in comp] for comp in graph.scc.components
+        [",".join(map(str, subset_graph.vertices[v])) for v in comp]
+        for comp in subset_graph.scc.components
     ]
 
 
-@pytest.mark.parametrize("name", ["span17"] + sorted(p.stem for p in FIXTURES.glob("*.json")))
-def test_report_computes_xi_types_once(name, monkeypatch):
-    """``build_report`` finds the xi types once, for the restricted graph
-    of its ``Analysis`` context; the search builds its subset graph on the
-    context's types instead of finding them again.  The spy replaces
-    ``xi_types`` at every module of the package that binds it."""
-    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
-    calls = []
+def _spy_everywhere(monkeypatch, function, calls):
+    """Replace ``function`` at every module of the package that binds it
+    with a spy that records each call's arguments in ``calls``."""
 
     def spy(*args):
         calls.append(args)
-        return xi_types(*args)
+        return function(*args)
 
+    attr = function.__name__
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "slicekit" and getattr(module, "xi_types", None) is xi_types:
-            monkeypatch.setattr(module, "xi_types", spy)
+        if name.split(".")[0] == "slicekit" and getattr(module, attr, None) is function:
+            monkeypatch.setattr(module, attr, spy)
+
+
+_REPORTED = ["span17"] + sorted(p.stem for p in FIXTURES.glob("*.json"))
+
+
+@pytest.mark.parametrize("name", _REPORTED)
+def test_report_computes_xi_types_once(name, monkeypatch):
+    """``build_report`` finds the xi types once, from its ``Analysis``
+    context's interval census; the restricted graph and the search's
+    subset graph are built on the context's types instead of finding them
+    again."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    calls = []
+    _spy_everywhere(monkeypatch, xi_types, calls)
     report.build_report(inst)
-    assert calls == [(inst,)]
+    [(first, census)] = calls
+    assert first is inst and census == interval_census(inst)
+
+
+@pytest.mark.parametrize("name", _REPORTED)
+def test_report_reads_one_interval_census(name, monkeypatch):
+    """``build_report`` takes one interval census, one
+    ``interval_type_counts`` call per integer interval, and reads both its
+    xi types and its ``integer_intervals`` from it."""
+    inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
+    census_calls, typed = [], []
+    _spy_everywhere(monkeypatch, interval_census, census_calls)
+    _spy_everywhere(monkeypatch, interval_type_counts, typed)
+    data = report.build_report(inst)["data"]
+    assert census_calls == [(inst,)]
+    assert sorted(u for _, u in typed) == list(u_range(inst))
+    assert [entry["types"] for entry in data["integer_intervals"]] == [
+        [[t, c] for t, c in interval_type_counts(inst, u)] for _, u in sorted(typed)
+    ]

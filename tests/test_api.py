@@ -19,11 +19,9 @@ PUBLIC = [
     "U1Report",
     "UrReport",
     "WitnessExpansion",
-    "XiGraph",
     "brute_force_cube_count",
     "brute_force_solutions",
     "build_congruent_graph",
-    "build_xi_graph",
     "char_poly",
     "compare_radii",
     "covering_condition",
@@ -48,8 +46,11 @@ ORACLE = ["CubeChain", "brute_force_cube_count", "brute_force_solutions"]
 # Names the package no longer defines, by the module that held each.
 REMOVED = {
     "instance": ["serialize"],
-    "lattice": ["SmallCube", "TypeAssignment", "type_assignment", "xi_set"],
-    "graphs": ["FullGraph", "build_full_graph", "psi_step", "subset_successor"],
+    "lattice": ["SmallCube", "TypeAssignment", "type_assignment", "unique_type", "xi_set"],
+    "graphs": [
+        "FullGraph", "XiGraph", "build_full_graph", "build_xi_graph", "psi_step",
+        "subset_successor",
+    ],
     "spectral": ["irreducible"],
     "counting": ["NadicExpansion", "cube_count_vector", "nadic_expansion"],
     "report": ["data_section"],

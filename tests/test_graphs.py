@@ -5,7 +5,6 @@ from hypothesis import given, settings
 
 from slicekit import (
     build_congruent_graph,
-    build_xi_graph,
     enumerate_achievable_r,
     scc,
 )
@@ -17,7 +16,7 @@ from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
 
-from helpers import scan_full_graph, subset_successor
+from helpers import restricted, scan_full_graph, subset_successor
 from test_properties import instances
 
 GOLDEN_M_CANTOR = (
@@ -40,16 +39,16 @@ def test_full_graph_no_type_no_edges(no_cover):
 
 
 def test_xi_graph_matrix(cantor_diff, cantor_sum):
-    assert build_xi_graph(cantor_diff).matrix == GOLDEN_M_CANTOR
-    assert build_xi_graph(cantor_sum).matrix == GOLDEN_M_CANTOR
+    assert restricted(cantor_diff)[2] == GOLDEN_M_CANTOR
+    assert restricted(cantor_sum)[2] == GOLDEN_M_CANTOR
 
 
 def test_xi_graph_restriction(cantor_diff):
     adjacency = scan_full_graph(cantor_diff)
-    xg = build_xi_graph(cantor_diff)
-    for u, row in zip(xg.us, xg.matrix):
-        expected = tuple(v for v in adjacency[u] if v in xg.us)
-        got = tuple(v for v, bit in zip(xg.us, row) if bit)
+    _, us, matrix = restricted(cantor_diff)
+    for u, row in zip(us, matrix):
+        expected = tuple(v for v in adjacency[u] if v in us)
+        got = tuple(v for v, bit in zip(us, row) if bit)
         assert got == expected
 
 
@@ -139,12 +138,14 @@ def test_congruent_vertices_equal_aligned_closure_random(inst):
 
 def test_congruent_graph_edges(cantor_diff):
     g = _whole_graph(cantor_diff)
-    xg = build_xi_graph(cantor_diff)
+    adjacency = scan_full_graph(cantor_diff)
+    types = xi_types(cantor_diff)
     number = g.number
-    # singleton-to-singleton edges coincide with the restricted graph
-    for i, u in enumerate(xg.us):
+    # singleton-to-singleton edges are the full graph's edges among the
+    # uniquely covered intervals: the restricted graph
+    for u in types:
         targets = {g.vertices[w] for w in g.succ[number[(u,)]]}
-        assert targets == {(xg.us[j],) for j in xg.succ[i]}
+        assert targets == {(v,) for v in adjacency[u] if v in types}
     # the two-element class maps onto itself under residue 1 only
     pair = number[(-2, 1)]
     assert g.succ[pair] == (pair,)
@@ -182,9 +183,9 @@ def test_explored_vertex_cap(monkeypatch):
 
 
 def test_scc_examples(cantor_diff, base7_double):
-    d1 = scc(build_xi_graph(cantor_diff).succ)
+    d1 = scc(restricted(cantor_diff)[0].succ)
     assert len(d1.components) == 1
-    d3 = scc(build_xi_graph(base7_double).succ)
+    d3 = scc(restricted(base7_double)[0].succ)
     assert len(d3.components) > 1
     sizes = sorted(len(c) for c in d3.components)
     assert sizes == [1, 1, 5]
@@ -197,6 +198,7 @@ def test_scc_blocks_restricted_graph(cantor_diff, base7_double, base6_mixed, can
     for inst in (cantor_diff, base7_double, base6_mixed, cantor_sum):
         context = Analysis(inst)
         succ = context.xi.succ
+        assert context.xi.scc == scc(succ)
         matrices = [component_matrix(succ, comp) for comp in scc(succ).components]
         assert [m for _, m in context.xi_blocks] == matrices
         for block, matrix in zip(context.xi_blocks, matrices):

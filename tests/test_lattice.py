@@ -93,11 +93,11 @@ def test_xi_sets(cantor_diff, cantor_sum, base7_double, base6_mixed):
 def test_xi_types_refuses_past_the_interval_cap(cantor_diff, monkeypatch):
     """``xi_types`` refuses a range of more than _INTERVAL_CAP integer
     intervals, n * span, with TooLarge before it types any; cantor_diff
-    has 6, and unique_type is never asked past the cap."""
+    has 6, and interval_type_counts is never asked past the cap."""
     monkeypatch.setattr(lattice, "_INTERVAL_CAP", 6)
     assert xi_types(cantor_diff) == {-3: -1, -2: 0, 1: -1, 2: 0}
     monkeypatch.setattr(lattice, "_INTERVAL_CAP", 5)
-    monkeypatch.setattr(lattice, "unique_type", None)  # never called
+    monkeypatch.setattr(lattice, "interval_type_counts", None)  # never called
     with pytest.raises(TooLarge, match="the range has 6 integer intervals, more than 5"):
         xi_types(cantor_diff)
 

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from slicekit import (
     build_congruent_graph,
-    build_xi_graph,
     covering_condition,
     exact_card,
     brute_force_cube_count,
-    scc,
     strong_separation,
     transition_matrices,
 )
@@ -64,20 +62,28 @@ def test_unique_interval_neighbours_fill_working_interval(inst):
 
 
 def _assert_xi_sccs_survive(inst):
-    """A subset never grows under successors, so the subset graph explored
-    from every singleton reproduces the restricted graph's components and
-    radii, each graph's blocks formed by a context of its own."""
-    xi = build_xi_graph(inst)
-    graph = build_congruent_graph(xi_types(inst), inst.n, [(u,) for u in xi.us])
-    xi_scc = scc(xi.succ)
-    xi_comps = {frozenset((xi.us[i],) for i in comp) for comp in xi_scc.components}
-    sub_comps = {frozenset(graph.vertices[v] for v in c) for c in graph.scc.components}
-    assert xi_comps <= sub_comps
-    xi_radii = {rr.estimate for rr, _ in Analysis(inst).blocks(xi.succ, xi_scc.components)}
-    sub_radii = {
-        rr.estimate for rr, _ in Analysis(inst).blocks(graph.succ, graph.scc.components)
+    """A subset never grows under successors, so in the subset graph
+    explored from every singleton and every whole residue class the
+    components of singletons are the restricted graph's components, with
+    the same radii, each graph's blocks formed by a context of its own."""
+    context = Analysis(inst)
+    xi, types = context.xi, context.types
+    classes = {}
+    for u in types:
+        classes.setdefault(u % inst.n, []).append(u)
+    graph = build_congruent_graph(
+        types, inst.n, [(u,) for u in types] + [tuple(cls) for cls in classes.values()]
+    )
+    blocks = Analysis(inst).blocks(graph.succ, graph.scc.components)
+    singletons = {
+        frozenset(graph.vertices[v] for v in comp): rr
+        for comp, (rr, _) in zip(graph.scc.components, blocks)
+        if len(graph.vertices[comp[0]]) == 1
     }
-    assert xi_radii <= sub_radii
+    assert singletons == {
+        frozenset(xi.vertices[v] for v in comp): rr
+        for comp, (rr, _) in zip(xi.scc.components, context.xi_blocks)
+    }
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

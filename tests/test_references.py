@@ -20,8 +20,11 @@ they replaced: ``lattice.children`` against a cube-by-cube enumeration
 ``scan_type_counts``, which tries every working interval t for a cube of
 weight u - t, the restricted graph's matrix against ``_dense_xi_matrix``,
 which tests each cell for n*t(u) <= v <= n*t(u) + n - 1, and ``aligned``
-against ``subset_successor``.  ``_dense_block_radius`` is the power
-iteration on dense rows with a ``Fraction`` per ratio.
+against ``subset_successor``; the context's restricted graph is checked
+against the full graph of ``scan_full_graph`` induced on the uniquely
+covered intervals, decomposed by ``_reference_decomposition``.
+``_dense_block_radius`` is the power iteration on dense rows with a
+``Fraction`` per ratio.
 ``long_division_expansion`` writes out base-n digits until a remainder
 recurs, keeping every remainder it has seen, and
 ``_summed_expansion_value`` adds one ``Fraction`` per digit.  The
@@ -60,7 +63,7 @@ from slicekit.counting import (
     DEFAULT_BUDGET, CardResult, CycleCertificate, exact_card, expansion_value,
 )
 from slicekit.errors import WideEnclosure
-from slicekit.graphs import aligned, build_xi_graph, component_matrix
+from slicekit.graphs import aligned, component_matrix
 from slicekit.lattice import children, interval_type_counts, u_range, xi_types
 from slicekit.spectral import (
     _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
@@ -68,7 +71,8 @@ from slicekit.spectral import (
 
 from conftest import FIXTURES, counting_instances, load
 from helpers import (
-    dense_cube_count_vector, long_division_expansion, scan_type_counts, subset_successor,
+    dense_cube_count_vector, long_division_expansion, scan_full_graph, scan_type_counts,
+    subset_successor,
 )
 from test_golden import SCALED
 from test_properties import instances
@@ -310,6 +314,14 @@ def _tuple_subset_graph(inst):
                 out.append((h, img))
         adjacency[v] = tuple(out)
     succ = {k: tuple(t for _, t in outs) for k, outs in adjacency.items()}
+    return (tuple(vertices), adjacency, *_reference_decomposition(succ))
+
+
+def _reference_decomposition(succ):
+    """(components, reach, comp_of, cycling) of the graph whose successor
+    map is ``succ``: Kosaraju's components, each sorted, in order of their
+    smallest vertex; each one's reach set by a search over the vertices;
+    comp_of keyed on the vertices themselves."""
     comps = sorted((tuple(sorted(c)) for c in _kosaraju(succ)), key=lambda c: c[0])
     comp_of = {v: idx for idx, comp in enumerate(comps) for v in comp}
     reach = []
@@ -325,7 +337,39 @@ def _tuple_subset_graph(inst):
     cycling = frozenset(
         idx for idx, c in enumerate(comps) if len(c) > 1 or c[0] in succ[c[0]]
     )
-    return tuple(vertices), adjacency, tuple(comps), tuple(reach), comp_of, cycling
+    return tuple(comps), tuple(reach), comp_of, cycling
+
+
+def _assert_restricted_graph(inst):
+    """The context's restricted graph is the full graph (``scan_full_graph``)
+    induced on the intervals that one cube covers (``scan_type_counts``):
+    those u as singletons, ascending, the full graph's edges among them, and
+    the components, reach sets and cycling components that Kosaraju's
+    passes and a search over the vertices find on them."""
+    full = scan_full_graph(inst)
+    unique = {u for u in full if [c for _, c in scan_type_counts(inst, u)] == [1]}
+    succ = {(u,): tuple((v,) for v in full[u] if v in unique) for u in sorted(unique)}
+    comps, reach, comp_of, cycling = _reference_decomposition(succ)
+    xi = Analysis(inst).xi
+    members = xi.vertices
+    assert members == tuple(succ)
+    assert xi.number == {m: v for v, m in enumerate(members)}
+    assert {members[v]: tuple(members[w] for w in out) for v, out in enumerate(xi.succ)} == succ
+    assert tuple(tuple(members[v] for v in comp) for comp in xi.scc.components) == comps
+    assert xi.scc.reach == reach
+    assert xi.scc.comp_of == [comp_of[m] for m in members]
+    assert xi.scc.cycling == cycling
+
+
+@pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))
+def test_restricted_graph_matches_full_graph_pinned(label):
+    _assert_restricted_graph(_count_instance(label))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(counting_instances())
+def test_restricted_graph_matches_full_graph_random(inst):
+    _assert_restricted_graph(inst)
 
 
 def _assert_restriction(graph, blocks, reference):
@@ -448,9 +492,10 @@ def _assert_lattice_rules(inst):
         assert interval_type_counts(inst, u) == scan_type_counts(inst, u), u
         if u not in u_range(inst):
             assert interval_type_counts(inst, u) == [], u
-    xi = build_xi_graph(inst)
-    assert xi.matrix == _dense_xi_matrix(inst)
-    assert xi.succ == tuple(tuple(j for j, bit in enumerate(row) if bit) for row in xi.matrix)
+    xi = Analysis(inst).xi
+    matrix = component_matrix(xi.succ, range(len(xi.succ)))
+    assert matrix == _dense_xi_matrix(inst)
+    assert xi.succ == tuple(tuple(j for j, bit in enumerate(row) if bit) for row in matrix)
 
 
 @pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    build_xi_graph,
     char_poly,
     compare_radii,
-    scc,
     spectral_radius,
     transition_matrices,
 )
@@ -17,7 +15,7 @@ from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
 from slicekit.spectral import block_radius, max_radius
 
-from helpers import type_assignment
+from helpers import restricted, type_assignment
 
 GOLDEN_T_CANTOR_DIFF = [
     ((1, 0), (0, 2)),
@@ -63,13 +61,13 @@ def test_row_sums_match_type_assignments(cantor_diff, base7_double):
 
 
 def test_radius_exact_integer(cantor_diff):
-    rr = spectral_radius(build_xi_graph(cantor_diff).matrix)
+    rr = spectral_radius(restricted(cantor_diff)[2])
     assert rr.contains(2)
     assert rr.width <= Fraction(1, 10**9)
 
 
 def test_radius_irrational(base7_double):
-    rr = spectral_radius(build_xi_graph(base7_double).matrix)
+    rr = spectral_radius(restricted(base7_double)[2])
     golden = (3 + 5**0.5) / 2
     assert abs(rr.estimate - golden) <= 1e-9
     assert rr.width <= Fraction(1, 10**9) * 2
@@ -149,10 +147,11 @@ def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff)
     for inst in (base7_double, base6_mixed, cantor_diff):
         context = Analysis(inst)
         xi = context.xi
+        matrix = component_matrix(xi.succ, range(len(xi.succ)))
         radii = [rr for rr, _ in context.xi_blocks]
         rho = max_radius(radii)
-        assert rho == spectral_radius(xi.matrix)
-        blocks = [component_matrix(xi.succ, comp) for comp in scc(xi.succ).components]
+        assert rho == spectral_radius(matrix)
+        blocks = [component_matrix(xi.succ, comp) for comp in xi.scc.components]
         attains = []
         for rr, block in zip(radii, blocks):
             assert rr == spectral_radius(block)
@@ -160,7 +159,7 @@ def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff)
                 compare_radii(rr, other_rr, block, other) >= 0
                 for other_rr, other in zip(radii, blocks)
             ))
-        full = _numpy_radius(xi.matrix)
+        full = _numpy_radius(matrix)
         assert attains == [abs(_numpy_radius(b) - full) < 1e-9 for b in blocks]
         assert any(attains)
 
