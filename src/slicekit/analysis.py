@@ -21,7 +21,11 @@ census and the xi types read from it, the restricted graph, built by
 decomposed with it, the blocks that every restricted-graph verdict reads,
 and the U1 report; covering and separation it reads from the instance's
 counting record, which decides them once; domination it decides once per
-distinct block.  The context forms the blocks of both graphs: a block is a
+distinct block, with one ``graphs.reachable`` search from the components
+whose blocks compare at least that one.  No reach set of all components
+is kept: whether one maximal component of U1 reaches another is read off
+the decomposition's ``cycles``, the cycling components each one reaches.
+The context forms the blocks of both graphs: a block is a
 component's 0-1 matrix with its certified radius, built and certified once
 per distinct in-component adjacency, whichever graph reaches it first.  A
 subset-graph block is formed where it is read: ``dim_ur`` forms those of
@@ -69,7 +73,7 @@ from typing import NamedTuple
 
 from .counting import _advance, _record, digit_table, exact_card, expansion_value
 from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
-from .graphs import CongruentGraph, aligned, build_congruent_graph, component_matrix
+from .graphs import CongruentGraph, aligned, build_congruent_graph, component_matrix, reachable
 from .instance import ProblemInstance
 from .lattice import children, interval_census, xi_types
 # spectral_radius is not called here any more; it stays importable from this
@@ -276,9 +280,11 @@ class Analysis:
             # a component attains rho when no other one compares greater
             maximal = [i for i, block in enumerate(blocks) if _compare(block, top) == 0]
             notes.extend(f"component {i} attains the full radius (exact)" for i in maximal)
+            # the top radius is above 1, so every maximal component has two
+            # or more vertices and cycles: j is in cycles[i] when i reaches j
             for i in maximal:
                 for j in maximal:
-                    if i != j and decomposition.precedes(i, j):
+                    if i != j and j in decomposition.cycles[i]:
                         measure = MEASURE_INFINITE
         elif s_positive:
             measure = MEASURE_POSITIVE_ONLY
@@ -309,14 +315,9 @@ class Analysis:
         inst, types, xi = self.inst, self.types, self.xi
         if not types:
             return False
-        decomposition = xi.scc
-        reached: set[int] = set()
-        for idx, other in enumerate(self.xi_blocks):
-            if _compare(other, block) >= 0:
-                reached |= decomposition.reach[idx]
-        covered = {
-            types[u] for j in reached for v in decomposition.components[j] for u in xi.vertices[v]
-        }
+        blocks = zip(xi.scc.components, self.xi_blocks)
+        sources = [comp[0] for comp, other in blocks if _compare(other, block) >= 0]
+        covered = {types[xi.vertices[v][0]] for v in reachable(xi.succ, sources)}
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
 

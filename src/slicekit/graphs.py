@@ -31,15 +31,18 @@ subsets in ascending member order and decomposes them on those numbers.
 The ``analysis`` context passes the xi types it holds, for the restricted
 graph and for the multiplicity search's subset graph.  A successor-closed
 vertex set is a union of whole strongly connected components, so the
-components, reach sets and cycling flags it yields are those of the whole
-subset graph restricted to it.
+components and the cycling components each one reaches are those of the
+whole subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
-table over vertices 0..V-1: a single Tarjan pass yields the components,
-the set of components each one reaches (read off Tarjan's emission order)
-and the cycling components.  It describes structure only; the blocks,
-each component's 0-1 matrix with a certified radius, are formed by the
-``analysis`` context that reads them.
+table over vertices 0..V-1: a single Tarjan pass yields the components
+and, for each one, the cycling components (those with a cycle) that it
+reaches, read off Tarjan's emission order, itself included when it
+cycles.  It keeps no reach set of all components: a reader that asks
+which vertices a set of vertices reaches runs ``reachable``, a plain
+search, where it reads the answer.  It describes structure only; the
+blocks, each component's 0-1 matrix with a certified radius, are formed
+by the ``analysis`` context that reads them.
 """
 
 from __future__ import annotations
@@ -56,18 +59,14 @@ _SUBSET_LIMIT = 2**20
 
 class SccDecomposition(NamedTuple):
     """Components of a graph on vertices 0..V-1, sorted by their smallest
-    vertex, each sorted; ``reach[i]`` holds every component that component
-    i reaches, i included; ``comp_of[v]`` is the index of vertex v's
-    component; ``cycling`` holds the components with a cycle (two or more
-    vertices, or a loop)."""
+    vertex, each sorted; ``comp_of[v]`` is the index of vertex v's
+    component; ``cycles[i]`` holds the cycling components (two or more
+    vertices, or a loop) that component i reaches, i included exactly when
+    it cycles."""
 
     components: tuple[tuple[int, ...], ...]
-    reach: tuple[frozenset[int], ...]
     comp_of: list[int]
-    cycling: frozenset[int]
-
-    def precedes(self, i: int, j: int) -> bool:
-        return j in self.reach[i]
+    cycles: tuple[frozenset[int], ...]
 
 
 class CongruentGraph(NamedTuple):
@@ -90,8 +89,7 @@ class CongruentGraph(NamedTuple):
     def cycles_reached(self, members: tuple[int, ...]) -> frozenset[int]:
         """The cycling components that the vertex with ``members`` reaches."""
         decomposition = self.scc
-        i = decomposition.comp_of[self.number[members]]
-        return decomposition.reach[i] & decomposition.cycling
+        return decomposition.cycles[decomposition.comp_of[self.number[members]]]
 
 
 def aligned(types: Mapping[int, int], n: int, base: Sequence[int]) -> list[tuple]:
@@ -154,10 +152,23 @@ def component_matrix(adjacency: Mapping | Sequence, comp) -> tuple[tuple[int, ..
     return tuple(rows)
 
 
+def reachable(succ: Sequence[Sequence[int]], sources: Iterable[int]) -> set[int]:
+    """Every vertex that a path of length 0 or more leads to from one of
+    ``sources``, in the graph whose successor table is ``succ``."""
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for w in succ[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
     """Strongly connected components of the graph on vertices 0..V-1 whose
-    successor table is ``succ``, with the components each one reaches and
-    the components that hold a cycle."""
+    successor table is ``succ``, with the cycling components each one
+    reaches."""
     emitted = strongly_connected_components(succ)
     # only components of two or more vertices need sorting
     for comp in emitted:
@@ -168,22 +179,21 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
     for idx, comp in enumerate(ordered):
         for v in comp:
             comp_of[v] = idx
-    reach: list[frozenset[int]] = [frozenset()] * len(ordered)
-    cycling = []
+    # components that reach no cycle share the one empty set
+    cycles: list[frozenset[int]] = [frozenset()] * len(ordered)
     # Tarjan emits a component only after every component it reaches
     for comp in emitted:
         idx = comp_of[comp[0]]
-        reached = {idx}
+        reached: set[int] = set()
         for v in comp:
             for w in succ[v]:
-                reached |= reach[comp_of[w]]
-        reach[idx] = frozenset(reached)
+                reached |= cycles[comp_of[w]]
         if len(comp) > 1 or comp[0] in succ[comp[0]]:
-            cycling.append(idx)
+            reached.add(idx)
+        if reached:
+            cycles[idx] = frozenset(reached)
     return SccDecomposition(
         components=tuple(map(tuple, ordered)),
-        reach=tuple(reach),
         comp_of=comp_of,
-        cycling=frozenset(cycling),
+        cycles=tuple(cycles),
     )
-

@@ -27,12 +27,12 @@ from .instance import ProblemInstance
 
 
 # Most integer intervals, n * span, whose types ``interval_census`` finds.
-# What follows grows faster than the interval count: on n=3, {0,2}^2, `dim-u1`
-# peaks at 119 MiB for 30003 intervals, 279 MiB for 60003 and 498 MiB for
-# 84003, and `witness --r 1` at 299 MiB for 60003; a search that also
-# formed its subset graph's blocks ran out of 512 MiB at 84003.  At the cap
-# the two peak at 340 and 347 MiB, inside 512 MiB with room for instances
-# that cost more.
+# Set from peaks on n=3, {0,2}^2, coefficients (-c, c + 1): at the cap
+# (65535 intervals) `dim-u1` peaks at 93 MiB and `dim-ur --r 1`, `witness
+# --r 1` and `enumerate-r --max-r 1` at 198-200 MiB.  Twice the cap would let
+# `dim-u1` answer at 181 MiB, but also let the multiplicity search run up to
+# span 39089, where its records bound first refuses it, and there `witness
+# --r 1` peaks at 514 MiB.
 _INTERVAL_CAP = 2**16
 
 

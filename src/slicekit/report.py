@@ -24,7 +24,7 @@ from .analysis import (
     witness_ur,
 )
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
-from .graphs import component_matrix
+from .graphs import component_matrix, reachable
 from .instance import ProblemInstance
 from .lattice import enumerate_integer_intervals
 from .spectral import RadiusResult, transition_matrices
@@ -61,9 +61,12 @@ def decimal(value: float) -> str:
     return repr(value)
 
 
-def _scc_json(decomposition, blocks, names) -> dict:
-    """The decomposition, with its ``blocks``' radii, and vertex v written
-    as ``names[v]``."""
+def _scc_json(graph, blocks, names) -> dict:
+    """The decomposition of ``graph``, with its ``blocks``' radii, vertex v
+    written as ``names[v]``, and each component's reachable components,
+    searched from its first vertex."""
+    decomposition = graph.scc
+    comp_of = decomposition.comp_of
     # single-vertex components share two RadiusResult objects, so each
     # distinct object is formatted once, and its entries share one dict
     # (ids stay valid: ``blocks`` holds every radius)
@@ -73,7 +76,9 @@ def _scc_json(decomposition, blocks, names) -> dict:
         "components": [[names[v] for v in comp] for comp in decomposition.components],
         "radii": [formatted[id(rr)] for rr, _ in blocks],
         "order": [
-            [i, j] for i, reach in enumerate(decomposition.reach) for j in sorted(reach)
+            [i, j]
+            for i, comp in enumerate(decomposition.components)
+            for j in sorted({comp_of[v] for v in reachable(graph.succ, comp[:1])})
         ],
     }
 
@@ -131,7 +136,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
             "rows": [list(r) for r in component_matrix(xi.succ, range(len(us)))],
             "rho": radius_json(u1.rho),
             # one strongly connected component, with a cycle through it
-            "irreducible": len(xi.scc.components) == 1 and 0 in xi.scc.cycling,
+            "irreducible": len(xi.scc.components) == 1 and 0 in xi.scc.cycles[0],
         },
         "T": [
             {
@@ -141,7 +146,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
             }
             for m in transition_matrices(inst)
         ],
-        "scc_xi": _scc_json(xi.scc, context.xi_blocks, us),
+        "scc_xi": _scc_json(xi, context.xi_blocks, us),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),
@@ -162,7 +167,7 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
         graph = search.graph
         labels = [",".join(map(str, members)) for members in graph.vertices]
         blocks = context.blocks(graph.succ, graph.scc.components)
-        data["scc_subsets"] = _scc_json(graph.scc, blocks, labels)
+        data["scc_subsets"] = _scc_json(graph, blocks, labels)
         data["r_search"] = _search_json(search)
         data["ur"] = _ur_json(inst, search)
     elapsed = time.monotonic() - started

@@ -473,6 +473,35 @@ def test_dim_u1_at_a_large_span_within_512_mib(tmp_path):
     assert report["dim_exact"] is True and report["measure_class"] == "PositiveFinite"
 
 
+def test_dim_ur_at_a_large_span_within_512_mib(tmp_path):
+    """The decompositions keep, for each component, only the cycling
+    components it reaches, and each reader of a wider reachability runs
+    its own search.  At span 20001, `dim-ur --r 1` answers in a child
+    process under 512 MiB of address space and 60 s, exit code 0; with a
+    reach set of every component per component it ended in a MemoryError
+    (exit 4) there."""
+    doc = tmp_path / "span20001.json"
+    doc.write_text('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10000, 10001]}')
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "slicekit", "dim-ur", str(doc), "--r", "1"],
+        env=dict(os.environ, PYTHONPATH=src),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert (report["r"], report["countable"]) == (1, False)
+    assert report["measure_class"] == "PositiveUndetermined"
+
+
 def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
     """T has n * span**2 entries and M |xi|**2; `matrices` and `analyze`
     refuse more than 2^22 of them together before they form either matrix

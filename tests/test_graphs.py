@@ -11,7 +11,7 @@ from slicekit import (
 from slicekit import graphs
 from slicekit.analysis import _LOOP_BLOCKS, Analysis
 from slicekit.errors import TooLarge
-from slicekit.graphs import component_matrix
+from slicekit.graphs import component_matrix, reachable
 from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
@@ -209,10 +209,17 @@ def test_scc_blocks_restricted_graph(cantor_diff, base7_double, base6_mixed, can
 
 
 def test_scc_edgeless():
-    d = scc({0: (), 1: ()})
+    adj = {0: (), 1: ()}
+    d = scc(adj)
     assert len(d.components) == 2
-    assert d.cycling == frozenset()
-    assert d.reach == (frozenset({0}), frozenset({1}))
+    assert d.cycles == (frozenset(), frozenset())
+    assert [reachable(adj, [v]) for v in adj] == [{0}, {1}]
+
+
+def _order(adj, d):
+    """The components that each component of ``d`` reaches, by a
+    ``reachable`` search from its first vertex."""
+    return [{d.comp_of[v] for v in reachable(adj, comp[:1])} for comp in d.components]
 
 
 def test_scc_order_is_partial_order():
@@ -224,15 +231,17 @@ def test_scc_order_is_partial_order():
             for v in range(size)
         }
         d = scc(adj)
+        order = _order(adj, d)
         k = len(d.components)
         for i in range(k):
-            assert d.precedes(i, i)
+            assert i in order[i]
+            assert d.cycles[i] <= order[i]
             for j in range(k):
-                if i != j and d.precedes(i, j):
-                    assert not d.precedes(j, i)
+                if i != j and j in order[i]:
+                    assert i not in order[j]
                 for m in range(k):
-                    if d.precedes(i, j) and d.precedes(j, m):
-                        assert d.precedes(i, m)
+                    if j in order[i] and m in order[j]:
+                        assert m in order[i]
 
 
 def _reached_from(adj, v):
@@ -248,8 +257,9 @@ def _reached_from(adj, v):
 
 
 def test_scc_reach_matches_vertex_dfs():
-    """Components, reachability and cycling agree with a depth-first search
-    over the vertices, on random digraphs with cycles and self-loops."""
+    """Components, ``reachable`` and the cycling components each component
+    reaches agree with a depth-first search over the vertices, on random
+    digraphs with cycles and self-loops."""
     rng = random.Random(23)
     for _ in range(200):
         size = rng.randint(1, 12)
@@ -260,14 +270,15 @@ def test_scc_reach_matches_vertex_dfs():
         }
         d = scc(adj)
         reached = {v: _reached_from(adj, v) for v in adj}
+        on_cycle = {v for v in adj if any(v in reached[w] for w in adj[v])}
         for u in adj:
+            assert reachable(adj, [u]) == reached[u]
+            assert d.cycles[d.comp_of[u]] == {d.comp_of[v] for v in reached[u] & on_cycle}
             for v in adj:
                 same = v in reached[u] and u in reached[v]
                 assert (d.comp_of[u] == d.comp_of[v]) == same
-                assert d.precedes(d.comp_of[u], d.comp_of[v]) == (v in reached[u])
-        for i, comp in enumerate(d.components):
-            on_cycle = any(comp[0] in reached[w] for w in adj[comp[0]])
-            assert (i in d.cycling) == on_cycle
+        sources = rng.sample(range(size), rng.randint(0, size))
+        assert reachable(adj, sources) == set().union(*(reached[v] for v in sources))
 
 
 def test_xi_component_radii_inside_subset_radii(cantor_diff, base6_mixed):

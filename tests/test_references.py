@@ -22,7 +22,9 @@ weight u - t, the restricted graph's matrix against ``_dense_xi_matrix``,
 which tests each cell for n*t(u) <= v <= n*t(u) + n - 1, and ``aligned``
 against ``subset_successor``; the context's restricted graph is checked
 against the full graph of ``scan_full_graph`` induced on the uniquely
-covered intervals, decomposed by ``_reference_decomposition``.
+covered intervals, decomposed by ``_reference_decomposition``, whose
+full reach sets also decide domination (``_closure_dominated``) and the
+report's ``order`` as the code did before it searched where it reads.
 ``_dense_block_radius`` is the power iteration on dense rows with a
 ``Fraction`` per ratio.
 ``long_division_expansion`` writes out base-n digits until a remainder
@@ -34,8 +36,9 @@ references that other test modules read too live in ``helpers``.
 cycle checks on the digit phase.  The new code must reproduce all of them
 exactly: the same vectors in the same canonical order; the same routes,
 statuses and subset graph from the search; on the explored
-vertices, the same vertices, edges, components, reach sets, blocks and
-radii as the whole graph, read through ``graph.vertices``; the same
+vertices, the same vertices, edges, components, cycling components
+reached (the reference's reach sets cut to its cycling components), blocks
+and radii as the whole graph, read through ``graph.vertices``; the same
 ``RadiusResult``; the same expansion lengths and value; the same
 ``CardResult``; and, one digit at a time, the packed kernel
 ``counting._advance`` the same children as ``_step``.  ``kernel_states``
@@ -52,21 +55,24 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    ProblemInstance, build_congruent_graph, covering_condition, enumerate_achievable_r,
-    parse_instance, strong_separation,
+    CongruentGraph, ProblemInstance, build_congruent_graph, covering_condition,
+    enumerate_achievable_r, parse_instance, scc, strong_separation,
 )
 from slicekit.analysis import (
-    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _reachable_vectors,
+    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _dim_ur, _integer_block,
+    _reachable_vectors,
 )
 from slicekit import counting
 from slicekit.counting import (
     DEFAULT_BUDGET, CardResult, CycleCertificate, exact_card, expansion_value,
 )
-from slicekit.errors import WideEnclosure
-from slicekit.graphs import aligned, component_matrix
+from slicekit.errors import HypothesisViolated, WideEnclosure
+from slicekit.graphs import aligned, component_matrix, reachable
 from slicekit.lattice import children, interval_type_counts, u_range, xi_types
+from slicekit.report import _scc_json
 from slicekit.spectral import (
-    _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, transition_matrices,
+    _MAX_ITERATIONS, DEFAULT_TOLERANCE, RadiusResult, block_radius, compare_radii,
+    transition_matrices,
 )
 
 from conftest import FIXTURES, counting_instances, load
@@ -345,7 +351,10 @@ def _assert_restricted_graph(inst):
     induced on the intervals that one cube covers (``scan_type_counts``):
     those u as singletons, ascending, the full graph's edges among them, and
     the components, reach sets and cycling components that Kosaraju's
-    passes and a search over the vertices find on them."""
+    passes and a search over the vertices find on them: each component's
+    ``cycles`` is its reach set cut to the cycling components, and a
+    ``reachable`` search from its first vertex meets exactly its reach
+    set."""
     full = scan_full_graph(inst)
     unique = {u for u in full if [c for _, c in scan_type_counts(inst, u)] == [1]}
     succ = {(u,): tuple((v,) for v in full[u] if v in unique) for u in sorted(unique)}
@@ -356,9 +365,11 @@ def _assert_restricted_graph(inst):
     assert xi.number == {m: v for v, m in enumerate(members)}
     assert {members[v]: tuple(members[w] for w in out) for v, out in enumerate(xi.succ)} == succ
     assert tuple(tuple(members[v] for v in comp) for comp in xi.scc.components) == comps
-    assert xi.scc.reach == reach
+    assert xi.scc.cycles == tuple(r & cycling for r in reach)
     assert xi.scc.comp_of == [comp_of[m] for m in members]
-    assert xi.scc.cycling == cycling
+    assert [
+        {xi.scc.comp_of[v] for v in reachable(xi.succ, comp[:1])} for comp in xi.scc.components
+    ] == list(reach)
 
 
 @pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))
@@ -370,6 +381,73 @@ def test_restricted_graph_matches_full_graph_pinned(label):
 @given(counting_instances())
 def test_restricted_graph_matches_full_graph_random(inst):
     _assert_restricted_graph(inst)
+
+
+def _closure_dominated(context, block):
+    """Domination by the rule that read a reach set per component: the
+    union of the reach sets of every restricted-graph component whose block
+    compares at least ``block`` covers every working interval."""
+    xi, types = context.xi, context.types
+    if not types:
+        return False
+    comps, reach, _, _ = _reference_decomposition(dict(enumerate(xi.succ)))
+    reached = set()
+    for idx, (rr, matrix) in enumerate(context.xi_blocks):
+        if compare_radii(rr, block[0], matrix, block[1]) >= 0:
+            reached |= reach[idx]
+    covered = {types[xi.vertices[v][0]] for j in reached for v in comps[j]}
+    return set(range(context.inst.proj_min, context.inst.proj_max)) <= covered
+
+
+@pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))
+def test_dominated_matches_full_closure(label):
+    """``Analysis.dominated``, one search from the dominating components,
+    answers as the union of their full reach sets does, for the blocks
+    [[1]], [[2]] and [[3]] and the block where each achievable r's
+    dimension is taken."""
+    inst = _count_instance(label)
+    try:
+        search = enumerate_achievable_r(inst, 6)
+    except HypothesisViolated:
+        search = None
+    context = search.analysis if search else Analysis(inst)
+    blocks = [_integer_block(value) for value in (1, 2, 3)]
+    if search:
+        blocks += [
+            block for r in search.achievable() if (block := _dim_ur(search, r)[1]) is not None
+        ]
+    for block in blocks:
+        assert context.dominated(block) == _closure_dominated(context, block), (label, block)
+
+
+@st.composite
+def successor_tables(draw):
+    """A successor table on 1..10 vertices, with cycles and self-loops."""
+    size = draw(st.integers(1, 10))
+    targets = st.lists(st.integers(0, size - 1), max_size=4, unique=True).map(sorted)
+    return tuple(tuple(out) for out in draw(st.lists(targets, min_size=size, max_size=size)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(successor_tables())
+def test_report_order_matches_full_closure(succ):
+    """The report's ``order``, one ``reachable`` search per component, is
+    every pair (i, j) with j in the reach set of component i, and
+    ``cycles`` each reach set cut to the cycling components."""
+    comps, reach, _, cycling = _reference_decomposition(dict(enumerate(succ)))
+    decomposition = scc(succ)
+    assert decomposition.cycles == tuple(r & cycling for r in reach)
+    graph = CongruentGraph(
+        n=1,
+        vertices=tuple((v,) for v in range(len(succ))),
+        number={(v,): v for v in range(len(succ))},
+        succ=succ,
+        scc=decomposition,
+    )
+    # any blocks will do: only ``order`` is read
+    blocks = [_LOOP_BLOCKS[0]] * len(comps)
+    order = _scc_json(graph, blocks, range(len(succ)))["order"]
+    assert order == [[i, j] for i, r in enumerate(reach) for j in sorted(r)]
 
 
 def _assert_restriction(graph, blocks, reference):
@@ -392,11 +470,14 @@ def _assert_restriction(graph, blocks, reference):
     assert tuple(tuple(members[v] for v in c) for c in graph.scc.components) == tuple(
         comps[idx] for idx in kept
     )
-    assert graph.scc.reach == tuple(
-        frozenset(position[j] for j in reach[idx]) for idx in kept
+    assert graph.scc.cycles == tuple(
+        frozenset(position[j] for j in reach[idx] & cycling) for idx in kept
     )
     assert graph.scc.comp_of == [position[comp_of[m]] for m in members]
-    assert graph.scc.cycling == frozenset(position[j] for j in cycling if j in position)
+    assert [
+        {graph.scc.comp_of[v] for v in reachable(graph.succ, comp[:1])}
+        for comp in graph.scc.components
+    ] == [{position[j] for j in reach[idx]} for idx in kept]
     succ = {m: tuple(t for _, t in adjacency[m]) for m in members}
     matrices = [component_matrix(succ, comps[idx]) for idx in kept]
     # a single vertex's block is [[loop bit]], one shared block per bit
