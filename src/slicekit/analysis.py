@@ -25,13 +25,13 @@ distinct block, with one ``graphs.reachable`` search from the components
 whose blocks compare at least that one.  No reach set of all components
 is kept: whether one maximal component of U1 reaches another is read off
 the decomposition's ``cycles``, the cycling components each one reaches.
-The context forms the blocks of both graphs: a block is a
-component's 0-1 matrix with its certified radius, built and certified once
-per distinct in-component adjacency, whichever graph reaches it first.  A
+The context forms the blocks of both graphs: a block is a component's
+sparse rows, each member's (column, 1) pairs, with its certified radius,
+certified once per distinct rows, whichever graph reaches it first.  A
 subset-graph block is formed where it is read: ``dim_ur`` forms those of
 the cycling components that r's routes reach, and the report those it
 prints; the search forms none.  The subset graph's components of
-singletons are restricted-graph components with the same matrices, so a
+singletons are restricted-graph components with the same rows, so a
 report certifies each of them once, whichever graph asks first.
 The multiplicity search does its bookkeeping per distinct support of its
 vectors, not per vector: it computes each support's aligned subsets once,
@@ -52,9 +52,9 @@ status only for an r it reaches; ``RSearchResult.status`` reads any
 other r of 1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
-matrix, with ``spectral.compare_radii``, exactly and on strongly connected
+rows, with ``spectral.compare_radii``, exactly and on strongly connected
 components only (or on a 1x1 integer block; each component's block comes
-from ``Analysis.blocks``, which builds it to certify the radius): which
+from ``Analysis.blocks``, whose rows are its cache key): which
 components attain rho, whether failing separation is negligible, where the
 multiplicity dimension takes its maximum, the countable flag and
 domination.  Dimensions are reported as floats, but no decision is taken
@@ -73,14 +73,14 @@ from typing import NamedTuple
 
 from .counting import _advance, _record, digit_table, exact_card, expansion_value
 from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
-from .graphs import CongruentGraph, aligned, build_congruent_graph, component_matrix, reachable
+from .graphs import CongruentGraph, aligned, build_congruent_graph, reachable
 from .instance import ProblemInstance
 from .lattice import children, interval_census, xi_types
 # spectral_radius is not called here any more; it stays importable from this
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
 from .spectral import (  # noqa: F401
-    Matrix, RadiusResult, block_radius, compare_radii, max_radius, spectral_radius,
+    RadiusResult, Rows, block_radius, compare_radii, max_radius, spectral_radius,
 )
 
 # Largest max_r a search takes; it bounds the report's r_search, which lists
@@ -128,15 +128,15 @@ def _log_over_log_n(value: float, n: int) -> float:
     return log(value) / log(n)
 
 
-# A block is a (certified radius, matrix) pair of one strongly connected
+# A block is a (certified radius, rows) pair of one strongly connected
 # component, or of a 1x1 integer matrix; every radius verdict compares two.
-Block = tuple[RadiusResult, Matrix]
+Block = tuple[RadiusResult, Rows]
 
 # The blocks of a single vertex without and with a loop, shared by every
 # single-vertex component of every graph.
 _LOOP_BLOCKS: tuple[Block, Block] = (
-    (RadiusResult(Fraction(0), Fraction(0), 0.0), ((0,),)),
-    (RadiusResult(Fraction(1), Fraction(1), 1.0), ((1,),)),
+    (RadiusResult(Fraction(0), Fraction(0), 0.0), ((),)),
+    (RadiusResult(Fraction(1), Fraction(1), 1.0), (((0, 1),),)),
 )
 
 
@@ -147,8 +147,8 @@ def _compare(a: Block, b: Block) -> int:
 
 def _integer_block(value: int) -> Block:
     """The block [[value]], whose radius is value."""
-    matrix = ((value,),)
-    return block_radius(matrix, [0]), matrix
+    rows = (((0, value),),)
+    return block_radius(rows), rows
 
 
 def _top(blocks: tuple[Block, ...] | dict[int, Block], indices) -> int | None:
@@ -187,10 +187,10 @@ class Analysis:
 
     def __init__(self, inst: ProblemInstance) -> None:
         self.inst = inst
-        # each member's successor positions inside a component -> its block
-        self._certified: dict[tuple[tuple[int, ...], ...], Block] = {}
-        # a block's matrix -> its domination verdict
-        self._dominated: dict[Matrix, bool] = {}
+        # a component's rows -> its block
+        self._certified: dict[Rows, Block] = {}
+        # a block's rows -> its domination verdict
+        self._dominated: dict[Rows, bool] = {}
 
     # -- the restricted graph and the unique representations ------------------
 
@@ -220,22 +220,22 @@ class Analysis:
         """The block of each of ``components``, strongly connected
         components of the graph whose successor table is ``succ``.  A single
         vertex gets one of the two ``_LOOP_BLOCKS``; a larger component's
-        0-1 matrix is built, in component order, and certified once per
-        distinct in-component adjacency in this context, so a component
-        that the restricted graph and the subset graph share is certified
-        once, whichever asks first."""
+        sparse rows, each member's in-component (column, 1) pairs in
+        component order, are certified once per distinct rows in this
+        context, so a component that the restricted graph and the subset
+        graph share is certified once, whichever asks first."""
         certified = self._certified
         out = []
         for comp in components:
             if len(comp) == 1:
                 out.append(_LOOP_BLOCKS[comp[0] in succ[comp[0]]])
                 continue
-            position = {v: i for i, v in enumerate(comp)}
-            key = tuple(tuple([position[w] for w in succ[v] if w in position]) for v in comp)
-            block = certified.get(key)
+            # one (column, 1) pair per member, shared: a pointer per edge
+            pair = {v: (i, 1) for i, v in enumerate(comp)}
+            rows = tuple(tuple([pair[w] for w in succ[v] if w in pair]) for v in comp)
+            block = certified.get(rows)
             if block is None:
-                matrix = component_matrix(succ, comp)
-                block = certified[key] = block_radius(matrix, range(len(comp))), matrix
+                block = certified[rows] = block_radius(rows), rows
             out.append(block)
         return tuple(out)
 
@@ -262,7 +262,7 @@ class Analysis:
         s_upper = _log_over_log_n(float(rho.upper), n)
         # exact test for rho > 1: some component carries more edges than
         # vertices (two overlapping cycles)
-        s_positive = any(sum(map(sum, matrix)) > len(matrix) for _, matrix in blocks)
+        s_positive = any(sum(map(len, rows)) > len(rows) for _, rows in blocks)
         notes = []
         if not covering:
             notes.append("covering condition fails: s is only a lower bound for the dimension")
@@ -304,8 +304,8 @@ class Analysis:
     def dominated(self, block: Block) -> bool:
         """Is every working interval reachable, inside the restricted
         interval graph, from a component whose radius is at least that of
-        ``block``, a (certified radius, matrix) pair whose matrix is a
-        tuple of rows?  Decided once per distinct matrix."""
+        ``block``, a (certified radius, rows) pair?  Decided once per
+        distinct rows."""
         known = self._dominated.get(block[1])
         if known is None:
             known = self._dominated[block[1]] = self._decide_dominated(block)

@@ -16,8 +16,8 @@ types, and the tests build the full graph as the reference for them.
   covered intervals.  A singleton {u} steps only to singletons
   {n*t(u) + h}, so this is the subset graph on the singletons, built from
   every singleton as a seed; its vertex numbers are the uniquely covered u
-  ascending, the index of its 0-1 matrix M, which ``component_matrix``,
-  the one 0-1 matrix builder, forms where it is printed.
+  ascending, the index of its 0-1 matrix M, which ``component_matrix``
+  forms where it is printed, the only place a dense matrix is built.
 
 ``aligned(types, n, base)``, the one place that shifts intervals by a
 residue, keeps the images base + h that stay uniquely covered: the edges
@@ -41,7 +41,7 @@ reaches, read off Tarjan's emission order, itself included when it
 cycles.  It keeps no reach set of all components: a reader that asks
 which vertices a set of vertices reaches runs ``reachable``, a plain
 search, where it reads the answer.  It describes structure only; the
-blocks, each component's 0-1 matrix with a certified radius, are formed
+blocks, each component's sparse rows with a certified radius, are formed
 by the ``analysis`` context that reads them.
 """
 

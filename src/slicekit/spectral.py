@@ -2,28 +2,30 @@
 
 Radii of nonnegative integer matrices are reported as rational enclosures
 from Collatz-Wielandt ratio bounds, never as bare floats: for any positive
-vector x, min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i.  ``block_radius``
-certifies one strongly connected block; each multi-vertex block gets an
-identity shift so the iteration matrix is primitive and the bounds actually
-converge.  Its power iteration is on ints throughout: the best bounds are
-int (numerator, denominator) pairs compared by cross-multiplication, and
-each becomes one ``Fraction`` only when the iteration stops.
-``spectral_radius`` splits a reducible matrix into its blocks and
-folds their enclosures with ``max_radius``; the ``analysis`` context calls
-the same certifier on the components ``graphs.scc`` has already found, so
-a decomposed graph never runs Tarjan twice.
+vector x, min_i (Bx)_i/x_i <= rho(B) <= max_i (Bx)_i/x_i.  A block is its
+sparse rows, each vertex's (column, entry) pairs, never a dense matrix.
+``block_radius`` certifies one strongly connected block; each multi-vertex
+block gets an identity shift, (a, 1) added to row a, so the iteration
+matrix is primitive and the bounds actually converge.  Its power iteration
+is on ints throughout: the best bounds are int (numerator, denominator)
+pairs compared by cross-multiplication, and each becomes one ``Fraction``
+only when the iteration stops.  ``spectral_radius`` turns a dense matrix
+into rows once, restricts them to each Tarjan component and folds their
+enclosures with ``max_radius``; the ``analysis`` context certifies the
+components ``graphs.scc`` has found, so no graph runs Tarjan twice.
 
 ``compare_radii`` orders two radii exactly, from their certified
-enclosures and the two blocks: disjoint enclosures decide it at once, and
-only overlapping ones reach the algebra, where ``char_poly`` (Berkowitz,
-division-free, so any size) gives integer characteristic polynomials whose
-Sturm chains isolate each Perron root and whose gcd decides equality.
-Chains, gcds and squarefree parts are primitive pseudo-remainder sequences
-over the integers, and signs at a rational point are read off integers, so
-no coefficient is a ``Fraction``.  No radius verdict is taken from a float.
-Those polynomial helpers live in the private ``_sturm`` module, which the
-functions that reach the algebra import when they first do: a process
-whose enclosures never overlap never compiles it.
+enclosures and the two blocks' rows: disjoint enclosures decide it at
+once, and only overlapping ones reach the algebra, where Berkowitz's
+division-free algorithm on the rows (any size) gives integer characteristic
+polynomials whose Sturm chains isolate each Perron root and whose gcd
+decides equality.  Chains, gcds and squarefree parts are primitive
+pseudo-remainder sequences over the integers, and signs at a rational point
+are read off integers, so no coefficient is a ``Fraction``.  No radius
+verdict is taken from a float.  Those polynomial helpers live in the
+private ``_sturm`` module, which the functions that reach the algebra
+import when they first do: a process whose enclosures never overlap never
+compiles it.
 """
 
 from __future__ import annotations
@@ -40,6 +42,8 @@ DEFAULT_TOLERANCE = 1e-9
 _MAX_ITERATIONS = 10**6
 
 Matrix = Sequence[Sequence[int]]
+# Sparse rows: each vertex's (column, entry) pairs; a repeated column adds.
+Rows = Sequence[Sequence[tuple[int, int]]]
 
 
 class CountMatrix(NamedTuple):
@@ -89,37 +93,28 @@ def transition_matrices(inst: ProblemInstance) -> list[CountMatrix]:
     return out
 
 
-def _as_rows(matrix: Matrix | CountMatrix) -> tuple[tuple[int, ...], ...]:
-    if isinstance(matrix, CountMatrix):
-        return matrix.entries
-    return tuple(tuple(int(x) for x in row) for row in matrix)
+def _as_rows(matrix: Matrix | CountMatrix) -> Rows:
+    """Each row's nonzero entries as (column, entry) pairs, ascending."""
+    dense = matrix.entries if isinstance(matrix, CountMatrix) else matrix
+    return tuple(tuple([(j, int(x)) for j, x in enumerate(row) if x]) for row in dense)
 
 
-def _adjacency(rows: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    return [[j for j, x in enumerate(row) if x > 0] for row in rows]
-
-
-def block_radius(
-    rows: Matrix, verts: Sequence[int], tolerance: float = DEFAULT_TOLERANCE
-) -> RadiusResult:
-    """Certified radius enclosure of the block of ``rows`` on ``verts``,
-    which must be strongly connected or a single vertex.
+def block_radius(rows: Rows, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
+    """Certified radius enclosure of the block whose sparse ``rows`` are
+    given, which must be strongly connected or a single vertex.
 
     The power iteration runs on ints: each step multiplies over the
-    block's nonzero entries only, picks the least and the largest ratio
-    y_i/x_i by cross-multiplication (every x_i is positive), keeps the best
-    lower and upper bound so far as int (numerator, denominator) pairs,
-    updated and tested against the tolerance by cross-multiplication too,
-    and makes one ``Fraction`` per bound, at the end."""
-    k = len(verts)
+    block's (column, entry) pairs only, picks the least and the largest
+    ratio y_i/x_i by cross-multiplication (every x_i is positive), keeps
+    the best lower and upper bound so far as int (numerator, denominator)
+    pairs, updated and tested against the tolerance by cross-multiplication
+    too, and makes one ``Fraction`` per bound, at the end."""
+    k = len(rows)
     if k == 1:
-        v = Fraction(rows[verts[0]][verts[0]])
+        v = Fraction(sum([e for _, e in rows[0]]))
         return RadiusResult(v, v, float(v))
     # identity shift makes the block primitive; rho shifts by exactly 1
-    shifted = [
-        [(j, rows[a][b] + (a == b)) for j, b in enumerate(verts) if rows[a][b] or a == b]
-        for a in verts
-    ]
+    shifted = [(*row, (a, 1)) for a, row in enumerate(rows)]
     x = [1] * k
     tn, td = Fraction(tolerance).as_integer_ratio()
     # the best bounds as ratios ln/ld and hn/hd; hn/hd starts at infinity
@@ -163,8 +158,12 @@ def max_radius(radii: Iterable[RadiusResult]) -> RadiusResult:
 def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
     rows = _as_rows(matrix)
-    comps = strongly_connected_components(_adjacency(rows))
-    return max_radius(block_radius(rows, sorted(comp), tolerance) for comp in comps)
+    radii = []
+    for comp in strongly_connected_components([[j for j, _ in row] for row in rows]):
+        position = {v: i for i, v in enumerate(sorted(comp))}
+        block = [[(position[j], e) for j, e in rows[v] if j in position] for v in position]
+        radii.append(block_radius(block, tolerance))
+    return max_radius(radii)
 
 
 # -- exact radius comparison ----------------------------------------------------
@@ -177,15 +176,21 @@ def char_poly(matrix: Matrix | CountMatrix) -> list[int]:
     1, -a_kk and -R M^j C (R, C the new row and column, M the previous
     submatrix), so only integer products and sums occur.
     """
-    rows = _as_rows(matrix)
+    return _berkowitz(_as_rows(matrix))
+
+
+def _berkowitz(rows: Rows) -> list[int]:
+    """``char_poly`` of the matrix with sparse ``rows``."""
     poly = [1]  # high-to-low
-    for k in range(len(rows)):
-        sub = [r[:k] for r in rows[:k]]
-        row, v = rows[k][:k], [r[k] for r in rows[:k]]
-        toeplitz = [1, -rows[k][k]]
+    for k, last in enumerate(rows):
+        # M's rows, R and C, each cut to the leading k columns or rows
+        sub = [[(j, e) for j, e in row if j < k] for row in rows[:k]]
+        head = [(j, e) for j, e in last if j < k]
+        v = [sum([e for j, e in row if j == k]) for row in rows[:k]]
+        toeplitz = [1, -sum([e for j, e in last if j == k])]
         for _ in range(k):
-            toeplitz.append(-sum(a * b for a, b in zip(row, v)))
-            v = [sum(a * b for a, b in zip(r, v)) for r in sub]
+            toeplitz.append(-sum([e * v[j] for j, e in head]))
+            v = [sum([e * v[j] for j, e in row]) for row in sub]
         poly = [
             sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
             for i in range(k + 2)
@@ -204,14 +209,14 @@ def count_real_roots(poly, lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _perron_window(matrix: Matrix, rr: RadiusResult):
+def _perron_window(rows: Rows, rr: RadiusResult):
     """(Sturm chain, lo, hi, v_lo, v_hi): a window (lo, hi] that holds the
-    Perron root of ``matrix`` and no other root of its squarefree
+    Perron root of the block ``rows`` and no other root of its squarefree
     characteristic polynomial, narrowed from the certified enclosure
     ``rr``.  By Perron-Frobenius the radius is the largest real root."""
     from ._sturm import _halve, _squarefree, _sturm_chain, _variations
 
-    chain = _sturm_chain(_squarefree(char_poly(matrix)))
+    chain = _sturm_chain(_squarefree(_berkowitz(rows)))
     lo, hi = rr.lower - (rr.width or 1), rr.upper
     window = (lo, hi, _variations(chain, lo), _variations(chain, hi))
     while window[2] - window[3] > 1:
@@ -219,24 +224,19 @@ def _perron_window(matrix: Matrix, rr: RadiusResult):
     return (chain, *window)
 
 
-def compare_radii(
-    ra: RadiusResult,
-    rb: RadiusResult,
-    a: Matrix | CountMatrix,
-    b: Matrix | CountMatrix,
-) -> int:
-    """The sign (-1, 0 or 1) of rho(a) - rho(b), exact, for nonnegative
-    integer matrices ``a`` and ``b`` whose radii have the certified
-    enclosures ``ra`` and ``rb`` (as ``block_radius`` returns).
+def compare_radii(ra: RadiusResult, rb: RadiusResult, a: Rows, b: Rows) -> int:
+    """The sign (-1, 0 or 1) of rho(a) - rho(b), exact, for the nonnegative
+    integer blocks with sparse rows ``a`` and ``b`` whose radii have the
+    certified enclosures ``ra`` and ``rb`` (as ``block_radius`` returns).
 
-    One matrix object gives 0 before any enclosure is read; disjoint
-    enclosures decide it, equal point enclosures and matrices that compare
+    One rows object gives 0 before any enclosure is read; disjoint
+    enclosures decide it, equal point enclosures and rows that compare
     equal give 0.  Otherwise each radius is isolated by Sturm counts on
     its squarefree characteristic polynomial; the radii are equal exactly
     when the gcd of the two polynomials has a root where the two windows
     overlap, and else the windows are halved until they are disjoint.
     """
-    # one matrix object: every single-vertex loop block of a graph shares one
+    # one rows object: every single-vertex loop block of a graph shares one
     if a is b:
         return 0
     if ra.upper < rb.lower:

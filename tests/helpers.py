@@ -18,6 +18,8 @@ helper the golden comparisons share.
 * ``data_section``: a serialised report without its ``meta`` key.
 * ``restricted``: a context's restricted graph with its index and its
   0-1 matrix M, as the report prints them.
+* ``block_rows``: a dense matrix as a block's sparse rows, the form
+  ``block_radius``, ``compare_radii`` and the context's blocks take.
 """
 
 import json
@@ -161,3 +163,9 @@ def restricted(inst):
     uniquely covered u, ascending) and its 0-1 matrix M on that index."""
     xi = Analysis(inst).xi
     return xi, [u for (u,) in xi.vertices], component_matrix(xi.succ, range(len(xi.succ)))
+
+
+def block_rows(matrix):
+    """The sparse rows of a dense matrix: each row's nonzero entries as
+    (column, entry) pairs, ascending column, as tuples."""
+    return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in matrix)

@@ -24,6 +24,7 @@ from slicekit.lattice import interval_census, interval_type_counts, u_range, xi_
 from slicekit.spectral import block_radius
 
 from conftest import FIXTURES, counting_instances, load
+from helpers import block_rows
 from test_golden import SCALED
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -212,8 +213,8 @@ def test_measure_ur(cantor_diff):
 
 
 def _integer_block(value):
-    matrix = ((value,),)
-    return block_radius(matrix, [0]), matrix
+    rows = block_rows(((value,),))
+    return block_radius(rows), rows
 
 
 def test_domination(cantor_diff):
@@ -384,17 +385,17 @@ def test_report_lists_every_status_and_no_vectors(name):
 
 @pytest.mark.parametrize("name", ["span17"] + _COVERING)
 def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
-    """During ``build_report``, the context builds the matrix of each
-    component of two or more vertices once and nothing builds one again:
-    the restricted graph's blocks are all built, and the subset graph takes
-    the block of each component that it holds as a component of singletons,
-    the same block object; the search
+    """During ``build_report``, the context certifies the rows of each
+    component of two or more vertices once and nothing certifies them
+    again: the restricted graph's blocks are all certified, and the subset
+    graph takes the block of each component that it holds as a component
+    of singletons, the same block object; the search
     asks the subset graph for the cycles of each distinct aligned subset of
     its vectors once, and its routes take their subsets and cycles from
     those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
     neither."""
     inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
-    calls = {key: [] for key in ("scc", "search", "component_matrix", "cycles_reached")}
+    calls = {key: [] for key in ("scc", "search", "block_radius", "cycles_reached")}
     reading = []
 
     def spy(key, function):
@@ -415,7 +416,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
 
     monkeypatch.setattr(graphs, "scc", spy("scc", graphs.scc))
     for owner, key, attr in (
-        (analysis, "component_matrix", "component_matrix"),
+        (analysis, "block_radius", "block_radius"),
         (graphs.CongruentGraph, "cycles_reached", "cycles_reached"),
         (report, "search", "enumerate_achievable_r"),
     ):
@@ -427,12 +428,15 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     # the restricted graph, and the subset graph when the search runs
     decompositions = [d for _, _, d in calls["scc"]]
     assert len(decompositions) == 1 + len(calls["search"])
-    built = [comp for d in decompositions for comp in d.components if len(comp) > 1]
+    built = [
+        block_rows(graphs.component_matrix(args[0], comp))
+        for _, args, d in calls["scc"] for comp in d.components if len(comp) > 1
+    ]
     for _, _, search in calls["search"]:
         context, graph = search.analysis, search.graph
         xi = context.xi
         assert [d is xi.scc or d is graph.scc for d in decompositions] == [True, True]
-        # read back from the context's memo: no matrix is built again
+        # read back from the context's memo: no block is certified again
         searched = context.blocks(graph.succ, graph.scc.components)
         singletons = {
             tuple(xi.number[graph.vertices[v]] for v in comp): i
@@ -441,10 +445,14 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         }
         for i, comp in enumerate(xi.scc.components):
             if comp in singletons:
-                built.remove(graph.scc.components[singletons[comp]])
+                shared = graph.scc.components[singletons[comp]]
+                built.remove(block_rows(graphs.component_matrix(graph.succ, shared)))
                 assert context.xi_blocks[i] is searched[singletons[comp]]
-    assert sorted(tuple(args[1]) for _, args, _ in calls["component_matrix"]) == sorted(built)
-    assert not any(inside for inside, _, _ in calls["component_matrix"] + calls["cycles_reached"])
+    # the 1x1 integer blocks that verdicts compare against are not components
+    certified = [(inside, rows) for inside, (rows, *_), _ in calls["block_radius"] if len(rows) > 1]
+    assert sorted(rows for _, rows in certified) == sorted(built)
+    assert not any(inside for inside, _ in certified)
+    assert not any(inside for inside, _, _ in calls["cycles_reached"])
     for _, _, search in calls["search"]:
         subsets = {subset for _, _, subset in _aligned(search)}
         asked = {args[1]: reached for _, args, reached in calls["cycles_reached"]}
@@ -458,20 +466,23 @@ def test_report_certifies_each_restricted_block_once(monkeypatch):
     """On the scaled n7 instance the restricted graph has one component of
     two or more vertices, 23 of them, and the search's subset graph reaches
     it as a component of singletons: one ``build_report`` runs
-    ``block_radius`` on its matrix once, not once per graph."""
+    ``block_radius`` on the rows of its matrix once, not once per graph."""
     inst = parse_instance(SCALED["n7"][0])
-    blocks = [[list(row) for row in matrix] for _, matrix in Analysis(inst).xi_blocks]
-    blocks = [matrix for matrix in blocks if len(matrix) > 1]
-    assert [len(matrix) for matrix in blocks] == [23]
+    xi = Analysis(inst).xi
+    blocks = [
+        block_rows(graphs.component_matrix(xi.succ, comp))
+        for comp in xi.scc.components if len(comp) > 1
+    ]
+    assert [len(rows) for rows in blocks] == [23]
     certified = []
 
-    def spy(rows, verts, *args):
-        certified.append([[rows[a][b] for b in verts] for a in verts])
-        return block_radius(rows, verts, *args)
+    def spy(rows, *args):
+        certified.append(rows)
+        return block_radius(rows, *args)
 
     monkeypatch.setattr(analysis, "block_radius", spy)
     report.build_report(inst)
-    assert [certified.count(matrix) for matrix in blocks] == [1]
+    assert [certified.count(rows) for rows in blocks] == [1]
 
 
 def test_blocks_certified_once_in_either_order(monkeypatch):
@@ -482,9 +493,9 @@ def test_blocks_certified_once_in_either_order(monkeypatch):
     inst = parse_instance(SCALED["n7"][0])
     certified = []
 
-    def spy(rows, verts, *args):
-        certified.append(len(verts))
-        return block_radius(rows, verts, *args)
+    def spy(rows, *args):
+        certified.append(len(rows))
+        return block_radius(rows, *args)
 
     monkeypatch.setattr(analysis, "block_radius", spy)
     search = enumerate_achievable_r(inst, 6)
@@ -510,19 +521,8 @@ def test_search_and_witness_form_no_block(monkeypatch):
     achievable r builds no component matrix and certifies no radius."""
     inst = parse_instance(SCALED["n7"][0])
     calls = []
-
-    def spy(function):
-        def wrapper(*args, **kwargs):
-            calls.append(function.__name__)
-            return function(*args, **kwargs)
-        return wrapper
-
-    for owner, attr in (
-        (analysis, "component_matrix"),
-        (graphs, "component_matrix"),
-        (analysis, "block_radius"),
-    ):
-        monkeypatch.setattr(owner, attr, spy(getattr(owner, attr)))
+    _spy_everywhere(monkeypatch, graphs.component_matrix, calls)
+    _spy_everywhere(monkeypatch, block_radius, calls)
     search = enumerate_achievable_r(inst, 6)
     assert any(len(comp) == 23 for comp in search.graph.scc.components)
     assert search.achievable()
@@ -534,16 +534,16 @@ def test_search_and_witness_form_no_block(monkeypatch):
 def test_blocks_keyed_on_in_component_adjacency(cantor_diff):
     """A context gives components with the same in-component adjacency one
     block object, and a component of the same size with other edges a
-    block of its own, each its component's matrix with a certified
-    radius."""
+    block of its own, each the sparse rows of its component's matrix with
+    a certified radius."""
     # {0, 1} and {2, 3} are 2-cycles, {4, 5} a 2-cycle with a loop at 4, and
     # 6 a single vertex with a loop; the edge 5 -> 0 leaves its component
     succ = [(1,), (0,), (3,), (2,), (4, 5), (0, 4), (6,)]
     comps = graphs.scc(succ).components
     blocks = Analysis(cantor_diff).blocks(succ, comps)
     matrices = [graphs.component_matrix(succ, comp) for comp in comps]
-    assert [m for _, m in blocks] == matrices
-    assert [rr for rr, _ in blocks] == [block_radius(m, range(len(m))) for m in matrices]
+    assert [rows for _, rows in blocks] == list(map(block_rows, matrices))
+    assert [rr for rr, _ in blocks] == [block_radius(block_rows(m)) for m in matrices]
     assert blocks[0] is blocks[1]
     assert blocks[2] is not blocks[0]
     assert blocks[3] is _LOOP_BLOCKS[1]
@@ -641,3 +641,25 @@ def test_report_reads_one_interval_census(name, monkeypatch):
     assert [entry["types"] for entry in data["integer_intervals"]] == [
         [[t, c] for t, c in interval_type_counts(inst, u)] for _, u in sorted(typed)
     ]
+
+
+def test_analysis_forms_no_dense_matrix(monkeypatch):
+    """No verdict forms a dense matrix: on the bundled instances
+    ``dim_u1``, and the search followed by ``measure_ur`` and
+    ``witness_ur`` for every achievable r, call ``component_matrix``
+    nowhere, and ``build_report`` calls it once, for the M it prints."""
+    calls = []
+    _spy_everywhere(monkeypatch, graphs.component_matrix, calls)
+    for path in sorted(FIXTURES.glob("*.json")):
+        inst = load(path.stem)
+        dim_u1(inst)
+        if covering_condition(inst) and all(strong_separation(inst)):
+            search = enumerate_achievable_r(inst, 6)
+            for r in search.achievable():
+                measure_ur(search, r)
+                witness_ur(search, r)
+        assert calls == [], path.stem
+        report.build_report(inst)
+        xi = Analysis(inst).xi
+        assert calls == [(xi.succ, range(len(xi.succ)))], path.stem
+        calls.clear()

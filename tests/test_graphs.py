@@ -16,7 +16,7 @@ from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
 
-from helpers import restricted, scan_full_graph, subset_successor
+from helpers import block_rows, restricted, scan_full_graph, subset_successor
 from test_properties import instances
 
 GOLDEN_M_CANTOR = (
@@ -193,18 +193,19 @@ def test_scc_examples(cantor_diff, base7_double):
 
 def test_scc_blocks_restricted_graph(cantor_diff, base7_double, base6_mixed, cantor_sum):
     """The block the context forms for each component of the restricted
-    graph is its 0-1 adjacency matrix in component order, the shared
-    [[loop bit]] block for a single vertex, and its radius certifies it."""
+    graph is the sparse rows of its 0-1 adjacency matrix in component
+    order, the shared [[loop bit]] block for a single vertex, and its
+    radius certifies it."""
     for inst in (cantor_diff, base7_double, base6_mixed, cantor_sum):
         context = Analysis(inst)
         succ = context.xi.succ
         assert context.xi.scc == scc(succ)
         matrices = [component_matrix(succ, comp) for comp in scc(succ).components]
-        assert [m for _, m in context.xi_blocks] == matrices
+        assert [rows for _, rows in context.xi_blocks] == list(map(block_rows, matrices))
         for block, matrix in zip(context.xi_blocks, matrices):
             assert len(matrix) > 1 or block is _LOOP_BLOCKS[matrix[0][0]]
         assert [rr for rr, _ in context.xi_blocks] == [
-            block_radius(m, range(len(m))) for m in matrices
+            block_radius(block_rows(m)) for m in matrices
         ]
 
 

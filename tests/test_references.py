@@ -12,9 +12,10 @@ graph's blocks.
 ``_tuple_subset_graph`` enumerates
 every subset of every residue class as sorted member tuples, takes edges
 from ``subset_successor`` and finds components by Kosaraju's two passes;
-``_assert_restriction`` builds the block of each component it compares,
-single vertices included, with ``component_matrix``, certifies it with
-``block_radius`` and checks it against the block its context formed.  The two lattice rules are checked against the forms
+``_assert_restriction`` builds the matrix of each component it compares,
+single vertices included, with ``component_matrix``, certifies its sparse
+rows with ``block_radius`` and checks them against the block its context
+formed.  The two lattice rules are checked against the forms
 they replaced: ``lattice.children`` against a cube-by-cube enumeration
 (``iter_cubes``/``weight``), ``interval_type_counts`` against
 ``scan_type_counts``, which tries every working interval t for a cube of
@@ -77,8 +78,8 @@ from slicekit.spectral import (
 
 from conftest import FIXTURES, counting_instances, load
 from helpers import (
-    dense_cube_count_vector, long_division_expansion, scan_full_graph, scan_type_counts,
-    subset_successor,
+    block_rows, dense_cube_count_vector, long_division_expansion, scan_full_graph,
+    scan_type_counts, subset_successor,
 )
 from test_golden import SCALED
 from test_properties import instances
@@ -481,10 +482,10 @@ def _assert_restriction(graph, blocks, reference):
     succ = {m: tuple(t for _, t in adjacency[m]) for m in members}
     matrices = [component_matrix(succ, comps[idx]) for idx in kept]
     # a single vertex's block is [[loop bit]], one shared block per bit
-    assert [m for _, m in blocks] == matrices
+    assert [rows for _, rows in blocks] == list(map(block_rows, matrices))
     for block, matrix in zip(blocks, matrices):
         assert len(matrix) > 1 or block is _LOOP_BLOCKS[matrix[0][0]]
-    assert [rr for rr, _ in blocks] == [block_radius(m, range(len(m))) for m in matrices]
+    assert [rr for rr, _ in blocks] == [block_radius(block_rows(m)) for m in matrices]
 
 
 def _blocks(inst, graph):
@@ -642,26 +643,32 @@ def _dense_block_radius(rows, verts, tolerance=DEFAULT_TOLERANCE):
 
 @st.composite
 def _connected_block(draw):
-    """A strongly connected nonnegative integer block of 2-20 vertices: a
-    cycle through all vertices plus random entries, some of them large."""
-    k = draw(st.integers(2, 20))
+    """A strongly connected nonnegative integer block of 1-20 vertices: a
+    single vertex with a loop of any weight, or a cycle through all
+    vertices plus random entries, some of them large, and loops of any
+    weight, so the identity shift often adds a second pair for the
+    diagonal column of a row."""
+    k = draw(st.one_of(st.just(1), st.integers(2, 20)))
     entries = st.sampled_from([0, 0, 0, 0, 1, 1, 2, 3, 7, 40])
     rows = [[draw(entries) for _ in range(k)] for _ in range(k)]
     for i in range(k):
-        rows[i][(i + 1) % k] = max(rows[i][(i + 1) % k], 1)
+        rows[i][i] = draw(st.sampled_from([0, 1, 2, 5, 40]))
+        if k > 1:
+            rows[i][(i + 1) % k] = max(rows[i][(i + 1) % k], 1)
     return rows
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_connected_block(), st.sampled_from([1e-9, 1e-3, 0.5]))
 def test_integer_block_radius_matches_dense(rows, tolerance):
-    """Power iteration over nonzero entries, with integer cross-multiplied
+    """Power iteration over sparse rows, with integer cross-multiplied
     ratio picks, gives the same enclosure as the dense Fraction loop, also
-    on a reordered vertex list."""
+    with the vertices in reverse order."""
     verts = list(range(len(rows)))
-    assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
+    assert block_radius(block_rows(rows), tolerance) == _dense_block_radius(rows, verts, tolerance)
     verts.reverse()
-    assert block_radius(rows, verts, tolerance) == _dense_block_radius(rows, verts, tolerance)
+    reordered = block_rows([[rows[a][b] for b in verts] for a in verts])
+    assert block_radius(reordered, tolerance) == _dense_block_radius(rows, verts, tolerance)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

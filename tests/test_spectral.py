@@ -15,7 +15,7 @@ from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
 from slicekit.spectral import block_radius, max_radius
 
-from helpers import restricted, type_assignment
+from helpers import block_rows, restricted, type_assignment
 
 GOLDEN_T_CANTOR_DIFF = [
     ((1, 0), (0, 2)),
@@ -120,7 +120,7 @@ def test_char_poly_matches_numpy():
 
 
 def _compare(a, b):
-    return compare_radii(spectral_radius(a), spectral_radius(b), a, b)
+    return compare_radii(spectral_radius(a), spectral_radius(b), block_rows(a), block_rows(b))
 
 
 def _numpy_radius(matrix):
@@ -156,7 +156,7 @@ def test_compare_radii_block_attains_max(base7_double, base6_mixed, cantor_diff)
         for rr, block in zip(radii, blocks):
             assert rr == spectral_radius(block)
             attains.append(all(
-                compare_radii(rr, other_rr, block, other) >= 0
+                compare_radii(rr, other_rr, block_rows(block), block_rows(other)) >= 0
                 for other_rr, other in zip(radii, blocks)
             ))
         full = _numpy_radius(matrix)
@@ -201,12 +201,13 @@ def test_compare_radii_matches_numpy(pair, tolerance):
     """Enclosures certified at a coarse tolerance overlap often, so the
     Sturm/gcd path decides many of the pairs, up to 20 vertices."""
     a, b = pair
-    ra = block_radius(a, range(len(a)), tolerance)
-    rb = block_radius(b, range(len(b)), tolerance)
+    rows_a, rows_b = block_rows(a), block_rows(b)
+    ra = block_radius(rows_a, tolerance)
+    rb = block_radius(rows_b, tolerance)
     xa, xb = _numpy_radius(a), _numpy_radius(b)
     want = 0 if abs(xa - xb) <= 1e-9 * max(1.0, xa) else (1 if xa > xb else -1)
-    assert compare_radii(ra, rb, a, b) == want
-    assert compare_radii(rb, ra, b, a) == -want
+    assert compare_radii(ra, rb, rows_a, rows_b) == want
+    assert compare_radii(rb, ra, rows_b, rows_a) == -want
 
 
 def test_product_norms_nondecreasing_under_covering(cantor_diff, base7_double):
@@ -244,10 +245,10 @@ def test_overlapping_enclosures_reach_the_sturm_helpers(monkeypatch):
             return _original(*args)
 
         monkeypatch.setattr(_sturm, name, counted)
-    golden = [[0, 1], [1, 1]]  # rho = (1 + sqrt 5) / 2
-    swapped = [[1, 1], [1, 0]]  # the same block, vertices swapped
-    silver = [[0, 1], [1, 2]]  # rho = 1 + sqrt 2
-    ra, rb, rc = (block_radius(m, range(2), 4.0) for m in (golden, swapped, silver))
+    golden = block_rows([[0, 1], [1, 1]])  # rho = (1 + sqrt 5) / 2
+    swapped = block_rows([[1, 1], [1, 0]])  # the same block, vertices swapped
+    silver = block_rows([[0, 1], [1, 2]])  # rho = 1 + sqrt 2
+    ra, rb, rc = (block_radius(m, 4.0) for m in (golden, swapped, silver))
     assert ra.upper >= rb.lower and rb.upper >= ra.lower
     assert rc.upper >= ra.lower and ra.upper >= rc.lower
     assert compare_radii(ra, rb, golden, swapped) == 0
