@@ -34,16 +34,10 @@ from .graphs import (
     scc,
 )
 from .instance import ProblemInstance, parse_instance
-from .lattice import (
-    IntegerInterval,
-    covering_condition,
-    enumerate_integer_intervals,
-    strong_separation,
-)
+from .lattice import covering_condition, strong_separation
 from .spectral import (
     CountMatrix,
     RadiusResult,
-    char_poly,
     compare_radii,
     spectral_radius,
     transition_matrices,
@@ -52,8 +46,6 @@ from .spectral import (
 __all__ = [
     "ProblemInstance",
     "parse_instance",
-    "IntegerInterval",
-    "enumerate_integer_intervals",
     "covering_condition",
     "strong_separation",
     "CongruentGraph",
@@ -65,7 +57,6 @@ __all__ = [
     "transition_matrices",
     "spectral_radius",
     "compare_radii",
-    "char_poly",
     "CardResult",
     "exact_card",
     "expansion_value",

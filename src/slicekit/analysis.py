@@ -44,11 +44,13 @@ known on it are kept, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example.  It then lists
 the routes of each r once, in canonical order: a norm-r vector, then a
 residue whose aligned subset reaches a cycling component.
-``dim_u1`` reads a context; the status of r, whose witness is its first
+``dim_u1`` reads a new context's ``u1`` and ``enumerate_achievable_r``
+runs ``Analysis.search`` on a new context; the report searches on the
+context it has already typed.  The status of r, whose witness is its first
 route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
 list of a multiplicity search, ``RSearchResult``, which also carries the
-context it ran on and the subset graph.  The search stores a
-status only for an r it reaches; ``RSearchResult.status`` reads any
+context it ran on (``analysis``) and the subset graph.  The search stores
+a status only for an r it reaches; ``RSearchResult.status`` reads any
 other r of 1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
@@ -320,6 +322,105 @@ class Analysis:
         covered = {types[xi.vertices[v][0]] for v in reachable(xi.succ, sources)}
         return set(range(inst.proj_min, inst.proj_max)) <= covered
 
+    def search(self, max_r: int) -> RSearchResult:
+        """Classify every multiplicity 1..max_r, on this context's xi types.
+
+        Achievable: some product vector of norm r admits a residue h whose
+        aligned subset lies in the uniquely covered collection and reaches a
+        cycling component of the subset graph (so r occurs off the base-n
+        grid, on an uncountable set unless all reachable cycles are bare).
+        OnlyOnCountableSet: not achievable, but either a norm-r vector is
+        reachable (no residue passes) or some terminating expansion realises
+        r through the integer-offset automaton.
+        NotReachable: neither route produces r (not stored; ``status`` reads
+        it).
+        """
+        inst = self.inst
+        if max_r < 1:
+            raise OutOfRange(f"max_r must be >= 1, got {max_r}")
+        if max_r > _MAX_R:
+            raise TooLarge(f"max_r must be <= {_MAX_R}, got {max_r}")
+        if not self.covering:
+            raise HypothesisViolated("covering condition fails")
+        if not all(self.ssc):
+            raise HypothesisViolated("strong separation fails for some factor")
+        vectors = _reachable_vectors(inst, max_r)
+        n = inst.n
+
+        # countable-grid realisations: terminating expansions = reachable vector,
+        # then one nonzero digit, then the integer-offset automaton
+        gamma = _integer_card_table(inst, max_r)
+        countable: dict[int, Fraction] = {}
+        for p, g in sorted(gamma.items()):
+            if g is not None and 1 <= g <= max_r and g not in countable:
+                countable[g] = Fraction(p)
+
+        def tail_value(p: int, j: int) -> int | None:
+            total = 0
+            for child, c in children(inst, j, p):
+                child_card = gamma[child]
+                if child_card is None:
+                    return None
+                total += c * child_card
+            return total
+
+        # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
+        # blocked[j]: the p where it is None; open_digits[support]: the digits j
+        # whose tails are known on the whole support, once per support
+        tails = {
+            j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
+            for j in range(1, n)
+        }
+        blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
+        open_digits: dict[tuple[int, ...], list[int]] = {}
+        for rv in vectors:
+            # every later vector could only repeat an r that has its example
+            if len(countable) == max_r:
+                break
+            digits = open_digits.get(rv.support)
+            if digits is None:
+                digits = open_digits[rv.support] = [
+                    j for j in tails if blocked[j].isdisjoint(rv.support)
+                ]
+            for j in digits:
+                tail = tails[j]
+                total = sum([c * tail[p] for p, c in zip(rv.support, rv.counts)])
+                if 1 <= total <= max_r and total not in countable:
+                    countable[total] = expansion_value(
+                        n, rv.integer_part, rv.word + (j,), (0,)
+                    )
+
+        # each support's aligned subsets, the subset graph they reach, its cycles,
+        # and each support's passing (residue, subset, cycles) triples
+        types = self.types
+        supports = {rv.support for rv in vectors}
+        subsets = {s: aligned(types, n, [n * p for p in s]) for s in supports}
+        seeds = {m for pairs in subsets.values() for _, m in pairs}
+        graph = build_congruent_graph(types, n, seeds)
+        cycles = {m: tuple(sorted(graph.cycles_reached(m))) for m in seeds}
+        passing = {
+            s: [(h, m, cycles[m]) for h, m in pairs if cycles[m]] for s, pairs in subsets.items()
+        }
+        routes: dict[int, list[Route]] = {}
+        for rv in vectors:
+            triples = passing[rv.support]
+            if triples:
+                routes.setdefault(rv.norm, []).extend([Route(rv, *t) for t in triples])
+        statuses: dict[int, RStatus] = {}
+        for r in sorted({rv.norm for rv in vectors} | countable.keys()):
+            if r in routes:
+                statuses[r] = RStatus(r, STATUS_ACHIEVABLE, routes[r][0], None)
+            else:
+                statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
+        return RSearchResult(
+            max_r=max_r,
+            vectors=vectors,
+            statuses=statuses,
+            analysis=self,
+            graph=graph,
+            routes={r: tuple(routes[r]) for r in sorted(routes)},
+        )
+
 
 def dim_u1(inst: ProblemInstance) -> U1Report:
     """Dimension of the set of uniquely represented points, log(rho)/log(n)
@@ -468,102 +569,9 @@ def _integer_card_table(inst: ProblemInstance, max_r: int) -> dict[int, int | No
 
 
 def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:
-    """Classify every multiplicity 1..max_r.
-
-    Achievable: some product vector of norm r admits a residue h whose
-    aligned subset lies in the uniquely covered collection and reaches a
-    cycling component of the subset graph (so r occurs off the base-n grid,
-    on an uncountable set unless all reachable cycles are bare).
-    OnlyOnCountableSet: not achievable, but either a norm-r vector is
-    reachable (no residue passes) or some terminating expansion realises r
-    through the integer-offset automaton.
-    NotReachable: neither route produces r (not stored; ``status`` reads it).
-    """
-    context = Analysis(inst)
-    if max_r < 1:
-        raise OutOfRange(f"max_r must be >= 1, got {max_r}")
-    if max_r > _MAX_R:
-        raise TooLarge(f"max_r must be <= {_MAX_R}, got {max_r}")
-    if not context.covering:
-        raise HypothesisViolated("covering condition fails")
-    if not all(context.ssc):
-        raise HypothesisViolated("strong separation fails for some factor")
-    vectors = _reachable_vectors(inst, max_r)
-    n = inst.n
-
-    # countable-grid realisations: terminating expansions = reachable vector,
-    # then one nonzero digit, then the integer-offset automaton
-    gamma = _integer_card_table(inst, max_r)
-    countable: dict[int, Fraction] = {}
-    for p, g in sorted(gamma.items()):
-        if g is not None and 1 <= g <= max_r and g not in countable:
-            countable[g] = Fraction(p)
-
-    def tail_value(p: int, j: int) -> int | None:
-        total = 0
-        for child, c in children(inst, j, p):
-            child_card = gamma[child]
-            if child_card is None:
-                return None
-            total += c * child_card
-        return total
-
-    # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
-    # blocked[j]: the p where it is None; open_digits[support]: the digits j
-    # whose tails are known on the whole support, once per support
-    tails = {
-        j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
-        for j in range(1, n)
-    }
-    blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
-    open_digits: dict[tuple[int, ...], list[int]] = {}
-    for rv in vectors:
-        # every later vector could only repeat an r that has its example
-        if len(countable) == max_r:
-            break
-        digits = open_digits.get(rv.support)
-        if digits is None:
-            digits = open_digits[rv.support] = [
-                j for j in tails if blocked[j].isdisjoint(rv.support)
-            ]
-        for j in digits:
-            tail = tails[j]
-            total = sum([c * tail[p] for p, c in zip(rv.support, rv.counts)])
-            if 1 <= total <= max_r and total not in countable:
-                countable[total] = expansion_value(
-                    n, rv.integer_part, rv.word + (j,), (0,)
-                )
-
-    # each support's aligned subsets, the subset graph they reach, its cycles,
-    # and each support's passing (residue, subset, cycles) triples
-    types = context.types
-    subsets = {s: aligned(types, n, [n * p for p in s]) for s in {rv.support for rv in vectors}}
-    graph = build_congruent_graph(types, n, {m for pairs in subsets.values() for _, m in pairs})
-    cycles = {
-        m: tuple(sorted(graph.cycles_reached(m))) for pairs in subsets.values() for _, m in pairs
-    }
-    passing = {
-        s: [(h, m, cycles[m]) for h, m in pairs if cycles[m]] for s, pairs in subsets.items()
-    }
-    routes: dict[int, list[Route]] = {}
-    for rv in vectors:
-        triples = passing[rv.support]
-        if triples:
-            routes.setdefault(rv.norm, []).extend([Route(rv, *triple) for triple in triples])
-    statuses: dict[int, RStatus] = {}
-    for r in sorted({rv.norm for rv in vectors} | countable.keys()):
-        if r in routes:
-            statuses[r] = RStatus(r, STATUS_ACHIEVABLE, routes[r][0], None)
-        else:
-            statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
-    return RSearchResult(
-        max_r=max_r,
-        vectors=vectors,
-        statuses=statuses,
-        analysis=context,
-        graph=graph,
-        routes={r: tuple(routes[r]) for r in sorted(routes)},
-    )
+    """Classify every multiplicity 1..max_r of ``inst`` (see
+    ``Analysis.search``) on a new context."""
+    return Analysis(inst).search(max_r)
 
 
 # -- dimension and measure of the multiplicity sets -----------------------------

@@ -25,28 +25,22 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .analysis import Analysis, dim_u1, enumerate_achievable_r, measure_ur, witness_ur
+from .analysis import dim_u1, enumerate_achievable_r, measure_ur, witness_ur
 from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
 from .errors import InternalError, OutOfRange, SlicekitError, TooLarge, UsageError
-from .graphs import component_matrix
 from .instance import ProblemInstance, parse_instance
-from .lattice import covering_condition, strong_separation, xi_types
+from .lattice import covering_condition, strong_separation
 from .report import (
     build_report,
     checks_json,
     decimal,
     format_rational,
+    matrices_json,
     parse_rational,
     radius_json,
     report_json,
     witness_json,
 )
-from .spectral import transition_matrices
-
-# Most entries of the digit matrices T and the restricted graph's matrix M
-# together that `analyze` and `matrices` print: n=3 at span 601 prints about
-# 2.5 million, and at span 2001 T alone has 12 million.
-_MATRIX_CAP = 2**22
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,17 +60,6 @@ def _load(path: str) -> ProblemInstance:
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
-
-
-def _check_printable(inst: ProblemInstance) -> None:
-    """Refuse with TooLarge an instance whose T (n * span**2 entries) and
-    M (|xi|**2 entries) hold more than _MATRIX_CAP entries together; |xi|
-    is read from the xi types, and only once T fits."""
-    entries = inst.n * inst.span**2
-    if entries <= _MATRIX_CAP:
-        entries += len(xi_types(inst)) ** 2
-    if entries > _MATRIX_CAP:
-        raise TooLarge(f"the matrices T and M hold more than {_MATRIX_CAP} entries")
 
 
 def _check_printable_count(count: int) -> int:
@@ -197,8 +180,6 @@ def _dispatch(args) -> int:
     inst = _load(args.instance)
     cmd = args.command
     code = 0
-    if cmd in ("analyze", "matrices"):
-        _check_printable(inst)
     if cmd == "analyze":
         payload = build_report(inst, max_r=args.max_r)
     elif cmd == "check":
@@ -212,17 +193,7 @@ def _dispatch(args) -> int:
             _emit("\n".join(lines) + "\n", args.out)
             return 0
     elif cmd == "matrices":
-        context = Analysis(inst)
-        xi = context.xi
-        payload = {
-            "xi": [u for (u,) in xi.vertices],
-            "M": [list(r) for r in component_matrix(xi.succ, range(len(xi.succ)))],
-            "rho": radius_json(context.u1.rho),
-            "T": [
-                {"digit": m.digit, "rows": [list(r) for r in m.entries]}
-                for m in transition_matrices(inst)
-            ],
-        }
+        payload = matrices_json(inst)
     elif cmd == "dim-u1":
         rep = dim_u1(inst)
         payload = {

@@ -31,8 +31,7 @@ class ProblemInstance:
     """Validated, immutable problem statement.
 
     digit_sets are stored sorted; coefficients keep their input order.
-    Instances compare and hash by (n, digit_sets, coefficients); the hash
-    is computed once, since per-instance records look instances up by it.
+    Instances compare and hash by (n, digit_sets, coefficients).
     Derived scalars, each computed once: ``proj_min``/``proj_max`` are the
     minimum and maximum of the coefficient form over the unit cube (the sums
     of the negative and of the positive coefficients), ``span`` their
@@ -71,7 +70,6 @@ class ProblemInstance:
         self.__dict__.update(
             n=n, digit_sets=tuple(norm_sets), coefficients=tuple(coefficients)
         )
-        self.__dict__["_hash"] = hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"ProblemInstance is immutable; cannot set {name!r}")
@@ -85,7 +83,7 @@ class ProblemInstance:
         return other is self or self._key() == other._key()
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self) -> str:
         return (

@@ -19,10 +19,7 @@ reference for these rules.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
-
-from .errors import OutOfRange, TooLarge
+from .errors import TooLarge
 from .instance import ProblemInstance
 
 
@@ -36,39 +33,11 @@ from .instance import ProblemInstance
 _INTERVAL_CAP = 2**16
 
 
-class IntegerInterval(NamedTuple):
-    """The interval [u, u+1]/n inside [proj_min, proj_max].
-
-    ``display_label`` renumbers intervals from 0 upward (u - n*proj_min) to
-    match the usual figure-style labelling; graph code keys on the raw u.
-    """
-
-    u: int
-    n: int
-    display_label: int
-
-    @property
-    def left(self) -> Fraction:
-        return Fraction(self.u, self.n)
-
-    @property
-    def right(self) -> Fraction:
-        return Fraction(self.u + 1, self.n)
-
-
 def u_range(inst: ProblemInstance) -> range:
+    """Every integer interval u, the interval [u, u+1]/n, of [proj_min,
+    proj_max], ascending; the report labels u by its index here,
+    u - n*proj_min."""
     return range(inst.n * inst.proj_min, inst.n * inst.proj_max)
-
-
-def make_interval(inst: ProblemInstance, u: int) -> IntegerInterval:
-    if u not in u_range(inst):
-        raise OutOfRange(f"u={u} outside [{inst.n * inst.proj_min}, {inst.n * inst.proj_max - 1}]")
-    return IntegerInterval(u=u, n=inst.n, display_label=u - inst.n * inst.proj_min)
-
-
-def enumerate_integer_intervals(inst: ProblemInstance) -> list[IntegerInterval]:
-    """All n*span integer intervals, ascending in u."""
-    return [make_interval(inst, u) for u in u_range(inst)]
 
 
 def children(inst: ProblemInstance, d: int, t: int) -> list[tuple[int, int]]:

@@ -4,6 +4,10 @@ Reports are reproducible: given the same instance and flags the data section
 is byte-identical (keys sorted, rationals as exact "p/q" strings, reals as
 decimal strings, no bare floats).  Wall-clock timing and the tool version
 live in a separate "meta" key that golden comparisons drop.
+
+``build_report`` and ``matrices_json`` each read one ``Analysis`` context,
+and refuse an instance whose printed matrices T and M would pass
+_MATRIX_CAP entries before they search or form either matrix.
 """
 
 from __future__ import annotations
@@ -19,15 +23,19 @@ from .analysis import (
     RSearchResult,
     WitnessExpansion,
     dim_ur,
-    enumerate_achievable_r,
     measure_ur,
     witness_ur,
 )
-from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness
+from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness, TooLarge
 from .graphs import component_matrix, reachable
 from .instance import ProblemInstance
-from .lattice import enumerate_integer_intervals
+from .lattice import u_range
 from .spectral import RadiusResult, transition_matrices
+
+# Most entries of the digit matrices T and the restricted graph's matrix M
+# together that `analyze` and `matrices` print: n=3 at span 601 prints about
+# 2.5 million, and at span 2001 T alone has 12 million.
+_MATRIX_CAP = 2**22
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -107,34 +115,30 @@ def witness_json(witness: WitnessExpansion, n: int) -> dict:
     }
 
 
-def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
-    started = time.monotonic()
-    # the search runs first so that the whole report reads its context
-    try:
-        search = enumerate_achievable_r(inst, max_r=max_r)
-    except HypothesisViolated as exc:
-        search, refusal = None, str(exc)
-    context = search.analysis if search else Analysis(inst)
+def _check_printable(context: Analysis) -> None:
+    """Refuse with TooLarge an instance whose T (n * span**2 entries) and
+    M (|xi|**2 entries) hold more than _MATRIX_CAP entries together; |xi|
+    is read from the context's xi types, and only once T fits."""
+    inst = context.inst
+    entries = inst.n * inst.span**2
+    if entries <= _MATRIX_CAP:
+        entries += len(context.types) ** 2
+    if entries > _MATRIX_CAP:
+        raise TooLarge(f"the matrices T and M hold more than {_MATRIX_CAP} entries")
+
+
+def _matrices(context: Analysis) -> dict:
+    """The report's ``xi``, ``M`` and ``T`` sections: the restricted
+    graph's index, its 0-1 matrix M with M's radius, and the digit
+    matrices T; the one place the printed matrices are formed."""
     xi = context.xi
     us = [u for (u,) in xi.vertices]
-    u1 = context.u1
-    intervals = [
-        {"u": iv.u, "label": iv.display_label, "types": [[t, c] for t, c in types]}
-        for iv, types in zip(enumerate_integer_intervals(inst), context.census)
-    ]
-    data: dict = {
-        "instance": {
-            "n": inst.n,
-            "digit_sets": [list(s) for s in inst.digit_sets],
-            "coefficients": list(inst.coefficients),
-        },
-        **checks_json(inst, context.covering, context.ssc),
-        "integer_intervals": intervals,
+    return {
         "xi": us,
         "M": {
             "index": us,
             "rows": [list(r) for r in component_matrix(xi.succ, range(len(us)))],
-            "rho": radius_json(u1.rho),
+            "rho": radius_json(context.u1.rho),
             # one strongly connected component, with a cycle through it
             "irreducible": len(xi.scc.components) == 1 and 0 in xi.scc.cycles[0],
         },
@@ -144,9 +148,53 @@ def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
                 "index_min": m.index_min,
                 "rows": [list(r) for r in m.entries],
             }
-            for m in transition_matrices(inst)
+            for m in transition_matrices(context.inst)
         ],
-        "scc_xi": _scc_json(xi, context.xi_blocks, us),
+    }
+
+
+def matrices_json(inst: ProblemInstance) -> dict:
+    """The ``matrices`` payload: the report's ``xi``, ``M`` and ``T``
+    sections, re-keyed.  Raises TooLarge past _MATRIX_CAP, as
+    ``build_report`` does."""
+    context = Analysis(inst)
+    _check_printable(context)
+    sections = _matrices(context)
+    return {
+        "xi": sections["xi"],
+        "M": sections["M"]["rows"],
+        "rho": sections["M"]["rho"],
+        "T": [{"digit": m["digit"], "rows": m["rows"]} for m in sections["T"]],
+    }
+
+
+def build_report(inst: ProblemInstance, max_r: int = 6) -> dict:
+    """The ``analyze`` report of ``inst``, searched up to ``max_r``, every
+    section read from one ``Analysis`` context.  Raises TooLarge, before
+    the search, when T and M are past _MATRIX_CAP."""
+    started = time.monotonic()
+    context = Analysis(inst)
+    _check_printable(context)
+    try:
+        search = context.search(max_r)
+    except HypothesisViolated as exc:
+        search, refusal = None, str(exc)
+    sections = _matrices(context)
+    u1 = context.u1
+    intervals = [
+        {"u": u, "label": label, "types": [[t, c] for t, c in types]}
+        for label, (u, types) in enumerate(zip(u_range(inst), context.census))
+    ]
+    data: dict = {
+        "instance": {
+            "n": inst.n,
+            "digit_sets": [list(s) for s in inst.digit_sets],
+            "coefficients": list(inst.coefficients),
+        },
+        **checks_json(inst, context.covering, context.ssc),
+        "integer_intervals": intervals,
+        **sections,
+        "scc_xi": _scc_json(context.xi, context.xi_blocks, sections["xi"]),
         "u1": {
             "dim": {
                 "decimal": decimal(u1.s),

@@ -93,12 +93,6 @@ def transition_matrices(inst: ProblemInstance) -> list[CountMatrix]:
     return out
 
 
-def _as_rows(matrix: Matrix | CountMatrix) -> Rows:
-    """Each row's nonzero entries as (column, entry) pairs, ascending."""
-    dense = matrix.entries if isinstance(matrix, CountMatrix) else matrix
-    return tuple(tuple([(j, int(x)) for j, x in enumerate(row) if x]) for row in dense)
-
-
 def block_radius(rows: Rows, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
     """Certified radius enclosure of the block whose sparse ``rows`` are
     given, which must be strongly connected or a single vertex.
@@ -155,9 +149,13 @@ def max_radius(radii: Iterable[RadiusResult]) -> RadiusResult:
     return RadiusResult(lower=lo, upper=hi, estimate=float((lo + hi) / 2))
 
 
-def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOLERANCE) -> RadiusResult:
+def spectral_radius(
+    matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOLERANCE
+) -> RadiusResult:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
-    rows = _as_rows(matrix)
+    dense = matrix.entries if isinstance(matrix, CountMatrix) else matrix
+    # each row's nonzero entries as (column, entry) pairs, ascending
+    rows = [[(j, int(x)) for j, x in enumerate(row) if x] for row in dense]
     radii = []
     for comp in strongly_connected_components([[j for j, _ in row] for row in rows]):
         position = {v: i for i, v in enumerate(sorted(comp))}
@@ -168,19 +166,15 @@ def spectral_radius(matrix: Matrix | CountMatrix, tolerance: float = DEFAULT_TOL
 
 # -- exact radius comparison ----------------------------------------------------
 
-def char_poly(matrix: Matrix | CountMatrix) -> list[int]:
-    """Coefficients [a_0, ..., a_n] of det(xI - A), exact, leading 1.
+def _berkowitz(rows: Rows) -> list[int]:
+    """Coefficients [a_0, ..., a_n] of det(xI - A), exact, leading 1, for
+    the matrix A with sparse ``rows``.
 
     Berkowitz's division-free algorithm: the polynomial of each leading
     (k+1) x (k+1) submatrix is a Toeplitz product of the previous one with
     1, -a_kk and -R M^j C (R, C the new row and column, M the previous
     submatrix), so only integer products and sums occur.
     """
-    return _berkowitz(_as_rows(matrix))
-
-
-def _berkowitz(rows: Rows) -> list[int]:
-    """``char_poly`` of the matrix with sparse ``rows``."""
     poly = [1]  # high-to-low
     for k, last in enumerate(rows):
         # M's rows, R and C, each cut to the leading k columns or rows

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
-from slicekit.lattice import IntegerInterval, make_interval, u_range
+from slicekit.lattice import u_range
 from slicekit.spectral import transition_matrices
 
 
@@ -51,7 +51,6 @@ class TypeAssignment(NamedTuple):
     """All (type, cube) pairs covering one integer interval; the type is
     the interval's position inside the cube's projection interval."""
 
-    interval: IntegerInterval
     entries: tuple
 
 
@@ -63,7 +62,7 @@ def type_assignment(inst, u):
         w = inst.weight(digits)
         if inst.proj_min <= u - w < inst.proj_max:
             entries.append((u - w, SmallCube(digits, w, projection_interval(inst, w))))
-    return TypeAssignment(make_interval(inst, u), tuple(entries))
+    return TypeAssignment(tuple(entries))
 
 
 def scan_type_counts(inst, u):

@@ -418,7 +418,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     for owner, key, attr in (
         (analysis, "block_radius", "block_radius"),
         (graphs.CongruentGraph, "cycles_reached", "cycles_reached"),
-        (report, "search", "enumerate_achievable_r"),
+        (Analysis, "search", "search"),
     ):
         monkeypatch.setattr(owner, attr, spy(key, getattr(owner, attr)))
     for function in ("dim_ur", "measure_ur", "witness_ur"):

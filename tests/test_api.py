@@ -11,7 +11,6 @@ PUBLIC = [
     "CongruentGraph",
     "CountMatrix",
     "CubeChain",
-    "IntegerInterval",
     "ProblemInstance",
     "RSearchResult",
     "RadiusResult",
@@ -22,13 +21,11 @@ PUBLIC = [
     "brute_force_cube_count",
     "brute_force_solutions",
     "build_congruent_graph",
-    "char_poly",
     "compare_radii",
     "covering_condition",
     "dim_u1",
     "dim_ur",
     "enumerate_achievable_r",
-    "enumerate_integer_intervals",
     "exact_card",
     "expansion_value",
     "lyapunov_estimate",
@@ -46,12 +43,15 @@ ORACLE = ["CubeChain", "brute_force_cube_count", "brute_force_solutions"]
 # Names the package no longer defines, by the module that held each.
 REMOVED = {
     "instance": ["serialize"],
-    "lattice": ["SmallCube", "TypeAssignment", "type_assignment", "unique_type", "xi_set"],
+    "lattice": [
+        "IntegerInterval", "SmallCube", "TypeAssignment", "enumerate_integer_intervals",
+        "make_interval", "type_assignment", "unique_type", "xi_set",
+    ],
     "graphs": [
         "FullGraph", "XiGraph", "build_full_graph", "build_xi_graph", "psi_step",
         "subset_successor",
     ],
-    "spectral": ["irreducible"],
+    "spectral": ["char_poly", "irreducible"],
     "counting": ["NadicExpansion", "cube_count_vector", "nadic_expansion"],
     "report": ["data_section"],
     "errors": ["BoundaryPoint", "NotInterior", "NotInXi"],

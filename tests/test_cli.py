@@ -10,15 +10,18 @@ from pathlib import Path
 
 import pytest
 
-from slicekit import counting, parse_instance
-from slicekit.analysis import enumerate_achievable_r
-from slicekit.cli import _check_printable, main
+from slicekit import analysis, counting, parse_instance
+from slicekit.analysis import Analysis, enumerate_achievable_r
+from slicekit.cli import main
+from slicekit.lattice import interval_census, interval_type_counts, u_range
 from slicekit.render import render_grid
-from slicekit.report import parse_rational
-from slicekit.errors import InvalidDocument, NotPlanar
+from slicekit.report import _check_printable, build_report, matrices_json, parse_rational
+from slicekit.errors import InvalidDocument, NotPlanar, TooLarge
 
 from conftest import load
 from helpers import data_section
+from test_analysis import _REPORTED, _spy_everywhere
+from test_golden import SCALED
 from test_references import _pairs_exact_card
 
 FIXTURES = Path(__file__).resolve().parent.parent / "instances"
@@ -502,13 +505,16 @@ def test_dim_ur_at_a_large_span_within_512_mib(tmp_path):
     assert report["measure_class"] == "PositiveUndetermined"
 
 
-def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
+def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys, monkeypatch):
     """T has n * span**2 entries and M |xi|**2; `matrices` and `analyze`
     refuse more than 2^22 of them together before they form either matrix
     or search: span 2001 on T alone, span 1001 once |xi| is read, while
-    span 601 fits.  The oracle refuses a memo, a chain list or a cube list
-    it cannot hold before it allocates.  Each refusal is TooLarge, exit 3,
-    with nothing on stdout."""
+    span 601 fits.  The library's ``build_report`` and ``matrices_json``
+    refuse them the same way.  The oracle refuses a memo, a chain list or
+    a cube list it cannot hold before it allocates.  Each refusal is
+    TooLarge, exit 3, with nothing on stdout."""
+    searched = []
+    monkeypatch.setattr(analysis, "_reachable_vectors", lambda *args: searched.append(args))
 
     def document(name, digit_sets, coefficients):
         path = tmp_path / f"{name}.json"
@@ -520,7 +526,7 @@ def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
     def spanning(c):
         return document(f"span{2 * c + 1}", [[0, 2], [0, 2]], [-c, c + 1])
 
-    assert _check_printable(parse_instance(spanning(300).read_text())) is None
+    assert _check_printable(Analysis(parse_instance(spanning(300).read_text()))) is None
     many = document("factors24", [[0, 2]] * 24, [1, -1] * 12)
     for argv, message in (
         (("matrices", spanning(1000)), "T and M hold more than 4194304 entries"),
@@ -536,6 +542,32 @@ def test_matrix_and_oracle_caps_refuse_before_allocating(tmp_path, capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "") and message in err, argv
+    for c in (500, 1000):
+        for build in (build_report, matrices_json):
+            with pytest.raises(TooLarge, match="T and M hold more than 4194304 entries"):
+                build(parse_instance(spanning(c).read_text()))
+    assert searched == []
+
+
+@pytest.mark.parametrize("name", _REPORTED)
+@pytest.mark.parametrize("command", ["analyze", "matrices"])
+def test_printing_commands_take_one_census(command, name, tmp_path, capsys, monkeypatch):
+    """An `analyze` or `matrices` process types every integer interval
+    once: one ``interval_census`` and n * span ``interval_type_counts``
+    calls, since the guard on the printed matrices reads the context that
+    forms them."""
+    path = FIXTURES / f"{name}.json"
+    if name in SCALED:
+        path = tmp_path / f"{name}.json"
+        path.write_text(SCALED[name][0])
+    inst = parse_instance(path.read_text())
+    census, typed = [], []
+    _spy_everywhere(monkeypatch, interval_census, census)
+    _spy_everywhere(monkeypatch, interval_type_counts, typed)
+    code, _, err = run(capsys, command, path)
+    assert code == 0, err
+    assert [call[0] == inst for call in census] == [True]
+    assert sorted(u for _, u in typed) == list(u_range(inst))
 
 
 def test_search_records_refused_within_512_mib(tmp_path):

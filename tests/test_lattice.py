@@ -3,36 +3,41 @@ from fractions import Fraction
 
 import pytest
 
-from slicekit import (
-    covering_condition,
-    enumerate_integer_intervals,
-    strong_separation,
-)
+from slicekit import covering_condition, strong_separation
 from slicekit import lattice
-from slicekit.errors import OutOfRange, TooLarge
+from slicekit.errors import TooLarge
 from slicekit.instance import ProblemInstance
-from slicekit.lattice import interval_type_counts, make_interval, xi_types
+from slicekit.lattice import interval_type_counts, u_range, xi_types
+from slicekit.report import build_report
 
 from helpers import projection_interval, type_assignment
 
 
 def test_interval_counts(cantor_diff, cantor_double_diff):
-    ivs = enumerate_integer_intervals(cantor_diff)
-    assert [iv.u for iv in ivs] == [-3, -2, -1, 0, 1, 2]
-    assert [iv.display_label for iv in ivs] == [0, 1, 2, 3, 4, 5]
-    assert len(enumerate_integer_intervals(cantor_double_diff)) == 9
+    """The report labels interval u by its index in ``u_range``,
+    u - n*proj_min."""
+    assert list(u_range(cantor_diff)) == [-3, -2, -1, 0, 1, 2]
+    intervals = build_report(cantor_diff)["data"]["integer_intervals"]
+    assert [(iv["u"], iv["label"]) for iv in intervals] == [
+        (-3, 0), (-2, 1), (-1, 2), (0, 3), (1, 4), (2, 5)
+    ]
+    assert len(u_range(cantor_double_diff)) == 9
 
 
 def test_interval_count_unit_span():
     inst = ProblemInstance(n=2, digit_sets=((0,),), coefficients=(1,))
-    assert [iv.u for iv in enumerate_integer_intervals(inst)] == [0, 1]
+    assert list(u_range(inst)) == [0, 1]
 
 
 def test_interval_endpoints(cantor_diff):
-    iv = make_interval(cantor_diff, -3)
-    assert (iv.left, iv.right) == (Fraction(-1), Fraction(-2, 3))
-    with pytest.raises(OutOfRange):
-        make_interval(cantor_diff, 3)
+    """Interval u is [u, u+1]/n: the range's intervals tile [proj_min,
+    proj_max], from [-1, -2/3] to [2/3, 1] on cantor_diff."""
+    us = u_range(cantor_diff)
+    assert (Fraction(us[0], 3), Fraction(us[0] + 1, 3)) == (Fraction(-1), Fraction(-2, 3))
+    assert (Fraction(us.start, 3), Fraction(us.stop, 3)) == (
+        cantor_diff.proj_min, cantor_diff.proj_max
+    )
+    assert 3 not in us
 
 
 def test_covering(cantor_diff, base7_double, no_cover):
@@ -81,7 +86,7 @@ def test_type_assignment_empty(no_cover):
 
 def test_xi_sets(cantor_diff, cantor_sum, base7_double, base6_mixed):
     def xi_labels(inst):
-        return [make_interval(inst, u).display_label for u in xi_types(inst)]
+        return [u_range(inst).index(u) for u in xi_types(inst)]
 
     assert list(xi_types(cantor_diff)) == [-3, -2, 1, 2]
     assert xi_labels(cantor_diff) == [0, 1, 4, 5]
@@ -106,7 +111,7 @@ def test_containment_type_equivalence(cantor_diff, base7_double, no_cover):
     # interval inside a cube's projection iff the offset u - weight is a type
     rng = random.Random(7)
     for inst in (cantor_diff, base7_double, no_cover):
-        us = [iv.u for iv in enumerate_integer_intervals(inst)]
+        us = list(u_range(inst))
         for _ in range(50):
             u = rng.choice(us)
             digits = tuple(rng.choice(s) for s in inst.digit_sets)
