@@ -23,7 +23,6 @@ from .analysis import (
     dim_u1,
     dim_ur,
     enumerate_achievable_r,
-    measure_ur,
     witness_ur,
 )
 from .counting import CardResult, exact_card, expansion_value, lyapunov_estimate
@@ -68,7 +67,6 @@ __all__ = [
     "dim_u1",
     "enumerate_achievable_r",
     "dim_ur",
-    "measure_ur",
     "witness_ur",
     "CubeChain",
     "brute_force_cube_count",

@@ -46,12 +46,16 @@ the routes of each r once, in canonical order: a norm-r vector, then a
 residue whose aligned subset reaches a cycling component.
 ``dim_u1`` reads a new context's ``u1`` and ``enumerate_achievable_r``
 runs ``Analysis.search`` on a new context; the report searches on the
-context it has already typed.  The status of r, whose witness is its first
-route, ``dim_ur``, ``measure_ur`` and ``witness_ur`` read that one route
-list of a multiplicity search, ``RSearchResult``, which also carries the
-context it ran on (``analysis``) and the subset graph.  The search stores
-a status only for an r it reaches; ``RSearchResult.status`` reads any
-other r of 1..max_r as NotReachable.
+context it has already typed.  The search takes the interval census before
+its vector closure, so an oversized range is refused before any vector is
+formed.  The status of r, whose witness is its first route, ``dim_ur`` and
+``witness_ur`` read that one route list of a multiplicity search,
+``RSearchResult``, which also carries the context it ran on (``analysis``)
+and the subset graph.  ``dim_ur`` answers an r's dimension, countable flag
+and measure class in one ``UrReport``, as ``dim_u1`` answers U1's: dim 0
+and no measure class for an r found only on the grid.  The search stores a
+status only for an r it reaches; ``RSearchResult.status`` reads any other
+r of 1..max_r as NotReachable.
 
 Every radius verdict compares two blocks, each a certified radius with its
 rows, with ``spectral.compare_radii``, exactly and on strongly connected
@@ -344,6 +348,8 @@ class Analysis:
             raise HypothesisViolated("covering condition fails")
         if not all(self.ssc):
             raise HypothesisViolated("strong separation fails for some factor")
+        # the census refuses an oversized range before the vector closure
+        types = self.types
         vectors = _reachable_vectors(inst, max_r)
         n = inst.n
 
@@ -392,7 +398,6 @@ class Analysis:
 
         # each support's aligned subsets, the subset graph they reach, its cycles,
         # and each support's passing (residue, subset, cycles) triples
-        types = self.types
         supports = {rv.support for rv in vectors}
         subsets = {s: aligned(types, n, [n * p for p in s]) for s in supports}
         seeds = {m for pairs in subsets.values() for _, m in pairs}
@@ -469,9 +474,9 @@ class RSearchResult(NamedTuple):
     """``routes[r]`` lists the routes of r in canonical order: the vectors
     in the discovery order of ``vectors``, then their residues ascending.
     An r in 1..max_r is achievable exactly when it has a route, and only
-    those r are keys; the status, ``dim_ur``, ``measure_ur`` and
-    ``witness_ur`` all read this one list.  ``statuses`` holds only the r
-    that are not NotReachable, ascending; ``status(r)`` reads any r."""
+    those r are keys; the status, ``dim_ur`` and ``witness_ur`` all read
+    this one list.  ``statuses`` holds only the r that are not
+    NotReachable, ascending; ``status(r)`` reads any r."""
 
     max_r: int
     vectors: tuple[ReachableVector, ...]
@@ -586,32 +591,24 @@ class UrReport(NamedTuple):
 
 
 def dim_ur(search: RSearchResult, r: int) -> UrReport:
-    """Hausdorff dimension of the set of points with exactly r
-    representations, for r certified by the multiplicity search.
+    """Hausdorff dimension and measure class of the set of points with
+    exactly r representations, for r certified by the multiplicity search.
 
     The value is log(rho)/log(n) for the largest radius rho of the
     subset-graph components reachable from any passing aligned subset;
-    multiplicities realised only on the base-n grid get dimension 0 and the
-    countable flag, and so do those whose largest reachable radius is 1.
+    multiplicities realised only on the base-n grid get dimension 0, the
+    countable flag and no measure class, and the countable flag also marks
+    those whose largest reachable radius is 1.  The measure at that
+    dimension is infinite when the whole range is dominated, that is
+    reachable in the restricted graph from components whose radius is at
+    least the top block's, otherwise positive with the total mass left
+    undetermined.  Raises NotAchievable for a NotReachable r.
     """
-    return _dim_ur(search, r)[0]
-
-
-def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
-    """``dim_ur``'s report, with the block of the subset-graph component
-    where the maximum is taken (None when r occurs only on the grid)."""
     status = search.status(r)
     if status.status == STATUS_NOT_REACHABLE:
         raise NotAchievable(f"r={r} is not realised (searched up to {search.max_r})")
     if status.status == STATUS_COUNTABLE:
-        report = UrReport(
-            r=r,
-            dim=0.0,
-            candidates=(),
-            countable_flag=True,
-            measure_class=None,
-        )
-        return report, None
+        return UrReport(r=r, dim=0.0, candidates=(), countable_flag=True, measure_class=None)
     graph = search.graph
     n = search.analysis.inst.n
     # the first maximal component of each distinct set of cycles reached,
@@ -624,31 +621,17 @@ def _dim_ur(search: RSearchResult, r: int) -> tuple[UrReport, Block | None]:
     tops = [_top(blocks, cycles) for cycles in reached]
     candidates = {_log_over_log_n(blocks[top][0].estimate, n) for top in tops}
     block = blocks[_top(blocks, tops)]
-    report = UrReport(
+    return UrReport(
         r=r,
         dim=_log_over_log_n(block[0].estimate, n),
         candidates=tuple(sorted(candidates)),
         countable_flag=_compare(block, _integer_block(1)) == 0,
-        measure_class=None,
+        measure_class=(
+            MEASURE_INFINITE
+            if search.analysis.dominated(block)
+            else MEASURE_POSITIVE_UNDETERMINED
+        ),
     )
-    return report, block
-
-
-def measure_ur(search: RSearchResult, r: int) -> UrReport:
-    """Measure class of the multiplicity-r set at its dimension: infinite
-    when the whole range is dominated, that is reachable in the restricted
-    graph from components whose radius is at least the one ``dim_ur``
-    reads, otherwise positive with the total mass left undetermined."""
-    status = search.status(r)
-    if status.status != STATUS_ACHIEVABLE:
-        raise NotAchievable(f"r={r} has status {status.status}")
-    report, block = _dim_ur(search, r)
-    measure = (
-        MEASURE_INFINITE
-        if search.analysis.dominated(block)
-        else MEASURE_POSITIVE_UNDETERMINED
-    )
-    return report._replace(measure_class=measure)
 
 
 # -- witnesses -------------------------------------------------------------------

@@ -25,7 +25,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .analysis import dim_u1, enumerate_achievable_r, measure_ur, witness_ur
+from .analysis import dim_u1, dim_ur, enumerate_achievable_r, witness_ur
 from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
 from .errors import InternalError, OutOfRange, SlicekitError, TooLarge, UsageError
 from .instance import ProblemInstance, parse_instance
@@ -245,7 +245,7 @@ def _dispatch(args) -> int:
             },
         }
     elif cmd == "dim-ur":
-        rep = measure_ur(enumerate_achievable_r(inst, args.r), args.r)
+        rep = dim_ur(enumerate_achievable_r(inst, args.r), args.r)
         payload = {
             "r": args.r,
             "dim": {"decimal": decimal(rep.dim)},

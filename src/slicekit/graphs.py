@@ -35,14 +35,16 @@ components and the cycling components each one reaches are those of the
 whole subset graph restricted to it.
 
 ``scc`` is the one place that decomposes a graph, given as a successor
-table over vertices 0..V-1: a single Tarjan pass yields the components
-and, for each one, the cycling components (those with a cycle) that it
-reaches, read off Tarjan's emission order, itself included when it
-cycles.  It keeps no reach set of all components: a reader that asks
-which vertices a set of vertices reaches runs ``reachable``, a plain
-search, where it reads the answer.  It describes structure only; the
-blocks, each component's sparse rows with a certified radius, are formed
-by the ``analysis`` context that reads them.
+table over vertices 0..V-1, for the ``analysis`` context and for
+``spectral.spectral_radius`` alike: a single pass of ``_tarjan``, an
+iterative Tarjan search, yields the components and, for each one, the
+cycling components (those with a cycle) that it reaches, read off
+Tarjan's emission order, itself included when it cycles.  It keeps no
+reach set of all components: a reader that asks which vertices a set of
+vertices reaches runs ``reachable``, a plain search, where it reads the
+answer.  It describes structure only; the blocks, each component's sparse
+rows with a certified radius, are formed by the ``analysis`` context that
+reads them.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from ._digraph import strongly_connected_components
 from .errors import TooLarge
 
 # Most subset-graph vertices ``build_congruent_graph`` explores.
@@ -169,7 +170,7 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
     """Strongly connected components of the graph on vertices 0..V-1 whose
     successor table is ``succ``, with the cycling components each one
     reaches."""
-    emitted = strongly_connected_components(succ)
+    emitted = _tarjan(succ)
     # only components of two or more vertices need sorting
     for comp in emitted:
         if len(comp) > 1:
@@ -197,3 +198,61 @@ def scc(succ: Sequence[Sequence[int]]) -> SccDecomposition:
         comp_of=comp_of,
         cycles=tuple(cycles),
     )
+
+
+def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components by Tarjan's algorithm (Tarjan 1972),
+    iterative, with roots taken in ascending order; index, low link and
+    on-stack state are lists indexed by vertex.  Returns components in
+    reverse topological order of the condensation (Tarjan's emission
+    order), each unsorted."""
+    size = len(succ)
+    index = [-1] * size
+    low = [0] * size
+    on_stack = [False] * size
+    stack: list[int] = []
+    counter = 0
+    comps: list[list[int]] = []
+
+    for root in range(size):
+        if index[root] >= 0:
+            continue
+        if not succ[root]:
+            # a vertex without successors is a component by itself
+            index[root] = counter
+            counter += 1
+            comps.append([root])
+            continue
+        work = [(root, iter(succ[root]))]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            for w in it:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps

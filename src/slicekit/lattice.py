@@ -24,12 +24,14 @@ from .instance import ProblemInstance
 
 
 # Most integer intervals, n * span, whose types ``interval_census`` finds.
-# Set from peaks on n=3, {0,2}^2, coefficients (-c, c + 1): at the cap
-# (65535 intervals) `dim-u1` peaks at 93 MiB and `dim-ur --r 1`, `witness
-# --r 1` and `enumerate-r --max-r 1` at 198-200 MiB.  Twice the cap would let
-# `dim-u1` answer at 181 MiB, but also let the multiplicity search run up to
-# span 39089, where its records bound first refuses it, and there `witness
-# --r 1` peaks at 514 MiB.
+# Set from peaks on n=3, {0,2}^2, coefficients (-c, c + 1): just under the
+# cap (65535 intervals) `dim-u1` peaks at 58 MiB and `dim-ur --r 1`,
+# `witness --r 1` and `enumerate-r --max-r 1` at 198-203 MiB.  Twice the cap
+# would let `dim-u1` answer at 101 MiB (131067 intervals), but also let the
+# multiplicity search run up to span 39089, where its records bound first
+# refuses it, and there `witness --r 1` peaked at 514 MiB.  The search takes
+# the census before its vector closure, so past the cap it is refused at
+# once.
 _INTERVAL_CAP = 2**16
 
 

@@ -18,12 +18,11 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import (
-    STATUS_COUNTABLE,
+    STATUS_ACHIEVABLE,
     Analysis,
     RSearchResult,
     WitnessExpansion,
     dim_ur,
-    measure_ur,
     witness_ur,
 )
 from .errors import HypothesisViolated, InvalidDocument, NoCertifiedWitness, TooLarge
@@ -254,32 +253,25 @@ def _search_json(search: RSearchResult) -> dict:
 
 
 def _ur_json(inst: ProblemInstance, search: RSearchResult) -> dict:
-    """One entry per stored status, Achievable or OnlyOnCountableSet."""
+    """One entry per stored status, Achievable or OnlyOnCountableSet; only
+    an achievable r has candidates and a witness."""
     out = {}
     for r, st in search.statuses.items():
-        if st.status == STATUS_COUNTABLE:
-            rep = dim_ur(search, r)
-            out[str(r)] = {
-                "dim": {"decimal": decimal(rep.dim)},
-                "countable": True,
-                "measure_class": None,
-            }
-            continue
-        rep = measure_ur(search, r)
-        out[str(r)] = {
-            "dim": {
-                "decimal": decimal(rep.dim),
-                "candidates": [decimal(c) for c in rep.candidates],
-            },
+        rep = dim_ur(search, r)
+        entry = out[str(r)] = {
+            "dim": {"decimal": decimal(rep.dim)},
             "countable": rep.countable_flag,
             "measure_class": rep.measure_class,
         }
+        if st.status != STATUS_ACHIEVABLE:
+            continue
+        entry["dim"]["candidates"] = [decimal(c) for c in rep.candidates]
         try:
             witness = witness_ur(search, r)
         except NoCertifiedWitness:
             continue  # the entry carries no witness
         # witness_ur returns only points exact_card counts as Finite r
-        out[str(r)]["witness"] = {**witness_json(witness, inst.n), "verified": True}
+        entry["witness"] = {**witness_json(witness, inst.n), "verified": True}
     return out
 
 

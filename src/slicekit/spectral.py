@@ -10,9 +10,10 @@ matrix is primitive and the bounds actually converge.  Its power iteration
 is on ints throughout: the best bounds are int (numerator, denominator)
 pairs compared by cross-multiplication, and each becomes one ``Fraction``
 only when the iteration stops.  ``spectral_radius`` turns a dense matrix
-into rows once, restricts them to each Tarjan component and folds their
-enclosures with ``max_radius``; the ``analysis`` context certifies the
-components ``graphs.scc`` has found, so no graph runs Tarjan twice.
+into rows once, restricts them to each component that ``graphs.scc``
+finds and folds their enclosures with ``max_radius``; the ``analysis``
+context certifies the components ``graphs.scc`` has found for its graphs,
+so no graph is decomposed twice, and nothing else decomposes one.
 
 ``compare_radii`` orders two radii exactly, from their certified
 enclosures and the two blocks' rows: disjoint enclosures decide it at
@@ -33,8 +34,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from ._digraph import strongly_connected_components
 from .errors import WideEnclosure
+from .graphs import scc
 from .instance import ProblemInstance
 from .lattice import children, open_children
 
@@ -157,8 +158,8 @@ def spectral_radius(
     # each row's nonzero entries as (column, entry) pairs, ascending
     rows = [[(j, int(x)) for j, x in enumerate(row) if x] for row in dense]
     radii = []
-    for comp in strongly_connected_components([[j for j, _ in row] for row in rows]):
-        position = {v: i for i, v in enumerate(sorted(comp))}
+    for comp in scc([[j for j, _ in row] for row in rows]).components:
+        position = {v: i for i, v in enumerate(comp)}
         block = [[(position[j], e) for j, e in rows[v] if j in position] for v in position]
         radii.append(block_radius(block, tolerance))
     return max_radius(radii)

@@ -15,10 +15,10 @@ from slicekit import (
     brute_force_solutions,
     covering_condition,
     dim_u1,
+    dim_ur,
     enumerate_achievable_r,
     exact_card,
     lyapunov_estimate,
-    measure_ur,
     spectral_radius,
     strong_separation,
     transition_matrices,
@@ -217,7 +217,7 @@ def test_criterion_8(cantor_diff):
     assert search.status(3).status == "OnlyOnCountableSet"
     s = math.log(2) / math.log(3)
     for r in (2, 4):
-        rep = measure_ur(search, r)
+        rep = dim_ur(search, r)
         assert abs(rep.dim - s) <= TOL
         if r == 2:
             assert rep.measure_class == "Infinite"

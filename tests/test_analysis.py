@@ -11,7 +11,6 @@ from slicekit import (
     dim_ur,
     enumerate_achievable_r,
     exact_card,
-    measure_ur,
     strong_separation,
     witness_ur,
 )
@@ -196,20 +195,20 @@ def test_dim_ur_values(cantor_diff):
 
 
 def test_dim_ur_not_achievable(cantor_diff):
+    """r = 3 occurs only on the grid: dim_ur answers it as countable, with
+    dimension 0 and no measure class; the NotReachable r = 5 is refused."""
     search = enumerate_achievable_r(cantor_diff, 6)
+    assert dim_ur(search, 3) == (3, 0.0, (), True, None)
     with pytest.raises(NotAchievable):
         dim_ur(search, 5)
-    with pytest.raises(NotAchievable):
-        measure_ur(search, 3)
 
 
 def test_measure_ur(cantor_diff):
+    """dim_ur's measure class of an achievable r: Infinite exactly when
+    the top block dominates the restricted graph."""
     search = enumerate_achievable_r(cantor_diff, 6)
     for r in (2, 4):
-        rep = measure_ur(search, r)
-        assert rep.measure_class == "Infinite"
-        # every other field is dim_ur's
-        assert rep._replace(measure_class=None) == dim_ur(search, r)
+        assert dim_ur(search, r).measure_class == "Infinite"
 
 
 def _integer_block(value):
@@ -264,7 +263,7 @@ def test_dim_ur_bounded_by_dim_u1(cantor_diff):
 
 def test_readers_refuse_r_outside_the_search(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 8)
-    for reader in (dim_ur, measure_ur, witness_ur):
+    for reader in (dim_ur, witness_ur):
         for r in (0, 9):
             with pytest.raises(NotAchievable):
                 reader(search, r)
@@ -392,8 +391,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
     of singletons, the same block object; the search
     asks the subset graph for the cycles of each distinct aligned subset of
     its vectors once, and its routes take their subsets and cycles from
-    those answers; ``dim_ur``, ``measure_ur`` and ``witness_ur`` do
-    neither."""
+    those answers; ``dim_ur`` and ``witness_ur`` do neither."""
     inst = parse_instance(SCALED[name][0]) if name in SCALED else load(name)
     calls = {key: [] for key in ("scc", "search", "block_radius", "cycles_reached")}
     reading = []
@@ -421,7 +419,7 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         (Analysis, "search", "search"),
     ):
         monkeypatch.setattr(owner, attr, spy(key, getattr(owner, attr)))
-    for function in ("dim_ur", "measure_ur", "witness_ur"):
+    for function in ("dim_ur", "witness_ur"):
         monkeypatch.setattr(report, function, reader(getattr(report, function)))
     report.build_report(inst)
 
@@ -645,7 +643,7 @@ def test_report_reads_one_interval_census(name, monkeypatch):
 
 def test_analysis_forms_no_dense_matrix(monkeypatch):
     """No verdict forms a dense matrix: on the bundled instances
-    ``dim_u1``, and the search followed by ``measure_ur`` and
+    ``dim_u1``, and the search followed by ``dim_ur`` and
     ``witness_ur`` for every achievable r, call ``component_matrix``
     nowhere, and ``build_report`` calls it once, for the M it prints."""
     calls = []
@@ -656,7 +654,7 @@ def test_analysis_forms_no_dense_matrix(monkeypatch):
         if covering_condition(inst) and all(strong_separation(inst)):
             search = enumerate_achievable_r(inst, 6)
             for r in search.achievable():
-                measure_ur(search, r)
+                dim_ur(search, r)
                 witness_ur(search, r)
         assert calls == [], path.stem
         report.build_report(inst)

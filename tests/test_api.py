@@ -29,7 +29,6 @@ PUBLIC = [
     "exact_card",
     "expansion_value",
     "lyapunov_estimate",
-    "measure_ur",
     "parse_instance",
     "scc",
     "spectral_radius",
@@ -53,6 +52,7 @@ REMOVED = {
     ],
     "spectral": ["char_poly", "irreducible"],
     "counting": ["NadicExpansion", "cube_count_vector", "nadic_expansion"],
+    "analysis": ["_dim_ur", "measure_ur"],
     "report": ["data_section"],
     "errors": ["BoundaryPoint", "NotInterior", "NotInXi"],
 }

@@ -202,6 +202,29 @@ def test_enumerate_and_dim_ur(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.json")) + ["l3", "l4"])
+def test_dim_ur_prints_the_reports_ur_fields(name, tmp_path, capsys):
+    """For every r that `analyze` stores, achievable or countable,
+    `dim-ur --r r` exits 0 and prints that r's ``ur`` fields: a countable
+    r reads dimension 0, no candidates and no measure class, as in the
+    report."""
+    path = FIXTURES / f"{name}.json"
+    if name in SCALED:
+        path = tmp_path / f"{name}.json"
+        path.write_text(SCALED[name][0])
+    ur = build_report(parse_instance(path.read_text()))["data"]["ur"]
+    for r, entry in ur.items():
+        code, out, err = run(capsys, "dim-ur", path, "--r", r)
+        assert code == 0, (r, err)
+        assert json.loads(out) == {
+            "r": int(r),
+            "dim": {"decimal": entry["dim"]["decimal"]},
+            "candidates": entry["dim"].get("candidates", []),
+            "countable": entry["countable"],
+            "measure_class": entry["measure_class"],
+        }, r
+
+
 @pytest.mark.parametrize("name", ["cantor_diff", "cantor_double_diff", "cantor_sum"])
 @pytest.mark.parametrize("max_r", [6, 30])
 def test_enumerate_lists_only_stored_statuses(capsys, name, max_r):
@@ -568,6 +591,48 @@ def test_printing_commands_take_one_census(command, name, tmp_path, capsys, monk
     assert code == 0, err
     assert [call[0] == inst for call in census] == [True]
     assert sorted(u for _, u in typed) == list(u_range(inst))
+
+
+def test_search_refuses_an_oversized_range_before_its_closure(tmp_path, capsys, monkeypatch):
+    """The search takes the interval census before its vector closure.  On
+    n=3, {0,2}^2, coefficients (-10923, 10924), span 21847, the range has
+    65541 integer intervals, past the cap of 65536: `enumerate-r`,
+    `dim-ur` and `witness` each stop with TooLarge, exit 3, nothing on
+    stdout, in a child process under 128 MiB of address space and 60 s,
+    and in process without forming a vector.  With the closure first they
+    ended in a MemoryError (exit 4) under that limit."""
+    doc = tmp_path / "span21847.json"
+    doc.write_text('{"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-10923, 10924]}')
+    message = "65541 integer intervals, more than 65536"
+    commands = (
+        ("enumerate-r", doc, "--max-r", "1"),
+        ("enumerate-r", doc),
+        ("dim-ur", doc, "--r", "1"),
+        ("witness", doc, "--r", "1"),
+    )
+    limit = 128 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "slicekit", *map(str, argv)],
+            env=dict(os.environ, PYTHONPATH=src),
+            preexec_fn=cap_address_space,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, ""), (argv, proc.stderr)
+        assert message in proc.stderr, argv
+    closed = []
+    monkeypatch.setattr(analysis, "_reachable_vectors", lambda *args: closed.append(args))
+    for argv in commands:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "") and message in err, argv
+    assert closed == []
 
 
 def test_search_records_refused_within_512_mib(tmp_path):

@@ -56,11 +56,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    CongruentGraph, ProblemInstance, build_congruent_graph, covering_condition,
+    CongruentGraph, ProblemInstance, build_congruent_graph, covering_condition, dim_ur,
     enumerate_achievable_r, parse_instance, scc, strong_separation,
 )
 from slicekit.analysis import (
-    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _dim_ur, _integer_block,
+    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _integer_block,
     _reachable_vectors,
 )
 from slicekit import counting
@@ -401,11 +401,11 @@ def _closure_dominated(context, block):
 
 
 @pytest.mark.parametrize("label", BUNDLED + sorted(SCALED))
-def test_dominated_matches_full_closure(label):
+def test_dominated_matches_full_closure(label, monkeypatch):
     """``Analysis.dominated``, one search from the dominating components,
     answers as the union of their full reach sets does, for the blocks
     [[1]], [[2]] and [[3]] and the block where each achievable r's
-    dimension is taken."""
+    dimension is taken, the one ``dim_ur`` asks about."""
     inst = _count_instance(label)
     try:
         search = enumerate_achievable_r(inst, 6)
@@ -414,9 +414,17 @@ def test_dominated_matches_full_closure(label):
     context = search.analysis if search else Analysis(inst)
     blocks = [_integer_block(value) for value in (1, 2, 3)]
     if search:
-        blocks += [
-            block for r in search.achievable() if (block := _dim_ur(search, r)[1]) is not None
-        ]
+        dominated = Analysis.dominated
+
+        def spy(self, block):
+            blocks.append(block)
+            return dominated(self, block)
+
+        monkeypatch.setattr(Analysis, "dominated", spy)
+        for r in search.achievable():
+            dim_ur(search, r)
+        monkeypatch.undo()
+        assert len(blocks) == 3 + len(search.achievable()), label
     for block in blocks:
         assert context.dominated(block) == _closure_dominated(context, block), (label, block)
 
