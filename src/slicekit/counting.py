@@ -269,12 +269,27 @@ def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, in
     return out, out_mask, card
 
 
+# Both result classes are frozen dataclasses (``dataclasses.replace``
+# rebuilds them) whose own ``__init__`` writes ``__dict__``, as
+# cached_property does, rather than one frozen ``__setattr__`` per field:
+# a result is built in about half the time.  Each ``__init__`` lists the
+# fields again, so a field added to the class must be added there too.
+
+
 @dataclass(frozen=True)
 class CycleCertificate:
     start_depth: int
     period: int
     cardinality_before: int
     cardinality_after: int
+
+    def __init__(self, start_depth, period, cardinality_before, cardinality_after) -> None:
+        self.__dict__.update(
+            start_depth=start_depth,
+            period=period,
+            cardinality_before=cardinality_before,
+            cardinality_after=cardinality_after,
+        )
 
 
 @dataclass(frozen=True)
@@ -289,6 +304,11 @@ class CardResult:
     count: int | None
     depth_reached: int
     certificate: CycleCertificate | None
+
+    def __init__(self, verdict, count, depth_reached, certificate) -> None:
+        self.__dict__.update(
+            verdict=verdict, count=count, depth_reached=depth_reached, certificate=certificate
+        )
 
     @property
     def is_finite(self) -> bool:
@@ -306,7 +326,11 @@ def exact_card(
     Requires the covering condition (counts are then nondecreasing in depth)
     and strong separation for every factor (depth-k cubes are then pairwise
     disjoint, so surviving-cube counts converge to the solution count).
-    ``budget`` must be at least 1 and ``max_depth`` at least 0.
+    ``budget`` must be at least 1 and ``max_depth`` at least 0; the count
+    stops with ExceedsBudget past ``budget`` chains or at ``max_depth``
+    digits, by default 64 * (preperiod + period) for the base-n expansion
+    of x.  Raises TooLarge, before any digit, when the preperiod and the
+    period together pass _EXPANSION_CAP digits.
     """
     if budget < 1:
         raise OutOfRange(f"budget must be >= 1, got {budget}")
@@ -340,37 +364,14 @@ def exact_card(
     while True:
         start = seen_exact.setdefault((r, vec), depth)
         if start != depth:
-            return CardResult(
-                verdict="Finite",
-                count=card,
-                depth_reached=depth,
-                certificate=CycleCertificate(
-                    start_depth=start,
-                    period=depth - start,
-                    cardinality_before=card,
-                    cardinality_after=card,
-                ),
-            )
+            cert = CycleCertificate(start, depth - start, card, card)
+            return CardResult("Finite", card, depth, cert)
         depth0, card0 = seen_support.setdefault((r, mask), (depth, card))
         if card > card0:
-            return CardResult(
-                verdict="Infinite",
-                count=None,
-                depth_reached=depth,
-                certificate=CycleCertificate(
-                    start_depth=depth0,
-                    period=depth - depth0,
-                    cardinality_before=card0,
-                    cardinality_after=card,
-                ),
-            )
+            cert = CycleCertificate(depth0, depth - depth0, card0, card)
+            return CardResult("Infinite", None, depth, cert)
         if card > budget or depth >= max_depth:
-            return CardResult(
-                verdict="ExceedsBudget",
-                count=card,
-                depth_reached=depth,
-                certificate=None,
-            )
+            return CardResult("ExceedsBudget", card, depth, None)
         d, r = divmod(n * r, q)
         known = steps[d][not r]
         step = known.get(vec)

@@ -35,7 +35,8 @@ class ProblemInstance:
     Derived scalars, each computed once: ``proj_min``/``proj_max`` are the
     minimum and maximum of the coefficient form over the unit cube (the sums
     of the negative and of the positive coefficients), ``span`` their
-    difference (the 1-norm of the coefficient vector).
+    difference (the 1-norm of the coefficient vector), ``cube_count`` the
+    number of depth-1 digit cubes.
     """
 
     n: int
@@ -130,7 +131,7 @@ class ProblemInstance:
             acc = nxt
         return Counter(dict(sorted(acc.items(), reverse=True)))
 
-    @property
+    @cached_property
     def cube_count(self) -> int:
         total = 1
         for digits in self.digit_sets:

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import inspect
 import random
 import weakref
 from collections import Counter
@@ -618,6 +619,20 @@ def test_card_results_are_dataclasses(cantor_diff):
     cert = dataclasses.replace(res.certificate, period=res.certificate.period + 1)
     assert cert.period == res.certificate.period + 1
     assert dataclasses.replace(res, certificate=cert).certificate == cert
+
+
+@pytest.mark.parametrize("cls", [CardResult, CycleCertificate])
+def test_card_result_constructors_take_every_field(cls):
+    """Both result classes write their fields in their own ``__init__``:
+    it takes each dataclass field, in order, and sets each one."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    params = list(inspect.signature(cls.__init__).parameters)
+    assert params == ["self", *names]
+    obj = cls(*range(len(names)))
+    assert [getattr(obj, name) for name in names] == list(range(len(names)))
+    assert obj == cls(*range(len(names)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, names[0], -1)
 
 
 def test_exact_card_requires_hypotheses(base7_double, no_cover):

@@ -883,6 +883,30 @@ def test_exact_card_matches_pairs_reference_random(inst, data, budget, max_depth
     assert exact_card(inst, x, budget, max_depth) == _pairs_exact_card(inst, x, budget, max_depth)
 
 
+# In base 3, 7, 101, 127 and 303 have periods 6, 100, 126 and 100 (303 with
+# a preperiod of one digit); span9 takes every 4th numerator.
+@pytest.mark.parametrize("label, stride", [("cantor_diff", 1), ("cantor_sum", 1), ("span9", 4)])
+def test_exact_card_matches_pairs_reference_past_depth_64(label, stride):
+    """At budgets 2**100 and 2**300 most points run past 64 * (preperiod
+    + 1) digits, so the default depth cap, 64 * (preperiod + period), can
+    decide where they stop: every CardResult is the raw pairs loop's, and
+    the same as at that cap passed explicitly."""
+    inst = _count_instance(label)
+    past = 0
+    for q in (7, 101, 127, 303):
+        for p in range(q * inst.proj_min, q * inst.proj_max + 1, stride):
+            x = Fraction(p, q)
+            steps, cap = _pairs_steps(inst, x, 2**300, None)
+            pre, period = counting._expansion_lengths(inst, x)
+            assert cap == 64 * (pre + period)
+            for budget in (2**100, 2**300):
+                result = exact_card(inst, x, budget)
+                assert result == _pairs_verdict(steps, budget, cap), (x, budget)
+                assert exact_card(inst, x, budget, cap) == result, (x, budget)
+                past += result.depth_reached >= 64 * (pre + 1)
+    assert past > 500
+
+
 def _unpack(vec, mask, r, q, lo, bits):
     """The (scaled offset, count) pairs of a packed vector whose chains sit
     at r + q * t, the count at t in the field at t - ``lo``, ascending."""
