@@ -5,9 +5,10 @@
   follows from how many maximal-radius components the graph has.
 * higher multiplicities r: a breadth-first closure over the count-matrix
   products e_i T_{j1} ... T_{jk} finds every realisable chain-count vector
-  with 1-norm <= max_r, each product one step of the counting kernel on
-  the instance's digit table, the one ``exact_card`` reads, and each vector
-  kept sparse, as its counts on its support; a vector of norm r together
+  with 1-norm <= max_r on the instance's digit table, the one
+  ``exact_card`` reads: each vector is unpacked once into its (offset,
+  count) pairs and stepped under every digit by ``counting._advance_pairs``,
+  and kept sparse, as its counts on its support; a vector of norm r together
   with a residue h whose aligned interval subset sits inside the uniquely
   covered collection and reaches a cycling component of the subset graph
   certifies that r occurs beyond the countable base-n grid.  Values of r
@@ -41,9 +42,10 @@ any other subset, and asks it once for the cycling components each
 subset reaches; it builds no restricted graph.  Each support's passing
 (residue, subset, cycles) triples and the grid digits whose tails are
 known on it are kept, and every vector reads them; the grid scan stops
-once every r of 1..max_r has its first countable example.  It then lists
-the routes of each r once, in canonical order: a norm-r vector, then a
-residue whose aligned subset reaches a cycling component.
+once every r of 1..max_r has its first countable example, and reads no
+vector when every digit's tail is unknown on every working interval.  It
+then lists the routes of each r once, in canonical order: a norm-r vector,
+then a residue whose aligned subset reaches a cycling component.
 ``dim_u1`` reads a new context's ``u1`` and ``enumerate_achievable_r``
 runs ``Analysis.search`` on a new context; the report searches on the
 context it has already typed.  The search takes the interval census before
@@ -73,11 +75,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import _advance, _record, digit_table, exact_card, expansion_value
+from .counting import _advance_pairs, _record, digit_table, exact_card, expansion_value
 from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
 from .graphs import CongruentGraph, aligned, build_congruent_graph, reachable
 from .instance import ProblemInstance
@@ -98,8 +101,10 @@ _MAX_R = 2**20
 # _RECORD_BITS for the Python objects that hold them.  Words grow with
 # max_r: on n=3, {0,2}^2, (-1, 2) the vectors of norm up to 1000 have words
 # of up to 999 digits, so a count of vectors alone does not bound memory.
-# A search refused at the bound peaks near 300 MiB; the span-101 report
-# (n=3, {0,2}^2, (-50, 51)) holds 2.3 * 10^9 bits and still answers.
+# A search refused at the bound peaks near 290 MiB there (`dim-ur --r
+# 1000000`), and near 450 MiB at the interval cap's edge, (-10922, 10923)
+# at max_r 6, the least headroom under 512 MiB; the span-101 report (n=3,
+# {0,2}^2, (-50, 51)) holds 2.3 * 10^9 bits and still answers.
 _VECTOR_BITS = 3 * 2**30
 _RECORD_BITS = 4096
 
@@ -378,15 +383,18 @@ class Analysis:
             for j in range(1, n)
         }
         blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
+        # a digit blocked on every working interval is open on no support, so
+        # with no other digit no vector can give a grid example
+        live = [j for j in tails if len(blocked[j]) < inst.span]
         open_digits: dict[tuple[int, ...], list[int]] = {}
-        for rv in vectors:
+        for rv in vectors if live else ():
             # every later vector could only repeat an r that has its example
             if len(countable) == max_r:
                 break
             digits = open_digits.get(rv.support)
             if digits is None:
                 digits = open_digits[rv.support] = [
-                    j for j in tails if blocked[j].isdisjoint(rv.support)
+                    j for j in live if blocked[j].isdisjoint(rv.support)
                 ]
             for j in digits:
                 tail = tails[j]
@@ -506,14 +514,30 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
-    step of the counting kernel on the instance's digit table
-    (``counting.digit_table``, open rows): a vector is a packed int, a field
-    of (max_r * cubes).bit_length() bits per offset, with its support mask.
-    The n row totals of offset u are packed into one int, ``packed[u]``, a
-    field of the same width per digit, so the n child norms of a vector are
-    the fields of one int sum over its support, and a child past max_r is
-    rejected before it is formed.  No field overflows: a vector has norm at
-    most max_r and a row total is at most the number of cubes.
+    step of the counting kernel's row arithmetic on the instance's digit
+    table (``counting.digit_table``, open rows): a vector is a packed int,
+    a field of (max_r * cubes).bit_length() bits per offset, with its
+    support mask.  The n row totals of offset u are packed into one int,
+    ``packed[u]``, a field of the same width per digit, so the n child norms
+    of a vector are the fields of one int sum over its support, and a child
+    past max_r is rejected before it is formed.  No field overflows: a
+    vector has norm at most max_r and a row total is at most the number of
+    cubes.
+
+    A level is a flat list of its vectors in canonical order, so the
+    vectors one word discovers sit together, by starting offset (a word and
+    an offset give one vector).  The vectors of one word are unpacked once
+    each, into their counts, support, (field, count) pairs and packed child
+    norms, and ``counting._advance_pairs`` steps the pairs with the digits
+    outside and the vectors inside.  Children are then made in (word,
+    digit, offset) order, the canonical order of their own discoveries, so
+    the first making of a child is its discovery and every later one is
+    dropped with one set lookup: the next level comes out in canonical
+    order, with no sort and no comparison of candidates.  A child's norm is
+    its field of the packed child norms, carried to its record.  The level
+    holds no list per word: a list is never untracked by the cyclic
+    garbage collector, and one per word made the span-101 search run half
+    again as many full collections.
     """
     lo = inst.proj_min
     bits = (max_r * inst.cube_count).bit_length()
@@ -524,40 +548,59 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     field = (1 << bits) - 1
     shifts = [(rows, bits * j) for j, (rows, _) in enumerate(digit_table(inst, bits))]
     packed = [sum(rows[u][4] << shift for rows, shift in shifts) for u in range(inst.span)]
-    # packed counts -> (word, integer part, support mask) of its discovery
-    level = {1 << bits * u: ((), u + lo, 1 << u) for u in range(inst.span)}
-    found = set(level)
+    # a level lists its vectors in canonical order, each as its (word, packed
+    # counts, integer part, support mask, norm); one word object is shared by
+    # all the vectors it discovers, which sit together, by integer part
+    level = [((), 1 << bits * u, u + lo, 1 << u, 1) for u in range(inst.span)]
+    found = {vec for _, vec, _, _, _ in level}
     vectors: list[ReachableVector] = []
+    # a NamedTuple's own __new__ is a Python function; tuple.__new__ builds
+    # the same record in about half the time
+    record = tuple.__new__
     while level:
-        nxt: dict[int, tuple] = {}
-        for vec, (word, i, mask) in sorted(level.items(), key=itemgetter(1)):
-            counts, support, norms = [], [], 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                rest ^= low
-                c = vec >> bits * u & field
-                counts.append(c)
-                support.append(u + lo)
-                norms += c * packed[u]
-            vectors.append(ReachableVector(tuple(counts), sum(counts), i, word, tuple(support)))
+        nxt = []
+        for word, members in groupby(level, itemgetter(0)):
+            unpacked = []
+            for _, vec, i, mask, norm in members:
+                counts, support, pairs, norms = [], [], [], 0
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    rest ^= low
+                    c = vec >> bits * u & field
+                    counts.append(c)
+                    support.append(u + lo)
+                    pairs.append((u, c))
+                    norms += c * packed[u]
+                vectors.append(
+                    record(ReachableVector, (tuple(counts), norm, i, word, tuple(support)))
+                )
+                unpacked.append((pairs, norms, i))
+            # digits outside, integer parts inside: a child's first making is
+            # its canonical discovery (word, then digit, then i), and is
+            # counted in the records' bits at once; ``size`` is the part of
+            # its record's bits that its word fixes
+            size = 64 * (len(word) + 1) + _RECORD_BITS
             for j, (rows, shift) in enumerate(shifts):
-                if norms >> shift & field > max_r:
-                    continue
-                child, child_mask, _ = _advance(rows, bits, vec, mask)
-                cand = (word + (j,), i, child_mask)
-                if child not in found:
+                child_word = None
+                for pairs, norms, i in unpacked:
+                    norm = norms >> shift & field
+                    if norm > max_r:
+                        continue
+                    child, child_mask = _advance_pairs(rows, pairs)
+                    if child in found:
+                        continue
                     held += (
-                        child.bit_length() + child_mask.bit_length() + _RECORD_BITS
-                        + 64 * (len(cand[0]) + 2 * child_mask.bit_count())
+                        size + child.bit_length() + child_mask.bit_length()
+                        + 128 * child_mask.bit_count()
                     )
                     if held > _VECTOR_BITS:
                         raise TooLarge(f"the reachable vectors' records pass {_VECTOR_BITS} bits")
                     found.add(child)
-                elif cand >= nxt.get(child, cand):
-                    continue
-                nxt[child] = cand
+                    if child_word is None:
+                        child_word = word + (j,)
+                    nxt.append((child_word, child, i, child_mask, norm))
         level = nxt
     return tuple(vectors)
 

@@ -38,8 +38,10 @@ digit, with one ``_advance`` call on a miss.  ``lyapunov_estimate`` and
 ``exact_card`` is the automaton's one public entry point; ``digit_table``
 hands its tables out: the multiplicity search steps its
 chain-count vectors e_i T_{j1} ... T_{jk} on the open rows (a row of digit
-matrix T_j is the children of one chain under digit j), with the same
-kernel and no cache, since its vectors are distinct, and counts with
+matrix T_j is the children of one chain under digit j) with
+``_advance_pairs``, the same row arithmetic on a vector unpacked once into
+its (field, count) pairs, since it steps each vector under every digit, and
+with no cache, since its vectors are distinct; it counts with
 ``exact_card`` at budget max_r, so one search reads one table, at max_r's
 field width.
 
@@ -267,6 +269,20 @@ def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, in
         out_mask |= kids << base
         card += m * total
     return out, out_mask, card
+
+
+def _advance_pairs(entry: tuple, pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """``_advance`` on a vector already unpacked into its (field, count)
+    pairs, ascending: the children's packed vector and support mask.  A
+    caller that steps one vector under every digit unpacks it once and
+    walks no mask per digit; ``exact_card`` steps each vector once and
+    keeps ``_advance``."""
+    out = out_mask = 0
+    for i, m in pairs:
+        row, shift, kids, base, _ = entry[i]
+        out += m * row << shift
+        out_mask |= kids << base
+    return out, out_mask
 
 
 # Both result classes are frozen dataclasses (``dataclasses.replace``

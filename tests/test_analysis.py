@@ -114,7 +114,8 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
         units = [rv for rv in full if not rv.word]
         assert len(units) == inst.span
         monkeypatch.setattr(analysis, "_VECTOR_BITS", inst.span * analysis._RECORD_BITS)
-        monkeypatch.setattr(analysis, "_advance", None)  # never called
+        # the search steps its vectors with _advance_pairs alone: never called
+        monkeypatch.setattr(analysis, "_advance_pairs", None)
         with pytest.raises(TooLarge, match="records pass"):
             analysis._reachable_vectors(inst, max_r)
         monkeypatch.undo()

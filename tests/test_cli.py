@@ -640,9 +640,11 @@ def test_search_records_refused_within_512_mib(tmp_path):
     only how many there are: words grow with max_r, and these calls ran
     out of memory (exit 4) under 512 MiB of address space before 2^20
     vectors were found.  Each child now stops at the bound of 3 * 2^30
-    bits, TooLarge, exit 3, within that limit and 60 s."""
+    bits, TooLarge, exit 3, within that limit and 60 s.  The last call is
+    the search with the least headroom: at the interval cap's edge, span
+    21845, the default max_r is refused at a peak near 450 MiB."""
     docs = {}
-    for c in (1, 30):
+    for c in (1, 30, 10922):
         docs[c] = tmp_path / f"span{2 * c + 1}.json"
         docs[c].write_text(json.dumps(
             {"n": 3, "digit_sets": [[0, 2], [0, 2]], "coefficients": [-c, c + 1]}
@@ -657,6 +659,7 @@ def test_search_records_refused_within_512_mib(tmp_path):
         ("dim-ur", docs[1], "--r", "1000000"),
         ("witness", docs[1], "--r", "1048576"),
         ("enumerate-r", docs[30], "--max-r", "1000"),
+        ("enumerate-r", docs[10922]),
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "slicekit", *map(str, argv)],

@@ -42,10 +42,11 @@ reached (the reference's reach sets cut to its cycling components), blocks
 and radii as the whole graph, read through ``graph.vertices``; the same
 ``RadiusResult``; the same expansion lengths and value; the same
 ``CardResult``; and, one digit at a time, the packed kernel
-``counting._advance`` the same children as ``_step``.  ``kernel_states``
-steps one point's chains with that kernel, as ``exact_card`` does, and
-reads each depth's multiset back as pairs, which off the base-n grid are
-the entries of the dense products.
+``counting._advance``, and ``counting._advance_pairs`` on the same
+vector's (field, count) pairs, the same children as ``_step``.
+``kernel_states`` steps one point's chains with that kernel, as
+``exact_card`` does, and reads each depth's multiset back as pairs, which
+off the base-n grid are the entries of the dense products.
 """
 
 from collections import Counter
@@ -91,7 +92,11 @@ def _count_instance(label):
     return parse_instance(SCALED[label][0]) if label in SCALED else load(label)
 
 
-def _dense_reachable_vectors(inst, max_r):
+def _dense_reachable_vectors(inst, max_r, least=True):
+    """Every product of norm <= max_r, dense, with the (word, i) of its
+    canonical discovery.  With ``least`` false a child keeps the first of
+    its candidates made, parents in canonical order and each parent under
+    every digit in turn, not the least of them."""
     mats = [m.entries for m in transition_matrices(inst)]
     span = inst.span
     found = {}
@@ -113,7 +118,7 @@ def _dense_reachable_vectors(inst, max_r):
                 cand = (word + (j,), i)
                 if child in found:
                     continue
-                if child not in nxt or cand < nxt[child]:
+                if child not in nxt or (least and cand < nxt[child]):
                     nxt[child] = cand
         for vec, disc in nxt.items():
             found[vec] = disc
@@ -121,11 +126,11 @@ def _dense_reachable_vectors(inst, max_r):
     return found
 
 
-def _dense_records(inst, max_r):
+def _dense_records(inst, max_r, least=True):
     """The dense products as ordered records: the canonical order
     (len(word), word, i) is part of the contract."""
     dense = sorted(
-        _dense_reachable_vectors(inst, max_r).items(),
+        _dense_reachable_vectors(inst, max_r, least).items(),
         key=lambda kv: (len(kv[1][0]), kv[1][0], kv[1][1]),
     )
     offsets = range(inst.proj_min, inst.proj_max)
@@ -155,6 +160,23 @@ def test_sparse_vectors_match_dense_bundled():
 @given(counting_instances(), st.integers(1, 8))
 def test_sparse_vectors_match_dense_random(inst, max_r):
     _assert_same_vectors(inst, max_r)
+
+
+@pytest.mark.parametrize("max_r", [2, 6])
+@pytest.mark.parametrize("label", ["span9", "span15", "span17"])
+def test_sparse_vectors_match_dense_scaled(label, max_r):
+    _assert_same_vectors(_count_instance(label), max_r)
+
+
+@pytest.mark.parametrize("label", ["span9", "span15", "span17"])
+def test_scaled_vectors_see_the_tie_break(label):
+    """At max_r 6 some child of span9, span15 and span17 is made by two
+    parents of one level, and the first one made, parents in canonical
+    order with each parent under every digit in turn, is not its canonical
+    discovery: a closure that kept the first child made gives other
+    records, so the scaled cases above check the tie-break."""
+    inst = _count_instance(label)
+    assert _dense_records(inst, 6, least=False) != _reachable_vectors(inst, 6)
 
 
 def _per_vector_search(inst, max_r, vectors):
@@ -962,12 +984,15 @@ def test_advance_state_matches_pairs_reference_random(case):
     """From the same chains, one residue packed at a field width that holds
     every count, ``counting._advance`` gives the raw pairs step's children
     and their cardinality, and so on for three more digits; the children
-    stay on the span + 1 fields of [proj_min, proj_max]."""
+    stay on the span + 1 fields of [proj_min, proj_max].  From the same
+    vector's (field, count) pairs, ``counting._advance_pairs`` gives the
+    same children and support mask."""
     inst, q, r, counts = case
     n, lo, hi = inst.n, inst.proj_min, inst.proj_max
     weights = _scaled_weights(inst, q)
     largest = max(sum(counts.values()), 1) * inst.cube_count**4
     bits = largest.bit_length()
+    field = (1 << bits) - 1
     table = counting.digit_table(inst, bits)
     vec = sum(m << bits * (t - lo) for t, m in counts.items())
     mask = sum(1 << (t - lo) for t in counts)
@@ -976,6 +1001,8 @@ def test_advance_state_matches_pairs_reference_random(case):
         d, r = divmod(n * r, q)
         entry = table[d][not r]
         child, child_mask, card = counting._advance(entry, bits, vec, mask)
+        fields = [(j, vec >> bits * j & field) for j in range(mask.bit_length()) if mask >> j & 1]
+        assert counting._advance_pairs(entry, fields) == (child, child_mask)
         expected = tuple(sorted(_step(pairs, n, weights, q * lo, q * hi).items()))
         assert _unpack(child, child_mask, r, q, lo, bits) == expected
         assert card == sum(m for _, m in expected)
