@@ -8,7 +8,8 @@
   with 1-norm <= max_r on the instance's digit table, the one
   ``exact_card`` reads: each vector is unpacked once into its (offset,
   count) pairs and stepped under every digit by ``counting._advance_pairs``,
-  and kept sparse, as its counts on its support; a vector of norm r together
+  and kept sparse, as its counts on its support, in the plain-tuple record
+  (counts, norm, integer_part, word, support); a vector of norm r together
   with a residue h whose aligned interval subset sits inside the uniquely
   covered collection and reaches a cycling component of the subset graph
   certifies that r occurs beyond the countable base-n grid.  Values of r
@@ -45,7 +46,9 @@ known on it are kept, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example, and reads no
 vector when every digit's tail is unknown on every working interval.  It
 then lists the routes of each r once, in canonical order: a norm-r vector,
-then a residue whose aligned subset reaches a cycling component.
+then a residue whose aligned subset reaches a cycling component, each the
+plain tuple (vector, residue, subset, cycles); ``RSearchResult`` says why
+records and routes are not named tuples.
 ``dim_u1`` reads a new context's ``u1`` and ``enumerate_achievable_r``
 runs ``Analysis.search`` on a new context; the report searches on the
 context it has already typed.  The search takes the interval census before
@@ -387,26 +390,24 @@ class Analysis:
         # with no other digit no vector can give a grid example
         live = [j for j in tails if len(blocked[j]) < inst.span]
         open_digits: dict[tuple[int, ...], list[int]] = {}
-        for rv in vectors if live else ():
+        for counts, _, i, word, support in vectors if live else ():
             # every later vector could only repeat an r that has its example
             if len(countable) == max_r:
                 break
-            digits = open_digits.get(rv.support)
+            digits = open_digits.get(support)
             if digits is None:
-                digits = open_digits[rv.support] = [
-                    j for j in live if blocked[j].isdisjoint(rv.support)
+                digits = open_digits[support] = [
+                    j for j in live if blocked[j].isdisjoint(support)
                 ]
             for j in digits:
                 tail = tails[j]
-                total = sum([c * tail[p] for p, c in zip(rv.support, rv.counts)])
+                total = sum([c * tail[p] for p, c in zip(support, counts)])
                 if 1 <= total <= max_r and total not in countable:
-                    countable[total] = expansion_value(
-                        n, rv.integer_part, rv.word + (j,), (0,)
-                    )
+                    countable[total] = expansion_value(n, i, word + (j,), (0,))
 
         # each support's aligned subsets, the subset graph they reach, its cycles,
         # and each support's passing (residue, subset, cycles) triples
-        supports = {rv.support for rv in vectors}
+        supports = {support for _, _, _, _, support in vectors}
         subsets = {s: aligned(types, n, [n * p for p in s]) for s in supports}
         seeds = {m for pairs in subsets.values() for _, m in pairs}
         graph = build_congruent_graph(types, n, seeds)
@@ -414,13 +415,14 @@ class Analysis:
         passing = {
             s: [(h, m, cycles[m]) for h, m in pairs if cycles[m]] for s, pairs in subsets.items()
         }
-        routes: dict[int, list[Route]] = {}
+        routes: dict[int, list[tuple]] = {}
         for rv in vectors:
-            triples = passing[rv.support]
+            _, norm, _, _, support = rv
+            triples = passing[support]
             if triples:
-                routes.setdefault(rv.norm, []).extend([Route(rv, *t) for t in triples])
+                routes.setdefault(norm, []).extend([(rv, *t) for t in triples])
         statuses: dict[int, RStatus] = {}
-        for r in sorted({rv.norm for rv in vectors} | countable.keys()):
+        for r in sorted({norm for _, norm, _, _, _ in vectors} | countable.keys()):
             if r in routes:
                 statuses[r] = RStatus(r, STATUS_ACHIEVABLE, routes[r][0], None)
             else:
@@ -445,53 +447,41 @@ def dim_u1(inst: ProblemInstance) -> U1Report:
 # -- multiplicity search --------------------------------------------------------
 
 
-class ReachableVector(NamedTuple):
-    """A reachable chain-count vector e_i T_{j1} ... T_{jk}, i the
-    ``integer_part`` and j1 ... jk the ``word``, held sparsely: ``counts``
-    are its nonzero entries, at the offsets ``support``, ascending."""
-
-    counts: tuple[int, ...]
-    norm: int
-    integer_part: int
-    word: tuple[int, ...]
-    support: tuple[int, ...]
-
-
-class Route(NamedTuple):
-    """A norm-r vector, then a residue h whose aligned subset
-    {n*p + h : p in vector.support} is uniquely covered and reaches the
-    cycling components ``cycles`` of the search's subset graph, ascending
-    (at least one)."""
-
-    vector: ReachableVector
-    residue: int
-    subset: tuple[int, ...]
-    cycles: tuple[int, ...]
-
-
 class RStatus(NamedTuple):
     """``witness`` is the first route of an Achievable r, else None."""
 
     r: int
     status: str
-    witness: Route | None
+    witness: tuple | None
     countable_example: Fraction | None
 
 
 class RSearchResult(NamedTuple):
-    """``routes[r]`` lists the routes of r in canonical order: the vectors
-    in the discovery order of ``vectors``, then their residues ascending.
-    An r in 1..max_r is achievable exactly when it has a route, and only
-    those r are keys; the status, ``dim_ur`` and ``witness_ur`` all read
-    this one list.  ``statuses`` holds only the r that are not
-    NotReachable, ascending; ``status(r)`` reads any r."""
+    """``vectors`` lists the reachable chain-count vectors e_i T_{j1} ...
+    T_{jk} in canonical order, each as the plain tuple (counts, norm,
+    integer_part, word, support): i is the integer part and j1 ... jk the
+    word, and the vector is held sparsely, its nonzero ``counts`` at the
+    offsets ``support``, ascending.  ``routes[r]`` lists the routes of r in
+    canonical order, each as the plain tuple (vector, residue, subset,
+    cycles): a norm-r record of ``vectors``, then a residue h whose aligned
+    subset {n*p + h : p in support} is uniquely covered and reaches the
+    cycling components ``cycles`` of ``graph``, ascending (at least one);
+    the vectors come in the order of ``vectors``, then their residues
+    ascending.  Both are exact tuples, not named ones, because the search
+    makes one per vector: the cyclic garbage collector can untrack an exact
+    tuple of untracked items, but never a tuple subclass, so every full
+    collection would walk every record.  An r in 1..max_r is achievable
+    exactly when it has a route, and only those r are keys; the status,
+    ``dim_ur`` and ``witness_ur`` all read this one list.  ``statuses``
+    holds only the r that are not NotReachable, ascending; ``status(r)``
+    reads any r."""
 
     max_r: int
-    vectors: tuple[ReachableVector, ...]
+    vectors: tuple[tuple, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
-    routes: dict[int, tuple[Route, ...]]
+    routes: dict[int, tuple[tuple, ...]]
 
     def achievable(self) -> list[int]:
         return list(self.routes)
@@ -503,10 +493,12 @@ class RSearchResult(NamedTuple):
         return self.statuses.get(r) or RStatus(r, STATUS_NOT_REACHABLE, None, None)
 
 
-def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVector, ...]:
+def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
     """Closure of {unit vectors} under the digit matrices, pruned at norm
     max_r (norms never decrease under the covering condition, so nothing is
-    lost), in canonical order.  Each vector keeps its canonical discovery:
+    lost), in canonical order, each as the record (counts, norm,
+    integer_part, word, support) that ``RSearchResult.vectors`` describes,
+    an exact tuple.  Each vector keeps its canonical discovery:
     shortest digit word, ties broken by word then by starting offset; the
     records come in that order, one breadth-first level at a time.  Raises
     TooLarge as the first record that takes the records past _VECTOR_BITS
@@ -553,10 +545,7 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
     # all the vectors it discovers, which sit together, by integer part
     level = [((), 1 << bits * u, u + lo, 1 << u, 1) for u in range(inst.span)]
     found = {vec for _, vec, _, _, _ in level}
-    vectors: list[ReachableVector] = []
-    # a NamedTuple's own __new__ is a Python function; tuple.__new__ builds
-    # the same record in about half the time
-    record = tuple.__new__
+    vectors = []
     while level:
         nxt = []
         for word, members in groupby(level, itemgetter(0)):
@@ -573,9 +562,7 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[ReachableVect
                     support.append(u + lo)
                     pairs.append((u, c))
                     norms += c * packed[u]
-                vectors.append(
-                    record(ReachableVector, (tuple(counts), norm, i, word, tuple(support)))
-                )
+                vectors.append((tuple(counts), norm, i, word, tuple(support)))
                 unpacked.append((pairs, norms, i))
             # digits outside, integer parts inside: a child's first making is
             # its canonical discovery (word, then digit, then i), and is
@@ -656,7 +643,7 @@ def dim_ur(search: RSearchResult, r: int) -> UrReport:
     n = search.analysis.inst.n
     # the first maximal component of each distinct set of cycles reached,
     # in route order; routes with one subset reach one set
-    reached = dict.fromkeys(route.cycles for route in search.routes[r])
+    reached = dict.fromkeys(cycles for _, _, _, cycles in search.routes[r])
     # the blocks of those cycling components only, by component index
     ids = sorted({i for cycles in reached for i in cycles})
     components = graph.scc.components
@@ -740,16 +727,15 @@ def _witness_candidates(search: RSearchResult, r: int):
     graph = search.graph
     residue = graph.residue
     decomposition = graph.scc
-    for route in search.routes[r]:
-        rv = route.vector
-        for idx in route.cycles:
+    for (_, _, i, word, _), _, subset, cycles in search.routes[r]:
+        for idx in cycles:
             comp = set(decomposition.components[idx])
-            path = _bfs_path(graph.succ, graph.number[route.subset], comp)
+            path = _bfs_path(graph.succ, graph.number[subset], comp)
             comp_succ = {v: [t for t in graph.succ[v] if t in comp] for v in comp}
             for cycle in _loops(comp_succ, path[-1], residue):
                 yield WitnessExpansion(
-                    integer_part=rv.integer_part,
-                    preperiod=rv.word + tuple(map(residue, path[:-1])),
+                    integer_part=i,
+                    preperiod=word + tuple(map(residue, path[:-1])),
                     period=tuple(map(residue, cycle)),
                 )
 

@@ -13,6 +13,7 @@ _MATRIX_CAP entries before they search or form either matrix.
 from __future__ import annotations
 
 import json
+import re
 import time
 from fractions import Fraction
 
@@ -35,6 +36,9 @@ from .spectral import RadiusResult, transition_matrices
 # together that `analyze` and `matrices` print: n=3 at span 601 prints about
 # 2.5 million, and at span 2001 T alone has 12 million.
 _MATRIX_CAP = 2**22
+# The "p/q" and "k" forms that parse_rational accepts; int() alone would also
+# take underscores, inner spaces, non-ASCII digits and a sign on q.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def format_rational(x: Fraction | int) -> str:
@@ -45,15 +49,16 @@ def format_rational(x: Fraction | int) -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Accepts exactly the "p/q" and "k" text forms; no decimals."""
+    """Accepts exactly the "p/q" and "k" text forms, after the outer
+    whitespace: ASCII digits, a sign only before p; no decimals, no
+    underscores, no inner spaces."""
     text = text.strip()
     try:
-        if "/" in text:
-            num, den = text.split("/")
-            return Fraction(int(num), int(den))
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidDocument(f"not a rational in p/q form: {text!r}") from exc
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
+    except ZeroDivisionError:
+        pass
+    raise InvalidDocument(f"not a rational in p/q form: {text!r}")
 
 
 def radius_json(rr: RadiusResult) -> dict:
@@ -232,15 +237,15 @@ def _search_json(search: RSearchResult) -> dict:
         st = search.status(r)
         entry: dict = {"status": st.status}
         if st.witness is not None:
-            w, rv = st.witness, st.witness.vector
-            counts = dict(zip(rv.support, rv.counts))
+            (counts, _, i, word, support), residue, subset, _ = st.witness
+            at = dict(zip(support, counts))
             entry["witness"] = {
-                "vector": [counts.get(p, 0) for p in range(inst.proj_min, inst.proj_max)],
-                "integer_part": rv.integer_part,
-                "word": list(rv.word),
-                "support": list(rv.support),
-                "residue": w.residue,
-                "subset": list(w.subset),
+                "vector": [at.get(p, 0) for p in range(inst.proj_min, inst.proj_max)],
+                "integer_part": i,
+                "word": list(word),
+                "support": list(support),
+                "residue": residue,
+                "subset": list(subset),
             }
         if st.countable_example is not None:
             entry["countable_example"] = format_rational(st.countable_example)

@@ -1,3 +1,4 @@
+import gc
 import math
 import sys
 from fractions import Fraction
@@ -99,19 +100,19 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
         bits = (max_r * inst.cube_count).bit_length()
         lo = inst.proj_min
         total = 0
-        for rv in full:
-            vec = sum(c << bits * (p - lo) for p, c in zip(rv.support, rv.counts))
-            mask = sum(1 << p - lo for p in rv.support)
+        for counts, _, _, word, support in full:
+            vec = sum(c << bits * (p - lo) for p, c in zip(support, counts))
+            mask = sum(1 << p - lo for p in support)
             total += (
                 vec.bit_length() + mask.bit_length() + analysis._RECORD_BITS
-                + 64 * (len(rv.word) + 2 * len(rv.support))
+                + 64 * (len(word) + 2 * len(support))
             )
         monkeypatch.setattr(analysis, "_VECTOR_BITS", total)
         assert analysis._reachable_vectors(inst, max_r) == full
         monkeypatch.setattr(analysis, "_VECTOR_BITS", total - 1)
         with pytest.raises(TooLarge, match=f"records pass {total - 1} bits"):
             analysis._reachable_vectors(inst, max_r)
-        units = [rv for rv in full if not rv.word]
+        units = [word for _, _, _, word, _ in full if not word]
         assert len(units) == inst.span
         monkeypatch.setattr(analysis, "_VECTOR_BITS", inst.span * analysis._RECORD_BITS)
         # the search steps its vectors with _advance_pairs alone: never called
@@ -119,6 +120,24 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
         with pytest.raises(TooLarge, match="records pass"):
             analysis._reachable_vectors(inst, max_r)
         monkeypatch.undo()
+
+
+def test_search_records_are_untracked_tuples():
+    """The search makes one record per vector and one route per (vector,
+    residue): each is an exact tuple, which the cyclic garbage collector
+    untracks once it holds only untracked items, so a full collection does
+    not walk them.  A tuple subclass, such as a named tuple, is never
+    untracked."""
+    search = enumerate_achievable_r(parse_instance(SCALED["span13"][0]), 6)
+    routes = [route for rs in search.routes.values() for route in rs]
+    assert search.vectors and routes
+    # a collection may reach a tuple before the tuples it holds, and a route
+    # holds a record, which holds its counts: three collections untrack all
+    for _ in range(3):
+        gc.collect()
+    for item in search.vectors + tuple(routes):
+        assert type(item) is tuple
+        assert not gc.is_tracked(item)
 
 
 def test_countable_examples_verify(cantor_diff):
@@ -153,10 +172,9 @@ def _named_status(search, r):
     if status.witness is None:
         return status
     graph = search.graph
-    cycles = tuple(
-        tuple(graph.vertices[v] for v in graph.scc.components[i]) for i in status.witness.cycles
-    )
-    return status._replace(witness=status.witness._replace(cycles=cycles))
+    vector, residue, subset, cycles = status.witness
+    named = tuple(tuple(graph.vertices[v] for v in graph.scc.components[i]) for i in cycles)
+    return status._replace(witness=(vector, residue, subset, named))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -174,13 +192,17 @@ def test_search_closure_is_stable(inst, a, extra):
     assert [_named_status(large, r) for r in range(1, a + 1)] == [
         _named_status(small, r) for r in range(1, a + 1)
     ]
-    assert tuple(rv for rv in large.vectors if rv.norm <= a) == small.vectors
+    assert tuple(
+        (counts, norm, i, word, support)
+        for counts, norm, i, word, support in large.vectors
+        if norm <= a
+    ) == small.vectors
 
 
 def test_powers_of_two_achievable(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 16)
     assert search.achievable() == [1, 2, 4, 8, 16]
-    norms = {rv.norm for rv in search.vectors}
+    norms = {norm for _, norm, _, _, _ in search.vectors}
     assert norms == {1, 2, 4, 8, 16}
 
 
@@ -319,8 +341,9 @@ def _aligned(search):
     inst = search.analysis.inst
     types = xi_types(inst)
     for rv in search.vectors:
+        _, _, _, _, support = rv
         for h in range(inst.n):
-            subset = tuple(inst.n * p + h for p in rv.support)
+            subset = tuple(inst.n * p + h for p in support)
             if all(u in types for u in subset):
                 yield rv, h, subset
 
@@ -333,9 +356,10 @@ def _assert_routes(search):
     stored in ``statuses`` exactly when its status is not the default."""
     expected = {r: [] for r in range(1, search.max_r + 1)}
     for rv, h, subset in _aligned(search):
+        _, norm, _, _, _ = rv
         cycles = tuple(sorted(search.graph.cycles_reached(subset)))
         if cycles:
-            expected[rv.norm].append((rv, h, subset, cycles))
+            expected[norm].append((rv, h, subset, cycles))
     assert search.routes == {r: tuple(routes) for r, routes in expected.items() if routes}
     # stored keys lie in 1..max_r, ascending
     assert list(search.statuses) == [r for r in expected if r in search.statuses]
@@ -457,8 +481,8 @@ def test_report_builds_blocks_and_aligned_subsets_once(name, monkeypatch):
         asked = {args[1]: reached for _, args, reached in calls["cycles_reached"]}
         assert sorted(args[1] for _, args, _ in calls["cycles_reached"]) == sorted(subsets)
         for routes in search.routes.values():
-            for route in routes:
-                assert route.cycles == tuple(sorted(asked[route.subset]))
+            for _, _, subset, cycles in routes:
+                assert cycles == tuple(sorted(asked[subset]))
 
 
 def test_report_certifies_each_restricted_block_once(monkeypatch):

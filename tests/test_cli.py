@@ -327,13 +327,21 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and message in err, flags
 
 
-def test_parse_rational_forms():
+def test_parse_rational_forms(capsys):
+    """Only ASCII "p/q" and "k", a sign only before p, after the outer
+    whitespace: int() alone would read each refused form below."""
     from fractions import Fraction
 
     assert parse_rational("1/3") == Fraction(1, 3)
+    assert parse_rational("-1/3") == Fraction(-1, 3)
+    assert parse_rational(" +2\n") == Fraction(2)
+    assert parse_rational("7") == Fraction(7)
     assert parse_rational("-7") == Fraction(-7)
-    with pytest.raises(InvalidDocument):
-        parse_rational("0.5")
+    for text in ("0.5", "1_0/3", " 1 / 3", "１/３", "١/٣", "1/-3", "1/+3", "1/0", "", "/3"):
+        with pytest.raises(InvalidDocument):
+            parse_rational(text)
+    code, out, err = run(capsys, "count", FIXTURES / "cantor_diff.json", "--x", "1/-3")
+    assert (code, out) == (1, "") and "not a rational in p/q form: '1/-3'" in err
 
 
 def test_render_counts(cantor_diff, base6_mixed, full_interval):

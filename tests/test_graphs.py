@@ -110,7 +110,7 @@ def test_search_explores_aligned_closure(cantor_diff, cantor_double_diff, cantor
     for inst in (cantor_diff, cantor_double_diff, cantor_sum):
         for max_r in (1, 3, 6):
             search = enumerate_achievable_r(inst, max_r)
-            supports = {rv.support for rv in search.vectors}
+            supports = {support for _, _, _, _, support in search.vectors}
             assert set(search.graph.vertices) == _aligned_closure(inst, supports)
 
 

@@ -61,8 +61,7 @@ from slicekit import (
     enumerate_achievable_r, parse_instance, scc, strong_separation,
 )
 from slicekit.analysis import (
-    _LOOP_BLOCKS, Analysis, ReachableVector, Route, RStatus, _integer_block,
-    _reachable_vectors,
+    _LOOP_BLOCKS, Analysis, RStatus, _integer_block, _reachable_vectors,
 )
 from slicekit import counting
 from slicekit.counting import (
@@ -135,7 +134,7 @@ def _dense_records(inst, max_r, least=True):
     )
     offsets = range(inst.proj_min, inst.proj_max)
     return tuple(
-        ReachableVector(
+        (
             tuple(c for c in vec if c),
             sum(vec),
             i,
@@ -193,28 +192,32 @@ def _per_vector_search(inst, max_r, vectors):
     for p, g in sorted(gamma.items()):
         if g is not None and 1 <= g <= max_r and g not in countable:
             countable[g] = Fraction(p)
-    for rv in vectors:
+    for counts, _, i, word, support in vectors:
         for j in range(1, n):
-            kids = [children(inst, j, p) for p in rv.support]
+            kids = [children(inst, j, p) for p in support]
             if any(gamma[child] is None for pairs in kids for child, _ in pairs):
                 continue
             total = sum(
                 c * sum(k * gamma[child] for child, k in pairs)
-                for c, pairs in zip(rv.counts, kids)
+                for c, pairs in zip(counts, kids)
             )
             if 1 <= total <= max_r and total not in countable:
-                countable[total] = expansion_value(n, rv.integer_part, rv.word + (j,), (0,))
+                countable[total] = expansion_value(n, i, word + (j,), (0,))
     types = xi_types(inst)
-    per_vector = [(rv, aligned(types, n, [n * p for p in rv.support])) for rv in vectors]
+    per_vector = []
+    for rv in vectors:
+        _, _, _, _, support = rv
+        per_vector.append((rv, aligned(types, n, [n * p for p in support])))
     graph = build_congruent_graph(types, n, {m for _, pairs in per_vector for _, m in pairs})
     routes = {}
     for rv, pairs in per_vector:
+        _, norm, _, _, _ = rv
         for h, m in pairs:
             cycles = tuple(sorted(graph.cycles_reached(m)))
             if cycles:
-                routes.setdefault(rv.norm, []).append(Route(rv, h, m, cycles))
+                routes.setdefault(norm, []).append((rv, h, m, cycles))
     statuses = {}
-    for r in sorted({rv.norm for rv in vectors} | countable.keys()):
+    for r in sorted({norm for _, norm, _, _, _ in vectors} | countable.keys()):
         if r in routes:
             statuses[r] = RStatus(r, "Achievable", routes[r][0], None)
         else:
