@@ -13,8 +13,11 @@
   with a residue h whose aligned interval subset sits inside the uniquely
   covered collection and reaches a cycling component of the subset graph
   certifies that r occurs beyond the countable base-n grid.  Values of r
-  realised only on that grid are found separately by walking terminating
-  expansions into the integer offset automaton.
+  realised only on that grid are found separately, from one pass of
+  ``counting._path_counts`` over the points of denominator n: it counts
+  every integer point and every one-digit point t + j/n, the tail of digit
+  j at t, and the point that ends a vector's word with digit j counts the
+  vector's counts times those tails, summed over its support.
 
 Every answer for one instance is read from an ``Analysis`` context.  It
 computes each derived object on first use and keeps it: the interval
@@ -42,9 +45,10 @@ context's xi types, only the part that they reach, since nothing reads
 any other subset, and asks it once for the cycling components each
 subset reaches; it builds no restricted graph.  Each support's passing
 (residue, subset, cycles) triples and the grid digits whose tails are
-known on it are kept, and every vector reads them; the grid scan stops
+within max_r on all of it are kept as exact tuples, which the cyclic
+collector can untrack, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example, and reads no
-vector when every digit's tail is unknown on every working interval.  It
+vector when every digit's tail passes max_r on every working interval.  It
 then lists the routes of each r once, in canonical order: a norm-r vector,
 then a residue whose aligned subset reaches a cycling component, each the
 plain tuple (vector, residue, subset, cycles); ``RSearchResult`` says why
@@ -70,8 +74,9 @@ components attain rho, whether failing separation is negligible, where the
 multiplicity dimension takes its maximum, the countable flag and
 domination.  Dimensions are reported as floats, but no decision is taken
 from one.  Each witness point is certified by ``exact_card`` before it is
-returned, at budget max_r like the search's integer counts: no count
-falls with depth, so none past max_r can change an answer.
+returned, at budget max_r, where the search's grid counts are cut at
+max_r + 1: no count falls with depth, so none past max_r can change an
+answer.
 """
 
 from __future__ import annotations
@@ -83,11 +88,13 @@ from math import inf, log, prod
 from operator import itemgetter
 from typing import NamedTuple
 
-from .counting import _advance_pairs, _record, digit_table, exact_card, expansion_value
+from .counting import (
+    _advance_pairs, _path_counts, _record, digit_table, exact_card, expansion_value,
+)
 from .errors import HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge
 from .graphs import CongruentGraph, aligned, build_congruent_graph, reachable
 from .instance import ProblemInstance
-from .lattice import children, interval_census, xi_types
+from .lattice import interval_census, xi_types
 # spectral_radius is not called here any more; it stays importable from this
 # module because bench/tests/test_harness.py checks that the tracer wraps it
 # at this import site.
@@ -343,7 +350,8 @@ class Analysis:
         grid, on an uncountable set unless all reachable cycles are bare).
         OnlyOnCountableSet: not achievable, but either a norm-r vector is
         reachable (no residue passes) or some terminating expansion realises
-        r through the integer-offset automaton.
+        r: an integer, or a reachable vector then one nonzero digit, whose
+        count ``counting._path_counts`` gives.
         NotReachable: neither route produces r (not stored; ``status`` reads
         it).
         """
@@ -361,59 +369,52 @@ class Analysis:
         vectors = _reachable_vectors(inst, max_r)
         n = inst.n
 
-        # countable-grid realisations: terminating expansions = reachable vector,
-        # then one nonzero digit, then the integer-offset automaton
-        gamma = _integer_card_table(inst, max_r)
+        # countable-grid realisations: an integer, or a reachable vector, then
+        # one nonzero digit j, then the integer points that digit's chains land
+        # on; layers[0] counts the integers and layers[j] the tails of digit j,
+        # at their points t + j/n, each capped at max_r + 1
+        layers = _path_counts(inst, n, max_r)
+        lo = inst.proj_min
         countable: dict[int, Fraction] = {}
-        for p, g in sorted(gamma.items()):
-            if g is not None and 1 <= g <= max_r and g not in countable:
+        for p, g in enumerate(layers[0], lo):
+            if 1 <= g <= max_r and g not in countable:
                 countable[g] = Fraction(p)
-
-        def tail_value(p: int, j: int) -> int | None:
-            total = 0
-            for child, c in children(inst, j, p):
-                child_card = gamma[child]
-                if child_card is None:
-                    return None
-                total += c * child_card
-            return total
-
-        # tails[j][p]: tail_value(p, j), once per working interval p and digit j;
-        # blocked[j]: the p where it is None; open_digits[support]: the digits j
-        # whose tails are known on the whole support, once per support
-        tails = {
-            j: {p: tail_value(p, j) for p in range(inst.proj_min, inst.proj_max)}
+        # blocked[j]: the working intervals p where digit j's tail passes max_r,
+        # so that any total over p does; open_digits[support]: the digits whose
+        # tails are within max_r on the whole support, once per support
+        blocked = {
+            j: {p for p in range(lo, inst.proj_max) if layers[j][p - lo] > max_r}
             for j in range(1, n)
         }
-        blocked = {j: {p for p, tail in tails[j].items() if tail is None} for j in tails}
         # a digit blocked on every working interval is open on no support, so
         # with no other digit no vector can give a grid example
-        live = [j for j in tails if len(blocked[j]) < inst.span]
-        open_digits: dict[tuple[int, ...], list[int]] = {}
+        live = [j for j in blocked if len(blocked[j]) < inst.span]
+        open_digits: dict[tuple[int, ...], tuple[int, ...]] = {}
         for counts, _, i, word, support in vectors if live else ():
             # every later vector could only repeat an r that has its example
             if len(countable) == max_r:
                 break
             digits = open_digits.get(support)
             if digits is None:
-                digits = open_digits[support] = [
-                    j for j in live if blocked[j].isdisjoint(support)
-                ]
+                digits = open_digits[support] = tuple(
+                    [j for j in live if blocked[j].isdisjoint(support)]
+                )
             for j in digits:
-                tail = tails[j]
-                total = sum([c * tail[p] for p, c in zip(support, counts)])
+                tail = layers[j]
+                total = sum([c * tail[p - lo] for p, c in zip(support, counts)])
                 if 1 <= total <= max_r and total not in countable:
                     countable[total] = expansion_value(n, i, word + (j,), (0,))
 
         # each support's aligned subsets, the subset graph they reach, its cycles,
         # and each support's passing (residue, subset, cycles) triples
         supports = {support for _, _, _, _, support in vectors}
-        subsets = {s: aligned(types, n, [n * p for p in s]) for s in supports}
+        subsets = {s: tuple(aligned(types, n, [n * p for p in s])) for s in supports}
         seeds = {m for pairs in subsets.values() for _, m in pairs}
         graph = build_congruent_graph(types, n, seeds)
         cycles = {m: tuple(sorted(graph.cycles_reached(m))) for m in seeds}
         passing = {
-            s: [(h, m, cycles[m]) for h, m in pairs if cycles[m]] for s, pairs in subsets.items()
+            s: tuple([(h, m, cycles[m]) for h, m in pairs if cycles[m]])
+            for s, pairs in subsets.items()
         }
         routes: dict[int, list[tuple]] = {}
         for rv in vectors:
@@ -590,17 +591,6 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
                     nxt.append((child_word, child, i, child_mask, norm))
         level = nxt
     return tuple(vectors)
-
-
-def _integer_card_table(inst: ProblemInstance, max_r: int) -> dict[int, int | None]:
-    """Exact representation count for every integer point of the range,
-    at budget max_r; None marks a point that is infinite or counts more
-    than max_r, and so feeds only tail totals past max_r."""
-    table: dict[int, int | None] = {}
-    for p in range(inst.proj_min, inst.proj_max + 1):
-        res = exact_card(inst, Fraction(p), budget=max_r)
-        table[p] = res.count if res.verdict == "Finite" else None
-    return table
 
 
 def enumerate_achievable_r(inst: ProblemInstance, max_r: int) -> RSearchResult:

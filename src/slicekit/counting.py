@@ -41,9 +41,14 @@ chain-count vectors e_i T_{j1} ... T_{jk} on the open rows (a row of digit
 matrix T_j is the children of one chain under digit j) with
 ``_advance_pairs``, the same row arithmetic on a vector unpacked once into
 its (field, count) pairs, since it steps each vector under every digit, and
-with no cache, since its vectors are distinct; it counts with
-``exact_card`` at budget max_r, so one search reads one table, at max_r's
-field width.
+with no cache, since its vectors are distinct, so one search reads one
+table, at max_r's field width.  The search counts no point with
+``exact_card``: ``_path_counts`` counts every point t + r/q of one
+denominator q in one pass, as the infinite walks of the graph that the
+same step rule puts on the pairs (r, t), cut at a cap, and the search
+reads its integer points and one-digit points at q = n.  ``exact_card``
+stays the one counter of a single point, and each is the other's
+reference in the tests.
 
 For rational x the automaton state space is finite (one remainder of q and
 at most span + 1 distinct offsets per state), so recurrences are real
@@ -250,6 +255,49 @@ def _build_table(inst: ProblemInstance, bits: int) -> tuple:
             opened.append(entry if cut is kids else _row(cut, bits, lo))
         table.append((tuple(opened), tuple(closed)))
     return tuple(table)
+
+
+def _path_counts(inst: ProblemInstance, q: int, cap: int) -> list[list[int]]:
+    """Card(S_x) at every point x = t + r/q, 0 <= r < q and t in [proj_min,
+    proj_max], capped: ``counts[r][t - proj_min]`` is the count when it is at
+    most ``cap``, else cap + 1, infinite counts included.
+
+    The points form a graph on the pairs (r, t) under the automaton's step:
+    digit d = n*r // q sends t to each child t' of ``lattice.children(inst,
+    d, t)``, c_w times, at remainder n*r mod q, cut by ``open_children``
+    when that remainder is not 0, as in the table's rows.  A count is the
+    number of infinite walks from its vertex, found for every vertex in one
+    pass over the components in Tarjan's emission order, which puts each
+    after every component it reaches: a cycle of weight-1 edges that no
+    edge leaves has one walk from each member; any other cycling component
+    has infinitely many, since under the covering condition, which the
+    caller has checked, every point of the range has a child, so every walk
+    goes on; and a vertex on no cycle has the weighted sum over its edges,
+    which is at least each child's count, so a child cut at cap + 1 cuts
+    it too.  A point past proj_max (t = proj_max, r > 0) is in no edge."""
+    # imported here so that this module's imports load no graphs: a command
+    # that only checks or counts need not
+    from .graphs import _tarjan
+
+    n, lo, width = inst.n, inst.proj_min, inst.span + 1
+    succ, weights = [], []
+    for r in range(q):
+        d, step = divmod(n * r, q)
+        for t in range(lo, lo + width):
+            kids = children(inst, d, t)
+            kids = open_children(inst, kids) if step else kids
+            succ.append([step * width + c - lo for c, _ in kids])
+            weights.append([w for _, w in kids])
+    counts = [0] * len(succ)
+    for comp in _tarjan(succ):
+        v = comp[0]
+        if len(comp) > 1 or v in succ[v]:
+            value = 1 if all(weights[u] == [1] for u in comp) else cap + 1
+            for u in comp:
+                counts[u] = value
+        else:
+            counts[v] = min(cap + 1, sum([w * counts[u] for u, w in zip(succ[v], weights[v])]))
+    return [counts[r * width:(r + 1) * width] for r in range(q)]
 
 
 def _advance(entry: tuple, bits: int, vec: int, mask: int) -> tuple[int, int, int]:

@@ -44,7 +44,9 @@ reach set of all components: a reader that asks which vertices a set of
 vertices reaches runs ``reachable``, a plain search, where it reads the
 answer.  It describes structure only; the blocks, each component's sparse
 rows with a certified radius, are formed by the ``analysis`` context that
-reads them.
+reads them.  ``counting._path_counts`` reads ``_tarjan`` itself: it needs
+the emission order alone, to count walks on a graph of the points of one
+denominator, not the sorted components.
 """
 
 from __future__ import annotations

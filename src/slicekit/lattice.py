@@ -7,10 +7,12 @@ question is decided exactly on scaled integers.
 ``children`` is the one place that applies the children rule, and
 ``open_children`` the one place that cuts a chain's children at proj_max:
 row t of digit matrix T_d is the open children of (d, t), read by the
-counting tables, the digit matrices and ``lyapunov_estimate``, and the
+counting tables, ``counting._path_counts``, the digit matrices and
+``lyapunov_estimate``, and the
 types of interval u (``interval_type_counts``) are the open children of
-(u mod n, u div n).  The grid tails and the counting tables' closed rows
-read ``children`` uncut.
+(u mod n, u div n).  The counting tables' closed rows, and the edges of
+``counting._path_counts`` that end at remainder 0, read ``children``
+uncut.
 ``interval_census`` lists the types of every interval of the range, and
 ``xi_types`` reads from it which intervals are uniquely covered, and by
 which type.  The cube-by-cube type assignment of the paper is the tests'

@@ -151,6 +151,22 @@ def test_countable_examples_verify(cantor_diff):
         assert all(p == 3 for p in _prime_factors(x.denominator))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 9))
+def test_countable_examples_verify_random(inst, max_r):
+    """Every countable example counts Finite r and sits on the base-n grid:
+    every prime of its denominator divides n, so n^k * x is an integer for
+    some k.  The bundled and scaled reports give few examples that are not
+    integers, each found from a vector and a digit's tails; these draws
+    give more."""
+    for r, status in enumerate_achievable_r(inst, max_r).statuses.items():
+        x = status.countable_example
+        if x is not None:
+            res = exact_card(inst, x)
+            assert (res.verdict, res.count) == ("Finite", r), x
+            assert inst.n ** x.denominator.bit_length() % x.denominator == 0, x
+
+
 def _prime_factors(value):
     out = []
     d = 2

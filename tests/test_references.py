@@ -47,6 +47,10 @@ vector's (field, count) pairs, the same children as ``_step``.
 ``kernel_states`` steps one point's chains with that kernel, as
 ``exact_card`` does, and reads each depth's multiset back as pairs, which
 off the base-n grid are the entries of the dense products.
+``_assert_path_counts`` checks the one-pass counts of every point of one
+denominator, ``counting._path_counts``, against ``exact_card`` point by
+point and against the oracle's ``brute_force_cube_count`` at a depth where
+every count has settled or passed the cap.
 """
 
 from collections import Counter
@@ -57,8 +61,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slicekit import (
-    CongruentGraph, ProblemInstance, build_congruent_graph, covering_condition, dim_ur,
-    enumerate_achievable_r, parse_instance, scc, strong_separation,
+    CongruentGraph, ProblemInstance, brute_force_cube_count, build_congruent_graph,
+    covering_condition, dim_ur, enumerate_achievable_r, parse_instance, scc, strong_separation,
 )
 from slicekit.analysis import (
     _LOOP_BLOCKS, Analysis, RStatus, _integer_block, _reachable_vectors,
@@ -930,6 +934,50 @@ def test_exact_card_matches_pairs_reference_past_depth_64(label, stride):
                 assert exact_card(inst, x, budget, cap) == result, (x, budget)
                 past += result.depth_reached >= 64 * (pre + 1)
     assert past > 500
+
+
+def _assert_path_counts(inst, cap, brute):
+    """``counting._path_counts`` at every reduced p/q of the range with
+    q <= 12 against the two counters: ``exact_card`` at budget ``cap``,
+    which gives the count where it is Finite and passes the budget, or
+    proves the count infinite, where the pass reads cap + 1; and, with
+    ``brute``, the oracle's depth-k count, cut at b + 1 for b = min(cap, 3)
+    and read at k = V * (b + 3).  From x the graph reaches V = (preperiod +
+    period) * (span + 1) vertices at most, so a finite count is reached
+    within V digits, and an infinite one passes b within V * (b + 2): a
+    walk meets the cycling component that makes it infinite within V
+    digits, and each later turn round it, at most V digits, adds a walk."""
+    lo, hi = inst.proj_min, inst.proj_max
+    b = min(cap, 3)
+    for q in range(1, 13):
+        layers = counting._path_counts(inst, q, cap)
+        for p in range(q * lo, q * hi + 1):
+            x = Fraction(p, q)
+            if x.denominator != q:
+                continue
+            t, r = divmod(p, q)
+            count = layers[r][t - lo]
+            result = exact_card(inst, x, budget=cap)
+            if result.verdict == "Finite":
+                assert count == result.count, (x, cap)
+            elif result.verdict == "Infinite" or result.count > cap:
+                assert count == cap + 1, (x, cap)
+            if brute:
+                depth = sum(counting._expansion_lengths(inst, x)) * (inst.span + 1) * (b + 3)
+                settled = min(brute_force_cube_count(inst, x, depth), b + 1)
+                assert min(count, b + 1) == settled, (x, cap)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(counting_instances(), st.integers(1, 9))
+def test_path_counts_match_both_counters_random(inst, cap):
+    _assert_path_counts(inst, cap, brute=inst.span <= 5)
+
+
+@pytest.mark.parametrize("cap", [1, 3, 6])
+@pytest.mark.parametrize("label", ["cantor_diff", "cantor_double_diff", "cantor_sum"])
+def test_path_counts_match_both_counters_bundled(label, cap):
+    _assert_path_counts(load(label), cap, brute=True)
 
 
 def _unpack(vec, mask, r, q, lo, bits):
