@@ -1,19 +1,27 @@
-"""Integer polynomial helpers behind ``spectral.compare_radii``.
+"""The exact algebra behind ``spectral.compare_radii``.
 
-Pseudo-remainder sequences made primitive at every step, so every
-coefficient stays an int: gcds, squarefree parts, Sturm chains and their
-sign variations at a rational point, and the bisection step that keeps a
-window around the largest root.  Only the exact radius comparison reads
-them, and only when two certified enclosures overlap, so ``spectral``
-imports this module inside the functions that take that path.
+Berkowitz's division-free characteristic polynomial of a block's sparse
+rows, and the integer polynomial helpers that isolate its Perron root:
+pseudo-remainder sequences made primitive at every step, so every
+coefficient stays an int, give gcds, squarefree parts, Sturm chains and
+their sign variations at a rational point, and the bisection step that
+keeps a window around the largest root (``_perron_window``).  Only the
+exact radius comparison reads them, and only when two certified
+enclosures overlap, so ``spectral`` imports this module inside the
+functions that take that path: no ``analyze`` or ``matrices`` run on a
+bundled instance compiles it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import InternalError
+
+if TYPE_CHECKING:
+    from .spectral import RadiusResult, Rows
 
 
 def _poly_trim(p: list[int]) -> list[int]:
@@ -126,3 +134,42 @@ def _halve(chain, lo: Fraction, hi: Fraction, v_lo: int, v_hi: int):
     if v_mid > v_hi:  # a root in (mid, hi], so the largest one
         return mid, hi, v_mid, v_hi
     return lo, mid, v_lo, v_mid
+
+
+def _berkowitz(rows: Rows) -> list[int]:
+    """Coefficients [a_0, ..., a_n] of det(xI - A), exact, leading 1, for
+    the matrix A with sparse ``rows``.
+
+    Berkowitz's division-free algorithm: the polynomial of each leading
+    (k+1) x (k+1) submatrix is a Toeplitz product of the previous one with
+    1, -a_kk and -R M^j C (R, C the new row and column, M the previous
+    submatrix), so only integer products and sums occur.
+    """
+    poly = [1]  # high-to-low
+    for k, last in enumerate(rows):
+        # M's rows, R and C, each cut to the leading k columns or rows
+        sub = [[(j, e) for j, e in row if j < k] for row in rows[:k]]
+        head = [(j, e) for j, e in last if j < k]
+        v = [sum([e for j, e in row if j == k]) for row in rows[:k]]
+        toeplitz = [1, -sum([e for j, e in last if j == k])]
+        for _ in range(k):
+            toeplitz.append(-sum([e * v[j] for j, e in head]))
+            v = [sum([e * v[j] for j, e in row]) for row in sub]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
+            for i in range(k + 2)
+        ]
+    return poly[::-1]
+
+
+def _perron_window(rows: Rows, rr: RadiusResult):
+    """(Sturm chain, lo, hi, v_lo, v_hi): a window (lo, hi] that holds the
+    Perron root of the block ``rows`` and no other root of its squarefree
+    characteristic polynomial, narrowed from the certified enclosure
+    ``rr``.  By Perron-Frobenius the radius is the largest real root."""
+    chain = _sturm_chain(_squarefree(_berkowitz(rows)))
+    lo, hi = rr.lower - (rr.width or 1), rr.upper
+    window = (lo, hi, _variations(chain, lo), _variations(chain, hi))
+    while window[2] - window[3] > 1:
+        window = _halve(chain, *window)
+    return (chain, *window)

@@ -11,8 +11,11 @@ script); ``main(argv)`` is the same command for in-process callers.
 
 Each process compiles only the layers its command runs: the brute-force
 oracle is imported by the ``oracle`` command and the SVG figure code
-(``render``) by the ``render`` command, each inside its branch, so every
-other command starts without them.
+(``render``) by the ``render`` command, each inside its branch, and the
+Lyapunov stepping (``_lyapunov``, with numpy) by ``lyapunov`` once its
+arguments pass, so every other command starts without them.  The parser
+registers only the subparser of the command named first, or all of them
+when the first argument names no command.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Sequence
 
 from .analysis import dim_u1, dim_ur, enumerate_achievable_r, witness_ur
 from .counting import DEFAULT_BUDGET, exact_card, lyapunov_estimate
@@ -85,62 +89,97 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command: its help line, then its options after the instance path and
+# --out, as (flag, add_argument keywords) pairs, in the order help lists them.
+_COMMANDS = {
+    "analyze": (
+        "full report: checks, graphs, matrices, dimensions, multiplicities",
+        [("--max-r", {"type": int, "default": 6})],
+    ),
+    "check": (
+        "covering and strong-separation checks plus the basic bounds",
+        [("--json", {"action": "store_true", "help": "emit JSON"})],
+    ),
+    "matrices": ("the 0-1 transition matrix and the digit count matrices", []),
+    "dim-u1": ("dimension/measure report for the uniquely represented set", []),
+    "count": (
+        "exact number of representations of a rational point",
+        [
+            ("--x", {"required": True, "help": "rational point, e.g. 1/3"}),
+            ("--budget", {"type": int, "default": DEFAULT_BUDGET}),
+            ("--max-depth", {"type": int, "default": None}),
+            (
+                "--explain",
+                {
+                    "action": "store_true",
+                    "help": "also write the cycle certificate that proves the verdict",
+                },
+            ),
+        ],
+    ),
+    "oracle": (
+        "brute-force depth-k cube count (and chains) through a point",
+        [
+            ("--x", {"required": True}),
+            ("--depth", {"type": int, "default": 4}),
+            ("--solutions", {"action": "store_true", "help": "also list surviving chains"}),
+        ],
+    ),
+    "enumerate-r": (
+        "classify multiplicities 1..max_r",
+        [("--max-r", {"type": int, "default": 6})],
+    ),
+    "dim-ur": (
+        "dimension of the multiplicity-r set",
+        [("--r", {"type": int, "required": True})],
+    ),
+    "witness": (
+        "eventually periodic point with exactly r representations",
+        [("--r", {"type": int, "required": True})],
+    ),
+    "lyapunov": (
+        "Monte-Carlo growth exponent of random digit products",
+        [
+            ("--samples", {"type": int, "default": 10000}),
+            ("--depth", {"type": int, "default": 1000}),
+            ("--seed", {"type": int, "default": 0}),
+        ],
+    ),
+    "render": (
+        "SVG figure of the unit square, digit cubes and projection lines",
+        [("--depth", {"type": int, "default": 1})],
+    ),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser of the command line ``argv``.
+
+    When ``argv[0]`` names a command, only that command's subparser is
+    registered: it alone parses the rest, so its help and its errors read
+    as they would with every command registered.  Otherwise (no arguments,
+    ``--help``, an unknown command or an option before the command) all of
+    them are, for the top-level help and errors.
+    """
     parser = _Parser(prog="slicekit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
+    wanted = argv[0] if argv and argv[0] in _COMMANDS else None
+    for name, (help_text, options) in _COMMANDS.items():
+        if wanted is not None and name != wanted:
+            continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("instance", help="path to an instance JSON document")
         p.add_argument("--out", help="write output to this path instead of stdout")
-        return p
-
-    p = add("analyze", "full report: checks, graphs, matrices, dimensions, multiplicities")
-    p.add_argument("--max-r", type=int, default=6)
-
-    p = add("check", "covering and strong-separation checks plus the basic bounds")
-    p.add_argument("--json", action="store_true", help="emit JSON")
-    add("matrices", "the 0-1 transition matrix and the digit count matrices")
-    add("dim-u1", "dimension/measure report for the uniquely represented set")
-
-    p = add("count", "exact number of representations of a rational point")
-    p.add_argument("--x", required=True, help="rational point, e.g. 1/3")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--max-depth", type=int, default=None)
-    p.add_argument(
-        "--explain",
-        action="store_true",
-        help="also write the cycle certificate that proves the verdict",
-    )
-
-    p = add("oracle", "brute-force depth-k cube count (and chains) through a point")
-    p.add_argument("--x", required=True)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--solutions", action="store_true", help="also list surviving chains")
-
-    p = add("enumerate-r", "classify multiplicities 1..max_r")
-    p.add_argument("--max-r", type=int, default=6)
-
-    p = add("dim-ur", "dimension of the multiplicity-r set")
-    p.add_argument("--r", type=int, required=True)
-
-    p = add("witness", "eventually periodic point with exactly r representations")
-    p.add_argument("--r", type=int, required=True)
-
-    p = add("lyapunov", "Monte-Carlo growth exponent of random digit products")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--depth", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-
-    p = add("render", "SVG figure of the unit square, digit cubes and projection lines")
-    p.add_argument("--depth", type=int, default=1)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = build_parser(argv).parse_args(argv)
         except SystemExit as exc:  # argparse --help, written to stdout
             code = int(exc.code or 0)
         else:

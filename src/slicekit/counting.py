@@ -67,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import gcd
 from weakref import finalize
 
 from .errors import CoveringRequired, HypothesisViolated, OutOfRange, TooLarge
@@ -450,7 +450,9 @@ def exact_card(
 # span x span digit matrices, filled in place from ``lattice.children``, and,
 # per digit step, one span x span matrix per sample of a block.  These arrays
 # are its peak; 2**24 floats are 128 MiB.  n=3 with blocks of 256 samples
-# fits up to span 254, and span 601 would ask for 705 MiB per step.
+# fits up to span 254, and span 601 would ask for 705 MiB per step.  The cap
+# is checked here, before the private ``_lyapunov`` module that forms the
+# arrays, and numpy with it, is imported: a refused call compiles neither.
 _LYAPUNOV_FLOATS = 2**24
 
 
@@ -485,40 +487,8 @@ def lyapunov_estimate(
             f"the dense digit matrices and one block's products need {floats} floats, "
             f"more than {_LYAPUNOV_FLOATS}"
         )
-    # imported here, the one place that needs it, to keep `import slicekit` light
-    import numpy as np
+    # the numpy stepping, loaded here, the one place that needs numpy, to keep
+    # `import slicekit` light
+    from ._lyapunov import _estimate
 
-    # the digit matrices (``spectral.transition_matrices``), with no int copy
-    lo, hi = inst.proj_min, inst.proj_max
-    mats = np.zeros((inst.n, span, span), dtype=np.float64)
-    for j in range(inst.n):
-        for u in range(lo, hi):
-            for v, count in open_children(inst, children(inst, j, u)):
-                mats[j, u - lo, v - lo] = count
-    per_sample = np.empty(samples, dtype=np.float64)
-    for block_start in range(0, samples, block_size):
-        block = min(block_size, samples - block_start)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=seed, spawn_key=(block_start,))
-        )
-        starts = rng.integers(0, span, size=block)
-        digits = rng.integers(0, inst.n, size=(block, depth))
-        vecs = np.zeros((block, span), dtype=np.float64)
-        vecs[np.arange(block), starts] = 1.0
-        acc = np.zeros(block, dtype=np.float64)
-        # each step's matrices, written in place so one block's set is live
-        step = np.empty((block, span, span), dtype=np.float64)
-        for k in range(depth):
-            # "clip" leaves ``out`` unbuffered; every digit is below n
-            np.take(mats, digits[:, k], axis=0, out=step, mode="clip")
-            vecs = np.einsum("bu,buv->bv", vecs, step)
-            norms = vecs.sum(axis=1)
-            acc += np.log(norms)
-            vecs /= norms[:, None]
-        per_sample[block_start : block_start + block] = acc / (depth * log(inst.n))
-    estimate = float(per_sample.mean())
-    if samples > 1:
-        stderr = float(per_sample.std(ddof=1) / samples**0.5)
-    else:
-        stderr = 0.0
-    return estimate, stderr
+    return _estimate(inst, samples, depth, seed, block_size)

@@ -23,10 +23,11 @@ polynomials whose Sturm chains isolate each Perron root and whose gcd
 decides equality.  Chains, gcds and squarefree parts are primitive
 pseudo-remainder sequences over the integers, and signs at a rational point
 are read off integers, so no coefficient is a ``Fraction``.  No radius
-verdict is taken from a float.  Those polynomial helpers live in the
-private ``_sturm`` module, which the functions that reach the algebra
-import when they first do: a process whose enclosures never overlap never
-compiles it.
+verdict is taken from a float.  That algebra, Berkowitz's algorithm, the
+Perron windows and the polynomial helpers, lives in the private ``_sturm``
+module, which ``compare_radii`` and ``count_real_roots`` import when they
+first reach it: a process whose enclosures never overlap never compiles
+it, and no ``analyze`` or ``matrices`` run on a bundled instance does.
 """
 
 from __future__ import annotations
@@ -167,32 +168,6 @@ def spectral_radius(
 
 # -- exact radius comparison ----------------------------------------------------
 
-def _berkowitz(rows: Rows) -> list[int]:
-    """Coefficients [a_0, ..., a_n] of det(xI - A), exact, leading 1, for
-    the matrix A with sparse ``rows``.
-
-    Berkowitz's division-free algorithm: the polynomial of each leading
-    (k+1) x (k+1) submatrix is a Toeplitz product of the previous one with
-    1, -a_kk and -R M^j C (R, C the new row and column, M the previous
-    submatrix), so only integer products and sums occur.
-    """
-    poly = [1]  # high-to-low
-    for k, last in enumerate(rows):
-        # M's rows, R and C, each cut to the leading k columns or rows
-        sub = [[(j, e) for j, e in row if j < k] for row in rows[:k]]
-        head = [(j, e) for j, e in last if j < k]
-        v = [sum([e for j, e in row if j == k]) for row in rows[:k]]
-        toeplitz = [1, -sum([e for j, e in last if j == k])]
-        for _ in range(k):
-            toeplitz.append(-sum([e * v[j] for j, e in head]))
-            v = [sum([e * v[j] for j, e in row]) for row in sub]
-        poly = [
-            sum(toeplitz[i - j] * poly[j] for j in range(max(0, i - k - 1), min(i, k) + 1))
-            for i in range(k + 2)
-        ]
-    return poly[::-1]
-
-
 def count_real_roots(poly, lo: Fraction, hi: Fraction) -> int:
     """Distinct real roots of an integer polynomial in (lo, hi]."""
     from ._sturm import _squarefree, _sturm_chain, _variations
@@ -202,21 +177,6 @@ def count_real_roots(poly, lo: Fraction, hi: Fraction) -> int:
         return 0
     chain = _sturm_chain(sf)
     return _variations(chain, lo) - _variations(chain, hi)
-
-
-def _perron_window(rows: Rows, rr: RadiusResult):
-    """(Sturm chain, lo, hi, v_lo, v_hi): a window (lo, hi] that holds the
-    Perron root of the block ``rows`` and no other root of its squarefree
-    characteristic polynomial, narrowed from the certified enclosure
-    ``rr``.  By Perron-Frobenius the radius is the largest real root."""
-    from ._sturm import _halve, _squarefree, _sturm_chain, _variations
-
-    chain = _sturm_chain(_squarefree(_berkowitz(rows)))
-    lo, hi = rr.lower - (rr.width or 1), rr.upper
-    window = (lo, hi, _variations(chain, lo), _variations(chain, hi))
-    while window[2] - window[3] > 1:
-        window = _halve(chain, *window)
-    return (chain, *window)
 
 
 def compare_radii(ra: RadiusResult, rb: RadiusResult, a: Rows, b: Rows) -> int:
@@ -242,7 +202,7 @@ def compare_radii(ra: RadiusResult, rb: RadiusResult, a: Rows, b: Rows) -> int:
         return 0
     if a == b:
         return 0
-    from ._sturm import _halve, _poly_gcd
+    from ._sturm import _halve, _perron_window, _poly_gcd
 
     chain_a, *wa = _perron_window(a, ra)
     chain_b, *wb = _perron_window(b, rb)

@@ -50,7 +50,7 @@ REMOVED = {
         "FullGraph", "XiGraph", "build_full_graph", "build_xi_graph", "psi_step",
         "subset_successor",
     ],
-    "spectral": ["char_poly", "irreducible"],
+    "spectral": ["_berkowitz", "_perron_window", "char_poly", "irreducible"],
     "counting": ["NadicExpansion", "cube_count_vector", "nadic_expansion"],
     "analysis": ["_dim_ur", "measure_ur"],
     "report": ["data_section"],

@@ -16,7 +16,7 @@ from slicekit.cli import main
 from slicekit.lattice import interval_census, interval_type_counts, u_range
 from slicekit.render import render_grid
 from slicekit.report import _check_printable, build_report, matrices_json, parse_rational
-from slicekit.errors import InvalidDocument, NotPlanar, TooLarge
+from slicekit.errors import InvalidDocument, NotPlanar, TooLarge, UsageError
 
 from conftest import load
 from helpers import data_section
@@ -327,6 +327,48 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and message in err, flags
 
 
+def test_filtered_parser_says_what_the_full_one_says(capsys, monkeypatch):
+    """``build_parser`` registers only the subparser that argv[0] names, or
+    all of them when argv[0] names no command.  Each call below gives the
+    same exit code, stdout and stderr as with every subparser registered:
+    each command's help, the top-level help, no arguments, an unknown
+    command, an option before the command, and every call that
+    test_usage_errors makes."""
+    from slicekit import cli
+
+    filtered = cli.build_parser
+    with pytest.raises(UsageError, match="invalid choice: 'analyze'"):
+        filtered(["check", "x"]).parse_args(["analyze", "x"])
+
+    def outcomes() -> list:
+        seen = []
+
+        def recorded(argv):
+            code = cli.main(argv)
+            out = capsys.readouterr()
+            seen.append((argv, code, out.out, out.err))
+            sys.stdout.write(out.out)  # for the caller's own capsys read
+            sys.stderr.write(out.err)
+            return code
+
+        monkeypatch.setitem(globals(), "main", recorded)
+        for argv in (
+            *([command, "--help"] for command in cli._COMMANDS),
+            ["--help"],
+            [],
+            ["frobnicate", "x"],
+            ["--out", "o", "check", "x"],
+        ):
+            run(capsys, *argv)
+        test_usage_errors(capsys)
+        return seen
+
+    got = outcomes()
+    assert len(cli._COMMANDS) == 11 and len(got) > 15 + 11
+    monkeypatch.setattr(cli, "build_parser", lambda argv=(): filtered())
+    assert outcomes() == got
+
+
 def test_parse_rational_forms(capsys):
     """Only ASCII "p/q" and "k", a sign only before p, after the outer
     whitespace: int() alone would read each refused form below."""
@@ -384,10 +426,17 @@ def test_render_deterministic(cantor_diff):
     assert render_grid(cantor_diff, depth=2) == render_grid(cantor_diff, depth=2)
 
 
-# Loaded on first use only: numpy by lyapunov_estimate, the oracle by the
-# `oracle` command and the package's oracle names, the figure code by
-# `render`, the Sturm-chain helpers where two radius enclosures overlap.
-_LAZY_MODULES = ("numpy", "slicekit.oracle", "slicekit.render", "slicekit._sturm")
+# Loaded on first use only: numpy and the stepping that needs it by
+# lyapunov_estimate, the oracle by the `oracle` command and the package's
+# oracle names, the figure code by `render`, the exact radius algebra where
+# two radius enclosures overlap.
+_LAZY_MODULES = (
+    "numpy",
+    "slicekit._lyapunov",
+    "slicekit.oracle",
+    "slicekit.render",
+    "slicekit._sturm",
+)
 
 
 def _lazy_modules_loaded(code: str) -> list[str]:
@@ -406,15 +455,22 @@ def _lazy_modules_loaded(code: str) -> list[str]:
 
 
 def test_import_does_not_load_numpy():
-    """numpy, the oracle, the figure code and the Sturm-chain helpers are
-    imported where they are first used, so neither ``import slicekit`` nor
-    ``python -m slicekit check|count|analyze`` compiles them, and a
-    ``lyapunov`` seed out of range is refused before numpy loads."""
+    """numpy, the Lyapunov stepping, the oracle, the figure code and the
+    exact radius algebra are imported where they are first used, so neither
+    ``import slicekit`` nor ``python -m slicekit check|count``, ``analyze``
+    on any bundled instance or the benchmark's ``matrices`` calls compiles
+    them, and a ``lyapunov`` seed out of range is refused before numpy and
+    the stepping load."""
     assert _lazy_modules_loaded("import slicekit") == []
+    bundled = sorted(path.name for path in FIXTURES.glob("*.json"))
+    assert len(bundled) == 7
     for argv, want in (
         (["check", "instances/cantor_diff.json"], 0),
+        (["check", "instances/cantor_diff.json", "--json"], 0),
         (["count", "instances/cantor_diff.json", "--x", "1/3"], 0),
-        (["analyze", "instances/cantor_diff.json"], 0),
+        *((["analyze", f"instances/{name}"], 0) for name in bundled),
+        (["matrices", "instances/cantor_diff.json"], 0),
+        (["matrices", "instances/base7_double.json"], 0),
         (["lyapunov", "instances/cantor_diff.json", "--seed", "-1"], 2),
     ):
         code = (

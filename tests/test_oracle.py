@@ -8,6 +8,9 @@ import slicekit.oracle as oracle_mod
 from slicekit import brute_force_cube_count, brute_force_solutions
 from slicekit.errors import OutOfRange, TooLarge
 
+from conftest import FIXTURES, load
+from helpers import restricted
+
 
 def test_counts_stabilise(cantor_diff):
     assert brute_force_cube_count(cantor_diff, Fraction(1, 3), 4) == 3
@@ -95,3 +98,22 @@ def test_solutions_deeper_than_the_recursion_limit(cantor_sum):
     chains = brute_force_solutions(cantor_sum, Fraction(1, 2), 3000)
     assert len(chains) == brute_force_cube_count(cantor_sum, Fraction(1, 2), 3000) == 1
     assert len(chains[0].digits) == 3000
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.json")))
+def test_restricted_matrix_counts_the_oracle_census(name):
+    """M against the oracle alone: N_k, the number of level-k n-adic
+    intervals of [proj_min, proj_max] whose midpoint has exactly one
+    depth-k chain by ``brute_force_cube_count``, is 1^T M^(k-1) 1 for the
+    restricted graph's 0-1 matrix M, at k = 1..4."""
+    inst = load(name)
+    m = restricted(inst)[2]
+    walks = [1] * len(m)  # 1^T M^(k-1), one entry per vertex
+    for k in range(1, 5):
+        level = inst.n**k
+        unique = sum(
+            brute_force_cube_count(inst, inst.proj_min + Fraction(2 * i + 1, 2 * level), k) == 1
+            for i in range(inst.span * level)
+        )
+        assert unique == sum(walks), (name, k)
+        walks = [sum(w * row[j] for w, row in zip(walks, m)) for j in range(len(m))]

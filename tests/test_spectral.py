@@ -12,7 +12,8 @@ from slicekit import (
 )
 from slicekit.analysis import Analysis
 from slicekit.graphs import component_matrix
-from slicekit.spectral import _berkowitz, block_radius, max_radius
+from slicekit._sturm import _berkowitz
+from slicekit.spectral import block_radius, max_radius
 
 from helpers import block_rows, restricted, type_assignment
 
