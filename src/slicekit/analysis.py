@@ -9,7 +9,8 @@
   ``exact_card`` reads: each vector is unpacked once into its (offset,
   count) pairs and stepped under every digit by ``counting._advance_pairs``,
   and kept sparse, as its counts on its support, in the plain-tuple record
-  (counts, norm, integer_part, word, support); a vector of norm r together
+  (counts, norm, integer_part, word, support), its word a link to its
+  parent word (``spell_word``); a vector of norm r together
   with a residue h whose aligned interval subset sits inside the uniquely
   covered collection and reaches a cycling component of the subset graph
   certifies that r occurs beyond the countable base-n grid.  Values of r
@@ -49,10 +50,8 @@ within max_r on all of it are kept as exact tuples, which the cyclic
 collector can untrack, and every vector reads them; the grid scan stops
 once every r of 1..max_r has its first countable example, and reads no
 vector when every digit's tail passes max_r on every working interval.  It
-then lists the routes of each r once, in canonical order: a norm-r vector,
-then a residue whose aligned subset reaches a cycling component, each the
-plain tuple (vector, residue, subset, cycles); ``RSearchResult`` says why
-records and routes are not named tuples.
+then lists the routes of each r once, in canonical order, each route's
+record with its word spelled out (``RSearchResult``).
 ``dim_u1`` reads a new context's ``u1`` and ``enumerate_achievable_r``
 runs ``Analysis.search`` on a new context; the report searches on the
 context it has already typed.  The search takes the interval census before
@@ -85,7 +84,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import inf, log, prod
-from operator import itemgetter
 from typing import NamedTuple
 
 from .counting import (
@@ -107,14 +105,12 @@ from .spectral import (  # noqa: F401
 _MAX_R = 2**20
 # Most bits the multiplicity search's vector records may hold together.  A
 # record counts the bits of its packed vector and of its support mask, 64
-# bits a slot for its word and for its counts and support tuples, and
-# _RECORD_BITS for the Python objects that hold them.  Words grow with
-# max_r: on n=3, {0,2}^2, (-1, 2) the vectors of norm up to 1000 have words
-# of up to 999 digits, so a count of vectors alone does not bound memory.
-# A search refused at the bound peaks near 290 MiB there (`dim-ur --r
-# 1000000`), and near 450 MiB at the interval cap's edge, (-10922, 10923)
-# at max_r 6, the least headroom under 512 MiB; the span-101 report (n=3,
-# {0,2}^2, (-50, 51)) holds 2.3 * 10^9 bits and still answers.
+# bits a slot for its word's digits and for its counts and support tuples,
+# and _RECORD_BITS for its Python objects.  A search refused at the bound
+# peaks near 216 MiB on n=3, {0,2}^2, (-1, 2) (`dim-ur --r 1000000`, words
+# of up to 999 digits), and near 453 MiB at the interval cap's edge,
+# (-10922, 10923) at max_r 6, the least headroom under 512 MiB; the
+# span-101 report (n=3, {0,2}^2, (-50, 51)) holds 2.3 * 10^9 bits.
 _VECTOR_BITS = 3 * 2**30
 _RECORD_BITS = 4096
 
@@ -403,7 +399,7 @@ class Analysis:
                 tail = layers[j]
                 total = sum([c * tail[p - lo] for p, c in zip(support, counts)])
                 if 1 <= total <= max_r and total not in countable:
-                    countable[total] = expansion_value(n, i, word + (j,), (0,))
+                    countable[total] = expansion_value(n, i, spell_word((word, j)), (0,))
 
         # each support's aligned subsets, the subset graph they reach, its cycles,
         # and each support's passing (residue, subset, cycles) triples
@@ -417,10 +413,10 @@ class Analysis:
             for s, pairs in subsets.items()
         }
         routes: dict[int, list[tuple]] = {}
-        for rv in vectors:
-            _, norm, _, _, support = rv
+        for counts, norm, i, word, support in vectors:
             triples = passing[support]
             if triples:
+                rv = (counts, norm, i, spell_word(word), support)
                 routes.setdefault(norm, []).extend([(rv, *t) for t in triples])
         statuses: dict[int, RStatus] = {}
         for r in sorted({norm for _, norm, _, _, _ in vectors} | countable.keys()):
@@ -430,7 +426,6 @@ class Analysis:
                 statuses[r] = RStatus(r, STATUS_COUNTABLE, None, countable.get(r))
         return RSearchResult(
             max_r=max_r,
-            vectors=vectors,
             statuses=statuses,
             analysis=self,
             graph=graph,
@@ -458,27 +453,24 @@ class RStatus(NamedTuple):
 
 
 class RSearchResult(NamedTuple):
-    """``vectors`` lists the reachable chain-count vectors e_i T_{j1} ...
-    T_{jk} in canonical order, each as the plain tuple (counts, norm,
-    integer_part, word, support): i is the integer part and j1 ... jk the
-    word, and the vector is held sparsely, its nonzero ``counts`` at the
-    offsets ``support``, ascending.  ``routes[r]`` lists the routes of r in
-    canonical order, each as the plain tuple (vector, residue, subset,
-    cycles): a norm-r record of ``vectors``, then a residue h whose aligned
-    subset {n*p + h : p in support} is uniquely covered and reaches the
-    cycling components ``cycles`` of ``graph``, ascending (at least one);
-    the vectors come in the order of ``vectors``, then their residues
-    ascending.  Both are exact tuples, not named ones, because the search
-    makes one per vector: the cyclic garbage collector can untrack an exact
-    tuple of untracked items, but never a tuple subclass, so every full
-    collection would walk every record.  An r in 1..max_r is achievable
-    exactly when it has a route, and only those r are keys; the status,
-    ``dim_ur`` and ``witness_ur`` all read this one list.  ``statuses``
-    holds only the r that are not NotReachable, ascending; ``status(r)``
-    reads any r."""
+    """``routes[r]`` lists the routes of r in canonical order, each as the
+    plain tuple (vector, residue, subset, cycles): the record (counts, norm,
+    integer_part, word, support) of a norm-r vector e_i T_{j1} ... T_{jk},
+    held sparsely, its nonzero ``counts`` at the offsets ``support``,
+    ascending, with i and the word j1 ... jk as a flat tuple of digits, so
+    that comparing, printing or pickling a route never follows a chain of
+    word nodes (``spell_word``); then a residue h whose aligned subset
+    {n*p + h : p in support} is uniquely covered and reaches the cycling
+    components ``cycles`` of ``graph``, ascending (at least one); vectors by
+    shortest word, then word, then i, and residues ascending.  Both are
+    exact tuples, not named ones, as the search makes one per vector: the
+    cyclic collector untracks an exact tuple of untracked items, never a
+    tuple subclass.  An r in 1..max_r is achievable exactly when it has a
+    route, and only those r are keys; the status, ``dim_ur`` and
+    ``witness_ur`` all read this one list.  ``statuses`` holds only the r
+    that are not NotReachable, ascending; ``status(r)`` reads any r."""
 
     max_r: int
-    vectors: tuple[tuple, ...]
     statuses: dict[int, RStatus]
     analysis: Analysis
     graph: CongruentGraph
@@ -494,16 +486,26 @@ class RSearchResult(NamedTuple):
         return self.statuses.get(r) or RStatus(r, STATUS_NOT_REACHABLE, None, None)
 
 
+def spell_word(node: tuple) -> tuple[int, ...]:
+    """The digits of a word node, () or (parent node, last digit)."""
+    digits = []
+    while node:
+        node, j = node
+        digits.append(j)
+    return tuple(reversed(digits))
+
+
 def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
     """Closure of {unit vectors} under the digit matrices, pruned at norm
     max_r (norms never decrease under the covering condition, so nothing is
     lost), in canonical order, each as the record (counts, norm,
-    integer_part, word, support) that ``RSearchResult.vectors`` describes,
-    an exact tuple.  Each vector keeps its canonical discovery:
-    shortest digit word, ties broken by word then by starting offset; the
-    records come in that order, one breadth-first level at a time.  Raises
-    TooLarge as the first record that takes the records past _VECTOR_BITS
-    is found; the unit vectors' records are counted before any is formed.
+    integer_part, word, support) that ``RSearchResult`` describes, an exact
+    tuple.  Each vector keeps its canonical discovery: shortest digit word,
+    ties broken by word then by starting offset; the records come in that
+    order, one breadth-first level at a time, and each word is one node
+    that its vectors share.  Raises TooLarge as the first record that takes
+    the records past _VECTOR_BITS is found, each word counted as depth
+    slots; the unit vectors' records are counted before any is formed.
 
     Row u of digit matrix j is the children of one chain at offset
     proj_min + u under digit j, kept below proj_max, so a product is one
@@ -541,17 +543,19 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
     field = (1 << bits) - 1
     shifts = [(rows, bits * j) for j, (rows, _) in enumerate(digit_table(inst, bits))]
     packed = [sum(rows[u][4] << shift for rows, shift in shifts) for u in range(inst.span)]
-    # a level lists its vectors in canonical order, each as its (word, packed
-    # counts, integer part, support mask, norm); one word object is shared by
-    # all the vectors it discovers, which sit together, by integer part
+    # a level: its vectors in canonical order, each as its (word node, packed
+    # counts, integer part, support mask, norm), a word's vectors together
     level = [((), 1 << bits * u, u + lo, 1 << u, 1) for u in range(inst.span)]
     found = {vec for _, vec, _, _, _ in level}
     vectors = []
+    # a child's word, 64 bits a digit, and its record's objects
+    size = 64 + _RECORD_BITS
     while level:
         nxt = []
-        for word, members in groupby(level, itemgetter(0)):
+        # by identity: comparing two nodes would walk their parents
+        for _, members in groupby(level, lambda entry: id(entry[0])):
             unpacked = []
-            for _, vec, i, mask, norm in members:
+            for word, vec, i, mask, norm in members:
                 counts, support, pairs, norms = [], [], [], 0
                 rest = mask
                 while rest:
@@ -567,9 +571,7 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
                 unpacked.append((pairs, norms, i))
             # digits outside, integer parts inside: a child's first making is
             # its canonical discovery (word, then digit, then i), and is
-            # counted in the records' bits at once; ``size`` is the part of
-            # its record's bits that its word fixes
-            size = 64 * (len(word) + 1) + _RECORD_BITS
+            # counted in the records' bits at once
             for j, (rows, shift) in enumerate(shifts):
                 child_word = None
                 for pairs, norms, i in unpacked:
@@ -587,9 +589,10 @@ def _reachable_vectors(inst: ProblemInstance, max_r: int) -> tuple[tuple, ...]:
                         raise TooLarge(f"the reachable vectors' records pass {_VECTOR_BITS} bits")
                     found.add(child)
                     if child_word is None:
-                        child_word = word + (j,)
+                        child_word = (word, j)
                     nxt.append((child_word, child, i, child_mask, norm))
         level = nxt
+        size += 64
     return tuple(vectors)
 
 

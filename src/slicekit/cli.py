@@ -1,13 +1,12 @@
-"""Command-line front end.
+"""Command-line front end.  Exit codes: 0 success, 1 usage / malformed
+input (including an --out path that cannot be written, and a stdout whose
+reader has gone), 2 precondition violation, 3 resource cap (including
+counting budgets), 4 internal error (an InternalError, or any other
+unexpected exception, reported on one line).
 
-Exit codes: 0 success, 1 usage / malformed input (including an ``--out``
-path that cannot be written, and a stdout whose reader has gone),
-2 precondition violation, 3 resource cap (including counting budgets),
-4 internal error (an ``InternalError``, or any other unexpected exception,
-reported on one line).
-
-``run`` is the program entry (``python -m slicekit`` and the ``slicekit``
-script); ``main(argv)`` is the same command for in-process callers.
+The first paragraph is the top-level help's description.  ``run`` is the
+program entry (``python -m slicekit`` and the ``slicekit`` script);
+``main(argv)`` is the same command for in-process callers.
 
 Each process compiles only the layers its command runs: the brute-force
 oracle is imported by the ``oracle`` command and the SVG figure code
@@ -161,7 +160,7 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     ``--help``, an unknown command or an option before the command) all of
     them are, for the top-level help and errors.
     """
-    parser = _Parser(prog="slicekit", description=__doc__)
+    parser = _Parser(prog="slicekit", description=(__doc__ or "").partition("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
     wanted = argv[0] if argv and argv[0] in _COMMANDS else None
     for name, (help_text, options) in _COMMANDS.items():

@@ -44,6 +44,13 @@ class ProblemInstance:
     coefficients: tuple[int, ...]
 
     def __init__(self, n: int, digit_sets, coefficients) -> None:
+        # first, so a document's errors keep their order; bool is refused too
+        for d in (d for digits in digit_sets for d in digits):
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise DigitOutOfRange(f"digit {d!r} is not an integer")
+        for m in coefficients:
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ZeroCoefficient(f"coefficient {m!r} is not an integer")
         if not isinstance(n, int) or n < 2:
             raise BadBase(f"base must be an integer >= 2, got {n!r}")
         if len(digit_sets) != len(coefficients):
@@ -59,13 +66,11 @@ class ProblemInstance:
             if len(set(digits)) != len(digits):
                 raise DuplicateDigit(f"digit set #{idx} has duplicates: {digits}")
             for d in digits:
-                if not isinstance(d, int) or not 0 <= d <= n - 1:
-                    raise DigitOutOfRange(
-                        f"digit {d!r} in set #{idx} not in 0..{n - 1}"
-                    )
+                if not 0 <= d <= n - 1:
+                    raise DigitOutOfRange(f"digit {d!r} in set #{idx} not in 0..{n - 1}")
             norm_sets.append(tuple(sorted(digits)))
         for idx, m in enumerate(coefficients):
-            if not isinstance(m, int) or m == 0:
+            if m == 0:
                 raise ZeroCoefficient(f"coefficient #{idx} is {m!r}")
         # written to __dict__, as cached_property does: __setattr__ refuses
         self.__dict__.update(
@@ -173,13 +178,6 @@ def parse_instance(text: str) -> ProblemInstance:
         raise InvalidDocument("'digit_sets' must be an array of arrays")
     if not isinstance(coeffs, list):
         raise InvalidDocument("'coefficients' must be an array")
-    for s in sets:
-        for d in s:
-            if isinstance(d, bool) or not isinstance(d, int):
-                raise DigitOutOfRange(f"digit {d!r} is not an integer")
-    for m in coeffs:
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise ZeroCoefficient(f"coefficient {m!r} is not an integer")
     return ProblemInstance(
         n=n,
         digit_sets=tuple(tuple(s) for s in sets),

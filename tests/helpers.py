@@ -20,13 +20,15 @@ helper the golden comparisons share.
   0-1 matrix M, as the report prints them.
 * ``block_rows``: a dense matrix as a block's sparse rows, the form
   ``block_radius``, ``compare_radii`` and the context's blocks take.
+* ``spelled``: the multiplicity search's vector records with each word
+  node spelled out as its digit tuple, the form the tests compare.
 """
 
 import json
 from fractions import Fraction
 from typing import NamedTuple
 
-from slicekit.analysis import Analysis
+from slicekit.analysis import Analysis, spell_word
 from slicekit.graphs import component_matrix
 from slicekit.lattice import u_range
 from slicekit.spectral import transition_matrices
@@ -168,3 +170,13 @@ def block_rows(matrix):
     """The sparse rows of a dense matrix: each row's nonzero entries as
     (column, entry) pairs, ascending column, as tuples."""
     return tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in matrix)
+
+
+def spelled(records):
+    """The records (counts, norm, integer_part, word, support) of
+    ``analysis._reachable_vectors``, in order, each with its word node
+    spelled out by ``spell_word``, as a route's record holds it."""
+    return tuple(
+        (counts, norm, i, spell_word(word), support)
+        for counts, norm, i, word, support in records
+    )

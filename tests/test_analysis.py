@@ -16,7 +16,10 @@ from slicekit import (
     witness_ur,
 )
 from slicekit import analysis, covering_condition, graphs, parse_instance, report
-from slicekit.analysis import _LOOP_BLOCKS, _MAX_R, Analysis, _witness_candidates
+from slicekit.analysis import (
+    _LOOP_BLOCKS, _MAX_R, Analysis, RSearchResult, _reachable_vectors, _witness_candidates,
+    spell_word,
+)
 from slicekit.errors import (
     HypothesisViolated, NoCertifiedWitness, NotAchievable, OutOfRange, TooLarge,
 )
@@ -24,7 +27,7 @@ from slicekit.lattice import interval_census, interval_type_counts, u_range, xi_
 from slicekit.spectral import block_radius
 
 from conftest import FIXTURES, counting_instances, load
-from helpers import block_rows
+from helpers import block_rows, spelled
 from test_golden import SCALED
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -96,7 +99,7 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
     recount over every record and is refused one bit below; a bound below
     the unit vectors' records refuses before any vector is stepped."""
     for inst, max_r in ((cantor_double_diff, 6), (cantor_diff, 40)):
-        full = analysis._reachable_vectors(inst, max_r)
+        full = spelled(analysis._reachable_vectors(inst, max_r))
         bits = (max_r * inst.cube_count).bit_length()
         lo = inst.proj_min
         total = 0
@@ -108,7 +111,7 @@ def test_vector_bits_bound_counts_every_record(monkeypatch, cantor_double_diff, 
                 + 64 * (len(word) + 2 * len(support))
             )
         monkeypatch.setattr(analysis, "_VECTOR_BITS", total)
-        assert analysis._reachable_vectors(inst, max_r) == full
+        assert spelled(analysis._reachable_vectors(inst, max_r)) == full
         monkeypatch.setattr(analysis, "_VECTOR_BITS", total - 1)
         with pytest.raises(TooLarge, match=f"records pass {total - 1} bits"):
             analysis._reachable_vectors(inst, max_r)
@@ -126,16 +129,27 @@ def test_search_records_are_untracked_tuples():
     """The search makes one record per vector and one route per (vector,
     residue): each is an exact tuple, which the cyclic garbage collector
     untracks once it holds only untracked items, so a full collection does
-    not walk them.  A tuple subclass, such as a named tuple, is never
-    untracked."""
-    search = enumerate_achievable_r(parse_instance(SCALED["span13"][0]), 6)
-    routes = [route for rs in search.routes.values() for route in rs]
-    assert search.vectors and routes
+    not walk them, and so is each word node that a record holds.  A tuple
+    subclass, such as a named tuple, is never untracked.  The search
+    returns only its routes, whose records hold their words spelled out;
+    the closure's records are read where the closure makes them."""
+    inst = parse_instance(SCALED["span13"][0])
+    search = enumerate_achievable_r(inst, 6)
+    records = _reachable_vectors(inst, 6)
+    routes = tuple(route for rs in search.routes.values() for route in rs)
+    assert records and routes
+    assert "vectors" not in RSearchResult._fields
+    nodes = {}
+    for _, _, _, word, _ in records:
+        while word:
+            nodes[id(word)] = word
+            word = word[0]
+    assert max(len(spell_word(word)) for word in nodes.values()) == 15
     # a collection may reach a tuple before the tuples it holds, and a route
     # holds a record, which holds its counts: three collections untrack all
     for _ in range(3):
         gc.collect()
-    for item in search.vectors + tuple(routes):
+    for item in records + routes + tuple(route[0] for route in routes) + tuple(nodes.values()):
         assert type(item) is tuple
         assert not gc.is_tracked(item)
 
@@ -210,15 +224,15 @@ def test_search_closure_is_stable(inst, a, extra):
     ]
     assert tuple(
         (counts, norm, i, word, support)
-        for counts, norm, i, word, support in large.vectors
+        for counts, norm, i, word, support in spelled(_reachable_vectors(inst, a + extra))
         if norm <= a
-    ) == small.vectors
+    ) == spelled(_reachable_vectors(inst, a))
 
 
 def test_powers_of_two_achievable(cantor_diff):
     search = enumerate_achievable_r(cantor_diff, 16)
     assert search.achievable() == [1, 2, 4, 8, 16]
-    norms = {norm for _, norm, _, _, _ in search.vectors}
+    norms = {norm for _, norm, _, _, _ in spelled(_reachable_vectors(cantor_diff, 16))}
     assert norms == {1, 2, 4, 8, 16}
 
 
@@ -351,12 +365,12 @@ _SEARCHABLE = [name for name in _COVERING if all(strong_separation(load(name)))]
 
 
 def _aligned(search):
-    """(vector, residue, subset) for each vector of ``search`` in order and
-    each residue h, ascending, whose aligned subset {n*p + h : p in support}
-    is uniquely covered."""
+    """(vector, residue, subset) for each vector that ``search`` reached, in
+    order, and each residue h, ascending, whose aligned subset
+    {n*p + h : p in support} is uniquely covered."""
     inst = search.analysis.inst
     types = xi_types(inst)
-    for rv in search.vectors:
+    for rv in spelled(_reachable_vectors(inst, search.max_r)):
         _, _, _, _, support = rv
         for h in range(inst.n):
             subset = tuple(inst.n * p + h for p in support)

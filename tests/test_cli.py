@@ -327,6 +327,27 @@ def test_usage_errors(capsys):
         assert (code, out) == (2, "") and message in err, flags
 
 
+def test_top_level_help_prints_the_exit_codes_only(capsys):
+    """``slicekit --help`` describes the command line with the first
+    paragraph of the ``cli`` docstring, the exit codes, and leaves out the
+    implementation notes that follow it."""
+    from slicekit import cli
+
+    code, out, err = run(capsys, "--help")
+    assert (code, err) == (0, "")
+    text = " ".join(out.split())
+    assert (
+        "Exit codes: 0 success, 1 usage / malformed input (including an --out path that "
+        "cannot be written, and a stdout whose reader has gone), 2 precondition violation, "
+        "3 resource cap (including counting budgets), 4 internal error (an InternalError, "
+        "or any other unexpected exception, reported on one line)."
+    ) in text
+    assert "``" not in out
+    for note in ("compiles", "_lyapunov", "main(argv)", "subparser"):
+        assert note in cli.__doc__ and note not in out, note
+    assert run(capsys, "-h") == (code, out, err)
+
+
 def test_filtered_parser_says_what_the_full_one_says(capsys, monkeypatch):
     """``build_parser`` registers only the subparser that argv[0] names, or
     all of them when argv[0] names no command.  Each call below gives the

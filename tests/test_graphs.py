@@ -9,14 +9,14 @@ from slicekit import (
     scc,
 )
 from slicekit import graphs
-from slicekit.analysis import _LOOP_BLOCKS, Analysis
+from slicekit.analysis import _LOOP_BLOCKS, Analysis, _reachable_vectors
 from slicekit.errors import TooLarge
 from slicekit.graphs import component_matrix, reachable
 from slicekit.instance import parse_instance
 from slicekit.lattice import xi_types
 from slicekit.spectral import block_radius
 
-from helpers import block_rows, restricted, scan_full_graph, subset_successor
+from helpers import block_rows, restricted, scan_full_graph, spelled, subset_successor
 from test_properties import instances
 
 GOLDEN_M_CANTOR = (
@@ -110,7 +110,8 @@ def test_search_explores_aligned_closure(cantor_diff, cantor_double_diff, cantor
     for inst in (cantor_diff, cantor_double_diff, cantor_sum):
         for max_r in (1, 3, 6):
             search = enumerate_achievable_r(inst, max_r)
-            supports = {support for _, _, _, _, support in search.vectors}
+            records = spelled(_reachable_vectors(inst, max_r))
+            supports = {support for _, _, _, _, support in records}
             assert set(search.graph.vertices) == _aligned_closure(inst, supports)
 
 

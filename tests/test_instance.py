@@ -60,6 +60,47 @@ def test_validation_errors():
         ProblemInstance(n=3, digit_sets=((0, 0, 2),), coefficients=(1,))
 
 
+def test_booleans_refused_on_both_paths():
+    """bool is an int subclass, yet no digit or coefficient may be one: the
+    constructor refuses True and False with the exception type and message
+    that a document's true and false get, and the document path's errors
+    are unchanged."""
+    cases = (
+        ((3, [[False, 2], [0, 2]], [1, -2]), DigitOutOfRange, "digit False is not an integer"),
+        ((3, [[0, 2], [0, 2]], [True, -2]), ZeroCoefficient, "coefficient True is not an integer"),
+        ((3, [[0, 2], [0, 2]], [1, False]), ZeroCoefficient, "coefficient False is not an integer"),
+        # any other non-integer takes the same message on both paths, and
+        # is refused before the base and the lengths are checked
+        ((3, [[0, 2], [0, 2]], [1.5, -2]), ZeroCoefficient, "coefficient 1.5 is not an integer"),
+        ((1, [[0.5]], [1]), DigitOutOfRange, "digit 0.5 is not an integer"),
+    )
+    for (n, sets, coeffs), error, message in cases:
+        with pytest.raises(error) as direct:
+            ProblemInstance(n, sets, coeffs)
+        assert str(direct.value) == message
+        document = json.dumps({"n": n, "digit_sets": sets, "coefficients": coeffs})
+        with pytest.raises(error) as parsed:
+            parse_instance(document)
+        assert str(parsed.value) == message
+    # a call the constructor used to accept: the digit is refused first
+    with pytest.raises(DigitOutOfRange, match="digit False is not an integer"):
+        ProblemInstance(3, [[False, 2], [0, 2]], [True, -2])
+    # a document's digits are checked before its base and its lengths
+    for document, error, message in (
+        ('{"n": 1, "digit_sets": [[true]], "coefficients": [1]}', DigitOutOfRange,
+         "digit True is not an integer"),
+        ('{"n": 3, "digit_sets": [[0], [1]], "coefficients": [false]}', ZeroCoefficient,
+         "coefficient False is not an integer"),
+        ('{"n": true, "digit_sets": [[0]], "coefficients": [1]}', BadBase,
+         "'n' must be an integer, got True"),
+        ('{"n": 3, "digit_sets": [[0, 1.5]], "coefficients": [1]}', DigitOutOfRange,
+         "digit 1.5 is not an integer"),
+    ):
+        with pytest.raises(error) as parsed:
+            parse_instance(document)
+        assert str(parsed.value) == message
+
+
 def test_document_errors():
     with pytest.raises(InvalidDocument):
         parse_instance("[1, 2]")

@@ -65,7 +65,7 @@ from slicekit import (
     covering_condition, dim_ur, enumerate_achievable_r, parse_instance, scc, strong_separation,
 )
 from slicekit.analysis import (
-    _LOOP_BLOCKS, Analysis, RStatus, _integer_block, _reachable_vectors,
+    _LOOP_BLOCKS, Analysis, RStatus, _integer_block, _reachable_vectors, spell_word,
 )
 from slicekit import counting
 from slicekit.counting import (
@@ -83,7 +83,7 @@ from slicekit.spectral import (
 from conftest import FIXTURES, counting_instances, load
 from helpers import (
     block_rows, dense_cube_count_vector, long_division_expansion, scan_full_graph,
-    scan_type_counts, subset_successor,
+    scan_type_counts, spelled, subset_successor,
 )
 from test_golden import SCALED
 from test_properties import instances
@@ -150,7 +150,7 @@ def _dense_records(inst, max_r, least=True):
 
 
 def _assert_same_vectors(inst, max_r):
-    assert _reachable_vectors(inst, max_r) == _dense_records(inst, max_r)
+    assert spelled(_reachable_vectors(inst, max_r)) == _dense_records(inst, max_r)
 
 
 def test_sparse_vectors_match_dense_bundled():
@@ -171,6 +171,49 @@ def test_sparse_vectors_match_dense_scaled(label, max_r):
     _assert_same_vectors(_count_instance(label), max_r)
 
 
+def test_records_share_one_node_per_word():
+    """Each record's word is a node, () for the empty word or a pair
+    (parent node, digit), and every record of one word holds the same node
+    object, so a word is kept once however many vectors it discovers.  On
+    n=3, {0,2}^2, (-1, 2) at max_r 60 the words reach 59 digits, and on
+    (-4, 5) at max_r 6 33 nonempty words discover two vectors or more;
+    spelled out, the records are the dense products' records, in order."""
+    for coefficients, max_r in (((-1, 2), 60), ((-4, 5), 6)):
+        inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=coefficients)
+        records = _reachable_vectors(inst, max_r)
+        nodes, shared = {}, set()
+        for record in records:
+            word = record[3]
+            assert word == () or (type(word) is tuple and len(word) == 2 and word[1] in (0, 1, 2))
+            digits = spell_word(word)
+            if digits in nodes:
+                shared.add(digits)
+            assert nodes.setdefault(digits, word) is word
+        assert spelled(records) == _dense_records(inst, max_r)
+        if max_r == 60:
+            assert len(records) == 1832 and max(map(len, nodes)) == 59
+        else:
+            assert len(shared - {()}) == 33
+
+
+def test_routes_hold_spelled_words():
+    """The search returns no word node: each route's record holds its word
+    as a flat tuple of digits, so comparing, printing or pickling a route
+    never recurses through a word as deep as the word is long.  On n=3,
+    {0,2}^2, (-1, 2) at max_r 200 the routes' words reach 199 digits; each
+    route's record is the closure's record, spelled out."""
+    inst = ProblemInstance(n=3, digit_sets=((0, 2), (0, 2)), coefficients=(-1, 2))
+    records = set(spelled(_reachable_vectors(inst, 200)))
+    search = enumerate_achievable_r(inst, 200)
+    words = set()
+    for rv, _, _, _ in (route for rs in search.routes.values() for route in rs):
+        assert type(rv) is tuple and rv in records
+        word = rv[3]
+        assert type(word) is tuple and all(type(d) is int for d in word)
+        words.add(word)
+    assert max(map(len, words)) == 199
+
+
 @pytest.mark.parametrize("label", ["span9", "span15", "span17"])
 def test_scaled_vectors_see_the_tie_break(label):
     """At max_r 6 some child of span9, span15 and span17 is made by two
@@ -179,7 +222,7 @@ def test_scaled_vectors_see_the_tie_break(label):
     discovery: a closure that kept the first child made gives other
     records, so the scaled cases above check the tie-break."""
     inst = _count_instance(label)
-    assert _dense_records(inst, 6, least=False) != _reachable_vectors(inst, 6)
+    assert _dense_records(inst, 6, least=False) != spelled(_reachable_vectors(inst, 6))
 
 
 def _per_vector_search(inst, max_r, vectors):
@@ -235,8 +278,9 @@ def _assert_per_support_search(inst, max_r):
     vectors, and the routes, statuses, subset graph and blocks of the
     per-vector loops, whose blocks a fresh context forms."""
     search = enumerate_achievable_r(inst, max_r)
-    assert search.vectors == _dense_records(inst, max_r)
-    graph, routes, statuses = _per_vector_search(inst, max_r, search.vectors)
+    vectors = spelled(_reachable_vectors(inst, max_r))
+    assert vectors == _dense_records(inst, max_r)
+    graph, routes, statuses = _per_vector_search(inst, max_r, vectors)
     assert search.routes == routes
     assert search.statuses == statuses
     assert search.graph == graph
